@@ -298,6 +298,12 @@ def cmd_join(
     dump_sentences: str | Path | None = None,
 ) -> RunManifest:
     """Execute the join and write result.csv."""
+    given = ({"--threshold": threshold is not None, "--both-directions": both_directions,
+              "--index-side": index_side != "auto"} if baseline is not None
+             else {"--key-column": key_column is not None})
+    if any(given.values()):
+        raise ConfigError(f"the {'baseline' if baseline is not None else 'learned'} join does "
+                          f"not use {', '.join(flag for flag, on in given.items() if on)}")
     data_dir = Path(config.data_dir)
     manifest = RunManifest(command="join", config=_config_to_dict(config), seed=config.seed)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, SupervisionPair, SupervisionTriple
 from .joinspec import EngineConfig
 from .prepare import Sentence, prepare_sentence
-from .supervise import SamplerConfig, build_pretraining_pairs, sample_triples
+from .supervise import SamplerConfig, build_pretraining_pairs, build_tiers, sample_triples
 
 DEFAULT_HASH_DIM = 1 << 16
 DEFAULT_DIM = 200
@@ -55,7 +55,6 @@ class EncoderModel:
     bias: np.ndarray        # (dim,)
     hash_seed: int
     normalize: bool = True
-    pooling: str = "mean"
     _bucket_cache: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
@@ -92,7 +91,6 @@ class EncoderModel:
             bias=self.bias.copy(),
             hash_seed=self.hash_seed,
             normalize=self.normalize,
-            pooling=self.pooling,
             _bucket_cache=dict(self._bucket_cache),
         )
 
@@ -490,30 +488,25 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EncoderModel:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise EncoderError(f"{path}: truncated model file")
-    magic, version, hash_dim, dim, hash_seed, norm_flag = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise EncoderError(f"{path}: not a model file (bad magic {magic!r})")
-    if version != _VERSION:
-        raise EncoderError(f"{path}: unsupported model version {version} (expected {_VERSION})")
-    expected = _HEADER.size + 8 * (hash_dim * dim + dim * dim + dim)
-    if len(raw) != expected:
-        raise EncoderError(f"{path}: truncated model file ({len(raw)} of {expected} bytes)")
-    offset = _HEADER.size
-    table = np.frombuffer(raw, dtype="<f8", count=hash_dim * dim, offset=offset).reshape(
-        hash_dim, dim
-    ).copy()
-    offset += 8 * hash_dim * dim
-    projection = np.frombuffer(raw, dtype="<f8", count=dim * dim, offset=offset).reshape(
-        dim, dim
-    ).copy()
-    offset += 8 * dim * dim
-    bias = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
+    with path.open("rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise EncoderError(f"{path}: truncated model file")
+        magic, version, hash_dim, dim, hash_seed, norm_flag = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise EncoderError(f"{path}: not a model file (bad magic {magic!r})")
+        if version != _VERSION:
+            raise EncoderError(f"{path}: unsupported model version {version} "
+                               f"(expected {_VERSION})")
+        expected = _HEADER.size + 8 * (hash_dim * dim + dim * dim + dim)
+        size = path.stat().st_size
+        if size != expected:
+            raise EncoderError(f"{path}: truncated model file ({size} of {expected} bytes)")
+        table, projection, bias = (np.fromfile(fh, dtype="<f8", count=n)
+                                   for n in (hash_dim * dim, dim * dim, dim))
     return EncoderModel(
-        table=table,
-        projection=projection,
+        table=table.reshape(hash_dim, dim),
+        projection=projection.reshape(dim, dim),
         bias=bias,
         hash_seed=int(hash_seed),
         normalize=bool(norm_flag),
@@ -600,10 +593,12 @@ def fit_encoder(
                 "as supervision instead"
             )
 
+        tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler))
+
         def provider(epoch: int) -> list[SupervisionTriple]:
             seed = config.seed if freeze_negatives else config.seed ^ (epoch + 1)
             scfg = SamplerConfig(kind=config.sampler, seed=seed)
-            return sample_triples(pairs, base, aux, scfg)
+            return sample_triples(pairs, base, aux, scfg, tiers)
 
         result = train(model, [], base, aux, tcfg, shared=shared, triple_provider=provider)
 

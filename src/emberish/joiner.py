@@ -1,9 +1,11 @@
 """Embedding index, exact k-NN retrieval, and join-type semantics.
 
-The index is an exact linear scan; an approximate backend may replace it
-only if it passes the exactness suite at recall 1.0 or marks its output
-as approximate. Queries against a built index are read-only and safe to
-issue concurrently.
+The index is an exact scan over query blocks: for l2, one matrix product
+per block shortlists candidates that the difference formula re-scores,
+so scores never depend on the block. ``topk`` ranks for every scorer,
+ties by ascending id. An approximate backend may replace the scan only
+if it passes the exactness suite at recall 1.0 or marks its output as
+approximate. Built indexes are read-only and safe to query concurrently.
 """
 
 from __future__ import annotations
@@ -20,9 +22,35 @@ from .joinspec import JoinSpec, JoinType
 
 Metric = Literal["l2", "inner_product"]
 
+# Floats per query block of scores, and per re-scoring step (4 MB).
+_BLOCK_CELLS = 1 << 19
+
 
 class JoinError(ValueError):
     """Invalid join input (dimension mismatch, empty side, broken chain)."""
+
+
+def id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Rank of each id under ascending-id order, for tie-breaking."""
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+
+
+def topk(scores: np.ndarray, k: int, id_rank: np.ndarray, descending: bool,
+         keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The best ``k`` entries of each row of ``scores`` (one row (n,) or a
+    block (m, n)): lowest first unless ``descending``, ties by ascending
+    ``id_rank``, never an entry outside ``keep``; both broadcast against
+    ``scores``. Returns their ``(rows, cols)``, ordered by row, then rank."""
+    key = np.array(scores, dtype=np.float64, ndmin=2) * (-1.0 if descending else 1.0)
+    keep = np.ones(key.shape, bool) if keep is None else np.broadcast_to(keep, key.shape)
+    key[~keep] = np.inf
+    if k < key.shape[1]:  # keep everything tied with the k-th; id ranks decide
+        keep = keep & (key <= np.partition(key, k - 1, axis=1)[:, k - 1 : k])
+    rows, cols = np.nonzero(keep)
+    order = np.lexsort((np.broadcast_to(id_rank, key.shape)[rows, cols], key[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    first = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    return rows[first], cols[first]
 
 
 @dataclass
@@ -38,13 +66,8 @@ class EmbeddingIndex:
             raise JoinError("id count does not match vector count")
         if len(set(self.ids)) != len(self.ids):
             raise JoinError("index record ids must be unique")
-        # Rank of each entry under ascending-id order, for tie-breaking.
-        order = sorted(range(len(self.ids)), key=lambda i: self.ids[i])
-        ranks = np.empty(len(self.ids), dtype=np.int64)
-        for rank, pos in enumerate(order):
-            ranks[pos] = rank
-        self._id_rank = ranks
-        self._pos = {rid: i for i, rid in enumerate(self.ids)}
+        self._id_rank = id_ranks(self.ids)
+        self._sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
 
     @property
     def dimension(self) -> int:
@@ -53,12 +76,6 @@ class EmbeddingIndex:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    def vector(self, record_id: str) -> np.ndarray:
-        pos = self._pos.get(record_id)
-        if pos is None:
-            raise JoinError(f"id {record_id!r} not present in index")
-        return self.vectors[pos]
 
 
 def build_index(
@@ -78,16 +95,42 @@ def build_index(
     return EmbeddingIndex(ids=ids, vectors=matrix, metric=metric)
 
 
-def _scores_against(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.dimension,):
-        raise JoinError(
-            f"query dimension {query.shape} does not match index dimension {index.dimension}"
-        )
-    if index.metric == "l2":
-        diff = index.vectors - query
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return index.vectors @ query
+def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
+            threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k of every query row: ``(rows, cols, scores)`` ordered by
+    query row, then rank; ``cols`` are index positions."""
+    if queries.shape[1:] != (index.dimension,):
+        raise JoinError(f"query dimension {queries.shape[1:]} does not match index "
+                        f"dimension {index.dimension}")
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    step = max(1, _BLOCK_CELLS // index.n)
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        if index.metric == "inner_product":
+            scores = np.stack([index.vectors @ q for q in block])
+            keep = None if threshold is None else scores >= threshold
+        else:
+            # Rounding makes ||x||^2 - 2 q.x and the formula below differ by
+            # less than E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate
+            # that can beat the k-th best lies within 2E of the k-th shortlist
+            # score; the band is twice that.
+            approx = index._sq_norms - 2.0 * (block @ index.vectors.T)
+            kth = np.partition(approx, min(k, index.n) - 1, axis=1)[:, min(k, index.n) - 1]
+            tol = 16.0 * (index.dimension + 4) * np.finfo(np.float64).eps
+            band = tol * (np.einsum("ij,ij->i", block, block) + index._sq_norms.max())
+            keep = approx <= (kth + band)[:, None]
+            rows, cols = np.nonzero(keep)
+            scores = np.full(keep.shape, np.inf)
+            pairs = _BLOCK_CELLS // index.dimension + 1
+            for at in range(0, rows.size, pairs):
+                r, c = rows[at : at + pairs], cols[at : at + pairs]
+                diff = index.vectors[c] - block[r]
+                scores[r, c] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            if threshold is not None:
+                keep &= scores <= threshold
+        rows, cols = topk(scores, k, index._id_rank, index.metric != "l2", keep)
+        found.append((rows + start, cols, scores[rows, cols]))
+    return tuple(np.concatenate(part) for part in zip(*found))  # type: ignore[return-value]
 
 
 def knn(
@@ -103,19 +146,8 @@ def knn(
     """
     if k < 1:
         raise JoinError("k must be >= 1")
-    scores = _scores_against(index, query)
-    if index.metric == "l2":
-        keep = np.ones(index.n, dtype=bool) if threshold is None else scores <= threshold
-        sort_scores = scores
-    else:
-        keep = np.ones(index.n, dtype=bool) if threshold is None else scores >= threshold
-        sort_scores = -scores
-    candidates = np.nonzero(keep)[0]
-    if candidates.size == 0:
-        return []
-    order = candidates[np.lexsort((index._id_rank[candidates], sort_scores[candidates]))]
-    top = order[:k]
-    return [(index.ids[i], float(scores[i])) for i in top]
+    _, cols, scores = _search(index, np.asarray(query, dtype=np.float64)[None], k, threshold)
+    return [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
 
 
 @dataclass(frozen=True)
@@ -200,8 +232,12 @@ def _retrieve(
     transposes, so results are identical either way.
     """
     if index_on == "target":
-        index = build_index(target_emb, metric)
-        return {qid: knn(index, vec, k, threshold) for qid, vec in query_emb}
+        index, queries = build_index(target_emb, metric), build_index(query_emb, metric)
+        rows, cols, scores = _search(index, queries.vectors, k, threshold)
+        hits: list[list[tuple[str, float]]] = [[] for _ in queries.ids]
+        for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
+            hits[row].append((index.ids[col], score))
+        return dict(zip(queries.ids, hits))
 
     index = build_index(query_emb, metric)
     per_query: dict[str, list[tuple[str, float]]] = {qid: [] for qid, _ in query_emb}
@@ -224,18 +260,18 @@ def _retrieve(
 def _ranked_matches(
     retrieved: dict[str, list[tuple[str, float]]],
     query_order: Iterable[str],
-    orient: Literal["base_queries", "aux_queries"],
-    direction: str,
+    direction: Literal["forward", "reverse"],
+    absent: bool = False,
 ) -> list[Match]:
+    """Matches in query order, best first; forward means base records queried
+    aux records. With ``absent``, a query without matches gets an ABSENT row."""
     matches: list[Match] = []
     for qid in query_order:
-        for rank, (tid, score) in enumerate(retrieved.get(qid, []), start=1):
-            if orient == "base_queries":
-                matches.append(Match(base_id=qid, aux_id=tid, rank=rank, score=score,
-                                     direction=direction))
-            else:
-                matches.append(Match(base_id=tid, aux_id=qid, rank=rank, score=score,
-                                     direction=direction))
+        hits = retrieved.get(qid) or ([(None, float("nan"))] if absent else [])
+        for rank, (tid, score) in enumerate(hits, start=1):
+            pair = (qid, tid) if direction == "forward" else (tid, qid)
+            matches.append(Match(*pair, rank=rank if tid is not None else 0, score=score,
+                                 direction=direction))
     return matches
 
 
@@ -244,19 +280,20 @@ def _cap_per_target(
     cap: int,
     metric: Metric,
 ) -> dict[str, list[tuple[str, float]]]:
-    """Keep each target record's best ``cap`` query matches by score."""
-    sign = 1.0 if metric == "l2" else -1.0
+    """Keep each target record's best ``cap`` query matches by score, ties
+    by ascending query id."""
     by_target: dict[str, list[tuple[float, str]]] = {}
     for qid, cands in retrieved.items():
         for tid, score in cands:
             by_target.setdefault(tid, []).append((score, qid))
-    surviving: set[tuple[str, str]] = set()
+    dropped: set[tuple[str, str]] = set()
     for tid, entries in by_target.items():
-        entries.sort(key=lambda e: (sign * e[0], e[1]))
-        for score, qid in entries[:cap]:
-            surviving.add((qid, tid))
+        if len(entries) > cap:
+            scores, qids = zip(*entries)
+            _, best = topk(scores, cap, id_ranks(qids), metric != "l2")
+            dropped.update((qids[i], tid) for i in set(range(len(qids))) - set(best.tolist()))
     return {
-        qid: [(tid, score) for tid, score in cands if (qid, tid) in surviving]
+        qid: [(tid, score) for tid, score in cands if (qid, tid) not in dropped]
         for qid, cands in retrieved.items()
     }
 
@@ -275,85 +312,56 @@ def execute_join(
     INNER retrieves in a single direction: the smaller dataset queries the
     larger one, with k set by the retrieved side's size bound, then the
     query side's own bound is enforced as a per-retrieved-record cap.
-    ``index_side`` selects which side physically holds the index; results
-    are identical because the scan is exact (indexing the larger side is
-    the fast default). ``both_directions`` switches INNER to the union of
-    both retrieval directions.
+    ``index_side`` selects which side physically holds the index; indexing
+    the querying side runs the slower per-record reference scan (same l2
+    bytes; inner-product scores may differ in the last bit). ``both_directions``
+    switches INNER to the union of both retrieval directions.
     """
     if not base_emb or not aux_emb:
         raise JoinError("both sides must have at least one embedding")
     base_order = [rid for rid, _ in base_emb]
     aux_order = [rid for rid, _ in aux_emb]
 
-    def exec_strategy(query_side: str) -> Literal["target", "query"]:
-        if index_side == "auto":
-            return "target"
-        return "target" if index_side != query_side else "query"
+    strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
 
     jt = spec.join_type
     if jt == JoinType.LEFT:
         retrieved = _retrieve(base_emb, aux_emb, spec.right_size, metric, threshold,
-                              exec_strategy("base"))
-        matches = _ranked_matches(retrieved, base_order, "base_queries", "forward")
-        matched_base = {m.base_id for m in matches}
-        for bid in base_order:
-            if bid not in matched_base:
-                matches.append(Match(base_id=bid, aux_id=None, rank=0, score=float("nan")))
-        base_pos = {rid: i for i, rid in enumerate(base_order)}
-        matches.sort(key=lambda m: (base_pos[m.base_id], m.rank))
-        return JoinResult(matches=matches, spec=spec)
+                              strategy["base"])
+        return JoinResult(_ranked_matches(retrieved, base_order, "forward", True), spec)
 
     if jt == JoinType.RIGHT:
         retrieved = _retrieve(aux_emb, base_emb, spec.left_size, metric, threshold,
-                              exec_strategy("aux"))
-        matches = _ranked_matches(retrieved, aux_order, "aux_queries", "reverse")
-        matched_aux = {m.aux_id for m in matches}
-        for aid in aux_order:
-            if aid not in matched_aux:
-                matches.append(Match(base_id=None, aux_id=aid, rank=0, score=float("nan"),
-                                     direction="reverse"))
-        aux_pos = {rid: i for i, rid in enumerate(aux_order)}
-        matches.sort(key=lambda m: (aux_pos[m.aux_id], m.rank))
-        return JoinResult(matches=matches, spec=spec)
+                              strategy["aux"])
+        return JoinResult(_ranked_matches(retrieved, aux_order, "reverse", True), spec)
 
     if jt == JoinType.FULL or (jt == JoinType.INNER and both_directions):
         fwd = _retrieve(base_emb, aux_emb, spec.right_size, metric, threshold,
-                        exec_strategy("base"))
+                        strategy["base"])
         rev = _retrieve(aux_emb, base_emb, spec.left_size, metric, threshold,
-                        exec_strategy("aux"))
-        matches = _ranked_matches(fwd, base_order, "base_queries", "forward")
+                        strategy["aux"])
+        matches = _ranked_matches(fwd, base_order, "forward")
         seen = {(m.base_id, m.aux_id) for m in matches}
-        for m in _ranked_matches(rev, aux_order, "aux_queries", "reverse"):
-            if (m.base_id, m.aux_id) not in seen:
-                matches.append(m)
-                seen.add((m.base_id, m.aux_id))
+        matches += [m for m in _ranked_matches(rev, aux_order, "reverse")
+                    if (m.base_id, m.aux_id) not in seen]
         if jt == JoinType.FULL:
-            matched_base = {b for b, _ in seen}
-            matched_aux = {a for _, a in seen}
-            for bid in base_order:
-                if bid not in matched_base:
-                    matches.append(Match(base_id=bid, aux_id=None, rank=0, score=float("nan")))
-            for aid in aux_order:
-                if aid not in matched_aux:
-                    matches.append(Match(base_id=None, aux_id=aid, rank=0, score=float("nan"),
-                                         direction="reverse"))
+            matched_base, matched_aux = {m.base_id for m in matches}, {m.aux_id for m in matches}
+            matches += _ranked_matches({}, [b for b in base_order if b not in matched_base],
+                                       "forward", True)
+            matches += _ranked_matches({}, [a for a in aux_order if a not in matched_aux],
+                                       "reverse", True)
         return JoinResult(matches=matches, spec=spec)
 
     # INNER, single direction: the smaller side queries the larger one.
-    base_queries = len(base_emb) <= len(aux_emb)
-    if base_queries:
-        k, cap = spec.right_size, spec.left_size
-        retrieved = _retrieve(base_emb, aux_emb, k, metric, threshold, exec_strategy("base"))
-        if cap < len(base_emb):
-            retrieved = _cap_per_target(retrieved, cap, metric)
-        matches = _ranked_matches(retrieved, base_order, "base_queries", "forward")
-    else:
-        k, cap = spec.left_size, spec.right_size
-        retrieved = _retrieve(aux_emb, base_emb, k, metric, threshold, exec_strategy("aux"))
-        if cap < len(aux_emb):
-            retrieved = _cap_per_target(retrieved, cap, metric)
-        matches = _ranked_matches(retrieved, aux_order, "aux_queries", "reverse")
-    return JoinResult(matches=matches, spec=spec)
+    forward = len(base_emb) <= len(aux_emb)
+    queries, targets = (base_emb, aux_emb) if forward else (aux_emb, base_emb)
+    k, cap = (spec.right_size, spec.left_size) if forward else (spec.left_size, spec.right_size)
+    retrieved = _retrieve(queries, targets, k, metric, threshold,
+                          strategy["base" if forward else "aux"])
+    if cap < len(queries):
+        retrieved = _cap_per_target(retrieved, cap, metric)
+    order, direction = (base_order, "forward") if forward else (aux_order, "reverse")
+    return JoinResult(_ranked_matches(retrieved, order, direction), spec)
 
 
 def chain_joins(
@@ -369,43 +377,31 @@ def chain_joins(
     """
     if not stages:
         raise JoinError("chain requires at least one stage")
-    # Frontier entries: (origin id, hop path so far, query vector, last hop score).
-    frontier: list[tuple[str, tuple[str, ...], np.ndarray, float]] = [
-        (rid, (), np.asarray(vec, dtype=np.float64), float("nan")) for rid, vec in base_emb
-    ]
-    for stage_no, (spec, index) in enumerate(stages):
-        next_frontier: list[tuple[str, tuple[str, ...], np.ndarray, float]] = []
-        is_last = stage_no == len(stages) - 1
-        for origin, path, vec, _ in frontier:
-            for hit_id, score in knn(index, vec, spec.right_size, threshold):
-                if is_last:
-                    next_frontier.append((origin, path + (hit_id,), np.empty(0), score))
-                else:
-                    try:
-                        hit_vec = index.vector(hit_id)
-                    except JoinError:
-                        raise JoinError(
-                            f"stage {stage_no}: cannot resolve retrieved id {hit_id!r}"
-                        ) from None
-                    next_frontier.append((origin, path + (hit_id,), hit_vec, score))
-        frontier = next_frontier
+    if not base_emb:
+        return JoinResult(matches=[], spec=stages[-1][0])
+    # Frontier: a query vector per (origin, hop path so far), each hop's index position.
+    first = build_index(base_emb)
+    queries, origins = first.vectors, np.arange(first.n)
+    hops: list[np.ndarray] = []
+    for spec, index in stages:
+        rows, cols, scores = _search(index, queries, spec.right_size, threshold)
+        origins = origins[rows]
+        hops = [hop[rows] for hop in hops] + [cols]
+        queries = index.vectors[cols]
 
-    # Re-rank final matches per origin record; path keeps one id per hop
-    # before the endpoint.
-    per_origin: dict[str, list[tuple[float, str, tuple[str, ...]]]] = {}
-    for origin, path, _, score in frontier:
-        *intermediate, hit_id = path
-        per_origin.setdefault(origin, []).append((score, hit_id, tuple(intermediate)))
-    sign = 1.0 if stages[-1][1].metric == "l2" else -1.0
+    # Re-rank final matches per origin record, ties by endpoint id, then by
+    # frontier order; path keeps one id per hop before the endpoint.
+    last = stages[-1][1]
+    bounds = np.searchsorted(origins, np.arange(first.n + 1)).tolist()
     matches: list[Match] = []
-    origin_order = [rid for rid, _ in base_emb]
-    for origin in origin_order:
-        entries = per_origin.get(origin, [])
-        entries.sort(key=lambda e: (sign * e[0], e[1]))
-        for rank, (score, hit_id, path) in enumerate(entries, start=1):
-            matches.append(
-                Match(base_id=origin, aux_id=hit_id, rank=rank, score=float(score), path=path)
-            )
+    for o, origin in enumerate(first.ids):
+        lo, hi = bounds[o], bounds[o + 1]
+        tie = last._id_rank[hops[-1][lo:hi]] * (hi - lo) + np.arange(hi - lo)
+        _, order = topk(scores[lo:hi], hi - lo, tie, last.metric != "l2")
+        for rank, e in enumerate((order + lo).tolist(), start=1):
+            path = tuple(index.ids[hop[e]] for (_, index), hop in zip(stages, hops[:-1]))
+            matches.append(Match(base_id=origin, aux_id=last.ids[hops[-1][e]], rank=rank,
+                                 score=float(scores[e]), path=path))
     return JoinResult(matches=matches, spec=stages[-1][0])
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .joiner import JoinResult, Match
+from .joiner import JoinResult, Match, id_ranks, topk
 from .joinspec import JoinSpec, JoinType
 from .prepare import prepare_sentence, tokenize
 
@@ -97,12 +97,7 @@ def build_bm25_index(
         for tok, (positions, contribs) in postings.items()
     }
     index._pos = {doc_id: i for i, doc_id in enumerate(ids)}  # type: ignore[attr-defined]
-    # Rank under ascending-id order for tie-breaks.
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    ranks = np.empty(len(ids), dtype=np.int64)
-    for rank, p in enumerate(order):
-        ranks[p] = rank
-    index._id_rank = ranks  # type: ignore[attr-defined]
+    index._id_rank = id_ranks(ids)  # type: ignore[attr-defined]
     return index
 
 
@@ -144,14 +139,11 @@ def bm25_topk(
     if k < 1:
         raise LexError("k must be >= 1")
     scores = bm25_scores_all(index, query_tokens)
-    excluded = set(exclude)
-    keep = np.array([doc_id not in excluded for doc_id in index.ids], dtype=bool)
-    candidates = np.nonzero(keep)[0]
-    if candidates.size == 0:
-        return []
-    id_rank = index._id_rank  # type: ignore[attr-defined]
-    order = candidates[np.lexsort((id_rank[candidates], -scores[candidates]))]
-    return [(index.ids[i], float(scores[i])) for i in order[:k]]
+    pos = index._pos  # type: ignore[attr-defined]
+    keep = np.ones(index.n_docs, dtype=bool)
+    keep[[pos[doc_id] for doc_id in exclude if doc_id in pos]] = False
+    _, best = topk(scores, k, index._id_rank, True, keep)  # type: ignore[attr-defined]
+    return [(index.ids[i], float(scores[i])) for i in best.tolist()]
 
 
 def jaccard(a: set, b: set) -> float:
@@ -224,32 +216,34 @@ def lexical_join(
                 matches.append(Match(base_id=rec.id, aux_id=aid, rank=rank, score=score))
         return _lexical_result(kind, base, aux, k, matches)
 
+    aux_ids = aux.ids()
+    aux_rank = id_ranks(aux_ids)
+
+    def add_ranked(base_id: str, scores: np.ndarray, descending: bool, keep: np.ndarray) -> None:
+        _, best = topk(scores, k, aux_rank, descending, keep)
+        for rank, i in enumerate(best.tolist(), start=1):
+            matches.append(Match(base_id=base_id, aux_id=aux_ids[i], rank=rank,
+                                 score=float(scores[i])))
+
     if kind == "LD":
-        aux_keys = [(r.id, _key_text(r, key_column).lower()) for r in aux.records]
+        aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
         for rec in base.records:
             text = _key_text(rec, key_column).lower()
-            scored = [(levenshtein(text, atext), aid) for aid, atext in aux_keys]
-            scored = [(d, aid) for d, aid in scored if d <= LD_MAX_DISTANCE]
-            scored.sort()
-            for rank, (dist, aid) in enumerate(scored[:k], start=1):
-                matches.append(Match(base_id=rec.id, aux_id=aid, rank=rank, score=float(dist)))
+            dists = np.array([levenshtein(text, atext) for atext in aux_keys], dtype=np.float64)
+            add_ranked(rec.id, dists, False, dists <= LD_MAX_DISTANCE)
         return _lexical_result(kind, base, aux, k, matches)
 
     # Jaccard variants.
     mode = "whitespace" if kind.endswith("WS") else "char2gram"
     if kind.startswith("JK"):
-        aux_sets = [(r.id, set(tokenize(_key_text(r, key_column), mode))) for r in aux.records]
-        base_text = lambda r: set(tokenize(_key_text(r, key_column), mode))
+        token_set = lambda r: set(tokenize(_key_text(r, key_column), mode))
     else:
-        aux_sets = [(r.id, set(prepare_sentence(r, tokenizer=mode).tokens)) for r in aux.records]
-        base_text = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
+        token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
+    aux_sets = [token_set(r) for r in aux.records]
     for rec in base.records:
-        query = base_text(rec)
-        scored = [(-jaccard(query, aset), aid) for aid, aset in aux_sets]
-        scored = [(s, aid) for s, aid in scored if -s >= JACCARD_MIN_SIMILARITY]
-        scored.sort()
-        for rank, (neg_sim, aid) in enumerate(scored[:k], start=1):
-            matches.append(Match(base_id=rec.id, aux_id=aid, rank=rank, score=-neg_sim))
+        query = token_set(rec)
+        sims = np.array([jaccard(query, aset) for aset in aux_sets], dtype=np.float64)
+        add_ranked(rec.id, sims, True, sims >= JACCARD_MIN_SIMILARITY)
     return _lexical_result(kind, base, aux, k, matches)
 
 

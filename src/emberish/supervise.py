@@ -19,6 +19,7 @@ from .data import (
     SupervisionPair,
     SupervisionTriple,
 )
+from .joiner import id_ranks, topk
 from .lexrank import build_bm25_index, bm25_topk, jaccard
 from .prepare import prepare_sentence
 
@@ -56,23 +57,48 @@ class PerturbationConfig:
             raise SampleError("copies_per_row must be >= 1")
 
 
+def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
+                cfg: SamplerConfig) -> dict[str, list[str]]:
+    """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
+    ties by ascending id; none for the random sampler. Seed-independent."""
+    anchors = dict.fromkeys(pair.base_id for pair in pairs)  # in pair order
+    tiers: dict[str, list[str]] = {}
+    if cfg.kind == "stratified_bm25":
+        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+        for anchor_id in anchors:
+            tokens = prepare_sentence(base.record(anchor_id)).tokens
+            tiers[anchor_id] = [aid for aid, _ in bm25_topk(index, tokens, cfg.tier_size)]
+    elif cfg.kind == "stratified_jaccard":
+        aux_ids = aux.ids()
+        aux_rank = id_ranks(aux_ids)
+        aux_sets = [set(prepare_sentence(r).tokens) for r in aux.records]
+        for anchor_id in anchors:
+            anchor_set = set(prepare_sentence(base.record(anchor_id)).tokens)
+            sims = [jaccard(anchor_set, aset) for aset in aux_sets]
+            _, best = topk(sims, cfg.tier_size, aux_rank, True)
+            tiers[anchor_id] = [aux_ids[i] for i in best.tolist()]
+    return tiers
+
+
 def sample_triples(
     pairs: list[SupervisionPair],
     base: Dataset,
     aux: Dataset,
     cfg: SamplerConfig,
+    tiers: dict[str, list[str]] | None = None,
 ) -> list[SupervisionTriple]:
     """Turn related pairs into training triples by drawing negatives.
 
     The random sampler draws uniformly from the auxiliary records that are
     not known positives of the anchor. Stratified samplers draw from the
-    anchor's top ``tier_size`` BM25/Jaccard candidates (hard negatives),
+    anchor's ``build_tiers`` tier (passing ``tiers`` skips rebuilding it),
     falling back to uniform when the tier holds only positives.
     """
     if not pairs:
         raise SampleError("pairs must be non-empty")
     if aux.n < 2:
         raise SampleError("cannot sample negative: auxiliary dataset has fewer than 2 records")
+    tiers = build_tiers(pairs, base, aux, cfg) if tiers is None else tiers
 
     positives: dict[str, set[str]] = {}
     for pair in pairs:
@@ -80,28 +106,10 @@ def sample_triples(
 
     aux_ids = list(aux.ids())
     rng = random.Random(cfg.seed)
-
-    tiers: dict[str, list[str]] = {}
-    if cfg.kind == "stratified_bm25":
-        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
-        for anchor_id in positives:
-            tokens = prepare_sentence(base.record(anchor_id)).tokens
-            tiers[anchor_id] = [aid for aid, _ in bm25_topk(index, tokens, cfg.tier_size)]
-    elif cfg.kind == "stratified_jaccard":
-        aux_sets = [(r.id, set(prepare_sentence(r).tokens)) for r in aux.records]
-        for anchor_id in positives:
-            anchor_set = set(prepare_sentence(base.record(anchor_id)).tokens)
-            scored = sorted(
-                ((-jaccard(anchor_set, aset), aid) for aid, aset in aux_sets),
-            )
-            tiers[anchor_id] = [aid for _, aid in scored[: cfg.tier_size]]
-
     triples: list[SupervisionTriple] = []
     for pair in pairs:
         known = positives[pair.base_id]
-        candidates: list[str] = []
-        if cfg.kind != "random":
-            candidates = [aid for aid in tiers[pair.base_id] if aid not in known]
+        candidates = [aid for aid in tiers.get(pair.base_id, ()) if aid not in known]
         if not candidates:
             candidates = [aid for aid in aux_ids if aid not in known]
         if not candidates:

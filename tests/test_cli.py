@@ -206,6 +206,29 @@ class TestJoin:
         assert str(tmp_path / "model_aux.bin") in manifest.inputs
 
 
+class TestJoinFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "BM25", "--threshold", "0.5"],
+        ["--baseline", "BM25", "--both-directions"],
+        ["--baseline", "J-WS", "--index-side", "base"],
+        ["--key-column", "name"],
+    ])
+    def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        assert main(["join", "--data-dir", str(tmp_path), *flags]) == 1
+        assert "does not use" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_flags_the_path_uses_are_accepted(self, workspace):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        d = ["--data-dir", str(tmp_path)]
+        assert main(["join", *d, "--baseline", "LD", "--key-column", "name"]) == 0
+        assert main(["join", *d, "--threshold", "2.0", "--index-side", "aux",
+                     "--both-directions"]) == 0
+
+
 class TestEvaluate:
     def test_metrics_from_results_csv_alone(self, workspace):
         tmp_path, cfg = workspace

@@ -282,6 +282,7 @@ class TestFitEncoder:
             raise AssertionError("sampler must not run for triple supervision")
 
         monkeypatch.setattr(enc_mod, "sample_triples", forbidden)
+        monkeypatch.setattr(enc_mod, "build_tiers", forbidden)
         seen = {}
         original_train = enc_mod.train
 
@@ -292,6 +293,23 @@ class TestFitEncoder:
         monkeypatch.setattr(enc_mod, "train", spy)
         fit_encoder(base, aux, triples, self.config(), hash_dim=64)
         assert seen["triples"] == triples
+
+    def test_tiers_built_once_per_fit(self, monkeypatch):
+        from emberish import supervise
+        from emberish.encoder import fit_encoder
+
+        base, aux, pairs = self.world()
+        calls = []
+        original = supervise.build_bm25_index
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(supervise, "build_bm25_index", counting)
+        fit_encoder(base, aux, pairs, self.config(epochs=3, sampler="stratified_bm25"),
+                    hash_dim=64)
+        assert len(calls) == 1
 
     def test_finetune_false_returns_initial_model(self):
         from emberish.encoder import fit_encoder

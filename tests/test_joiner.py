@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emberish import joiner
 from emberish.joiner import (
     JoinError,
     JoinResult,
@@ -11,9 +12,11 @@ from emberish.joiner import (
     build_index,
     chain_joins,
     execute_join,
+    id_ranks,
     knn,
     load_embeddings,
     save_embeddings,
+    topk,
 )
 from emberish.joinspec import JoinSpec, JoinType
 
@@ -99,6 +102,113 @@ class TestIndexAndKnn:
         l2 = [rid for rid, _ in knn(build_index(entries, "l2"), q, 40)]
         ip = [rid for rid, _ in knn(build_index(entries, "inner_product"), q, 40)]
         assert l2 == ip
+
+
+class TestTopk:
+    @staticmethod
+    def oracle(scores, k, ids, descending, keep):
+        sign = -1.0 if descending else 1.0
+        kept = [i for i in range(len(scores)) if keep[i]]
+        return sorted(kept, key=lambda i: (sign * scores[i], ids[i]))[:k]
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_equals_sorted_with_duplicates_and_masks(self, descending):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(0, 30))
+            # Few distinct values, so most scores are tied.
+            scores = rng.integers(0, 4, size=(m, n)).astype(np.float64) * 0.5
+            ids = [f"r{j:02d}" for j in rng.permutation(n)]
+            keep = rng.random((m, n)) < 0.7
+            keep[0] = False if trial % 7 == 0 else keep[0]  # an all-masked row
+            k = int(rng.integers(1, n + 3))  # k > n too
+            rows, cols = topk(scores, k, id_ranks(ids), descending, keep)
+            for r in range(m):
+                got = cols[rows == r].tolist()
+                assert got == self.oracle(scores[r], k, ids, descending, keep[r])
+            assert rows.tolist() == sorted(rows.tolist())
+
+    def test_one_row_without_mask(self):
+        rows, cols = topk(np.array([3.0, 1.0, 1.0, 2.0]), 2, np.array([3, 2, 0, 1]), False)
+        assert rows.tolist() == [0, 0]
+        assert cols.tolist() == [2, 1]
+
+    def test_all_masked_row_is_empty(self):
+        rows, cols = topk(np.array([1.0, 2.0]), 1, np.array([0, 1]), True,
+                          np.array([False, False]))
+        assert rows.size == cols.size == 0
+
+    def test_id_ranks_follow_string_order(self):
+        assert id_ranks(["b", "a10", "a9", "a"]).tolist() == [3, 1, 2, 0]
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("metric", ["l2", "inner_product"])
+    def test_multi_block_join_equals_per_query_knn(self, metric, monkeypatch):
+        rng = np.random.default_rng(70)
+        aux = grid_embeddings("a", 12, 3, 71)
+        aux[7] = ("a7", aux[2][1].copy())  # a duplicated index vector
+        shared = rng.normal(size=3)
+        base = [(f"b{i:02d}", rng.normal(size=3)) for i in range(11)]
+        # Equal queries on both sides of the boundary between 4-row blocks.
+        base[3] = ("b03", shared.copy())
+        base[4] = ("b04", shared.copy())
+        monkeypatch.setattr(joiner, "_BLOCK_CELLS", 4 * len(aux))
+        s = spec(JoinType.LEFT, right=3)
+        result = execute_join(s, base, aux, metric=metric, threshold=None)
+        index = build_index(aux, metric)
+        expected = [(bid, aid, rank, score) for bid, vec in base
+                    for rank, (aid, score) in enumerate(knn(index, vec, 3), start=1)]
+        got = [(m.base_id, m.aux_id, m.rank, m.score) for m in result.matches]
+        assert got == expected
+        if metric == "l2":
+            oracle = [sorted(((float(np.linalg.norm(v - q)), aid) for aid, v in aux))[:3]
+                      for _, q in base]
+            assert [aid for _, aid, _, _ in got] == [aid for o in oracle for _, aid in o]
+
+    def test_l2_near_ties_far_from_origin(self):
+        # Vectors 1e6 from the origin: the shortlist product rounds by ~1e-4
+        # in squared distance, far more than the 1e-7 gaps between these
+        # candidates, so only a band scaled by the norms keeps all of them.
+        rng = np.random.default_rng(80)
+        d = 8
+        offset = rng.normal(size=d)
+        offset *= 1e6 / np.linalg.norm(offset)
+        directions = rng.normal(size=(40, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = 1.0 + 1e-7 * rng.permutation(40)
+        radii[5] = radii[6]  # one exact tie, broken by id
+        entries = [(f"r{i:02d}", offset + radii[i] * directions[i]) for i in range(40)]
+        entries.append(("r40", entries[5][1].copy()))
+        entries += [(f"far{i}", offset + 3.0 * directions[i]) for i in range(10)]
+        index = build_index(entries)
+        query = offset.copy()
+        expected = sorted((float(np.linalg.norm(v - query)), rid) for rid, v in entries)
+        for k in (1, 5, 12, 41):
+            assert [rid for rid, _ in knn(index, query, k)] == [rid for _, rid in expected[:k]]
+
+    def test_scores_are_the_difference_formula_bits(self):
+        rng = np.random.default_rng(90)
+        unit = lambda v: v / np.linalg.norm(v)
+        base = [(f"b{i}", unit(rng.normal(size=200))) for i in range(40)]
+        aux = [(f"a{i}", unit(rng.normal(size=200))) for i in range(300)]
+        aux_matrix = np.array([v for _, v in aux])
+        row = {aid: j for j, (aid, _) in enumerate(aux)}
+
+        def exact(q):
+            diff = aux_matrix - q
+            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+        index = build_index(aux)
+        for _, q in base[:5]:
+            scores = exact(q)
+            assert all(s == scores[row[aid]] for aid, s in knn(index, q, 10))
+            ip = build_index(aux, "inner_product")
+            assert all(s == (aux_matrix @ q)[row[aid]] for aid, s in knn(ip, q, 10))
+        result = execute_join(spec(JoinType.LEFT, right=10), base, aux)
+        base_vec = dict(base)
+        for m in result.matches:
+            assert m.score == exact(base_vec[m.base_id])[row[m.aux_id]]
 
 
 def spec(join_type, left=1, right=1):
@@ -301,6 +411,30 @@ class TestChainJoins:
             assert len(m.path) == 1
             assert m.path[0].startswith("m")
             assert m.aux_id.startswith("z")
+
+    def test_two_hop_equals_nested_knn(self):
+        # Reference: every origin's hits expanded hop by hop with knn, then
+        # re-ranked by score and endpoint id, stable in expansion order.
+        base = grid_embeddings("b", 6, 2, 43)
+        mid = grid_embeddings("m", 5, 2, 44)
+        mid[3] = ("m3", mid[1][1].copy())
+        last = grid_embeddings("z", 7, 2, 45)
+        last[4] = ("z4", last[0][1].copy())
+        stages = [(spec(JoinType.INNER, right=3), build_index(mid)),
+                  (spec(JoinType.INNER, right=2), build_index(last))]
+        expected = []
+        for bid, vec in base:
+            entries = []
+            for mid_id, _ in knn(stages[0][1], vec, 3):
+                mid_vec = dict(mid)[mid_id]
+                for hit_id, score in knn(stages[1][1], mid_vec, 2):
+                    entries.append((score, hit_id, (mid_id,)))
+            entries.sort(key=lambda e: (e[0], e[1]))
+            expected += [(bid, hit, rank, score, path)
+                         for rank, (score, hit, path) in enumerate(entries, start=1)]
+        result = chain_joins(base, stages)
+        assert [(m.base_id, m.aux_id, m.rank, m.score, m.path)
+                for m in result.matches] == expected
 
     def test_empty_chain_rejected(self):
         with pytest.raises(JoinError, match="at least one stage"):

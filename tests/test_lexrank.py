@@ -134,6 +134,15 @@ def test_bm25_topk_exclude_all():
     assert bm25_topk(index, ["x"], 3, exclude={"a", "b"}) == []
 
 
+def test_bm25_topk_ignores_unknown_excluded_ids():
+    index = build_bm25_index([("a", ["x"]), ("b", ["x", "y"]), ("c", ["y"])])
+    full = bm25_topk(index, ["x", "y"], 3)
+    assert bm25_topk(index, ["x", "y"], 3, exclude=["nope"]) == full
+    assert bm25_topk(index, ["x", "y"], 3, exclude=("nope", "b")) == [
+        hit for hit in full if hit[0] != "b"
+    ]
+
+
 def test_bm25_topk_agrees_with_full_sort():
     rng = random.Random(3)
     for trial in range(20):
