@@ -542,7 +542,7 @@ def cmd_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _common_overrides(data_dir, seed, join_type, left_size, right_size) -> dict:
+def _common_overrides(data_dir, seed, join_type=None, left_size=None, right_size=None) -> dict:
     return {
         "data_dir": data_dir,
         "seed": seed,
@@ -567,10 +567,6 @@ common_options = [
     click.option("--data-dir", type=str, default=None,
                  help=f"Data directory (falls back to ${ENV_DATA_DIR})."),
     click.option("--seed", type=int, default=None, help="Master seed."),
-    click.option("--join-type", type=str, default=None,
-                 help="INNER, LEFT, RIGHT, or FULL."),
-    click.option("--left-size", type=int, default=None),
-    click.option("--right-size", type=int, default=None),
 ]
 
 
@@ -595,11 +591,10 @@ def cli() -> None:
 @click.option("--copies", type=int, default=5)
 @click.option("--max-fraction", type=float, default=0.25)
 @click.option("--test-fraction", type=float, default=0.2)
-def generate_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
-                 source_path, preset, perturbations, copies, max_fraction, test_fraction):
+def generate_cmd(config_path, data_dir, seed, source_path, preset, perturbations, copies,
+                 max_fraction, test_fraction):
     """Generate the synthetic fuzzy-join workload."""
-    cfg = resolve_config(config_path,
-                         _common_overrides(data_dir, seed, join_type, left_size, right_size))
+    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     manifest = cmd_generate(cfg, source_path, preset, perturbations, copies,
                             max_fraction, test_fraction)
     click.echo(f"wrote {len(manifest.outputs)} files under {cfg.data_dir}")
@@ -612,11 +607,9 @@ def generate_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
 @click.option("--freeze-negatives", is_flag=True, default=False,
               help="Sample negatives once instead of per epoch.")
 @click.option("--supervision", "supervision_path", type=str, default=None)
-def train_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
-              no_pretrain, freeze_negatives, supervision_path):
+def train_cmd(config_path, data_dir, seed, no_pretrain, freeze_negatives, supervision_path):
     """Train the encoder and write model.bin."""
-    cfg = resolve_config(config_path,
-                         _common_overrides(data_dir, seed, join_type, left_size, right_size))
+    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     manifest = cmd_train(cfg, pretrain=not no_pretrain,
                          freeze_negatives=freeze_negatives,
                          supervision_path=supervision_path)
@@ -625,6 +618,9 @@ def train_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
 
 @cli.command("join")
 @_with_common
+@click.option("--join-type", type=str, default=None, help="INNER, LEFT, RIGHT, or FULL.")
+@click.option("--left-size", type=int, default=None)
+@click.option("--right-size", type=int, default=None)
 @click.option("--spec-file", type=str, default=None,
               help="Keyless-join statement file (.kjoin).")
 @click.option("--baseline", type=str, default=None,
@@ -659,11 +655,10 @@ def join_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
               help="Comma-separated methods for --comparison.")
 @click.option("--key-column", type=str, default=None)
 @click.option("--mrr", "with_mrr", is_flag=True, default=False)
-def evaluate_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
-                 results_path, truth_path, ks, comparison, methods, key_column, with_mrr):
+def evaluate_cmd(config_path, data_dir, seed, results_path, truth_path, ks, comparison,
+                 methods, key_column, with_mrr):
     """Compute recall (and optionally MRR) against a truth file."""
-    cfg = resolve_config(config_path,
-                         _common_overrides(data_dir, seed, join_type, left_size, right_size))
+    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     method_list = [m.strip() for m in methods.split(",")] if methods else None
     _, printable = cmd_evaluate(cfg, results_path=results_path, truth_path=truth_path,
                                 ks=ks, comparison=comparison, methods=method_list,
@@ -679,11 +674,9 @@ def evaluate_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
               help="CSV (id,label) for label averaging over the final hop.")
 @click.option("--agg-ks", callback=_ks_option, default=None,
               help="Aggregation sizes (default 1,10,20,30).")
-def pipeline_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
-                 chain_file, labels_path, agg_ks):
+def pipeline_cmd(config_path, data_dir, seed, chain_file, labels_path, agg_ks):
     """Run a chained multi-hop join with optional label averaging."""
-    cfg = resolve_config(config_path,
-                         _common_overrides(data_dir, seed, join_type, left_size, right_size))
+    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     cmd_pipeline(cfg, chain_file, labels_path=labels_path, agg_ks=agg_ks)
     click.echo(f"chain result written to {Path(cfg.data_dir) / 'chain_result.csv'}")
 

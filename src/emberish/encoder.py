@@ -20,9 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, SupervisionPair, SupervisionTriple
+from .data import Dataset, Record, SupervisionPair, SupervisionTriple
+from .joiner import Embeddings
 from .joinspec import EngineConfig
-from .prepare import Sentence, prepare_sentence
+from .prepare import SEPARATOR, Sentence, prepare_sentence
 from .supervise import SamplerConfig, build_pretraining_pairs, build_tiers, sample_triples
 
 DEFAULT_HASH_DIM = 1 << 16
@@ -32,6 +33,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _TINY = 1e-12
+# Floats per block of rows that embed_dataset runs through one forward pass (4 MB).
+_EMBED_CELLS = 1 << 19
 
 
 class EncoderError(ValueError):
@@ -105,36 +108,38 @@ class EncoderModel:
         return np.array([self.bucket(t) for t in tokens], dtype=np.int64)
 
 
+def featurize(model: EncoderModel, record: Record, tokenizer: str = "whitespace",
+              separator: str = SEPARATOR) -> np.ndarray:
+    """A record's token buckets, the same for training and embedding."""
+    return model.buckets(prepare_sentence(record, separator, tokenizer).tokens)
+
+
 def encode(model: EncoderModel, sentence: Sentence) -> np.ndarray:
     """Embed one prepared sentence; an empty token list maps to zeros."""
-    buckets = model.buckets(sentence.tokens)
-    return _encode_buckets(model, buckets)
-
-
-def _encode_buckets(model: EncoderModel, buckets: np.ndarray) -> np.ndarray:
-    if buckets.size == 0:
-        return np.zeros(model.dim)
-    pooled = model.table[buckets].sum(axis=0) / buckets.size
-    u = pooled @ model.projection + model.bias
-    if model.normalize:
-        r = float(np.sqrt(u @ u))
-        if r > _TINY:
-            return u / r
-    return u
+    return _forward_group(model, [model.buckets(sentence.tokens)])[2][0]
 
 
 def embed_dataset(
     model: EncoderModel,
     dataset: Dataset,
     tokenizer: str = "whitespace",
-    separator: str = "[SEP]",
-) -> list[tuple[str, np.ndarray]]:
-    """One embedding per record, in dataset order."""
-    out = []
-    for rec in dataset.records:
-        sent = prepare_sentence(rec, separator=separator, tokenizer=tokenizer)
-        out.append((rec.id, encode(model, sent)))
-    return out
+    separator: str = SEPARATOR,
+) -> Embeddings:
+    """Record ids and one embedding row per record, in dataset order.
+
+    Rows go through the forward pass in blocks of about ``_EMBED_CELLS``
+    floats, and never in one-row blocks (unless the dataset has one row):
+    numpy multiplies a single row with gemv, whose last bits differ from
+    gemm's, while with two or more rows a row's bits do not depend on its
+    block.
+    """
+    buckets = [featurize(model, rec, tokenizer, separator) for rec in dataset.records]
+    n = len(buckets)
+    vectors = np.empty((n, model.dim))
+    parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
+    for block in np.array_split(np.arange(n), parts):
+        vectors[block] = _forward_group(model, [buckets[i] for i in block])[2]
+    return tuple(rec.id for rec in dataset.records), vectors
 
 
 def triplet_loss(
@@ -278,10 +283,12 @@ def batch_loss(
     negatives: list[np.ndarray],
     margin: float,
 ) -> float:
-    """Mean triplet hinge loss over a batch (bucket-array inputs)."""
-    xa = np.vstack([_encode_buckets(anchor_model, b) for b in anchors])
-    xp = np.vstack([_encode_buckets(other_model, b) for b in positives])
-    xn = np.vstack([_encode_buckets(other_model, b) for b in negatives])
+    """Mean triplet hinge loss over a batch (bucket-array inputs), the
+    finite-difference reference for ``batch_gradients``: each sentence runs
+    through the forward pass alone, as in ``encode``."""
+    xa, xp, xn = (np.vstack([_forward_group(model, [b])[2] for b in group])
+                  for model, group in ((anchor_model, anchors), (other_model, positives),
+                                       (other_model, negatives)))
     d_pos = np.sqrt(np.einsum("ij,ij->i", xa - xp, xa - xp))
     d_neg = np.sqrt(np.einsum("ij,ij->i", xa - xn, xa - xn))
     return float(np.maximum(d_pos - d_neg + margin, 0.0).mean())
@@ -403,13 +410,15 @@ def train(
     cfg: TrainConfig,
     shared: bool = True,
     triple_provider: TripleProvider | None = None,
+    tokenizer: str = "whitespace",
 ) -> TrainResult:
     """Mini-batch triplet training with Adam.
 
     ``shared`` trains one encoder for both sides (the default); otherwise
     the auxiliary side gets an identically initialized copy that is free to
     diverge. ``triple_provider`` lets the caller resample negatives per
-    epoch; without it the given triples are reused every epoch.
+    epoch; without it the given triples are reused every epoch. Records
+    are featurized under ``tokenizer``, as ``embed_dataset`` does.
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
@@ -424,8 +433,7 @@ def train(
                     which: EncoderModel) -> np.ndarray:
         arr = cache.get(rec_id)
         if arr is None:
-            sent = prepare_sentence(dataset.record(rec_id))
-            arr = which.buckets(sent.tokens)
+            arr = featurize(which, dataset.record(rec_id), tokenizer)
             cache[rec_id] = arr
         return arr
 
@@ -568,7 +576,8 @@ def fit_encoder(
         ptriples = build_pretraining_pairs(
             base, aux, per_record=pretrain_per_record, seed=config.seed
         )
-        result = train(model, ptriples, base, aux, tcfg, shared=True)
+        result = train(model, ptriples, base, aux, tcfg, shared=True,
+                       tokenizer=config.tokenizer)
         trace.extend(("pretrain", e, l) for e, l in enumerate(result.epoch_losses))
 
     if not config.finetune:
@@ -584,7 +593,8 @@ def fit_encoder(
         supervision = rng.sample(supervision, keep)
 
     if isinstance(supervision[0], SupervisionTriple):
-        result = train(model, supervision, base, aux, tcfg, shared=shared)  # type: ignore[arg-type]
+        result = train(model, supervision, base, aux, tcfg,  # type: ignore[arg-type]
+                       shared=shared, tokenizer=config.tokenizer)
     else:
         pairs: list[SupervisionPair] = supervision  # type: ignore[assignment]
         if config.sampler == "custom":
@@ -600,7 +610,8 @@ def fit_encoder(
             scfg = SamplerConfig(kind=config.sampler, seed=seed)
             return sample_triples(pairs, base, aux, scfg, tiers)
 
-        result = train(model, [], base, aux, tcfg, shared=shared, triple_provider=provider)
+        result = train(model, [], base, aux, tcfg, shared=shared, triple_provider=provider,
+                       tokenizer=config.tokenizer)
 
     models = result.models
     trace.extend(("train", e, l) for e, l in enumerate(result.epoch_losses))

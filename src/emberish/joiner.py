@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
@@ -21,6 +22,9 @@ import numpy as np
 from .joinspec import JoinSpec, JoinType
 
 Metric = Literal["l2", "inner_product"]
+
+# Record ids and one (n, d) float64 row per record, in the same order.
+Embeddings = tuple[Sequence[str], np.ndarray]
 
 # Floats per query block of scores, and per re-scoring step (4 MB).
 _BLOCK_CELLS = 1 << 19
@@ -78,21 +82,15 @@ class EmbeddingIndex:
         return self.vectors.shape[0]
 
 
-def build_index(
-    embeddings: Sequence[tuple[str, np.ndarray]],
-    metric: Metric = "l2",
-) -> EmbeddingIndex:
-    """Build an exact index over (record_id, vector) pairs."""
-    if not embeddings:
+def build_index(embeddings: Embeddings, metric: Metric = "l2") -> EmbeddingIndex:
+    """Build an exact index over ``(ids, vectors)``."""
+    ids, vectors = embeddings
+    if not len(ids):
         raise JoinError("cannot build an index over zero embeddings")
     if metric not in ("l2", "inner_product"):
         raise JoinError(f"unknown metric {metric!r}")
-    dims = {np.asarray(vec).shape for _, vec in embeddings}
-    if len(dims) != 1 or len(next(iter(dims))) != 1:
-        raise JoinError(f"embedding dimension mismatch: saw shapes {sorted(dims)}")
-    ids = tuple(rid for rid, _ in embeddings)
-    matrix = np.asarray([np.asarray(vec, dtype=np.float64) for _, vec in embeddings])
-    return EmbeddingIndex(ids=ids, vectors=matrix, metric=metric)
+    return EmbeddingIndex(ids=tuple(ids), vectors=np.asarray(vectors, dtype=np.float64),
+                          metric=metric)
 
 
 def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
@@ -214,9 +212,6 @@ class JoinResult:
         return cls(matches=matches)
 
 
-Embeddings = Sequence[tuple[str, np.ndarray]]
-
-
 def _retrieve(
     query_emb: Embeddings,
     target_emb: Embeddings,
@@ -227,21 +222,25 @@ def _retrieve(
 ) -> dict[str, list[tuple[str, float]]]:
     """Ranked candidates per query record.
 
-    ``index_on`` picks the execution strategy only: indexing the query side
-    computes the same distances row-by-row from the other direction and
-    transposes, so results are identical either way.
+    ``index_on`` picks the execution strategy only. Indexing the query side
+    scans every target record against it and transposes. l2 results are
+    identical either way. Inner-product scores may differ in the last
+    digits, because that scan computes ``t.q`` with a different
+    matrix-vector shape than ``q.t``; ranks can differ only between scores
+    that close.
     """
+    query_ids, query_vectors = query_emb
     if index_on == "target":
-        index, queries = build_index(target_emb, metric), build_index(query_emb, metric)
-        rows, cols, scores = _search(index, queries.vectors, k, threshold)
-        hits: list[list[tuple[str, float]]] = [[] for _ in queries.ids]
+        index = build_index(target_emb, metric)
+        rows, cols, scores = _search(index, query_vectors, k, threshold)
+        hits: list[list[tuple[str, float]]] = [[] for _ in query_ids]
         for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
             hits[row].append((index.ids[col], score))
-        return dict(zip(queries.ids, hits))
+        return dict(zip(query_ids, hits))
 
     index = build_index(query_emb, metric)
-    per_query: dict[str, list[tuple[str, float]]] = {qid: [] for qid, _ in query_emb}
-    for tid, tvec in target_emb:
+    per_query: dict[str, list[tuple[str, float]]] = {qid: [] for qid in query_ids}
+    for tid, tvec in zip(*target_emb):
         for qid, score in knn(index, tvec, index.n, threshold=None):
             per_query[qid].append((tid, score))
     sign = 1.0 if metric == "l2" else -1.0
@@ -317,10 +316,9 @@ def execute_join(
     bytes; inner-product scores may differ in the last bit). ``both_directions``
     switches INNER to the union of both retrieval directions.
     """
-    if not base_emb or not aux_emb:
+    base_order, aux_order = base_emb[0], aux_emb[0]
+    if not len(base_order) or not len(aux_order):
         raise JoinError("both sides must have at least one embedding")
-    base_order = [rid for rid, _ in base_emb]
-    aux_order = [rid for rid, _ in aux_emb]
 
     strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
 
@@ -353,15 +351,15 @@ def execute_join(
         return JoinResult(matches=matches, spec=spec)
 
     # INNER, single direction: the smaller side queries the larger one.
-    forward = len(base_emb) <= len(aux_emb)
+    forward = len(base_order) <= len(aux_order)
     queries, targets = (base_emb, aux_emb) if forward else (aux_emb, base_emb)
     k, cap = (spec.right_size, spec.left_size) if forward else (spec.left_size, spec.right_size)
     retrieved = _retrieve(queries, targets, k, metric, threshold,
                           strategy["base" if forward else "aux"])
-    if cap < len(queries):
+    if cap < len(queries[0]):
         retrieved = _cap_per_target(retrieved, cap, metric)
-    order, direction = (base_order, "forward") if forward else (aux_order, "reverse")
-    return JoinResult(_ranked_matches(retrieved, order, direction), spec)
+    direction = "forward" if forward else "reverse"
+    return JoinResult(_ranked_matches(retrieved, queries[0], direction), spec)
 
 
 def chain_joins(
@@ -377,11 +375,9 @@ def chain_joins(
     """
     if not stages:
         raise JoinError("chain requires at least one stage")
-    if not base_emb:
-        return JoinResult(matches=[], spec=stages[-1][0])
+    base_ids, queries = base_emb
     # Frontier: a query vector per (origin, hop path so far), each hop's index position.
-    first = build_index(base_emb)
-    queries, origins = first.vectors, np.arange(first.n)
+    origins = np.arange(len(base_ids))
     hops: list[np.ndarray] = []
     for spec, index in stages:
         rows, cols, scores = _search(index, queries, spec.right_size, threshold)
@@ -392,9 +388,9 @@ def chain_joins(
     # Re-rank final matches per origin record, ties by endpoint id, then by
     # frontier order; path keeps one id per hop before the endpoint.
     last = stages[-1][1]
-    bounds = np.searchsorted(origins, np.arange(first.n + 1)).tolist()
+    bounds = np.searchsorted(origins, np.arange(len(base_ids) + 1)).tolist()
     matches: list[Match] = []
-    for o, origin in enumerate(first.ids):
+    for o, origin in enumerate(base_ids):
         lo, hi = bounds[o], bounds[o + 1]
         tie = last._id_rank[hops[-1][lo:hi]] * (hi - lo) + np.arange(hi - lo)
         _, order = topk(scores[lo:hi], hi - lo, tie, last.metric != "l2")
@@ -411,50 +407,50 @@ def chain_joins(
 
 _EMB_MAGIC = b"KJEB"
 _EMB_VERSION = 1
+_EMB_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
 
 
 def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
-    import struct
-
-    path = Path(path)
-    with path.open("wb") as fh:
-        dim = int(np.asarray(embeddings[0][1]).shape[0]) if embeddings else 0
-        fh.write(struct.pack("<4sIQQ", _EMB_MAGIC, _EMB_VERSION, len(embeddings), dim))
-        for rid, vec in embeddings:
+    """Write the header, then per record a u32 id length, the UTF-8 id and
+    its row of little-endian float64 values."""
+    ids, vectors = embeddings
+    rows = np.ascontiguousarray(vectors, dtype="<f8")
+    with Path(path).open("wb") as fh:
+        fh.write(_EMB_HEADER.pack(_EMB_MAGIC, _EMB_VERSION, len(ids), rows.shape[1]))
+        for rid, row in zip(ids, rows):
             encoded = rid.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+            fh.write(struct.pack("<I", len(encoded)) + encoded + row.tobytes())
 
 
-def load_embeddings(path: str | Path) -> list[tuple[str, np.ndarray]]:
-    import struct
-
+def load_embeddings(path: str | Path) -> Embeddings:
     path = Path(path)
     raw = path.read_bytes()
-    head = struct.Struct("<4sIQQ")
-    if len(raw) < head.size:
+    if len(raw) < _EMB_HEADER.size:
         raise JoinError(f"{path}: truncated embeddings file")
-    magic, version, count, dim = head.unpack_from(raw)
+    magic, version, count, dim = _EMB_HEADER.unpack_from(raw)
     if magic != _EMB_MAGIC:
         raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
     if version != _EMB_VERSION:
         raise JoinError(f"{path}: unsupported embeddings version {version}")
-    offset = head.size
-    out: list[tuple[str, np.ndarray]] = []
-    for _ in range(count):
+    offset = _EMB_HEADER.size
+    if offset + count * (4 + 8 * dim) > len(raw):
+        raise JoinError(f"{path}: truncated embeddings file")
+    ids: list[str] = []
+    vectors = np.empty((count, dim))
+    for i in range(count):
         if offset + 4 > len(raw):
             raise JoinError(f"{path}: truncated embeddings file")
         (id_len,) = struct.unpack_from("<I", raw, offset)
         offset += 4
-        rid = raw[offset : offset + id_len].decode("utf-8")
+        ids.append(raw[offset : offset + id_len].decode("utf-8"))
         offset += id_len
         if offset + 8 * dim > len(raw):
             raise JoinError(f"{path}: truncated embeddings file")
-        vec = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset).copy()
+        vectors[i] = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset)
         offset += 8 * dim
-        out.append((rid, vec))
-    return out
+    if offset != len(raw):
+        raise JoinError(f"{path}: {len(raw) - offset} trailing bytes after the last record")
+    return tuple(ids), vectors
 
 
 def aggregate_labels(

@@ -41,6 +41,11 @@ from emberish.prepare import prepare_sentence
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 
+def pair(entries):
+    """Embeddings ``(ids, matrix)`` from a list of ``(id, vector)`` entries."""
+    return tuple(rid for rid, _ in entries), np.array([v for _, v in entries], dtype=np.float64)
+
+
 def criterion(num, name):
     def decorate(fn):
         @functools.wraps(fn)
@@ -70,7 +75,7 @@ def test_retrieval_oracle_equivalence():
         n = int(rng.integers(2, 201))
         d = int(rng.integers(1, 17))
         entries = [(f"r{i}", rng.normal(size=d)) for i in range(n)]
-        index = build_index(entries)
+        index = build_index(pair(entries))
         query = rng.normal(size=d)
         expected = sorted(
             ((float(np.linalg.norm(v - query)), rid) for rid, v in entries)
@@ -327,8 +332,8 @@ def test_hard_preset_sampler_non_inferiority():
 @criterion(7, "index-side choice preserves INNER results and saves time")
 def test_index_side_optimization():
     rng = np.random.default_rng(77)
-    base = [(f"b{i}", rng.normal(size=8)) for i in range(200)]
-    aux = [(f"a{i}", rng.normal(size=8)) for i in range(400)]
+    base = pair([(f"b{i}", rng.normal(size=8)) for i in range(200)])
+    aux = pair([(f"a{i}", rng.normal(size=8)) for i in range(400)])
     spec = JoinSpec("base", "aux", JoinType.INNER, 3, 2, "s")
 
     results = {}
@@ -361,13 +366,13 @@ def test_join_semantics_algebra():
 
     # Caps non-binding (left_size = |base|) so INNER keeps full per-base lists.
     inner = execute_join(JoinSpec("b", "a", JoinType.INNER, 10, 2, "s"),
-                         base, aux, threshold=threshold)
+                         pair(base), pair(aux), threshold=threshold)
     left = execute_join(JoinSpec("b", "a", JoinType.LEFT, 10, 2, "s"),
-                        base, aux, threshold=threshold)
+                        pair(base), pair(aux), threshold=threshold)
     full = execute_join(JoinSpec("b", "a", JoinType.FULL, 2, 2, "s"),
-                        base, aux, threshold=threshold)
+                        pair(base), pair(aux), threshold=threshold)
     right_mirrored = execute_join(JoinSpec("a", "b", JoinType.RIGHT, 2, 10, "s"),
-                                  aux, base, threshold=threshold)
+                                  pair(aux), pair(base), threshold=threshold)
 
     assert left.matched_pairs() == inner.matched_pairs()
     absent = {m.base_id for m in left.matches if m.absent}
@@ -512,7 +517,7 @@ def test_two_hop_and_label_averaging():
     d2 = [(f"z{m}", np.array([10.0 * inv_sigma[inv_tau[m]] + 0.2, 0.0])) for m in range(n)]
 
     hop = JoinSpec("a", "b", JoinType.INNER, n, 1, "s")
-    chained = chain_joins(d0, [(hop, build_index(d1)), (hop, build_index(d2))])
+    chained = chain_joins(pair(d0), [(hop, build_index(pair(d1))), (hop, build_index(pair(d2)))])
     assert len(chained.matches) == n
     for m in chained.matches:
         i = int(m.base_id[1:])

@@ -229,6 +229,33 @@ class TestJoinFlags:
                      "--both-directions"]) == 0
 
 
+class TestSizeFlags:
+    # Only join reads the join type and sizes; pipeline takes them from its
+    # chain file. Every other command rejects the three flags.
+    @pytest.mark.parametrize("command", [
+        ["generate", "--copies", "2"],
+        ["train", "--no-pretrain"],
+        ["evaluate"],
+        ["pipeline", "--chain-file", "chain.kjoin"],
+    ])
+    def test_rejected_by_every_command_but_join(self, workspace, command, capsys, monkeypatch):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        cmd_join(cfg)
+        (tmp_path / "chain.kjoin").write_text(
+            "base INNER KEYLESS JOIN aux LEFT SIZE 99 RIGHT SIZE 2 USING supervision;")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "epochs": 1, "sampler": "random"}))
+        monkeypatch.chdir(tmp_path)
+        args = [*command, "--config", str(config)]
+        for flag in (["--join-type", "LEFT"], ["--left-size", "2"], ["--right-size", "3"]):
+            assert main([*args, *flag]) == 1
+            err = capsys.readouterr().err
+            assert "No such option" in err and flag[0] in err
+        assert main(args) == 0
+
+
 class TestEvaluate:
     def test_metrics_from_results_csv_alone(self, workspace):
         tmp_path, cfg = workspace

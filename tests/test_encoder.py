@@ -12,6 +12,7 @@ from emberish.encoder import (
     batch_loss,
     embed_dataset,
     encode,
+    featurize,
     load_model,
     save_model,
     train,
@@ -294,6 +295,22 @@ class TestFitEncoder:
         fit_encoder(base, aux, triples, self.config(), hash_dim=64)
         assert seen["triples"] == triples
 
+    def test_training_updates_the_buckets_the_join_reads(self):
+        # Under char2gram, every bucket of every record in a triple is a table
+        # row that training changed; the margin keeps every triple active.
+        from emberish.encoder import fit_encoder
+
+        base, aux, _ = self.world()
+        triples = [SupervisionTriple(f"b{i}", f"a{i}", f"a{(i + 1) % 6}") for i in range(6)]
+        cfg = self.config(tokenizer="char2gram", loss_margin=100.0)
+        fit = fit_encoder(base, aux, triples, cfg, hash_dim=1 << 12)
+        start = EncoderModel.create(dim=8, hash_dim=1 << 12, seed=0)
+        changed = set(np.flatnonzero((fit.model.table != start.table).any(axis=1)).tolist())
+        for t in triples:
+            for dataset, rid in ((base, t.anchor_id), (aux, t.positive_id), (aux, t.negative_id)):
+                buckets = featurize(start, dataset.record(rid), "char2gram")
+                assert set(buckets.tolist()) <= changed
+
     def test_tiers_built_once_per_fit(self, monkeypatch):
         from emberish import supervise
         from emberish.encoder import fit_encoder
@@ -342,13 +359,14 @@ class TestEmbedDataset:
     def test_cardinality_and_order(self):
         base, _, _ = toy_training_world(7)
         model = EncoderModel.create(dim=8, hash_dim=32, seed=0)
-        out = embed_dataset(model, base)
-        assert [rid for rid, _ in out] == [r.id for r in base.records]
+        ids, vectors = embed_dataset(model, base)
+        assert list(ids) == [r.id for r in base.records]
+        assert vectors.shape == (len(base.records), 8)
 
     def test_duplicate_records_duplicate_embeddings(self):
         ds = dataset_from_rows("d", "base", [("x", [("t", "abc")]), ("y", [("t", "abc")])])
         model = EncoderModel.create(dim=8, hash_dim=32, seed=0)
-        out = dict(embed_dataset(model, ds))
+        out = dict(zip(*embed_dataset(model, ds)))
         assert np.array_equal(out["x"], out["y"])
 
     def test_rerun_bitwise_identical(self):
@@ -356,8 +374,28 @@ class TestEmbedDataset:
         model = EncoderModel.create(dim=8, hash_dim=32, seed=0)
         first = embed_dataset(model, base)
         second = embed_dataset(model, base)
-        for (i1, v1), (i2, v2) in zip(first, second):
+        for (i1, v1), (i2, v2) in zip(zip(*first), zip(*second)):
             assert i1 == i2 and np.array_equal(v1, v2)
+
+    def test_no_block_holds_a_single_row(self):
+        # One record more than a full block. A split that left the last
+        # record alone would multiply it with gemv, whose last bits differ
+        # from gemm's, so it would no longer equal its duplicate, the first.
+        from emberish.encoder import _EMBED_CELLS
+
+        dim = 200
+        n = _EMBED_CELLS // dim + 1
+        rows = [(f"r{i}", [("t", f"w{i % 97} w{i % 89} w{i % 83}")]) for i in range(n - 1)]
+        rows.append(("last", rows[0][1]))
+        ds = dataset_from_rows("d", "base", rows)
+        model = EncoderModel.create(dim=dim, hash_dim=256, seed=4)
+        model.projection[:] = np.random.default_rng(4).normal(size=(dim, dim))
+        ids, vectors = embed_dataset(model, ds)
+        assert ids[-1] == "last"
+        assert np.array_equal(vectors[0], vectors[-1])
+        assert np.array_equal(vectors, embed_dataset(model, ds)[1])
+        assert np.allclose(vectors[0], encode(model, prepare_sentence(ds.records[0])),
+                           atol=1e-12)
 
 
 class TestPersistence:

@@ -1,5 +1,7 @@
 """Index retrieval exactness, join semantics algebra, chaining, aggregation."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,51 +27,54 @@ def vec(*values):
     return np.array(values, dtype=np.float64)
 
 
+def pair(entries):
+    """Embeddings ``(ids, matrix)`` from a list of ``(id, vector)`` entries."""
+    return tuple(rid for rid, _ in entries), np.array([v for _, v in entries], dtype=np.float64)
+
+
 def grid_embeddings(prefix, n, d, seed):
     rng = np.random.default_rng(seed)
-    return [(f"{prefix}{i}", rng.normal(size=d)) for i in range(n)]
+    return tuple(f"{prefix}{i}" for i in range(n)), rng.normal(size=(n, d))
 
 
 class TestIndexAndKnn:
     def test_single_entry(self):
-        index = build_index([("only", vec(1.0, 2.0))])
+        index = build_index(pair([("only", vec(1.0, 2.0))]))
         assert knn(index, vec(0.0, 0.0), 3) == [("only", pytest.approx(np.sqrt(5)))]
 
     def test_duplicate_vectors_tie_break_by_id(self):
-        index = build_index([("b", vec(1.0)), ("a", vec(1.0))])
+        index = build_index(pair([("b", vec(1.0)), ("a", vec(1.0))]))
         assert [rid for rid, _ in knn(index, vec(1.0), 2)] == ["a", "b"]
 
     def test_hand_arithmetic_three_points(self):
-        index = build_index([("a", vec(0, 0)), ("b", vec(1, 0)), ("c", vec(0, 2))])
+        index = build_index(pair([("a", vec(0, 0)), ("b", vec(1, 0)), ("c", vec(0, 2))]))
         out = knn(index, vec(0.6, 0.0), 2)
         assert out[0] == ("b", pytest.approx(0.4))
         assert out[1] == ("a", pytest.approx(0.6))
 
     def test_query_equal_to_indexed_vector(self):
-        index = build_index([("x", vec(3.0, 4.0)), ("y", vec(0.0, 0.0))])
+        index = build_index(pair([("x", vec(3.0, 4.0)), ("y", vec(0.0, 0.0))]))
         assert knn(index, vec(3.0, 4.0), 1) == [("x", 0.0)]
 
     def test_threshold_excludes_everything(self):
-        index = build_index([("x", vec(10.0)), ("y", vec(20.0))])
+        index = build_index(pair([("x", vec(10.0)), ("y", vec(20.0))]))
         assert knn(index, vec(0.0), 2, threshold=1.0) == []
 
     def test_inner_product_direction(self):
-        index = build_index([("low", vec(1.0, 0.0)), ("high", vec(5.0, 0.0))],
+        index = build_index(pair([("low", vec(1.0, 0.0)), ("high", vec(5.0, 0.0))]),
                             metric="inner_product")
         out = knn(index, vec(1.0, 0.0), 2)
         assert [rid for rid, _ in out] == ["high", "low"]
         assert knn(index, vec(1.0, 0.0), 2, threshold=2.0) == [("high", 5.0)]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(JoinError, match="dimension"):
-            build_index([("a", vec(1.0)), ("b", vec(1.0, 2.0))])
-        index = build_index([("a", vec(1.0, 2.0))])
+        index = build_index(pair([("a", vec(1.0, 2.0))]))
         with pytest.raises(JoinError, match="dimension"):
             knn(index, vec(1.0), 1)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(JoinError, match="unique"):
-            build_index([("a", vec(1.0)), ("a", vec(2.0))])
+            build_index(pair([("a", vec(1.0)), ("a", vec(2.0))]))
 
     @pytest.mark.parametrize("metric", ["l2", "inner_product"])
     def test_knn_equals_exhaustive_sort(self, metric):
@@ -77,7 +82,7 @@ class TestIndexAndKnn:
         for trial in range(30):
             n, d = int(rng.integers(2, 60)), int(rng.integers(1, 9))
             entries = [(f"r{i}", rng.normal(size=d)) for i in range(n)]
-            index = build_index(entries, metric=metric)
+            index = build_index(pair(entries), metric=metric)
             query = rng.normal(size=d)
             if metric == "l2":
                 scored = sorted(
@@ -99,8 +104,8 @@ class TestIndexAndKnn:
             entries.append((f"r{i}", v / np.linalg.norm(v)))
         q = rng.normal(size=6)
         q /= np.linalg.norm(q)
-        l2 = [rid for rid, _ in knn(build_index(entries, "l2"), q, 40)]
-        ip = [rid for rid, _ in knn(build_index(entries, "inner_product"), q, 40)]
+        l2 = [rid for rid, _ in knn(build_index(pair(entries), "l2"), q, 40)]
+        ip = [rid for rid, _ in knn(build_index(pair(entries), "inner_product"), q, 40)]
         assert l2 == ip
 
 
@@ -147,7 +152,7 @@ class TestBlockedScan:
     def test_multi_block_join_equals_per_query_knn(self, metric, monkeypatch):
         rng = np.random.default_rng(70)
         aux = grid_embeddings("a", 12, 3, 71)
-        aux[7] = ("a7", aux[2][1].copy())  # a duplicated index vector
+        aux[1][7] = aux[1][2]  # a duplicated index vector
         shared = rng.normal(size=3)
         base = [(f"b{i:02d}", rng.normal(size=3)) for i in range(11)]
         # Equal queries on both sides of the boundary between 4-row blocks.
@@ -155,14 +160,14 @@ class TestBlockedScan:
         base[4] = ("b04", shared.copy())
         monkeypatch.setattr(joiner, "_BLOCK_CELLS", 4 * len(aux))
         s = spec(JoinType.LEFT, right=3)
-        result = execute_join(s, base, aux, metric=metric, threshold=None)
+        result = execute_join(s, pair(base), aux, metric=metric, threshold=None)
         index = build_index(aux, metric)
         expected = [(bid, aid, rank, score) for bid, vec in base
                     for rank, (aid, score) in enumerate(knn(index, vec, 3), start=1)]
         got = [(m.base_id, m.aux_id, m.rank, m.score) for m in result.matches]
         assert got == expected
         if metric == "l2":
-            oracle = [sorted(((float(np.linalg.norm(v - q)), aid) for aid, v in aux))[:3]
+            oracle = [sorted(((float(np.linalg.norm(v - q)), aid) for aid, v in zip(*aux)))[:3]
                       for _, q in base]
             assert [aid for _, aid, _, _ in got] == [aid for o in oracle for _, aid in o]
 
@@ -181,7 +186,7 @@ class TestBlockedScan:
         entries = [(f"r{i:02d}", offset + radii[i] * directions[i]) for i in range(40)]
         entries.append(("r40", entries[5][1].copy()))
         entries += [(f"far{i}", offset + 3.0 * directions[i]) for i in range(10)]
-        index = build_index(entries)
+        index = build_index(pair(entries))
         query = offset.copy()
         expected = sorted((float(np.linalg.norm(v - query)), rid) for rid, v in entries)
         for k in (1, 5, 12, 41):
@@ -199,13 +204,13 @@ class TestBlockedScan:
             diff = aux_matrix - q
             return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-        index = build_index(aux)
+        index = build_index(pair(aux))
         for _, q in base[:5]:
             scores = exact(q)
             assert all(s == scores[row[aid]] for aid, s in knn(index, q, 10))
-            ip = build_index(aux, "inner_product")
+            ip = build_index(pair(aux), "inner_product")
             assert all(s == (aux_matrix @ q)[row[aid]] for aid, s in knn(ip, q, 10))
-        result = execute_join(spec(JoinType.LEFT, right=10), base, aux)
+        result = execute_join(spec(JoinType.LEFT, right=10), pair(base), pair(aux))
         base_vec = dict(base)
         for m in result.matches:
             assert m.score == exact(base_vec[m.base_id])[row[m.aux_id]]
@@ -219,12 +224,12 @@ class TestExecuteJoin:
     def line_embeddings(self):
         base = [(f"b{i}", vec(float(i), 0.0)) for i in range(4)]
         aux = [(f"a{i}", vec(float(i) + 0.1, 0.0)) for i in range(6)]
-        return base, aux
+        return pair(base), pair(aux)
 
     def test_left_join_emits_absent_when_threshold_kills(self):
         base = [("b0", vec(0.0)), ("b1", vec(100.0))]
         aux = [("a0", vec(0.5))]
-        result = execute_join(spec(JoinType.LEFT, right=1), base, aux, threshold=1.0)
+        result = execute_join(spec(JoinType.LEFT, right=1), pair(base), pair(aux), threshold=1.0)
         rows = {m.base_id: m for m in result.matches}
         assert rows["b0"].aux_id == "a0"
         assert rows["b1"].aux_id is None
@@ -254,6 +259,40 @@ class TestExecuteJoin:
         transposed = execute_join(s, base, aux, index_side="base")
         assert natural.to_csv_text() == transposed.to_csv_text()
 
+    @pytest.mark.parametrize("metric", ["l2", "inner_product"])
+    @pytest.mark.parametrize("join_type", list(JoinType))
+    def test_dual_execution_every_join_type(self, join_type, metric):
+        # Indexing the querying side gives the same rows; l2 scores are the
+        # same bits, inner-product scores may differ in the last digits.
+        base = grid_embeddings("b", 20, 4, 11)
+        aux = grid_embeddings("a", 30, 4, 12)
+        s = spec(join_type, left=3, right=2)
+        natural = execute_join(s, base, aux, metric=metric)
+        for side in ("base", "aux"):
+            other = execute_join(s, base, aux, metric=metric, index_side=side)
+            assert [(m.base_id, m.aux_id, m.rank) for m in other.matches] == [
+                (m.base_id, m.aux_id, m.rank) for m in natural.matches]
+            np.testing.assert_allclose([m.score for m in other.matches],
+                                       [m.score for m in natural.matches], rtol=0, atol=1e-12)
+            if metric == "l2":
+                assert other.to_csv_text() == natural.to_csv_text()
+
+    def test_one_index_per_retrieval_direction(self, monkeypatch):
+        built = []
+        original = joiner.EmbeddingIndex.__post_init__
+
+        def counting(index):
+            built.append(len(index.ids))
+            original(index)
+
+        monkeypatch.setattr(joiner.EmbeddingIndex, "__post_init__", counting)
+        base, aux = grid_embeddings("b", 5, 3, 1), grid_embeddings("a", 8, 3, 2)
+        execute_join(spec(JoinType.LEFT, right=2), base, aux)
+        assert built == [8]
+        built.clear()
+        execute_join(spec(JoinType.FULL, left=2, right=2), base, aux)
+        assert built == [8, 5]
+
     def test_left_equals_inner_plus_absent_rows(self):
         # Caps non-binding: left_size = |base| so INNER keeps per-base lists.
         base = grid_embeddings("b", 10, 3, 3)
@@ -265,7 +304,7 @@ class TestExecuteJoin:
         assert inner_pairs == left_pairs
         absent_base = {m.base_id for m in left.matches if m.absent}
         matched_base = {b for b, _ in left_pairs}
-        assert absent_base == {rid for rid, _ in base} - matched_base
+        assert absent_base == set(base[0]) - matched_base
 
     def test_inner_subset_of_full(self):
         base = grid_embeddings("b", 10, 3, 5)
@@ -286,7 +325,7 @@ class TestExecuteJoin:
     def test_full_join_absent_on_both_sides(self):
         base = [("b0", vec(0.0)), ("b_far", vec(500.0))]
         aux = [("a0", vec(0.1)), ("a_far", vec(-500.0))]
-        result = execute_join(spec(JoinType.FULL), base, aux, threshold=1.0)
+        result = execute_join(spec(JoinType.FULL), pair(base), pair(aux), threshold=1.0)
         absent_base = {m.base_id for m in result.matches if m.aux_id is None}
         absent_aux = {m.aux_id for m in result.matches if m.base_id is None}
         assert absent_base == {"b_far"}
@@ -295,14 +334,14 @@ class TestExecuteJoin:
     def test_full_deduplicates_shared_pairs(self):
         base = [("b0", vec(0.0))]
         aux = [("a0", vec(0.0))]
-        result = execute_join(spec(JoinType.FULL), base, aux)
+        result = execute_join(spec(JoinType.FULL), pair(base), pair(aux))
         assert len(result.matches) == 1
 
     def test_inner_per_aux_cap_enforced(self):
         # Both base records closest to a0; left_size=1 keeps only the better one.
         base = [("b0", vec(0.0)), ("b1", vec(0.2))]
         aux = [("a0", vec(0.1)), ("a1", vec(50.0)), ("a2", vec(60.0))]
-        result = execute_join(spec(JoinType.INNER, left=1, right=1), base, aux)
+        result = execute_join(spec(JoinType.INNER, left=1, right=1), pair(base), pair(aux))
         winners = [m for m in result.matches if m.aux_id == "a0"]
         assert len(winners) == 1
         assert winners[0].base_id == "b0"  # distance 0.1 beats 0.1? no: |0-0.1| < |0.2-0.1|
@@ -321,12 +360,12 @@ class TestExecuteJoin:
     def test_sizes_exceeding_corpus_allowed(self):
         base = [("b0", vec(0.0))]
         aux = [("a0", vec(1.0)), ("a1", vec(2.0))]
-        result = execute_join(spec(JoinType.LEFT, right=99), base, aux)
+        result = execute_join(spec(JoinType.LEFT, right=99), pair(base), pair(aux))
         assert len(result.for_base("b0")) == 2
 
     def test_empty_side_rejected(self):
         with pytest.raises(JoinError, match="at least one"):
-            execute_join(spec(JoinType.INNER), [], [("a", vec(1.0))])
+            execute_join(spec(JoinType.INNER), pair([]), pair([("a", vec(1.0))]))
 
     def test_deterministic_output(self):
         base = grid_embeddings("b", 15, 3, 20)
@@ -342,8 +381,9 @@ class TestExecuteJoin:
                 enumerate(rng.normal(size=(5, 4)))]
         aux = [(f"a{i}", v / np.linalg.norm(v)) for i, v in
                enumerate(rng.normal(size=(9, 4)))]
-        l2 = execute_join(spec(JoinType.LEFT, right=3), base, aux, metric="l2")
-        ip = execute_join(spec(JoinType.LEFT, right=3), base, aux, metric="inner_product")
+        l2 = execute_join(spec(JoinType.LEFT, right=3), pair(base), pair(aux), metric="l2")
+        ip = execute_join(spec(JoinType.LEFT, right=3), pair(base), pair(aux),
+                          metric="inner_product")
         # Unit vectors: both metrics rank identically.
         assert [(m.base_id, m.aux_id, m.rank) for m in l2.matches] == [
             (m.base_id, m.aux_id, m.rank) for m in ip.matches
@@ -391,7 +431,8 @@ class TestChainJoins:
         d2 = [(f"z{m}", vec(10.0 * inv_sigma[inv_tau[m]] + 0.2, 0.0)) for m in range(n)]
 
         one = spec(JoinType.INNER, left=n, right=1)
-        result = chain_joins(d0, [(one, build_index(d1)), (one, build_index(d2))])
+        stages = [(one, build_index(pair(d1))), (one, build_index(pair(d2)))]
+        result = chain_joins(pair(d0), stages)
         assert len(result.matches) == n
         for m in result.matches:
             i = int(m.base_id[1:])
@@ -417,16 +458,16 @@ class TestChainJoins:
         # re-ranked by score and endpoint id, stable in expansion order.
         base = grid_embeddings("b", 6, 2, 43)
         mid = grid_embeddings("m", 5, 2, 44)
-        mid[3] = ("m3", mid[1][1].copy())
+        mid[1][3] = mid[1][1]
         last = grid_embeddings("z", 7, 2, 45)
-        last[4] = ("z4", last[0][1].copy())
+        last[1][4] = last[1][0]
         stages = [(spec(JoinType.INNER, right=3), build_index(mid)),
                   (spec(JoinType.INNER, right=2), build_index(last))]
         expected = []
-        for bid, vec in base:
+        for bid, vec in zip(*base):
             entries = []
             for mid_id, _ in knn(stages[0][1], vec, 3):
-                mid_vec = dict(mid)[mid_id]
+                mid_vec = dict(zip(*mid))[mid_id]
                 for hit_id, score in knn(stages[1][1], mid_vec, 2):
                     entries.append((score, hit_id, (mid_id,)))
             entries.sort(key=lambda e: (e[0], e[1]))
@@ -438,7 +479,7 @@ class TestChainJoins:
 
     def test_empty_chain_rejected(self):
         with pytest.raises(JoinError, match="at least one stage"):
-            chain_joins([("b", vec(1.0))], [])
+            chain_joins(pair([("b", vec(1.0))]), [])
 
 
 class TestAggregateLabels:
@@ -496,8 +537,8 @@ class TestEmbeddingsFile:
         path = tmp_path / "emb.bin"
         save_embeddings(emb, path)
         loaded = load_embeddings(path)
-        assert [rid for rid, _ in loaded] == [rid for rid, _ in emb]
-        for (_, v1), (_, v2) in zip(emb, loaded):
+        assert list(loaded[0]) == list(emb[0])
+        for v1, v2 in zip(emb[1], loaded[1]):
             assert np.array_equal(v1, v2)
 
     def test_truncation_detected(self, tmp_path):
@@ -508,3 +549,24 @@ class TestEmbeddingsFile:
         path.write_bytes(raw[:-8])
         with pytest.raises(JoinError, match="truncated"):
             load_embeddings(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_embeddings(grid_embeddings("e", 3, 4, 52), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(JoinError, match="trailing"):
+            load_embeddings(path)
+
+    def test_v1_byte_layout(self, tmp_path):
+        ids = ("b0", "caf\u00e9-\u2192")
+        vectors = np.array([[1.5, -2.0, 0.25], [3.0, 1e-300, -0.0]])
+        expected = struct.pack("<4sIQQ", b"KJEB", 1, 2, 3)
+        for rid, row in zip(ids, vectors):
+            encoded = rid.encode("utf-8")
+            expected += struct.pack("<I", len(encoded)) + encoded + struct.pack("<3d", *row)
+        path = tmp_path / "emb.bin"
+        save_embeddings((ids, vectors), path)
+        assert path.read_bytes() == expected
+        loaded_ids, loaded = load_embeddings(path)
+        assert loaded_ids == ids
+        assert np.array_equal(loaded, vectors)
