@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Collection
 
 import click
 
@@ -296,10 +297,15 @@ def cmd_join(
     index_side: str = "auto",
     both_directions: bool = False,
     dump_sentences: str | Path | None = None,
+    size_flags: Collection[str] = (),
 ) -> RunManifest:
-    """Execute the join and write result.csv."""
+    """Execute the join and write result.csv. ``size_flags`` names the
+    join-type and left-size command-line flags given, which the baseline
+    join does not use."""
     given = ({"--threshold": threshold is not None, "--both-directions": both_directions,
-              "--index-side": index_side != "auto"} if baseline is not None
+              "--index-side": index_side != "auto",
+              "--join-type": "--join-type" in size_flags,
+              "--left-size": "--left-size" in size_flags} if baseline is not None
              else {"--key-column": key_column is not None})
     if any(given.values()):
         raise ConfigError(f"the {'baseline' if baseline is not None else 'learned'} join does "
@@ -637,9 +643,11 @@ def join_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
     """Execute the join and write result.csv."""
     cfg = resolve_config(config_path,
                          _common_overrides(data_dir, seed, join_type, left_size, right_size))
+    size_flags = [flag for flag, value in (("--join-type", join_type), ("--left-size", left_size))
+                  if value is not None]
     cmd_join(cfg, spec_file=spec_file, baseline=baseline, key_column=key_column,
              threshold=threshold, index_side=index_side, both_directions=both_directions,
-             dump_sentences=dump_sentences)
+             dump_sentences=dump_sentences, size_flags=size_flags)
     click.echo(f"result written to {Path(cfg.data_dir) / 'result.csv'}")
 
 

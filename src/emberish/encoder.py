@@ -24,7 +24,13 @@ from .data import Dataset, Record, SupervisionPair, SupervisionTriple
 from .joiner import Embeddings
 from .joinspec import EngineConfig
 from .prepare import SEPARATOR, Sentence, prepare_sentence
-from .supervise import SamplerConfig, build_pretraining_pairs, build_tiers, sample_triples
+from .supervise import (
+    SamplerConfig,
+    aux_bm25_index,
+    build_pretraining_pairs,
+    build_tiers,
+    sample_triples,
+)
 
 DEFAULT_HASH_DIM = 1 << 16
 DEFAULT_DIM = 200
@@ -553,7 +559,8 @@ def fit_encoder(
     Pair supervision goes through the configured negative sampler, with
     fresh negatives each epoch unless frozen; provided triples pass
     through unchanged. The optional self-supervised stage trains on
-    BM25-paired triples before the supervised stage.
+    BM25-paired triples before the supervised stage. Supervision is
+    checked before any training starts.
     """
     model = init_model if init_model is not None else EncoderModel.create(
         dim=config.embedding_dim,
@@ -572,10 +579,35 @@ def fit_encoder(
     trace: list[tuple[str, int, float]] = []
     models: tuple[EncoderModel, ...] = (model,)
 
+    pairs: list[SupervisionPair] | None = None  # supervision that needs negatives
+    if config.finetune:
+        supervision = list(supervision)
+        if not supervision:
+            raise EncoderError("supervision must be non-empty")
+        if isinstance(supervision[0], SupervisionPair):
+            if config.sampler == "custom":
+                raise EncoderError(
+                    "sampler 'custom' requires caller-provided triples; pass triples "
+                    "as supervision instead"
+                )
+            if config.supervision_fraction < 1.0:
+                keep = max(1, round(config.supervision_fraction * len(supervision)))
+                supervision = random.Random(config.seed).sample(supervision, keep)
+            pairs = supervision  # type: ignore[assignment]
+
+    # The pretraining pairs and the BM25 tiers query one aux index. Both are
+    # drawn before any training, so the index is freed before training runs.
+    needs_index = pretrain or (pairs is not None and config.sampler == "stratified_bm25")
+    index = aux_bm25_index(aux) if needs_index else None
     if pretrain:
         ptriples = build_pretraining_pairs(
-            base, aux, per_record=pretrain_per_record, seed=config.seed
+            base, aux, per_record=pretrain_per_record, seed=config.seed, index=index
         )
+    if pairs is not None:
+        tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler), index)
+    del index
+
+    if pretrain:
         result = train(model, ptriples, base, aux, tcfg, shared=True,
                        tokenizer=config.tokenizer)
         trace.extend(("pretrain", e, l) for e, l in enumerate(result.epoch_losses))
@@ -583,28 +615,10 @@ def fit_encoder(
     if not config.finetune:
         return FitResult(models=models, trace=trace)
 
-    supervision = list(supervision)
-    if not supervision:
-        raise EncoderError("supervision must be non-empty")
-
-    if config.supervision_fraction < 1.0 and isinstance(supervision[0], SupervisionPair):
-        keep = max(1, round(config.supervision_fraction * len(supervision)))
-        rng = random.Random(config.seed)
-        supervision = rng.sample(supervision, keep)
-
-    if isinstance(supervision[0], SupervisionTriple):
+    if pairs is None:
         result = train(model, supervision, base, aux, tcfg,  # type: ignore[arg-type]
                        shared=shared, tokenizer=config.tokenizer)
     else:
-        pairs: list[SupervisionPair] = supervision  # type: ignore[assignment]
-        if config.sampler == "custom":
-            raise EncoderError(
-                "sampler 'custom' requires caller-provided triples; pass triples "
-                "as supervision instead"
-            )
-
-        tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler))
-
         def provider(epoch: int) -> list[SupervisionTriple]:
             seed = config.seed if freeze_negatives else config.seed ^ (epoch + 1)
             scfg = SamplerConfig(kind=config.sampler, seed=seed)

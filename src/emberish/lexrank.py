@@ -4,12 +4,19 @@ These back the baseline joins, the hard-negative sampler tiers, and the
 self-supervised pair selection. The BM25 IDF uses the non-negative
 variant ln((N - df + 0.5)/(df + 0.5) + 1), so scores never go negative.
 A built index is immutable; scoring it from many threads is safe.
+
+BM25 and Jaccard both score from posting lists (token -> ascending
+positions of the documents holding it). ``jaccard_topk`` counts a query's
+|A ∩ B| against every document with one ``np.bincount`` over its tokens'
+postings and takes |A ∪ B| = |A| + |B| - |A ∩ B|; two empty sets score
+0.0, as in ``jaccard``, the pairwise reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +30,9 @@ BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
 # Thresholds the baseline joins apply.
 LD_MAX_DISTANCE = 30
 JACCARD_MIN_SIMILARITY = 0.3
+
+# Similarities (queries x documents) that ``jaccard_topk`` ranks per block.
+_JACCARD_CELLS = 1 << 15
 
 
 class LexError(ValueError):
@@ -53,6 +63,16 @@ class Bm25Index:
 def _term_contribution(index: Bm25Index, token: str, freq: int, doc_len: int) -> float:
     norm = index.k1 * (1.0 - index.b + index.b * (doc_len / index.avgdl if index.avgdl > 0 else 0.0))
     return index.idf(token) * (freq * (index.k1 + 1.0)) / (freq + norm)
+
+
+def _invert(docs: Sequence[Iterable[str]]) -> dict[str, np.ndarray]:
+    """Posting lists: token -> ascending positions of the documents holding
+    it. Each document's tokens must be distinct."""
+    postings: dict[str, list[int]] = {}
+    for pos, tokens in enumerate(docs):
+        for tok in tokens:
+            postings.setdefault(tok, []).append(pos)
+    return {tok: np.array(positions, dtype=np.int64) for tok, positions in postings.items()}
 
 
 def build_bm25_index(
@@ -86,16 +106,10 @@ def build_bm25_index(
         k1=k1,
         b=b,
     )
-    postings: dict[str, tuple[list[int], list[float]]] = {}
-    for pos, tf in enumerate(freqs):
-        for tok, freq in tf.items():
-            contrib = _term_contribution(index, tok, freq, int(lengths[pos]))
-            postings.setdefault(tok, ([], []))[0].append(pos)
-            postings[tok][1].append(contrib)
-    index._postings = {
-        tok: (np.array(positions, dtype=np.int64), np.array(contribs, dtype=np.float64))
-        for tok, (positions, contribs) in postings.items()
-    }
+    for tok, positions in _invert(freqs).items():
+        contribs = [_term_contribution(index, tok, freqs[pos][tok], int(lengths[pos]))
+                    for pos in positions.tolist()]
+        index._postings[tok] = (positions, np.array(contribs, dtype=np.float64))
     index._pos = {doc_id: i for i, doc_id in enumerate(ids)}  # type: ignore[attr-defined]
     index._id_rank = id_ranks(ids)  # type: ignore[attr-defined]
     return index
@@ -153,6 +167,44 @@ def jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
+def jaccard_topk(
+    queries: Iterable[Collection[str]],
+    docs: Sequence[Collection[str]],
+    k: int,
+    id_rank: np.ndarray,
+    min_similarity: float | None = None,
+) -> Iterator[list[tuple[int, float]]]:
+    """For each query token set in turn, its best ``k`` documents as
+    ``(doc position, jaccard similarity)``: descending, ties by ascending
+    ``id_rank``, and only similarities >= ``min_similarity`` when given.
+
+    A query's |A ∩ B| against every document is one ``np.bincount`` over
+    the concatenated posting lists of its tokens; |A ∪ B| = |A| + |B| -
+    |A ∩ B|, and two empty sets score 0.0. The quotient of the two small
+    integer counts has the same bits as ``jaccard``'s. Queries are ranked
+    in blocks of about ``_JACCARD_CELLS`` similarities, one ``topk`` each.
+    """
+    postings = _invert(docs)
+    doc_sizes = np.array([len(doc) for doc in docs], dtype=np.int64)
+    n = len(docs)
+    step = max(1, _JACCARD_CELLS // max(n, 1))
+    queries = iter(queries)
+    while block := list(islice(queries, step)):
+        inter = np.zeros((len(block), n), dtype=np.int64)
+        for row, query in enumerate(block):
+            hits = [postings[tok] for tok in query if tok in postings]
+            if hits:
+                inter[row] = np.bincount(np.concatenate(hits), minlength=n)
+        union = np.array([len(query) for query in block])[:, None] + doc_sizes - inter
+        sims = np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
+        keep = None if min_similarity is None else sims >= min_similarity
+        rows, cols = topk(sims, k, id_rank, True, keep)
+        bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        cols, best = cols.tolist(), sims[rows, cols].tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield list(zip(cols[lo:hi], best[lo:hi]))
+
+
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance (insert, delete, substitute)."""
     if a == b:
@@ -190,11 +242,13 @@ def lexical_join(
 ) -> JoinResult:
     """Baseline join under a lexical kernel.
 
-    LD keeps candidates within 30 edits (ascending distance); the Jaccard
-    variants keep similarity >= 0.3 (descending); BM25 keeps positive
-    scores (descending). Ties always break by ascending aux id. LD and
-    JK-* compare the designated key column; J-* and BM25 use the prepared
-    sentences.
+    LD keeps candidates within 30 edits (ascending distance), and skips
+    the edit DP for keys whose lengths differ by more. The Jaccard variants
+    keep similarity >= 0.3 (descending), counted from posting lists over
+    the aux token sets by ``jaccard_topk`` (two empty sets score 0.0, so
+    they never match). BM25 keeps positive scores (descending). Ties always
+    break by ascending aux id. LD and JK-* compare the designated key
+    column; J-* and BM25 use the prepared sentences.
     """
     kind = kind.upper().replace("_", "-")
     if kind not in BASELINE_KINDS:
@@ -219,18 +273,21 @@ def lexical_join(
     aux_ids = aux.ids()
     aux_rank = id_ranks(aux_ids)
 
-    def add_ranked(base_id: str, scores: np.ndarray, descending: bool, keep: np.ndarray) -> None:
-        _, best = topk(scores, k, aux_rank, descending, keep)
-        for rank, i in enumerate(best.tolist(), start=1):
-            matches.append(Match(base_id=base_id, aux_id=aux_ids[i], rank=rank,
-                                 score=float(scores[i])))
+    def add_ranked(base_id: str, best: Iterable[tuple[int, float]]) -> None:
+        for rank, (i, score) in enumerate(best, start=1):
+            matches.append(Match(base_id=base_id, aux_id=aux_ids[i], rank=rank, score=score))
 
     if kind == "LD":
         aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
         for rec in base.records:
             text = _key_text(rec, key_column).lower()
-            dists = np.array([levenshtein(text, atext) for atext in aux_keys], dtype=np.float64)
-            add_ranked(rec.id, dists, False, dists <= LD_MAX_DISTANCE)
+            # levenshtein >= the length difference, so a pair whose lengths
+            # differ by more than the cut-off is dropped without the DP.
+            dists = np.array([levenshtein(text, atext)
+                              if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
+                              for atext in aux_keys], dtype=np.float64)
+            _, best = topk(dists, k, aux_rank, False, dists <= LD_MAX_DISTANCE)
+            add_ranked(rec.id, ((i, float(dists[i])) for i in best.tolist()))
         return _lexical_result(kind, base, aux, k, matches)
 
     # Jaccard variants.
@@ -239,11 +296,11 @@ def lexical_join(
         token_set = lambda r: set(tokenize(_key_text(r, key_column), mode))
     else:
         token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
-    aux_sets = [token_set(r) for r in aux.records]
-    for rec in base.records:
-        query = token_set(rec)
-        sims = np.array([jaccard(query, aset) for aset in aux_sets], dtype=np.float64)
-        add_ranked(rec.id, sims, True, sims >= JACCARD_MIN_SIMILARITY)
+    ranked = jaccard_topk((token_set(r) for r in base.records),
+                          [token_set(r) for r in aux.records], k, aux_rank,
+                          JACCARD_MIN_SIMILARITY)
+    for rec, best in zip(base.records, ranked):
+        add_ranked(rec.id, best)
     return _lexical_result(kind, base, aux, k, matches)
 
 

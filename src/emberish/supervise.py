@@ -19,8 +19,8 @@ from .data import (
     SupervisionPair,
     SupervisionTriple,
 )
-from .joiner import id_ranks, topk
-from .lexrank import build_bm25_index, bm25_topk, jaccard
+from .joiner import id_ranks
+from .lexrank import Bm25Index, build_bm25_index, bm25_topk, jaccard_topk
 from .prepare import prepare_sentence
 
 
@@ -57,26 +57,32 @@ class PerturbationConfig:
             raise SampleError("copies_per_row must be >= 1")
 
 
+def aux_bm25_index(aux: Dataset) -> Bm25Index:
+    """The BM25 index over the auxiliary records' prepared sentences that
+    the BM25 tiers and the pretraining pairs query."""
+    return build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+
+
 def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
-                cfg: SamplerConfig) -> dict[str, list[str]]:
+                cfg: SamplerConfig, index: Bm25Index | None = None) -> dict[str, list[str]]:
     """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
-    ties by ascending id; none for the random sampler. Seed-independent."""
+    ties by ascending id; none for the random sampler. Seed-independent.
+    The BM25 tiers query ``index``, built from ``aux`` when not given."""
     anchors = dict.fromkeys(pair.base_id for pair in pairs)  # in pair order
     tiers: dict[str, list[str]] = {}
     if cfg.kind == "stratified_bm25":
-        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+        index = aux_bm25_index(aux) if index is None else index
         for anchor_id in anchors:
             tokens = prepare_sentence(base.record(anchor_id)).tokens
             tiers[anchor_id] = [aid for aid, _ in bm25_topk(index, tokens, cfg.tier_size)]
     elif cfg.kind == "stratified_jaccard":
         aux_ids = aux.ids()
-        aux_rank = id_ranks(aux_ids)
-        aux_sets = [set(prepare_sentence(r).tokens) for r in aux.records]
-        for anchor_id in anchors:
-            anchor_set = set(prepare_sentence(base.record(anchor_id)).tokens)
-            sims = [jaccard(anchor_set, aset) for aset in aux_sets]
-            _, best = topk(sims, cfg.tier_size, aux_rank, True)
-            tiers[anchor_id] = [aux_ids[i] for i in best.tolist()]
+        ranked = jaccard_topk(
+            (set(prepare_sentence(base.record(anchor_id)).tokens) for anchor_id in anchors),
+            [set(prepare_sentence(r).tokens) for r in aux.records],
+            cfg.tier_size, id_ranks(aux_ids))
+        for anchor_id, best in zip(anchors, ranked):
+            tiers[anchor_id] = [aux_ids[i] for i, _ in best]
     return tiers
 
 
@@ -133,9 +139,11 @@ def build_pretraining_pairs(
     aux: Dataset,
     per_record: int = 1,
     seed: int = 0,
+    index: Bm25Index | None = None,
 ) -> list[SupervisionTriple]:
-    """Self-supervised triples: positive is the BM25 top-1 auxiliary match,
-    negative is a uniform draw among the rest."""
+    """Self-supervised triples: positive is the BM25 top-1 auxiliary match
+    (from ``index``, built from ``aux`` when not given), negative is a
+    uniform draw among the rest."""
     if base.n == 0 or aux.n == 0:
         raise SampleError("both datasets must be non-empty")
     if aux.n < 2:
@@ -143,7 +151,7 @@ def build_pretraining_pairs(
     if per_record < 1:
         raise SampleError("per_record must be >= 1")
 
-    index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+    index = aux_bm25_index(aux) if index is None else index
     aux_ids = list(aux.ids())
     rng = random.Random(seed)
     triples: list[SupervisionTriple] = []

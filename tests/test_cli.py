@@ -211,6 +211,8 @@ class TestJoinFlags:
         ["--baseline", "BM25", "--threshold", "0.5"],
         ["--baseline", "BM25", "--both-directions"],
         ["--baseline", "J-WS", "--index-side", "base"],
+        ["--baseline", "BM25", "--join-type", "LEFT"],
+        ["--baseline", "J-WS", "--left-size", "2"],
         ["--key-column", "name"],
     ])
     def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys):
@@ -227,6 +229,19 @@ class TestJoinFlags:
         assert main(["join", *d, "--baseline", "LD", "--key-column", "name"]) == 0
         assert main(["join", *d, "--threshold", "2.0", "--index-side", "aux",
                      "--both-directions"]) == 0
+
+    def test_config_join_type_and_sizes_allowed_with_baseline(self, workspace):
+        # A config file's join type and sizes also feed learned joins, so the
+        # baseline path takes them; so does the --right-size flag (its k).
+        tmp_path, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "join_type": "LEFT",
+                                      "left_size": 2, "right_size": 3}))
+        args = ["join", "--config", str(config), "--baseline", "BM25"]
+        assert main(args) == 0
+        assert main([*args, "--right-size", "2"]) == 0
+        ranks = [row["rank"] for row in csv.DictReader((tmp_path / "result.csv").open())]
+        assert ranks and max(map(int, ranks)) <= 2
 
 
 class TestSizeFlags:

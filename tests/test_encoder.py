@@ -327,6 +327,11 @@ class TestFitEncoder:
         fit_encoder(base, aux, pairs, self.config(epochs=3, sampler="stratified_bm25"),
                     hash_dim=64)
         assert len(calls) == 1
+        # Pretraining pairs and the tiers share one aux index.
+        calls.clear()
+        fit_encoder(base, aux, pairs, self.config(epochs=3, sampler="stratified_bm25"),
+                    hash_dim=64, pretrain=True)
+        assert len(calls) == 1
 
     def test_finetune_false_returns_initial_model(self):
         from emberish.encoder import fit_encoder

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emberish import lexrank
 from emberish.data import dataset_from_rows
+from emberish.joiner import id_ranks
 from emberish.lexrank import (
     LexError,
     bm25_score,
     bm25_topk,
     build_bm25_index,
     jaccard,
+    jaccard_topk,
     levenshtein,
     lexical_join,
 )
@@ -243,6 +246,27 @@ def test_ld_threshold_keeps_below_30_edits():
     assert result.for_base("b0") == []
 
 
+def test_ld_skips_the_dp_beyond_the_length_gap(monkeypatch):
+    # levenshtein >= the length difference: a gap of 30 is still a match at
+    # distance exactly 30, a gap of 31 is never computed.
+    calls = []
+    original = lexrank.levenshtein
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(lexrank, "levenshtein", counting)
+    base = dataset_from_rows("b", "base", [("b0", [("name", "ab")])])
+    aux = dataset_from_rows(
+        "a", "auxiliary",
+        [("a0", [("name", "ab" + "c" * 31)]), ("a1", [("name", "ab" + "c" * 30)])],
+    )
+    result = lexical_join("LD", base, aux, key_column="name", k=5)
+    assert [(m.aux_id, m.rank, m.score) for m in result.for_base("b0")] == [("a1", 1, 30.0)]
+    assert calls == [("ab", "ab" + "c" * 30)]
+
+
 def test_jaccard_join_threshold():
     base = dataset_from_rows("b", "base", [("b0", [("name", "red shoe")])])
     aux = dataset_from_rows(
@@ -302,6 +326,84 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
         expected = [aid for _, aid in scored[:k]]
         got = [m.aux_id for m in result.for_base(brec.id)]
         assert got == expected, f"{kind} mismatch for {brec.id}"
+        if kind.startswith("J"):
+            matches = result.for_base(brec.id)
+            assert [m.rank for m in matches] == list(range(1, len(matches) + 1))
+            assert [m.score for m in matches] == [-val for val, _ in scored[:k]]
+
+
+def brute_jaccard_topk(queries, docs, ids, k, min_similarity=None):
+    out = []
+    for query in queries:
+        scored = sorted((-jaccard(query, doc), ids[i], i) for i, doc in enumerate(docs))
+        out.append([(i, -neg) for neg, _, i in scored
+                    if min_similarity is None or -neg >= min_similarity][:k])
+    return out
+
+
+def test_jaccard_topk_matches_brute_force_across_blocks(monkeypatch):
+    # Two queries per block. Queries 1 and 2 (a block boundary) are the same
+    # set and tie at the k-th place over duplicated docs listed against id
+    # order; "zz" is in no doc; empty sets meet empty docs.
+    monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 2 * 7)
+    docs = [{"a", "b"}, {"a", "c"}, set(), {"a", "b"}, {"c"}, {"a", "c"}, set()]
+    ids = ["d6", "d5", "d4", "d3", "d2", "d1", "d0"]
+    queries = [{"a"}, {"a", "zz"}, {"a", "zz"}, set(), {"zz"}, {"b", "c", "a"}]
+    rank = id_ranks(ids)
+    for k in (1, 2, 3, 7, 9):
+        for floor in (None, 0.0, 0.3, 0.5):
+            got = list(jaccard_topk(iter(queries), docs, k, rank, floor))
+            assert got == brute_jaccard_topk(queries, docs, ids, k, floor), (k, floor)
+
+
+def test_jaccard_topk_random_sets_across_blocks(monkeypatch):
+    rng = random.Random(13)
+    monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 40)
+    for trial in range(20):
+        vocab = [f"t{i}" for i in range(rng.randrange(1, 8))]
+        docs = [set(rng.sample(vocab, rng.randrange(len(vocab) + 1)))
+                for _ in range(rng.randrange(1, 15))]
+        docs += [set(d) for d in rng.sample(docs, len(docs) // 2)]  # duplicates tie
+        ids = [f"d{i}" for i in rng.sample(range(len(docs)), len(docs))]
+        queries = [set(rng.sample(vocab + ["x", "y"], rng.randrange(len(vocab) + 3)))
+                   for _ in range(rng.randrange(1, 25))]
+        k = rng.randrange(1, len(docs) + 2)
+        for floor in (None, 0.3):
+            got = list(jaccard_topk(queries, docs, k, id_ranks(ids), floor))
+            assert got == brute_jaccard_topk(queries, docs, ids, k, floor)
+
+
+@pytest.mark.parametrize("kind", ["J-WS", "J-2G", "JK-WS", "JK-2G"])
+def test_jaccard_join_across_blocks_matches_brute_force(kind, monkeypatch):
+    from emberish.prepare import tokenize
+
+    # Blocks of three queries. Aux rows a1/a4 and a3/a0 are duplicates,
+    # stored against id order, so ties at the k-th place break by id; b2
+    # and b3 (a block boundary) share a key; "qq" and "zz" are in no aux
+    # row; empty keys meet empty keys.
+    names = {"a0": "red shoe", "a1": "blue boot", "a2": "", "a3": "red shoe",
+             "a4": "blue boot", "a5": "r", "a6": "red boot gtx"}
+    aux = dataset_from_rows("a", "auxiliary", [(aid, [("name", name), ("note", "x")])
+                                               for aid, name in reversed(names.items())])
+    monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 3 * aux.n)
+    keys = ["red shoe", "", "blue boot qq", "blue boot qq", "zz", "r", "red", "boot red",
+            "shoe red gtx"]
+    base = dataset_from_rows("b", "base", [(f"b{i}", [("name", key), ("note", "x")])
+                                           for i, key in enumerate(keys)])
+    mode = "whitespace" if kind.endswith("WS") else "char2gram"
+    if kind.startswith("JK"):
+        token_set = lambda r: set(tokenize(r.value("name"), mode))
+    else:
+        token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
+    for k in (1, 2, 3):
+        result = lexical_join(kind, base, aux, key_column="name", k=k)
+        expected = brute_jaccard_topk([token_set(r) for r in base.records],
+                                      [token_set(r) for r in aux.records], aux.ids(), k, 0.3)
+        for brec, best in zip(base.records, expected):
+            assert [(m.aux_id, m.rank, m.score) for m in result.for_base(brec.id)] == [
+                (aux.ids()[i], rank, sim) for rank, (i, sim) in enumerate(best, start=1)
+            ]
+        assert len(result.matches) == sum(map(len, expected))
 
 
 def test_unknown_kind():

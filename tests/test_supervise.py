@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+from emberish import lexrank
 from emberish.data import SupervisionPair, dataset_from_rows
-from emberish.lexrank import build_bm25_index, bm25_topk
+from emberish.lexrank import build_bm25_index, bm25_topk, jaccard
 from emberish.prepare import prepare_sentence
 from emberish.supervise import (
     PerturbationConfig,
     SampleError,
     SamplerConfig,
     build_pretraining_pairs,
+    build_tiers,
     edits_for_length,
     generate_fuzzy_join,
     sample_triples,
@@ -67,6 +69,27 @@ class TestSampleTriples:
         cfg = SamplerConfig(kind="stratified_jaccard", tier_size=2, seed=1)
         triples = sample_triples(pairs, base, aux, cfg)
         assert len(triples) == len(pairs)
+
+    def test_stratified_jaccard_tiers_match_brute_force(self, monkeypatch):
+        # Several kernel blocks; aux rows repeat, so tiers cut through ties
+        # that break by ascending id.
+        rng = random.Random(4)
+        vocab = ["red", "blue", "shoe", "boot", "hat", "gtx"]
+        texts = [" ".join(rng.sample(vocab, rng.randrange(1, 4))) for _ in range(12)]
+        aux = dataset_from_rows("a", "auxiliary", [(f"a{(7 * i) % 24:02d}", [("t", text)])
+                                                   for i, text in enumerate(texts * 2)])
+        base = dataset_from_rows("b", "base", word_rows("b", texts + ["zz qq"]))
+        pairs = [SupervisionPair(f"b{i}", aux.ids()[i]) for i in reversed(range(base.n))]
+        monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 3 * aux.n)
+        tokens = lambda r: set(prepare_sentence(r).tokens)
+        for tier_size in (1, 3, 30):
+            tiers = build_tiers(pairs, base, aux,
+                                SamplerConfig(kind="stratified_jaccard", tier_size=tier_size))
+            assert list(tiers) == [p.base_id for p in pairs]
+            for anchor_id, tier in tiers.items():
+                anchor = tokens(base.record(anchor_id))
+                expected = sorted(aux.records, key=lambda r: (-jaccard(anchor, tokens(r)), r.id))
+                assert tier == [r.id for r in expected[:tier_size]]
 
     def test_one_triple_per_pair(self, small_world):
         base, aux, pairs = small_world
