@@ -31,7 +31,7 @@ from .data import (
     write_dataset,
     write_pairs,
 )
-from .encoder import embed_dataset, fit_encoder, load_model, save_model
+from .encoder import EncoderModel, embed_dataset, fit_encoder, load_model, save_model
 from .evalkit import (
     EvalError,
     TruthSet,
@@ -156,6 +156,31 @@ def _require_files(*paths: Path) -> None:
         raise DataError("missing input files: " + ", ".join(missing))
 
 
+def _load_model(config: EngineConfig, manifest: RunManifest, path: Path) -> EncoderModel:
+    """Load a model file into ``manifest``'s inputs. Exits 1 when the model's
+    dim or normalization disagrees with the config, and warns when the file
+    is not the one ``manifest_train.json`` records."""
+    _require_files(path)
+    manifest.add_input(path)
+    train_manifest = path.parent / "manifest_train.json"
+    if train_manifest.exists():
+        try:
+            outputs = json.loads(train_manifest.read_text(encoding="utf-8"))["outputs"]
+            recorded = {Path(p).name: digest for p, digest in outputs.items()}.get(path.name)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            recorded = "unreadable"
+        if recorded is not None and recorded != manifest.inputs[str(path)]:
+            click.echo(f"warning: {path} is not the model {train_manifest} records "
+                       f"(sha256 {manifest.inputs[str(path)]}, recorded {recorded})", err=True)
+    model = load_model(path)
+    for key, configured, stored in (("embedding_dim", config.embedding_dim, model.dim),
+                                    ("normalize", config.normalize, model.normalize)):
+        if configured != stored:
+            raise ConfigError(f"{path} has {key} {stored!r} but the config has "
+                              f"{key} {configured!r}")
+    return model
+
+
 def _load_sides(data_dir: Path) -> tuple[Dataset, Dataset]:
     base_path = data_dir / "base.csv"
     aux_path = data_dir / "aux.csv"
@@ -242,10 +267,7 @@ def cmd_train(
 
     init_model = None
     if config.encoder_init == "pretrained_artifact":
-        model_path = data_dir / "model.bin"
-        _require_files(model_path)
-        init_model = load_model(model_path)
-        manifest.add_input(model_path)
+        init_model = _load_model(config, manifest, data_dir / "model.bin")
 
     with _StageTimer(manifest, "train"):
         fit = fit_encoder(
@@ -261,10 +283,14 @@ def cmd_train(
     model_path = data_dir / "model.bin"
     save_model(fit.model, model_path)
     manifest.add_output(model_path)
-    if len(fit.models) > 1:
-        aux_model_path = data_dir / "model_aux.bin"
-        save_model(fit.models[1], aux_model_path)
+    # join reads model_aux.bin exactly when num_encoders is 2, so a one-encoder
+    # run removes any left from an earlier two-encoder run.
+    aux_model_path = data_dir / "model_aux.bin"
+    if config.num_encoders == 2:
+        save_model(fit.models[-1], aux_model_path)
         manifest.add_output(aux_model_path)
+    else:
+        aux_model_path.unlink(missing_ok=True)
 
     trace_path = data_dir / "loss_trace.csv"
     with trace_path.open("w", newline="", encoding="utf-8") as fh:
@@ -348,15 +374,9 @@ def cmd_join(
             result = lexical_join(baseline, base, aux, key_column=key_column,
                                   k=spec.right_size)
     else:
-        model_path = data_dir / "model.bin"
-        _require_files(model_path)
-        manifest.add_input(model_path)
-        model = load_model(model_path)
-        aux_model = model
-        aux_model_path = data_dir / "model_aux.bin"
-        if aux_model_path.exists():
-            aux_model = load_model(aux_model_path)
-            manifest.add_input(aux_model_path)
+        model = _load_model(config, manifest, data_dir / "model.bin")
+        aux_model = (_load_model(config, manifest, data_dir / "model_aux.bin")
+                     if config.num_encoders == 2 else model)
         with _StageTimer(manifest, "embed"):
             base_emb = embed_dataset(model, base, tokenizer=config.tokenizer)
             aux_emb = embed_dataset(aux_model, aux, tokenizer=config.tokenizer)
@@ -473,6 +493,9 @@ def cmd_pipeline(
     agg_ks: list[int] | None = None,
 ) -> RunManifest:
     """Run a chained (multi-hop) join, optionally averaging labels."""
+    if config.num_encoders == 2:
+        raise ConfigError("pipeline embeds every hop with model.bin alone, so it does not "
+                          "support num_encoders 2")
     data_dir = Path(config.data_dir)
     chain_path = Path(chain_file)
     _require_files(chain_path)
@@ -490,10 +513,7 @@ def cmd_pipeline(
                            seed=config.seed)
     manifest.add_input(chain_path)
 
-    model_path = data_dir / "model.bin"
-    _require_files(model_path)
-    manifest.add_input(model_path)
-    model = load_model(model_path)
+    model = _load_model(config, manifest, data_dir / "model.bin")
 
     ref_order: list[str] = [specs[0].base_ref]
     for spec in specs:

@@ -5,7 +5,12 @@ bucket vectors, applies an affine projection, and optionally l2-normalizes
 the output. It is deliberately linear so gradients are exact and training
 is deterministic; the interface leaves room for heavier backends.
 
-Training is single-threaded and reproducible under a fixed seed. A trained
+Training is single-threaded and reproducible under a fixed seed. A batch's
+table gradient is summed through a count matrix: each sentence contributes
+one row (its pooled gradient over its token count), and C (sentences x
+unique buckets) holding each bucket's count per sentence gives the merged
+rows as ``C.T @ rows``. Adam keeps table state only for rows that have had a
+gradient, in compact arrays reached through a per-row slot map. A trained
 model is immutable in practice: encode() never mutates it, so concurrent
 readers are safe.
 """
@@ -240,11 +245,12 @@ def _backward_group(
     R: np.ndarray,
     counts: np.ndarray,
     nonempty: np.ndarray,
-    bucket_arrays: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backprop g_x through normalization, projection, and pooling.
 
-    Returns (g_projection, g_bias, bucket_concat, per_token_row_grads).
+    Returns (g_projection, g_bias, per_sentence_rows): row i is the gradient
+    of each single token of sentence i, ``g_e[i] / count[i]`` (zero for an
+    empty sentence).
     """
     g_u = g_x.copy()
     if model.normalize:
@@ -256,29 +262,20 @@ def _backward_group(
     g_projection = E.T @ g_u
     g_bias = g_u.sum(axis=0)
     g_e = g_u @ model.projection.T
-
-    idx_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    for i, buckets in enumerate(bucket_arrays):
-        if buckets.size == 0:
-            continue
-        idx_parts.append(buckets)
-        per_token = np.repeat((g_e[i] / counts[i])[None, :], buckets.size, axis=0)
-        row_parts.append(per_token)
-    if idx_parts:
-        return g_projection, g_bias, np.concatenate(idx_parts), np.vstack(row_parts)
-    return g_projection, g_bias, np.empty(0, dtype=np.int64), np.empty((0, model.dim))
+    return g_projection, g_bias, g_e / np.maximum(counts, 1)[:, None]
 
 
-def _merge_table_grads(
-    idx: np.ndarray, rows: np.ndarray, dim: int
+def _table_grads(
+    bucket_arrays: list[np.ndarray], rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    if idx.size == 0:
-        return idx, rows
-    unique, inverse = np.unique(idx, return_inverse=True)
-    merged = np.zeros((unique.size, dim))
-    np.add.at(merged, inverse, rows)
-    return unique, merged
+    """Unique buckets and their summed gradients, ``Cᵀ @ rows``, where C
+    (sentences × unique buckets) counts each bucket's tokens per sentence."""
+    lengths = np.array([b.size for b in bucket_arrays], dtype=np.int64)
+    flat = np.concatenate(bucket_arrays)
+    unique, inverse = np.unique(flat, return_inverse=True)
+    sentence = np.repeat(np.arange(lengths.size), lengths)
+    counts = np.bincount(sentence * unique.size + inverse, minlength=lengths.size * unique.size)
+    return unique, counts.reshape(lengths.size, unique.size).T.astype(np.float64) @ rows
 
 
 def batch_loss(
@@ -335,33 +332,33 @@ def batch_gradients(
     g_xp = -active[:, None] * u_pos
     g_xn = active[:, None] * u_neg
 
-    ga = _backward_group(anchor_model, g_xa, *fa, anchors)
-    gp = _backward_group(other_model, g_xp, *fp, positives)
-    gn = _backward_group(other_model, g_xn, *fn, negatives)
-
+    groups = (
+        (anchor_model, anchors, _backward_group(anchor_model, g_xa, *fa)),
+        (other_model, positives, _backward_group(other_model, g_xp, *fp)),
+        (other_model, negatives, _backward_group(other_model, g_xn, *fn)),
+    )
     grads: dict[int, _Grads] = {}
-    if shared:
-        idx = np.concatenate([ga[2], gp[2], gn[2]])
-        rows = np.vstack([ga[3], gp[3], gn[3]])
-        uniq, merged = _merge_table_grads(idx, rows, anchor_model.dim)
-        grads[id(anchor_model)] = _Grads(
-            projection=ga[0] + gp[0] + gn[0],
-            bias=ga[1] + gp[1] + gn[1],
-            table_idx=uniq,
-            table_rows=merged,
+    for model in (anchor_model,) if shared else (anchor_model, other_model):
+        mine = [(arrays, g) for m, arrays, g in groups if m is model]
+        (_, (projection, bias, _)), *rest = mine
+        for _, (g_projection, g_bias, _) in rest:
+            projection = projection + g_projection
+            bias = bias + g_bias
+        table_idx, table_rows = _table_grads(
+            [b for arrays, _ in mine for b in arrays], np.vstack([g[2] for _, g in mine])
         )
-    else:
-        uniq_a, merged_a = _merge_table_grads(ga[2], ga[3], anchor_model.dim)
-        grads[id(anchor_model)] = _Grads(ga[0], ga[1], uniq_a, merged_a)
-        idx = np.concatenate([gp[2], gn[2]])
-        rows = np.vstack([gp[3], gn[3]])
-        uniq_o, merged_o = _merge_table_grads(idx, rows, other_model.dim)
-        grads[id(other_model)] = _Grads(gp[0] + gn[0], gp[1] + gn[1], uniq_o, merged_o)
+        grads[id(model)] = _Grads(projection, bias, table_idx, table_rows)
     return loss, grads
 
 
 class _Adam:
-    """Adam with lazy (touched-rows-only) updates for the embedding table."""
+    """Adam with lazy (touched-rows-only) updates for the embedding table.
+
+    Table state (m, v and the per-row step count t) exists only for rows
+    that have had a gradient: ``slot`` maps a table row to its place in the
+    compact arrays, or -1 before its first gradient. A row's first update
+    starts from zero state, exactly as a dense zero-initialized table would.
+    """
 
     def __init__(self, model: EncoderModel, cfg: TrainConfig) -> None:
         self.cfg = cfg
@@ -370,9 +367,26 @@ class _Adam:
         self.m_bias = np.zeros_like(model.bias)
         self.v_bias = np.zeros_like(model.bias)
         self.t_dense = 0
-        self.m_table = np.zeros_like(model.table)
-        self.v_table = np.zeros_like(model.table)
-        self.t_rows = np.zeros(model.hash_dim, dtype=np.int64)
+        self.slot = np.full(model.hash_dim, -1, dtype=np.int64)
+        self.n_rows = 0  # rows with state: the first n_rows entries below are in use
+        self.m_table = np.zeros((0, model.dim))
+        self.v_table = np.zeros((0, model.dim))
+        self.t_rows = np.zeros(0, dtype=np.int64)
+
+    def _slots(self, rows: np.ndarray) -> np.ndarray:
+        """Compact slots of ``rows`` (unique), giving new rows zero state."""
+        fresh = rows[self.slot[rows] < 0]
+        if fresh.size:
+            need = self.n_rows + fresh.size
+            if need > self.t_rows.size:
+                extra = max(need, 2 * self.t_rows.size) - self.n_rows
+                self.m_table, self.v_table, self.t_rows = (
+                    np.concatenate([a[: self.n_rows], np.zeros((extra, *a.shape[1:]), a.dtype)])
+                    for a in (self.m_table, self.v_table, self.t_rows)
+                )
+            self.slot[fresh] = np.arange(self.n_rows, need)
+            self.n_rows = need
+        return self.slot[rows]
 
     def step(self, model: EncoderModel, grads: _Grads) -> None:
         cfg = self.cfg
@@ -393,13 +407,14 @@ class _Adam:
         if grads.table_idx.size == 0:
             return
         rows = grads.table_idx
+        slots = self._slots(rows)
         g = grads.table_rows
-        t_rows = self.t_rows[rows] + 1
-        m = cfg.beta1 * self.m_table[rows] + (1 - cfg.beta1) * g
-        v = cfg.beta2 * self.v_table[rows] + (1 - cfg.beta2) * g * g
-        self.m_table[rows] = m
-        self.v_table[rows] = v
-        self.t_rows[rows] = t_rows
+        t_rows = self.t_rows[slots] + 1
+        m = cfg.beta1 * self.m_table[slots] + (1 - cfg.beta1) * g
+        v = cfg.beta2 * self.v_table[slots] + (1 - cfg.beta2) * g * g
+        self.m_table[slots] = m
+        self.v_table[slots] = v
+        self.t_rows[slots] = t_rows
         m_hat = m / (1 - cfg.beta1 ** t_rows)[:, None]
         v_hat = v / (1 - cfg.beta2 ** t_rows)[:, None]
         model.table[rows] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
@@ -495,9 +510,8 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
                 1 if model.normalize else 0,
             )
         )
-        fh.write(np.ascontiguousarray(model.table, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.projection, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
+        for array in (model.table, model.projection, model.bias):
+            fh.write(memoryview(np.ascontiguousarray(array, "<f8")).cast("B"))
 
 
 def load_model(path: str | Path) -> EncoderModel:

@@ -206,6 +206,86 @@ class TestJoin:
         assert str(tmp_path / "model_aux.bin") in manifest.inputs
 
 
+class TestModelFiles:
+    def test_one_encoder_train_removes_a_stale_aux_model(self, workspace):
+        tmp_path, cfg = workspace
+        cmd_train(fast_config(tmp_path, num_encoders=2), pretrain=False)
+        assert (tmp_path / "model_aux.bin").exists()
+        cmd_train(cfg, pretrain=False)
+        assert not (tmp_path / "model_aux.bin").exists()
+
+    def test_one_encoder_join_ignores_an_aux_model(self, workspace):
+        # Both sides embed with model.bin, whatever model_aux.bin holds.
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        first = cmd_join(cfg).outputs[str(tmp_path / "result.csv")]
+        (tmp_path / "model_aux.bin").write_bytes(b"not a model")
+        manifest = cmd_join(cfg)
+        assert str(tmp_path / "model_aux.bin") not in manifest.inputs
+        assert manifest.outputs[str(tmp_path / "result.csv")] == first
+
+    def test_two_encoder_join_requires_the_aux_model(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "num_encoders": 2}))
+        assert main(["join", "--config", str(config)]) == 1
+        assert "model_aux.bin" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_pipeline_rejects_two_encoders(self, workspace, capsys):
+        tmp_path, _ = workspace
+        cmd_train(fast_config(tmp_path, num_encoders=2), pretrain=False)
+        chain = tmp_path / "chain.kjoin"
+        chain.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 2 USING s;")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "num_encoders": 2}))
+        assert main(["pipeline", "--config", str(config), "--chain-file", str(chain)]) == 1
+        assert "num_encoders" in capsys.readouterr().err
+        assert not (tmp_path / "chain_result.csv").exists()
+
+    @pytest.mark.parametrize("command", ["join", "pipeline", "train"])
+    @pytest.mark.parametrize("key,value,stored", [("embedding_dim", 16, 8),
+                                                  ("normalize", False, True)])
+    def test_config_disagreeing_with_the_model_is_rejected(self, workspace, capsys, command,
+                                                           key, value, stored):
+        # train reads the model only with encoder_init pretrained_artifact.
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        model = (tmp_path / "model.bin").read_bytes()
+        (tmp_path / "chain.kjoin").write_text(
+            "base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 2 USING s;")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "sampler": "random",
+                                      "encoder_init": "pretrained_artifact", key: value}))
+        args = {"join": ["join"], "train": ["train", "--no-pretrain"],
+                "pipeline": ["pipeline", "--chain-file", str(tmp_path / "chain.kjoin")]}[command]
+        assert main([*args, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} {stored!r}" in err and f"{key} {value!r}" in err
+        assert (tmp_path / "model.bin").read_bytes() == model
+        assert not (tmp_path / "result.csv").exists()
+        assert not (tmp_path / "chain_result.csv").exists()
+
+    def test_join_warns_when_the_model_is_not_the_trained_one(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8}))
+        assert main(["join", "--config", str(config)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        # Retrain under another seed but keep the first run's manifest.
+        recorded = (tmp_path / "manifest_train.json").read_text()
+        cmd_train(fast_config(tmp_path, seed=8), pretrain=False)
+        (tmp_path / "manifest_train.json").write_text(recorded)
+        assert main(["join", "--config", str(config)]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "model.bin" in err and "manifest_train.json" in err
+
+
 class TestJoinFlags:
     @pytest.mark.parametrize("flags", [
         ["--baseline", "BM25", "--threshold", "0.5"],
@@ -225,7 +305,9 @@ class TestJoinFlags:
     def test_flags_the_path_uses_are_accepted(self, workspace):
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False)
-        d = ["--data-dir", str(tmp_path)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8}))
+        d = ["--config", str(config)]
         assert main(["join", *d, "--baseline", "LD", "--key-column", "name"]) == 0
         assert main(["join", *d, "--threshold", "2.0", "--index-side", "aux",
                      "--both-directions"]) == 0

@@ -154,6 +154,179 @@ class TestGradients:
         assert self.check_model(3, normalize=False) is not None
 
 
+def per_token_merge(bucket_arrays, rows):
+    """The table-gradient merge as it was: one gradient row per token,
+    summed into unique buckets with ``np.add.at``."""
+    per_token = np.repeat(rows, [b.size for b in bucket_arrays], axis=0)
+    unique, inverse = np.unique(np.concatenate(bucket_arrays), return_inverse=True)
+    merged = np.zeros((unique.size, rows.shape[1]))
+    np.add.at(merged, inverse, per_token)
+    return unique, merged
+
+
+class TestTableGradients:
+    def batch(self, model, seed):
+        # Three-token vocabulary plus repeats and empty sentences: buckets
+        # recur within a sentence, across sentences and across groups.
+        rng = np.random.default_rng(seed)
+        vocab = ["a", "b", "c", "d"]
+
+        def sent():
+            n = int(rng.integers(0, 6))
+            return model.buckets([vocab[int(rng.integers(0, len(vocab)))] for _ in range(n)])
+
+        groups = [[sent() for _ in range(6)] for _ in range(3)]
+        groups[0][1] = np.empty(0, dtype=np.int64)
+        groups[2][3] = np.empty(0, dtype=np.int64)
+        groups[1][0] = model.buckets(["a", "a", "a", "b"])
+        return groups
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_count_matrix_equals_per_token_merge(self, monkeypatch, shared):
+        import emberish.encoder as enc_mod
+
+        outputs = []
+        original = enc_mod._backward_group
+
+        def spy(*args):
+            outputs.append(original(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(enc_mod, "_backward_group", spy)
+        for seed in range(8):
+            model = small_model(seed, hash_dim=16)
+            other = model if shared else small_model(seed + 50, hash_dim=16)
+            anchors, positives, negatives = self.batch(model, seed)
+            outputs.clear()
+            loss, grads = batch_gradients(model, other, anchors, positives, negatives, 3.0)
+            assert loss > 0
+            ga, gp, gn = outputs
+            if shared:
+                expected = {id(model): ([ga, gp, gn], anchors + positives + negatives)}
+            else:
+                expected = {id(model): ([ga], anchors), id(other): ([gp, gn], positives + negatives)}
+            assert set(grads) == set(expected)
+            for key, (parts, arrays) in expected.items():
+                unique, merged = per_token_merge(arrays, np.vstack([p[2] for p in parts]))
+                got = grads[key]
+                assert np.array_equal(got.table_idx, unique)
+                assert np.abs(got.table_rows - merged).max() <= 1e-12
+                # The affine sums keep their order, so their bits.
+                projection, bias = parts[0][0], parts[0][1]
+                for p in parts[1:]:
+                    projection, bias = projection + p[0], bias + p[1]
+                assert np.array_equal(got.projection, projection)
+                assert np.array_equal(got.bias, bias)
+
+    def test_all_empty_sentences_give_no_table_rows(self):
+        model = small_model(1, hash_dim=16)
+        empty = [np.empty(0, dtype=np.int64)] * 2
+        _, grads = batch_gradients(model, model, empty, empty, empty, 1.0)
+        assert grads[id(model)].table_idx.size == 0
+        assert grads[id(model)].table_rows.shape == (0, model.dim)
+
+
+class DenseAdam:
+    """Adam with a dense table state, as the lazy one replaced."""
+
+    def __init__(self, model, cfg):
+        self.cfg = cfg
+        self.m_proj = np.zeros_like(model.projection)
+        self.v_proj = np.zeros_like(model.projection)
+        self.m_bias = np.zeros_like(model.bias)
+        self.v_bias = np.zeros_like(model.bias)
+        self.t_dense = 0
+        self.m_table = np.zeros_like(model.table)
+        self.v_table = np.zeros_like(model.table)
+        self.t_rows = np.zeros(model.hash_dim, dtype=np.int64)
+
+    def step(self, model, grads):
+        cfg = self.cfg
+        self.t_dense += 1
+        t = self.t_dense
+        for g, m, v, param in (
+            (grads.projection, self.m_proj, self.v_proj, model.projection),
+            (grads.bias, self.m_bias, self.v_bias, model.bias),
+        ):
+            m *= cfg.beta1
+            m += (1 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1 - cfg.beta2) * g * g
+            m_hat = m / (1 - cfg.beta1 ** t)
+            v_hat = v / (1 - cfg.beta2 ** t)
+            param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        if grads.table_idx.size == 0:
+            return
+        rows = grads.table_idx
+        g = grads.table_rows
+        t_rows = self.t_rows[rows] + 1
+        m = cfg.beta1 * self.m_table[rows] + (1 - cfg.beta1) * g
+        v = cfg.beta2 * self.v_table[rows] + (1 - cfg.beta2) * g * g
+        self.m_table[rows] = m
+        self.v_table[rows] = v
+        self.t_rows[rows] = t_rows
+        m_hat = m / (1 - cfg.beta1 ** t_rows)[:, None]
+        v_hat = v / (1 - cfg.beta2 ** t_rows)[:, None]
+        model.table[rows] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+class TestLazyAdam:
+    def test_bitwise_equal_to_dense_state(self):
+        from emberish.encoder import _Adam, _Grads
+
+        cfg = TrainConfig(learning_rate=0.05)
+        lazy_model, dense_model = small_model(3, hash_dim=64), small_model(3, hash_dim=64)
+        lazy, dense = _Adam(lazy_model, cfg), DenseAdam(dense_model, cfg)
+        rng = np.random.default_rng(0)
+        # Later steps touch rows never seen before (the state grows several
+        # times), revisit old ones, and one step touches no row at all.
+        touched = [[5], [1, 5, 9], [], [0, 2, 3, 9, 40], list(range(10, 30)), [5, 63], [1, 62]]
+        for rows in touched:
+            idx = np.array(rows, dtype=np.int64)
+            grads = _Grads(projection=rng.normal(size=(4, 4)), bias=rng.normal(size=4),
+                           table_idx=idx, table_rows=rng.normal(size=(idx.size, 4)))
+            lazy.step(lazy_model, grads)
+            dense.step(dense_model, grads)
+            assert np.array_equal(lazy_model.table, dense_model.table)
+            assert np.array_equal(lazy_model.projection, dense_model.projection)
+            assert np.array_equal(lazy_model.bias, dense_model.bias)
+        seen = np.unique(np.concatenate([np.array(r, dtype=np.int64) for r in touched]))
+        slots = lazy.slot[seen]
+        assert np.array_equal(lazy.m_table[slots], dense.m_table[seen])
+        assert np.array_equal(lazy.v_table[slots], dense.v_table[seen])
+        assert np.array_equal(lazy.t_rows[slots], dense.t_rows[seen])
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_state_holds_exactly_the_touched_rows(self, monkeypatch, shared):
+        import emberish.encoder as enc_mod
+
+        adams = []
+
+        class Recorded(enc_mod._Adam):
+            def __init__(self, model, cfg):
+                super().__init__(model, cfg)
+                adams.append((model, self))
+
+        monkeypatch.setattr(enc_mod, "_Adam", Recorded)
+        base, aux, triples = toy_training_world(6)
+        model = EncoderModel.create(dim=8, hash_dim=1 << 16, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, margin=1.0, seed=0)
+        train(model, triples, base, aux, cfg, shared=shared)
+
+        def rows(dataset, ids):
+            return {int(b) for i in ids for b in featurize(model, dataset.record(i))}
+
+        anchor_rows = rows(base, {t.anchor_id for t in triples})
+        other_rows = rows(aux, {t.positive_id for t in triples} | {t.negative_id for t in triples})
+        expected = [anchor_rows | other_rows] if shared else [anchor_rows, other_rows]
+        assert len(adams) == len(expected)
+        for (m, adam), want in zip(adams, expected):
+            assert set(np.flatnonzero(adam.slot >= 0).tolist()) == want
+            assert adam.n_rows == len(want)
+            assert len(want) <= adam.m_table.shape[0] < 2 * len(want)
+            assert adam.m_table.shape == adam.v_table.shape == (adam.m_table.shape[0], m.dim)
+
+
 def toy_training_world(n=10):
     base_rows = [(f"b{i}", [("t", f"key{i} shared")]) for i in range(n)]
     aux_rows = [(f"a{i}", [("t", f"key{i} ctx")]) for i in range(n)]
@@ -422,6 +595,19 @@ class TestPersistence:
         loaded = load_model(path)
         sent = sentence("alpha beta")
         assert np.array_equal(encode(model, sent), encode(loaded, sent))
+
+    def test_save_does_not_copy_the_table(self, tmp_path):
+        import tracemalloc
+
+        model = EncoderModel.create(dim=64, hash_dim=1 << 12, seed=2)
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.table.nbytes / 4
+        assert np.array_equal(load_model(tmp_path / "m.bin").table, model.table)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model(7)
