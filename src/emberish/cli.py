@@ -412,7 +412,14 @@ def cmd_evaluate(
     key_column: str | None = None,
     with_mrr: bool = False,
 ) -> tuple[RunManifest, str]:
-    """Compute metrics; returns the manifest and a printable table."""
+    """Compute metrics; returns the manifest and a printable table.
+    ``methods`` and ``key_column`` go with ``comparison``; ``results_path``
+    and ``with_mrr`` go without it."""
+    given = ({"--results": results_path is not None, "--mrr": with_mrr} if comparison
+             else {"--methods": methods is not None, "--key-column": key_column is not None})
+    if any(given.values()):
+        raise ConfigError(f"evaluate {'with' if comparison else 'without'} --comparison does "
+                          f"not use {', '.join(flag for flag, on in given.items() if on)}")
     data_dir = Path(config.data_dir)
     ks = ks or [1, 10]
     truth_path = Path(truth_path) if truth_path else data_dir / "truth_test.csv"

@@ -10,6 +10,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .data import Dataset, SupervisionPair
 from .encoder import EncoderModel, embed_dataset, fit_encoder
@@ -47,13 +50,30 @@ class TruthSet:
         return len(self.related)
 
 
-def _topk_by_base(result: JoinResult, k: int) -> dict[str, list[str]]:
-    ranked: dict[str, list[tuple[int, str]]] = {}
-    for m in result.matches:
-        if m.absent or m.rank > k:
-            continue
-        ranked.setdefault(m.base_id, []).append((m.rank, m.aux_id))  # type: ignore[arg-type]
-    return {bid: [aid for _, aid in sorted(entries)] for bid, entries in ranked.items()}
+def _topk_by_base(result: JoinResult, truth: TruthSet,
+                  k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match the top-k rows of ``result`` against the truth edges, listed
+    base by base in ``truth.related`` order. Returns each edge's base (its
+    index in ``truth.related``), whether a top-k row holds the edge, and per
+    truth base the best rank of a row holding one of its edges (inf if none)."""
+    sizes = [len(want) for want in truth.related.values()]
+    edge_base = np.repeat(np.arange(len(sizes)), sizes)
+    # One code (< n) per distinct id of the result and the truth; a pair's
+    # code is base code * n + aux code.
+    ids = [*result.base_ids, *result.aux_ids, *truth.related, *chain(*truth.related.values())]
+    codes, n = np.unique(np.array(ids, dtype=object), return_inverse=True)[1], len(ids)
+    base_code, aux_code, truth_base, edge_aux = np.split(
+        codes, np.cumsum([len(result.base_ids), len(result.aux_ids), len(sizes)]))
+    edges = truth_base[edge_base] * n + edge_aux
+    top = (result.base >= 0) & (result.aux >= 0) & (result.rank <= k)
+    base, rank = base_code[result.base[top]], result.rank[top]
+    pairs = base * n + aux_code[result.aux[top]]
+    hit = np.isin(pairs, edges)
+    truth_index = np.zeros(n, np.int64)
+    truth_index[truth_base] = np.arange(len(sizes))
+    best = np.full(len(sizes), np.inf)
+    np.minimum.at(best, truth_index[base[hit]], rank[hit])
+    return edge_base, np.isin(edges, pairs), best
 
 
 def recall_at_k(result: JoinResult, truth: TruthSet, k: int) -> float:
@@ -62,28 +82,19 @@ def recall_at_k(result: JoinResult, truth: TruthSet, k: int) -> float:
         raise EvalError("k must be >= 1")
     if not truth.related:
         raise EvalError("truth set is empty")
-    retrieved = _topk_by_base(result, k)
-    hits = 0
-    for base_id, want in truth.related.items():
-        got = set(retrieved.get(base_id, []))
-        if want <= got:
-            hits += 1
-    return hits / len(truth.related)
+    edge_base, found, _ = _topk_by_base(result, truth, k)
+    missed = np.bincount(edge_base[~found], minlength=len(truth.related))
+    return int(np.count_nonzero(missed == 0)) / len(truth.related)
 
 
 def edge_recall_at_k(result: JoinResult, truth: TruthSet, k: int) -> float:
     """Edge-level companion metric: fraction of truth edges recovered."""
     if k < 1:
         raise EvalError("k must be >= 1")
-    retrieved = _topk_by_base(result, k)
-    total = sum(len(v) for v in truth.related.values())
-    if total == 0:
+    if not truth.related:
         raise EvalError("truth set is empty")
-    found = 0
-    for base_id, want in truth.related.items():
-        got = set(retrieved.get(base_id, []))
-        found += len(want & got)
-    return found / total
+    _, found, _ = _topk_by_base(result, truth, k)
+    return int(np.count_nonzero(found)) / found.size
 
 
 def mrr_at_k(result: JoinResult, truth: TruthSet, k: int = 10) -> float:
@@ -93,19 +104,9 @@ def mrr_at_k(result: JoinResult, truth: TruthSet, k: int = 10) -> float:
         raise EvalError("k must be >= 1")
     if not truth.related:
         raise EvalError("truth set is empty")
-    per_base: dict[str, list[tuple[int, str]]] = {}
-    for m in result.matches:
-        if not m.absent and m.rank <= k:
-            per_base.setdefault(m.base_id, []).append((m.rank, m.aux_id))  # type: ignore[arg-type]
-    total = 0.0
-    for base_id, want in truth.related.items():
-        best = 0.0
-        for rank, aux_id in sorted(per_base.get(base_id, [])):
-            if aux_id in want:
-                best = 1.0 / rank
-                break
-        total += best
-    return total / len(truth.related)
+    _, _, best = _topk_by_base(result, truth, k)
+    # A running sum in truth order, as a loop over the truth records would add.
+    return float(np.add.accumulate(1.0 / best)[-1]) / len(truth.related)
 
 
 def mse(predictions: dict[str, float], truth: dict[str, float]) -> float:

@@ -6,6 +6,11 @@ so scores never depend on the block. ``topk`` ranks for every scorer,
 ties by ascending id. An approximate backend may replace the scan only
 if it passes the exactness suite at recall 1.0 or marks its output as
 approximate. Built indexes are read-only and safe to query concurrently.
+
+Every join returns a columnar ``JoinResult``: the two id tuples plus
+per-row arrays of base and aux position (-1 for an ABSENT side), rank,
+score and direction. The arrays go from ``_search`` to ``result.csv`` and
+into the metrics with no per-row object.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import csv
 import io
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -39,6 +45,11 @@ def id_ranks(ids: Sequence[str]) -> np.ndarray:
     return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
+def _offsets(keys: np.ndarray) -> np.ndarray:
+    """Each entry's 0-based position within its run of equal sorted ``keys``."""
+    return np.arange(keys.size) - np.searchsorted(keys, keys)
+
+
 def topk(scores: np.ndarray, k: int, id_rank: np.ndarray, descending: bool,
          keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The best ``k`` entries of each row of ``scores`` (one row (n,) or a
@@ -53,7 +64,7 @@ def topk(scores: np.ndarray, k: int, id_rank: np.ndarray, descending: bool,
     rows, cols = np.nonzero(keep)
     order = np.lexsort((np.broadcast_to(id_rank, key.shape)[rows, cols], key[rows, cols], rows))
     rows, cols = rows[order], cols[order]
-    first = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+    first = _offsets(rows) < k
     return rows[first], cols[first]
 
 
@@ -164,10 +175,50 @@ class Match:
         return self.base_id is None or self.aux_id is None
 
 
-@dataclass
+@dataclass(eq=False)
 class JoinResult:
-    matches: list[Match]
+    """Join rows as parallel columns over the two sides' id tuples.
+
+    Row i relates ``base_ids[base[i]]`` to ``aux_ids[aux[i]]``; a position
+    of -1 marks that side ABSENT (unenriched), and such a row has rank 0
+    and score nan. ``rank`` counts from 1 within the querying record's
+    matches, ``reverse`` marks rows an aux record queried, and ``path``
+    (chain results only) holds one intermediate id per hop before the last.
+    ``matches`` is a read-only view of the rows as ``Match`` objects.
+    """
+
+    base_ids: tuple[str, ...]
+    aux_ids: tuple[str, ...]
+    base: np.ndarray  # (n,) int64
+    aux: np.ndarray  # (n,) int64
+    rank: np.ndarray  # (n,) int64
+    score: np.ndarray  # (n,) float64
+    reverse: np.ndarray  # (n,) bool
+    path: np.ndarray | None = None  # (n, hops - 1) object array of ids
     spec: JoinSpec | None = None
+
+    @classmethod
+    def from_ids(cls, rows: Iterable[tuple[str | None, str | None, int, float]],
+                 spec: JoinSpec | None = None) -> "JoinResult":
+        """A forward result from ``(base_id, aux_id, rank, score)`` rows;
+        a None or empty id marks an ABSENT side."""
+        base, aux, rank, score = list(zip(*rows)) or [()] * 4
+        ids, positions = [], []
+        for column in (base, aux):  # "" sorts first, so an ABSENT side gets -1
+            distinct, at = np.unique(np.array([*(i or "" for i in column), ""], dtype=object),
+                                     return_inverse=True)
+            ids.append(tuple(distinct[1:]))
+            positions.append(at[:-1] - 1)
+        return cls(*ids, *positions, np.array(rank, dtype=np.int64),
+                   np.array(score, dtype=np.float64), np.zeros(len(rank), bool), spec=spec)
+
+    @cached_property
+    def matches(self) -> tuple[Match, ...]:
+        base, aux = (*self.base_ids, None), (*self.aux_ids, None)
+        paths = self.path.tolist() if self.path is not None else [()] * len(self.rank)
+        columns = (c.tolist() for c in (self.base, self.aux, self.rank, self.score, self.reverse))
+        return tuple(Match(base[b], aux[a], r, s, "reverse" if rev else "forward", tuple(p))
+                     for b, a, r, s, rev, p in zip(*columns, paths))
 
     def for_base(self, base_id: str) -> list[Match]:
         return [m for m in self.matches if m.base_id == base_id and not m.absent]
@@ -176,18 +227,20 @@ class JoinResult:
         return {(m.base_id, m.aux_id) for m in self.matches if not m.absent}
 
     def to_csv_text(self) -> str:
+        absent = ((self.base < 0) | (self.aux < 0)).tolist()
+        # The writer quotes fields holding its "\n" terminator but not a bare
+        # "\r", which a reader takes for a line end; such ids quote every field.
+        quote_all = any("\r" in rid for rid in (*self.base_ids, *self.aux_ids))
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n",
+                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
         writer.writerow(["base_id", "aux_id", "rank", "score"])
-        for m in self.matches:
-            writer.writerow(
-                [
-                    m.base_id if m.base_id is not None else "",
-                    m.aux_id if m.aux_id is not None else "",
-                    m.rank,
-                    repr(m.score) if not m.absent else "",
-                ]
-            )
+        writer.writerows(zip(
+            np.array([*self.base_ids, ""], dtype=object)[self.base].tolist(),
+            np.array([*self.aux_ids, ""], dtype=object)[self.aux].tolist(),
+            self.rank.tolist(),
+            ["" if gone else repr(s) for s, gone in zip(self.score.tolist(), absent)],
+        ))
         return buf.getvalue()
 
     def write_csv(self, path: str | Path) -> None:
@@ -195,21 +248,41 @@ class JoinResult:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JoinResult":
-        matches: list[Match] = []
+        """Read a result file; a malformed line raises ``JoinError`` naming it."""
+        rows = []
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if header[:4] != ["base_id", "aux_id", "rank", "score"]:
-                raise JoinError(f"{path}: unexpected result header {header!r}")
+            header = next(reader, None)
+            if header is None or header[:4] != ["base_id", "aux_id", "rank", "score"]:
+                raise JoinError(f"{path}: line 1: no result header (found {header!r})")
             for row in reader:
                 if not row:
                     continue
-                base_id = row[0] or None
-                aux_id = row[1] or None
-                rank = int(row[2])
-                score = float(row[3]) if row[3] else float("nan")
-                matches.append(Match(base_id=base_id, aux_id=aux_id, rank=rank, score=score))
-        return cls(matches=matches)
+                try:
+                    base_id, aux_id, rank, score = row[:4]
+                    rows.append((base_id, aux_id, int(rank), float(score or "nan")))
+                except ValueError:
+                    raise JoinError(f"{path}: line {reader.line_num}: expected an id pair, an "
+                                    f"integer rank and a score, found {row!r}") from None
+        return cls.from_ids(rows)
+
+
+def ranked_columns(rows: Sequence[int], cols: Sequence[int], scores: Sequence[float],
+                   reverse: bool = False,
+                   absent: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The ``JoinResult`` columns ``(base, aux, rank, score, reverse)`` of
+    matches ordered by query position ``rows``, best first, with ``cols``
+    their target positions. Forward rows have base records querying; with
+    ``absent``, those query positions get an ABSENT row in query order."""
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    scores = np.asarray(scores, np.float64)
+    if absent is not None:
+        at = np.searchsorted(rows, absent)
+        rows, cols, scores = (np.insert(column, at, fill) for column, fill in
+                              ((rows, absent), (cols, -1), (scores, np.nan)))
+    base, aux = (cols, rows) if reverse else (rows, cols)
+    rank = np.where(cols < 0, 0, _offsets(rows) + 1)
+    return base, aux, rank, scores, np.full(rows.size, reverse)
 
 
 def _retrieve(
@@ -219,8 +292,9 @@ def _retrieve(
     metric: Metric,
     threshold: float | None,
     index_on: Literal["target", "query"],
-) -> dict[str, list[tuple[str, float]]]:
-    """Ranked candidates per query record.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranked candidates of every query record as ``_search`` returns them:
+    ``(rows, cols, scores)`` ordered by query position, then rank.
 
     ``index_on`` picks the execution strategy only. Indexing the query side
     scans every target record against it and transposes. l2 results are
@@ -229,72 +303,26 @@ def _retrieve(
     matrix-vector shape than ``q.t``; ranks can differ only between scores
     that close.
     """
-    query_ids, query_vectors = query_emb
     if index_on == "target":
-        index = build_index(target_emb, metric)
-        rows, cols, scores = _search(index, query_vectors, k, threshold)
-        hits: list[list[tuple[str, float]]] = [[] for _ in query_ids]
-        for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
-            hits[row].append((index.ids[col], score))
-        return dict(zip(query_ids, hits))
-
+        return _search(build_index(target_emb, metric), query_emb[1], k, threshold)
     index = build_index(query_emb, metric)
-    per_query: dict[str, list[tuple[str, float]]] = {qid: [] for qid in query_ids}
-    for tid, tvec in zip(*target_emb):
-        for qid, score in knn(index, tvec, index.n, threshold=None):
-            per_query[qid].append((tid, score))
-    sign = 1.0 if metric == "l2" else -1.0
-    out: dict[str, list[tuple[str, float]]] = {}
-    for qid, cands in per_query.items():
-        if threshold is not None:
-            if metric == "l2":
-                cands = [c for c in cands if c[1] <= threshold]
-            else:
-                cands = [c for c in cands if c[1] >= threshold]
-        cands.sort(key=lambda c: (sign * c[1], c[0]))
-        out[qid] = cands[:k]
-    return out
+    targets, queries, found = _search(index, target_emb[1], index.n, None)
+    scores = np.empty((index.n, len(target_emb[0])))
+    scores[queries, targets] = found
+    keep = None if threshold is None else (
+        scores <= threshold if metric == "l2" else scores >= threshold)
+    rows, cols = topk(scores, k, id_ranks(target_emb[0]), metric != "l2", keep)
+    return rows, cols, scores[rows, cols]
 
 
-def _ranked_matches(
-    retrieved: dict[str, list[tuple[str, float]]],
-    query_order: Iterable[str],
-    direction: Literal["forward", "reverse"],
-    absent: bool = False,
-) -> list[Match]:
-    """Matches in query order, best first; forward means base records queried
-    aux records. With ``absent``, a query without matches gets an ABSENT row."""
-    matches: list[Match] = []
-    for qid in query_order:
-        hits = retrieved.get(qid) or ([(None, float("nan"))] if absent else [])
-        for rank, (tid, score) in enumerate(hits, start=1):
-            pair = (qid, tid) if direction == "forward" else (tid, qid)
-            matches.append(Match(*pair, rank=rank if tid is not None else 0, score=score,
-                                 direction=direction))
-    return matches
-
-
-def _cap_per_target(
-    retrieved: dict[str, list[tuple[str, float]]],
-    cap: int,
-    metric: Metric,
-) -> dict[str, list[tuple[str, float]]]:
-    """Keep each target record's best ``cap`` query matches by score, ties
-    by ascending query id."""
-    by_target: dict[str, list[tuple[float, str]]] = {}
-    for qid, cands in retrieved.items():
-        for tid, score in cands:
-            by_target.setdefault(tid, []).append((score, qid))
-    dropped: set[tuple[str, str]] = set()
-    for tid, entries in by_target.items():
-        if len(entries) > cap:
-            scores, qids = zip(*entries)
-            _, best = topk(scores, cap, id_ranks(qids), metric != "l2")
-            dropped.update((qids[i], tid) for i in set(range(len(qids))) - set(best.tolist()))
-    return {
-        qid: [(tid, score) for tid, score in cands if (qid, tid) not in dropped]
-        for qid, cands in retrieved.items()
-    }
+def _cap_per_target(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap: int,
+                    metric: Metric,
+                    query_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep each target record's best ``cap`` matches by score, ties by
+    ascending query id."""
+    order = np.lexsort((query_rank[rows], scores * (1.0 if metric == "l2" else -1.0), cols))
+    keep = np.sort(order[_offsets(cols[order]) < cap])
+    return rows[keep], cols[keep], scores[keep]
 
 
 def execute_join(
@@ -314,52 +342,54 @@ def execute_join(
     ``index_side`` selects which side physically holds the index; indexing
     the querying side runs the slower per-record reference scan (same l2
     bytes; inner-product scores may differ in the last bit). ``both_directions``
-    switches INNER to the union of both retrieval directions.
+    switches INNER to the union of both retrieval directions. That union and
+    FULL hold the forward rows, then the reverse rows whose pair is not
+    already present; FULL then adds an ABSENT row per unmatched base record,
+    then per unmatched aux record.
     """
-    base_order, aux_order = base_emb[0], aux_emb[0]
-    if not len(base_order) or not len(aux_order):
+    base_ids, aux_ids = tuple(base_emb[0]), tuple(aux_emb[0])
+    if not base_ids or not aux_ids:
         raise JoinError("both sides must have at least one embedding")
-
     strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
+
+    def result(*parts: tuple[np.ndarray, ...]) -> JoinResult:
+        return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*parts)), spec=spec)
+
+    def retrieve(reverse: bool, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        queries, targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
+        return _retrieve(queries, targets, k, metric, threshold,
+                         strategy["aux" if reverse else "base"])
+
+    def unmatched(n: int, *matched: np.ndarray) -> np.ndarray:
+        return np.setdiff1d(np.arange(n), np.concatenate(matched))
 
     jt = spec.join_type
     if jt == JoinType.LEFT:
-        retrieved = _retrieve(base_emb, aux_emb, spec.right_size, metric, threshold,
-                              strategy["base"])
-        return JoinResult(_ranked_matches(retrieved, base_order, "forward", True), spec)
+        rows, cols, scores = retrieve(False, spec.right_size)
+        return result(ranked_columns(rows, cols, scores, False, unmatched(len(base_ids), rows)))
 
     if jt == JoinType.RIGHT:
-        retrieved = _retrieve(aux_emb, base_emb, spec.left_size, metric, threshold,
-                              strategy["aux"])
-        return JoinResult(_ranked_matches(retrieved, aux_order, "reverse", True), spec)
+        rows, cols, scores = retrieve(True, spec.left_size)
+        return result(ranked_columns(rows, cols, scores, True, unmatched(len(aux_ids), rows)))
 
     if jt == JoinType.FULL or (jt == JoinType.INNER and both_directions):
-        fwd = _retrieve(base_emb, aux_emb, spec.right_size, metric, threshold,
-                        strategy["base"])
-        rev = _retrieve(aux_emb, base_emb, spec.left_size, metric, threshold,
-                        strategy["aux"])
-        matches = _ranked_matches(fwd, base_order, "forward")
-        seen = {(m.base_id, m.aux_id) for m in matches}
-        matches += [m for m in _ranked_matches(rev, aux_order, "reverse")
-                    if (m.base_id, m.aux_id) not in seen]
+        fwd = ranked_columns(*retrieve(False, spec.right_size))
+        rev = ranked_columns(*retrieve(True, spec.left_size), reverse=True)
+        # A reverse row is new unless its (base, aux) pair code is a forward row's.
+        new = ~np.isin(rev[0] * len(aux_ids) + rev[1], fwd[0] * len(aux_ids) + fwd[1])
+        parts = [fwd, tuple(column[new] for column in rev)]
         if jt == JoinType.FULL:
-            matched_base, matched_aux = {m.base_id for m in matches}, {m.aux_id for m in matches}
-            matches += _ranked_matches({}, [b for b in base_order if b not in matched_base],
-                                       "forward", True)
-            matches += _ranked_matches({}, [a for a in aux_order if a not in matched_aux],
-                                       "reverse", True)
-        return JoinResult(matches=matches, spec=spec)
+            parts += [ranked_columns((), (), (), False, unmatched(len(base_ids), fwd[0], rev[0])),
+                      ranked_columns((), (), (), True, unmatched(len(aux_ids), fwd[1], rev[1]))]
+        return result(*parts)
 
     # INNER, single direction: the smaller side queries the larger one.
-    forward = len(base_order) <= len(aux_order)
-    queries, targets = (base_emb, aux_emb) if forward else (aux_emb, base_emb)
-    k, cap = (spec.right_size, spec.left_size) if forward else (spec.left_size, spec.right_size)
-    retrieved = _retrieve(queries, targets, k, metric, threshold,
-                          strategy["base" if forward else "aux"])
-    if cap < len(queries[0]):
-        retrieved = _cap_per_target(retrieved, cap, metric)
-    direction = "forward" if forward else "reverse"
-    return JoinResult(_ranked_matches(retrieved, queries[0], direction), spec)
+    reverse = len(base_ids) > len(aux_ids)
+    rows, cols, scores = retrieve(reverse, spec.left_size if reverse else spec.right_size)
+    cap, query_ids = (spec.right_size, aux_ids) if reverse else (spec.left_size, base_ids)
+    if cap < len(query_ids):
+        rows, cols, scores = _cap_per_target(rows, cols, scores, cap, metric, id_ranks(query_ids))
+    return result(ranked_columns(rows, cols, scores, reverse))
 
 
 def chain_joins(
@@ -388,17 +418,14 @@ def chain_joins(
     # Re-rank final matches per origin record, ties by endpoint id, then by
     # frontier order; path keeps one id per hop before the endpoint.
     last = stages[-1][1]
-    bounds = np.searchsorted(origins, np.arange(len(base_ids) + 1)).tolist()
-    matches: list[Match] = []
-    for o, origin in enumerate(base_ids):
-        lo, hi = bounds[o], bounds[o + 1]
-        tie = last._id_rank[hops[-1][lo:hi]] * (hi - lo) + np.arange(hi - lo)
-        _, order = topk(scores[lo:hi], hi - lo, tie, last.metric != "l2")
-        for rank, e in enumerate((order + lo).tolist(), start=1):
-            path = tuple(index.ids[hop[e]] for (_, index), hop in zip(stages, hops[:-1]))
-            matches.append(Match(base_id=origin, aux_id=last.ids[hops[-1][e]], rank=rank,
-                                 score=float(scores[e]), path=path))
-    return JoinResult(matches=matches, spec=stages[-1][0])
+    order = np.lexsort((np.arange(origins.size), last._id_rank[hops[-1]],
+                        scores if last.metric == "l2" else -scores, origins))
+    origins, scores, hops = origins[order], scores[order], [hop[order] for hop in hops]
+    path = np.empty((origins.size, len(stages) - 1), dtype=object)
+    for j, ((_, index), hop) in enumerate(zip(stages, hops[:-1])):
+        path[:, j] = np.array(index.ids, dtype=object)[hop]
+    return JoinResult(tuple(base_ids), last.ids, origins, hops[-1], _offsets(origins) + 1,
+                      scores, np.zeros(origins.size, bool), path, spec=stages[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +492,19 @@ def aggregate_labels(
     """
     if k < 1:
         raise JoinError("k must be >= 1")
-    per_base: dict[str, list[tuple[int, float]]] = {}
-    for m in result.matches:
-        if m.absent:
-            continue
-        if m.aux_id not in labels:
-            raise JoinError(f"no label for matched aux id {m.aux_id!r}")
-        per_base.setdefault(m.base_id, []).append((m.rank, labels[m.aux_id]))
+    rows = np.flatnonzero((result.base >= 0) & (result.aux >= 0))
+    labelled = np.array([aux_id in labels for aux_id in result.aux_ids], dtype=bool)
+    unlabelled = rows[~labelled[result.aux[rows]]]
+    if unlabelled.size:
+        missing = result.aux_ids[result.aux[unlabelled[0]]]
+        raise JoinError(f"no label for matched aux id {missing!r}")
+    label = np.array([labels.get(aux_id, np.nan) for aux_id in result.aux_ids])[result.aux[rows]]
+    # Each base record's matches by rank, ties by label; average the first k.
+    order = np.lexsort((label, result.rank[rows], result.base[rows]))
+    base, label = result.base[rows][order], label[order].tolist()
+    starts = np.flatnonzero(_offsets(base) == 0).tolist()
     out: dict[str, float] = {}
-    for base_id, entries in per_base.items():
-        entries.sort()
-        top = [label for _, label in entries[:k]]
-        out[base_id] = sum(top) / len(top)
+    for lo, hi in zip(starts, [*starts[1:], base.size]):
+        top = label[lo : min(hi, lo + k)]
+        out[result.base_ids[base[lo]]] = sum(top) / len(top)
     return out

@@ -21,7 +21,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .joiner import JoinResult, Match, id_ranks, topk
+from .joiner import JoinResult, id_ranks, ranked_columns, topk
 from .joinspec import JoinSpec, JoinType
 from .prepare import prepare_sentence, tokenize
 
@@ -257,54 +257,6 @@ def lexical_join(
         raise LexError("k must be >= 1")
     if kind in ("LD", "JK-WS", "JK-2G") and key_column is None:
         raise LexError(f"baseline {kind} requires a key column")
-
-    matches: list[Match] = []
-
-    if kind == "BM25":
-        aux_tokens = [(r.id, prepare_sentence(r).tokens) for r in aux.records]
-        index = build_bm25_index(aux_tokens)
-        for rec in base.records:
-            query = prepare_sentence(rec).tokens
-            ranked = [(aid, s) for aid, s in bm25_topk(index, query, k) if s > 0.0]
-            for rank, (aid, score) in enumerate(ranked, start=1):
-                matches.append(Match(base_id=rec.id, aux_id=aid, rank=rank, score=score))
-        return _lexical_result(kind, base, aux, k, matches)
-
-    aux_ids = aux.ids()
-    aux_rank = id_ranks(aux_ids)
-
-    def add_ranked(base_id: str, best: Iterable[tuple[int, float]]) -> None:
-        for rank, (i, score) in enumerate(best, start=1):
-            matches.append(Match(base_id=base_id, aux_id=aux_ids[i], rank=rank, score=score))
-
-    if kind == "LD":
-        aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
-        for rec in base.records:
-            text = _key_text(rec, key_column).lower()
-            # levenshtein >= the length difference, so a pair whose lengths
-            # differ by more than the cut-off is dropped without the DP.
-            dists = np.array([levenshtein(text, atext)
-                              if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
-                              for atext in aux_keys], dtype=np.float64)
-            _, best = topk(dists, k, aux_rank, False, dists <= LD_MAX_DISTANCE)
-            add_ranked(rec.id, ((i, float(dists[i])) for i in best.tolist()))
-        return _lexical_result(kind, base, aux, k, matches)
-
-    # Jaccard variants.
-    mode = "whitespace" if kind.endswith("WS") else "char2gram"
-    if kind.startswith("JK"):
-        token_set = lambda r: set(tokenize(_key_text(r, key_column), mode))
-    else:
-        token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
-    ranked = jaccard_topk((token_set(r) for r in base.records),
-                          [token_set(r) for r in aux.records], k, aux_rank,
-                          JACCARD_MIN_SIMILARITY)
-    for rec, best in zip(base.records, ranked):
-        add_ranked(rec.id, best)
-    return _lexical_result(kind, base, aux, k, matches)
-
-
-def _lexical_result(kind: str, base: Dataset, aux: Dataset, k: int, matches: list[Match]) -> JoinResult:
     spec = JoinSpec(
         base_ref=base.name,
         aux_ref=aux.name,
@@ -313,4 +265,42 @@ def _lexical_result(kind: str, base: Dataset, aux: Dataset, k: int, matches: lis
         right_size=k,
         supervision_ref=kind.lower(),
     )
-    return JoinResult(matches=matches, spec=spec)
+
+    if kind == "BM25":
+        aux_tokens = [(r.id, prepare_sentence(r).tokens) for r in aux.records]
+        index = build_bm25_index(aux_tokens)
+        rows: list[tuple[str, str, int, float]] = []
+        for rec in base.records:
+            query = prepare_sentence(rec).tokens
+            best = [(aid, s) for aid, s in bm25_topk(index, query, k) if s > 0.0]
+            rows += [(rec.id, aid, rank, s) for rank, (aid, s) in enumerate(best, start=1)]
+        return JoinResult.from_ids(rows, spec)
+
+    aux_ids = aux.ids()
+    aux_rank = id_ranks(aux_ids)
+    if kind == "LD":
+        aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
+
+        def nearest(rec) -> list[tuple[int, float]]:
+            text = _key_text(rec, key_column).lower()
+            # levenshtein >= the length difference, so a pair whose lengths
+            # differ by more than the cut-off is dropped without the DP.
+            dists = np.array([levenshtein(text, atext)
+                              if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
+                              for atext in aux_keys], dtype=np.float64)
+            _, best = topk(dists, k, aux_rank, False, dists <= LD_MAX_DISTANCE)
+            return [(i, float(dists[i])) for i in best.tolist()]
+
+        ranked = map(nearest, base.records)
+    else:  # Jaccard variants.
+        mode = "whitespace" if kind.endswith("WS") else "char2gram"
+        if kind.startswith("JK"):
+            token_set = lambda r: set(tokenize(_key_text(r, key_column), mode))
+        else:
+            token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
+        ranked = jaccard_topk((token_set(r) for r in base.records),
+                              [token_set(r) for r in aux.records], k, aux_rank,
+                              JACCARD_MIN_SIMILARITY)
+    hits = [(row, col, score) for row, best in enumerate(ranked) for col, score in best]
+    columns = ranked_columns(*(list(zip(*hits)) or [()] * 3))
+    return JoinResult(base.ids(), aux_ids, *columns, spec=spec)

@@ -28,7 +28,6 @@ from emberish.encoder import (
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k, run_comparison
 from emberish.joiner import (
     JoinResult,
-    Match,
     aggregate_labels,
     build_index,
     chain_joins,
@@ -395,12 +394,9 @@ def test_join_semantics_algebra():
 @criterion(9, "recall@k / MRR@k match hand-counted fixtures")
 def test_metric_fixtures():
     def result_from(rows):
-        matches = []
-        for base_id, aux_ids in rows.items():
-            for rank, aux_id in enumerate(aux_ids, start=1):
-                matches.append(Match(base_id=base_id, aux_id=aux_id, rank=rank,
-                                     score=float(rank)))
-        return JoinResult(matches=matches)
+        return JoinResult.from_ids((base_id, aux_id, rank, float(rank))
+                                   for base_id, aux_ids in rows.items()
+                                   for rank, aux_id in enumerate(aux_ids, start=1))
 
     result = result_from({
         "q1": ["a", "m", "n"],
@@ -525,11 +521,11 @@ def test_two_hop_and_label_averaging():
         assert m.aux_id == f"z{tau[sigma[i]]}"
 
     # One-hop label averaging with k=2: means computed by hand.
-    result = JoinResult(matches=[
-        Match(base_id="u1", aux_id="p1", rank=1, score=0.1),
-        Match(base_id="u1", aux_id="p2", rank=2, score=0.2),
-        Match(base_id="u1", aux_id="p3", rank=3, score=0.3),
-        Match(base_id="u2", aux_id="p3", rank=1, score=0.1),
+    result = JoinResult.from_ids([
+        ("u1", "p1", 1, 0.1),
+        ("u1", "p2", 2, 0.2),
+        ("u1", "p3", 3, 0.3),
+        ("u2", "p3", 1, 0.1),
     ])
     labels = {"p1": 4.0, "p2": 1.0, "p3": 3.5}
     est = aggregate_labels(result, labels, k=2)

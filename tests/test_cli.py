@@ -382,6 +382,49 @@ class TestEvaluate:
         assert "BM25" in printable and "untrained-encoder" in printable
 
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("base_id,aux_id,rank,score\nb0,a0,1\n", 2),
+        ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,two,0.7\n", 3),
+        ("base_id,aux_id,rank,score\n\nb0,a0,1,close\n", 3),
+    ], ids=["missing-header", "short-row", "non-integer-rank", "non-float-score"])
+    def test_malformed_results_exit_1_naming_the_line(self, tmp_path, capsys, text, line):
+        (tmp_path / "truth_test.csv").write_text("base_id,aux_id\nb0,a0\n")
+        results = tmp_path / "result.csv"
+        results.write_text(text)
+        assert main(["evaluate", "--data-dir", str(tmp_path)]) == 1
+        assert f"{results}: line {line}:" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+
+class TestEvaluateFlags:
+    @pytest.mark.parametrize("flags, unused", [
+        (["--methods", "BM25"], "--methods"),
+        (["--key-column", "text"], "--key-column"),
+        (["--comparison", "--results", "result.csv"], "--results"),
+        (["--comparison", "--mrr"], "--mrr"),
+    ])
+    def test_flag_unused_by_the_chosen_mode_is_rejected(self, workspace, capsys, flags, unused):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        cmd_join(cfg)
+        assert main(["evaluate", "--data-dir", str(tmp_path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "does not use" in err and unused in err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_flags_the_mode_uses_are_accepted(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        other = tmp_path / "other.csv"
+        other.write_text("base_id,aux_id,rank,score\nb0,a0,1,0.0\n")
+        d = ["evaluate", "--data-dir", str(tmp_path), "--ks", "1"]
+        assert main([*d, "--results", str(other), "--mrr"]) == 0
+        assert "mrr@" in capsys.readouterr().out
+        assert main([*d, "--comparison", "--methods", "JK-WS", "--key-column", "name"]) == 0
+        assert "JK-WS" in capsys.readouterr().out
+        assert (tmp_path / "metrics.csv").read_text().startswith("method,k,recall\nJK-WS,1,")
+
+
 class TestPipeline:
     def test_chain_and_label_averaging(self, workspace):
         tmp_path, cfg = workspace

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emberish.data import SupervisionPair, dataset_from_rows
 from emberish.evalkit import (
@@ -14,17 +16,15 @@ from emberish.evalkit import (
     recall_at_k,
     run_comparison,
 )
-from emberish.joiner import JoinResult, Match
+from emberish.joiner import JoinResult
 from emberish.joinspec import EngineConfig
 
 
 def ranked_result(rows):
     """rows: {base_id: [aux ids in rank order]}"""
-    matches = []
-    for base_id, aux_ids in rows.items():
-        for rank, aux_id in enumerate(aux_ids, start=1):
-            matches.append(Match(base_id=base_id, aux_id=aux_id, rank=rank, score=float(rank)))
-    return JoinResult(matches=matches)
+    return JoinResult.from_ids((base_id, aux_id, rank, float(rank))
+                               for base_id, aux_ids in rows.items()
+                               for rank, aux_id in enumerate(aux_ids, start=1))
 
 
 def truth(mapping):
@@ -91,8 +91,9 @@ class TestRecall:
         rows = {f"q{i}": rng.sample(aux_ids, 4) for i in range(6)}
         ts = truth({f"q{i}": {rng.choice(aux_ids)} for i in range(6)})
         result = ranked_result(rows)
-        shuffled = JoinResult(matches=list(result.matches))
-        rng.shuffle(shuffled.matches)
+        rows = [(m.base_id, m.aux_id, m.rank, m.score) for m in result.matches]
+        rng.shuffle(rows)
+        shuffled = JoinResult.from_ids(rows)
         for k in (1, 2, 4):
             assert recall_at_k(result, ts, k) == recall_at_k(shuffled, ts, k)
             assert mrr_at_k(result, ts, k) == mrr_at_k(shuffled, ts, k)
@@ -125,6 +126,50 @@ class TestMrr:
         ts = truth({"q1": {"a"}, "q2": {"b"}})
         values = [mrr_at_k(result, ts, k) for k in (1, 2, 3)]
         assert values == sorted(values)
+
+
+def reference_metrics(rows, related, k):
+    """Recall, edge recall and MRR at k computed row by row, grouping
+    ``(base_id, aux_id, rank)`` rows per base id."""
+    per_base = {}
+    for base_id, aux_id, rank in rows:
+        if base_id is not None and aux_id is not None and rank <= k:
+            per_base.setdefault(base_id, []).append((rank, aux_id))
+    hits, found, mrr = 0, 0, 0.0
+    for base_id, want in related.items():
+        ranked = sorted(per_base.get(base_id, []))
+        got = {aux_id for _, aux_id in ranked}
+        hits += want <= got
+        found += len(want & got)
+        mrr += next((1.0 / rank for rank, aux_id in ranked if aux_id in want), 0.0)
+    return (hits / len(related), found / sum(map(len, related.values())),
+            mrr / len(related))
+
+
+result_rows = st.lists(st.tuples(
+    st.one_of(st.none(), st.sampled_from(["b0", "b1", "b2", "b3"])),
+    st.one_of(st.none(), st.sampled_from(["a0", "a1", "a2", "a3", "a4"])),
+    st.integers(1, 6),
+))
+# Truth ids b4, b5, a5 and a6 never appear in a result.
+truth_sets = st.dictionaries(
+    st.sampled_from(["b0", "b1", "b2", "b3", "b4", "b5"]),
+    st.frozensets(st.sampled_from(["a0", "a1", "a2", "a3", "a4", "a5", "a6"]), min_size=1),
+    min_size=1,
+)
+
+
+class TestMetricsAgainstRowReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=result_rows, related=truth_sets, k=st.integers(1, 7))
+    def test_recall_edge_recall_and_mrr(self, rows, related, k):
+        # ABSENT rows (a None side) carry rank 0 and no score, as in result.csv.
+        rows = [(b, a, r if b is not None and a is not None else 0) for b, a, r in rows]
+        result = JoinResult.from_ids(
+            (b, a, r, float(r) if r else float("nan")) for b, a, r in rows)
+        ts = TruthSet(related=related)
+        assert (recall_at_k(result, ts, k), edge_recall_at_k(result, ts, k),
+                mrr_at_k(result, ts, k)) == reference_metrics(rows, related, k)
 
 
 class TestMse:

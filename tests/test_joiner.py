@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emberish import joiner
 from emberish.joiner import (
@@ -20,7 +22,14 @@ from emberish.joiner import (
     save_embeddings,
     topk,
 )
+from emberish.data import SupervisionPair
+from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
+
+
+# Record ids with the characters CSV must quote, and any other non-empty text.
+record_ids = st.text(st.one_of(st.sampled_from(',"\r\n \u00e9\u2192'),
+                               st.characters(blacklist_categories=("Cs",))), min_size=1)
 
 
 def vec(*values):
@@ -407,6 +416,143 @@ class TestExecuteJoin:
                     assert scores == sorted(scores, reverse=True)
 
 
+def _reference_rows(spec, base_emb, aux_emb, metric, threshold, index_side, both_directions):
+    """The result builder as it was before results became columnar: ranked
+    candidates per query id, a per-target cap over them, one row per
+    candidate and a set of seen pairs for FULL. Returns
+    ``(base_id, aux_id, rank, score, direction)`` rows."""
+
+    def retrieve(query_emb, target_emb, k, index_on):
+        query_ids, query_vectors = query_emb
+        if index_on == "target":
+            index = build_index(target_emb, metric)
+            rows, cols, scores = joiner._search(index, query_vectors, k, threshold)
+            hits = [[] for _ in query_ids]
+            for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
+                hits[row].append((index.ids[col], score))
+            return dict(zip(query_ids, hits))
+        index = build_index(query_emb, metric)
+        per_query = {qid: [] for qid in query_ids}
+        for tid, tvec in zip(*target_emb):
+            for qid, score in knn(index, tvec, index.n, threshold=None):
+                per_query[qid].append((tid, score))
+        sign = 1.0 if metric == "l2" else -1.0
+        out = {}
+        for qid, cands in per_query.items():
+            if threshold is not None:
+                if metric == "l2":
+                    cands = [c for c in cands if c[1] <= threshold]
+                else:
+                    cands = [c for c in cands if c[1] >= threshold]
+            cands.sort(key=lambda c: (sign * c[1], c[0]))
+            out[qid] = cands[:k]
+        return out
+
+    def ranked(retrieved, query_order, direction, absent=False):
+        rows = []
+        for qid in query_order:
+            hits = retrieved.get(qid) or ([(None, float("nan"))] if absent else [])
+            for rank, (tid, score) in enumerate(hits, start=1):
+                pair = (qid, tid) if direction == "forward" else (tid, qid)
+                rows.append((*pair, rank if tid is not None else 0, score, direction))
+        return rows
+
+    def cap_per_target(retrieved, cap):
+        by_target = {}
+        for qid, cands in retrieved.items():
+            for tid, score in cands:
+                by_target.setdefault(tid, []).append((score, qid))
+        dropped = set()
+        for tid, entries in by_target.items():
+            if len(entries) > cap:
+                scores, qids = zip(*entries)
+                _, best = topk(scores, cap, id_ranks(qids), metric != "l2")
+                dropped.update((qids[i], tid) for i in set(range(len(qids))) - set(best.tolist()))
+        return {qid: [(tid, score) for tid, score in cands if (qid, tid) not in dropped]
+                for qid, cands in retrieved.items()}
+
+    base_order, aux_order = base_emb[0], aux_emb[0]
+    strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
+    jt = spec.join_type
+    if jt == JoinType.LEFT:
+        fwd = retrieve(base_emb, aux_emb, spec.right_size, strategy["base"])
+        return ranked(fwd, base_order, "forward", True)
+    if jt == JoinType.RIGHT:
+        rev = retrieve(aux_emb, base_emb, spec.left_size, strategy["aux"])
+        return ranked(rev, aux_order, "reverse", True)
+    if jt == JoinType.FULL or both_directions:
+        fwd = retrieve(base_emb, aux_emb, spec.right_size, strategy["base"])
+        rev = retrieve(aux_emb, base_emb, spec.left_size, strategy["aux"])
+        rows = ranked(fwd, base_order, "forward")
+        seen = {(b, a) for b, a, *_ in rows}
+        rows += [r for r in ranked(rev, aux_order, "reverse") if (r[0], r[1]) not in seen]
+        if jt == JoinType.FULL:
+            matched_base, matched_aux = {r[0] for r in rows}, {r[1] for r in rows}
+            rows += ranked({}, [b for b in base_order if b not in matched_base], "forward", True)
+            rows += ranked({}, [a for a in aux_order if a not in matched_aux], "reverse", True)
+        return rows
+    forward = len(base_order) <= len(aux_order)
+    queries, targets = (base_emb, aux_emb) if forward else (aux_emb, base_emb)
+    k, cap = (spec.right_size, spec.left_size) if forward else (spec.left_size, spec.right_size)
+    retrieved = retrieve(queries, targets, k, strategy["base" if forward else "aux"])
+    if cap < len(queries[0]):
+        retrieved = cap_per_target(retrieved, cap)
+    return ranked(retrieved, queries[0], "forward" if forward else "reverse")
+
+
+def _reference_csv(rows):
+    lines = ["base_id,aux_id,rank,score"]
+    for base_id, aux_id, rank, score, _ in rows:
+        absent = base_id is None or aux_id is None
+        lines.append(f"{base_id or ''},{aux_id or ''},{rank},{'' if absent else repr(score)}")
+    return "\n".join(lines) + "\n"
+
+
+def tied_grid(prefix, n, seed):
+    """Integer 2-d vectors on a 3 x 3 grid, so many scores tie exactly, under
+    ids whose storage order is not their ascending order."""
+    rng = np.random.default_rng(seed)
+    return (tuple(f"{prefix}{j}" for j in rng.permutation(n)),
+            rng.integers(0, 3, size=(n, 2)).astype(np.float64))
+
+
+class TestResultBuilderOracle:
+    @pytest.mark.parametrize("sizes", [(9, 13), (13, 9)])
+    @pytest.mark.parametrize("metric, threshold", [("l2", None), ("l2", 1.0),
+                                                   ("inner_product", None),
+                                                   ("inner_product", 3.0)])
+    @pytest.mark.parametrize("index_side", ["auto", "base", "aux"])
+    @pytest.mark.parametrize("join_type, both_directions",
+                             [(jt, False) for jt in JoinType] + [(JoinType.INNER, True)])
+    def test_rows_and_bytes_match_reference(self, sizes, metric, threshold, index_side,
+                                            join_type, both_directions):
+        base, aux = tied_grid("b", sizes[0], sizes[0]), tied_grid("a", sizes[1], 7 * sizes[1])
+        s = spec(join_type, left=2, right=3)
+        args = (metric, threshold, index_side, both_directions)
+        expected = _reference_rows(s, base, aux, *args)
+        result = execute_join(s, base, aux, *args)
+        assert [(m.base_id, m.aux_id, m.rank, repr(m.score), m.direction)
+                for m in result.matches] == [(*r[:3], repr(r[3]), r[4]) for r in expected]
+        assert result.to_csv_text() == _reference_csv(expected)
+
+    def test_no_match_objects_from_join_to_metrics(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Match was built on the result path")
+
+        monkeypatch.setattr(Match, "__init__", refuse)
+        base, aux = tied_grid("b", 9, 1), tied_grid("a", 13, 2)
+        truth = TruthSet.from_pairs([SupervisionPair(b, a) for b, a in zip(base[0], aux[0])])
+        for join_type in (JoinType.LEFT, JoinType.INNER):
+            execute_join(spec(join_type, left=2, right=3), base, aux,
+                         threshold=1.0).write_csv(tmp_path / "result.csv")
+            loaded = JoinResult.from_csv(tmp_path / "result.csv")
+            assert 0.0 <= recall_at_k(loaded, truth, 3) <= 1.0
+            assert 0.0 <= mrr_at_k(loaded, truth, 3) <= 1.0
+            assert aggregate_labels(loaded, dict.fromkeys(aux[0], 1.0), 2)
+        with pytest.raises(AssertionError, match="Match"):
+            loaded.matches
+
+
 class TestChainJoins:
     def test_single_stage_equals_execute_join(self):
         base = grid_embeddings("b", 6, 3, 30)
@@ -484,10 +630,7 @@ class TestChainJoins:
 
 class TestAggregateLabels:
     def result_with(self, entries):
-        matches = [
-            Match(base_id=b, aux_id=a, rank=r, score=s) for b, a, r, s in entries
-        ]
-        return JoinResult(matches=matches)
+        return JoinResult.from_ids(entries)
 
     def test_k1_takes_top_label(self):
         result = self.result_with([("b0", "a0", 1, 0.1), ("b0", "a1", 2, 0.2)])
@@ -500,9 +643,9 @@ class TestAggregateLabels:
         assert out == {"b0": 3.0}
 
     def test_absent_rows_contribute_nothing(self):
-        result = JoinResult(matches=[
-            Match(base_id="b0", aux_id="a0", rank=1, score=0.0),
-            Match(base_id="b1", aux_id=None, rank=0, score=float("nan")),
+        result = JoinResult.from_ids([
+            ("b0", "a0", 1, 0.0),
+            ("b1", None, 0, float("nan")),
         ])
         out = aggregate_labels(result, {"a0": 1.0}, k=3)
         assert out == {"b0": 1.0}
@@ -515,9 +658,9 @@ class TestAggregateLabels:
 
 class TestResultCsv:
     def test_round_trip(self, tmp_path):
-        result = JoinResult(matches=[
-            Match(base_id="b0", aux_id="a0", rank=1, score=0.25),
-            Match(base_id="b1", aux_id=None, rank=0, score=float("nan")),
+        result = JoinResult.from_ids([
+            ("b0", "a0", 1, 0.25),
+            ("b1", None, 0, float("nan")),
         ])
         path = tmp_path / "r.csv"
         result.write_csv(path)
@@ -527,8 +670,25 @@ class TestResultCsv:
         assert loaded.matches[1].aux_id is None
 
     def test_header(self):
-        result = JoinResult(matches=[])
+        result = JoinResult.from_ids([])
         assert result.to_csv_text().splitlines()[0] == "base_id,aux_id,rank,score"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.none(), record_ids), st.one_of(st.none(), record_ids),
+        st.integers(1, 2**40), st.floats(allow_nan=False))))
+    def test_round_trip_keeps_ids_and_score_bits(self, tmp_path, rows):
+        # An ABSENT row (a None side) has rank 0 and an empty score.
+        rows = [(b, a, r, s) if b is not None and a is not None else (b, a, 0, float("nan"))
+                for b, a, r, s in rows]
+        result = JoinResult.from_ids(rows)
+        path = tmp_path / "r.csv"
+        result.write_csv(path)
+        loaded = JoinResult.from_csv(path)
+        assert loaded.to_csv_text() == result.to_csv_text()
+        assert [(m.base_id, m.aux_id, m.rank, repr(m.score)) for m in loaded.matches] == [
+            (b, a, r, repr(s)) for b, a, r, s in rows]
 
 
 class TestEmbeddingsFile:
