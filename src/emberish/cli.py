@@ -480,12 +480,17 @@ def _load_labels(path: Path) -> dict[str, float]:
     labels: dict[str, float] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty labels file at line 1: expected an id,label header")
         if len(header) != 2:
             raise DataError(f"{path}: labels file must have two columns (id,label)")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise DataError(f"{path}: malformed row at line {line_no}: expected 2 cells "
+                                f"(id,label), got {len(row)}")
             try:
                 labels[row[0]] = float(row[1])
             except ValueError:
@@ -589,9 +594,12 @@ def _ks_option(_ctx, _param, value):
     if value is None:
         return None
     try:
-        return [int(part) for part in value.split(",") if part.strip()]
+        ks = [int(part) for part in value.split(",") if part.strip()]
     except ValueError:
         raise click.BadParameter("expected a comma-separated list of integers")
+    if any(k < 1 for k in ks):
+        raise click.BadParameter("every k must be >= 1")
+    return ks
 
 
 common_options = [

@@ -564,7 +564,6 @@ def fit_encoder(
     *,
     hash_dim: int = DEFAULT_HASH_DIM,
     pretrain: bool = False,
-    pretrain_per_record: int = 1,
     freeze_negatives: bool = False,
     init_model: EncoderModel | None = None,
 ) -> FitResult:
@@ -614,9 +613,7 @@ def fit_encoder(
     needs_index = pretrain or (pairs is not None and config.sampler == "stratified_bm25")
     index = aux_bm25_index(aux) if needs_index else None
     if pretrain:
-        ptriples = build_pretraining_pairs(
-            base, aux, per_record=pretrain_per_record, seed=config.seed, index=index
-        )
+        ptriples = build_pretraining_pairs(base, aux, seed=config.seed, index=index)
     if pairs is not None:
         tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler), index)
     del index

@@ -186,7 +186,6 @@ def run_comparison(
     train_pairs: list[SupervisionPair] | None = None,
     config: EngineConfig | None = None,
     hash_dim: int = 1 << 16,
-    pretrain: bool = False,
 ) -> ComparisonTable:
     """Record-level recall@k for each requested method.
 
@@ -214,9 +213,7 @@ def run_comparison(
             if method == "trained-encoder":
                 if not train_pairs:
                     raise EvalError("trained-encoder requires train_pairs")
-                fit = fit_encoder(
-                    base, aux, train_pairs, config, hash_dim=hash_dim, pretrain=pretrain
-                )
+                fit = fit_encoder(base, aux, train_pairs, config, hash_dim=hash_dim)
                 model = fit.model
                 aux_model = fit.models[-1]
             else:

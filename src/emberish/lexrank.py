@@ -5,18 +5,19 @@ self-supervised pair selection. The BM25 IDF uses the non-negative
 variant ln((N - df + 0.5)/(df + 0.5) + 1), so scores never go negative.
 A built index is immutable; scoring it from many threads is safe.
 
-BM25 and Jaccard both score from posting lists (token -> ascending
-positions of the documents holding it). ``jaccard_topk`` counts a query's
-|A ∩ B| against every document with one ``np.bincount`` over its tokens'
-postings and takes |A ∪ B| = |A| + |B| - |A ∩ B|; two empty sets score
-0.0, as in ``jaccard``, the pairwise reference.
+Every lexical ranking goes through ``rank``: queries scored in blocks,
+one ``joiner.topk`` per block. BM25 and Jaccard score a query against
+every document from posting lists (token -> ascending positions of the
+documents holding it), with one ``np.bincount`` over its tokens' postings:
+weighted by BM25 contributions in ``Bm25Index.scores``, counting |A ∩ B|
+in ``jaccard_topk``. LD scores by edit distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,12 +28,16 @@ from .prepare import prepare_sentence, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
 
+# Okapi BM25 term-frequency saturation and length normalization.
+BM25_K1 = 1.5
+BM25_B = 0.75
+
 # Thresholds the baseline joins apply.
 LD_MAX_DISTANCE = 30
 JACCARD_MIN_SIMILARITY = 0.3
 
-# Similarities (queries x documents) that ``jaccard_topk`` ranks per block.
-_JACCARD_CELLS = 1 << 15
+# Scores (queries x documents) that ``rank`` ranks per block.
+_LEX_CELLS = 1 << 15
 
 
 class LexError(ValueError):
@@ -46,10 +51,10 @@ class Bm25Index:
     doc_lengths: np.ndarray
     avgdl: float
     df: dict[str, int]
-    k1: float = 1.5
-    b: float = 0.75
+    pos: dict[str, int]  # doc id -> position
+    id_rank: np.ndarray  # for tie-breaking
     # token -> (doc positions, per-occurrence score contribution)
-    _postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
     def n_docs(self) -> int:
@@ -59,10 +64,19 @@ class Bm25Index:
         n_t = self.df.get(token, 0)
         return float(np.log((self.n_docs - n_t + 0.5) / (n_t + 0.5) + 1.0))
 
+    def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
+        """Every document's score; query tokens count per occurrence, their
+        contributions added to each document in query order."""
+        hits = [self.postings[tok] for tok in query_tokens if tok in self.postings]
+        if not hits:
+            return np.zeros(self.n_docs)
+        positions, contribs = (np.concatenate(part) for part in zip(*hits))
+        return np.bincount(positions, weights=contribs, minlength=self.n_docs)
+
 
 def _term_contribution(index: Bm25Index, token: str, freq: int, doc_len: int) -> float:
-    norm = index.k1 * (1.0 - index.b + index.b * (doc_len / index.avgdl if index.avgdl > 0 else 0.0))
-    return index.idf(token) * (freq * (index.k1 + 1.0)) / (freq + norm)
+    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (doc_len / index.avgdl if index.avgdl > 0 else 0.0))
+    return index.idf(token) * (freq * (BM25_K1 + 1.0)) / (freq + norm)
 
 
 def _invert(docs: Sequence[Iterable[str]]) -> dict[str, np.ndarray]:
@@ -75,11 +89,7 @@ def _invert(docs: Sequence[Iterable[str]]) -> dict[str, np.ndarray]:
     return {tok: np.array(positions, dtype=np.int64) for tok, positions in postings.items()}
 
 
-def build_bm25_index(
-    docs: Sequence[tuple[str, Sequence[str]]],
-    k1: float = 1.5,
-    b: float = 0.75,
-) -> Bm25Index:
+def build_bm25_index(docs: Sequence[tuple[str, Sequence[str]]]) -> Bm25Index:
     """Index tokenized documents; doc ids must be unique."""
     ids = tuple(doc_id for doc_id, _ in docs)
     if len(set(ids)) != len(ids):
@@ -97,27 +107,19 @@ def build_bm25_index(
         for tok in tf:
             df[tok] = df.get(tok, 0) + 1
 
-    index = Bm25Index(
-        ids=ids,
-        doc_term_freqs=tuple(freqs),
-        doc_lengths=lengths,
-        avgdl=avgdl,
-        df=df,
-        k1=k1,
-        b=b,
-    )
+    pos = {doc_id: i for i, doc_id in enumerate(ids)}
+    index = Bm25Index(ids=ids, doc_term_freqs=tuple(freqs), doc_lengths=lengths, avgdl=avgdl,
+                      df=df, pos=pos, id_rank=id_ranks(ids))
     for tok, positions in _invert(freqs).items():
         contribs = [_term_contribution(index, tok, freqs[pos][tok], int(lengths[pos]))
                     for pos in positions.tolist()]
-        index._postings[tok] = (positions, np.array(contribs, dtype=np.float64))
-    index._pos = {doc_id: i for i, doc_id in enumerate(ids)}  # type: ignore[attr-defined]
-    index._id_rank = id_ranks(ids)  # type: ignore[attr-defined]
+        index.postings[tok] = (positions, np.array(contribs, dtype=np.float64))
     return index
 
 
 def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
     """Okapi score of one document; query tokens count per occurrence."""
-    pos = getattr(index, "_pos", {}).get(doc_id)
+    pos = index.pos.get(doc_id)
     if pos is None:
         raise LexError(f"unknown doc id {doc_id!r}")
     tf = index.doc_term_freqs[pos]
@@ -131,33 +133,33 @@ def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> fl
     return score
 
 
-def bm25_scores_all(index: Bm25Index, query_tokens: Sequence[str]) -> np.ndarray:
-    """Scores for every indexed document, via the posting lists."""
-    scores = np.zeros(index.n_docs, dtype=np.float64)
-    for tok in query_tokens:
-        posting = index._postings.get(tok)
-        if posting is None:
-            continue
-        positions, contribs = posting
-        scores[positions] += contribs
-    return scores
+def rank(queries: Iterable[Any], score: Callable[[Any], np.ndarray], n_docs: int, k: int,
+         id_rank: np.ndarray, descending: bool = True,
+         keep: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+    """The best ``k`` of ``n_docs`` documents for each query, whose row of
+    document scores is ``score(query)``, as ``joiner._search`` returns them:
+    ``(rows, cols, scores)`` ordered by query position, then rank. Highest
+    first unless not ``descending``, ties by ascending ``id_rank``, and only
+    the scores ``keep`` marks True in a block. Blocks hold about
+    ``_LEX_CELLS`` scores, one ``topk`` each."""
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    step = max(1, _LEX_CELLS // max(n_docs, 1))
+    queries, start = iter(queries), 0
+    while block := list(islice(queries, step)):
+        scores = np.array([score(query) for query in block], dtype=np.float64)
+        rows, cols = topk(scores, k, id_rank, descending, None if keep is None else keep(scores))
+        found.append((rows + start, cols, scores[rows, cols]))
+        start += len(block)
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
-def bm25_topk(
-    index: Bm25Index,
-    query_tokens: Sequence[str],
-    k: int,
-    exclude: Iterable[str] = (),
-) -> list[tuple[str, float]]:
-    """Top-k docs by score, descending; ties break by ascending doc id."""
+def bm25_topk(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
+    """One query's top-k docs as ``(doc id, score)``, descending; ties break
+    by ascending doc id. The one-query form of ``rank`` over ``index``."""
     if k < 1:
         raise LexError("k must be >= 1")
-    scores = bm25_scores_all(index, query_tokens)
-    pos = index._pos  # type: ignore[attr-defined]
-    keep = np.ones(index.n_docs, dtype=bool)
-    keep[[pos[doc_id] for doc_id in exclude if doc_id in pos]] = False
-    _, best = topk(scores, k, index._id_rank, True, keep)  # type: ignore[attr-defined]
-    return [(index.ids[i], float(scores[i])) for i in best.tolist()]
+    _, cols, scores = rank([query_tokens], index.scores, index.n_docs, k, index.id_rank)
+    return [(index.ids[i], s) for i, s in zip(cols.tolist(), scores.tolist())]
 
 
 def jaccard(a: set, b: set) -> float:
@@ -173,36 +175,28 @@ def jaccard_topk(
     k: int,
     id_rank: np.ndarray,
     min_similarity: float | None = None,
-) -> Iterator[list[tuple[int, float]]]:
-    """For each query token set in turn, its best ``k`` documents as
-    ``(doc position, jaccard similarity)``: descending, ties by ascending
-    ``id_rank``, and only similarities >= ``min_similarity`` when given.
+) -> tuple[np.ndarray, ...]:
+    """``rank`` of the query token sets against the document token sets by
+    Jaccard similarity: descending, ties by ascending ``id_rank``, and only
+    similarities >= ``min_similarity`` when given.
 
     A query's |A ∩ B| against every document is one ``np.bincount`` over
     the concatenated posting lists of its tokens; |A ∪ B| = |A| + |B| -
     |A ∩ B|, and two empty sets score 0.0. The quotient of the two small
-    integer counts has the same bits as ``jaccard``'s. Queries are ranked
-    in blocks of about ``_JACCARD_CELLS`` similarities, one ``topk`` each.
+    integer counts has the same bits as ``jaccard``'s.
     """
     postings = _invert(docs)
     doc_sizes = np.array([len(doc) for doc in docs], dtype=np.int64)
     n = len(docs)
-    step = max(1, _JACCARD_CELLS // max(n, 1))
-    queries = iter(queries)
-    while block := list(islice(queries, step)):
-        inter = np.zeros((len(block), n), dtype=np.int64)
-        for row, query in enumerate(block):
-            hits = [postings[tok] for tok in query if tok in postings]
-            if hits:
-                inter[row] = np.bincount(np.concatenate(hits), minlength=n)
-        union = np.array([len(query) for query in block])[:, None] + doc_sizes - inter
-        sims = np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
-        keep = None if min_similarity is None else sims >= min_similarity
-        rows, cols = topk(sims, k, id_rank, True, keep)
-        bounds = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
-        cols, best = cols.tolist(), sims[rows, cols].tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield list(zip(cols[lo:hi], best[lo:hi]))
+
+    def similarities(query: Collection[str]) -> np.ndarray:
+        hits = [postings[tok] for tok in query if tok in postings]
+        inter = np.bincount(np.concatenate(hits), minlength=n) if hits else np.zeros(n, np.int64)
+        union = len(query) + doc_sizes - inter
+        return np.divide(inter, union, out=np.zeros(n), where=union > 0)
+
+    keep = None if min_similarity is None else (lambda sims: sims >= min_similarity)
+    return rank(queries, similarities, n, k, id_rank, keep=keep)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -240,7 +234,7 @@ def lexical_join(
     key_column: str | None = None,
     k: int = 10,
 ) -> JoinResult:
-    """Baseline join under a lexical kernel.
+    """Baseline join under a lexical kernel, ranked by ``rank``.
 
     LD keeps candidates within 30 edits (ascending distance), and skips
     the edit DP for keys whose lengths differ by more. The Jaccard variants
@@ -266,41 +260,31 @@ def lexical_join(
         supervision_ref=kind.lower(),
     )
 
-    if kind == "BM25":
-        aux_tokens = [(r.id, prepare_sentence(r).tokens) for r in aux.records]
-        index = build_bm25_index(aux_tokens)
-        rows: list[tuple[str, str, int, float]] = []
-        for rec in base.records:
-            query = prepare_sentence(rec).tokens
-            best = [(aid, s) for aid, s in bm25_topk(index, query, k) if s > 0.0]
-            rows += [(rec.id, aid, rank, s) for rank, (aid, s) in enumerate(best, start=1)]
-        return JoinResult.from_ids(rows, spec)
-
     aux_ids = aux.ids()
-    aux_rank = id_ranks(aux_ids)
-    if kind == "LD":
+    if kind == "BM25":
+        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+        found = rank((prepare_sentence(r).tokens for r in base.records), index.scores,
+                     index.n_docs, k, index.id_rank, keep=lambda scores: scores > 0.0)
+    elif kind == "LD":
         aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
 
-        def nearest(rec) -> list[tuple[int, float]]:
-            text = _key_text(rec, key_column).lower()
+        def distances(text: str) -> np.ndarray:
             # levenshtein >= the length difference, so a pair whose lengths
             # differ by more than the cut-off is dropped without the DP.
-            dists = np.array([levenshtein(text, atext)
-                              if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
-                              for atext in aux_keys], dtype=np.float64)
-            _, best = topk(dists, k, aux_rank, False, dists <= LD_MAX_DISTANCE)
-            return [(i, float(dists[i])) for i in best.tolist()]
+            return np.array([levenshtein(text, atext)
+                             if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
+                             for atext in aux_keys], dtype=np.float64)
 
-        ranked = map(nearest, base.records)
+        found = rank((_key_text(r, key_column).lower() for r in base.records), distances,
+                     aux.n, k, id_ranks(aux_ids), descending=False,
+                     keep=lambda dists: dists <= LD_MAX_DISTANCE)
     else:  # Jaccard variants.
         mode = "whitespace" if kind.endswith("WS") else "char2gram"
         if kind.startswith("JK"):
             token_set = lambda r: set(tokenize(_key_text(r, key_column), mode))
         else:
             token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
-        ranked = jaccard_topk((token_set(r) for r in base.records),
-                              [token_set(r) for r in aux.records], k, aux_rank,
-                              JACCARD_MIN_SIMILARITY)
-    hits = [(row, col, score) for row, best in enumerate(ranked) for col, score in best]
-    columns = ranked_columns(*(list(zip(*hits)) or [()] * 3))
-    return JoinResult(base.ids(), aux_ids, *columns, spec=spec)
+        found = jaccard_topk((token_set(r) for r in base.records),
+                             [token_set(r) for r in aux.records], k, id_ranks(aux_ids),
+                             JACCARD_MIN_SIMILARITY)
+    return JoinResult(base.ids(), aux_ids, *ranked_columns(*found), spec=spec)

@@ -20,7 +20,7 @@ from .data import (
     SupervisionTriple,
 )
 from .joiner import id_ranks
-from .lexrank import Bm25Index, build_bm25_index, bm25_topk, jaccard_topk
+from .lexrank import Bm25Index, build_bm25_index, jaccard_topk, rank
 from .prepare import prepare_sentence
 
 
@@ -66,23 +66,24 @@ def aux_bm25_index(aux: Dataset) -> Bm25Index:
 def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
                 cfg: SamplerConfig, index: Bm25Index | None = None) -> dict[str, list[str]]:
     """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
-    ties by ascending id; none for the random sampler. Seed-independent.
-    The BM25 tiers query ``index``, built from ``aux`` when not given."""
-    anchors = dict.fromkeys(pair.base_id for pair in pairs)  # in pair order
-    tiers: dict[str, list[str]] = {}
+    zero scores included, ties by ascending id; none for the random
+    sampler. Seed-independent. All anchors are ranked in one ``rank`` call;
+    the BM25 tiers query ``index``, built from ``aux`` when not given."""
+    if cfg.kind == "random":
+        return {}
+    anchors = list(dict.fromkeys(pair.base_id for pair in pairs))  # in pair order
+    queries = (prepare_sentence(base.record(anchor_id)).tokens for anchor_id in anchors)
+    aux_ids = aux.ids()
     if cfg.kind == "stratified_bm25":
         index = aux_bm25_index(aux) if index is None else index
-        for anchor_id in anchors:
-            tokens = prepare_sentence(base.record(anchor_id)).tokens
-            tiers[anchor_id] = [aid for aid, _ in bm25_topk(index, tokens, cfg.tier_size)]
-    elif cfg.kind == "stratified_jaccard":
-        aux_ids = aux.ids()
-        ranked = jaccard_topk(
-            (set(prepare_sentence(base.record(anchor_id)).tokens) for anchor_id in anchors),
-            [set(prepare_sentence(r).tokens) for r in aux.records],
-            cfg.tier_size, id_ranks(aux_ids))
-        for anchor_id, best in zip(anchors, ranked):
-            tiers[anchor_id] = [aux_ids[i] for i, _ in best]
+        rows, cols, _ = rank(queries, index.scores, index.n_docs, cfg.tier_size, index.id_rank)
+    else:
+        rows, cols, _ = jaccard_topk(map(set, queries),
+                                     [set(prepare_sentence(r).tokens) for r in aux.records],
+                                     cfg.tier_size, id_ranks(aux_ids))
+    tiers: dict[str, list[str]] = {anchor_id: [] for anchor_id in anchors}
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        tiers[anchors[row]].append(aux_ids[col])
     return tiers
 
 
@@ -142,8 +143,9 @@ def build_pretraining_pairs(
     index: Bm25Index | None = None,
 ) -> list[SupervisionTriple]:
     """Self-supervised triples: positive is the BM25 top-1 auxiliary match
-    (from ``index``, built from ``aux`` when not given), negative is a
-    uniform draw among the rest."""
+    (ties by ascending id, a zero score included), negative is a uniform
+    draw among the rest. Every base record is ranked in one ``rank`` call
+    against ``index``, built from ``aux`` when not given."""
     if base.n == 0 or aux.n == 0:
         raise SampleError("both datasets must be non-empty")
     if aux.n < 2:
@@ -152,12 +154,12 @@ def build_pretraining_pairs(
         raise SampleError("per_record must be >= 1")
 
     index = aux_bm25_index(aux) if index is None else index
+    _, top, _ = rank((prepare_sentence(rec).tokens for rec in base.records), index.scores,
+                     index.n_docs, 1, index.id_rank)
     aux_ids = list(aux.ids())
     rng = random.Random(seed)
     triples: list[SupervisionTriple] = []
-    for rec in base.records:
-        tokens = prepare_sentence(rec).tokens
-        top_id, _ = bm25_topk(index, tokens, 1)[0]
+    for rec, top_id in zip(base.records, (index.ids[i] for i in top.tolist())):
         pool = [aid for aid in aux_ids if aid != top_id]
         for _ in range(per_record):
             triples.append(

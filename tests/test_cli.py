@@ -444,6 +444,23 @@ class TestPipeline:
         assert agg_rows[0] == ["k", "base_id", "estimate"]
         assert {row[0] for row in agg_rows[1:]} == {"1", "2"}
 
+    @pytest.mark.parametrize("text, line", [("", 1), ("id,label\nr0,1.0\nr1\n", 3)],
+                             ids=["empty", "one-cell-row"])
+    def test_malformed_labels_file_exits_one(self, workspace, capsys, text, line):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        chain = tmp_path / "chain.kjoin"
+        chain.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 99 RIGHT SIZE 2 USING s;")
+        labels = tmp_path / "labels.csv"
+        labels.write_text(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8}))
+        code = main(["pipeline", "--config", str(config), "--chain-file", str(chain),
+                     "--labels", str(labels)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{labels}: " in err and f"at line {line}:" in err
+
     def test_broken_chain_linkage_names_stage(self, workspace):
         tmp_path, cfg = workspace
         chain = tmp_path / "chain.kjoin"
@@ -455,6 +472,34 @@ class TestPipeline:
 
         with pytest.raises(JoinError, match="stage 1"):
             cmd_pipeline(cfg, chain)
+
+
+class TestKsValues:
+    @pytest.mark.parametrize("flags", [["evaluate", "--ks", "0"],
+                                       ["pipeline", "--agg-ks", "0"]],
+                             ids=["evaluate", "pipeline"])
+    def test_non_positive_k_exits_one_before_any_work(self, workspace, capsys, flags):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        cmd_join(cfg)
+        chain = tmp_path / "chain.kjoin"
+        chain.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 99 RIGHT SIZE 2 USING s;")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("id,label\n" + "".join(f"r{i},{i}\n" for i in range(30)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8}))
+        files = lambda: {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                         for p in tmp_path.rglob("*") if p.is_file()}
+        before = files()
+        command, *rest = flags
+        if command == "pipeline":
+            rest += ["--chain-file", str(chain), "--labels", str(labels)]
+        assert main([command, "--config", str(config), *rest]) == 1
+        assert files() == before
+        assert "every k must be >= 1" in capsys.readouterr().err
+        rest[1] = "1"  # the same command with k = 1 runs and writes
+        assert main([command, "--config", str(config), *rest]) == 0
+        assert files() != before
 
 
 class TestConfigResolution:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emberish import lexrank
-from emberish.data import dataset_from_rows
+from emberish import joiner, lexrank
+from emberish.data import SupervisionPair, dataset_from_rows
 from emberish.joiner import id_ranks
 from emberish.lexrank import (
     LexError,
@@ -19,8 +19,10 @@ from emberish.lexrank import (
     jaccard_topk,
     levenshtein,
     lexical_join,
+    rank,
 )
 from emberish.prepare import prepare_sentence
+from emberish.supervise import SamplerConfig, build_pretraining_pairs, build_tiers
 
 
 # --- Independent oracles (kept deliberately naive) -------------------------
@@ -130,20 +132,6 @@ def test_bm25_topk_k_larger_than_corpus():
     out = bm25_topk(index, ["x"], 10)
     assert len(out) == 2
     assert [doc_id for doc_id, _ in out] == ["a", "b"]  # tie broken by id
-
-
-def test_bm25_topk_exclude_all():
-    index = build_bm25_index([("a", ["x"]), ("b", ["y"])])
-    assert bm25_topk(index, ["x"], 3, exclude={"a", "b"}) == []
-
-
-def test_bm25_topk_ignores_unknown_excluded_ids():
-    index = build_bm25_index([("a", ["x"]), ("b", ["x", "y"]), ("c", ["y"])])
-    full = bm25_topk(index, ["x", "y"], 3)
-    assert bm25_topk(index, ["x", "y"], 3, exclude=["nope"]) == full
-    assert bm25_topk(index, ["x", "y"], 3, exclude=("nope", "b")) == [
-        hit for hit in full if hit[0] != "b"
-    ]
 
 
 def test_bm25_topk_agrees_with_full_sort():
@@ -333,6 +321,7 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
 
 
 def brute_jaccard_topk(queries, docs, ids, k, min_similarity=None):
+    """Per query, its best ``(doc position, similarity)`` pairs."""
     out = []
     for query in queries:
         scored = sorted((-jaccard(query, doc), ids[i], i) for i, doc in enumerate(docs))
@@ -341,24 +330,32 @@ def brute_jaccard_topk(queries, docs, ids, k, min_similarity=None):
     return out
 
 
+def flat(per_query):
+    """Per-query ``(doc position, score)`` lists as ``rank``'s ``(rows, cols,
+    scores)``, each a list."""
+    return [[row for row, best in enumerate(per_query) for _ in best],
+            [col for best in per_query for col, _ in best],
+            [score for best in per_query for _, score in best]]
+
+
 def test_jaccard_topk_matches_brute_force_across_blocks(monkeypatch):
     # Two queries per block. Queries 1 and 2 (a block boundary) are the same
     # set and tie at the k-th place over duplicated docs listed against id
     # order; "zz" is in no doc; empty sets meet empty docs.
-    monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 2 * 7)
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * 7)
     docs = [{"a", "b"}, {"a", "c"}, set(), {"a", "b"}, {"c"}, {"a", "c"}, set()]
     ids = ["d6", "d5", "d4", "d3", "d2", "d1", "d0"]
     queries = [{"a"}, {"a", "zz"}, {"a", "zz"}, set(), {"zz"}, {"b", "c", "a"}]
     rank = id_ranks(ids)
     for k in (1, 2, 3, 7, 9):
         for floor in (None, 0.0, 0.3, 0.5):
-            got = list(jaccard_topk(iter(queries), docs, k, rank, floor))
-            assert got == brute_jaccard_topk(queries, docs, ids, k, floor), (k, floor)
+            got = [part.tolist() for part in jaccard_topk(iter(queries), docs, k, rank, floor)]
+            assert got == flat(brute_jaccard_topk(queries, docs, ids, k, floor)), (k, floor)
 
 
 def test_jaccard_topk_random_sets_across_blocks(monkeypatch):
     rng = random.Random(13)
-    monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 40)
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 40)
     for trial in range(20):
         vocab = [f"t{i}" for i in range(rng.randrange(1, 8))]
         docs = [set(rng.sample(vocab, rng.randrange(len(vocab) + 1)))
@@ -369,8 +366,8 @@ def test_jaccard_topk_random_sets_across_blocks(monkeypatch):
                    for _ in range(rng.randrange(1, 25))]
         k = rng.randrange(1, len(docs) + 2)
         for floor in (None, 0.3):
-            got = list(jaccard_topk(queries, docs, k, id_ranks(ids), floor))
-            assert got == brute_jaccard_topk(queries, docs, ids, k, floor)
+            got = [part.tolist() for part in jaccard_topk(queries, docs, k, id_ranks(ids), floor)]
+            assert got == flat(brute_jaccard_topk(queries, docs, ids, k, floor))
 
 
 @pytest.mark.parametrize("kind", ["J-WS", "J-2G", "JK-WS", "JK-2G"])
@@ -385,7 +382,7 @@ def test_jaccard_join_across_blocks_matches_brute_force(kind, monkeypatch):
              "a4": "blue boot", "a5": "r", "a6": "red boot gtx"}
     aux = dataset_from_rows("a", "auxiliary", [(aid, [("name", name), ("note", "x")])
                                                for aid, name in reversed(names.items())])
-    monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 3 * aux.n)
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 3 * aux.n)
     keys = ["red shoe", "", "blue boot qq", "blue boot qq", "zz", "r", "red", "boot red",
             "shoe red gtx"]
     base = dataset_from_rows("b", "base", [(f"b{i}", [("name", key), ("note", "x")])
@@ -410,3 +407,108 @@ def test_unknown_kind():
     base = dataset_from_rows("b", "base", [("b0", [("name", "x")])])
     with pytest.raises(LexError, match="unknown baseline kind"):
         lexical_join("SOUNDEX", base, base, k=1)
+
+
+# --- rank: one blocked pass for every lexical ranking ---------------------
+
+# Docs stored against id order: a6/a3/a0 and a5/a2 are duplicates, so ties
+# at the k-th place break by id; "x" and "y" are in no query, so a4 and a1
+# score 0.0 for every query.
+BM25_DOCS = [("a6", "a b"), ("a5", "a c c"), ("a4", "x"), ("a3", "a b"), ("a2", "a c c"),
+             ("a1", "y y x"), ("a0", "b a")]
+# With two queries per block, queries 1 and 2 straddle a block boundary;
+# they repeat "a" and hold "zz", which is in no doc. Queries 3 and 4 score
+# 0.0 against every doc.
+BM25_QUERIES = ["a", "a a zz", "a a zz", "zz", "", "c a b c", "b"]
+
+
+def brute_bm25(index, queries, k, positive_only=False):
+    """Per query, its best ``(doc position, bm25_score)`` pairs by a full
+    sort: descending score, then ascending id."""
+    out = []
+    for query in queries:
+        scored = sorted((-bm25_score(index, query, doc_id), doc_id, i)
+                        for i, doc_id in enumerate(index.ids))
+        out.append([(i, -neg) for neg, _, i in scored if not positive_only or -neg > 0.0][:k])
+    return out
+
+
+def bm25_world():
+    """``BM25_DOCS`` as the aux side and ``BM25_QUERIES`` as the base side,
+    under different column names, so only the values ever match."""
+    aux = dataset_from_rows("a", "auxiliary", [(aid, [("t", text)]) for aid, text in BM25_DOCS])
+    base = dataset_from_rows("b", "base", [(f"b{i}", [("q", text)])
+                                           for i, text in enumerate(BM25_QUERIES)])
+    index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+    return base, aux, index
+
+
+def test_bm25_rank_across_blocks_matches_per_query_oracle(monkeypatch):
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * len(BM25_DOCS))
+    index = build_bm25_index([(doc_id, text.split()) for doc_id, text in BM25_DOCS])
+    queries = [text.split() for text in BM25_QUERIES]
+    for query in queries:
+        assert index.scores(query).tolist() == [bm25_score(index, query, d) for d in index.ids]
+    positive = lambda scores: scores > 0.0
+    for k in (1, 2, 3, 7, 9):
+        for keep in (None, positive):
+            got = rank(iter(queries), index.scores, index.n_docs, k, index.id_rank, keep=keep)
+            expected = brute_bm25(index, queries, k, positive_only=keep is positive)
+            assert [part.tolist() for part in got] == flat(expected), (k, keep)
+
+
+def test_bm25_join_across_blocks_drops_zero_scores(monkeypatch):
+    base, aux, index = bm25_world()
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
+    queries = [prepare_sentence(r).tokens for r in base.records]
+    for k in (1, 2, 3, 9):
+        result = lexical_join("BM25", base, aux, k=k)
+        expected = brute_bm25(index, queries, k, positive_only=True)
+        assert not expected[3] and not expected[4]
+        for brec, best in zip(base.records, expected):
+            assert [(m.aux_id, m.rank, m.score) for m in result.for_base(brec.id)] == [
+                (aux.ids()[i], rank, score) for rank, (i, score) in enumerate(best, start=1)
+            ]
+        assert len(result.matches) == sum(map(len, expected))
+
+
+def test_bm25_tiers_and_pretraining_across_blocks_keep_zero_scores(monkeypatch):
+    base, aux, index = bm25_world()
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
+    queries = [prepare_sentence(r).tokens for r in base.records]
+    pairs = [SupervisionPair(rec.id, "a0") for rec in reversed(base.records)]
+    for tier_size in (1, 2, 3, 9):
+        tiers = build_tiers(pairs, base, aux,
+                            SamplerConfig(kind="stratified_bm25", tier_size=tier_size))
+        expected = brute_bm25(index, queries, tier_size)
+        assert list(tiers) == [p.base_id for p in pairs]
+        assert [tiers[rec.id] for rec in base.records] == [
+            [aux.ids()[i] for i, _ in best] for best in expected
+        ]
+    # Every doc scores 0.0 for b3 and b4, so their positive is the lowest id.
+    positives = [t.positive_id for t in build_pretraining_pairs(base, aux, seed=0)]
+    assert positives == [aux.ids()[best[0][0]] for best in brute_bm25(index, queries, 1)]
+    assert positives[3] == positives[4] == "a0"
+
+
+@pytest.mark.parametrize("caller", ["bm25_join", "stratified_bm25", "stratified_jaccard",
+                                    "pretraining"])
+def test_one_topk_per_block(caller, monkeypatch):
+    # Seven queries in blocks of three: one topk per block, not per query.
+    base, aux, _ = bm25_world()
+    blocks = []
+
+    def counting(scores, *args, **kwargs):
+        blocks.append(scores.shape)
+        return joiner.topk(scores, *args, **kwargs)
+
+    monkeypatch.setattr(lexrank, "topk", counting)
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 3 * aux.n)
+    pairs = [SupervisionPair(rec.id, "a0") for rec in base.records]
+    if caller == "bm25_join":
+        lexical_join("BM25", base, aux, k=2)
+    elif caller == "pretraining":
+        build_pretraining_pairs(base, aux)
+    else:
+        build_tiers(pairs, base, aux, SamplerConfig(kind=caller))
+    assert blocks == [(3, aux.n), (3, aux.n), (1, aux.n)]

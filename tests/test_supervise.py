@@ -80,7 +80,7 @@ class TestSampleTriples:
                                                    for i, text in enumerate(texts * 2)])
         base = dataset_from_rows("b", "base", word_rows("b", texts + ["zz qq"]))
         pairs = [SupervisionPair(f"b{i}", aux.ids()[i]) for i in reversed(range(base.n))]
-        monkeypatch.setattr(lexrank, "_JACCARD_CELLS", 3 * aux.n)
+        monkeypatch.setattr(lexrank, "_LEX_CELLS", 3 * aux.n)
         tokens = lambda r: set(prepare_sentence(r).tokens)
         for tier_size in (1, 3, 30):
             tiers = build_tiers(pairs, base, aux,
