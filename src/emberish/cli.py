@@ -156,10 +156,12 @@ def _require_files(*paths: Path) -> None:
         raise DataError("missing input files: " + ", ".join(missing))
 
 
-def _load_model(config: EngineConfig, manifest: RunManifest, path: Path) -> EncoderModel:
-    """Load a model file into ``manifest``'s inputs. Exits 1 when the model's
-    dim or normalization disagrees with the config, and warns when the file
-    is not the one ``manifest_train.json`` records."""
+def _load_model(config: EngineConfig, manifest: RunManifest, path: Path,
+                tokens: Collection[str] | None = None) -> EncoderModel:
+    """Load a model file into ``manifest``'s inputs, partially when given the
+    ``tokens`` to embed (see ``load_model``). Exits 1 when the model's dim
+    or normalization disagrees with the config, and warns when the file is
+    not the one ``manifest_train.json`` records."""
     _require_files(path)
     manifest.add_input(path)
     train_manifest = path.parent / "manifest_train.json"
@@ -172,13 +174,21 @@ def _load_model(config: EngineConfig, manifest: RunManifest, path: Path) -> Enco
         if recorded is not None and recorded != manifest.inputs[str(path)]:
             click.echo(f"warning: {path} is not the model {train_manifest} records "
                        f"(sha256 {manifest.inputs[str(path)]}, recorded {recorded})", err=True)
-    model = load_model(path)
+    model = load_model(path, tokens)
     for key, configured, stored in (("embedding_dim", config.embedding_dim, model.dim),
                                     ("normalize", config.normalize, model.normalize)):
         if configured != stored:
             raise ConfigError(f"{path} has {key} {stored!r} but the config has "
                               f"{key} {configured!r}")
     return model
+
+
+def _record_tokens(dataset: Dataset, tokenizer: str,
+                   vocab: dict[str, str]) -> list[tuple[str, ...]]:
+    """Each record's prepared tokens, in dataset order. ``vocab`` collects
+    the distinct tokens, and equal tokens share its one string."""
+    return [tuple(vocab.setdefault(t, t) for t in prepare_sentence(rec, tokenizer=tokenizer).tokens)
+            for rec in dataset.records]
 
 
 def _load_sides(data_dir: Path) -> tuple[Dataset, Dataset]:
@@ -374,12 +384,19 @@ def cmd_join(
             result = lexical_join(baseline, base, aux, key_column=key_column,
                                   k=spec.right_size)
     else:
-        model = _load_model(config, manifest, data_dir / "model.bin")
-        aux_model = (_load_model(config, manifest, data_dir / "model_aux.bin")
-                     if config.num_encoders == 2 else model)
+        # Each model reads only the table rows of the tokens it embeds.
+        two = config.num_encoders == 2
+        base_vocab: dict[str, str] = {}
+        aux_vocab: dict[str, str] = {} if two else base_vocab
+        base_tokens = _record_tokens(base, config.tokenizer, base_vocab)
+        aux_tokens = _record_tokens(aux, config.tokenizer, aux_vocab)
+        model = _load_model(config, manifest, data_dir / "model.bin", base_vocab)
+        aux_model = (_load_model(config, manifest, data_dir / "model_aux.bin", aux_vocab)
+                     if two else model)
         with _StageTimer(manifest, "embed"):
-            base_emb = embed_dataset(model, base, tokenizer=config.tokenizer)
-            aux_emb = embed_dataset(aux_model, aux, tokenizer=config.tokenizer)
+            base_emb = embed_dataset(model, base, tokens=base_tokens)
+            aux_emb = embed_dataset(aux_model, aux, tokens=aux_tokens)
+        del base_tokens, aux_tokens
         for name, emb in (("embeddings_base.bin", base_emb), ("embeddings_aux.bin", aux_emb)):
             path = data_dir / name
             save_embeddings(emb, path)
@@ -525,13 +542,15 @@ def cmd_pipeline(
                            seed=config.seed)
     manifest.add_input(chain_path)
 
-    model = _load_model(config, manifest, data_dir / "model.bin")
+    labels = None
+    if labels_path is not None:
+        labels_path = Path(labels_path)
+        _require_files(labels_path)
+        manifest.add_input(labels_path)
+        labels = _load_labels(labels_path)
 
-    ref_order: list[str] = [specs[0].base_ref]
-    for spec in specs:
-        ref_order.append(spec.aux_ref)
     datasets: dict[str, Dataset] = {}
-    for ref in ref_order:
+    for ref in (specs[0].base_ref, *(spec.aux_ref for spec in specs)):
         if ref in datasets:
             continue
         path = resolve_ref(ref, data_dir)
@@ -539,9 +558,12 @@ def cmd_pipeline(
         manifest.add_input(path)
         datasets[ref] = load_dataset(path, name=ref)
 
+    vocab: dict[str, str] = {}
+    tokens = {ref: _record_tokens(ds, config.tokenizer, vocab) for ref, ds in datasets.items()}
+    model = _load_model(config, manifest, data_dir / "model.bin", vocab)
     with _StageTimer(manifest, "embed"):
         embeddings = {
-            ref: embed_dataset(model, ds, tokenizer=config.tokenizer)
+            ref: embed_dataset(model, ds, tokens=tokens.pop(ref))
             for ref, ds in datasets.items()
         }
     with _StageTimer(manifest, "chain"):
@@ -555,11 +577,7 @@ def cmd_pipeline(
     result.write_csv(result_path)
     manifest.add_output(result_path)
 
-    if labels_path is not None:
-        labels_path = Path(labels_path)
-        _require_files(labels_path)
-        manifest.add_input(labels_path)
-        labels = _load_labels(labels_path)
+    if labels is not None:
         agg_ks = agg_ks or [1, 10, 20, 30]
         agg_path = data_dir / "aggregates.csv"
         with agg_path.open("w", newline="", encoding="utf-8") as fh:

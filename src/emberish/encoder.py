@@ -13,6 +13,12 @@ rows as ``C.T @ rows``. Adam keeps table state only for rows that have had a
 gradient, in compact arrays reached through a per-row slot map. A trained
 model is immutable in practice: encode() never mutates it, so concurrent
 readers are safe.
+
+A model that only embeds can be loaded partially: ``load_model(path,
+tokens)`` reads the projection, the bias and just the table rows those
+tokens hash to. Such a model embeds those tokens with the same bits as the
+dense one, raises on a token whose row it lacks, and cannot be trained or
+saved.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,18 +68,23 @@ def _fnv1a(data: bytes, seed: int) -> int:
 
 @dataclass
 class EncoderModel:
-    """Hashed bag-of-tokens encoder: table lookup, mean pool, affine map."""
+    """Hashed bag-of-tokens encoder: table lookup, mean pool, affine map.
 
-    table: np.ndarray       # (hash_dim, dim)
+    A dense model's table holds all ``hash_dim`` buckets. A partial model
+    (``load_model`` with ``tokens``) holds only the sorted buckets in
+    ``row_buckets``, one table row each. ``bucket`` maps a token to its
+    table row either way, and raises for a token whose bucket a partial
+    model lacks.
+    """
+
+    table: np.ndarray       # (hash_dim, dim), or (len(row_buckets), dim) when partial
     projection: np.ndarray  # (dim, dim)
     bias: np.ndarray        # (dim,)
     hash_seed: int
+    hash_dim: int
     normalize: bool = True
+    row_buckets: np.ndarray | None = None  # bucket id of each table row; None: dense
     _bucket_cache: dict[str, int] = field(default_factory=dict, repr=False)
-
-    @property
-    def hash_dim(self) -> int:
-        return self.table.shape[0]
 
     @property
     def dim(self) -> int:
@@ -95,6 +106,7 @@ class EncoderModel:
             projection=np.eye(dim),
             bias=np.zeros(dim),
             hash_seed=seed,
+            hash_dim=hash_dim,
             normalize=normalize,
         )
 
@@ -104,19 +116,34 @@ class EncoderModel:
             projection=self.projection.copy(),
             bias=self.bias.copy(),
             hash_seed=self.hash_seed,
+            hash_dim=self.hash_dim,
             normalize=self.normalize,
+            row_buckets=None if self.row_buckets is None else self.row_buckets.copy(),
             _bucket_cache=dict(self._bucket_cache),
         )
 
     def bucket(self, token: str) -> int:
+        """The table row of ``token``."""
         cached = self._bucket_cache.get(token)
         if cached is None:
             cached = _fnv1a(token.encode("utf-8"), self.hash_seed) % self.hash_dim
+            if self.row_buckets is not None:
+                at = int(np.searchsorted(self.row_buckets, cached))
+                if at == self.row_buckets.size or self.row_buckets[at] != cached:
+                    raise EncoderError(f"token {token!r} hashes to bucket {cached}, "
+                                       "which this partial model did not load")
+                cached = at
             self._bucket_cache[token] = cached
         return cached
 
     def buckets(self, tokens: Sequence[str]) -> np.ndarray:
         return np.array([self.bucket(t) for t in tokens], dtype=np.int64)
+
+
+def _require_dense(model: EncoderModel, action: str) -> None:
+    if model.row_buckets is not None:
+        raise EncoderError(f"cannot {action} a partial model: it holds {model.row_buckets.size} "
+                           f"of {model.hash_dim} table rows")
 
 
 def featurize(model: EncoderModel, record: Record, tokenizer: str = "whitespace",
@@ -135,16 +162,24 @@ def embed_dataset(
     dataset: Dataset,
     tokenizer: str = "whitespace",
     separator: str = SEPARATOR,
+    tokens: Sequence[Sequence[str]] | None = None,
 ) -> Embeddings:
     """Record ids and one embedding row per record, in dataset order.
 
-    Rows go through the forward pass in blocks of about ``_EMBED_CELLS``
+    ``tokens``, when given, holds each record's prepared tokens in dataset
+    order, so records the caller has tokenized already are not tokenized
+    again. Rows go through the forward pass in blocks of about ``_EMBED_CELLS``
     floats, and never in one-row blocks (unless the dataset has one row):
     numpy multiplies a single row with gemv, whose last bits differ from
     gemm's, while with two or more rows a row's bits do not depend on its
     block.
     """
-    buckets = [featurize(model, rec, tokenizer, separator) for rec in dataset.records]
+    if tokens is None:
+        buckets = [featurize(model, rec, tokenizer, separator) for rec in dataset.records]
+    elif len(tokens) != len(dataset.records):
+        raise EncoderError(f"{len(tokens)} token lists for {len(dataset.records)} records")
+    else:
+        buckets = [model.buckets(t) for t in tokens]
     n = len(buckets)
     vectors = np.empty((n, model.dim))
     parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
@@ -358,6 +393,8 @@ class _Adam:
     that have had a gradient: ``slot`` maps a table row to its place in the
     compact arrays, or -1 before its first gradient. A row's first update
     starts from zero state, exactly as a dense zero-initialized table would.
+    Every update runs in preallocated scratch buffers, in the operation
+    order of the textbook expressions, so it keeps their bits.
     """
 
     def __init__(self, model: EncoderModel, cfg: TrainConfig) -> None:
@@ -372,6 +409,9 @@ class _Adam:
         self.m_table = np.zeros((0, model.dim))
         self.v_table = np.zeros((0, model.dim))
         self.t_rows = np.zeros(0, dtype=np.int64)
+        self._dense_scratch = [(np.empty_like(p), np.empty_like(p))
+                               for p in (model.projection, model.bias)]
+        self._row_scratch = np.empty((3, 0, model.dim))
 
     def _slots(self, rows: np.ndarray) -> np.ndarray:
         """Compact slots of ``rows`` (unique), giving new rows zero state."""
@@ -392,32 +432,43 @@ class _Adam:
         cfg = self.cfg
         self.t_dense += 1
         t = self.t_dense
-        for g, m, v, param in (
+        for (g, m, v, param), (a, b) in zip((
             (grads.projection, self.m_proj, self.v_proj, model.projection),
             (grads.bias, self.m_bias, self.v_bias, model.bias),
-        ):
+        ), self._dense_scratch):
+            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
             m *= cfg.beta1
-            m += (1 - cfg.beta1) * g
+            m += np.multiply(g, 1 - cfg.beta1, out=a)
             v *= cfg.beta2
-            v += (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1 ** t)
-            v_hat = v / (1 - cfg.beta2 ** t)
-            param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            v += np.multiply(np.multiply(g, 1 - cfg.beta2, out=a), g, out=a)
+            # param -= (lr m_hat) / (sqrt(v_hat) + eps)
+            np.multiply(np.divide(m, 1 - cfg.beta1 ** t, out=a), cfg.learning_rate, out=a)
+            np.add(np.sqrt(np.divide(v, 1 - cfg.beta2 ** t, out=b), out=b), cfg.eps, out=b)
+            param -= np.divide(a, b, out=a)
 
         if grads.table_idx.size == 0:
             return
         rows = grads.table_idx
         slots = self._slots(rows)
         g = grads.table_rows
+        if rows.size > self._row_scratch.shape[1]:
+            self._row_scratch = np.empty((3, max(rows.size, 2 * self._row_scratch.shape[1]),
+                                          model.dim))
+        m, v, a = self._row_scratch[:, : rows.size]
         t_rows = self.t_rows[slots] + 1
-        m = cfg.beta1 * self.m_table[slots] + (1 - cfg.beta1) * g
-        v = cfg.beta2 * self.v_table[slots] + (1 - cfg.beta2) * g * g
+        np.multiply(np.take(self.m_table, slots, axis=0, out=m), cfg.beta1, out=m)
+        m += np.multiply(g, 1 - cfg.beta1, out=a)
+        np.multiply(np.take(self.v_table, slots, axis=0, out=v), cfg.beta2, out=v)
+        v += np.multiply(np.multiply(g, 1 - cfg.beta2, out=a), g, out=a)
         self.m_table[slots] = m
         self.v_table[slots] = v
         self.t_rows[slots] = t_rows
-        m_hat = m / (1 - cfg.beta1 ** t_rows)[:, None]
-        v_hat = v / (1 - cfg.beta2 ** t_rows)[:, None]
-        model.table[rows] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m /= (1 - cfg.beta1 ** t_rows)[:, None]
+        m *= cfg.learning_rate
+        v /= (1 - cfg.beta2 ** t_rows)[:, None]
+        np.sqrt(v, out=v)
+        v += cfg.eps
+        model.table[rows] -= np.divide(m, v, out=m)
 
 
 TripleProvider = Callable[[int], list[SupervisionTriple]]
@@ -443,6 +494,7 @@ def train(
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
+    _require_dense(model, "train")
     models = (model,) if shared else (model, model.copy())
     anchor_model, other_model = models[0], models[-1]
     adams = {id(m): _Adam(m, cfg) for m in models}
@@ -498,6 +550,9 @@ _HEADER = struct.Struct("<4sIQQqB7x")
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:
+    """Write the header, then the table, projection and bias as
+    little-endian float64, row-major. A partial model is rejected."""
+    _require_dense(model, "save")
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(
@@ -514,7 +569,10 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
             fh.write(memoryview(np.ascontiguousarray(array, "<f8")).cast("B"))
 
 
-def load_model(path: str | Path) -> EncoderModel:
+def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> EncoderModel:
+    """Read a model file. With ``tokens``, the model is partial: its table
+    holds only the rows that those tokens hash to, read run by run, so the
+    full ``hash_dim`` x ``dim`` table is never in memory."""
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(_HEADER.size)
@@ -530,14 +588,31 @@ def load_model(path: str | Path) -> EncoderModel:
         size = path.stat().st_size
         if size != expected:
             raise EncoderError(f"{path}: truncated model file ({size} of {expected} bytes)")
-        table, projection, bias = (np.fromfile(fh, dtype="<f8", count=n)
-                                   for n in (hash_dim * dim, dim * dim, dim))
+        rows, cache = None, {}
+        if tokens is None:
+            table = np.fromfile(fh, dtype="<f8", count=hash_dim * dim).reshape(hash_dim, dim)
+        else:
+            distinct = list(set(tokens))
+            rows, at = np.unique(np.fromiter(
+                (_fnv1a(t.encode("utf-8"), hash_seed) % hash_dim for t in distinct),
+                np.int64, len(distinct)), return_inverse=True)
+            cache = dict(zip(distinct, at.tolist()))
+            table = np.empty((rows.size, dim), dtype="<f8")
+            starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+            for lo, hi in zip(starts, [*starts[1:], rows.size]):
+                fh.seek(_HEADER.size + 8 * dim * int(rows[lo]))
+                table[lo:hi] = np.fromfile(fh, dtype="<f8", count=(hi - lo) * dim).reshape(-1, dim)
+            fh.seek(_HEADER.size + 8 * hash_dim * dim)
+        projection, bias = (np.fromfile(fh, dtype="<f8", count=n) for n in (dim * dim, dim))
     return EncoderModel(
-        table=table.reshape(hash_dim, dim),
+        table=table,
         projection=projection.reshape(dim, dim),
         bias=bias,
         hash_seed=int(hash_seed),
+        hash_dim=int(hash_dim),
         normalize=bool(norm_flag),
+        row_buckets=rows,
+        _bucket_cache=cache,
     )
 
 

@@ -2,10 +2,11 @@
 
 The index is an exact scan over query blocks: for l2, one matrix product
 per block shortlists candidates that the difference formula re-scores,
-so scores never depend on the block. ``topk`` ranks for every scorer,
-ties by ascending id. An approximate backend may replace the scan only
-if it passes the exactness suite at recall 1.0 or marks its output as
-approximate. Built indexes are read-only and safe to query concurrently.
+so scores never depend on the block. ``rank_pairs`` ranks candidates for
+every scorer, ties by ascending id: ``topk`` hands it a dense block of
+scores, the l2 scan only its re-scored shortlist. An approximate backend
+may replace the scan only if it passes the exactness suite at recall 1.0
+or marks its output as approximate. Built indexes are read-only and safe to query concurrently.
 
 Every join returns a columnar ``JoinResult``: the two id tuples plus
 per-row arrays of base and aux position (-1 for an ABSENT side), rank,
@@ -50,6 +51,14 @@ def _offsets(keys: np.ndarray) -> np.ndarray:
     return np.arange(keys.size) - np.searchsorted(keys, keys)
 
 
+def rank_pairs(rows: np.ndarray, key: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the best ``k`` candidates of each row, where candidate
+    i lies in row ``rows[i]`` with sort key ``key[i]`` and tie rank
+    ``tie[i]``, both lowest first. Ordered by row, then key, then tie."""
+    order = np.lexsort((tie, key, rows))
+    return order[_offsets(rows[order]) < k]
+
+
 def topk(scores: np.ndarray, k: int, id_rank: np.ndarray, descending: bool,
          keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The best ``k`` entries of each row of ``scores`` (one row (n,) or a
@@ -62,10 +71,8 @@ def topk(scores: np.ndarray, k: int, id_rank: np.ndarray, descending: bool,
     if k < key.shape[1]:  # keep everything tied with the k-th; id ranks decide
         keep = keep & (key <= np.partition(key, k - 1, axis=1)[:, k - 1 : k])
     rows, cols = np.nonzero(keep)
-    order = np.lexsort((np.broadcast_to(id_rank, key.shape)[rows, cols], key[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    first = _offsets(rows) < k
-    return rows[first], cols[first]
+    best = rank_pairs(rows, key[rows, cols], np.broadcast_to(id_rank, key.shape)[rows, cols], k)
+    return rows[best], cols[best]
 
 
 @dataclass
@@ -118,6 +125,8 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
         if index.metric == "inner_product":
             scores = np.stack([index.vectors @ q for q in block])
             keep = None if threshold is None else scores >= threshold
+            rows, cols = topk(scores, k, index._id_rank, True, keep)
+            found.append((rows + start, cols, scores[rows, cols]))
         else:
             # Rounding makes ||x||^2 - 2 q.x and the formula below differ by
             # less than E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate
@@ -127,18 +136,18 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
             kth = np.partition(approx, min(k, index.n) - 1, axis=1)[:, min(k, index.n) - 1]
             tol = 16.0 * (index.dimension + 4) * np.finfo(np.float64).eps
             band = tol * (np.einsum("ij,ij->i", block, block) + index._sq_norms.max())
-            keep = approx <= (kth + band)[:, None]
-            rows, cols = np.nonzero(keep)
-            scores = np.full(keep.shape, np.inf)
+            rows, cols = np.nonzero(approx <= (kth + band)[:, None])
+            scores = np.empty(rows.size)
             pairs = _BLOCK_CELLS // index.dimension + 1
             for at in range(0, rows.size, pairs):
                 r, c = rows[at : at + pairs], cols[at : at + pairs]
                 diff = index.vectors[c] - block[r]
-                scores[r, c] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                scores[at : at + pairs] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             if threshold is not None:
-                keep &= scores <= threshold
-        rows, cols = topk(scores, k, index._id_rank, index.metric != "l2", keep)
-        found.append((rows + start, cols, scores[rows, cols]))
+                inside = scores <= threshold
+                rows, cols, scores = rows[inside], cols[inside], scores[inside]
+            best = rank_pairs(rows, scores, index._id_rank[cols], k)
+            found.append((rows[best] + start, cols[best], scores[best]))
     return tuple(np.concatenate(part) for part in zip(*found))  # type: ignore[return-value]
 
 
@@ -320,8 +329,8 @@ def _cap_per_target(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap:
                     query_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keep each target record's best ``cap`` matches by score, ties by
     ascending query id."""
-    order = np.lexsort((query_rank[rows], scores * (1.0 if metric == "l2" else -1.0), cols))
-    keep = np.sort(order[_offsets(cols[order]) < cap])
+    keep = np.sort(rank_pairs(cols, scores * (1.0 if metric == "l2" else -1.0),
+                              query_rank[rows], cap))
     return rows[keep], cols[keep], scores[keep]
 
 

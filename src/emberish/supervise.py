@@ -144,8 +144,9 @@ def build_pretraining_pairs(
 ) -> list[SupervisionTriple]:
     """Self-supervised triples: positive is the BM25 top-1 auxiliary match
     (ties by ascending id, a zero score included), negative is a uniform
-    draw among the rest. Every base record is ranked in one ``rank`` call
-    against ``index``, built from ``aux`` when not given."""
+    draw among the rest: one of ``aux.n - 1`` positions, counted past the
+    positive's. Every base record is ranked in one ``rank`` call against
+    ``index``, built from ``aux`` when not given."""
     if base.n == 0 or aux.n == 0:
         raise SampleError("both datasets must be non-empty")
     if aux.n < 2:
@@ -157,16 +158,19 @@ def build_pretraining_pairs(
     _, top, _ = rank((prepare_sentence(rec).tokens for rec in base.records), index.scores,
                      index.n_docs, 1, index.id_rank)
     aux_ids = list(aux.ids())
+    aux_pos = {aid: i for i, aid in enumerate(aux_ids)}
     rng = random.Random(seed)
     triples: list[SupervisionTriple] = []
     for rec, top_id in zip(base.records, (index.ids[i] for i in top.tolist())):
-        pool = [aid for aid in aux_ids if aid != top_id]
+        top_pos = aux_pos[top_id]
         for _ in range(per_record):
+            j = rng.randrange(len(aux_ids) - 1)
+            j += j >= top_pos
             triples.append(
                 SupervisionTriple(
                     anchor_id=rec.id,
                     positive_id=top_id,
-                    negative_id=rng.choice(pool),
+                    negative_id=aux_ids[j],
                 )
             )
     return triples

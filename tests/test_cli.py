@@ -286,6 +286,45 @@ class TestModelFiles:
         assert "warning" in err and "model.bin" in err and "manifest_train.json" in err
 
 
+class TestPartialModelLoads:
+    @pytest.mark.parametrize("num_encoders", [1, 2])
+    def test_join_and_pipeline_load_only_their_tokens_rows(self, workspace, monkeypatch,
+                                                           num_encoders):
+        # Every model load of join and pipeline names the tokens it embeds,
+        # and the partial models write the bytes the dense ones write.
+        import emberish.cli as cli_mod
+        from emberish.encoder import load_model
+
+        tmp_path, _ = workspace
+        cfg = fast_config(tmp_path, num_encoders=num_encoders)
+        cmd_train(cfg, pretrain=False)
+        chain = tmp_path / "chain.kjoin"
+        chain.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 2 USING s;")
+        outputs = ["result.csv", "embeddings_base.bin", "embeddings_aux.bin"]
+        if num_encoders == 1:
+            outputs.append("chain_result.csv")
+
+        def run(loader):
+            monkeypatch.setattr(cli_mod, "load_model", loader)
+            cmd_join(cfg)
+            if num_encoders == 1:
+                cmd_pipeline(cfg, chain)
+            return {name: (tmp_path / name).read_bytes() for name in outputs}
+
+        calls = []
+
+        def recording(path, tokens=None):
+            calls.append((path.name, tokens))
+            return load_model(path, tokens)
+
+        partial = run(recording)
+        dense = run(lambda path, tokens=None: load_model(path))
+        assert partial == dense
+        names = ["model.bin", "model_aux.bin"] if num_encoders == 2 else ["model.bin"] * 2
+        assert [name for name, _ in calls] == names
+        assert all(tokens is not None and len(tokens) > 0 for _, tokens in calls)
+
+
 class TestJoinFlags:
     @pytest.mark.parametrize("flags", [
         ["--baseline", "BM25", "--threshold", "0.5"],
@@ -460,6 +499,8 @@ class TestPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{labels}: " in err and f"at line {line}:" in err
+        # The labels are read before the chain join writes anything.
+        assert not (tmp_path / "chain_result.csv").exists()
 
     def test_broken_chain_linkage_names_stage(self, workspace):
         tmp_path, cfg = workspace

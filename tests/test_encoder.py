@@ -623,3 +623,92 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(EncoderError, match="magic|truncated"):
             load_model(path)
+
+
+class TestPartialModel:
+    @staticmethod
+    def saved(tmp_path):
+        model = small_model(9, hash_dim=64)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        return model, path
+
+    @staticmethod
+    def world():
+        return dataset_from_rows("d", "base", [
+            ("a", [("t", "alpha beta gamma")]), ("b", [("t", "beta delta")]),
+            ("c", [("t", "")]), ("d", [("t", "gamma gamma epsilon zeta")]),
+        ])
+
+    @staticmethod
+    def tokens(ds):
+        return [prepare_sentence(rec).tokens for rec in ds.records]
+
+    def test_embeds_bit_identically_to_the_dense_model(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        ds = self.world()
+        tokens = self.tokens(ds)
+        partial = load_model(path, tokens=[t for ts in tokens for t in ts])
+        assert partial.hash_dim == model.hash_dim
+        assert partial.row_buckets.tolist() == sorted({model.bucket(t) for ts in tokens for t in ts})
+        assert np.array_equal(partial.table, model.table[partial.row_buckets])
+        dense_ids, dense = embed_dataset(load_model(path), ds)
+        for got_ids, got in (embed_dataset(partial, ds), embed_dataset(partial, ds, tokens=tokens)):
+            assert got_ids == dense_ids
+            assert np.array_equal(got, dense)
+
+    def test_a_token_whose_row_was_not_loaded_raises(self, tmp_path):
+        model, path = self.saved(tmp_path)
+        partial = load_model(path, tokens=["alpha"])
+        assert np.array_equal(partial.table[partial.bucket("alpha")],
+                              model.table[model.bucket("alpha")])
+        # Any token in alpha's bucket has a row; one in another bucket has none.
+        other = next(t for t in (f"t{i}" for i in range(1000))
+                     if model.bucket(t) != model.bucket("alpha"))
+        twin = next(t for t in (f"t{i}" for i in range(10000))
+                    if model.bucket(t) == model.bucket("alpha"))
+        assert partial.bucket(twin) == partial.bucket("alpha")
+        for probe in (partial, partial.copy()):
+            with pytest.raises(EncoderError, match="did not load"):
+                probe.bucket(other)
+        copy = partial.copy()
+        assert np.array_equal(copy.row_buckets, partial.row_buckets)
+        assert copy.bucket("alpha") == partial.bucket("alpha")
+
+    def test_save_and_train_reject_a_partial_model(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        partial = load_model(path, tokens=["alpha", "beta"])
+        with pytest.raises(EncoderError, match="partial"):
+            save_model(partial, tmp_path / "out.bin")
+        assert not (tmp_path / "out.bin").exists()
+        ds = dataset_from_rows("a", "auxiliary", [("x", [("t", "alpha")]), ("y", [("t", "beta")])])
+        triple = SupervisionTriple(anchor_id="x", positive_id="x", negative_id="y")
+        with pytest.raises(EncoderError, match="partial"):
+            train(partial, [triple], ds, ds, TrainConfig(epochs=1))
+
+    def test_truncated_and_bad_magic_rejected_when_partial(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 16])
+        with pytest.raises(EncoderError, match="truncated"):
+            load_model(path, tokens=["alpha"])
+        path.write_bytes(b"NOPE" + raw[4:])
+        with pytest.raises(EncoderError, match="magic"):
+            load_model(path, tokens=["alpha"])
+
+    def test_partial_load_does_not_read_the_table(self, tmp_path):
+        import tracemalloc
+
+        model = EncoderModel.create(dim=16, hash_dim=1 << 16, seed=3)
+        save_model(model, tmp_path / "m.bin")
+        tokens = [f"w{i}" for i in range(500)]
+        tracemalloc.start()
+        try:
+            partial = load_model(tmp_path / "m.bin", tokens=tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.table.nbytes / 4
+        assert np.array_equal(partial.table, model.table[partial.row_buckets])
+        assert np.array_equal(partial.projection, model.projection)
+        assert np.array_equal(partial.bias, model.bias)

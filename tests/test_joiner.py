@@ -180,6 +180,30 @@ class TestBlockedScan:
                       for _, q in base]
             assert [aid for _, aid, _, _ in got] == [aid for o in oracle for _, aid in o]
 
+    @pytest.mark.parametrize("threshold", [None, 1.5])
+    def test_l2_shortlist_ranking_equals_sorted_oracle(self, threshold, monkeypatch):
+        # Small integer vectors, so most distances tie and ids decide; blocks
+        # of three queries, so a block boundary falls between equal queries.
+        monkeypatch.setattr(joiner, "_BLOCK_CELLS", 3 * 25)
+        rng = np.random.default_rng(90)
+        for trial in range(60):
+            n, m, d = int(rng.integers(1, 25)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            ids = [f"r{j:02d}" for j in rng.permutation(n)]
+            vectors = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+            queries = rng.integers(0, 3, size=(m, d)).astype(np.float64)
+            k = int(rng.integers(1, n + 2))
+            rows, cols, scores = joiner._search(build_index((ids, vectors)), queries, k,
+                                                threshold)
+            for q, query in enumerate(queries):
+                ranked = sorted((float(np.linalg.norm(v - query)), rid)
+                                for rid, v in zip(ids, vectors))
+                expected = [(sc, rid) for sc, rid in ranked
+                            if threshold is None or sc <= threshold][:k]
+                mine = rows == q
+                got = [(sc, ids[c]) for sc, c in zip(scores[mine].tolist(), cols[mine].tolist())]
+                assert got == expected, trial
+            assert rows.tolist() == sorted(rows.tolist())
+
     def test_l2_near_ties_far_from_origin(self):
         # Vectors 1e6 from the origin: the shortlist product rounds by ~1e-4
         # in squared distance, far more than the 1e-7 gaps between these

@@ -154,6 +154,23 @@ class TestPretrainingPairs:
             assert triple.positive_id == expected
             assert triple.negative_id != expected
 
+    def test_negatives_are_a_uniform_draw_from_the_pool_without_the_positive(self):
+        # The reference draws from an explicit pool; the draw that skips the
+        # positive's position must give the same negatives from the same seed.
+        rng = random.Random(6)
+        vocab = [f"v{i}" for i in range(12)]
+        texts = [" ".join(rng.choice(vocab) for _ in range(4)) for _ in range(25)]
+        aux = dataset_from_rows("a", "auxiliary", word_rows("a", texts))
+        base = dataset_from_rows("b", "base", word_rows("b", texts[::2]))
+        for seed in range(5):
+            triples = build_pretraining_pairs(base, aux, per_record=3, seed=seed)
+            draw = random.Random(seed)
+            expected = []
+            for top in [t.positive_id for t in triples][::3]:
+                pool = [aid for aid in aux.ids() if aid != top]
+                expected += [draw.choice(pool) for _ in range(3)]
+            assert [t.negative_id for t in triples] == expected
+
 
 class TestGenerateFuzzyJoin:
     def source(self, n=6, tokens_per_row=8, seed=2):
