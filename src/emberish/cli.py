@@ -61,7 +61,7 @@ from .joinspec import (
     resolve_ref,
 )
 from .lexrank import lexical_join
-from .prepare import prepare_sentence
+from .prepare import prepare_sentence, record_tokens
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 ENV_DATA_DIR = "EMBERISH_DATA_DIR"
@@ -181,14 +181,6 @@ def _load_model(config: EngineConfig, manifest: RunManifest, path: Path,
             raise ConfigError(f"{path} has {key} {stored!r} but the config has "
                               f"{key} {configured!r}")
     return model
-
-
-def _record_tokens(dataset: Dataset, tokenizer: str,
-                   vocab: dict[str, str]) -> list[tuple[str, ...]]:
-    """Each record's prepared tokens, in dataset order. ``vocab`` collects
-    the distinct tokens, and equal tokens share its one string."""
-    return [tuple(vocab.setdefault(t, t) for t in prepare_sentence(rec, tokenizer=tokenizer).tokens)
-            for rec in dataset.records]
 
 
 def _load_sides(data_dir: Path) -> tuple[Dataset, Dataset]:
@@ -388,8 +380,8 @@ def cmd_join(
         two = config.num_encoders == 2
         base_vocab: dict[str, str] = {}
         aux_vocab: dict[str, str] = {} if two else base_vocab
-        base_tokens = _record_tokens(base, config.tokenizer, base_vocab)
-        aux_tokens = _record_tokens(aux, config.tokenizer, aux_vocab)
+        base_tokens = record_tokens(base, config.tokenizer, base_vocab)
+        aux_tokens = record_tokens(aux, config.tokenizer, aux_vocab)
         model = _load_model(config, manifest, data_dir / "model.bin", base_vocab)
         aux_model = (_load_model(config, manifest, data_dir / "model_aux.bin", aux_vocab)
                      if two else model)
@@ -559,7 +551,7 @@ def cmd_pipeline(
         datasets[ref] = load_dataset(path, name=ref)
 
     vocab: dict[str, str] = {}
-    tokens = {ref: _record_tokens(ds, config.tokenizer, vocab) for ref, ds in datasets.items()}
+    tokens = {ref: record_tokens(ds, config.tokenizer, vocab) for ref, ds in datasets.items()}
     model = _load_model(config, manifest, data_dir / "model.bin", vocab)
     with _StageTimer(manifest, "embed"):
         embeddings = {

@@ -14,11 +14,16 @@ gradient, in compact arrays reached through a per-row slot map. A trained
 model is immutable in practice: encode() never mutates it, so concurrent
 readers are safe.
 
-A model that only embeds can be loaded partially: ``load_model(path,
-tokens)`` reads the projection, the bias and just the table rows those
-tokens hash to. Such a model embeds those tokens with the same bits as the
-dense one, raises on a token whose row it lacks, and cannot be trained or
-saved.
+A model can hold just the table rows its records' tokens hash to (feature
+hashing leaves every other bucket untouched). ``load_model(path, tokens)``
+reads the projection, the bias and only those rows of a file; such a model
+embeds those tokens with the same bits as the dense one, raises on a token
+whose row it lacks, and cannot be trained or saved, since its other rows
+are unknown. ``EncoderModel.create(..., tokens)`` draws only those rows of
+the seeded initial table and records the init seed, so it can be trained,
+and ``save_model`` writes every other row by drawing the initial table again
+block by block: the file is the dense model's, bit for bit, and the dense
+table is never in memory.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 from .data import Dataset, Record, SupervisionPair, SupervisionTriple
 from .joiner import Embeddings
 from .joinspec import EngineConfig
-from .prepare import SEPARATOR, Sentence, prepare_sentence
+from .prepare import SEPARATOR, Sentence, prepare_sentence, record_tokens
 from .supervise import (
     SamplerConfig,
     aux_bm25_index,
@@ -52,6 +57,9 @@ _MASK64 = (1 << 64) - 1
 _TINY = 1e-12
 # Floats per block of rows that embed_dataset runs through one forward pass (4 MB).
 _EMBED_CELLS = 1 << 19
+# Rows per block of the seeded initial table, drawn one block at a time
+# (1.6 MB at dim 200).
+_INIT_ROWS = 1 << 10
 
 
 class EncoderError(ValueError):
@@ -66,15 +74,43 @@ def _fnv1a(data: bytes, seed: int) -> int:
     return h
 
 
+def _token_rows(tokens: Iterable[str], hash_seed: int,
+                hash_dim: int) -> tuple[np.ndarray, dict[str, int]]:
+    """The sorted distinct buckets that ``tokens`` hash to, and each distinct
+    token's place among them: its row in a table holding just those buckets."""
+    distinct = list(set(tokens))
+    rows, at = np.unique(np.fromiter(
+        (_fnv1a(t.encode("utf-8"), hash_seed) % hash_dim for t in distinct),
+        np.int64, len(distinct)), return_inverse=True)
+    return rows, dict(zip(distinct, at.tolist()))
+
+
+def _init_blocks(seed: int, hash_dim: int, dim: int, rows: np.ndarray):
+    """The seeded initial table, ``default_rng(seed).normal(0, 1/sqrt(dim))``
+    over ``hash_dim`` x ``dim``, drawn ``_INIT_ROWS`` rows at a time; draws
+    in consecutive blocks from one generator equal the one-shot draw bit for
+    bit. Yields each block with the slice of the sorted buckets ``rows``
+    that fall in it and their offsets within it."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(dim)
+    for start in range(0, hash_dim, _INIT_ROWS):
+        block = rng.normal(0.0, scale, size=(min(_INIT_ROWS, hash_dim - start), dim))
+        lo, hi = np.searchsorted(rows, (start, start + block.shape[0])).tolist()
+        yield block, slice(lo, hi), rows[lo:hi] - start
+
+
 @dataclass
 class EncoderModel:
     """Hashed bag-of-tokens encoder: table lookup, mean pool, affine map.
 
     A dense model's table holds all ``hash_dim`` buckets. A partial model
-    (``load_model`` with ``tokens``) holds only the sorted buckets in
-    ``row_buckets``, one table row each. ``bucket`` maps a token to its
-    table row either way, and raises for a token whose bucket a partial
-    model lacks.
+    (``create`` or ``load_model`` with ``tokens``) holds only the sorted
+    buckets in ``row_buckets``, one table row each. ``bucket`` maps a token
+    to its table row either way, and raises for a token whose bucket a
+    partial model lacks. ``init_seed`` is the seed of the initial table
+    that ``create`` drew; a partial model that has one can be trained and
+    saved, since the rows it lacks still hold that draw. A model read from
+    a file has none.
     """
 
     table: np.ndarray       # (hash_dim, dim), or (len(row_buckets), dim) when partial
@@ -84,6 +120,7 @@ class EncoderModel:
     hash_dim: int
     normalize: bool = True
     row_buckets: np.ndarray | None = None  # bucket id of each table row; None: dense
+    init_seed: int | None = None  # seed of the initial table; None: unknown
     _bucket_cache: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
@@ -97,10 +134,16 @@ class EncoderModel:
         hash_dim: int = DEFAULT_HASH_DIM,
         seed: int = 0,
         normalize: bool = True,
+        tokens: Iterable[str] | None = None,
     ) -> "EncoderModel":
-        """Random table, identity projection, zero bias."""
-        rng = np.random.default_rng(seed)
-        table = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(hash_dim, dim))
+        """Seeded random table, identity projection, zero bias. With
+        ``tokens``, the model is partial: it holds only the table rows those
+        tokens hash to, with the same values as the dense table's."""
+        rows, cache = ((np.arange(hash_dim), {}) if tokens is None
+                       else _token_rows(tokens, seed, hash_dim))
+        table = np.empty((rows.size, dim))
+        for block, held, at in _init_blocks(seed, hash_dim, dim, rows):
+            table[held] = block[at]
         return cls(
             table=table,
             projection=np.eye(dim),
@@ -108,6 +151,9 @@ class EncoderModel:
             hash_seed=seed,
             hash_dim=hash_dim,
             normalize=normalize,
+            row_buckets=None if tokens is None else rows,
+            init_seed=seed,
+            _bucket_cache=cache,
         )
 
     def copy(self) -> "EncoderModel":
@@ -119,6 +165,7 @@ class EncoderModel:
             hash_dim=self.hash_dim,
             normalize=self.normalize,
             row_buckets=None if self.row_buckets is None else self.row_buckets.copy(),
+            init_seed=self.init_seed,
             _bucket_cache=dict(self._bucket_cache),
         )
 
@@ -140,10 +187,12 @@ class EncoderModel:
         return np.array([self.bucket(t) for t in tokens], dtype=np.int64)
 
 
-def _require_dense(model: EncoderModel, action: str) -> None:
-    if model.row_buckets is not None:
-        raise EncoderError(f"cannot {action} a partial model: it holds {model.row_buckets.size} "
-                           f"of {model.hash_dim} table rows")
+def _require_init(model: EncoderModel, action: str) -> None:
+    """A partial model is trained or saved only if the rows it lacks are its
+    seeded initial draw."""
+    if model.row_buckets is not None and model.init_seed is None:
+        raise EncoderError(f"cannot {action} a partial model without an init seed: it holds "
+                           f"{model.row_buckets.size} of {model.hash_dim} table rows")
 
 
 def featurize(model: EncoderModel, record: Record, tokenizer: str = "whitespace",
@@ -404,7 +453,7 @@ class _Adam:
         self.m_bias = np.zeros_like(model.bias)
         self.v_bias = np.zeros_like(model.bias)
         self.t_dense = 0
-        self.slot = np.full(model.hash_dim, -1, dtype=np.int64)
+        self.slot = np.full(model.table.shape[0], -1, dtype=np.int64)
         self.n_rows = 0  # rows with state: the first n_rows entries below are in use
         self.m_table = np.zeros((0, model.dim))
         self.v_table = np.zeros((0, model.dim))
@@ -483,6 +532,7 @@ def train(
     shared: bool = True,
     triple_provider: TripleProvider | None = None,
     tokenizer: str = "whitespace",
+    tokens: tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]] | None = None,
 ) -> TrainResult:
     """Mini-batch triplet training with Adam.
 
@@ -490,23 +540,29 @@ def train(
     the auxiliary side gets an identically initialized copy that is free to
     diverge. ``triple_provider`` lets the caller resample negatives per
     epoch; without it the given triples are reused every epoch. Records
-    are featurized under ``tokenizer``, as ``embed_dataset`` does.
+    are tokenized once, under ``tokenizer`` as ``embed_dataset`` does, unless
+    ``tokens`` holds each base and aux record's prepared tokens, in dataset
+    order. A partial model trains when it has an init seed.
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
-    _require_dense(model, "train")
+    _require_init(model, "train")
     models = (model,) if shared else (model, model.copy())
     anchor_model, other_model = models[0], models[-1]
     adams = {id(m): _Adam(m, cfg) for m in models}
 
+    if tokens is None:
+        tokens = (record_tokens(base, tokenizer, {}), record_tokens(aux, tokenizer, {}))
+    base_tokens, aux_tokens = (dict(zip((r.id for r in ds.records), side, strict=True))
+                               for ds, side in zip((base, aux), tokens))
     base_cache: dict[str, np.ndarray] = {}
     aux_cache: dict[str, np.ndarray] = {}
 
-    def buckets_for(dataset: Dataset, cache: dict[str, np.ndarray], rec_id: str,
+    def buckets_for(side: dict[str, Sequence[str]], cache: dict[str, np.ndarray], rec_id: str,
                     which: EncoderModel) -> np.ndarray:
         arr = cache.get(rec_id)
         if arr is None:
-            arr = featurize(which, dataset.record(rec_id), tokenizer)
+            arr = which.buckets(side[rec_id])
             cache[rec_id] = arr
         return arr
 
@@ -520,9 +576,12 @@ def train(
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [epoch_triples[i] for i in order[start : start + cfg.batch_size]]
-            anchors = [buckets_for(base, base_cache, t.anchor_id, anchor_model) for t in batch]
-            positives = [buckets_for(aux, aux_cache, t.positive_id, other_model) for t in batch]
-            negatives = [buckets_for(aux, aux_cache, t.negative_id, other_model) for t in batch]
+            anchors = [buckets_for(base_tokens, base_cache, t.anchor_id, anchor_model)
+                       for t in batch]
+            positives = [buckets_for(aux_tokens, aux_cache, t.positive_id, other_model)
+                         for t in batch]
+            negatives = [buckets_for(aux_tokens, aux_cache, t.negative_id, other_model)
+                         for t in batch]
             loss, grads = batch_gradients(
                 anchor_model, other_model, anchors, positives, negatives, cfg.margin
             )
@@ -549,10 +608,16 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQQqB7x")
 
 
+def _write_f8(fh, array: np.ndarray) -> None:
+    fh.write(memoryview(np.ascontiguousarray(array, "<f8")).cast("B"))
+
+
 def save_model(model: EncoderModel, path: str | Path) -> None:
     """Write the header, then the table, projection and bias as
-    little-endian float64, row-major. A partial model is rejected."""
-    _require_dense(model, "save")
+    little-endian float64, row-major. A partial model's table is written
+    block by block: its init seed's draw, with the rows it holds in place.
+    A partial model without an init seed is rejected."""
+    _require_init(model, "save")
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(
@@ -565,8 +630,15 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
                 1 if model.normalize else 0,
             )
         )
-        for array in (model.table, model.projection, model.bias):
-            fh.write(memoryview(np.ascontiguousarray(array, "<f8")).cast("B"))
+        rows = model.row_buckets
+        if rows is None:
+            _write_f8(fh, model.table)
+        else:
+            for block, held, at in _init_blocks(model.init_seed, model.hash_dim, model.dim, rows):
+                block[at] = model.table[held]
+                _write_f8(fh, block)
+        for array in (model.projection, model.bias):
+            _write_f8(fh, array)
 
 
 def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> EncoderModel:
@@ -592,11 +664,7 @@ def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> Encoder
         if tokens is None:
             table = np.fromfile(fh, dtype="<f8", count=hash_dim * dim).reshape(hash_dim, dim)
         else:
-            distinct = list(set(tokens))
-            rows, at = np.unique(np.fromiter(
-                (_fnv1a(t.encode("utf-8"), hash_seed) % hash_dim for t in distinct),
-                np.int64, len(distinct)), return_inverse=True)
-            cache = dict(zip(distinct, at.tolist()))
+            rows, cache = _token_rows(tokens, hash_seed, hash_dim)
             table = np.empty((rows.size, dim), dtype="<f8")
             starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
             for lo, hi in zip(starts, [*starts[1:], rows.size]):
@@ -648,13 +716,19 @@ def fit_encoder(
     fresh negatives each epoch unless frozen; provided triples pass
     through unchanged. The optional self-supervised stage trains on
     BM25-paired triples before the supervised stage. Supervision is
-    checked before any training starts.
+    checked before any training starts. Every record is tokenized once,
+    and the model (unless ``init_model`` is given) holds only the table
+    rows of the base and aux records' tokens.
     """
+    vocab: dict[str, str] = {}
+    tokens = (record_tokens(base, config.tokenizer, vocab),
+              record_tokens(aux, config.tokenizer, vocab))
     model = init_model if init_model is not None else EncoderModel.create(
         dim=config.embedding_dim,
         hash_dim=hash_dim,
         seed=config.seed,
         normalize=config.normalize,
+        tokens=vocab,
     )
     shared = config.num_encoders == 1
     tcfg = TrainConfig(
@@ -694,8 +768,7 @@ def fit_encoder(
     del index
 
     if pretrain:
-        result = train(model, ptriples, base, aux, tcfg, shared=True,
-                       tokenizer=config.tokenizer)
+        result = train(model, ptriples, base, aux, tcfg, shared=True, tokens=tokens)
         trace.extend(("pretrain", e, l) for e, l in enumerate(result.epoch_losses))
 
     if not config.finetune:
@@ -703,7 +776,7 @@ def fit_encoder(
 
     if pairs is None:
         result = train(model, supervision, base, aux, tcfg,  # type: ignore[arg-type]
-                       shared=shared, tokenizer=config.tokenizer)
+                       shared=shared, tokens=tokens)
     else:
         def provider(epoch: int) -> list[SupervisionTriple]:
             seed = config.seed if freeze_negatives else config.seed ^ (epoch + 1)
@@ -711,7 +784,7 @@ def fit_encoder(
             return sample_triples(pairs, base, aux, scfg, tiers)
 
         result = train(model, [], base, aux, tcfg, shared=shared, triple_provider=provider,
-                       tokenizer=config.tokenizer)
+                       tokens=tokens)
 
     models = result.models
     trace.extend(("train", e, l) for e, l in enumerate(result.epoch_losses))

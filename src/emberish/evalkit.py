@@ -19,6 +19,7 @@ from .encoder import EncoderModel, embed_dataset, fit_encoder
 from .joiner import JoinResult, execute_join
 from .joinspec import EngineConfig, JoinSpec, JoinType
 from .lexrank import BASELINE_KINDS, lexical_join
+from .prepare import record_tokens
 
 ENCODER_METHODS = ("untrained-encoder", "trained-encoder")
 COMPARISON_METHODS = BASELINE_KINDS + ENCODER_METHODS
@@ -210,6 +211,9 @@ def run_comparison(
         if method in BASELINE_KINDS:
             result = lexical_join(method, base, aux, key_column=key_column, k=kmax)
         else:
+            vocab: dict[str, str] = {}
+            base_tokens, aux_tokens = (record_tokens(ds, config.tokenizer, vocab)
+                                       for ds in (base, aux))
             if method == "trained-encoder":
                 if not train_pairs:
                     raise EvalError("trained-encoder requires train_pairs")
@@ -217,15 +221,17 @@ def run_comparison(
                 model = fit.model
                 aux_model = fit.models[-1]
             else:
+                # Only the rows of the two datasets' tokens, not the dense table.
                 model = EncoderModel.create(
                     dim=config.embedding_dim,
                     hash_dim=hash_dim,
                     seed=config.seed,
                     normalize=config.normalize,
+                    tokens=vocab,
                 )
                 aux_model = model
-            base_emb = embed_dataset(model, base, tokenizer=config.tokenizer)
-            aux_emb = embed_dataset(aux_model, aux, tokenizer=config.tokenizer)
+            base_emb = embed_dataset(model, base, tokens=base_tokens)
+            aux_emb = embed_dataset(aux_model, aux, tokens=aux_tokens)
             result = retrieval_result(base_emb, aux_emb, kmax, metric=config.distance)
         for k in ks:
             rows.append((method, k, recall_at_k(result, truth, k)))

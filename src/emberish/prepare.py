@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import Record
+from .data import Dataset, Record
 
 SEPARATOR = "[SEP]"
 
@@ -50,6 +50,14 @@ def prepare_sentence(
         segments.append(segment)
     text = f" {separator} ".join(segments)
     return Sentence(record_id=record.id, text=text, tokens=tuple(tokenize(text, tokenizer)))
+
+
+def record_tokens(dataset: Dataset, tokenizer: str,
+                  vocab: dict[str, str]) -> list[tuple[str, ...]]:
+    """Each record's prepared tokens, in dataset order. ``vocab`` collects
+    the distinct tokens, and equal tokens share its one string."""
+    return [tuple(vocab.setdefault(t, t) for t in prepare_sentence(rec, tokenizer=tokenizer).tokens)
+            for rec in dataset.records]
 
 
 def pair_sentences(first: Sentence, second: Sentence, separator: str = SEPARATOR) -> str:

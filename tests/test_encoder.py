@@ -468,9 +468,11 @@ class TestFitEncoder:
         fit_encoder(base, aux, triples, self.config(), hash_dim=64)
         assert seen["triples"] == triples
 
-    def test_training_updates_the_buckets_the_join_reads(self):
+    def test_training_updates_the_buckets_the_join_reads(self, tmp_path):
         # Under char2gram, every bucket of every record in a triple is a table
         # row that training changed; the margin keeps every triple active.
+        # The fit holds only its records' rows, so they are compared through
+        # row_buckets, and the saved file changes exactly those rows.
         from emberish.encoder import fit_encoder
 
         base, aux, _ = self.world()
@@ -478,7 +480,11 @@ class TestFitEncoder:
         cfg = self.config(tokenizer="char2gram", loss_margin=100.0)
         fit = fit_encoder(base, aux, triples, cfg, hash_dim=1 << 12)
         start = EncoderModel.create(dim=8, hash_dim=1 << 12, seed=0)
-        changed = set(np.flatnonzero((fit.model.table != start.table).any(axis=1)).tolist())
+        held = fit.model.row_buckets
+        changed = set(held[(fit.model.table != start.table[held]).any(axis=1)].tolist())
+        save_model(fit.model, tmp_path / "m.bin")
+        saved = load_model(tmp_path / "m.bin").table
+        assert set(np.flatnonzero((saved != start.table).any(axis=1)).tolist()) == changed
         for t in triples:
             for dataset, rid in ((base, t.anchor_id), (aux, t.positive_id), (aux, t.negative_id)):
                 buckets = featurize(start, dataset.record(rid), "char2gram")
@@ -506,14 +512,17 @@ class TestFitEncoder:
                     hash_dim=64, pretrain=True)
         assert len(calls) == 1
 
-    def test_finetune_false_returns_initial_model(self):
+    def test_finetune_false_returns_initial_model(self, tmp_path):
         from emberish.encoder import fit_encoder
 
         base, aux, pairs = self.world()
         cfg = self.config(finetune=False)
         fit = fit_encoder(base, aux, pairs, cfg, hash_dim=64)
         reference = EncoderModel.create(dim=8, hash_dim=64, seed=0)
-        assert np.array_equal(fit.model.table, reference.table)
+        assert np.array_equal(fit.model.table, reference.table[fit.model.row_buckets])
+        save_model(fit.model, tmp_path / "fit.bin")
+        save_model(reference, tmp_path / "reference.bin")
+        assert (tmp_path / "fit.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
         assert fit.trace == []
 
     def test_custom_sampler_requires_triples(self):
@@ -531,6 +540,89 @@ class TestFitEncoder:
         frozen = fit_encoder(base, aux, pairs, cfg, hash_dim=64, freeze_negatives=True)
         frozen2 = fit_encoder(base, aux, pairs, cfg, hash_dim=64, freeze_negatives=True)
         assert np.array_equal(frozen.model.table, frozen2.model.table)
+
+
+class TestSparseFit:
+    """``fit_encoder`` holds only its records' table rows, and ``save_model``
+    streams the rest of the seeded initial table."""
+
+    @staticmethod
+    def world(n=40, vocab=60):
+        from emberish.data import SupervisionPair
+
+        rng = np.random.default_rng(11)
+        words = [f"w{j}" for j in range(vocab)]
+        rows = [" ".join(rng.choice(words, size=6)) for _ in range(n)]
+        base = dataset_from_rows("b", "base", [
+            (f"b{i}", [("t", f"{text} {words[i % vocab]}")]) for i, text in enumerate(rows)])
+        aux = dataset_from_rows("a", "auxiliary", [
+            (f"a{i}", [("t", text)]) for i, text in enumerate(rows)])
+        return base, aux, [SupervisionPair(f"b{i}", f"a{i}") for i in range(n)]
+
+    @pytest.mark.parametrize("overrides, pretrain, hash_dim", [
+        ({}, False, None),
+        ({"num_encoders": 2}, False, None),
+        ({}, True, None),
+        ({"num_encoders": 2}, True, None),
+        ({"tokenizer": "char2gram"}, False, None),
+        ({"finetune": False}, True, None),
+        ({"sampler": "stratified_jaccard"}, False, None),
+        ({"sampler": "stratified_bm25", "num_encoders": 2}, True, 37),
+    ])
+    def test_saved_files_equal_a_dense_fit(self, tmp_path, overrides, pretrain, hash_dim):
+        from emberish.encoder import _INIT_ROWS, _token_rows, fit_encoder
+        from emberish.joinspec import EngineConfig
+
+        # By default the table spans two whole init blocks and part of a third.
+        hash_dim = hash_dim or 2 * _INIT_ROWS + 123
+        assert hash_dim % _INIT_ROWS
+        base, aux, pairs = self.world()
+        cfg = EngineConfig(**{**dict(data_dir=".", embedding_dim=8, epochs=2,
+                                     learning_rate=0.05, sampler="random", seed=3,
+                                     loss_margin=0.5), **overrides})
+        sparse = fit_encoder(base, aux, pairs, cfg, hash_dim=hash_dim, pretrain=pretrain)
+        dense_init = EncoderModel.create(dim=8, hash_dim=hash_dim, seed=3)
+        initial = np.random.default_rng(3).normal(0.0, 1 / np.sqrt(8), size=(hash_dim, 8))
+        assert np.array_equal(dense_init.table, initial)
+        dense = fit_encoder(base, aux, pairs, cfg, hash_dim=hash_dim, pretrain=pretrain,
+                            init_model=dense_init)
+        vocab = {t for ds in (base, aux) for rec in ds.records
+                 for t in prepare_sentence(rec, tokenizer=cfg.tokenizer).tokens}
+        held, _ = _token_rows(vocab, 3, hash_dim)
+        if hash_dim < len(vocab):
+            assert held.size < len(vocab)  # buckets collide
+        assert len(sparse.models) == len(dense.models) == cfg.num_encoders
+        assert sparse.trace == dense.trace
+        for i, (mine, theirs) in enumerate(zip(sparse.models, dense.models)):
+            assert np.array_equal(mine.row_buckets, held)
+            save_model(mine, tmp_path / f"sparse{i}.bin")
+            save_model(theirs, tmp_path / f"dense{i}.bin")
+            assert (tmp_path / f"sparse{i}.bin").read_bytes() == \
+                (tmp_path / f"dense{i}.bin").read_bytes()
+        # The fit moved rows away from the seeded init, so the files compare
+        # trained rows as well as streamed ones.
+        assert not np.array_equal(load_model(tmp_path / "sparse0.bin").table, initial)
+
+    def test_fit_and_save_never_hold_the_dense_table(self, tmp_path):
+        import tracemalloc
+
+        from emberish.encoder import fit_encoder
+        from emberish.joinspec import EngineConfig
+
+        base, aux, pairs = self.world()
+        cfg = EngineConfig(data_dir=".", embedding_dim=32, epochs=1, learning_rate=0.05,
+                           sampler="random", seed=3, loss_margin=0.5)
+        hash_dim = 1 << 16
+        tracemalloc.start()
+        try:
+            fit = fit_encoder(base, aux, pairs, cfg, hash_dim=hash_dim)
+            save_model(fit.model, tmp_path / "m.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = hash_dim * 32 * 8
+        assert peak < dense_bytes / 4
+        assert (tmp_path / "m.bin").stat().st_size > dense_bytes
 
 
 class TestEmbedDataset:

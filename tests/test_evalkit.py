@@ -18,6 +18,7 @@ from emberish.evalkit import (
 )
 from emberish.joiner import JoinResult
 from emberish.joinspec import EngineConfig
+from emberish.prepare import prepare_sentence
 
 
 def ranked_result(rows):
@@ -252,6 +253,35 @@ class TestRunComparison:
         res = retrieval_result(embed_dataset(model, base), embed_dataset(model, aux), 5)
         for k in (1, 5):
             assert table.recall("untrained-encoder", k) == recall_at_k(res, ts, k)
+
+    def test_untrained_encoder_holds_its_datasets_rows_and_ranks_as_the_dense_model(
+            self, monkeypatch):
+        from emberish.encoder import EncoderModel, embed_dataset
+        from emberish.evalkit import retrieval_result
+
+        created = []
+        create = EncoderModel.create.__func__
+
+        def spy(cls, *args, **kwargs):
+            created.append(create(cls, *args, **kwargs))
+            return created[-1]
+
+        base, aux, ts, _ = tiny_world(3)
+        cfg = EngineConfig(data_dir=".", embedding_dim=16, tokenizer="char2gram",
+                           distance="inner_product", seed=5)
+        monkeypatch.setattr(EncoderModel, "create", classmethod(spy))
+        table = run_comparison(base, aux, ts, ["untrained-encoder"], [1, 3, 5], config=cfg)
+        monkeypatch.undo()
+        (model,) = created
+        dense = EncoderModel.create(dim=16, seed=5)
+        tokens = {t for ds in (base, aux) for rec in ds.records
+                  for t in prepare_sentence(rec, tokenizer="char2gram").tokens}
+        assert model.row_buckets.tolist() == sorted({dense.bucket(t) for t in tokens})
+        res = retrieval_result(embed_dataset(dense, base, tokenizer="char2gram"),
+                               embed_dataset(dense, aux, tokenizer="char2gram"), 5,
+                               metric="inner_product")
+        assert table.rows == [("untrained-encoder", k, recall_at_k(res, ts, k))
+                              for k in (1, 3, 5)]
 
     def test_trained_requires_pairs(self):
         base, aux, ts, _ = tiny_world()
