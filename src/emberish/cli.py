@@ -56,12 +56,13 @@ from .joinspec import (
     JoinType,
     SpecParseError,
     config_from_dict,
+    config_object,
     parse_join_spec,
     parse_join_specs,
     resolve_ref,
 )
 from .lexrank import lexical_join
-from .prepare import prepare_sentence, record_tokens
+from .prepare import prepare_sentence, token_ids
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 ENV_DATA_DIR = "EMBERISH_DATA_DIR"
@@ -139,13 +140,7 @@ def resolve_config(config_path: str | None, overrides: dict) -> EngineConfig:
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"configuration is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError("configuration must be a JSON object")
-        raw.update(loaded)
+        raw.update(config_object(path.read_text(encoding="utf-8")))
     raw.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(raw)
 
@@ -266,6 +261,12 @@ def cmd_train(
 
     base, aux = _load_sides(data_dir)
     supervision = load_supervision(supervision_path, base, aux)
+    if freeze_negatives:
+        # Negatives are sampled only when fine-tuning on pairs.
+        if not config.finetune:
+            raise ConfigError("training with finetune false does not use --freeze-negatives")
+        if supervision and not isinstance(supervision[0], SupervisionPair):
+            raise ConfigError("training with triple supervision does not use --freeze-negatives")
 
     init_model = None
     if config.encoder_init == "pretrained_artifact":
@@ -376,19 +377,22 @@ def cmd_join(
             result = lexical_join(baseline, base, aux, key_column=key_column,
                                   k=spec.right_size)
     else:
-        # Each model reads only the table rows of the tokens it embeds.
+        # Each model reads only the table rows of the tokens it embeds: with
+        # two encoders, each side has a vocabulary of its own.
         two = config.num_encoders == 2
-        base_vocab: dict[str, str] = {}
-        aux_vocab: dict[str, str] = {} if two else base_vocab
-        base_tokens = record_tokens(base, config.tokenizer, base_vocab)
-        aux_tokens = record_tokens(aux, config.tokenizer, aux_vocab)
+        if two:
+            (base_vocab, (base_ids,)), (aux_vocab, (aux_ids,)) = (
+                token_ids([ds], config.tokenizer) for ds in (base, aux))
+        else:
+            base_vocab, (base_ids, aux_ids) = token_ids([base, aux], config.tokenizer)
+            aux_vocab = base_vocab
         model = _load_model(config, manifest, data_dir / "model.bin", base_vocab)
         aux_model = (_load_model(config, manifest, data_dir / "model_aux.bin", aux_vocab)
                      if two else model)
         with _StageTimer(manifest, "embed"):
-            base_emb = embed_dataset(model, base, tokens=base_tokens)
-            aux_emb = embed_dataset(aux_model, aux, tokens=aux_tokens)
-        del base_tokens, aux_tokens
+            base_emb = embed_dataset(model, base, features=(base_vocab, base_ids))
+            aux_emb = embed_dataset(aux_model, aux, features=(aux_vocab, aux_ids))
+        del base_ids, aux_ids
         for name, emb in (("embeddings_base.bin", base_emb), ("embeddings_aux.bin", aux_emb)):
             path = data_dir / name
             save_embeddings(emb, path)
@@ -550,14 +554,14 @@ def cmd_pipeline(
         manifest.add_input(path)
         datasets[ref] = load_dataset(path, name=ref)
 
-    vocab: dict[str, str] = {}
-    tokens = {ref: record_tokens(ds, config.tokenizer, vocab) for ref, ds in datasets.items()}
+    vocab, ids = token_ids(list(datasets.values()), config.tokenizer)
     model = _load_model(config, manifest, data_dir / "model.bin", vocab)
     with _StageTimer(manifest, "embed"):
         embeddings = {
-            ref: embed_dataset(model, ds, tokens=tokens.pop(ref))
-            for ref, ds in datasets.items()
+            ref: embed_dataset(model, ds, features=(vocab, side))
+            for (ref, ds), side in zip(datasets.items(), ids)
         }
+    del ids
     with _StageTimer(manifest, "chain"):
         stages: list[tuple[JoinSpec, EmbeddingIndex]] = [
             (spec, build_index(embeddings[spec.aux_ref], metric=config.distance))  # type: ignore[arg-type]

@@ -5,6 +5,10 @@ bucket vectors, applies an affine projection, and optionally l2-normalizes
 the output. It is deliberately linear so gradients are exact and training
 is deterministic; the interface leaves room for heavier backends.
 
+Every learned command featurizes the same way: ``prepare.token_ids`` turns
+each record's prepared tokens into vocabulary ids once, ``EncoderModel.rows``
+maps the vocabulary to table rows, and a record's rows are ``rows[ids]``.
+
 Training is single-threaded and reproducible under a fixed seed. A batch's
 table gradient is summed through a count matrix: each sentence contributes
 one row (its pooled gradient over its token count), and C (sentences x
@@ -17,29 +21,29 @@ readers are safe.
 A model can hold just the table rows its records' tokens hash to (feature
 hashing leaves every other bucket untouched). ``load_model(path, tokens)``
 reads the projection, the bias and only those rows of a file; such a model
-embeds those tokens with the same bits as the dense one, raises on a token
-whose row it lacks, and cannot be trained or saved, since its other rows
-are unknown. ``EncoderModel.create(..., tokens)`` draws only those rows of
-the seeded initial table and records the init seed, so it can be trained,
-and ``save_model`` writes every other row by drawing the initial table again
-block by block: the file is the dense model's, bit for bit, and the dense
-table is never in memory.
+embeds those tokens with the same bits as the dense one, its ``rows`` raises
+on a token whose row it lacks, and it cannot be trained or saved, since its
+other rows are unknown. ``EncoderModel.create(..., tokens)`` draws only
+those rows of the seeded initial table and records the init seed, so it can
+be trained, and ``save_model`` writes every other row by drawing the initial
+table again block by block: the file is the dense model's, bit for bit, and
+the dense table is never in memory.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Record, SupervisionPair, SupervisionTriple
+from .data import Dataset, SupervisionPair, SupervisionTriple
 from .joiner import Embeddings
 from .joinspec import EngineConfig
-from .prepare import SEPARATOR, Sentence, prepare_sentence, record_tokens
+from .prepare import Sentence, token_ids
 from .supervise import (
     SamplerConfig,
     aux_bm25_index,
@@ -74,15 +78,16 @@ def _fnv1a(data: bytes, seed: int) -> int:
     return h
 
 
-def _token_rows(tokens: Iterable[str], hash_seed: int,
-                hash_dim: int) -> tuple[np.ndarray, dict[str, int]]:
-    """The sorted distinct buckets that ``tokens`` hash to, and each distinct
-    token's place among them: its row in a table holding just those buckets."""
-    distinct = list(set(tokens))
-    rows, at = np.unique(np.fromiter(
-        (_fnv1a(t.encode("utf-8"), hash_seed) % hash_dim for t in distinct),
-        np.int64, len(distinct)), return_inverse=True)
-    return rows, dict(zip(distinct, at.tolist()))
+def _buckets(tokens: Sequence[str], hash_seed: int, hash_dim: int) -> np.ndarray:
+    """The bucket each token hashes to."""
+    return np.fromiter((_fnv1a(t.encode("utf-8"), hash_seed) % hash_dim for t in tokens),
+                       np.int64, len(tokens))
+
+
+def _token_rows(tokens: Iterable[str], hash_seed: int, hash_dim: int) -> np.ndarray:
+    """The sorted distinct buckets that ``tokens`` hash to: the rows of a
+    table holding just those buckets."""
+    return np.unique(_buckets(list(set(tokens)), hash_seed, hash_dim))
 
 
 def _init_blocks(seed: int, hash_dim: int, dim: int, rows: np.ndarray):
@@ -105,8 +110,8 @@ class EncoderModel:
 
     A dense model's table holds all ``hash_dim`` buckets. A partial model
     (``create`` or ``load_model`` with ``tokens``) holds only the sorted
-    buckets in ``row_buckets``, one table row each. ``bucket`` maps a token
-    to its table row either way, and raises for a token whose bucket a
+    buckets in ``row_buckets``, one table row each. ``rows`` maps tokens
+    to their table rows either way, and raises for a token whose bucket a
     partial model lacks. ``init_seed`` is the seed of the initial table
     that ``create`` drew; a partial model that has one can be trained and
     saved, since the rows it lacks still hold that draw. A model read from
@@ -121,7 +126,6 @@ class EncoderModel:
     normalize: bool = True
     row_buckets: np.ndarray | None = None  # bucket id of each table row; None: dense
     init_seed: int | None = None  # seed of the initial table; None: unknown
-    _bucket_cache: dict[str, int] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -139,8 +143,7 @@ class EncoderModel:
         """Seeded random table, identity projection, zero bias. With
         ``tokens``, the model is partial: it holds only the table rows those
         tokens hash to, with the same values as the dense table's."""
-        rows, cache = ((np.arange(hash_dim), {}) if tokens is None
-                       else _token_rows(tokens, seed, hash_dim))
+        rows = np.arange(hash_dim) if tokens is None else _token_rows(tokens, seed, hash_dim)
         table = np.empty((rows.size, dim))
         for block, held, at in _init_blocks(seed, hash_dim, dim, rows):
             table[held] = block[at]
@@ -153,7 +156,6 @@ class EncoderModel:
             normalize=normalize,
             row_buckets=None if tokens is None else rows,
             init_seed=seed,
-            _bucket_cache=cache,
         )
 
     def copy(self) -> "EncoderModel":
@@ -166,25 +168,21 @@ class EncoderModel:
             normalize=self.normalize,
             row_buckets=None if self.row_buckets is None else self.row_buckets.copy(),
             init_seed=self.init_seed,
-            _bucket_cache=dict(self._bucket_cache),
         )
 
-    def bucket(self, token: str) -> int:
-        """The table row of ``token``."""
-        cached = self._bucket_cache.get(token)
-        if cached is None:
-            cached = _fnv1a(token.encode("utf-8"), self.hash_seed) % self.hash_dim
-            if self.row_buckets is not None:
-                at = int(np.searchsorted(self.row_buckets, cached))
-                if at == self.row_buckets.size or self.row_buckets[at] != cached:
-                    raise EncoderError(f"token {token!r} hashes to bucket {cached}, "
-                                       "which this partial model did not load")
-                cached = at
-            self._bucket_cache[token] = cached
-        return cached
-
-    def buckets(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.array([self.bucket(t) for t in tokens], dtype=np.int64)
+    def rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """The table row of each token. A partial model raises for the first
+        token whose bucket it did not load."""
+        buckets = _buckets(tokens, self.hash_seed, self.hash_dim)
+        if self.row_buckets is None:
+            return buckets
+        at = np.searchsorted(self.row_buckets, buckets)
+        lost = np.flatnonzero(np.append(self.row_buckets, -1)[at] != buckets)
+        if lost.size:
+            first = lost[0]
+            raise EncoderError(f"token {tokens[first]!r} hashes to bucket {buckets[first]}, "
+                               "which this partial model did not load")
+        return at
 
 
 def _require_init(model: EncoderModel, action: str) -> None:
@@ -195,45 +193,39 @@ def _require_init(model: EncoderModel, action: str) -> None:
                            f"{model.row_buckets.size} of {model.hash_dim} table rows")
 
 
-def featurize(model: EncoderModel, record: Record, tokenizer: str = "whitespace",
-              separator: str = SEPARATOR) -> np.ndarray:
-    """A record's token buckets, the same for training and embedding."""
-    return model.buckets(prepare_sentence(record, separator, tokenizer).tokens)
-
-
 def encode(model: EncoderModel, sentence: Sentence) -> np.ndarray:
     """Embed one prepared sentence; an empty token list maps to zeros."""
-    return _forward_group(model, [model.buckets(sentence.tokens)])[2][0]
+    return _forward_group(model, [model.rows(sentence.tokens)])[2][0]
 
 
 def embed_dataset(
     model: EncoderModel,
     dataset: Dataset,
     tokenizer: str = "whitespace",
-    separator: str = SEPARATOR,
-    tokens: Sequence[Sequence[str]] | None = None,
+    features: tuple[Sequence[str], Sequence[np.ndarray]] | None = None,
 ) -> Embeddings:
     """Record ids and one embedding row per record, in dataset order.
 
-    ``tokens``, when given, holds each record's prepared tokens in dataset
-    order, so records the caller has tokenized already are not tokenized
-    again. Rows go through the forward pass in blocks of about ``_EMBED_CELLS``
-    floats, and never in one-row blocks (unless the dataset has one row):
-    numpy multiplies a single row with gemv, whose last bits differ from
-    gemm's, while with two or more rows a row's bits do not depend on its
-    block.
+    ``features`` is a vocabulary and each record's token ids in it, in
+    dataset order, as ``prepare.token_ids`` gives them; without it the
+    records are featurized here under ``tokenizer``. Rows go through the
+    forward pass in blocks of about ``_EMBED_CELLS`` floats, and never in
+    one-row blocks (unless the dataset has one row): numpy multiplies a
+    single row with gemv, whose last bits differ from gemm's, while with two
+    or more rows a row's bits do not depend on its block.
     """
-    if tokens is None:
-        buckets = [featurize(model, rec, tokenizer, separator) for rec in dataset.records]
-    elif len(tokens) != len(dataset.records):
-        raise EncoderError(f"{len(tokens)} token lists for {len(dataset.records)} records")
+    if features is None:
+        vocab, (ids,) = token_ids([dataset], tokenizer)
     else:
-        buckets = [model.buckets(t) for t in tokens]
-    n = len(buckets)
+        vocab, ids = features
+    if len(ids) != len(dataset.records):
+        raise EncoderError(f"{len(ids)} token id arrays for {len(dataset.records)} records")
+    rows = model.rows(vocab)
+    n = len(ids)
     vectors = np.empty((n, model.dim))
     parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
     for block in np.array_split(np.arange(n), parts):
-        vectors[block] = _forward_group(model, [buckets[i] for i in block])[2]
+        vectors[block] = _forward_group(model, [rows[ids[i]] for i in block])[2]
     return tuple(rec.id for rec in dataset.records), vectors
 
 
@@ -532,17 +524,17 @@ def train(
     shared: bool = True,
     triple_provider: TripleProvider | None = None,
     tokenizer: str = "whitespace",
-    tokens: tuple[Sequence[Sequence[str]], Sequence[Sequence[str]]] | None = None,
+    features: tuple[Sequence[str], Sequence[Sequence[np.ndarray]]] | None = None,
 ) -> TrainResult:
     """Mini-batch triplet training with Adam.
 
     ``shared`` trains one encoder for both sides (the default); otherwise
     the auxiliary side gets an identically initialized copy that is free to
     diverge. ``triple_provider`` lets the caller resample negatives per
-    epoch; without it the given triples are reused every epoch. Records
-    are tokenized once, under ``tokenizer`` as ``embed_dataset`` does, unless
-    ``tokens`` holds each base and aux record's prepared tokens, in dataset
-    order. A partial model trains when it has an init seed.
+    epoch; without it the given triples are reused every epoch.
+    ``features`` is ``prepare.token_ids([base, aux], tokenizer)``, computed
+    here when absent; each record's table rows are looked up once. A partial
+    model trains when it has an init seed.
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
@@ -551,20 +543,11 @@ def train(
     anchor_model, other_model = models[0], models[-1]
     adams = {id(m): _Adam(m, cfg) for m in models}
 
-    if tokens is None:
-        tokens = (record_tokens(base, tokenizer, {}), record_tokens(aux, tokenizer, {}))
-    base_tokens, aux_tokens = (dict(zip((r.id for r in ds.records), side, strict=True))
-                               for ds, side in zip((base, aux), tokens))
-    base_cache: dict[str, np.ndarray] = {}
-    aux_cache: dict[str, np.ndarray] = {}
-
-    def buckets_for(side: dict[str, Sequence[str]], cache: dict[str, np.ndarray], rec_id: str,
-                    which: EncoderModel) -> np.ndarray:
-        arr = cache.get(rec_id)
-        if arr is None:
-            arr = which.buckets(side[rec_id])
-            cache[rec_id] = arr
-        return arr
+    vocab, sides = features if features is not None else token_ids([base, aux], tokenizer)
+    # A copy holds the same row_buckets, so one map serves both encoders.
+    rows = model.rows(vocab)
+    base_rows, aux_rows = ({rec.id: rows[i] for rec, i in zip(ds.records, ids, strict=True)}
+                           for ds, ids in zip((base, aux), sides, strict=True))
 
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
@@ -576,12 +559,9 @@ def train(
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [epoch_triples[i] for i in order[start : start + cfg.batch_size]]
-            anchors = [buckets_for(base_tokens, base_cache, t.anchor_id, anchor_model)
-                       for t in batch]
-            positives = [buckets_for(aux_tokens, aux_cache, t.positive_id, other_model)
-                         for t in batch]
-            negatives = [buckets_for(aux_tokens, aux_cache, t.negative_id, other_model)
-                         for t in batch]
+            anchors = [base_rows[t.anchor_id] for t in batch]
+            positives = [aux_rows[t.positive_id] for t in batch]
+            negatives = [aux_rows[t.negative_id] for t in batch]
             loss, grads = batch_gradients(
                 anchor_model, other_model, anchors, positives, negatives, cfg.margin
             )
@@ -660,11 +640,11 @@ def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> Encoder
         size = path.stat().st_size
         if size != expected:
             raise EncoderError(f"{path}: truncated model file ({size} of {expected} bytes)")
-        rows, cache = None, {}
+        rows = None
         if tokens is None:
             table = np.fromfile(fh, dtype="<f8", count=hash_dim * dim).reshape(hash_dim, dim)
         else:
-            rows, cache = _token_rows(tokens, hash_seed, hash_dim)
+            rows = _token_rows(tokens, hash_seed, hash_dim)
             table = np.empty((rows.size, dim), dtype="<f8")
             starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
             for lo, hi in zip(starts, [*starts[1:], rows.size]):
@@ -680,7 +660,6 @@ def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> Encoder
         hash_dim=int(hash_dim),
         normalize=bool(norm_flag),
         row_buckets=rows,
-        _bucket_cache=cache,
     )
 
 
@@ -709,6 +688,7 @@ def fit_encoder(
     pretrain: bool = False,
     freeze_negatives: bool = False,
     init_model: EncoderModel | None = None,
+    features: tuple[Sequence[str], Sequence[Sequence[np.ndarray]]] | None = None,
 ) -> FitResult:
     """End-to-end encoder fitting per the engine configuration.
 
@@ -716,19 +696,19 @@ def fit_encoder(
     fresh negatives each epoch unless frozen; provided triples pass
     through unchanged. The optional self-supervised stage trains on
     BM25-paired triples before the supervised stage. Supervision is
-    checked before any training starts. Every record is tokenized once,
-    and the model (unless ``init_model`` is given) holds only the table
-    rows of the base and aux records' tokens.
+    checked before any training starts. Every record is featurized once,
+    by ``features`` (``prepare.token_ids([base, aux], config.tokenizer)``,
+    computed here when absent), and the model (unless ``init_model`` is
+    given) holds only the table rows of its vocabulary.
     """
-    vocab: dict[str, str] = {}
-    tokens = (record_tokens(base, config.tokenizer, vocab),
-              record_tokens(aux, config.tokenizer, vocab))
+    if features is None:
+        features = token_ids([base, aux], config.tokenizer)
     model = init_model if init_model is not None else EncoderModel.create(
         dim=config.embedding_dim,
         hash_dim=hash_dim,
         seed=config.seed,
         normalize=config.normalize,
-        tokens=vocab,
+        tokens=features[0],
     )
     shared = config.num_encoders == 1
     tcfg = TrainConfig(
@@ -768,7 +748,7 @@ def fit_encoder(
     del index
 
     if pretrain:
-        result = train(model, ptriples, base, aux, tcfg, shared=True, tokens=tokens)
+        result = train(model, ptriples, base, aux, tcfg, shared=True, features=features)
         trace.extend(("pretrain", e, l) for e, l in enumerate(result.epoch_losses))
 
     if not config.finetune:
@@ -776,7 +756,7 @@ def fit_encoder(
 
     if pairs is None:
         result = train(model, supervision, base, aux, tcfg,  # type: ignore[arg-type]
-                       shared=shared, tokens=tokens)
+                       shared=shared, features=features)
     else:
         def provider(epoch: int) -> list[SupervisionTriple]:
             seed = config.seed if freeze_negatives else config.seed ^ (epoch + 1)
@@ -784,7 +764,7 @@ def fit_encoder(
             return sample_triples(pairs, base, aux, scfg, tiers)
 
         result = train(model, [], base, aux, tcfg, shared=shared, triple_provider=provider,
-                       tokens=tokens)
+                       features=features)
 
     models = result.models
     trace.extend(("train", e, l) for e, l in enumerate(result.epoch_losses))

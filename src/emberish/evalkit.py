@@ -19,7 +19,7 @@ from .encoder import EncoderModel, embed_dataset, fit_encoder
 from .joiner import JoinResult, execute_join
 from .joinspec import EngineConfig, JoinSpec, JoinType
 from .lexrank import BASELINE_KINDS, lexical_join
-from .prepare import record_tokens
+from .prepare import token_ids
 
 ENCODER_METHODS = ("untrained-encoder", "trained-encoder")
 COMPARISON_METHODS = BASELINE_KINDS + ENCODER_METHODS
@@ -205,19 +205,21 @@ def run_comparison(
             )
     config = config or EngineConfig(data_dir=".")
     kmax = max(ks)
+    # The encoder methods featurize both datasets once, together.
+    if set(methods) & set(ENCODER_METHODS):
+        features = token_ids([base, aux], config.tokenizer)
+        vocab, (base_ids, aux_ids) = features
 
     rows: list[tuple[str, int, float]] = []
     for method in methods:
         if method in BASELINE_KINDS:
             result = lexical_join(method, base, aux, key_column=key_column, k=kmax)
         else:
-            vocab: dict[str, str] = {}
-            base_tokens, aux_tokens = (record_tokens(ds, config.tokenizer, vocab)
-                                       for ds in (base, aux))
             if method == "trained-encoder":
                 if not train_pairs:
                     raise EvalError("trained-encoder requires train_pairs")
-                fit = fit_encoder(base, aux, train_pairs, config, hash_dim=hash_dim)
+                fit = fit_encoder(base, aux, train_pairs, config, hash_dim=hash_dim,
+                                  features=features)
                 model = fit.model
                 aux_model = fit.models[-1]
             else:
@@ -230,8 +232,8 @@ def run_comparison(
                     tokens=vocab,
                 )
                 aux_model = model
-            base_emb = embed_dataset(model, base, tokens=base_tokens)
-            aux_emb = embed_dataset(aux_model, aux, tokens=aux_tokens)
+            base_emb = embed_dataset(model, base, features=(vocab, base_ids))
+            aux_emb = embed_dataset(aux_model, aux, features=(vocab, aux_ids))
             result = retrieval_result(base_emb, aux_emb, kmax, metric=config.distance)
         for k in ks:
             rows.append((method, k, recall_at_k(result, truth, k)))

@@ -323,22 +323,20 @@ def _validate_config(cfg: EngineConfig) -> None:
         raise ConfigError("loss_margin must be >= 0")
 
 
-def parse_config(json_text: str) -> EngineConfig:
-    """Parse the JSON configuration; unknown keys are rejected by name."""
+def config_object(json_text: str) -> dict:
+    """The JSON object of a configuration text, keys not yet checked."""
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    return config_from_dict(raw)
+    return raw
 
 
-def load_config(path: str | Path) -> EngineConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+def parse_config(json_text: str) -> EngineConfig:
+    """Parse the JSON configuration; unknown keys are rejected by name."""
+    return config_from_dict(config_object(json_text))
 
 
 def resolve_ref(ref: str, data_dir: str | Path) -> Path:

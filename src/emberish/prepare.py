@@ -7,7 +7,11 @@ uniform representation. All functions here are pure.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .data import Dataset, Record
 
@@ -52,12 +56,19 @@ def prepare_sentence(
     return Sentence(record_id=record.id, text=text, tokens=tuple(tokenize(text, tokenizer)))
 
 
-def record_tokens(dataset: Dataset, tokenizer: str,
-                  vocab: dict[str, str]) -> list[tuple[str, ...]]:
-    """Each record's prepared tokens, in dataset order. ``vocab`` collects
-    the distinct tokens, and equal tokens share its one string."""
-    return [tuple(vocab.setdefault(t, t) for t in prepare_sentence(rec, tokenizer=tokenizer).tokens)
-            for rec in dataset.records]
+def token_ids(datasets: Sequence[Dataset],
+              tokenizer: str = "whitespace") -> tuple[list[str], list[list[np.ndarray]]]:
+    """The featurization every learned command shares: one vocabulary, the
+    distinct prepared tokens of all ``datasets`` in first-seen order, and
+    per dataset each record's tokens as int64 vocabulary ids, in dataset
+    order."""
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__  # an unseen token gets the next id
+    ids = [[np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+            for tokens in (prepare_sentence(rec, tokenizer=tokenizer).tokens
+                           for rec in dataset.records)]
+           for dataset in datasets]
+    return list(index), ids
 
 
 def pair_sentences(first: Sentence, second: Sentence, separator: str = SEPARATOR) -> str:

@@ -176,7 +176,7 @@ def build_pretraining_pairs(
     return triples
 
 
-def _record_tokens(record: Record) -> list[tuple[int, str]]:
+def _value_tokens(record: Record) -> list[tuple[int, str]]:
     """Value tokens tagged with the index of the field they came from."""
     out: list[tuple[int, str]] = []
     for field_idx, (_, value) in enumerate(record.fields):
@@ -218,7 +218,7 @@ def generate_fuzzy_join(
     vocabulary. The truth links every perturbed row to its origin.
     """
     vocabulary = sorted(
-        {token for rec in source.records for _, token in _record_tokens(rec)}
+        {token for rec in source.records for _, token in _value_tokens(rec)}
     )
     if not vocabulary:
         raise SampleError("source records must contain at least one value token")
@@ -226,7 +226,7 @@ def generate_fuzzy_join(
     base_records: list[Record] = []
     truth: list[SupervisionPair] = []
     for row_idx, rec in enumerate(source.records):
-        original = _record_tokens(rec)
+        original = _value_tokens(rec)
         if not original:
             raise SampleError(f"source record {rec.id!r} has no value tokens")
         rng = random.Random(cfg.seed ^ row_idx)

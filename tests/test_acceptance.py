@@ -174,7 +174,7 @@ def test_gradient_check_50_models():
         model.bias[:] = 0.05 * rng.normal(0, 1, 4)
 
         def toks():
-            return model.buckets(
+            return model.rows(
                 [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 6)))]
             )
 

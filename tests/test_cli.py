@@ -50,6 +50,20 @@ def fast_config(tmp_path, **overrides):
     return EngineConfig(**{k: v for k, v in raw.items()})
 
 
+def write_triples(tmp_path):
+    """Triples over the first four supervision pairs, each with another
+    pair's aux record as the negative."""
+    rows = list(csv.reader((tmp_path / "supervision.csv").open()))
+    triples = tmp_path / "triples.csv"
+    with triples.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["anchor_id", "positive_id", "negative_id"])
+        for base_id, aux_id in rows[1:5]:
+            other = next(r[1] for r in rows[1:] if r[1] != aux_id)
+            writer.writerow([base_id, aux_id, other])
+    return triples
+
+
 @pytest.fixture
 def workspace(tmp_path):
     write_source(tmp_path)
@@ -135,15 +149,35 @@ class TestTrain:
 
     def test_triple_supervision_accepted(self, workspace):
         tmp_path, cfg = workspace
-        rows = list(csv.reader((tmp_path / "supervision.csv").open()))
-        triples = tmp_path / "triples.csv"
-        with triples.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["anchor_id", "positive_id", "negative_id"])
-            for base_id, aux_id in rows[1:5]:
-                other = next(r[1] for r in rows[1:] if r[1] != aux_id)
-                writer.writerow([base_id, aux_id, other])
-        cmd_train(cfg, pretrain=False, supervision_path=triples)
+        cmd_train(cfg, pretrain=False, supervision_path=write_triples(tmp_path))
+        assert (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize("unsampled", ["triple supervision", "finetune false"])
+    def test_freeze_negatives_without_sampled_negatives_is_rejected(self, workspace, capsys,
+                                                                    unsampled):
+        # Negatives are sampled only when fine-tuning on pairs; otherwise the
+        # flag would change nothing, so it is refused before any file is written.
+        tmp_path, _ = workspace
+        config = tmp_path / "config.json"
+        raw = {"data_dir": str(tmp_path), "embedding_dim": 8, "epochs": 1,
+               "sampler": "random"}
+        args = ["train", "--config", str(config)]
+        if unsampled == "triple supervision":
+            args += ["--no-pretrain", "--supervision", str(write_triples(tmp_path))]
+        else:
+            raw["finetune"] = False
+        config.write_text(json.dumps(raw))
+        assert main([*args, "--freeze-negatives"]) == 1
+        assert f"training with {unsampled} does not use --freeze-negatives" \
+            in capsys.readouterr().err
+        for name in ("model.bin", "loss_trace.csv", "manifest_train.json"):
+            assert not (tmp_path / name).exists()
+        assert main(args) == 0
+        assert (tmp_path / "model.bin").exists()
+
+    def test_freeze_negatives_with_pair_supervision_is_accepted(self, workspace):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False, freeze_negatives=True)
         assert (tmp_path / "model.bin").exists()
 
 
@@ -574,6 +608,16 @@ class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path):
         code = main(["train", "--data-dir", str(tmp_path / "does-not-exist")])
         assert code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "configuration is not valid JSON"),
+        ('["data_dir", "."]', "configuration must be a JSON object"),
+    ])
+    def test_config_that_is_not_a_json_object_is_one(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["generate", "--config", str(bad), "--data-dir", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_bad_config_json_is_one(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -12,13 +12,12 @@ from emberish.encoder import (
     batch_loss,
     embed_dataset,
     encode,
-    featurize,
     load_model,
     save_model,
     train,
     triplet_loss,
 )
-from emberish.prepare import Sentence, prepare_sentence
+from emberish.prepare import Sentence, prepare_sentence, token_ids
 
 
 def sentence(text):
@@ -44,7 +43,7 @@ class TestEncode:
     def test_one_token_equals_table_row(self):
         model = EncoderModel.create(dim=8, hash_dim=32, seed=1, normalize=False)
         sent = sentence("alpha")
-        row = model.table[model.bucket("alpha")]
+        row = model.table[model.rows(["alpha"])[0]]
         assert np.array_equal(encode(model, sent), row)
 
     def test_token_order_irrelevant(self):
@@ -63,6 +62,62 @@ class TestEncode:
         for text in ("a", "a b", "many words in this one"):
             out = encode(model, sentence(text))
             assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestRows:
+    TOKENS = ["alpha", "beta", "alpha", "gamma", "é"]
+
+    def test_dense_model_rows_are_the_hash_buckets(self):
+        from emberish.encoder import _fnv1a
+
+        model = EncoderModel.create(dim=4, hash_dim=37, seed=5)
+        rows = model.rows(self.TOKENS)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [_fnv1a(t.encode("utf-8"), 5) % 37 for t in self.TOKENS]
+        assert model.rows([]).tolist() == []
+
+    def test_partial_model_rows_read_the_dense_tables_rows(self, tmp_path):
+        dense = small_model(4, hash_dim=64)
+        save_model(dense, tmp_path / "m.bin")
+        partial = load_model(tmp_path / "m.bin", tokens=self.TOKENS)
+        assert np.array_equal(partial.table[partial.rows(self.TOKENS)],
+                              dense.table[dense.rows(self.TOKENS)])
+        created = EncoderModel.create(dim=4, hash_dim=64, seed=4, tokens=self.TOKENS)
+        full = EncoderModel.create(dim=4, hash_dim=64, seed=4)
+        assert np.array_equal(created.table[created.rows(self.TOKENS)],
+                              full.table[full.rows(self.TOKENS)])
+
+    @staticmethod
+    def missing(model, held):
+        return [t for t in (f"m{i}" for i in range(1000))
+                if model.rows([t])[0] not in model.rows(held)][:2]
+
+    def test_partial_model_names_the_first_missing_token(self):
+        dense = EncoderModel.create(dim=4, hash_dim=64, seed=1)
+        partial = EncoderModel.create(dim=4, hash_dim=64, seed=1, tokens=["alpha"])
+        first, second = self.missing(dense, ["alpha"])
+        with pytest.raises(EncoderError, match=f"token '{first}' hashes to bucket "
+                                               f"{dense.rows([first])[0]}, which this "
+                                               "partial model did not load"):
+            partial.rows(["alpha", first, "alpha", second])
+
+    def test_the_second_of_two_tokens_missing(self):
+        dense = EncoderModel.create(dim=4, hash_dim=64, seed=1)
+        partial = EncoderModel.create(dim=4, hash_dim=64, seed=1, tokens=["alpha"])
+        (missing, _) = self.missing(dense, ["alpha"])
+        assert partial.rows(["alpha", "alpha"]).tolist() == [0, 0]
+        with pytest.raises(EncoderError, match=f"token '{missing}'"):
+            partial.rows(["alpha", missing])
+
+    def test_a_bucket_past_the_last_held_one_is_missing(self):
+        # searchsorted puts a bucket above every held one past the end.
+        dense = EncoderModel.create(dim=4, hash_dim=64, seed=1)
+        held = min((f"h{i}" for i in range(1000)), key=lambda t: dense.rows([t])[0])
+        high = max((f"h{i}" for i in range(1000)), key=lambda t: dense.rows([t])[0])
+        partial = EncoderModel.create(dim=4, hash_dim=64, seed=1, tokens=[held])
+        assert dense.rows([high])[0] > dense.rows([held])[0]
+        with pytest.raises(EncoderError, match=f"token '{high}'"):
+            partial.rows([held, high])
 
 
 class TestTripletLoss:
@@ -93,7 +148,7 @@ class TestTripletLoss:
 
 
 def random_batch(model, rng, batch=4, active_margin=2.0):
-    toks = lambda: model.buckets(
+    toks = lambda: model.rows(
         [f"t{rng.integers(0, 30)}" for _ in range(int(rng.integers(1, 6)))]
     )
     anchors = [toks() for _ in range(batch)]
@@ -173,12 +228,12 @@ class TestTableGradients:
 
         def sent():
             n = int(rng.integers(0, 6))
-            return model.buckets([vocab[int(rng.integers(0, len(vocab)))] for _ in range(n)])
+            return model.rows([vocab[int(rng.integers(0, len(vocab)))] for _ in range(n)])
 
         groups = [[sent() for _ in range(6)] for _ in range(3)]
         groups[0][1] = np.empty(0, dtype=np.int64)
         groups[2][3] = np.empty(0, dtype=np.int64)
-        groups[1][0] = model.buckets(["a", "a", "a", "b"])
+        groups[1][0] = model.rows(["a", "a", "a", "b"])
         return groups
 
     @pytest.mark.parametrize("shared", [True, False])
@@ -314,7 +369,8 @@ class TestLazyAdam:
         train(model, triples, base, aux, cfg, shared=shared)
 
         def rows(dataset, ids):
-            return {int(b) for i in ids for b in featurize(model, dataset.record(i))}
+            return {int(b) for i in ids
+                    for b in model.rows(prepare_sentence(dataset.record(i)).tokens)}
 
         anchor_rows = rows(base, {t.anchor_id for t in triples})
         other_rows = rows(aux, {t.positive_id for t in triples} | {t.negative_id for t in triples})
@@ -487,7 +543,8 @@ class TestFitEncoder:
         assert set(np.flatnonzero((saved != start.table).any(axis=1)).tolist()) == changed
         for t in triples:
             for dataset, rid in ((base, t.anchor_id), (aux, t.positive_id), (aux, t.negative_id)):
-                buckets = featurize(start, dataset.record(rid), "char2gram")
+                buckets = start.rows(
+                    prepare_sentence(dataset.record(rid), tokenizer="char2gram").tokens)
                 assert set(buckets.tolist()) <= changed
 
     def test_tiers_built_once_per_fit(self, monkeypatch):
@@ -588,7 +645,7 @@ class TestSparseFit:
                             init_model=dense_init)
         vocab = {t for ds in (base, aux) for rec in ds.records
                  for t in prepare_sentence(rec, tokenizer=cfg.tokenizer).tokens}
-        held, _ = _token_rows(vocab, 3, hash_dim)
+        held = _token_rows(vocab, 3, hash_dim)
         if hash_dim < len(vocab):
             assert held.size < len(vocab)  # buckets collide
         assert len(sparse.models) == len(dense.models) == cfg.num_encoders
@@ -646,6 +703,17 @@ class TestEmbedDataset:
         second = embed_dataset(model, base)
         for (i1, v1), (i2, v2) in zip(zip(*first), zip(*second)):
             assert i1 == i2 and np.array_equal(v1, v2)
+
+    def test_features_from_a_shared_vocabulary_embed_as_the_dataset_alone(self):
+        base, aux, _ = toy_training_world(5)
+        model = EncoderModel.create(dim=8, hash_dim=32, seed=0)
+        vocab, (base_ids, aux_ids) = token_ids([base, aux])
+        for ds, ids in ((base, base_ids), (aux, aux_ids)):
+            got_ids, got = embed_dataset(model, ds, features=(vocab, ids))
+            want_ids, want = embed_dataset(model, ds)
+            assert got_ids == want_ids and np.array_equal(got, want)
+        with pytest.raises(EncoderError, match="4 token id arrays for 5 records"):
+            embed_dataset(model, base, features=(vocab, base_ids[:-1]))
 
     def test_no_block_holds_a_single_row(self):
         # One record more than a full block. A split that left the last
@@ -740,32 +808,38 @@ class TestPartialModel:
         model, path = self.saved(tmp_path)
         ds = self.world()
         tokens = self.tokens(ds)
-        partial = load_model(path, tokens=[t for ts in tokens for t in ts])
+        flat = [t for ts in tokens for t in ts]
+        partial = load_model(path, tokens=flat)
         assert partial.hash_dim == model.hash_dim
-        assert partial.row_buckets.tolist() == sorted({model.bucket(t) for ts in tokens for t in ts})
+        assert partial.row_buckets.tolist() == sorted(set(model.rows(flat).tolist()))
         assert np.array_equal(partial.table, model.table[partial.row_buckets])
         dense_ids, dense = embed_dataset(load_model(path), ds)
-        for got_ids, got in (embed_dataset(partial, ds), embed_dataset(partial, ds, tokens=tokens)):
+        vocab, (ids,) = token_ids([ds])
+        for got_ids, got in (embed_dataset(partial, ds),
+                             embed_dataset(partial, ds, features=(vocab, ids))):
             assert got_ids == dense_ids
             assert np.array_equal(got, dense)
 
     def test_a_token_whose_row_was_not_loaded_raises(self, tmp_path):
         model, path = self.saved(tmp_path)
         partial = load_model(path, tokens=["alpha"])
-        assert np.array_equal(partial.table[partial.bucket("alpha")],
-                              model.table[model.bucket("alpha")])
+        def row(m, token):
+            return int(m.rows([token])[0])
+
+        assert np.array_equal(partial.table[row(partial, "alpha")],
+                              model.table[row(model, "alpha")])
         # Any token in alpha's bucket has a row; one in another bucket has none.
         other = next(t for t in (f"t{i}" for i in range(1000))
-                     if model.bucket(t) != model.bucket("alpha"))
+                     if row(model, t) != row(model, "alpha"))
         twin = next(t for t in (f"t{i}" for i in range(10000))
-                    if model.bucket(t) == model.bucket("alpha"))
-        assert partial.bucket(twin) == partial.bucket("alpha")
+                    if row(model, t) == row(model, "alpha"))
+        assert row(partial, twin) == row(partial, "alpha")
         for probe in (partial, partial.copy()):
             with pytest.raises(EncoderError, match="did not load"):
-                probe.bucket(other)
+                row(probe, other)
         copy = partial.copy()
         assert np.array_equal(copy.row_buckets, partial.row_buckets)
-        assert copy.bucket("alpha") == partial.bucket("alpha")
+        assert row(copy, "alpha") == row(partial, "alpha")
 
     def test_save_and_train_reject_a_partial_model(self, tmp_path):
         _, path = self.saved(tmp_path)

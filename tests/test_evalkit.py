@@ -276,7 +276,7 @@ class TestRunComparison:
         dense = EncoderModel.create(dim=16, seed=5)
         tokens = {t for ds in (base, aux) for rec in ds.records
                   for t in prepare_sentence(rec, tokenizer="char2gram").tokens}
-        assert model.row_buckets.tolist() == sorted({dense.bucket(t) for t in tokens})
+        assert model.row_buckets.tolist() == sorted(set(dense.rows(list(tokens)).tolist()))
         res = retrieval_result(embed_dataset(dense, base, tokenizer="char2gram"),
                                embed_dataset(dense, aux, tokenizer="char2gram"), 5,
                                metric="inner_product")

@@ -150,6 +150,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="banana"):
             parse_config('{"data_dir": "x", "banana": 1}')
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "configuration is not valid JSON"),
+        ('["data_dir", "x"]', "configuration must be a JSON object"),
+    ])
+    def test_text_that_is_not_a_json_object_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_every_documented_key_accepted(self):
         cfg = parse_config(
             """

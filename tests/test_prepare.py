@@ -1,11 +1,12 @@
 """Sentence preparation and tokenizer behavior."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emberish.data import Record
-from emberish.prepare import pair_sentences, prepare_sentence, tokenize
+from emberish.data import Record, dataset_from_rows
+from emberish.prepare import pair_sentences, prepare_sentence, token_ids, tokenize
 
 
 def test_two_field_record():
@@ -95,3 +96,40 @@ def test_schema_independence_and_token_totality(fields):
     assert prepare_sentence(rec).text == sent.text
     for mode in ("whitespace", "char2gram"):
         assert all(tok for tok in tokenize(sent.text, mode))
+
+
+class TestTokenIds:
+    @staticmethod
+    def datasets():
+        base = dataset_from_rows("base", "base", [
+            ("x", [("t", "Beta alpha")]), ("e", []), ("y", [("u", "alpha")])])
+        aux = dataset_from_rows("aux", "auxiliary", [("z", [("t", "gamma beta")])])
+        return base, aux
+
+    def test_one_vocabulary_in_first_seen_order_across_datasets(self):
+        vocab, (base_ids, aux_ids) = token_ids(self.datasets())
+        assert vocab == ["t", "beta", "alpha", "u", "gamma"]
+        assert [ids.tolist() for ids in base_ids] == [[0, 1, 2], [], [3, 2]]
+        assert [ids.tolist() for ids in aux_ids] == [[0, 4, 1]]
+
+    def test_ids_spell_each_records_prepared_tokens(self):
+        for tokenizer in ("whitespace", "char2gram"):
+            datasets = self.datasets()
+            vocab, ids = token_ids(datasets, tokenizer)
+            assert len(vocab) == len(set(vocab))
+            for dataset, side in zip(datasets, ids):
+                assert len(side) == len(dataset.records)
+                for rec, rec_ids in zip(dataset.records, side):
+                    assert rec_ids.dtype == np.int64
+                    assert [vocab[i] for i in rec_ids] == list(
+                        prepare_sentence(rec, tokenizer=tokenizer).tokens)
+
+    def test_an_empty_record_gives_an_empty_array(self):
+        _, (base_ids, _) = token_ids(self.datasets())
+        assert base_ids[1].dtype == np.int64 and base_ids[1].size == 0
+
+    def test_char2gram(self):
+        base = dataset_from_rows("base", "base", [("x", [("ab", "ab")]), ("y", [("b", "")])])
+        vocab, (ids,) = token_ids([base], "char2gram")
+        assert vocab == ["ab", "ba"]
+        assert [i.tolist() for i in ids] == [[0, 1, 0], []]
