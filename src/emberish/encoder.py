@@ -59,8 +59,9 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _TINY = 1e-12
-# Floats per block of rows that embed_dataset runs through one forward pass (4 MB).
-_EMBED_CELLS = 1 << 19
+# Floats per block of rows that embed_dataset runs through one forward pass
+# (0.5 MB); the pass holds about five block-sized arrays.
+_EMBED_CELLS = 1 << 16
 # Rows per block of the seeded initial table, drawn one block at a time
 # (1.6 MB at dim 200).
 _INIT_ROWS = 1 << 10

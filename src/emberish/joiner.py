@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -33,8 +34,13 @@ Metric = Literal["l2", "inner_product"]
 # Record ids and one (n, d) float64 row per record, in the same order.
 Embeddings = tuple[Sequence[str], np.ndarray]
 
-# Floats per query block of scores, and per re-scoring step (4 MB).
+# Floats per query block of scores (4 MB). Smaller blocks re-read the whole
+# index more often: at 2^16 a 2k-over-10k scan took about twice as long.
 _BLOCK_CELLS = 1 << 19
+# Floats per re-scoring step of the l2 shortlist (0.5 MB).
+_RESCORE_CELLS = 1 << 16
+# Rows per chunk of a result file that is formatted in memory.
+_WRITE_ROWS = 1 << 14
 
 
 class JoinError(ValueError):
@@ -120,10 +126,17 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
                         f"dimension {index.dimension}")
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     step = max(1, _BLOCK_CELLS // index.n)
+    # One block of scores, and for l2 its partitioned copy, serve every query
+    # block: blocks allocated afresh each time were returned to the system
+    # and paged in again.
+    product = np.empty((min(step, len(queries)), index.n))
+    partitioned = np.empty_like(product) if index.metric == "l2" else None
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         if index.metric == "inner_product":
-            scores = np.stack([index.vectors @ q for q in block])
+            scores = product[: len(block)]
+            for i, q in enumerate(block):
+                scores[i] = index.vectors @ q
             keep = None if threshold is None else scores >= threshold
             rows, cols = topk(scores, k, index._id_rank, True, keep)
             found.append((rows + start, cols, scores[rows, cols]))
@@ -131,17 +144,23 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
             # Rounding makes ||x||^2 - 2 q.x and the formula below differ by
             # less than E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate
             # that can beat the k-th best lies within 2E of the k-th shortlist
-            # score; the band is twice that.
-            approx = index._sq_norms - 2.0 * (block @ index.vectors.T)
-            kth = np.partition(approx, min(k, index.n) - 1, axis=1)[:, min(k, index.n) - 1]
+            # score; the band is twice that. Scaling by -2 is exact, so the
+            # in-place form has the bits of ||x||^2 - 2 (q.x).
+            approx = np.matmul(block, index.vectors.T, out=product[: len(block)])
+            approx *= -2.0
+            approx += index._sq_norms
+            last = min(k, index.n) - 1
+            ordered = partitioned[: len(block)]
+            ordered[:] = approx
+            ordered.partition(last, axis=1)
             tol = 16.0 * (index.dimension + 4) * np.finfo(np.float64).eps
             band = tol * (np.einsum("ij,ij->i", block, block) + index._sq_norms.max())
-            rows, cols = np.nonzero(approx <= (kth + band)[:, None])
+            rows, cols = np.nonzero(approx <= (ordered[:, last] + band)[:, None])
             scores = np.empty(rows.size)
-            pairs = _BLOCK_CELLS // index.dimension + 1
+            pairs = _RESCORE_CELLS // index.dimension + 1
             for at in range(0, rows.size, pairs):
-                r, c = rows[at : at + pairs], cols[at : at + pairs]
-                diff = index.vectors[c] - block[r]
+                diff = index.vectors[cols[at : at + pairs]]
+                diff -= block[rows[at : at + pairs]]
                 scores[at : at + pairs] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             if threshold is not None:
                 inside = scores <= threshold
@@ -235,25 +254,45 @@ class JoinResult:
     def matched_pairs(self) -> set[tuple[str, str]]:
         return {(m.base_id, m.aux_id) for m in self.matches if not m.absent}
 
-    def to_csv_text(self) -> str:
-        absent = ((self.base < 0) | (self.aux < 0)).tolist()
+    def _write_rows(self, fh: TextIO) -> None:
+        """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time."""
         # The writer quotes fields holding its "\n" terminator but not a bare
-        # "\r", which a reader takes for a line end; such ids quote every field.
+        # "\r", which a reader takes for a line end; one such id anywhere
+        # quotes every field of the file, so no chunk decides alone.
         quote_all = any("\r" in rid for rid in (*self.base_ids, *self.aux_ids))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n",
+        writer = csv.writer(fh, lineterminator="\n",
                             quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
         writer.writerow(["base_id", "aux_id", "rank", "score"])
-        writer.writerows(zip(
-            np.array([*self.base_ids, ""], dtype=object)[self.base].tolist(),
-            np.array([*self.aux_ids, ""], dtype=object)[self.aux].tolist(),
-            self.rank.tolist(),
-            ["" if gone else repr(s) for s, gone in zip(self.score.tolist(), absent)],
-        ))
+        base_ids = np.array([*self.base_ids, ""], dtype=object)
+        aux_ids = np.array([*self.aux_ids, ""], dtype=object)
+        for at in range(0, self.rank.size, _WRITE_ROWS):
+            rows = slice(at, at + _WRITE_ROWS)
+            base, aux = self.base[rows], self.aux[rows]
+            absent = ((base < 0) | (aux < 0)).tolist()
+            writer.writerows(zip(
+                base_ids[base].tolist(),
+                aux_ids[aux].tolist(),
+                self.rank[rows].tolist(),
+                ["" if gone else repr(s) for s, gone in zip(self.score[rows].tolist(), absent)],
+            ))
+
+    def to_csv_text(self) -> str:
+        buf = io.StringIO()
+        self._write_rows(buf)
         return buf.getvalue()
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text(), encoding="utf-8")
+        """Stream the result file to a temporary file beside ``path``, then
+        replace ``path`` with it: a write that fails leaves ``path`` as it
+        was, never truncated."""
+        path = Path(path)
+        partial = path.with_name(f".{path.name}.partial")
+        try:
+            with partial.open("w", encoding="utf-8", newline="") as fh:
+                self._write_rows(fh)
+            os.replace(partial, path)
+        finally:
+            partial.unlink(missing_ok=True)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JoinResult":

@@ -1,5 +1,7 @@
 """Encoder forward pass, gradients, training dynamics, and persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -703,6 +705,23 @@ class TestEmbedDataset:
         second = embed_dataset(model, base)
         for (i1, v1), (i2, v2) in zip(zip(*first), zip(*second)):
             assert i1 == i2 and np.array_equal(v1, v2)
+
+    def test_holds_its_output_and_a_few_small_blocks(self):
+        # tracemalloc sees numpy's buffers. The forward pass holds about five
+        # arrays the size of its block of rows, which is 2^16 floats (0.5 MB).
+        n, dim = 6000, 200
+        ds = dataset_from_rows("d", "base", [(f"r{i}", [("t", f"w{i % 50} w{i % 7} x")])
+                                             for i in range(n)])
+        model = EncoderModel.create(dim=dim, hash_dim=64, seed=0)
+        vocab, (ids,) = token_ids([ds])
+        tracemalloc.start()
+        try:
+            _, vectors = embed_dataset(model, ds, features=(vocab, ids))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (n, dim)
+        assert peak <= vectors.nbytes + 8 * 8 * (1 << 16)
 
     def test_features_from_a_shared_vocabulary_embed_as_the_dataset_alone(self):
         base, aux, _ = toy_training_world(5)

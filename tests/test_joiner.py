@@ -1,6 +1,8 @@
 """Index retrieval exactness, join semantics algebra, chaining, aggregation."""
 
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,8 +159,9 @@ class TestTopk:
 
 
 class TestBlockedScan:
+    @pytest.mark.parametrize("rescore_cells", [joiner._RESCORE_CELLS, 5])
     @pytest.mark.parametrize("metric", ["l2", "inner_product"])
-    def test_multi_block_join_equals_per_query_knn(self, metric, monkeypatch):
+    def test_multi_block_join_equals_per_query_knn(self, metric, rescore_cells, monkeypatch):
         rng = np.random.default_rng(70)
         aux = grid_embeddings("a", 12, 3, 71)
         aux[1][7] = aux[1][2]  # a duplicated index vector
@@ -168,6 +171,7 @@ class TestBlockedScan:
         base[3] = ("b03", shared.copy())
         base[4] = ("b04", shared.copy())
         monkeypatch.setattr(joiner, "_BLOCK_CELLS", 4 * len(aux))
+        monkeypatch.setattr(joiner, "_RESCORE_CELLS", rescore_cells)
         s = spec(JoinType.LEFT, right=3)
         result = execute_join(s, pair(base), aux, metric=metric, threshold=None)
         index = build_index(aux, metric)
@@ -180,11 +184,15 @@ class TestBlockedScan:
                       for _, q in base]
             assert [aid for _, aid, _, _ in got] == [aid for o in oracle for _, aid in o]
 
+    @pytest.mark.parametrize("rescore_cells", [joiner._RESCORE_CELLS, 5])
     @pytest.mark.parametrize("threshold", [None, 1.5])
-    def test_l2_shortlist_ranking_equals_sorted_oracle(self, threshold, monkeypatch):
+    def test_l2_shortlist_ranking_equals_sorted_oracle(self, threshold, rescore_cells,
+                                                       monkeypatch):
         # Small integer vectors, so most distances tie and ids decide; blocks
-        # of three queries, so a block boundary falls between equal queries.
+        # of three queries, so a block boundary falls between equal queries;
+        # a re-scoring step of 5 cells takes 2 to 6 pairs.
         monkeypatch.setattr(joiner, "_BLOCK_CELLS", 3 * 25)
+        monkeypatch.setattr(joiner, "_RESCORE_CELLS", rescore_cells)
         rng = np.random.default_rng(90)
         for trial in range(60):
             n, m, d = int(rng.integers(1, 25)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
@@ -247,6 +255,29 @@ class TestBlockedScan:
         base_vec = dict(base)
         for m in result.matches:
             assert m.score == exact(base_vec[m.base_id])[row[m.aux_id]]
+
+    @pytest.mark.parametrize("metric, threshold", [("l2", None), ("l2", 10.0),
+                                                   ("inner_product", None)])
+    def test_scan_holds_its_output_and_a_few_blocks(self, metric, threshold):
+        # tracemalloc sees numpy's buffers. An l2 scan holds a 4 MB block of
+        # scores and its partitioned copy; an inner-product scan holds the
+        # block, topk's key and topk's partition. The output is counted
+        # twice, as its per-block parts and their concatenation. 64
+        # candidates of 64 floats per query make the shortlist re-scoring
+        # as large as a block if it is done in one step.
+        rng = np.random.default_rng(95)
+        index = build_index(grid_embeddings("r", 2048, 64, 96), metric)
+        queries = rng.normal(size=(1024, 64))
+        tracemalloc.start()
+        try:
+            rows, cols, scores = joiner._search(index, queries, 64, threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if threshold is not None:
+            assert 0 < rows.size < 1024 * 64
+        output = rows.nbytes + cols.nbytes + scores.nbytes
+        assert peak <= 2 * output + 3.5 * 8 * (1 << 19)
 
 
 def spec(join_type, left=1, right=1):
@@ -713,6 +744,66 @@ class TestResultCsv:
         assert loaded.to_csv_text() == result.to_csv_text()
         assert [(m.base_id, m.aux_id, m.rank, repr(m.score)) for m in loaded.matches] == [
             (b, a, r, repr(s)) for b, a, r, s in rows]
+
+    @staticmethod
+    def streamed_cases():
+        base, aux = tied_grid("b", 9, 1), tied_grid("a", 13, 2)
+        left = execute_join(spec(JoinType.LEFT, right=2), base, aux, threshold=0.5)
+        full = execute_join(spec(JoinType.FULL, left=1, right=1), base, aux, threshold=1.0)
+        # The only id holding "\r" is in the last row: every field of the
+        # file is quoted all the same.
+        carriage = JoinResult.from_ids([(f"b{i}", f"a{i}", 1, i / 4) for i in range(6)]
+                                       + [("b\r6", "a6", 1, 0.5)])
+        return {"left-absent": left, "full": full, "empty": JoinResult.from_ids([]),
+                "carriage-return-last": carriage}
+
+    @pytest.mark.parametrize("case", ["left-absent", "full", "empty", "carriage-return-last"])
+    def test_streamed_file_equals_the_one_chunk_text(self, case, tmp_path, monkeypatch):
+        result = self.streamed_cases()[case]
+        whole = result.to_csv_text()
+        if case == "left-absent":
+            assert (result.aux < 0).any()
+        if case == "carriage-return-last":
+            assert whole.startswith('"base_id","aux_id","rank","score"\n"b0","a0","1","0.0"\n')
+        monkeypatch.setattr(joiner, "_WRITE_ROWS", 2)
+        result.write_csv(tmp_path / "result.csv")
+        assert (tmp_path / "result.csv").read_bytes() == whole.encode("utf-8")
+        assert result.to_csv_text() == whole
+        assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "result.csv"
+        JoinResult.from_ids([("b0", "a0", 1, 0.5)]).write_csv(path)
+        old = path.read_bytes()
+        real_open = Path.open
+
+        class FullDisk:
+            """A text file with room for the header and the first chunk."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, len("base_id,aux_id,rank,score\n") + 2 * len(
+                    "b0,a0,1,0.25\n")
+
+            def write(self, text):
+                self.room -= len(text)
+                if self.room < 0:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(joiner, "_WRITE_ROWS", 2)
+        monkeypatch.setattr(Path, "open", lambda p, *a, **kw: FullDisk(real_open(p, *a, **kw)))
+        result = JoinResult.from_ids([(f"b{i}", f"a{i}", 1, 0.25) for i in range(5)])
+        with pytest.raises(OSError, match="No space"):
+            result.write_csv(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]
 
 
 class TestEmbeddingsFile:
