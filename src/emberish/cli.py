@@ -268,9 +268,11 @@ def cmd_train(
         if supervision and not isinstance(supervision[0], SupervisionPair):
             raise ConfigError("training with triple supervision does not use --freeze-negatives")
 
+    model_path = data_dir / "model.bin"
+    features = token_ids([base, aux], config.tokenizer)
     init_model = None
     if config.encoder_init == "pretrained_artifact":
-        init_model = _load_model(config, manifest, data_dir / "model.bin")
+        init_model = _load_model(config, manifest, model_path, features[0])
 
     with _StageTimer(manifest, "train"):
         fit = fit_encoder(
@@ -281,19 +283,21 @@ def cmd_train(
             pretrain=pretrain,
             freeze_negatives=freeze_negatives,
             init_model=init_model,
+            features=features,
         )
 
-    model_path = data_dir / "model.bin"
-    save_model(fit.model, model_path)
-    manifest.add_output(model_path)
-    # join reads model_aux.bin exactly when num_encoders is 2, so a one-encoder
-    # run removes any left from an earlier two-encoder run.
+    # A pretrained model's other rows come from the earlier model.bin, so
+    # model_aux.bin is written before model.bin replaces it. join reads
+    # model_aux.bin exactly when num_encoders is 2, so a one-encoder run
+    # removes any left from an earlier two-encoder run.
     aux_model_path = data_dir / "model_aux.bin"
     if config.num_encoders == 2:
         save_model(fit.models[-1], aux_model_path)
         manifest.add_output(aux_model_path)
     else:
         aux_model_path.unlink(missing_ok=True)
+    save_model(fit.model, model_path)
+    manifest.add_output(model_path)
 
     trace_path = data_dir / "loss_trace.csv"
     with trace_path.open("w", newline="", encoding="utf-8") as fh:

@@ -13,27 +13,25 @@ Training is single-threaded and reproducible under a fixed seed. A batch's
 table gradient is summed through a count matrix: each sentence contributes
 one row (its pooled gradient over its token count), and C (sentences x
 unique buckets) holding each bucket's count per sentence gives the merged
-rows as ``C.T @ rows``. Adam keeps table state only for rows that have had a
-gradient, in compact arrays reached through a per-row slot map. A trained
-model is immutable in practice: encode() never mutates it, so concurrent
-readers are safe.
+rows as ``C.T @ rows``. Adam keeps its table state by table row, and a row
+changes only when it has a gradient. A trained model is immutable in
+practice: encode() never mutates it, so concurrent readers are safe.
 
-A model can hold just the table rows its records' tokens hash to (feature
-hashing leaves every other bucket untouched). ``load_model(path, tokens)``
-reads the projection, the bias and only those rows of a file; such a model
-embeds those tokens with the same bits as the dense one, its ``rows`` raises
-on a token whose row it lacks, and it cannot be trained or saved, since its
-other rows are unknown. ``EncoderModel.create(..., tokens)`` draws only
-those rows of the seeded initial table and records the init seed, so it can
-be trained, and ``save_model`` writes every other row by drawing the initial
-table again block by block: the file is the dense model's, bit for bit, and
-the dense table is never in memory.
+A model holds the table rows of some buckets plus a source for every other
+row: the seed of the initial table (``create``) or the model file it was
+read from (``load_model``). Feature hashing leaves every bucket that no
+record's token hashes to untouched, so ``create`` and ``load_model`` given
+the tokens to embed hold just those tokens' rows, and such a model embeds,
+trains and saves with the bits of the full one. ``save_model`` writes the
+source's table block by block with the held rows put in place: the file is
+the full model's, bit for bit, and the full table is never in memory.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -41,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .data import Dataset, SupervisionPair, SupervisionTriple
-from .joiner import Embeddings
+from .joiner import Embeddings, atomic_write
 from .joinspec import EngineConfig
 from .prepare import Sentence, token_ids
 from .supervise import (
@@ -91,42 +89,46 @@ def _token_rows(tokens: Iterable[str], hash_seed: int, hash_dim: int) -> np.ndar
     return np.unique(_buckets(list(set(tokens)), hash_seed, hash_dim))
 
 
-def _init_blocks(seed: int, hash_dim: int, dim: int, rows: np.ndarray):
-    """The seeded initial table, ``default_rng(seed).normal(0, 1/sqrt(dim))``
-    over ``hash_dim`` x ``dim``, drawn ``_INIT_ROWS`` rows at a time; draws
-    in consecutive blocks from one generator equal the one-shot draw bit for
-    bit. Yields each block with the slice of the sorted buckets ``rows``
-    that fall in it and their offsets within it."""
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(dim)
+def _blocks(next_rows: Callable[[int], np.ndarray], hash_dim: int, rows: np.ndarray):
+    """A table of ``hash_dim`` rows, ``_INIT_ROWS`` at a time, with
+    ``next_rows(n)`` giving its next n rows. Yields each block with the
+    slice of the sorted buckets ``rows`` that fall in it and their offsets
+    within it."""
     for start in range(0, hash_dim, _INIT_ROWS):
-        block = rng.normal(0.0, scale, size=(min(_INIT_ROWS, hash_dim - start), dim))
+        block = next_rows(min(_INIT_ROWS, hash_dim - start))
         lo, hi = np.searchsorted(rows, (start, start + block.shape[0])).tolist()
         yield block, slice(lo, hi), rows[lo:hi] - start
+
+
+def _init_blocks(seed: int, hash_dim: int, dim: int, rows: np.ndarray):
+    """The seeded initial table, ``default_rng(seed).normal(0, 1/sqrt(dim))``
+    over ``hash_dim`` x ``dim``, in ``_blocks``; draws in consecutive blocks
+    from one generator equal the one-shot draw bit for bit."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(dim)
+    return _blocks(lambda n: rng.normal(0.0, scale, size=(n, dim)), hash_dim, rows)
 
 
 @dataclass
 class EncoderModel:
     """Hashed bag-of-tokens encoder: table lookup, mean pool, affine map.
 
-    A dense model's table holds all ``hash_dim`` buckets. A partial model
-    (``create`` or ``load_model`` with ``tokens``) holds only the sorted
-    buckets in ``row_buckets``, one table row each. ``rows`` maps tokens
-    to their table rows either way, and raises for a token whose bucket a
-    partial model lacks. ``init_seed`` is the seed of the initial table
-    that ``create`` drew; a partial model that has one can be trained and
-    saved, since the rows it lacks still hold that draw. A model read from
-    a file has none.
+    The table holds one row for each of the sorted buckets in
+    ``row_buckets``; ``rows`` maps tokens to their table rows and raises
+    for a token whose bucket the model does not hold. Every other bucket's
+    row is the ``source``'s: the seed of the initial table that ``create``
+    drew, or the model file that ``load_model`` read. A full model holds
+    every bucket, ``row_buckets = arange(hash_dim)``.
     """
 
-    table: np.ndarray       # (hash_dim, dim), or (len(row_buckets), dim) when partial
-    projection: np.ndarray  # (dim, dim)
-    bias: np.ndarray        # (dim,)
+    table: np.ndarray        # (len(row_buckets), dim)
+    projection: np.ndarray   # (dim, dim)
+    bias: np.ndarray         # (dim,)
     hash_seed: int
     hash_dim: int
+    row_buckets: np.ndarray  # sorted bucket id of each table row
+    source: int | Path       # every other row: an init seed's draw, or a model file's
     normalize: bool = True
-    row_buckets: np.ndarray | None = None  # bucket id of each table row; None: dense
-    init_seed: int | None = None  # seed of the initial table; None: unknown
 
     @property
     def dim(self) -> int:
@@ -142,8 +144,8 @@ class EncoderModel:
         tokens: Iterable[str] | None = None,
     ) -> "EncoderModel":
         """Seeded random table, identity projection, zero bias. With
-        ``tokens``, the model is partial: it holds only the table rows those
-        tokens hash to, with the same values as the dense table's."""
+        ``tokens``, the model holds only the table rows those tokens hash
+        to, with the same values as the full table's."""
         rows = np.arange(hash_dim) if tokens is None else _token_rows(tokens, seed, hash_dim)
         table = np.empty((rows.size, dim))
         for block, held, at in _init_blocks(seed, hash_dim, dim, rows):
@@ -154,9 +156,9 @@ class EncoderModel:
             bias=np.zeros(dim),
             hash_seed=seed,
             hash_dim=hash_dim,
+            row_buckets=rows,
+            source=seed,
             normalize=normalize,
-            row_buckets=None if tokens is None else rows,
-            init_seed=seed,
         )
 
     def copy(self) -> "EncoderModel":
@@ -166,17 +168,15 @@ class EncoderModel:
             bias=self.bias.copy(),
             hash_seed=self.hash_seed,
             hash_dim=self.hash_dim,
+            row_buckets=self.row_buckets.copy(),
+            source=self.source,
             normalize=self.normalize,
-            row_buckets=None if self.row_buckets is None else self.row_buckets.copy(),
-            init_seed=self.init_seed,
         )
 
     def rows(self, tokens: Sequence[str]) -> np.ndarray:
-        """The table row of each token. A partial model raises for the first
-        token whose bucket it did not load."""
+        """The table row of each token. Raises for the first token whose
+        bucket the model does not hold."""
         buckets = _buckets(tokens, self.hash_seed, self.hash_dim)
-        if self.row_buckets is None:
-            return buckets
         at = np.searchsorted(self.row_buckets, buckets)
         lost = np.flatnonzero(np.append(self.row_buckets, -1)[at] != buckets)
         if lost.size:
@@ -184,14 +184,6 @@ class EncoderModel:
             raise EncoderError(f"token {tokens[first]!r} hashes to bucket {buckets[first]}, "
                                "which this partial model did not load")
         return at
-
-
-def _require_init(model: EncoderModel, action: str) -> None:
-    """A partial model is trained or saved only if the rows it lacks are its
-    seeded initial draw."""
-    if model.row_buckets is not None and model.init_seed is None:
-        raise EncoderError(f"cannot {action} a partial model without an init seed: it holds "
-                           f"{model.row_buckets.size} of {model.hash_dim} table rows")
 
 
 def encode(model: EncoderModel, sentence: Sentence) -> np.ndarray:
@@ -283,7 +275,7 @@ class _Grads:
 
     projection: np.ndarray
     bias: np.ndarray
-    table_idx: np.ndarray   # unique bucket ids touched
+    table_idx: np.ndarray   # unique table rows touched, not bucket ids
     table_rows: np.ndarray  # (len(table_idx), dim)
 
     def dense_table(self, hash_dim: int, dim: int) -> np.ndarray:
@@ -431,12 +423,12 @@ def batch_gradients(
 class _Adam:
     """Adam with lazy (touched-rows-only) updates for the embedding table.
 
-    Table state (m, v and the per-row step count t) exists only for rows
-    that have had a gradient: ``slot`` maps a table row to its place in the
-    compact arrays, or -1 before its first gradient. A row's first update
-    starts from zero state, exactly as a dense zero-initialized table would.
-    Every update runs in preallocated scratch buffers, in the operation
-    order of the textbook expressions, so it keeps their bits.
+    Table state (m, v and the per-row step count t) has one row per table
+    row, starting at zero; a step updates only the rows with a gradient, so
+    a row's first update starts from zero state. The model holds just its
+    vocabulary's rows, so the state is that small too. Every update runs in
+    preallocated scratch buffers, in the operation order of the textbook
+    expressions, so it keeps their bits.
     """
 
     def __init__(self, model: EncoderModel, cfg: TrainConfig) -> None:
@@ -446,29 +438,12 @@ class _Adam:
         self.m_bias = np.zeros_like(model.bias)
         self.v_bias = np.zeros_like(model.bias)
         self.t_dense = 0
-        self.slot = np.full(model.table.shape[0], -1, dtype=np.int64)
-        self.n_rows = 0  # rows with state: the first n_rows entries below are in use
-        self.m_table = np.zeros((0, model.dim))
-        self.v_table = np.zeros((0, model.dim))
-        self.t_rows = np.zeros(0, dtype=np.int64)
+        self.m_table = np.zeros_like(model.table)
+        self.v_table = np.zeros_like(model.table)
+        self.t_rows = np.zeros(model.table.shape[0], dtype=np.int64)
         self._dense_scratch = [(np.empty_like(p), np.empty_like(p))
                                for p in (model.projection, model.bias)]
         self._row_scratch = np.empty((3, 0, model.dim))
-
-    def _slots(self, rows: np.ndarray) -> np.ndarray:
-        """Compact slots of ``rows`` (unique), giving new rows zero state."""
-        fresh = rows[self.slot[rows] < 0]
-        if fresh.size:
-            need = self.n_rows + fresh.size
-            if need > self.t_rows.size:
-                extra = max(need, 2 * self.t_rows.size) - self.n_rows
-                self.m_table, self.v_table, self.t_rows = (
-                    np.concatenate([a[: self.n_rows], np.zeros((extra, *a.shape[1:]), a.dtype)])
-                    for a in (self.m_table, self.v_table, self.t_rows)
-                )
-            self.slot[fresh] = np.arange(self.n_rows, need)
-            self.n_rows = need
-        return self.slot[rows]
 
     def step(self, model: EncoderModel, grads: _Grads) -> None:
         cfg = self.cfg
@@ -491,20 +466,19 @@ class _Adam:
         if grads.table_idx.size == 0:
             return
         rows = grads.table_idx
-        slots = self._slots(rows)
         g = grads.table_rows
         if rows.size > self._row_scratch.shape[1]:
             self._row_scratch = np.empty((3, max(rows.size, 2 * self._row_scratch.shape[1]),
                                           model.dim))
         m, v, a = self._row_scratch[:, : rows.size]
-        t_rows = self.t_rows[slots] + 1
-        np.multiply(np.take(self.m_table, slots, axis=0, out=m), cfg.beta1, out=m)
+        t_rows = self.t_rows[rows] + 1
+        np.multiply(np.take(self.m_table, rows, axis=0, out=m), cfg.beta1, out=m)
         m += np.multiply(g, 1 - cfg.beta1, out=a)
-        np.multiply(np.take(self.v_table, slots, axis=0, out=v), cfg.beta2, out=v)
+        np.multiply(np.take(self.v_table, rows, axis=0, out=v), cfg.beta2, out=v)
         v += np.multiply(np.multiply(g, 1 - cfg.beta2, out=a), g, out=a)
-        self.m_table[slots] = m
-        self.v_table[slots] = v
-        self.t_rows[slots] = t_rows
+        self.m_table[rows] = m
+        self.v_table[rows] = v
+        self.t_rows[rows] = t_rows
         m /= (1 - cfg.beta1 ** t_rows)[:, None]
         m *= cfg.learning_rate
         v /= (1 - cfg.beta2 ** t_rows)[:, None]
@@ -534,12 +508,10 @@ def train(
     diverge. ``triple_provider`` lets the caller resample negatives per
     epoch; without it the given triples are reused every epoch.
     ``features`` is ``prepare.token_ids([base, aux], tokenizer)``, computed
-    here when absent; each record's table rows are looked up once. A partial
-    model trains when it has an init seed.
+    here when absent; each record's table rows are looked up once.
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
-    _require_init(model, "train")
     models = (model,) if shared else (model, model.copy())
     anchor_model, other_model = models[0], models[-1]
     adams = {id(m): _Adam(m, cfg) for m in models}
@@ -593,74 +565,86 @@ def _write_f8(fh, array: np.ndarray) -> None:
     fh.write(memoryview(np.ascontiguousarray(array, "<f8")).cast("B"))
 
 
+def _read_header(path: Path, fh) -> tuple[int, int, int, bool]:
+    """``hash_dim``, ``dim``, ``hash_seed`` and ``normalize`` from the
+    header of the open model file ``fh``, after checking its magic, its
+    version and that the file has exactly the size they give."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise EncoderError(f"{path}: truncated model file")
+    magic, version, hash_dim, dim, hash_seed, norm_flag = _HEADER.unpack(head)
+    if magic != _MAGIC:
+        raise EncoderError(f"{path}: not a model file (bad magic {magic!r})")
+    if version != _VERSION:
+        raise EncoderError(f"{path}: unsupported model version {version} "
+                           f"(expected {_VERSION})")
+    expected = _HEADER.size + 8 * (hash_dim * dim + dim * dim + dim)
+    size = path.stat().st_size
+    if size != expected:
+        raise EncoderError(f"{path}: truncated model file ({size} of {expected} bytes)")
+    return int(hash_dim), int(dim), int(hash_seed), bool(norm_flag)
+
+
+def _source_blocks(model: EncoderModel):
+    """The table of ``model.source`` in ``_blocks``: the seeded initial
+    draw, or a model file's table, which must still match the model's
+    ``hash_dim``, ``dim`` and ``hash_seed``."""
+    if not isinstance(model.source, Path):
+        yield from _init_blocks(model.source, model.hash_dim, model.dim, model.row_buckets)
+        return
+    path, dim, header = model.source, model.dim, (model.hash_dim, model.dim, model.hash_seed)
+    with path.open("rb") as fh:
+        if (found := _read_header(path, fh)[:3]) != header:
+            raise EncoderError(f"{path}: the model's source file now has hash_dim, dim and "
+                               f"hash_seed {found}, but the model has {header}")
+        yield from _blocks(lambda n: np.fromfile(fh, dtype="<f8", count=n * dim).reshape(n, dim),
+                           model.hash_dim, model.row_buckets)
+
+
 def save_model(model: EncoderModel, path: str | Path) -> None:
     """Write the header, then the table, projection and bias as
-    little-endian float64, row-major. A partial model's table is written
-    block by block: its init seed's draw, with the rows it holds in place.
-    A partial model without an init seed is rejected."""
-    _require_init(model, "save")
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                _VERSION,
-                model.hash_dim,
-                model.dim,
-                model.hash_seed,
-                1 if model.normalize else 0,
-            )
-        )
-        rows = model.row_buckets
-        if rows is None:
+    little-endian float64, row-major, to a temporary file beside ``path``
+    that then replaces it, so a model can be saved over the file it was
+    read from. A full model writes its table; any other writes its source's
+    table block by block, with the rows it holds put in place."""
+    with atomic_write(path) as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, model.hash_dim, model.dim, model.hash_seed,
+                              1 if model.normalize else 0))
+        if model.row_buckets.size == model.hash_dim:
             _write_f8(fh, model.table)
         else:
-            for block, held, at in _init_blocks(model.init_seed, model.hash_dim, model.dim, rows):
-                block[at] = model.table[held]
-                _write_f8(fh, block)
+            with closing(_source_blocks(model)) as blocks:
+                for block, held, at in blocks:
+                    block[at] = model.table[held]
+                    _write_f8(fh, block)
         for array in (model.projection, model.bias):
             _write_f8(fh, array)
 
 
 def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> EncoderModel:
-    """Read a model file. With ``tokens``, the model is partial: its table
-    holds only the rows that those tokens hash to, read run by run, so the
-    full ``hash_dim`` x ``dim`` table is never in memory."""
+    """Read a model file, holding the table rows that ``tokens`` hash to
+    (every row without ``tokens``), read run by run; the file is the source
+    of every other row, so the full table is in memory only when held."""
     path = Path(path)
     with path.open("rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise EncoderError(f"{path}: truncated model file")
-        magic, version, hash_dim, dim, hash_seed, norm_flag = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise EncoderError(f"{path}: not a model file (bad magic {magic!r})")
-        if version != _VERSION:
-            raise EncoderError(f"{path}: unsupported model version {version} "
-                               f"(expected {_VERSION})")
-        expected = _HEADER.size + 8 * (hash_dim * dim + dim * dim + dim)
-        size = path.stat().st_size
-        if size != expected:
-            raise EncoderError(f"{path}: truncated model file ({size} of {expected} bytes)")
-        rows = None
-        if tokens is None:
-            table = np.fromfile(fh, dtype="<f8", count=hash_dim * dim).reshape(hash_dim, dim)
-        else:
-            rows = _token_rows(tokens, hash_seed, hash_dim)
-            table = np.empty((rows.size, dim), dtype="<f8")
-            starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
-            for lo, hi in zip(starts, [*starts[1:], rows.size]):
-                fh.seek(_HEADER.size + 8 * dim * int(rows[lo]))
-                table[lo:hi] = np.fromfile(fh, dtype="<f8", count=(hi - lo) * dim).reshape(-1, dim)
-            fh.seek(_HEADER.size + 8 * hash_dim * dim)
+        hash_dim, dim, hash_seed, normalize = _read_header(path, fh)
+        rows = np.arange(hash_dim) if tokens is None else _token_rows(tokens, hash_seed, hash_dim)
+        table = np.empty((rows.size, dim), dtype="<f8")
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()
+        for lo, hi in zip(starts, [*starts[1:], rows.size]):
+            fh.seek(_HEADER.size + 8 * dim * int(rows[lo]))
+            fh.readinto(table[lo:hi])
+        fh.seek(_HEADER.size + 8 * hash_dim * dim)
         projection, bias = (np.fromfile(fh, dtype="<f8", count=n) for n in (dim * dim, dim))
     return EncoderModel(
         table=table,
         projection=projection.reshape(dim, dim),
         bias=bias,
-        hash_seed=int(hash_seed),
-        hash_dim=int(hash_dim),
-        normalize=bool(norm_flag),
+        hash_seed=hash_seed,
+        hash_dim=hash_dim,
         row_buckets=rows,
+        source=path,
+        normalize=normalize,
     )
 
 

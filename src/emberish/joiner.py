@@ -20,10 +20,11 @@ import csv
 import io
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Literal, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +46,21 @@ _WRITE_ROWS = 1 << 14
 
 class JoinError(ValueError):
     """Invalid join input (dimension mismatch, empty side, broken chain)."""
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` (``.<name>.partial``) and
+    replace ``path`` with it once the block completes: a write that fails
+    leaves ``path`` as it was, never truncated, and no temporary file."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open(mode, **kwargs) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -282,17 +298,9 @@ class JoinResult:
         return buf.getvalue()
 
     def write_csv(self, path: str | Path) -> None:
-        """Stream the result file to a temporary file beside ``path``, then
-        replace ``path`` with it: a write that fails leaves ``path`` as it
-        was, never truncated."""
-        path = Path(path)
-        partial = path.with_name(f".{path.name}.partial")
-        try:
-            with partial.open("w", encoding="utf-8", newline="") as fh:
-                self._write_rows(fh)
-            os.replace(partial, path)
-        finally:
-            partial.unlink(missing_ok=True)
+        """Stream the result file through ``atomic_write``."""
+        with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+            self._write_rows(fh)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JoinResult":
@@ -463,11 +471,11 @@ def chain_joins(
         hops = [hop[rows] for hop in hops] + [cols]
         queries = index.vectors[cols]
 
-    # Re-rank final matches per origin record, ties by endpoint id, then by
-    # frontier order; path keeps one id per hop before the endpoint.
+    # Re-rank final matches per origin record, ties by endpoint id, then (a
+    # stable sort) by frontier order; path keeps one id per hop before the endpoint.
     last = stages[-1][1]
-    order = np.lexsort((np.arange(origins.size), last._id_rank[hops[-1]],
-                        scores if last.metric == "l2" else -scores, origins))
+    order = rank_pairs(origins, scores if last.metric == "l2" else -scores,
+                       last._id_rank[hops[-1]], origins.size)
     origins, scores, hops = origins[order], scores[order], [hop[order] for hop in hops]
     path = np.empty((origins.size, len(stages) - 1), dtype=object)
     for j, ((_, index), hop) in enumerate(zip(stages, hops[:-1])):
@@ -487,10 +495,10 @@ _EMB_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
 
 def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
     """Write the header, then per record a u32 id length, the UTF-8 id and
-    its row of little-endian float64 values."""
+    its row of little-endian float64 values, through ``atomic_write``."""
     ids, vectors = embeddings
     rows = np.ascontiguousarray(vectors, dtype="<f8")
-    with Path(path).open("wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_EMB_HEADER.pack(_EMB_MAGIC, _EMB_VERSION, len(ids), rows.shape[1]))
         for rid, row in zip(ids, rows):
             encoded = rid.encode("utf-8")

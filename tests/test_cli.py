@@ -5,6 +5,7 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from emberish.cli import (
@@ -17,7 +18,7 @@ from emberish.cli import (
     main,
     resolve_config,
 )
-from emberish.data import dataset_from_rows, write_dataset
+from emberish.data import dataset_from_rows, load_dataset, write_dataset
 from emberish.joinspec import ConfigError, EngineConfig
 
 
@@ -357,6 +358,73 @@ class TestPartialModelLoads:
         names = ["model.bin", "model_aux.bin"] if num_encoders == 2 else ["model.bin"] * 2
         assert [name for name, _ in calls] == names
         assert all(tokens is not None and len(tokens) > 0 for _, tokens in calls)
+
+
+    @pytest.mark.parametrize("pretrain", [False, True])
+    def test_pretrained_train_writes_the_full_models_fit(self, workspace, monkeypatch,
+                                                         pretrain):
+        # train loads only its vocabulary's rows. The earlier model.bin's rows
+        # all differ from the seeded draw, so the rows outside the vocabulary
+        # show where each file took them from.
+        import emberish.cli as cli_mod
+        from emberish.data import load_supervision
+        from emberish.encoder import EncoderModel, fit_encoder, load_model, save_model
+        from emberish.prepare import token_ids
+
+        tmp_path, _ = workspace
+        cfg = fast_config(tmp_path, num_encoders=2, encoder_init="pretrained_artifact")
+        earlier = EncoderModel.create(dim=8, seed=cfg.seed)
+        earlier.table += 1.0
+        save_model(earlier, tmp_path / "earlier.bin")
+        (tmp_path / "model.bin").write_bytes((tmp_path / "earlier.bin").read_bytes())
+        loads = []
+
+        def recording(path, tokens=None):
+            loads.append(tokens)
+            return load_model(path, tokens)
+
+        monkeypatch.setattr(cli_mod, "load_model", recording)
+        cmd_train(cfg, pretrain=pretrain)
+        assert len(loads) == 1 and len(loads[0]) > 0
+
+        base = load_dataset(tmp_path / "base.csv", role="base", name="base")
+        aux = load_dataset(tmp_path / "aux.csv", role="auxiliary", name="aux")
+        supervision = load_supervision(tmp_path / "supervision.csv", base, aux)
+        expected = fit_encoder(base, aux, supervision, cfg, pretrain=pretrain,
+                               init_model=load_model(tmp_path / "earlier.bin"))
+        held = earlier.rows(token_ids([base, aux], cfg.tokenizer)[0])
+        outside = np.ones(earlier.hash_dim, bool)
+        outside[held] = False
+        for name, model in zip(["model.bin", "model_aux.bin"], expected.models):
+            save_model(model, tmp_path / "expected.bin")
+            assert (tmp_path / name).read_bytes() == (tmp_path / "expected.bin").read_bytes()
+            table = load_model(tmp_path / name).table
+            assert np.array_equal(table[outside], earlier.table[outside])
+            assert not np.array_equal(table[held], earlier.table[held])
+
+    @pytest.mark.parametrize("name", ["model.bin", "model_aux.bin"])
+    def test_a_failed_model_write_leaves_the_earlier_file(self, workspace, monkeypatch, name):
+        import emberish.encoder as enc_mod
+
+        tmp_path, _ = workspace
+        cmd_train(fast_config(tmp_path, num_encoders=2), pretrain=False)
+        before = (tmp_path / name).read_bytes()
+        write_f8 = enc_mod._write_f8
+        written = []
+
+        def failing(fh, array):
+            # The first block of the table goes out; the second fails.
+            if os.path.basename(fh.name) == f".{name}.partial":
+                written.append(array.size)
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+            write_f8(fh, array)
+
+        monkeypatch.setattr(enc_mod, "_write_f8", failing)
+        with pytest.raises(OSError, match="No space"):
+            cmd_train(fast_config(tmp_path, num_encoders=2, seed=8), pretrain=False)
+        assert (tmp_path / name).read_bytes() == before
+        assert not list(tmp_path.glob(".*.partial"))
 
 
 class TestJoinFlags:

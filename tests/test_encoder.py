@@ -335,8 +335,8 @@ class TestLazyAdam:
         lazy_model, dense_model = small_model(3, hash_dim=64), small_model(3, hash_dim=64)
         lazy, dense = _Adam(lazy_model, cfg), DenseAdam(dense_model, cfg)
         rng = np.random.default_rng(0)
-        # Later steps touch rows never seen before (the state grows several
-        # times), revisit old ones, and one step touches no row at all.
+        # Later steps touch rows never seen before, revisit old ones, and one
+        # step touches no row at all.
         touched = [[5], [1, 5, 9], [], [0, 2, 3, 9, 40], list(range(10, 30)), [5, 63], [1, 62]]
         for rows in touched:
             idx = np.array(rows, dtype=np.int64)
@@ -347,11 +347,13 @@ class TestLazyAdam:
             assert np.array_equal(lazy_model.table, dense_model.table)
             assert np.array_equal(lazy_model.projection, dense_model.projection)
             assert np.array_equal(lazy_model.bias, dense_model.bias)
+        # The state is indexed by table row, and every row agrees, the
+        # untouched ones still at zero.
+        assert np.array_equal(lazy.m_table, dense.m_table)
+        assert np.array_equal(lazy.v_table, dense.v_table)
+        assert np.array_equal(lazy.t_rows, dense.t_rows)
         seen = np.unique(np.concatenate([np.array(r, dtype=np.int64) for r in touched]))
-        slots = lazy.slot[seen]
-        assert np.array_equal(lazy.m_table[slots], dense.m_table[seen])
-        assert np.array_equal(lazy.v_table[slots], dense.v_table[seen])
-        assert np.array_equal(lazy.t_rows[slots], dense.t_rows[seen])
+        assert np.flatnonzero(lazy.t_rows).tolist() == seen.tolist()
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_state_holds_exactly_the_touched_rows(self, monkeypatch, shared):
@@ -379,10 +381,11 @@ class TestLazyAdam:
         expected = [anchor_rows | other_rows] if shared else [anchor_rows, other_rows]
         assert len(adams) == len(expected)
         for (m, adam), want in zip(adams, expected):
-            assert set(np.flatnonzero(adam.slot >= 0).tolist()) == want
-            assert adam.n_rows == len(want)
-            assert len(want) <= adam.m_table.shape[0] < 2 * len(want)
-            assert adam.m_table.shape == adam.v_table.shape == (adam.m_table.shape[0], m.dim)
+            assert set(np.flatnonzero(adam.t_rows > 0).tolist()) == want
+            assert adam.m_table.shape == adam.v_table.shape == m.table.shape
+            assert adam.t_rows.shape == (m.table.shape[0],)
+            untouched = adam.t_rows == 0
+            assert not adam.m_table[untouched].any() and not adam.v_table[untouched].any()
 
 
 def toy_training_world(n=10):
@@ -662,6 +665,42 @@ class TestSparseFit:
         # trained rows as well as streamed ones.
         assert not np.array_equal(load_model(tmp_path / "sparse0.bin").table, initial)
 
+    @pytest.mark.parametrize("num_encoders", [1, 2])
+    @pytest.mark.parametrize("pretrain", [False, True])
+    def test_fit_from_a_partial_load_saves_the_full_loads_files(self, tmp_path, num_encoders,
+                                                                pretrain):
+        from emberish.encoder import _INIT_ROWS, fit_encoder
+        from emberish.joinspec import EngineConfig
+
+        # An earlier fit over twice the words trains rows that this fit's
+        # vocabulary does not hash to, so they come from the file.
+        hash_dim = 2 * _INIT_ROWS + 123
+        cfg = EngineConfig(data_dir=".", embedding_dim=8, epochs=2, learning_rate=0.05,
+                           sampler="random", seed=3, loss_margin=0.5, num_encoders=num_encoders)
+        earlier = tmp_path / "earlier.bin"
+        save_model(fit_encoder(*self.world(vocab=60), cfg, hash_dim=hash_dim).model, earlier)
+        base, aux, pairs = self.world(vocab=30)
+        features = token_ids([base, aux], cfg.tokenizer)
+        full, partial = (fit_encoder(base, aux, pairs, cfg, pretrain=pretrain,
+                                     init_model=load_model(earlier, tokens), features=features)
+                         for tokens in (None, features[0]))
+        assert full.trace == partial.trace
+        assert len(partial.models) == num_encoders
+        outside = np.ones(hash_dim, bool)
+        outside[partial.model.row_buckets] = False
+        initial = EncoderModel.create(dim=8, hash_dim=hash_dim, seed=3).table
+        earlier_table = load_model(earlier).table
+        assert not np.array_equal(earlier_table[outside], initial[outside])
+        for i, (mine, theirs) in enumerate(zip(partial.models, full.models)):
+            assert mine.source == earlier and mine.row_buckets.size < hash_dim
+            save_model(mine, tmp_path / f"partial{i}.bin")
+            save_model(theirs, tmp_path / f"full{i}.bin")
+            assert (tmp_path / f"partial{i}.bin").read_bytes() == \
+                (tmp_path / f"full{i}.bin").read_bytes()
+            saved = load_model(tmp_path / f"partial{i}.bin").table
+            assert np.array_equal(saved[outside], earlier_table[outside])
+            assert not np.array_equal(saved[~outside], earlier_table[~outside])
+
     def test_fit_and_save_never_hold_the_dense_table(self, tmp_path):
         import tracemalloc
 
@@ -860,16 +899,56 @@ class TestPartialModel:
         assert np.array_equal(copy.row_buckets, partial.row_buckets)
         assert row(copy, "alpha") == row(partial, "alpha")
 
-    def test_save_and_train_reject_a_partial_model(self, tmp_path):
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_trains_and_saves_the_bytes_of_the_full_model(self, tmp_path, shared):
         _, path = self.saved(tmp_path)
-        partial = load_model(path, tokens=["alpha", "beta"])
-        with pytest.raises(EncoderError, match="partial"):
-            save_model(partial, tmp_path / "out.bin")
-        assert not (tmp_path / "out.bin").exists()
         ds = dataset_from_rows("a", "auxiliary", [("x", [("t", "alpha")]), ("y", [("t", "beta")])])
         triple = SupervisionTriple(anchor_id="x", positive_id="x", negative_id="y")
-        with pytest.raises(EncoderError, match="partial"):
-            train(partial, [triple], ds, ds, TrainConfig(epochs=1))
+        full, partial = load_model(path), load_model(path, tokens=token_ids([ds])[0])
+        assert partial.row_buckets.size < partial.hash_dim and partial.source == path
+        saved = {}
+        for name, model in (("full", full), ("partial", partial)):
+            fit = train(model, [triple], ds, ds, TrainConfig(epochs=2, learning_rate=0.05),
+                        shared=shared)
+            saved[name] = []
+            for j, trained in enumerate(fit.models):
+                save_model(trained, tmp_path / f"{name}{j}.bin")
+                saved[name].append((tmp_path / f"{name}{j}.bin").read_bytes())
+        assert len(saved["partial"]) == (1 if shared else 2)
+        assert saved["partial"] == saved["full"]
+        assert saved["full"][0] != path.read_bytes()  # training moved rows
+
+    @pytest.mark.parametrize("tokens", [None, ["alpha", "beta"]])
+    def test_saves_over_the_file_it_was_read_from(self, tmp_path, tokens):
+        model, path = self.saved(tmp_path)
+        loaded = load_model(path, tokens=tokens)
+        loaded.table[loaded.rows(["alpha"])] += 1.0
+        model.table[model.rows(["alpha"])] += 1.0
+        save_model(loaded, path)
+        save_model(model, tmp_path / "expected.bin")
+        assert path.read_bytes() == (tmp_path / "expected.bin").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.bin", "m.bin"]
+
+    @pytest.mark.parametrize("change", ["dim", "hash_dim", "hash_seed", "size"])
+    @pytest.mark.parametrize("onto_source", [False, True])
+    def test_a_source_changed_since_the_load_is_rejected(self, tmp_path, change, onto_source):
+        _, path = self.saved(tmp_path)
+        partial = load_model(path, tokens=["alpha"])
+        if change == "size":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            other = {"dim": dict(seed=9, dim=5, hash_dim=64),
+                     "hash_dim": dict(seed=9, hash_dim=65),
+                     "hash_seed": dict(seed=10, hash_dim=64)}[change]
+            save_model(small_model(**other), path)
+        target = path if onto_source else tmp_path / "out.bin"
+        if not onto_source:
+            target.write_bytes(b"an earlier file")
+        before = target.read_bytes()
+        with pytest.raises(EncoderError, match="truncated" if change == "size" else "source"):
+            save_model(partial, target)
+        assert target.read_bytes() == before
+        assert not list(tmp_path.glob(".*.partial"))
 
     def test_truncated_and_bad_magic_rejected_when_partial(self, tmp_path):
         _, path = self.saved(tmp_path)

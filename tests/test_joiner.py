@@ -775,35 +775,39 @@ class TestResultCsv:
         path = tmp_path / "result.csv"
         JoinResult.from_ids([("b0", "a0", 1, 0.5)]).write_csv(path)
         old = path.read_bytes()
-        real_open = Path.open
-
-        class FullDisk:
-            """A text file with room for the header and the first chunk."""
-
-            def __init__(self, fh):
-                self.fh, self.room = fh, len("base_id,aux_id,rank,score\n") + 2 * len(
-                    "b0,a0,1,0.25\n")
-
-            def write(self, text):
-                self.room -= len(text)
-                if self.room < 0:
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(text)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
         monkeypatch.setattr(joiner, "_WRITE_ROWS", 2)
-        monkeypatch.setattr(Path, "open", lambda p, *a, **kw: FullDisk(real_open(p, *a, **kw)))
+        # Room for the header and the first chunk.
+        full_disk(monkeypatch, len("base_id,aux_id,rank,score\n") + 2 * len("b0,a0,1,0.25\n"))
         result = JoinResult.from_ids([(f"b{i}", f"a{i}", 1, 0.25) for i in range(5)])
         with pytest.raises(OSError, match="No space"):
             result.write_csv(path)
         monkeypatch.undo()
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]
+
+
+def full_disk(monkeypatch, room):
+    """Make every file opened through ``Path.open`` fail once more than
+    ``room`` characters or bytes have been written to it."""
+    real_open = Path.open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.room = fh, room
+
+        def write(self, data):
+            self.room -= len(data)
+            if self.room < 0:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(Path, "open", lambda p, *a, **kw: FullDisk(real_open(p, *a, **kw)))
 
 
 class TestEmbeddingsFile:
@@ -824,6 +828,18 @@ class TestEmbeddingsFile:
         path.write_bytes(raw[:-8])
         with pytest.raises(JoinError, match="truncated"):
             load_embeddings(path)
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.bin"
+        save_embeddings(grid_embeddings("e", 3, 4, 53), path)
+        old = path.read_bytes()
+        # Room for the header and the first record of three.
+        full_disk(monkeypatch, 24 + 4 + len("e0") + 8 * 4)
+        with pytest.raises(OSError, match="No space"):
+            save_embeddings(grid_embeddings("e", 3, 4, 54), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
