@@ -59,19 +59,23 @@ def _topk_by_base(result: JoinResult, truth: TruthSet,
     truth base the best rank of a row holding one of its edges (inf if none)."""
     sizes = [len(want) for want in truth.related.values()]
     edge_base = np.repeat(np.arange(len(sizes)), sizes)
-    # One code (< n) per distinct id of the result and the truth; a pair's
-    # code is base code * n + aux code.
-    ids = [*result.base_ids, *result.aux_ids, *truth.related, *chain(*truth.related.values())]
-    codes, n = np.unique(np.array(ids, dtype=object), return_inverse=True)[1], len(ids)
-    base_code, aux_code, truth_base, edge_aux = np.split(
-        codes, np.cumsum([len(result.base_ids), len(result.aux_ids), len(sizes)]))
-    edges = truth_base[edge_base] * n + edge_aux
+    # Truth ids as the result's positions, -1 where the result lacks one; a
+    # pair's code is base position * n + aux position, and -1 for no pair.
+    base_at = {rid: i for i, rid in enumerate(result.base_ids)}
+    aux_at = {rid: i for i, rid in enumerate(result.aux_ids)}
+    truth_base = np.array([base_at.get(rid, -1) for rid in truth.related], np.int64)
+    edge_aux = np.array([aux_at.get(rid, -1) for rid in chain(*truth.related.values())],
+                        np.int64)
+    n = len(result.aux_ids)
+    edge_base_at = truth_base[edge_base]
+    edges = np.where((edge_base_at >= 0) & (edge_aux >= 0), edge_base_at * n + edge_aux, -1)
     top = (result.base >= 0) & (result.aux >= 0) & (result.rank <= k)
-    base, rank = base_code[result.base[top]], result.rank[top]
-    pairs = base * n + aux_code[result.aux[top]]
+    base, rank = result.base[top], result.rank[top]
+    pairs = base * n + result.aux[top]
     hit = np.isin(pairs, edges)
-    truth_index = np.zeros(n, np.int64)
-    truth_index[truth_base] = np.arange(len(sizes))
+    truth_index = np.zeros(len(result.base_ids), np.int64)
+    known = truth_base >= 0
+    truth_index[truth_base[known]] = np.flatnonzero(known)
     best = np.full(len(sizes), np.inf)
     np.minimum.at(best, truth_index[base[hit]], rank[hit])
     return edge_base, np.isin(edges, pairs), best

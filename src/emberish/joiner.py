@@ -20,6 +20,7 @@ import csv
 import io
 import os
 import struct
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +39,8 @@ Embeddings = tuple[Sequence[str], np.ndarray]
 # Floats per query block of scores (4 MB). Smaller blocks re-read the whole
 # index more often: at 2^16 a 2k-over-10k scan took about twice as long.
 _BLOCK_CELLS = 1 << 19
-# Floats per re-scoring step of the l2 shortlist (0.5 MB).
+# Floats per re-scoring step of the l2 shortlist and per partitioned chunk
+# of a topk block (0.5 MB).
 _RESCORE_CELLS = 1 << 16
 # Rows per chunk of a result file that is formatted in memory.
 _WRITE_ROWS = 1 << 14
@@ -87,11 +89,18 @@ def topk(scores: np.ndarray, k: int, id_rank: np.ndarray, descending: bool,
     block (m, n)): lowest first unless ``descending``, ties by ascending
     ``id_rank``, never an entry outside ``keep``; both broadcast against
     ``scores``. Returns their ``(rows, cols)``, ordered by row, then rank."""
-    key = np.array(scores, dtype=np.float64, ndmin=2) * (-1.0 if descending else 1.0)
+    key = np.array(scores, dtype=np.float64, ndmin=2)
+    if descending:
+        key *= -1.0
     keep = np.ones(key.shape, bool) if keep is None else np.broadcast_to(keep, key.shape)
     key[~keep] = np.inf
     if k < key.shape[1]:  # keep everything tied with the k-th; id ranks decide
-        keep = keep & (key <= np.partition(key, k - 1, axis=1)[:, k - 1 : k])
+        # Partitioned a few rows at a time, so no second copy of the block.
+        kth = np.empty((key.shape[0], 1))
+        step = max(1, _RESCORE_CELLS // key.shape[1])
+        for at in range(0, key.shape[0], step):
+            kth[at : at + step] = np.partition(key[at : at + step], k - 1, axis=1)[:, k - 1 : k]
+        keep = keep & (key <= kth)
     rows, cols = np.nonzero(keep)
     best = rank_pairs(rows, key[rows, cols], np.broadcast_to(id_rank, key.shape)[rows, cols], k)
     return rows[best], cols[best]
@@ -245,16 +254,20 @@ class JoinResult:
     def from_ids(cls, rows: Iterable[tuple[str | None, str | None, int, float]],
                  spec: JoinSpec | None = None) -> "JoinResult":
         """A forward result from ``(base_id, aux_id, rank, score)`` rows;
-        a None or empty id marks an ABSENT side."""
-        base, aux, rank, score = list(zip(*rows)) or [()] * 4
-        ids, positions = [], []
-        for column in (base, aux):  # "" sorts first, so an ABSENT side gets -1
-            distinct, at = np.unique(np.array([*(i or "" for i in column), ""], dtype=object),
-                                     return_inverse=True)
-            ids.append(tuple(distinct[1:]))
-            positions.append(at[:-1] - 1)
-        return cls(*ids, *positions, np.array(rank, dtype=np.int64),
-                   np.array(score, dtype=np.float64), np.zeros(len(rank), bool), spec=spec)
+        a None or empty id marks an ABSENT side. Rows are consumed one at a
+        time into typed columns, each id coded in first-seen order."""
+        # "" is coded first and sorts first, so an ABSENT side gets -1.
+        base_codes, aux_codes = {"": 0}, {"": 0}
+        base, aux, rank, score = array("q"), array("q"), array("q"), array("d")
+        for base_id, aux_id, row_rank, row_score in rows:
+            base.append(base_codes.setdefault(base_id or "", len(base_codes)))
+            aux.append(aux_codes.setdefault(aux_id or "", len(aux_codes)))
+            rank.append(row_rank)
+            score.append(row_score)
+        (base_ids, base_at), (aux_ids, aux_at) = map(_sorted_codes, (base_codes, aux_codes))
+        return cls(base_ids, aux_ids, base_at[np.frombuffer(base, np.int64)],
+                   aux_at[np.frombuffer(aux, np.int64)], np.frombuffer(rank, np.int64),
+                   np.frombuffer(score, np.float64), np.zeros(len(rank), bool), spec=spec)
 
     @cached_property
     def matches(self) -> tuple[Match, ...]:
@@ -304,23 +317,38 @@ class JoinResult:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "JoinResult":
-        """Read a result file; a malformed line raises ``JoinError`` naming it."""
-        rows = []
+        """Read a result file, streaming its rows into columns; a malformed
+        line raises ``JoinError`` naming it."""
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or header[:4] != ["base_id", "aux_id", "rank", "score"]:
                 raise JoinError(f"{path}: line 1: no result header (found {header!r})")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    base_id, aux_id, rank, score = row[:4]
-                    rows.append((base_id, aux_id, int(rank), float(score or "nan")))
-                except ValueError:
-                    raise JoinError(f"{path}: line {reader.line_num}: expected an id pair, an "
-                                    f"integer rank and a score, found {row!r}") from None
-        return cls.from_ids(rows)
+
+            def rows() -> Iterator[tuple[str, str, int, float]]:
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        base_id, aux_id, rank, score = row[:4]
+                        rank, score = int(rank), float(score or "nan")
+                        if not -(1 << 63) <= rank < 1 << 63:
+                            raise ValueError("rank outside int64")
+                    except ValueError:
+                        raise JoinError(f"{path}: line {reader.line_num}: expected an id pair, "
+                                        f"an integer rank and a score, found {row!r}") from None
+                    yield base_id, aux_id, rank, score
+
+            return cls.from_ids(rows())
+
+
+def _sorted_codes(coded: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids of ``coded`` (id -> code, with "" among them) in ascending
+    order without "", and each code's position among them: -1 for ""."""
+    distinct = sorted(coded)
+    position = np.empty(len(coded), np.int64)
+    position[[coded[rid] for rid in distinct]] = np.arange(-1, len(distinct) - 1)
+    return tuple(distinct[1:]), position
 
 
 def ranked_columns(rows: Sequence[int], cols: Sequence[int], scores: Sequence[float],

@@ -51,10 +51,15 @@ def fast_config(tmp_path, **overrides):
     return EngineConfig(**{k: v for k, v in raw.items()})
 
 
+def read_rows(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def write_triples(tmp_path):
     """Triples over the first four supervision pairs, each with another
     pair's aux record as the negative."""
-    rows = list(csv.reader((tmp_path / "supervision.csv").open()))
+    rows = read_rows(tmp_path / "supervision.csv")
     triples = tmp_path / "triples.csv"
     with triples.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -108,7 +113,7 @@ class TestTrain:
         tmp_path, cfg = workspace
         manifest = cmd_train(cfg, pretrain=False)
         assert (tmp_path / "model.bin").exists()
-        trace_rows = list(csv.reader((tmp_path / "loss_trace.csv").open()))
+        trace_rows = read_rows(tmp_path / "loss_trace.csv")
         assert trace_rows[0] == ["stage", "epoch", "loss"]
         assert len(trace_rows) == 1 + cfg.epochs
         assert "train" in manifest.timings
@@ -116,7 +121,7 @@ class TestTrain:
     def test_pretrain_adds_trace_rows(self, workspace):
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=True)
-        trace_rows = list(csv.reader((tmp_path / "loss_trace.csv").open()))
+        trace_rows = read_rows(tmp_path / "loss_trace.csv")
         stages = {row[0] for row in trace_rows[1:]}
         assert stages == {"pretrain", "train"}
 
@@ -190,7 +195,7 @@ class TestJoin:
         for name in ("result.csv", "embeddings_base.bin", "embeddings_aux.bin",
                      "manifest_join.json"):
             assert (tmp_path / name).exists()
-        rows = list(csv.reader((tmp_path / "result.csv").open()))
+        rows = read_rows(tmp_path / "result.csv")
         assert rows[0] == ["base_id", "aux_id", "rank", "score"]
         # INNER bound: per queried record at most right_size matches.
         assert len(rows) - 1 <= 60 * cfg.right_size
@@ -209,7 +214,7 @@ class TestJoin:
             "base LEFT KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 2 USING supervision;"
         )
         cmd_join(cfg, spec_file=spec_path)
-        rows = list(csv.reader((tmp_path / "result.csv").open()))
+        rows = read_rows(tmp_path / "result.csv")
         per_base = {}
         for row in rows[1:]:
             per_base.setdefault(row[0], []).append(row)
@@ -463,7 +468,7 @@ class TestJoinFlags:
         args = ["join", "--config", str(config), "--baseline", "BM25"]
         assert main(args) == 0
         assert main([*args, "--right-size", "2"]) == 0
-        ranks = [row["rank"] for row in csv.DictReader((tmp_path / "result.csv").open())]
+        ranks = [row[2] for row in read_rows(tmp_path / "result.csv")[1:]]
         assert ranks and max(map(int, ranks)) <= 2
 
 
@@ -528,7 +533,9 @@ class TestEvaluate:
         ("base_id,aux_id,rank,score\nb0,a0,1\n", 2),
         ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,two,0.7\n", 3),
         ("base_id,aux_id,rank,score\n\nb0,a0,1,close\n", 3),
-    ], ids=["missing-header", "short-row", "non-integer-rank", "non-float-score"])
+        ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,9223372036854775808,0.7\n", 3),
+    ], ids=["missing-header", "short-row", "non-integer-rank", "non-float-score",
+            "rank-beyond-int64"])
     def test_malformed_results_exit_1_naming_the_line(self, tmp_path, capsys, text, line):
         (tmp_path / "truth_test.csv").write_text("base_id,aux_id\nb0,a0\n")
         results = tmp_path / "result.csv"
@@ -581,7 +588,7 @@ class TestPipeline:
                 fh.write(f"r{i},{float(i)}\n")
         cmd_pipeline(cfg, chain, labels_path=labels, agg_ks=[1, 2])
         assert (tmp_path / "chain_result.csv").exists()
-        agg_rows = list(csv.reader((tmp_path / "aggregates.csv").open()))
+        agg_rows = read_rows(tmp_path / "aggregates.csv")
         assert agg_rows[0] == ["k", "base_id", "estimate"]
         assert {row[0] for row in agg_rows[1:]} == {"1", "2"}
 
