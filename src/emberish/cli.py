@@ -61,7 +61,7 @@ from .joinspec import (
     parse_join_specs,
     resolve_ref,
 )
-from .lexrank import lexical_join
+from .lexrank import lexical_join, uses_key_column
 from .prepare import prepare_sentence, token_ids
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
@@ -333,16 +333,25 @@ def cmd_join(
     size_flags: Collection[str] = (),
 ) -> RunManifest:
     """Execute the join and write result.csv. ``size_flags`` names the
-    join-type and left-size command-line flags given, which the baseline
-    join does not use."""
-    given = ({"--threshold": threshold is not None, "--both-directions": both_directions,
-              "--index-side": index_side != "auto",
-              "--join-type": "--join-type" in size_flags,
-              "--left-size": "--left-size" in size_flags} if baseline is not None
-             else {"--key-column": key_column is not None})
+    --join-type, --left-size and --right-size flags given on the command
+    line: the baseline join uses only --right-size (its k), and a join from
+    ``spec_file`` none of them, since the statement sets all three."""
+    if baseline is not None:
+        path = f"the {baseline} baseline join"
+        given = {"--threshold": threshold is not None, "--both-directions": both_directions,
+                 "--index-side": index_side != "auto",
+                 "--join-type": "--join-type" in size_flags,
+                 "--left-size": "--left-size" in size_flags,
+                 "--key-column": key_column is not None and not uses_key_column(baseline)}
+    else:
+        path = "the learned join"
+        given = {"--key-column": key_column is not None}
+    if spec_file is not None:
+        path += " with --spec-file"
+        given.update(dict.fromkeys(size_flags, True))
     if any(given.values()):
-        raise ConfigError(f"the {'baseline' if baseline is not None else 'learned'} join does "
-                          f"not use {', '.join(flag for flag, on in given.items() if on)}")
+        raise ConfigError(f"{path} does not use "
+                          f"{', '.join(flag for flag, on in given.items() if on)}")
     data_dir = Path(config.data_dir)
     manifest = RunManifest(command="join", config=_config_to_dict(config), seed=config.seed)
 
@@ -431,12 +440,20 @@ def cmd_evaluate(
 ) -> tuple[RunManifest, str]:
     """Compute metrics; returns the manifest and a printable table.
     ``methods`` and ``key_column`` go with ``comparison``; ``results_path``
-    and ``with_mrr`` go without it."""
-    given = ({"--results": results_path is not None, "--mrr": with_mrr} if comparison
-             else {"--methods": methods is not None, "--key-column": key_column is not None})
+    and ``with_mrr`` go without it, and ``key_column`` only with a method
+    that compares a key column."""
+    if comparison:
+        methods = methods or ["BM25", "untrained-encoder", "trained-encoder"]
+        mode = f"evaluate --comparison of {', '.join(methods)}"
+        given = {"--results": results_path is not None, "--mrr": with_mrr,
+                 "--key-column": key_column is not None
+                 and not any(uses_key_column(m) for m in methods)}
+    else:
+        mode = "evaluate without --comparison"
+        given = {"--methods": methods is not None, "--key-column": key_column is not None}
     if any(given.values()):
-        raise ConfigError(f"evaluate {'with' if comparison else 'without'} --comparison does "
-                          f"not use {', '.join(flag for flag, on in given.items() if on)}")
+        raise ConfigError(f"{mode} does not use "
+                          f"{', '.join(flag for flag, on in given.items() if on)}")
     data_dir = Path(config.data_dir)
     ks = ks or [1, 10]
     truth_path = Path(truth_path) if truth_path else data_dir / "truth_test.csv"
@@ -458,7 +475,6 @@ def cmd_evaluate(
             loaded = load_supervision(sup_path, base, aux)
             if loaded and isinstance(loaded[0], SupervisionPair):
                 train_pairs = loaded
-        methods = methods or ["BM25", "untrained-encoder", "trained-encoder"]
         with _StageTimer(manifest, "comparison"):
             table = run_comparison(
                 base, aux, truth, methods, ks,
@@ -522,6 +538,8 @@ def cmd_pipeline(
     agg_ks: list[int] | None = None,
 ) -> RunManifest:
     """Run a chained (multi-hop) join, optionally averaging labels."""
+    if agg_ks is not None and labels_path is None:
+        raise ConfigError("pipeline without --labels does not use --agg-ks")
     if config.num_encoders == 2:
         raise ConfigError("pipeline embeds every hop with model.bin alone, so it does not "
                           "support num_encoders 2")
@@ -696,8 +714,8 @@ def join_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
     """Execute the join and write result.csv."""
     cfg = resolve_config(config_path,
                          _common_overrides(data_dir, seed, join_type, left_size, right_size))
-    size_flags = [flag for flag, value in (("--join-type", join_type), ("--left-size", left_size))
-                  if value is not None]
+    size_flags = [flag for flag, value in (("--join-type", join_type), ("--left-size", left_size),
+                                           ("--right-size", right_size)) if value is not None]
     cmd_join(cfg, spec_file=spec_file, baseline=baseline, key_column=key_column,
              threshold=threshold, index_side=index_side, both_directions=both_directions,
              dump_sentences=dump_sentences, size_flags=size_flags)

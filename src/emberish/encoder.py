@@ -9,12 +9,18 @@ Every learned command featurizes the same way: ``prepare.token_ids`` turns
 each record's prepared tokens into vocabulary ids once, ``EncoderModel.rows``
 maps the vocabulary to table rows, and a record's rows are ``rows[ids]``.
 
-Training is single-threaded and reproducible under a fixed seed. A batch's
-table gradient is summed through a count matrix: each sentence contributes
-one row (its pooled gradient over its token count), and C (sentences x
-unique buckets) holding each bucket's count per sentence gives the merged
-rows as ``C.T @ rows``. Adam keeps its table state by table row, and a row
-changes only when it has a gradient. A trained model is immutable in
+The affine map is one ``(dim + 1) x dim`` array, the projection's rows
+and then the bias, as the model file stores them; ``projection`` and
+``bias`` are views of it.
+
+Training is single-threaded and reproducible under a fixed seed. Each
+model runs one forward and one backward pass per batch, over all the
+sentences it embeds. A batch's table gradient is summed through a count
+matrix: each sentence contributes one row (its pooled gradient over its
+token count), and C (sentences x unique buckets) holding each bucket's
+count per sentence gives the merged rows as ``C.T @ rows``. Adam updates
+the affine array in one dense step and keeps its table state by table row;
+a row changes only when it has a gradient. A trained model is immutable in
 practice: encode() never mutates it, so concurrent readers are safe.
 
 A model holds the table rows of some buckets plus a source for every other
@@ -33,6 +39,7 @@ import random
 import struct
 from contextlib import closing
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -41,10 +48,10 @@ import numpy as np
 from .data import Dataset, SupervisionPair, SupervisionTriple
 from .joiner import Embeddings, atomic_write
 from .joinspec import EngineConfig
+from .lexrank import dataset_bm25_index
 from .prepare import Sentence, token_ids
 from .supervise import (
     SamplerConfig,
-    aux_bm25_index,
     build_pretraining_pairs,
     build_tiers,
     sample_triples,
@@ -122,8 +129,7 @@ class EncoderModel:
     """
 
     table: np.ndarray        # (len(row_buckets), dim)
-    projection: np.ndarray   # (dim, dim)
-    bias: np.ndarray         # (dim,)
+    affine: np.ndarray       # (dim + 1, dim): the projection's rows, then the bias
     hash_seed: int
     hash_dim: int
     row_buckets: np.ndarray  # sorted bucket id of each table row
@@ -133,6 +139,14 @@ class EncoderModel:
     @property
     def dim(self) -> int:
         return self.table.shape[1]
+
+    @property
+    def projection(self) -> np.ndarray:
+        return self.affine[:-1]
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.affine[-1]
 
     @classmethod
     def create(
@@ -152,8 +166,7 @@ class EncoderModel:
             table[held] = block[at]
         return cls(
             table=table,
-            projection=np.eye(dim),
-            bias=np.zeros(dim),
+            affine=np.eye(dim + 1, dim),
             hash_seed=seed,
             hash_dim=hash_dim,
             row_buckets=rows,
@@ -164,8 +177,7 @@ class EncoderModel:
     def copy(self) -> "EncoderModel":
         return EncoderModel(
             table=self.table.copy(),
-            projection=self.projection.copy(),
-            bias=self.bias.copy(),
+            affine=self.affine.copy(),
             hash_seed=self.hash_seed,
             hash_dim=self.hash_dim,
             row_buckets=self.row_buckets.copy(),
@@ -273,8 +285,7 @@ class TrainResult:
 class _Grads:
     """Gradients for one model: dense affine part, sparse table rows."""
 
-    projection: np.ndarray
-    bias: np.ndarray
+    affine: np.ndarray      # (dim + 1, dim), as EncoderModel.affine
     table_idx: np.ndarray   # unique table rows touched, not bucket ids
     table_rows: np.ndarray  # (len(table_idx), dim)
 
@@ -308,18 +319,21 @@ def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray]):
 def _backward_group(
     model: EncoderModel,
     g_x: np.ndarray,
+    parts: int,
     E: np.ndarray,
     U: np.ndarray,
     X: np.ndarray,
     R: np.ndarray,
     counts: np.ndarray,
     nonempty: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backprop g_x through normalization, projection, and pooling.
 
-    Returns (g_projection, g_bias, per_sentence_rows): row i is the gradient
-    of each single token of sentence i, ``g_e[i] / count[i]`` (zero for an
-    empty sentence).
+    Returns (g_affine, per_sentence_rows): row i is the gradient of each
+    single token of sentence i, ``g_e[i] / count[i]`` (zero for an empty
+    sentence). The rows form ``parts`` equal groups; g_affine sums the
+    groups' ``E.T @ g_u`` and ``g_u.sum(axis=0)`` in group order, so it has
+    the bits of one backward pass per group.
     """
     g_u = g_x.copy()
     if model.normalize:
@@ -328,10 +342,10 @@ def _backward_group(
         g_u[scale] = (g_x[scale] - dot[:, None] * X[scale]) / R[scale, None]
     g_u[~nonempty] = 0.0
 
-    g_projection = E.T @ g_u
-    g_bias = g_u.sum(axis=0)
+    g_affine = reduce(np.add, (np.vstack((e.T @ g, g.sum(axis=0)))
+                               for e, g in zip(np.split(E, parts), np.split(g_u, parts))))
     g_e = g_u @ model.projection.T
-    return g_projection, g_bias, g_e / np.maximum(counts, 1)[:, None]
+    return g_affine, g_e / np.maximum(counts, 1)[:, None]
 
 
 def _table_grads(
@@ -373,18 +387,21 @@ def batch_gradients(
     positives: list[np.ndarray],
     negatives: list[np.ndarray],
     margin: float,
-) -> tuple[float, dict[int, _Grads]]:
-    """Mean batch loss plus exact gradients, keyed by id(model).
+) -> tuple[float, list[_Grads]]:
+    """Mean batch loss plus exact gradients, one ``_Grads`` per model:
+    ``[anchor]`` when the two models are one, else ``[anchor, other]``.
 
-    With a shared model the three sentence groups accumulate into one
-    gradient set; otherwise anchors flow to the anchor model and the
-    positive/negative groups to the other.
+    Each model runs one forward and one backward pass over all of its
+    sentences: a shared model embeds anchors, positives and negatives
+    together; otherwise the anchor model embeds the anchors and the other
+    model the positives, then the negatives.
     """
-    shared = anchor_model is other_model
-    fa = _forward_group(anchor_model, anchors)
-    fp = _forward_group(other_model, positives)
-    fn = _forward_group(other_model, negatives)
-    Xa, Xp, Xn = fa[2], fp[2], fn[2]
+    groups = (anchors, positives, negatives)
+    owned = ((0, 1, 2),) if anchor_model is other_model else ((0,), (1, 2))
+    models = (anchor_model, other_model)[: len(owned)]
+    sentences = [[b for i in own for b in groups[i]] for own in owned]
+    forwards = [_forward_group(m, s) for m, s in zip(models, sentences)]
+    Xa, Xp, Xn = np.split(np.concatenate([f[2] for f in forwards]), 3)
     B = Xa.shape[0]
 
     dap = Xa - Xp
@@ -401,29 +418,19 @@ def batch_gradients(
     g_xp = -active[:, None] * u_pos
     g_xn = active[:, None] * u_neg
 
-    groups = (
-        (anchor_model, anchors, _backward_group(anchor_model, g_xa, *fa)),
-        (other_model, positives, _backward_group(other_model, g_xp, *fp)),
-        (other_model, negatives, _backward_group(other_model, g_xn, *fn)),
-    )
-    grads: dict[int, _Grads] = {}
-    for model in (anchor_model,) if shared else (anchor_model, other_model):
-        mine = [(arrays, g) for m, arrays, g in groups if m is model]
-        (_, (projection, bias, _)), *rest = mine
-        for _, (g_projection, g_bias, _) in rest:
-            projection = projection + g_projection
-            bias = bias + g_bias
-        table_idx, table_rows = _table_grads(
-            [b for arrays, _ in mine for b in arrays], np.vstack([g[2] for _, g in mine])
-        )
-        grads[id(model)] = _Grads(projection, bias, table_idx, table_rows)
+    g_groups = (g_xa, g_xp, g_xn)
+    grads = []
+    for model, own, sents, forward in zip(models, owned, sentences, forwards):
+        g_x = np.concatenate([g_groups[i] for i in own])
+        g_affine, rows = _backward_group(model, g_x, len(own), *forward)
+        grads.append(_Grads(g_affine, *_table_grads(sents, rows)))
     return loss, grads
 
 
 class _Adam:
     """Adam with lazy (touched-rows-only) updates for the embedding table.
 
-    Table state (m, v and the per-row step count t) has one row per table
+    The affine array gets one dense update per step. Table state (m, v and the per-row step count t) has one row per table
     row, starting at zero; a step updates only the rows with a gradient, so
     a row's first update starts from zero state. The model holds just its
     vocabulary's rows, so the state is that small too. Every update runs in
@@ -433,35 +440,29 @@ class _Adam:
 
     def __init__(self, model: EncoderModel, cfg: TrainConfig) -> None:
         self.cfg = cfg
-        self.m_proj = np.zeros_like(model.projection)
-        self.v_proj = np.zeros_like(model.projection)
-        self.m_bias = np.zeros_like(model.bias)
-        self.v_bias = np.zeros_like(model.bias)
+        self.m_affine = np.zeros_like(model.affine)
+        self.v_affine = np.zeros_like(model.affine)
         self.t_dense = 0
         self.m_table = np.zeros_like(model.table)
         self.v_table = np.zeros_like(model.table)
         self.t_rows = np.zeros(model.table.shape[0], dtype=np.int64)
-        self._dense_scratch = [(np.empty_like(p), np.empty_like(p))
-                               for p in (model.projection, model.bias)]
+        self._dense_scratch = np.empty((2, *model.affine.shape))
         self._row_scratch = np.empty((3, 0, model.dim))
 
     def step(self, model: EncoderModel, grads: _Grads) -> None:
         cfg = self.cfg
         self.t_dense += 1
         t = self.t_dense
-        for (g, m, v, param), (a, b) in zip((
-            (grads.projection, self.m_proj, self.v_proj, model.projection),
-            (grads.bias, self.m_bias, self.v_bias, model.bias),
-        ), self._dense_scratch):
-            # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-            m *= cfg.beta1
-            m += np.multiply(g, 1 - cfg.beta1, out=a)
-            v *= cfg.beta2
-            v += np.multiply(np.multiply(g, 1 - cfg.beta2, out=a), g, out=a)
-            # param -= (lr m_hat) / (sqrt(v_hat) + eps)
-            np.multiply(np.divide(m, 1 - cfg.beta1 ** t, out=a), cfg.learning_rate, out=a)
-            np.add(np.sqrt(np.divide(v, 1 - cfg.beta2 ** t, out=b), out=b), cfg.eps, out=b)
-            param -= np.divide(a, b, out=a)
+        g, m, v, (a, b) = grads.affine, self.m_affine, self.v_affine, self._dense_scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        m *= cfg.beta1
+        m += np.multiply(g, 1 - cfg.beta1, out=a)
+        v *= cfg.beta2
+        v += np.multiply(np.multiply(g, 1 - cfg.beta2, out=a), g, out=a)
+        # affine -= (lr m_hat) / (sqrt(v_hat) + eps)
+        np.multiply(np.divide(m, 1 - cfg.beta1 ** t, out=a), cfg.learning_rate, out=a)
+        np.add(np.sqrt(np.divide(v, 1 - cfg.beta2 ** t, out=b), out=b), cfg.eps, out=b)
+        model.affine -= np.divide(a, b, out=a)
 
         if grads.table_idx.size == 0:
             return
@@ -513,8 +514,7 @@ def train(
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
     models = (model,) if shared else (model, model.copy())
-    anchor_model, other_model = models[0], models[-1]
-    adams = {id(m): _Adam(m, cfg) for m in models}
+    adams = [_Adam(m, cfg) for m in models]
 
     vocab, sides = features if features is not None else token_ids([base, aux], tokenizer)
     # A copy holds the same row_buckets, so one map serves both encoders.
@@ -536,7 +536,7 @@ def train(
             positives = [aux_rows[t.positive_id] for t in batch]
             negatives = [aux_rows[t.negative_id] for t in batch]
             loss, grads = batch_gradients(
-                anchor_model, other_model, anchors, positives, negatives, cfg.margin
+                models[0], models[-1], anchors, positives, negatives, cfg.margin
             )
             if not np.isfinite(loss):
                 raise EncoderError(
@@ -544,10 +544,8 @@ def train(
                     f"learning_rate={cfg.learning_rate}, margin={cfg.margin}"
                 )
             total += loss * len(batch)
-            for m in models:
-                g = grads.get(id(m))
-                if g is not None:
-                    adams[id(m)].step(m, g)
+            for m, adam, g in zip(models, adams, grads, strict=True):
+                adam.step(m, g)
         epoch_losses.append(total / len(epoch_triples))
     return TrainResult(models=models, epoch_losses=epoch_losses)
 
@@ -578,7 +576,7 @@ def _read_header(path: Path, fh) -> tuple[int, int, int, bool]:
     if version != _VERSION:
         raise EncoderError(f"{path}: unsupported model version {version} "
                            f"(expected {_VERSION})")
-    expected = _HEADER.size + 8 * (hash_dim * dim + dim * dim + dim)
+    expected = _HEADER.size + 8 * (hash_dim + dim + 1) * dim
     size = path.stat().st_size
     if size != expected:
         raise EncoderError(f"{path}: truncated model file ({size} of {expected} bytes)")
@@ -602,8 +600,8 @@ def _source_blocks(model: EncoderModel):
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:
-    """Write the header, then the table, projection and bias as
-    little-endian float64, row-major, to a temporary file beside ``path``
+    """Write the header, then the table and the affine block (projection,
+    then bias) as little-endian float64, row-major, to a temporary file beside ``path``
     that then replaces it, so a model can be saved over the file it was
     read from. A full model writes its table; any other writes its source's
     table block by block, with the rows it holds put in place."""
@@ -617,8 +615,7 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
                 for block, held, at in blocks:
                     block[at] = model.table[held]
                     _write_f8(fh, block)
-        for array in (model.projection, model.bias):
-            _write_f8(fh, array)
+        _write_f8(fh, model.affine)
 
 
 def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> EncoderModel:
@@ -635,11 +632,10 @@ def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> Encoder
             fh.seek(_HEADER.size + 8 * dim * int(rows[lo]))
             fh.readinto(table[lo:hi])
         fh.seek(_HEADER.size + 8 * hash_dim * dim)
-        projection, bias = (np.fromfile(fh, dtype="<f8", count=n) for n in (dim * dim, dim))
+        affine = np.fromfile(fh, dtype="<f8", count=(dim + 1) * dim).reshape(dim + 1, dim)
     return EncoderModel(
         table=table,
-        projection=projection.reshape(dim, dim),
-        bias=bias,
+        affine=affine,
         hash_seed=hash_seed,
         hash_dim=hash_dim,
         row_buckets=rows,
@@ -725,7 +721,7 @@ def fit_encoder(
     # The pretraining pairs and the BM25 tiers query one aux index. Both are
     # drawn before any training, so the index is freed before training runs.
     needs_index = pretrain or (pairs is not None and config.sampler == "stratified_bm25")
-    index = aux_bm25_index(aux) if needs_index else None
+    index = dataset_bm25_index(aux) if needs_index else None
     if pretrain:
         ptriples = build_pretraining_pairs(base, aux, seed=config.seed, index=index)
     if pairs is not None:

@@ -27,6 +27,8 @@ from .joinspec import JoinSpec, JoinType
 from .prepare import prepare_sentence, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
+# The baselines that compare a key column; the others compare whole records.
+KEY_BASELINES = ("LD", "JK-WS", "JK-2G")
 
 # Okapi BM25 term-frequency saturation and length normalization.
 BM25_K1 = 1.5
@@ -115,6 +117,23 @@ def build_bm25_index(docs: Sequence[tuple[str, Sequence[str]]]) -> Bm25Index:
                     for pos in positions.tolist()]
         index.postings[tok] = (positions, np.array(contribs, dtype=np.float64))
     return index
+
+
+def dataset_bm25_index(dataset: Dataset) -> Bm25Index:
+    """The BM25 index over a dataset's prepared sentences, as the BM25
+    baseline join, the BM25 sampler tiers and the pretraining pairs query
+    it."""
+    return build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in dataset.records])
+
+
+def uses_key_column(kind: str) -> bool:
+    """Whether baseline ``kind`` (any case, ``_`` for ``-``) compares a key
+    column."""
+    return _kind(kind) in KEY_BASELINES
+
+
+def _kind(kind: str) -> str:
+    return kind.upper().replace("_", "-")
 
 
 def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
@@ -244,12 +263,12 @@ def lexical_join(
     break by ascending aux id. LD and JK-* compare the designated key
     column; J-* and BM25 use the prepared sentences.
     """
-    kind = kind.upper().replace("_", "-")
+    kind = _kind(kind)
     if kind not in BASELINE_KINDS:
         raise LexError(f"unknown baseline kind {kind!r} (expected one of {BASELINE_KINDS})")
     if k < 1:
         raise LexError("k must be >= 1")
-    if kind in ("LD", "JK-WS", "JK-2G") and key_column is None:
+    if kind in KEY_BASELINES and key_column is None:
         raise LexError(f"baseline {kind} requires a key column")
     spec = JoinSpec(
         base_ref=base.name,
@@ -262,7 +281,7 @@ def lexical_join(
 
     aux_ids = aux.ids()
     if kind == "BM25":
-        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+        index = dataset_bm25_index(aux)
         found = rank((prepare_sentence(r).tokens for r in base.records), index.scores,
                      index.n_docs, k, index.id_rank, keep=lambda scores: scores > 0.0)
     elif kind == "LD":

@@ -20,7 +20,7 @@ from .data import (
     SupervisionTriple,
 )
 from .joiner import id_ranks
-from .lexrank import Bm25Index, build_bm25_index, jaccard_topk, rank
+from .lexrank import Bm25Index, dataset_bm25_index, jaccard_topk, rank
 from .prepare import prepare_sentence
 
 
@@ -57,12 +57,6 @@ class PerturbationConfig:
             raise SampleError("copies_per_row must be >= 1")
 
 
-def aux_bm25_index(aux: Dataset) -> Bm25Index:
-    """The BM25 index over the auxiliary records' prepared sentences that
-    the BM25 tiers and the pretraining pairs query."""
-    return build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
-
-
 def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
                 cfg: SamplerConfig, index: Bm25Index | None = None) -> dict[str, list[str]]:
     """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
@@ -75,7 +69,7 @@ def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
     queries = (prepare_sentence(base.record(anchor_id)).tokens for anchor_id in anchors)
     aux_ids = aux.ids()
     if cfg.kind == "stratified_bm25":
-        index = aux_bm25_index(aux) if index is None else index
+        index = dataset_bm25_index(aux) if index is None else index
         rows, cols, _ = rank(queries, index.scores, index.n_docs, cfg.tier_size, index.id_rank)
     else:
         rows, cols, _ = jaccard_topk(map(set, queries),
@@ -154,7 +148,7 @@ def build_pretraining_pairs(
     if per_record < 1:
         raise SampleError("per_record must be >= 1")
 
-    index = aux_bm25_index(aux) if index is None else index
+    index = dataset_bm25_index(aux) if index is None else index
     _, top, _ = rank((prepare_sentence(rec).tokens for rec in base.records), index.scores,
                      index.n_docs, 1, index.id_rank)
     aux_ids = list(aux.ids())

@@ -440,10 +440,19 @@ class TestJoinFlags:
         ["--baseline", "BM25", "--join-type", "LEFT"],
         ["--baseline", "J-WS", "--left-size", "2"],
         ["--key-column", "name"],
+        ["--baseline", "BM25", "--key-column", "name"],
+        ["--baseline", "J-WS", "--key-column", "name"],
+        ["--baseline", "J-2G", "--key-column", "name"],
+        ["--spec-file", "spec.kjoin", "--join-type", "INNER", "--right-size", "7"],
+        ["--spec-file", "spec.kjoin", "--left-size", "2"],
     ])
-    def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys):
+    def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys,
+                                                       monkeypatch):
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False)
+        (tmp_path / "spec.kjoin").write_text(
+            "base LEFT KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING supervision;")
+        monkeypatch.chdir(tmp_path)
         assert main(["join", "--data-dir", str(tmp_path), *flags]) == 1
         assert "does not use" in capsys.readouterr().err
         assert not (tmp_path / "result.csv").exists()
@@ -551,6 +560,8 @@ class TestEvaluateFlags:
         (["--key-column", "text"], "--key-column"),
         (["--comparison", "--results", "result.csv"], "--results"),
         (["--comparison", "--mrr"], "--mrr"),
+        (["--comparison", "--methods", "BM25", "--key-column", "name"], "--key-column"),
+        (["--comparison", "--key-column", "name"], "--key-column"),
     ])
     def test_flag_unused_by_the_chosen_mode_is_rejected(self, workspace, capsys, flags, unused):
         tmp_path, cfg = workspace
@@ -610,6 +621,21 @@ class TestPipeline:
         assert f"{labels}: " in err and f"at line {line}:" in err
         # The labels are read before the chain join writes anything.
         assert not (tmp_path / "chain_result.csv").exists()
+
+    def test_agg_ks_without_labels_is_rejected(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        chain = tmp_path / "chain.kjoin"
+        chain.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 99 RIGHT SIZE 2 USING s;")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8}))
+        args = ["pipeline", "--config", str(config), "--chain-file", str(chain)]
+        assert main([*args, "--agg-ks", "1,2"]) == 1
+        err = capsys.readouterr().err
+        assert "does not use" in err and "--agg-ks" in err
+        assert not (tmp_path / "chain_result.csv").exists()
+        assert not (tmp_path / "manifest_pipeline.json").exists()
+        assert main(args) == 0
 
     def test_broken_chain_linkage_names_stage(self, workspace):
         tmp_path, cfg = workspace
