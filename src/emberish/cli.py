@@ -9,7 +9,6 @@ validation error, 2 runtime failure.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -28,8 +27,10 @@ from .data import (
     SupervisionPair,
     load_dataset,
     load_supervision,
+    read_table,
     write_dataset,
     write_pairs,
+    write_table,
 )
 from .encoder import EncoderModel, embed_dataset, fit_encoder, load_model, save_model
 from .evalkit import (
@@ -195,20 +196,24 @@ def _load_sides(data_dir: Path) -> tuple[Dataset, Dataset]:
 def cmd_generate(
     config: EngineConfig,
     source_path: str | Path | None = None,
-    preset: str = "easy",
+    preset: str | None = None,
     perturbations: int | None = None,
     copies: int = 5,
     max_fraction: float = 0.25,
     test_fraction: float = 0.2,
 ) -> RunManifest:
-    """Generate the synthetic fuzzy-join workload files."""
+    """Generate the synthetic fuzzy-join workload files. ``preset`` (easy
+    when None) sets the edits per row unless ``perturbations`` does."""
+    if preset is not None and perturbations is not None:
+        raise ConfigError("generate with --perturbations does not use --preset")
+    preset = preset or "easy"
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r} (expected easy or hard)")
+    per_row = perturbations if perturbations is not None else PRESETS[preset]
     data_dir = Path(config.data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     source_path = Path(source_path) if source_path else data_dir / "source.csv"
     _require_files(source_path)
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r} (expected easy or hard)")
-    per_row = perturbations if perturbations is not None else PRESETS[preset]
 
     manifest = RunManifest(command="generate", config=_config_to_dict(config),
                            seed=config.seed)
@@ -251,6 +256,8 @@ def cmd_train(
     supervision_path: str | Path | None = None,
 ) -> RunManifest:
     """Fit the encoder under the naming convention and write model.bin."""
+    if supervision_path is not None and not config.finetune:
+        raise ConfigError("training with finetune false does not use --supervision")
     data_dir = Path(config.data_dir)
     supervision_path = Path(supervision_path) if supervision_path else data_dir / "supervision.csv"
     _require_files(data_dir / "base.csv", data_dir / "aux.csv", supervision_path)
@@ -300,11 +307,8 @@ def cmd_train(
     manifest.add_output(model_path)
 
     trace_path = data_dir / "loss_trace.csv"
-    with trace_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stage", "epoch", "loss"])
-        for stage, epoch, loss in fit.trace:
-            writer.writerow([stage, epoch, repr(loss)])
+    write_table(trace_path, ["stage", "epoch", "loss"],
+                ((stage, epoch, repr(loss)) for stage, epoch, loss in fit.trace))
     manifest.add_output(trace_path)
     manifest.write(data_dir / "manifest_train.json")
     return manifest
@@ -482,7 +486,7 @@ def cmd_evaluate(
                 train_pairs=train_pairs,  # type: ignore[arg-type]
                 config=config,
             )
-        rows_text = table.to_csv_text()
+        rows = [(method, k, repr(r)) for method, k, r in table.rows]
         printable = table.format_table()
     else:
         results_path = Path(results_path) if results_path else data_dir / "result.csv"
@@ -490,20 +494,19 @@ def cmd_evaluate(
         manifest.add_input(results_path)
         result = JoinResult.from_csv(results_path)
         with _StageTimer(manifest, "metrics"):
-            lines = ["method,k,recall"]
+            rows = []
             printable_lines = []
             for k in ks:
                 r = recall_at_k(result, truth, k)
-                lines.append(f"result,{k},{r!r}")
+                rows.append(("result", k, repr(r)))
                 printable_lines.append(f"recall@{k:<4d} {r:.4f}")
             if with_mrr:
                 m = mrr_at_k(result, truth, max(ks))
                 printable_lines.append(f"mrr@{max(ks):<6d} {m:.4f}")
-        rows_text = "\n".join(lines) + "\n"
         printable = "\n".join(printable_lines)
 
     metrics_path = data_dir / "metrics.csv"
-    metrics_path.write_text(rows_text, encoding="utf-8")
+    write_table(metrics_path, ["method", "k", "recall"], rows)
     manifest.add_output(metrics_path)
     manifest.write(data_dir / "manifest_evaluate.json")
     return manifest, printable
@@ -511,23 +514,20 @@ def cmd_evaluate(
 
 def _load_labels(path: Path) -> dict[str, float]:
     labels: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty labels file at line 1: expected an id,label header")
-        if len(header) != 2:
-            raise DataError(f"{path}: labels file must have two columns (id,label)")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: malformed row at line {line_no}: expected 2 cells "
-                                f"(id,label), got {len(row)}")
-            try:
-                labels[row[0]] = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}: bad label at line {line_no}: {row[1]!r}") from None
+    rows = read_table(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataError(f"{path}: empty labels file at line 1: expected an id,label header")
+    if len(header) != 2:
+        raise DataError(f"{path}: labels file must have two columns (id,label)")
+    for line_no, row in rows:
+        if len(row) != 2:
+            raise DataError(f"{path}: malformed row at line {line_no}: expected 2 cells "
+                            f"(id,label), got {len(row)}")
+        try:
+            labels[row[0]] = float(row[1])
+        except ValueError:
+            raise DataError(f"{path}: bad label at line {line_no}: {row[1]!r}") from None
     return labels
 
 
@@ -598,13 +598,11 @@ def cmd_pipeline(
     if labels is not None:
         agg_ks = agg_ks or [1, 10, 20, 30]
         agg_path = data_dir / "aggregates.csv"
-        with agg_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "base_id", "estimate"])
-            for k in agg_ks:
-                estimates = aggregate_labels(result, labels, k)
-                for base_id in sorted(estimates):
-                    writer.writerow([k, base_id, repr(estimates[base_id])])
+        rows = []
+        for k in agg_ks:
+            estimates = aggregate_labels(result, labels, k)
+            rows += [(k, base_id, repr(estimates[base_id])) for base_id in sorted(estimates)]
+        write_table(agg_path, ["k", "base_id", "estimate"], rows)
         manifest.add_output(agg_path)
 
     manifest.write(data_dir / "manifest_pipeline.json")
@@ -662,7 +660,8 @@ def cli() -> None:
 @_with_common
 @click.option("--source", "source_path", type=str, default=None,
               help="Source CSV to perturb (default <data_dir>/source.csv).")
-@click.option("--preset", type=click.Choice(["easy", "hard"]), default="easy")
+@click.option("--preset", type=click.Choice(["easy", "hard"]), default=None,
+              help="Edits per row: easy (5, the default) or hard (15).")
 @click.option("--perturbations", type=int, default=None,
               help="Override the preset's edits per row.")
 @click.option("--copies", type=int, default=5)

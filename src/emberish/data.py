@@ -1,4 +1,6 @@
-"""Record and dataset types plus CSV/JSONL ingestion.
+"""Record and dataset types, CSV/JSONL ingestion, and the CSV table layer:
+every CSV file the engine reads goes through ``read_table``, and every one
+it writes through ``table_writer``.
 
 Datasets are immutable after load; readers may share them freely across
 threads. All field values are stored as strings (numeric cells keep their
@@ -9,10 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence, TextIO
 
 
 class DataError(ValueError):
@@ -112,15 +117,49 @@ class SupervisionTriple:
             )
 
 
-def _infer_format(path: Path, format: str | None) -> str:
-    if format is not None:
-        if format not in ("csv", "jsonl"):
-            raise DataError(f"unknown dataset format {format!r} (expected csv or jsonl)")
-        return format
-    suffix = path.suffix.lower()
-    if suffix == ".jsonl":
-        return "jsonl"
-    return "csv"
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` (``.<name>.partial``) and
+    replace ``path`` with it once the block completes: a write that fails
+    leaves ``path`` as it was, never truncated, and no temporary file."""
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with partial.open(mode, **kwargs) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def read_table(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file, header first, each with the
+    physical line it starts on (a quoted cell may span lines)."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        start = 1
+        for row in reader:
+            if row:
+                yield start, row
+            start = reader.line_num + 1
+
+
+def table_writer(fh: TextIO, cells: Iterable[object]):
+    """A CSV writer onto ``fh`` with "\\n" line ends and minimal quoting.
+    Minimal quoting leaves a bare "\\r" unquoted, which a reader takes for
+    a line end, so if any of ``cells`` (every cell the file will hold)
+    contains one, every field of the file is quoted."""
+    quote_all = any("\r" in str(cell) for cell in cells)
+    return csv.writer(fh, lineterminator="\n",
+                      quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+
+
+def write_table(path: str | Path, header: Sequence[object],
+                rows: Iterable[Sequence[object]]) -> None:
+    """Write a CSV table through ``atomic_write``."""
+    table = [header, *rows]
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+        table_writer(fh, chain.from_iterable(table)).writerows(table)
 
 
 def _render_scalar(value: object) -> str:
@@ -133,12 +172,12 @@ def _render_scalar(value: object) -> str:
 
 def load_dataset(
     path: str | Path,
-    format: str | None = None,
     *,
     name: str | None = None,
     role: DatasetRole | str = DatasetRole.BASE,
 ) -> Dataset:
-    """Load a CSV (header required) or JSONL file into a Dataset.
+    """Load a CSV (header required) or, by its ``.jsonl`` suffix, a JSONL
+    file into a Dataset.
 
     Ids come from an ``id`` column when present, otherwise the 0-based row
     ordinal rendered as a decimal string. Field order follows the file.
@@ -146,36 +185,31 @@ def load_dataset(
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    fmt = _infer_format(path, format)
     role = DatasetRole(role)
     name = name if name is not None else path.stem
 
     records: list[Record] = []
-    if fmt == "csv":
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file, expected a header row") from None
-            if any(not col for col in header):
-                raise DataError(f"{path}: header has an empty column name")
-            id_pos = header.index("id") if "id" in header else None
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: malformed row at line {line_no}: expected "
-                        f"{len(header)} cells, got {len(row)}"
-                    )
-                rec_id = row[id_pos] if id_pos is not None else str(len(records))
-                fields = tuple(
-                    (col, cell)
-                    for pos, (col, cell) in enumerate(zip(header, row))
-                    if pos != id_pos
+    if path.suffix.lower() != ".jsonl":
+        rows = read_table(path)
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        if any(not col for col in header):
+            raise DataError(f"{path}: header has an empty column name")
+        id_pos = header.index("id") if "id" in header else None
+        for line_no, row in rows:
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: malformed row at line {line_no}: expected "
+                    f"{len(header)} cells, got {len(row)}"
                 )
-                records.append(Record(id=rec_id, fields=fields))
+            rec_id = row[id_pos] if id_pos is not None else str(len(records))
+            fields = tuple(
+                (col, cell)
+                for pos, (col, cell) in enumerate(zip(header, row))
+                if pos != id_pos
+            )
+            records.append(Record(id=rec_id, fields=fields))
         columns = tuple(header)
     else:
         with path.open(encoding="utf-8") as fh:
@@ -209,36 +243,26 @@ def load_dataset(
     return Dataset(name=name, role=role, records=tuple(records), column_names=columns)
 
 
-def write_dataset(dataset: Dataset, path: str | Path, format: str | None = None) -> None:
-    """Serialize a Dataset back to disk, preserving field keys, values and order."""
+def write_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Serialize a Dataset through ``atomic_write``, preserving ids, field
+    keys, values and order: JSONL for a ``.jsonl`` path, else CSV with an
+    ``id`` column, placed first when ``column_names`` lacks one."""
     path = Path(path)
-    fmt = _infer_format(path, format)
-    if fmt == "csv":
-        if dataset.column_names is not None:
-            header = list(dataset.column_names)
-        else:
-            header = ["id"]
-            for rec in dataset.records:
-                for key in rec.keys:
-                    if key not in header:
-                        header.append(key)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for rec in dataset.records:
-                row = []
-                for col in header:
-                    if col == "id" and rec.value("id") is None:
-                        row.append(rec.id)
-                    else:
-                        row.append(rec.value(col) or "")
-                writer.writerow(row)
-    else:
-        with path.open("w", encoding="utf-8") as fh:
+    if path.suffix.lower() == ".jsonl":
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             for rec in dataset.records:
                 obj: dict[str, str] = {"id": rec.id}
                 obj.update({k: v for k, v in rec.fields})
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        return
+    columns = dataset.column_names
+    if columns is None:
+        columns = dict.fromkeys(["id", *chain.from_iterable(r.keys for r in dataset.records)])
+    header = list(columns) if "id" in columns else ["id", *columns]
+    write_table(path, header, (
+        [rec.id if col == "id" and rec.value("id") is None else rec.value(col) or ""
+         for col in header]
+        for rec in dataset.records))
 
 
 def load_supervision(
@@ -254,64 +278,43 @@ def load_supervision(
     path = Path(path)
     if not path.exists():
         raise DataError(f"supervision file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        width = len(header)
-        if width not in (2, 3):
+    rows = read_table(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    width = len(header)
+    if width not in (2, 3):
+        raise DataError(
+            f"{path}: expected 2 columns (pairs) or 3 columns (triples), got {width}"
+        )
+    lines: list[int] = []
+    cells: list[list[str]] = []
+    for line_no, row in rows:
+        if len(row) != width:
             raise DataError(
-                f"{path}: expected 2 columns (pairs) or 3 columns (triples), got {width}"
+                f"{path}: malformed row at line {line_no}: expected {width} cells"
             )
-        rows: list[tuple[str, ...]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{path}: malformed row at line {line_no}: expected {width} cells"
-                )
-            rows.append(tuple(row))
+        lines.append(line_no)
+        cells.append(row)
 
-    base_ids = set(base.ids()) if base is not None else None
-    aux_ids = set(aux.ids()) if aux is not None else None
-
-    bad: list[str] = []
+    base_ids, aux_ids = (set(ds.ids()) if ds is not None else None for ds in (base, aux))
     if width == 2:
-        pairs = [SupervisionPair(base_id=r[0], aux_id=r[1]) for r in rows]
-        for line_no, pair in enumerate(pairs, start=2):
-            if base_ids is not None and pair.base_id not in base_ids:
-                bad.append(f"line {line_no}: base id {pair.base_id!r}")
-            if aux_ids is not None and pair.aux_id not in aux_ids:
-                bad.append(f"line {line_no}: aux id {pair.aux_id!r}")
-        if bad:
-            raise DataError(f"{path}: unresolvable ids: " + "; ".join(bad))
-        return pairs
-
-    triples = [
-        SupervisionTriple(anchor_id=r[0], positive_id=r[1], negative_id=r[2]) for r in rows
-    ]
-    for line_no, triple in enumerate(triples, start=2):
-        if base_ids is not None and triple.anchor_id not in base_ids:
-            bad.append(f"line {line_no}: anchor id {triple.anchor_id!r}")
-        if aux_ids is not None:
-            if triple.positive_id not in aux_ids:
-                bad.append(f"line {line_no}: positive id {triple.positive_id!r}")
-            if triple.negative_id not in aux_ids:
-                bad.append(f"line {line_no}: negative id {triple.negative_id!r}")
+        out: list = [SupervisionPair(*row) for row in cells]
+        roles = (("base", base_ids), ("aux", aux_ids))
+    else:
+        out = [SupervisionTriple(*row) for row in cells]
+        roles = (("anchor", base_ids), ("positive", aux_ids), ("negative", aux_ids))
+    bad = [f"line {line_no}: {role} id {rid!r}"
+           for line_no, row in zip(lines, cells)
+           for (role, known), rid in zip(roles, row)
+           if known is not None and rid not in known]
     if bad:
         raise DataError(f"{path}: unresolvable ids: " + "; ".join(bad))
-    return triples
+    return out
 
 
 def write_pairs(pairs: Iterable[SupervisionPair], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["base_id", "aux_id"])
-        for pair in pairs:
-            writer.writerow([pair.base_id, pair.aux_id])
+    write_table(path, ["base_id", "aux_id"], ((p.base_id, p.aux_id) for p in pairs))
 
 
 def dataset_from_rows(

@@ -45,8 +45,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import Dataset, SupervisionPair, SupervisionTriple
-from .joiner import Embeddings, atomic_write
+from .data import Dataset, SupervisionPair, SupervisionTriple, atomic_write
+from .joiner import Embeddings
 from .joinspec import EngineConfig
 from .lexrank import dataset_bm25_index
 from .prepare import Sentence, token_ids

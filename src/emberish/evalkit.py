@@ -7,14 +7,13 @@ counting recovered edges.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, SupervisionPair
+from .data import Dataset, SupervisionPair, table_writer
 from .encoder import EncoderModel, embed_dataset, fit_encoder
 from .joiner import JoinResult, execute_join
 from .joinspec import EngineConfig, JoinSpec, JoinType
@@ -136,10 +135,8 @@ class ComparisonTable:
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "k", "recall"])
-        for method, k, r in self.rows:
-            writer.writerow([method, k, repr(r)])
+        table = [("method", "k", "recall"), *((m, k, repr(r)) for m, k, r in self.rows)]
+        table_writer(buf, chain.from_iterable(table)).writerows(table)
         return buf.getvalue()
 
     def format_table(self) -> str:

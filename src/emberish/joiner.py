@@ -16,19 +16,17 @@ into the metrics with no per-row object.
 
 from __future__ import annotations
 
-import csv
 import io
-import os
 import struct
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Literal, Sequence, TextIO
+from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
+from .data import atomic_write, read_table, table_writer
 from .joinspec import JoinSpec, JoinType
 
 Metric = Literal["l2", "inner_product"]
@@ -48,21 +46,6 @@ _WRITE_ROWS = 1 << 14
 
 class JoinError(ValueError):
     """Invalid join input (dimension mismatch, empty side, broken chain)."""
-
-
-@contextmanager
-def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
-    """Open a temporary file beside ``path`` (``.<name>.partial``) and
-    replace ``path`` with it once the block completes: a write that fails
-    leaves ``path`` as it was, never truncated, and no temporary file."""
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.partial")
-    try:
-        with partial.open(mode, **kwargs) as fh:
-            yield fh
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
 
 
 def id_ranks(ids: Sequence[str]) -> np.ndarray:
@@ -248,11 +231,9 @@ class JoinResult:
     score: np.ndarray  # (n,) float64
     reverse: np.ndarray  # (n,) bool
     path: np.ndarray | None = None  # (n, hops - 1) object array of ids
-    spec: JoinSpec | None = None
 
     @classmethod
-    def from_ids(cls, rows: Iterable[tuple[str | None, str | None, int, float]],
-                 spec: JoinSpec | None = None) -> "JoinResult":
+    def from_ids(cls, rows: Iterable[tuple[str | None, str | None, int, float]]) -> "JoinResult":
         """A forward result from ``(base_id, aux_id, rank, score)`` rows;
         a None or empty id marks an ABSENT side. Rows are consumed one at a
         time into typed columns, each id coded in first-seen order."""
@@ -267,7 +248,7 @@ class JoinResult:
         (base_ids, base_at), (aux_ids, aux_at) = map(_sorted_codes, (base_codes, aux_codes))
         return cls(base_ids, aux_ids, base_at[np.frombuffer(base, np.int64)],
                    aux_at[np.frombuffer(aux, np.int64)], np.frombuffer(rank, np.int64),
-                   np.frombuffer(score, np.float64), np.zeros(len(rank), bool), spec=spec)
+                   np.frombuffer(score, np.float64), np.zeros(len(rank), bool))
 
     @cached_property
     def matches(self) -> tuple[Match, ...]:
@@ -284,13 +265,9 @@ class JoinResult:
         return {(m.base_id, m.aux_id) for m in self.matches if not m.absent}
 
     def _write_rows(self, fh: TextIO) -> None:
-        """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time."""
-        # The writer quotes fields holding its "\n" terminator but not a bare
-        # "\r", which a reader takes for a line end; one such id anywhere
-        # quotes every field of the file, so no chunk decides alone.
-        quote_all = any("\r" in rid for rid in (*self.base_ids, *self.aux_ids))
-        writer = csv.writer(fh, lineterminator="\n",
-                            quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+        """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time;
+        all of its ids, not one chunk's, decide the quoting."""
+        writer = table_writer(fh, (*self.base_ids, *self.aux_ids))
         writer.writerow(["base_id", "aux_id", "rank", "score"])
         base_ids = np.array([*self.base_ids, ""], dtype=object)
         aux_ids = np.array([*self.aux_ids, ""], dtype=object)
@@ -319,27 +296,24 @@ class JoinResult:
     def from_csv(cls, path: str | Path) -> "JoinResult":
         """Read a result file, streaming its rows into columns; a malformed
         line raises ``JoinError`` naming it."""
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[:4] != ["base_id", "aux_id", "rank", "score"]:
-                raise JoinError(f"{path}: line 1: no result header (found {header!r})")
+        lines = read_table(path)
+        line_no, header = next(lines, (1, None))
+        if header is None or header[:4] != ["base_id", "aux_id", "rank", "score"]:
+            raise JoinError(f"{path}: line {line_no}: no result header (found {header!r})")
 
-            def rows() -> Iterator[tuple[str, str, int, float]]:
-                for row in reader:
-                    if not row:
-                        continue
-                    try:
-                        base_id, aux_id, rank, score = row[:4]
-                        rank, score = int(rank), float(score or "nan")
-                        if not -(1 << 63) <= rank < 1 << 63:
-                            raise ValueError("rank outside int64")
-                    except ValueError:
-                        raise JoinError(f"{path}: line {reader.line_num}: expected an id pair, "
-                                        f"an integer rank and a score, found {row!r}") from None
-                    yield base_id, aux_id, rank, score
+        def rows() -> Iterator[tuple[str, str, int, float]]:
+            for line_no, row in lines:
+                try:
+                    base_id, aux_id, rank, score = row[:4]
+                    rank, score = int(rank), float(score or "nan")
+                    if not -(1 << 63) <= rank < 1 << 63:
+                        raise ValueError("rank outside int64")
+                except ValueError:
+                    raise JoinError(f"{path}: line {line_no}: expected an id pair, "
+                                    f"an integer rank and a score, found {row!r}") from None
+                yield base_id, aux_id, rank, score
 
-            return cls.from_ids(rows())
+        return cls.from_ids(rows())
 
 
 def _sorted_codes(coded: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -437,7 +411,7 @@ def execute_join(
     strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
 
     def result(*parts: tuple[np.ndarray, ...]) -> JoinResult:
-        return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*parts)), spec=spec)
+        return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*parts)))
 
     def retrieve(reverse: bool, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         queries, targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
@@ -479,7 +453,6 @@ def execute_join(
 def chain_joins(
     base_emb: Embeddings,
     stages: Sequence[tuple[JoinSpec, EmbeddingIndex]],
-    threshold: float | None = None,
 ) -> JoinResult:
     """Run a multi-hop join: each stage queries its index with the records
     retrieved by the previous stage, using the stored vectors as queries.
@@ -494,7 +467,7 @@ def chain_joins(
     origins = np.arange(len(base_ids))
     hops: list[np.ndarray] = []
     for spec, index in stages:
-        rows, cols, scores = _search(index, queries, spec.right_size, threshold)
+        rows, cols, scores = _search(index, queries, spec.right_size, None)
         origins = origins[rows]
         hops = [hop[rows] for hop in hops] + [cols]
         queries = index.vectors[cols]
@@ -509,7 +482,7 @@ def chain_joins(
     for j, ((_, index), hop) in enumerate(zip(stages, hops[:-1])):
         path[:, j] = np.array(index.ids, dtype=object)[hop]
     return JoinResult(tuple(base_ids), last.ids, origins, hops[-1], _offsets(origins) + 1,
-                      scores, np.zeros(origins.size, bool), path, spec=stages[-1][0])
+                      scores, np.zeros(origins.size, bool), path)
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,8 @@ class _Parser:
         return int(tok.text), tok
 
 
-def parse_join_spec(text: str) -> JoinSpec:
-    """Parse one keyless-join statement into a JoinSpec."""
-    parser = _Parser(_lex(text))
-
+def _statement(parser: _Parser) -> JoinSpec:
+    """Parse one statement, through its ';', off ``parser``."""
     base = parser.identifier("base table reference")
 
     join_type = JoinType.INNER
@@ -164,10 +162,6 @@ def parse_join_spec(text: str) -> JoinSpec:
         raise SpecParseError(f"expected ';', got {got}", semi.offset)
     parser.advance()
 
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise SpecParseError(f"trailing input after ';': {trailing.text!r}", trailing.offset)
-
     if left_size < 1:
         raise SpecParseError("size must be >= 1", left_tok.offset)
     if right_size < 1:
@@ -183,20 +177,23 @@ def parse_join_spec(text: str) -> JoinSpec:
     )
 
 
+def parse_join_spec(text: str) -> JoinSpec:
+    """Parse one keyless-join statement into a JoinSpec."""
+    parser = _Parser(_lex(text))
+    spec = _statement(parser)
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise SpecParseError(f"trailing input after ';': {trailing.text!r}", trailing.offset)
+    return spec
+
+
 def parse_join_specs(text: str) -> list[JoinSpec]:
-    """Parse a sequence of ';'-terminated statements (for chain files)."""
+    """Parse a sequence of ';'-terminated statements (for chain files);
+    error offsets count from the start of ``text``."""
+    parser = _Parser(_lex(text))
     specs: list[JoinSpec] = []
-    remaining = text
-    consumed = 0
-    while remaining.strip():
-        stmt_end = remaining.find(";")
-        if stmt_end < 0:
-            raise SpecParseError(
-                "expected ';'", _byte_offset(text, consumed + len(remaining.rstrip()))
-            )
-        specs.append(parse_join_spec(remaining[: stmt_end + 1]))
-        consumed += stmt_end + 1
-        remaining = remaining[stmt_end + 1 :]
+    while parser.peek().kind != "end":
+        specs.append(_statement(parser))
     return specs
 
 

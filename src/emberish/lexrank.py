@@ -23,7 +23,6 @@ import numpy as np
 
 from .data import Dataset
 from .joiner import JoinResult, id_ranks, ranked_columns, topk
-from .joinspec import JoinSpec, JoinType
 from .prepare import prepare_sentence, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
@@ -270,15 +269,6 @@ def lexical_join(
         raise LexError("k must be >= 1")
     if kind in KEY_BASELINES and key_column is None:
         raise LexError(f"baseline {kind} requires a key column")
-    spec = JoinSpec(
-        base_ref=base.name,
-        aux_ref=aux.name,
-        join_type=JoinType.INNER,
-        left_size=max(base.n, 1),
-        right_size=k,
-        supervision_ref=kind.lower(),
-    )
-
     aux_ids = aux.ids()
     if kind == "BM25":
         index = dataset_bm25_index(aux)
@@ -306,4 +296,4 @@ def lexical_join(
         found = jaccard_topk((token_set(r) for r in base.records),
                              [token_set(r) for r in aux.records], k, id_ranks(aux_ids),
                              JACCARD_MIN_SIMILARITY)
-    return JoinResult(base.ids(), aux_ids, *ranked_columns(*found), spec=spec)
+    return JoinResult(base.ids(), aux_ids, *ranked_columns(*found))

@@ -100,6 +100,30 @@ class TestGenerate:
         m2 = cmd_generate(cfg, copies=2)
         assert m1.outputs == m2.outputs
 
+    def test_preset_with_perturbations_is_rejected(self, tmp_path, capsys):
+        write_source(tmp_path)
+        args = ["generate", "--data-dir", str(tmp_path), "--copies", "1"]
+        assert main([*args, "--preset", "hard", "--perturbations", "3"]) == 1
+        assert "generate with --perturbations does not use --preset" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["source.csv"]
+        assert main([*args, "--preset", "hard"]) == 0
+        assert main([*args, "--perturbations", "3"]) == 0
+
+    @pytest.mark.parametrize("source, first_ids", [
+        ("name,city\n" + "".join(f"n{i} v{i % 7},c{i % 5}\n" for i in range(30)),
+         ["0-p0", "0-p1"]),
+        ("id,name,city\n" + "".join(f'r{i},"n{i}\rv{i % 7}",c{i % 5}\n' for i in range(30)),
+         ["r0-p0", "r0-p1"]),
+    ], ids=["no-id-column", "carriage-return-cells"])
+    def test_generated_files_go_through_every_command(self, tmp_path, source, first_ids):
+        (tmp_path / "source.csv").write_text(source, newline="")
+        d = ["--data-dir", str(tmp_path)]
+        assert main(["generate", *d, "--copies", "2", "--perturbations", "1"]) == 0
+        assert [r.id for r in load_dataset(tmp_path / "base.csv").records[:2]] == first_ids
+        assert main(["train", *d, "--no-pretrain"]) == 0
+        assert main(["join", *d]) == 0
+        assert main(["evaluate", *d]) == 0
+
     def test_missing_source_is_validation_error(self, tmp_path):
         cfg = fast_config(tmp_path)
         from emberish.data import DataError
@@ -180,6 +204,22 @@ class TestTrain:
             assert not (tmp_path / name).exists()
         assert main(args) == 0
         assert (tmp_path / "model.bin").exists()
+
+    def test_supervision_without_finetuning_is_rejected(self, workspace, capsys):
+        tmp_path, _ = workspace
+        config = tmp_path / "config.json"
+        raw = {"data_dir": str(tmp_path), "embedding_dim": 8, "epochs": 1, "sampler": "random"}
+        config.write_text(json.dumps({**raw, "finetune": False}))
+        args = ["train", "--config", str(config), "--no-pretrain"]
+        supervision = ["--supervision", str(tmp_path / "truth_train.csv")]
+        assert main([*args, *supervision]) == 1
+        assert "training with finetune false does not use --supervision" \
+            in capsys.readouterr().err
+        for name in ("model.bin", "loss_trace.csv", "manifest_train.json"):
+            assert not (tmp_path / name).exists()
+        assert main(args) == 0
+        config.write_text(json.dumps(raw))
+        assert main([*args, *supervision]) == 0
 
     def test_freeze_negatives_with_pair_supervision_is_accepted(self, workspace):
         tmp_path, cfg = workspace
@@ -543,8 +583,10 @@ class TestEvaluate:
         ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,two,0.7\n", 3),
         ("base_id,aux_id,rank,score\n\nb0,a0,1,close\n", 3),
         ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,9223372036854775808,0.7\n", 3),
+        ('base_id,aux_id,rank,score\n"b\n0",a0,1,0.5\nb0,a1,two,0.7\n', 4),
+        ('base_id,aux_id,rank,score\nb0,a0,1,0.5\n"b\n1",a1,two,0.7\n', 3),
     ], ids=["missing-header", "short-row", "non-integer-rank", "non-float-score",
-            "rank-beyond-int64"])
+            "rank-beyond-int64", "two-line-id-before", "two-line-id-in-the-row"])
     def test_malformed_results_exit_1_naming_the_line(self, tmp_path, capsys, text, line):
         (tmp_path / "truth_test.csv").write_text("base_id,aux_id\nb0,a0\n")
         results = tmp_path / "result.csv"
@@ -603,8 +645,11 @@ class TestPipeline:
         assert agg_rows[0] == ["k", "base_id", "estimate"]
         assert {row[0] for row in agg_rows[1:]} == {"1", "2"}
 
-    @pytest.mark.parametrize("text, line", [("", 1), ("id,label\nr0,1.0\nr1\n", 3)],
-                             ids=["empty", "one-cell-row"])
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("id,label\nr0,1.0\nr1\n", 3),
+        ('id,label\n"r\n0",1.0\nr1\n', 4),
+    ], ids=["empty", "one-cell-row", "two-line-id-before"])
     def test_malformed_labels_file_exits_one(self, workspace, capsys, text, line):
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False)

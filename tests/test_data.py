@@ -1,6 +1,8 @@
 """Ingestion, supervision loading, and round-trip invariants."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emberish.data import (
     DataError,
@@ -13,7 +15,9 @@ from emberish.data import (
     load_dataset,
     load_supervision,
     write_dataset,
+    write_pairs,
 )
+from test_joiner import full_disk, record_ids
 
 
 def test_load_csv_basic(tmp_path):
@@ -48,10 +52,15 @@ def test_load_csv_without_id_column_uses_ordinals(tmp_path):
     assert ds.records[0].fields == (("t", "a"), ("u", "b"))
 
 
-def test_load_csv_malformed_row_names_line(tmp_path):
+@pytest.mark.parametrize("text, line", [
+    ("id,t\n1,a\n2\n", 3),
+    # A quoted cell spanning two lines counts both.
+    ('id,t\n1,"a\nb"\n2\n', 4),
+], ids=["one-line-rows", "two-line-cell-before"])
+def test_load_csv_malformed_row_names_line(tmp_path, text, line):
     path = tmp_path / "d.csv"
-    path.write_text("id,t\n1,a\n2\n")
-    with pytest.raises(DataError, match="line 3"):
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"malformed row at line {line}:"):
         load_dataset(path)
 
 
@@ -87,6 +96,49 @@ def test_csv_round_trip_lossless(tmp_path):
     ds2 = load_dataset(copy)
     assert [r.id for r in ds2.records] == [r.id for r in ds.records]
     assert [r.fields for r in ds2.records] == [r.fields for r in ds.records]
+
+
+values = st.one_of(st.just(""), record_ids)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), columns=st.lists(record_ids.filter(lambda c: c != "id"), min_size=1,
+                                        max_size=3, unique=True),
+       ids=st.lists(record_ids, max_size=6, unique=True), with_id=st.booleans())
+def test_csv_round_trip_keeps_ids_and_fields(tmp_path, data, columns, ids, with_id):
+    # Cells holding ",", '"', "\r", "\n", spaces or non-ASCII text, with and
+    # without an id column among the declared ones.
+    declared = list(columns)
+    if with_id:
+        declared.insert(data.draw(st.integers(0, len(columns))), "id")
+    rows = [(rid, [(col, data.draw(values)) for col in columns]) for rid in ids]
+    ds = dataset_from_rows("d", "base", rows, column_names=declared)
+    write_dataset(ds, tmp_path / "d.csv")
+    loaded = load_dataset(tmp_path / "d.csv")
+    assert [(r.id, r.fields) for r in loaded.records] == [(r.id, r.fields) for r in ds.records]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.builds(SupervisionPair, record_ids, record_ids), max_size=8))
+def test_pairs_round_trip(tmp_path, pairs):
+    write_pairs(pairs, tmp_path / "s.csv")
+    assert load_supervision(tmp_path / "s.csv") == pairs
+
+
+def test_a_failed_dataset_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "base.csv"
+    write_dataset(dataset_from_rows("b", "base", [("0", [("t", "old")])]), path)
+    old = path.read_bytes()
+    # Room for the header and the first row of five.
+    full_disk(monkeypatch, len("id,t\n") + len("0,new\n"))
+    new = dataset_from_rows("b", "base", [(str(i), [("t", "new")]) for i in range(5)])
+    with pytest.raises(OSError, match="No space"):
+        write_dataset(new, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["base.csv"]
 
 
 def test_jsonl_round_trip_preserves_keys_values_order(tmp_path):
@@ -135,12 +187,16 @@ class TestSupervision:
         out = load_supervision(path)
         assert out == [SupervisionTriple(anchor_id="a", positive_id="p", negative_id="n")]
 
-    def test_unresolvable_id_lists_rows(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("base_id,aux_id\n1,9\n1,404\n", 3),
+        ("base_id,aux_id\n1,9\n\n\n1,404\n", 5),
+    ], ids=["no-blank-lines", "blank-lines-before"])
+    def test_unresolvable_id_lists_rows(self, tmp_path, text, line):
         base = dataset_from_rows("b", "base", [("1", [("t", "x")])])
         aux = dataset_from_rows("a", "auxiliary", [("9", [("t", "y")])])
         path = tmp_path / "s.csv"
-        path.write_text("base_id,aux_id\n1,9\n1,404\n")
-        with pytest.raises(DataError, match="line 3"):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"unresolvable ids: line {line}: aux id '404'$"):
             load_supervision(path, base, aux)
 
     def test_triple_rejects_equal_positive_negative(self):

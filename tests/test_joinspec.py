@@ -129,6 +129,18 @@ def test_parse_multiple_statements():
     assert [s.aux_ref for s in specs] == ["b", "c"]
 
 
+def test_chain_error_offsets_count_from_the_start_of_the_file():
+    first = "a KEYLESS JOIN b LEFT SIZE 1 RIGHT SIZE 1 USING s;\n"
+    text = first + "b CROSS KEYLESS JOIN c LEFT SIZE 1 RIGHT SIZE 2 USING t;\n"
+    with pytest.raises(SpecParseError, match="unknown keyword 'CROSS'") as exc_info:
+        parse_join_specs(text)
+    assert exc_info.value.offset == text.index("CROSS")
+    unterminated = first + "b KEYLESS JOIN c LEFT SIZE 1 RIGHT SIZE 2 USING t  \n"
+    with pytest.raises(SpecParseError, match="expected ';'") as exc_info:
+        parse_join_specs(unterminated)
+    assert exc_info.value.offset == len(unterminated.rstrip())
+
+
 class TestConfig:
     def test_listing_style_config(self):
         cfg = parse_config(
