@@ -24,30 +24,25 @@ from .encoder import (
     TrainConfig,
     TrainResult,
     embed_dataset,
-    encode,
     fit_encoder,
     load_model,
     save_model,
     train,
-    triplet_loss,
 )
 from .evalkit import (
     ComparisonTable,
     TruthSet,
     mrr_at_k,
-    mse,
     recall_at_k,
     run_comparison,
 )
 from .joiner import (
     EmbeddingIndex,
     JoinResult,
-    Match,
     aggregate_labels,
     build_index,
     chain_joins,
     execute_join,
-    knn,
 )
 from .joinspec import (
     EngineConfig,
@@ -59,14 +54,12 @@ from .joinspec import (
 )
 from .lexrank import (
     Bm25Index,
-    bm25_score,
-    bm25_topk,
     build_bm25_index,
     jaccard,
     levenshtein,
     lexical_join,
 )
-from .prepare import Sentence, pair_sentences, prepare_sentence, tokenize
+from .prepare import Sentence, prepare_sentence, tokenize
 from .supervise import (
     PerturbationConfig,
     SamplerConfig,
@@ -76,4 +69,4 @@ from .supervise import (
     split_train_test,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

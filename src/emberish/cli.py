@@ -255,25 +255,29 @@ def cmd_train(
     freeze_negatives: bool = False,
     supervision_path: str | Path | None = None,
 ) -> RunManifest:
-    """Fit the encoder under the naming convention and write model.bin."""
-    if supervision_path is not None and not config.finetune:
-        raise ConfigError("training with finetune false does not use --supervision")
+    """Fit the encoder under the naming convention and write model.bin.
+    Supervision is read only when fine-tuning."""
+    # Without fine-tuning nothing reads supervision or samples negatives.
+    for flag, given in (("--supervision", supervision_path is not None),
+                        ("--freeze-negatives", freeze_negatives)):
+        if given and not config.finetune:
+            raise ConfigError(f"training with finetune false does not use {flag}")
     data_dir = Path(config.data_dir)
-    supervision_path = Path(supervision_path) if supervision_path else data_dir / "supervision.csv"
-    _require_files(data_dir / "base.csv", data_dir / "aux.csv", supervision_path)
+    inputs = [data_dir / "base.csv", data_dir / "aux.csv"]
+    if config.finetune:
+        supervision_path = (Path(supervision_path) if supervision_path
+                            else data_dir / "supervision.csv")
+        inputs.append(supervision_path)
+    _require_files(*inputs)
 
     manifest = RunManifest(command="train", config=_config_to_dict(config), seed=config.seed)
-    for p in (data_dir / "base.csv", data_dir / "aux.csv", supervision_path):
+    for p in inputs:
         manifest.add_input(p)
 
     base, aux = _load_sides(data_dir)
-    supervision = load_supervision(supervision_path, base, aux)
-    if freeze_negatives:
-        # Negatives are sampled only when fine-tuning on pairs.
-        if not config.finetune:
-            raise ConfigError("training with finetune false does not use --freeze-negatives")
-        if supervision and not isinstance(supervision[0], SupervisionPair):
-            raise ConfigError("training with triple supervision does not use --freeze-negatives")
+    supervision = load_supervision(supervision_path, base, aux) if config.finetune else []
+    if freeze_negatives and supervision and not isinstance(supervision[0], SupervisionPair):
+        raise ConfigError("training with triple supervision does not use --freeze-negatives")
 
     model_path = data_dir / "model.bin"
     features = token_ids([base, aux], config.tokenizer)
@@ -331,19 +335,18 @@ def cmd_join(
     baseline: str | None = None,
     key_column: str | None = None,
     threshold: float | None = None,
-    index_side: str = "auto",
     both_directions: bool = False,
     dump_sentences: str | Path | None = None,
     size_flags: Collection[str] = (),
 ) -> RunManifest:
     """Execute the join and write result.csv. ``size_flags`` names the
     --join-type, --left-size and --right-size flags given on the command
-    line: the baseline join uses only --right-size (its k), and a join from
-    ``spec_file`` none of them, since the statement sets all three."""
+    line: the baseline join uses only --right-size (its k), a join from
+    ``spec_file`` none of them, since the statement sets all three, a LEFT
+    join not --left-size and a RIGHT join not --right-size."""
     if baseline is not None:
         path = f"the {baseline} baseline join"
         given = {"--threshold": threshold is not None, "--both-directions": both_directions,
-                 "--index-side": index_side != "auto",
                  "--join-type": "--join-type" in size_flags,
                  "--left-size": "--left-size" in size_flags,
                  "--key-column": key_column is not None and not uses_key_column(baseline)}
@@ -353,6 +356,12 @@ def cmd_join(
     if spec_file is not None:
         path += " with --spec-file"
         given.update(dict.fromkeys(size_flags, True))
+    elif baseline is None and config.join_type in (JoinType.LEFT, JoinType.RIGHT):
+        # A LEFT join retrieves RIGHT SIZE matches per base record and a RIGHT
+        # join LEFT SIZE per aux record; neither reads the other size.
+        path = f"the learned {config.join_type.value} join"
+        unused = "--left-size" if config.join_type == JoinType.LEFT else "--right-size"
+        given[unused] = unused in size_flags
     if any(given.values()):
         raise ConfigError(f"{path} does not use "
                           f"{', '.join(flag for flag, on in given.items() if on)}")
@@ -421,7 +430,6 @@ def cmd_join(
                 aux_emb,
                 metric=config.distance,  # type: ignore[arg-type]
                 threshold=threshold,
-                index_side=index_side,  # type: ignore[arg-type]
                 both_directions=both_directions,
             )
 
@@ -703,20 +711,18 @@ def train_cmd(config_path, data_dir, seed, no_pretrain, freeze_negatives, superv
               help="Route through a lexical baseline: LD, J-WS, J-2G, JK-WS, JK-2G, BM25.")
 @click.option("--key-column", type=str, default=None)
 @click.option("--threshold", type=float, default=None)
-@click.option("--index-side", type=click.Choice(["auto", "base", "aux"]), default="auto")
 @click.option("--both-directions", is_flag=True, default=False)
 @click.option("--dump-sentences", type=str, default=None,
               help="Write prepared sentences (record_id + text) to this JSONL file.")
 def join_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
-             spec_file, baseline, key_column, threshold, index_side, both_directions,
-             dump_sentences):
+             spec_file, baseline, key_column, threshold, both_directions, dump_sentences):
     """Execute the join and write result.csv."""
     cfg = resolve_config(config_path,
                          _common_overrides(data_dir, seed, join_type, left_size, right_size))
     size_flags = [flag for flag, value in (("--join-type", join_type), ("--left-size", left_size),
                                            ("--right-size", right_size)) if value is not None]
     cmd_join(cfg, spec_file=spec_file, baseline=baseline, key_column=key_column,
-             threshold=threshold, index_side=index_side, both_directions=both_directions,
+             threshold=threshold, both_directions=both_directions,
              dump_sentences=dump_sentences, size_flags=size_flags)
     click.echo(f"result written to {Path(cfg.data_dir) / 'result.csv'}")
 

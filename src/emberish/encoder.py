@@ -21,7 +21,7 @@ token count), and C (sentences x unique buckets) holding each bucket's
 count per sentence gives the merged rows as ``C.T @ rows``. Adam updates
 the affine array in one dense step and keeps its table state by table row;
 a row changes only when it has a gradient. A trained model is immutable in
-practice: encode() never mutates it, so concurrent readers are safe.
+practice: embedding never mutates it, so concurrent readers are safe.
 
 A model holds the table rows of some buckets plus a source for every other
 row: the seed of the initial table (``create``) or the model file it was
@@ -49,7 +49,7 @@ from .data import Dataset, SupervisionPair, SupervisionTriple, atomic_write
 from .joiner import Embeddings
 from .joinspec import EngineConfig
 from .lexrank import dataset_bm25_index
-from .prepare import Sentence, token_ids
+from .prepare import token_ids
 from .supervise import (
     SamplerConfig,
     build_pretraining_pairs,
@@ -198,11 +198,6 @@ class EncoderModel:
         return at
 
 
-def encode(model: EncoderModel, sentence: Sentence) -> np.ndarray:
-    """Embed one prepared sentence; an empty token list maps to zeros."""
-    return _forward_group(model, [model.rows(sentence.tokens)])[2][0]
-
-
 def embed_dataset(
     model: EncoderModel,
     dataset: Dataset,
@@ -232,23 +227,6 @@ def embed_dataset(
     for block in np.array_split(np.arange(n), parts):
         vectors[block] = _forward_group(model, [rows[ids[i]] for i in block])[2]
     return tuple(rec.id for rec in dataset.records), vectors
-
-
-def triplet_loss(
-    xa: np.ndarray,
-    xp: np.ndarray,
-    xn: np.ndarray,
-    margin: float = 1.0,
-) -> float:
-    """Hinge loss max(||xa-xp|| - ||xa-xn|| + margin, 0) under the 2-norm."""
-    xa, xp, xn = np.asarray(xa), np.asarray(xp), np.asarray(xn)
-    if not (xa.shape == xp.shape == xn.shape):
-        raise EncoderError(
-            f"dimension mismatch: {xa.shape} vs {xp.shape} vs {xn.shape}"
-        )
-    d_pos = float(np.linalg.norm(xa - xp))
-    d_neg = float(np.linalg.norm(xa - xn))
-    return max(d_pos - d_neg + margin, 0.0)
 
 
 @dataclass(frozen=True)
@@ -288,12 +266,6 @@ class _Grads:
     affine: np.ndarray      # (dim + 1, dim), as EncoderModel.affine
     table_idx: np.ndarray   # unique table rows touched, not bucket ids
     table_rows: np.ndarray  # (len(table_idx), dim)
-
-    def dense_table(self, hash_dim: int, dim: int) -> np.ndarray:
-        out = np.zeros((hash_dim, dim))
-        out[self.table_idx] = self.table_rows
-        return out
-
 
 def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray]):
     """Embed a group of sentences, keeping intermediates for backprop."""
@@ -359,25 +331,6 @@ def _table_grads(
     sentence = np.repeat(np.arange(lengths.size), lengths)
     counts = np.bincount(sentence * unique.size + inverse, minlength=lengths.size * unique.size)
     return unique, counts.reshape(lengths.size, unique.size).T.astype(np.float64) @ rows
-
-
-def batch_loss(
-    anchor_model: EncoderModel,
-    other_model: EncoderModel,
-    anchors: list[np.ndarray],
-    positives: list[np.ndarray],
-    negatives: list[np.ndarray],
-    margin: float,
-) -> float:
-    """Mean triplet hinge loss over a batch (bucket-array inputs), the
-    finite-difference reference for ``batch_gradients``: each sentence runs
-    through the forward pass alone, as in ``encode``."""
-    xa, xp, xn = (np.vstack([_forward_group(model, [b])[2] for b in group])
-                  for model, group in ((anchor_model, anchors), (other_model, positives),
-                                       (other_model, negatives)))
-    d_pos = np.sqrt(np.einsum("ij,ij->i", xa - xp, xa - xp))
-    d_neg = np.sqrt(np.einsum("ij,ij->i", xa - xn, xa - xn))
-    return float(np.maximum(d_pos - d_neg + margin, 0.0).mean())
 
 
 def batch_gradients(

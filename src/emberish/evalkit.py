@@ -7,13 +7,12 @@ counting recovered edges.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, SupervisionPair, table_writer
+from .data import Dataset, SupervisionPair
 from .encoder import EncoderModel, embed_dataset, fit_encoder
 from .joiner import JoinResult, execute_join
 from .joinspec import EngineConfig, JoinSpec, JoinType
@@ -91,16 +90,6 @@ def recall_at_k(result: JoinResult, truth: TruthSet, k: int) -> float:
     return int(np.count_nonzero(missed == 0)) / len(truth.related)
 
 
-def edge_recall_at_k(result: JoinResult, truth: TruthSet, k: int) -> float:
-    """Edge-level companion metric: fraction of truth edges recovered."""
-    if k < 1:
-        raise EvalError("k must be >= 1")
-    if not truth.related:
-        raise EvalError("truth set is empty")
-    _, found, _ = _topk_by_base(result, truth, k)
-    return int(np.count_nonzero(found)) / found.size
-
-
 def mrr_at_k(result: JoinResult, truth: TruthSet, k: int = 10) -> float:
     """Mean reciprocal rank of the first relevant match in the top-k;
     a query with no relevant match in the top-k contributes 0."""
@@ -113,16 +102,6 @@ def mrr_at_k(result: JoinResult, truth: TruthSet, k: int = 10) -> float:
     return float(np.add.accumulate(1.0 / best)[-1]) / len(truth.related)
 
 
-def mse(predictions: dict[str, float], truth: dict[str, float]) -> float:
-    """Mean squared error over the prediction ids."""
-    if not predictions:
-        raise EvalError("predictions must be non-empty")
-    missing = [k for k in predictions if k not in truth]
-    if missing:
-        raise EvalError(f"predictions reference ids missing from truth: {missing[:5]}")
-    return sum((predictions[k] - truth[k]) ** 2 for k in predictions) / len(predictions)
-
-
 @dataclass
 class ComparisonTable:
     rows: list[tuple[str, int, float]]  # (method, k, recall)
@@ -132,12 +111,6 @@ class ComparisonTable:
             if m == method and kk == k:
                 return r
         raise EvalError(f"no row for method {method!r} at k={k}")
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        table = [("method", "k", "recall"), *((m, k, repr(r)) for m, k, r in self.rows)]
-        table_writer(buf, chain.from_iterable(table)).writerows(table)
-        return buf.getvalue()
 
     def format_table(self) -> str:
         ks = sorted({k for _, k, _ in self.rows})

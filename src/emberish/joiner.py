@@ -16,11 +16,9 @@ into the metrics with no per-row object.
 
 from __future__ import annotations
 
-import io
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence, TextIO
 
@@ -178,39 +176,6 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
     return tuple(np.concatenate(part) for part in zip(*found))  # type: ignore[return-value]
 
 
-def knn(
-    index: EmbeddingIndex,
-    query: np.ndarray,
-    k: int,
-    threshold: float | None = None,
-) -> list[tuple[str, float]]:
-    """Exact top-k under the index metric; ties break by ascending id.
-
-    With a threshold, l2 keeps scores <= threshold and inner_product keeps
-    scores >= threshold.
-    """
-    if k < 1:
-        raise JoinError("k must be >= 1")
-    _, cols, scores = _search(index, np.asarray(query, dtype=np.float64)[None], k, threshold)
-    return [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
-
-
-@dataclass(frozen=True)
-class Match:
-    """One joined tuple; a None id marks an unenriched (ABSENT) side."""
-
-    base_id: str | None
-    aux_id: str | None
-    rank: int
-    score: float
-    direction: str = "forward"  # forward: base queried aux; reverse: mirror
-    path: tuple[str, ...] = ()  # intermediate record ids for chained joins
-
-    @property
-    def absent(self) -> bool:
-        return self.base_id is None or self.aux_id is None
-
-
 @dataclass(eq=False)
 class JoinResult:
     """Join rows as parallel columns over the two sides' id tuples.
@@ -220,7 +185,6 @@ class JoinResult:
     and score nan. ``rank`` counts from 1 within the querying record's
     matches, ``reverse`` marks rows an aux record queried, and ``path``
     (chain results only) holds one intermediate id per hop before the last.
-    ``matches`` is a read-only view of the rows as ``Match`` objects.
     """
 
     base_ids: tuple[str, ...]
@@ -250,20 +214,6 @@ class JoinResult:
                    aux_at[np.frombuffer(aux, np.int64)], np.frombuffer(rank, np.int64),
                    np.frombuffer(score, np.float64), np.zeros(len(rank), bool))
 
-    @cached_property
-    def matches(self) -> tuple[Match, ...]:
-        base, aux = (*self.base_ids, None), (*self.aux_ids, None)
-        paths = self.path.tolist() if self.path is not None else [()] * len(self.rank)
-        columns = (c.tolist() for c in (self.base, self.aux, self.rank, self.score, self.reverse))
-        return tuple(Match(base[b], aux[a], r, s, "reverse" if rev else "forward", tuple(p))
-                     for b, a, r, s, rev, p in zip(*columns, paths))
-
-    def for_base(self, base_id: str) -> list[Match]:
-        return [m for m in self.matches if m.base_id == base_id and not m.absent]
-
-    def matched_pairs(self) -> set[tuple[str, str]]:
-        return {(m.base_id, m.aux_id) for m in self.matches if not m.absent}
-
     def _write_rows(self, fh: TextIO) -> None:
         """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time;
         all of its ids, not one chunk's, decide the quoting."""
@@ -281,11 +231,6 @@ class JoinResult:
                 self.rank[rows].tolist(),
                 ["" if gone else repr(s) for s, gone in zip(self.score[rows].tolist(), absent)],
             ))
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write_rows(buf)
-        return buf.getvalue()
 
     def write_csv(self, path: str | Path) -> None:
         """Stream the result file through ``atomic_write``."""
@@ -343,36 +288,6 @@ def ranked_columns(rows: Sequence[int], cols: Sequence[int], scores: Sequence[fl
     return base, aux, rank, scores, np.full(rows.size, reverse)
 
 
-def _retrieve(
-    query_emb: Embeddings,
-    target_emb: Embeddings,
-    k: int,
-    metric: Metric,
-    threshold: float | None,
-    index_on: Literal["target", "query"],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ranked candidates of every query record as ``_search`` returns them:
-    ``(rows, cols, scores)`` ordered by query position, then rank.
-
-    ``index_on`` picks the execution strategy only. Indexing the query side
-    scans every target record against it and transposes. l2 results are
-    identical either way. Inner-product scores may differ in the last
-    digits, because that scan computes ``t.q`` with a different
-    matrix-vector shape than ``q.t``; ranks can differ only between scores
-    that close.
-    """
-    if index_on == "target":
-        return _search(build_index(target_emb, metric), query_emb[1], k, threshold)
-    index = build_index(query_emb, metric)
-    targets, queries, found = _search(index, target_emb[1], index.n, None)
-    scores = np.empty((index.n, len(target_emb[0])))
-    scores[queries, targets] = found
-    keep = None if threshold is None else (
-        scores <= threshold if metric == "l2" else scores >= threshold)
-    rows, cols = topk(scores, k, id_ranks(target_emb[0]), metric != "l2", keep)
-    return rows, cols, scores[rows, cols]
-
-
 def _cap_per_target(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap: int,
                     metric: Metric,
                     query_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,34 +304,30 @@ def execute_join(
     aux_emb: Embeddings,
     metric: Metric = "l2",
     threshold: float | None = None,
-    index_side: Literal["auto", "base", "aux"] = "auto",
     both_directions: bool = False,
 ) -> JoinResult:
     """Execute the join over precomputed embeddings.
 
-    INNER retrieves in a single direction: the smaller dataset queries the
-    larger one, with k set by the retrieved side's size bound, then the
-    query side's own bound is enforced as a per-retrieved-record cap.
-    ``index_side`` selects which side physically holds the index; indexing
-    the querying side runs the slower per-record reference scan (same l2
-    bytes; inner-product scores may differ in the last bit). ``both_directions``
-    switches INNER to the union of both retrieval directions. That union and
-    FULL hold the forward rows, then the reverse rows whose pair is not
-    already present; FULL then adds an ABSENT row per unmatched base record,
-    then per unmatched aux record.
+    Each retrieval direction indexes the retrieved side and scans it with
+    the querying side's vectors. INNER retrieves in a single direction: the
+    smaller dataset queries the larger one, with k set by the retrieved
+    side's size bound, then the query side's own bound is enforced as a
+    per-retrieved-record cap. ``both_directions`` switches INNER to the
+    union of both retrieval directions. That union and FULL hold the
+    forward rows, then the reverse rows whose pair is not already present;
+    FULL then adds an ABSENT row per unmatched base record, then per
+    unmatched aux record.
     """
     base_ids, aux_ids = tuple(base_emb[0]), tuple(aux_emb[0])
     if not base_ids or not aux_ids:
         raise JoinError("both sides must have at least one embedding")
-    strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
 
     def result(*parts: tuple[np.ndarray, ...]) -> JoinResult:
         return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*parts)))
 
     def retrieve(reverse: bool, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         queries, targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
-        return _retrieve(queries, targets, k, metric, threshold,
-                         strategy["aux" if reverse else "base"])
+        return _search(build_index(targets, metric), queries[1], k, threshold)
 
     def unmatched(n: int, *matched: np.ndarray) -> np.ndarray:
         return np.setdiff1d(np.arange(n), np.concatenate(matched))
@@ -504,37 +415,6 @@ def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
         for rid, row in zip(ids, rows):
             encoded = rid.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)) + encoded + row.tobytes())
-
-
-def load_embeddings(path: str | Path) -> Embeddings:
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _EMB_HEADER.size:
-        raise JoinError(f"{path}: truncated embeddings file")
-    magic, version, count, dim = _EMB_HEADER.unpack_from(raw)
-    if magic != _EMB_MAGIC:
-        raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
-    if version != _EMB_VERSION:
-        raise JoinError(f"{path}: unsupported embeddings version {version}")
-    offset = _EMB_HEADER.size
-    if offset + count * (4 + 8 * dim) > len(raw):
-        raise JoinError(f"{path}: truncated embeddings file")
-    ids: list[str] = []
-    vectors = np.empty((count, dim))
-    for i in range(count):
-        if offset + 4 > len(raw):
-            raise JoinError(f"{path}: truncated embeddings file")
-        (id_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        ids.append(raw[offset : offset + id_len].decode("utf-8"))
-        offset += id_len
-        if offset + 8 * dim > len(raw):
-            raise JoinError(f"{path}: truncated embeddings file")
-        vectors[i] = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset)
-        offset += 8 * dim
-    if offset != len(raw):
-        raise JoinError(f"{path}: {len(raw) - offset} trailing bytes after the last record")
-    return tuple(ids), vectors
 
 
 def aggregate_labels(

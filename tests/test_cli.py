@@ -4,10 +4,12 @@ import csv
 import json
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emberish
 from emberish.cli import (
     ENV_DATA_DIR,
     cmd_evaluate,
@@ -220,6 +222,20 @@ class TestTrain:
         assert main(args) == 0
         config.write_text(json.dumps(raw))
         assert main([*args, *supervision]) == 0
+
+    def test_no_supervision_file_needed_without_finetuning(self, workspace):
+        tmp_path, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "epochs": 1, "finetune": False}))
+        args = ["train", "--config", str(config)]
+        assert main(args) == 0
+        with_file = (tmp_path / "model.bin").read_bytes()
+        (tmp_path / "supervision.csv").unlink()
+        assert main(args) == 0
+        assert (tmp_path / "model.bin").read_bytes() == with_file
+        inputs = json.loads((tmp_path / "manifest_train.json").read_text())["inputs"]
+        assert sorted(os.path.basename(p) for p in inputs) == ["aux.csv", "base.csv"]
 
     def test_freeze_negatives_with_pair_supervision_is_accepted(self, workspace):
         tmp_path, cfg = workspace
@@ -476,7 +492,6 @@ class TestJoinFlags:
     @pytest.mark.parametrize("flags", [
         ["--baseline", "BM25", "--threshold", "0.5"],
         ["--baseline", "BM25", "--both-directions"],
-        ["--baseline", "J-WS", "--index-side", "base"],
         ["--baseline", "BM25", "--join-type", "LEFT"],
         ["--baseline", "J-WS", "--left-size", "2"],
         ["--key-column", "name"],
@@ -485,6 +500,9 @@ class TestJoinFlags:
         ["--baseline", "J-2G", "--key-column", "name"],
         ["--spec-file", "spec.kjoin", "--join-type", "INNER", "--right-size", "7"],
         ["--spec-file", "spec.kjoin", "--left-size", "2"],
+        ["--join-type", "LEFT", "--left-size", "7"],
+        ["--join-type", "RIGHT", "--right-size", "3"],
+        ["--config", "left.json", "--left-size", "1"],
     ])
     def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys,
                                                        monkeypatch):
@@ -492,6 +510,7 @@ class TestJoinFlags:
         cmd_train(cfg, pretrain=False)
         (tmp_path / "spec.kjoin").write_text(
             "base LEFT KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING supervision;")
+        (tmp_path / "left.json").write_text(json.dumps({"join_type": "LEFT", "embedding_dim": 8}))
         monkeypatch.chdir(tmp_path)
         assert main(["join", "--data-dir", str(tmp_path), *flags]) == 1
         assert "does not use" in capsys.readouterr().err
@@ -504,8 +523,21 @@ class TestJoinFlags:
         config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8}))
         d = ["--config", str(config)]
         assert main(["join", *d, "--baseline", "LD", "--key-column", "name"]) == 0
-        assert main(["join", *d, "--threshold", "2.0", "--index-side", "aux",
-                     "--both-directions"]) == 0
+        assert main(["join", *d, "--threshold", "2.0", "--both-directions"]) == 0
+        assert main(["join", *d, "--join-type", "LEFT", "--right-size", "2"]) == 0
+        assert main(["join", *d, "--join-type", "RIGHT", "--left-size", "2"]) == 0
+        # A config file's sizes are accepted whatever its join type.
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "join_type": "LEFT", "left_size": 4}))
+        assert main(["join", *d]) == 0
+
+    def test_index_side_is_not_an_option(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        assert main(["join", "--data-dir", str(tmp_path), "--index-side", "base"]) == 1
+        err = capsys.readouterr().err
+        assert "No such option" in err and "--index-side" in err
+        assert not (tmp_path / "result.csv").exists()
 
     def test_config_join_type_and_sizes_allowed_with_baseline(self, workspace):
         # A config file's join type and sizes also feed learned joins, so the
@@ -795,3 +827,11 @@ class TestManifest:
         for path, digest in manifest["outputs"].items():
             assert len(digest) == 64
             assert os.path.exists(path)
+
+
+def test_version_matches_pyproject():
+    # Python 3.10 has no tomllib, so the version line is read as text.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    lines = [line for line in pyproject.read_text(encoding="utf-8").splitlines()
+             if line.startswith("version = ")]
+    assert lines == [f'version = "{emberish.__version__}"']

@@ -13,20 +13,16 @@ from emberish import joiner
 from emberish.joiner import (
     JoinError,
     JoinResult,
-    Match,
     aggregate_labels,
     build_index,
     chain_joins,
     execute_join,
     id_ranks,
-    knn,
-    load_embeddings,
     save_embeddings,
     topk,
 )
-from emberish.data import SupervisionPair
-from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
+from oracles import for_base, knn, load_embeddings, matched_pairs, matches, to_csv_text
 
 
 # Record ids with the characters CSV must quote, and any other non-empty text.
@@ -177,7 +173,7 @@ class TestBlockedScan:
         index = build_index(aux, metric)
         expected = [(bid, aid, rank, score) for bid, vec in base
                     for rank, (aid, score) in enumerate(knn(index, vec, 3), start=1)]
-        got = [(m.base_id, m.aux_id, m.rank, m.score) for m in result.matches]
+        got = [(m.base_id, m.aux_id, m.rank, m.score) for m in matches(result)]
         assert got == expected
         if metric == "l2":
             oracle = [sorted(((float(np.linalg.norm(v - q)), aid) for aid, v in zip(*aux)))[:3]
@@ -253,7 +249,7 @@ class TestBlockedScan:
             assert all(s == (aux_matrix @ q)[row[aid]] for aid, s in knn(ip, q, 10))
         result = execute_join(spec(JoinType.LEFT, right=10), pair(base), pair(aux))
         base_vec = dict(base)
-        for m in result.matches:
+        for m in matches(result):
             assert m.score == exact(base_vec[m.base_id])[row[m.aux_id]]
 
     @pytest.mark.parametrize("metric, threshold", [("l2", None), ("l2", 10.0),
@@ -294,7 +290,7 @@ class TestExecuteJoin:
         base = [("b0", vec(0.0)), ("b1", vec(100.0))]
         aux = [("a0", vec(0.5))]
         result = execute_join(spec(JoinType.LEFT, right=1), pair(base), pair(aux), threshold=1.0)
-        rows = {m.base_id: m for m in result.matches}
+        rows = {m.base_id: m for m in matches(result)}
         assert rows["b0"].aux_id == "a0"
         assert rows["b1"].aux_id is None
 
@@ -302,44 +298,17 @@ class TestExecuteJoin:
         base, aux = self.line_embeddings()
         result = execute_join(spec(JoinType.INNER, left=6, right=2), base, aux)
         per_base = {}
-        for m in result.matches:
+        for m in matches(result):
             per_base.setdefault(m.base_id, []).append(m)
         assert all(len(v) <= 2 for v in per_base.values())
-        assert all(m.direction == "forward" for m in result.matches)
+        assert all(m.direction == "forward" for m in matches(result))
 
     def test_inner_reverse_direction_when_base_larger(self):
         base, aux = self.line_embeddings()
         result = execute_join(spec(JoinType.INNER, left=2, right=6), aux, base)
         # aux side (6) larger than base side (4): base queries... here the roles
         # are swapped, so the smaller side (base arg = aux list here) queries.
-        assert all(not m.absent for m in result.matches)
-
-    def test_inner_dual_execution_identical(self):
-        rng = np.random.default_rng(9)
-        base = grid_embeddings("b", 20, 4, 1)
-        aux = grid_embeddings("a", 30, 4, 2)
-        s = spec(JoinType.INNER, left=3, right=2)
-        natural = execute_join(s, base, aux, index_side="auto")
-        transposed = execute_join(s, base, aux, index_side="base")
-        assert natural.to_csv_text() == transposed.to_csv_text()
-
-    @pytest.mark.parametrize("metric", ["l2", "inner_product"])
-    @pytest.mark.parametrize("join_type", list(JoinType))
-    def test_dual_execution_every_join_type(self, join_type, metric):
-        # Indexing the querying side gives the same rows; l2 scores are the
-        # same bits, inner-product scores may differ in the last digits.
-        base = grid_embeddings("b", 20, 4, 11)
-        aux = grid_embeddings("a", 30, 4, 12)
-        s = spec(join_type, left=3, right=2)
-        natural = execute_join(s, base, aux, metric=metric)
-        for side in ("base", "aux"):
-            other = execute_join(s, base, aux, metric=metric, index_side=side)
-            assert [(m.base_id, m.aux_id, m.rank) for m in other.matches] == [
-                (m.base_id, m.aux_id, m.rank) for m in natural.matches]
-            np.testing.assert_allclose([m.score for m in other.matches],
-                                       [m.score for m in natural.matches], rtol=0, atol=1e-12)
-            if metric == "l2":
-                assert other.to_csv_text() == natural.to_csv_text()
+        assert all(not m.absent for m in matches(result))
 
     def test_one_index_per_retrieval_direction(self, monkeypatch):
         built = []
@@ -363,10 +332,10 @@ class TestExecuteJoin:
         aux = grid_embeddings("a", 10, 3, 4)
         inner = execute_join(spec(JoinType.INNER, left=10, right=2), base, aux, threshold=2.5)
         left = execute_join(spec(JoinType.LEFT, left=10, right=2), base, aux, threshold=2.5)
-        inner_pairs = inner.matched_pairs()
-        left_pairs = left.matched_pairs()
+        inner_pairs = matched_pairs(inner)
+        left_pairs = matched_pairs(left)
         assert inner_pairs == left_pairs
-        absent_base = {m.base_id for m in left.matches if m.absent}
+        absent_base = {m.base_id for m in matches(left) if m.absent}
         matched_base = {b for b, _ in left_pairs}
         assert absent_base == set(base[0]) - matched_base
 
@@ -375,7 +344,7 @@ class TestExecuteJoin:
         aux = grid_embeddings("a", 10, 3, 6)
         inner = execute_join(spec(JoinType.INNER, left=10, right=2), base, aux)
         full = execute_join(spec(JoinType.FULL, left=10, right=2), base, aux)
-        assert inner.matched_pairs() <= full.matched_pairs()
+        assert matched_pairs(inner) <= matched_pairs(full)
 
     def test_right_mirrors_left(self):
         base = grid_embeddings("b", 10, 3, 7)
@@ -383,15 +352,15 @@ class TestExecuteJoin:
         left = execute_join(spec(JoinType.LEFT, left=2, right=2), base, aux, threshold=2.0)
         right = execute_join(spec(JoinType.RIGHT, left=2, right=2), aux, base, threshold=2.0)
         # Swapping the datasets and mirroring the join type yields mirrored pairs.
-        mirrored = {(a, b) for b, a in right.matched_pairs()}
-        assert left.matched_pairs() == mirrored
+        mirrored = {(a, b) for b, a in matched_pairs(right)}
+        assert matched_pairs(left) == mirrored
 
     def test_full_join_absent_on_both_sides(self):
         base = [("b0", vec(0.0)), ("b_far", vec(500.0))]
         aux = [("a0", vec(0.1)), ("a_far", vec(-500.0))]
         result = execute_join(spec(JoinType.FULL), pair(base), pair(aux), threshold=1.0)
-        absent_base = {m.base_id for m in result.matches if m.aux_id is None}
-        absent_aux = {m.aux_id for m in result.matches if m.base_id is None}
+        absent_base = {m.base_id for m in matches(result) if m.aux_id is None}
+        absent_aux = {m.aux_id for m in matches(result) if m.base_id is None}
         assert absent_base == {"b_far"}
         assert absent_aux == {"a_far"}
 
@@ -399,14 +368,14 @@ class TestExecuteJoin:
         base = [("b0", vec(0.0))]
         aux = [("a0", vec(0.0))]
         result = execute_join(spec(JoinType.FULL), pair(base), pair(aux))
-        assert len(result.matches) == 1
+        assert len(matches(result)) == 1
 
     def test_inner_per_aux_cap_enforced(self):
         # Both base records closest to a0; left_size=1 keeps only the better one.
         base = [("b0", vec(0.0)), ("b1", vec(0.2))]
         aux = [("a0", vec(0.1)), ("a1", vec(50.0)), ("a2", vec(60.0))]
         result = execute_join(spec(JoinType.INNER, left=1, right=1), pair(base), pair(aux))
-        winners = [m for m in result.matches if m.aux_id == "a0"]
+        winners = [m for m in matches(result) if m.aux_id == "a0"]
         assert len(winners) == 1
         assert winners[0].base_id == "b0"  # distance 0.1 beats 0.1? no: |0-0.1| < |0.2-0.1|
 
@@ -416,7 +385,7 @@ class TestExecuteJoin:
         aux = grid_embeddings("a", 12, 2, 15)
         result = execute_join(spec(JoinType.INNER, left=2, right=4), base, aux)
         per_query = {}
-        for m in result.matches:
+        for m in matches(result):
             per_query.setdefault(m.base_id, []).append(m.rank)
         for ranks in per_query.values():
             assert ranks == list(range(1, len(ranks) + 1))
@@ -425,7 +394,7 @@ class TestExecuteJoin:
         base = [("b0", vec(0.0))]
         aux = [("a0", vec(1.0)), ("a1", vec(2.0))]
         result = execute_join(spec(JoinType.LEFT, right=99), pair(base), pair(aux))
-        assert len(result.for_base("b0")) == 2
+        assert len(for_base(result, "b0")) == 2
 
     def test_empty_side_rejected(self):
         with pytest.raises(JoinError, match="at least one"):
@@ -435,8 +404,8 @@ class TestExecuteJoin:
         base = grid_embeddings("b", 15, 3, 20)
         aux = grid_embeddings("a", 25, 3, 21)
         s = spec(JoinType.FULL, left=2, right=3)
-        r1 = execute_join(s, base, aux).to_csv_text()
-        r2 = execute_join(s, base, aux).to_csv_text()
+        r1 = to_csv_text(execute_join(s, base, aux))
+        r2 = to_csv_text(execute_join(s, base, aux))
         assert r1 == r2
 
     def test_inner_product_metric_join(self):
@@ -449,8 +418,8 @@ class TestExecuteJoin:
         ip = execute_join(spec(JoinType.LEFT, right=3), pair(base), pair(aux),
                           metric="inner_product")
         # Unit vectors: both metrics rank identically.
-        assert [(m.base_id, m.aux_id, m.rank) for m in l2.matches] == [
-            (m.base_id, m.aux_id, m.rank) for m in ip.matches
+        assert [(m.base_id, m.aux_id, m.rank) for m in matches(l2)] == [
+            (m.base_id, m.aux_id, m.rank) for m in matches(ip)
         ]
 
     def test_scores_ordered_in_better_direction(self):
@@ -460,7 +429,7 @@ class TestExecuteJoin:
         for metric, better_first in (("l2", True), ("inner_product", False)):
             result = execute_join(spec(JoinType.LEFT, right=5), base, aux, metric=metric)
             per_base = {}
-            for m in result.matches:
+            for m in matches(result):
                 if not m.absent:
                     per_base.setdefault(m.base_id, []).append((m.rank, m.score))
             for entries in per_base.values():
@@ -471,37 +440,20 @@ class TestExecuteJoin:
                     assert scores == sorted(scores, reverse=True)
 
 
-def _reference_rows(spec, base_emb, aux_emb, metric, threshold, index_side, both_directions):
+def _reference_rows(spec, base_emb, aux_emb, metric, threshold, both_directions):
     """The result builder as it was before results became columnar: ranked
     candidates per query id, a per-target cap over them, one row per
     candidate and a set of seen pairs for FULL. Returns
     ``(base_id, aux_id, rank, score, direction)`` rows."""
 
-    def retrieve(query_emb, target_emb, k, index_on):
+    def retrieve(query_emb, target_emb, k):
         query_ids, query_vectors = query_emb
-        if index_on == "target":
-            index = build_index(target_emb, metric)
-            rows, cols, scores = joiner._search(index, query_vectors, k, threshold)
-            hits = [[] for _ in query_ids]
-            for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
-                hits[row].append((index.ids[col], score))
-            return dict(zip(query_ids, hits))
-        index = build_index(query_emb, metric)
-        per_query = {qid: [] for qid in query_ids}
-        for tid, tvec in zip(*target_emb):
-            for qid, score in knn(index, tvec, index.n, threshold=None):
-                per_query[qid].append((tid, score))
-        sign = 1.0 if metric == "l2" else -1.0
-        out = {}
-        for qid, cands in per_query.items():
-            if threshold is not None:
-                if metric == "l2":
-                    cands = [c for c in cands if c[1] <= threshold]
-                else:
-                    cands = [c for c in cands if c[1] >= threshold]
-            cands.sort(key=lambda c: (sign * c[1], c[0]))
-            out[qid] = cands[:k]
-        return out
+        index = build_index(target_emb, metric)
+        rows, cols, scores = joiner._search(index, query_vectors, k, threshold)
+        hits = [[] for _ in query_ids]
+        for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
+            hits[row].append((index.ids[col], score))
+        return dict(zip(query_ids, hits))
 
     def ranked(retrieved, query_order, direction, absent=False):
         rows = []
@@ -527,17 +479,16 @@ def _reference_rows(spec, base_emb, aux_emb, metric, threshold, index_side, both
                 for qid, cands in retrieved.items()}
 
     base_order, aux_order = base_emb[0], aux_emb[0]
-    strategy = {side: "query" if index_side == side else "target" for side in ("base", "aux")}
     jt = spec.join_type
     if jt == JoinType.LEFT:
-        fwd = retrieve(base_emb, aux_emb, spec.right_size, strategy["base"])
+        fwd = retrieve(base_emb, aux_emb, spec.right_size)
         return ranked(fwd, base_order, "forward", True)
     if jt == JoinType.RIGHT:
-        rev = retrieve(aux_emb, base_emb, spec.left_size, strategy["aux"])
+        rev = retrieve(aux_emb, base_emb, spec.left_size)
         return ranked(rev, aux_order, "reverse", True)
     if jt == JoinType.FULL or both_directions:
-        fwd = retrieve(base_emb, aux_emb, spec.right_size, strategy["base"])
-        rev = retrieve(aux_emb, base_emb, spec.left_size, strategy["aux"])
+        fwd = retrieve(base_emb, aux_emb, spec.right_size)
+        rev = retrieve(aux_emb, base_emb, spec.left_size)
         rows = ranked(fwd, base_order, "forward")
         seen = {(b, a) for b, a, *_ in rows}
         rows += [r for r in ranked(rev, aux_order, "reverse") if (r[0], r[1]) not in seen]
@@ -549,7 +500,7 @@ def _reference_rows(spec, base_emb, aux_emb, metric, threshold, index_side, both
     forward = len(base_order) <= len(aux_order)
     queries, targets = (base_emb, aux_emb) if forward else (aux_emb, base_emb)
     k, cap = (spec.right_size, spec.left_size) if forward else (spec.left_size, spec.right_size)
-    retrieved = retrieve(queries, targets, k, strategy["base" if forward else "aux"])
+    retrieved = retrieve(queries, targets, k)
     if cap < len(queries[0]):
         retrieved = cap_per_target(retrieved, cap)
     return ranked(retrieved, queries[0], "forward" if forward else "reverse")
@@ -576,37 +527,18 @@ class TestResultBuilderOracle:
     @pytest.mark.parametrize("metric, threshold", [("l2", None), ("l2", 1.0),
                                                    ("inner_product", None),
                                                    ("inner_product", 3.0)])
-    @pytest.mark.parametrize("index_side", ["auto", "base", "aux"])
     @pytest.mark.parametrize("join_type, both_directions",
                              [(jt, False) for jt in JoinType] + [(JoinType.INNER, True)])
-    def test_rows_and_bytes_match_reference(self, sizes, metric, threshold, index_side,
-                                            join_type, both_directions):
+    def test_rows_and_bytes_match_reference(self, sizes, metric, threshold, join_type,
+                                            both_directions):
         base, aux = tied_grid("b", sizes[0], sizes[0]), tied_grid("a", sizes[1], 7 * sizes[1])
         s = spec(join_type, left=2, right=3)
-        args = (metric, threshold, index_side, both_directions)
+        args = (metric, threshold, both_directions)
         expected = _reference_rows(s, base, aux, *args)
         result = execute_join(s, base, aux, *args)
         assert [(m.base_id, m.aux_id, m.rank, repr(m.score), m.direction)
-                for m in result.matches] == [(*r[:3], repr(r[3]), r[4]) for r in expected]
-        assert result.to_csv_text() == _reference_csv(expected)
-
-    def test_no_match_objects_from_join_to_metrics(self, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Match was built on the result path")
-
-        monkeypatch.setattr(Match, "__init__", refuse)
-        base, aux = tied_grid("b", 9, 1), tied_grid("a", 13, 2)
-        truth = TruthSet.from_pairs([SupervisionPair(b, a) for b, a in zip(base[0], aux[0])])
-        for join_type in (JoinType.LEFT, JoinType.INNER):
-            execute_join(spec(join_type, left=2, right=3), base, aux,
-                         threshold=1.0).write_csv(tmp_path / "result.csv")
-            loaded = JoinResult.from_csv(tmp_path / "result.csv")
-            assert 0.0 <= recall_at_k(loaded, truth, 3) <= 1.0
-            assert 0.0 <= mrr_at_k(loaded, truth, 3) <= 1.0
-            assert aggregate_labels(loaded, dict.fromkeys(aux[0], 1.0), 2)
-        with pytest.raises(AssertionError, match="Match"):
-            loaded.matches
-
+                for m in matches(result)] == [(*r[:3], repr(r[3]), r[4]) for r in expected]
+        assert to_csv_text(result) == _reference_csv(expected)
 
 class TestChainJoins:
     def test_single_stage_equals_execute_join(self):
@@ -616,7 +548,7 @@ class TestChainJoins:
         index = build_index(aux)
         chained = chain_joins(base, [(s, index)])
         direct = execute_join(s, base, aux)
-        assert chained.matched_pairs() == direct.matched_pairs()
+        assert matched_pairs(chained) == matched_pairs(direct)
 
     def test_two_hop_composes_bijections(self):
         # Hop truths are bijections: x_i -> y_{sigma(i)} -> z_{tau(sigma(i))}.
@@ -634,8 +566,8 @@ class TestChainJoins:
         one = spec(JoinType.INNER, left=n, right=1)
         stages = [(one, build_index(pair(d1))), (one, build_index(pair(d2)))]
         result = chain_joins(pair(d0), stages)
-        assert len(result.matches) == n
-        for m in result.matches:
+        assert len(matches(result)) == n
+        for m in matches(result):
             i = int(m.base_id[1:])
             assert m.path == (f"y{sigma[i]}",)
             assert m.aux_id == f"z{tau[sigma[i]]}"
@@ -649,7 +581,7 @@ class TestChainJoins:
             (spec(JoinType.INNER, right=1), build_index(last)),
         ]
         result = chain_joins(base, stages)
-        for m in result.matches:
+        for m in matches(result):
             assert len(m.path) == 1
             assert m.path[0].startswith("m")
             assert m.aux_id.startswith("z")
@@ -676,7 +608,7 @@ class TestChainJoins:
                          for rank, (score, hit, path) in enumerate(entries, start=1)]
         result = chain_joins(base, stages)
         assert [(m.base_id, m.aux_id, m.rank, m.score, m.path)
-                for m in result.matches] == expected
+                for m in matches(result)] == expected
 
     def test_empty_chain_rejected(self):
         with pytest.raises(JoinError, match="at least one stage"):
@@ -720,13 +652,13 @@ class TestResultCsv:
         path = tmp_path / "r.csv"
         result.write_csv(path)
         loaded = JoinResult.from_csv(path)
-        assert loaded.matches[0].base_id == "b0"
-        assert loaded.matches[0].score == 0.25
-        assert loaded.matches[1].aux_id is None
+        assert matches(loaded)[0].base_id == "b0"
+        assert matches(loaded)[0].score == 0.25
+        assert matches(loaded)[1].aux_id is None
 
     def test_header(self):
         result = JoinResult.from_ids([])
-        assert result.to_csv_text().splitlines()[0] == "base_id,aux_id,rank,score"
+        assert to_csv_text(result).splitlines()[0] == "base_id,aux_id,rank,score"
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -741,8 +673,8 @@ class TestResultCsv:
         path = tmp_path / "r.csv"
         result.write_csv(path)
         loaded = JoinResult.from_csv(path)
-        assert loaded.to_csv_text() == result.to_csv_text()
-        assert [(m.base_id, m.aux_id, m.rank, repr(m.score)) for m in loaded.matches] == [
+        assert to_csv_text(loaded) == to_csv_text(result)
+        assert [(m.base_id, m.aux_id, m.rank, repr(m.score)) for m in matches(loaded)] == [
             (b, a, r, repr(s)) for b, a, r, s in rows]
 
     @settings(max_examples=200, deadline=None,
@@ -788,7 +720,7 @@ class TestResultCsv:
             tracemalloc.stop()
         columns = sum(getattr(loaded, name).nbytes
                       for name in ("base", "aux", "rank", "score", "reverse"))
-        assert loaded.to_csv_text() == written.to_csv_text()
+        assert to_csv_text(loaded) == to_csv_text(written)
         assert peak <= columns + (4 << 20)
 
     def test_a_malformed_line_far_into_the_file_is_named(self, tmp_path):
@@ -818,7 +750,7 @@ class TestResultCsv:
     @pytest.mark.parametrize("case", ["left-absent", "full", "empty", "carriage-return-last"])
     def test_streamed_file_equals_the_one_chunk_text(self, case, tmp_path, monkeypatch):
         result = self.streamed_cases()[case]
-        whole = result.to_csv_text()
+        whole = to_csv_text(result)
         if case == "left-absent":
             assert (result.aux < 0).any()
         if case == "carriage-return-last":
@@ -826,7 +758,7 @@ class TestResultCsv:
         monkeypatch.setattr(joiner, "_WRITE_ROWS", 2)
         result.write_csv(tmp_path / "result.csv")
         assert (tmp_path / "result.csv").read_bytes() == whole.encode("utf-8")
-        assert result.to_csv_text() == whole
+        assert to_csv_text(result) == whole
         assert [p.name for p in tmp_path.iterdir()] == ["result.csv"]
 
     def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):

@@ -12,8 +12,6 @@ from emberish.data import SupervisionPair, dataset_from_rows
 from emberish.joiner import id_ranks
 from emberish.lexrank import (
     LexError,
-    bm25_score,
-    bm25_topk,
     build_bm25_index,
     jaccard,
     jaccard_topk,
@@ -23,6 +21,7 @@ from emberish.lexrank import (
 )
 from emberish.prepare import prepare_sentence
 from emberish.supervise import SamplerConfig, build_pretraining_pairs, build_tiers
+from oracles import bm25_score, bm25_topk, for_base, matches
 
 
 # --- Independent oracles (kept deliberately naive) -------------------------
@@ -88,19 +87,13 @@ def test_bm25_hand_arithmetic():
     # Two docs, term in exactly one with f=1, doc length equals avgdl:
     # IDF = ln((2-1+0.5)/(1+0.5) + 1) = ln 2; tf part = 2.5/2.5.
     index = build_bm25_index([("d1", ["x"]), ("d2", ["y"])])
-    assert bm25_score(index, ["x"], "d1") == pytest.approx(math.log(2), abs=1e-12)
+    assert bm25_score(index, ["x"], ["x"]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bm25_absent_term_contributes_zero():
     index = build_bm25_index([("d1", ["x", "y"]), ("d2", ["y"])])
-    base = bm25_score(index, ["x"], "d1")
-    assert bm25_score(index, ["x", "zzz"], "d1") == base
-
-
-def test_bm25_unknown_doc():
-    index = build_bm25_index([("d1", ["x"]), ("d2", ["y"])])
-    with pytest.raises(LexError, match="unknown doc"):
-        bm25_score(index, ["x"], "nope")
+    base = bm25_score(index, ["x"], ["x", "y"])
+    assert bm25_score(index, ["x", "zzz"], ["x", "y"]) == base
 
 
 def test_bm25_matches_oracle_on_toy_corpus():
@@ -110,8 +103,8 @@ def test_bm25_matches_oracle_on_toy_corpus():
     oracle = OracleBm25(docs)
     for _ in range(50):
         query = [f"t{rng.randrange(30)}" for _ in range(rng.randrange(1, 6))]
-        for doc_id, _ in docs:
-            assert bm25_score(index, query, doc_id) == pytest.approx(
+        for doc_id, tokens in docs:
+            assert bm25_score(index, query, tokens) == pytest.approx(
                 oracle.score(query, doc_id), abs=1e-9
             )
 
@@ -121,7 +114,7 @@ def test_bm25_monotone_in_term_frequency():
     for f in range(1, 10):
         docs = [("d1", ["x"] * f + ["pad"] * (10 - f)), ("d2", ["pad"] * 10)]
         index = build_bm25_index(docs)
-        score = bm25_score(index, ["x"], "d1")
+        score = bm25_score(index, ["x"], docs[0][1])
         if f > 1:
             assert score >= prev  # noqa: F821
         prev = score  # noqa: F841
@@ -141,7 +134,7 @@ def test_bm25_topk_agrees_with_full_sort():
         index = build_bm25_index(docs)
         query = [f"t{rng.randrange(30)}" for _ in range(rng.randrange(1, 5))]
         expected = sorted(
-            ((doc_id, bm25_score(index, query, doc_id)) for doc_id, _ in docs),
+            ((doc_id, bm25_score(index, query, tokens)) for doc_id, tokens in docs),
             key=lambda pair: (-pair[1], pair[0]),
         )
         for k in (1, 3, len(docs)):
@@ -223,7 +216,7 @@ def test_ld_exact_key_match_ranks_first():
         [("a0", [("name", "zzzz qqqq")]), ("a1", [("name", "alpha nine")])],
     )
     result = lexical_join("LD", base, aux, key_column="name", k=2)
-    top = result.for_base("b0")[0]
+    top = for_base(result, "b0")[0]
     assert top.aux_id == "a1" and top.score == 0.0
 
 
@@ -231,7 +224,7 @@ def test_ld_threshold_keeps_below_30_edits():
     base = dataset_from_rows("b", "base", [("b0", [("name", "x" * 60)])])
     aux = dataset_from_rows("a", "auxiliary", [("a0", [("name", "y" * 60)])])
     result = lexical_join("LD", base, aux, key_column="name", k=5)
-    assert result.for_base("b0") == []
+    assert for_base(result, "b0") == []
 
 
 def test_ld_skips_the_dp_beyond_the_length_gap(monkeypatch):
@@ -251,7 +244,7 @@ def test_ld_skips_the_dp_beyond_the_length_gap(monkeypatch):
         [("a0", [("name", "ab" + "c" * 31)]), ("a1", [("name", "ab" + "c" * 30)])],
     )
     result = lexical_join("LD", base, aux, key_column="name", k=5)
-    assert [(m.aux_id, m.rank, m.score) for m in result.for_base("b0")] == [("a1", 1, 30.0)]
+    assert [(m.aux_id, m.rank, m.score) for m in for_base(result, "b0")] == [("a1", 1, 30.0)]
     assert calls == [("ab", "ab" + "c" * 30)]
 
 
@@ -262,7 +255,7 @@ def test_jaccard_join_threshold():
         [("a0", [("name", "red shoe")]), ("a1", [("name", "zz qq ww vv")])],
     )
     result = lexical_join("J-WS", base, aux, k=5)
-    ids = [m.aux_id for m in result.for_base("b0")]
+    ids = [m.aux_id for m in for_base(result, "b0")]
     assert "a0" in ids and "a1" not in ids
 
 
@@ -296,7 +289,8 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
                 if val <= 30:
                     scored.append((val, arec.id))
             elif kind == "BM25":
-                val = bm25_score(index, prepare_sentence(brec).tokens, arec.id)
+                val = bm25_score(index, prepare_sentence(brec).tokens,
+                                 prepare_sentence(arec).tokens)
                 if val > 0:
                     scored.append((-val, arec.id))
             else:
@@ -312,12 +306,12 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
                     scored.append((-val, arec.id))
         scored.sort()
         expected = [aid for _, aid in scored[:k]]
-        got = [m.aux_id for m in result.for_base(brec.id)]
+        got = [m.aux_id for m in for_base(result, brec.id)]
         assert got == expected, f"{kind} mismatch for {brec.id}"
         if kind.startswith("J"):
-            matches = result.for_base(brec.id)
-            assert [m.rank for m in matches] == list(range(1, len(matches) + 1))
-            assert [m.score for m in matches] == [-val for val, _ in scored[:k]]
+            found = for_base(result, brec.id)
+            assert [m.rank for m in found] == list(range(1, len(found) + 1))
+            assert [m.score for m in found] == [-val for val, _ in scored[:k]]
 
 
 def brute_jaccard_topk(queries, docs, ids, k, min_similarity=None):
@@ -397,10 +391,10 @@ def test_jaccard_join_across_blocks_matches_brute_force(kind, monkeypatch):
         expected = brute_jaccard_topk([token_set(r) for r in base.records],
                                       [token_set(r) for r in aux.records], aux.ids(), k, 0.3)
         for brec, best in zip(base.records, expected):
-            assert [(m.aux_id, m.rank, m.score) for m in result.for_base(brec.id)] == [
+            assert [(m.aux_id, m.rank, m.score) for m in for_base(result, brec.id)] == [
                 (aux.ids()[i], rank, sim) for rank, (i, sim) in enumerate(best, start=1)
             ]
-        assert len(result.matches) == sum(map(len, expected))
+        assert len(matches(result)) == sum(map(len, expected))
 
 
 def test_unknown_kind():
@@ -422,72 +416,76 @@ BM25_DOCS = [("a6", "a b"), ("a5", "a c c"), ("a4", "x"), ("a3", "a b"), ("a2", 
 BM25_QUERIES = ["a", "a a zz", "a a zz", "zz", "", "c a b c", "b"]
 
 
-def brute_bm25(index, queries, k, positive_only=False):
-    """Per query, its best ``(doc position, bm25_score)`` pairs by a full
-    sort: descending score, then ascending id."""
+def brute_bm25(docs, queries, k, positive_only=False):
+    """Per query, its best ``(doc position, bm25_score)`` pairs among the
+    ``(doc id, tokens)`` pairs ``docs`` by a full sort: descending score,
+    then ascending id."""
+    index = build_bm25_index(docs)
     out = []
     for query in queries:
-        scored = sorted((-bm25_score(index, query, doc_id), doc_id, i)
-                        for i, doc_id in enumerate(index.ids))
+        scored = sorted((-bm25_score(index, query, tokens), doc_id, i)
+                        for i, (doc_id, tokens) in enumerate(docs))
         out.append([(i, -neg) for neg, _, i in scored if not positive_only or -neg > 0.0][:k])
     return out
 
 
 def bm25_world():
     """``BM25_DOCS`` as the aux side and ``BM25_QUERIES`` as the base side,
-    under different column names, so only the values ever match."""
+    under different column names, so only the values ever match, and the
+    aux side's ``(id, prepared tokens)`` documents."""
     aux = dataset_from_rows("a", "auxiliary", [(aid, [("t", text)]) for aid, text in BM25_DOCS])
     base = dataset_from_rows("b", "base", [(f"b{i}", [("q", text)])
                                            for i, text in enumerate(BM25_QUERIES)])
-    index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
-    return base, aux, index
+    return base, aux, [(r.id, prepare_sentence(r).tokens) for r in aux.records]
 
 
 def test_bm25_rank_across_blocks_matches_per_query_oracle(monkeypatch):
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * len(BM25_DOCS))
-    index = build_bm25_index([(doc_id, text.split()) for doc_id, text in BM25_DOCS])
+    docs = [(doc_id, text.split()) for doc_id, text in BM25_DOCS]
+    index = build_bm25_index(docs)
     queries = [text.split() for text in BM25_QUERIES]
     for query in queries:
-        assert index.scores(query).tolist() == [bm25_score(index, query, d) for d in index.ids]
+        assert index.scores(query).tolist() == [bm25_score(index, query, tokens)
+                                                for _, tokens in docs]
     positive = lambda scores: scores > 0.0
     for k in (1, 2, 3, 7, 9):
         for keep in (None, positive):
             got = rank(iter(queries), index.scores, index.n_docs, k, index.id_rank, keep=keep)
-            expected = brute_bm25(index, queries, k, positive_only=keep is positive)
+            expected = brute_bm25(docs, queries, k, positive_only=keep is positive)
             assert [part.tolist() for part in got] == flat(expected), (k, keep)
 
 
 def test_bm25_join_across_blocks_drops_zero_scores(monkeypatch):
-    base, aux, index = bm25_world()
+    base, aux, docs = bm25_world()
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
     queries = [prepare_sentence(r).tokens for r in base.records]
     for k in (1, 2, 3, 9):
         result = lexical_join("BM25", base, aux, k=k)
-        expected = brute_bm25(index, queries, k, positive_only=True)
+        expected = brute_bm25(docs, queries, k, positive_only=True)
         assert not expected[3] and not expected[4]
         for brec, best in zip(base.records, expected):
-            assert [(m.aux_id, m.rank, m.score) for m in result.for_base(brec.id)] == [
+            assert [(m.aux_id, m.rank, m.score) for m in for_base(result, brec.id)] == [
                 (aux.ids()[i], rank, score) for rank, (i, score) in enumerate(best, start=1)
             ]
-        assert len(result.matches) == sum(map(len, expected))
+        assert len(matches(result)) == sum(map(len, expected))
 
 
 def test_bm25_tiers_and_pretraining_across_blocks_keep_zero_scores(monkeypatch):
-    base, aux, index = bm25_world()
+    base, aux, docs = bm25_world()
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
     queries = [prepare_sentence(r).tokens for r in base.records]
     pairs = [SupervisionPair(rec.id, "a0") for rec in reversed(base.records)]
     for tier_size in (1, 2, 3, 9):
         tiers = build_tiers(pairs, base, aux,
                             SamplerConfig(kind="stratified_bm25", tier_size=tier_size))
-        expected = brute_bm25(index, queries, tier_size)
+        expected = brute_bm25(docs, queries, tier_size)
         assert list(tiers) == [p.base_id for p in pairs]
         assert [tiers[rec.id] for rec in base.records] == [
             [aux.ids()[i] for i, _ in best] for best in expected
         ]
     # Every doc scores 0.0 for b3 and b4, so their positive is the lowest id.
     positives = [t.positive_id for t in build_pretraining_pairs(base, aux, seed=0)]
-    assert positives == [aux.ids()[best[0][0]] for best in brute_bm25(index, queries, 1)]
+    assert positives == [aux.ids()[best[0][0]] for best in brute_bm25(docs, queries, 1)]
     assert positives[3] == positives[4] == "a0"
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emberish.data import Record, dataset_from_rows
-from emberish.prepare import pair_sentences, prepare_sentence, token_ids, tokenize
+from emberish.prepare import prepare_sentence, token_ids, tokenize
 
 
 def test_two_field_record():
@@ -58,26 +58,6 @@ def test_empty_inputs():
 def test_unknown_tokenizer():
     with pytest.raises(ValueError, match="unknown tokenizer"):
         tokenize("x", "wordpiece")
-
-
-def test_pair_sentences():
-    rec1 = Record(id="1", fields=(("a", "b"),))
-    rec2 = Record(id="2", fields=(("c", ""),))
-    s1, s2 = prepare_sentence(rec1), prepare_sentence(rec2)
-    assert pair_sentences(s1, s2) == "a b [SEP] c"
-
-
-def test_pair_with_empty_first_side():
-    empty = prepare_sentence(Record(id="0", fields=()))
-    other = prepare_sentence(Record(id="1", fields=(("x", ""),)))
-    assert pair_sentences(empty, other) == "[SEP] x"
-
-
-def test_pair_adds_exactly_one_separator():
-    rec = Record(id="1", fields=(("a", "1"), ("b", "2")))
-    sent = prepare_sentence(rec)
-    before = sent.text.count("[SEP]")
-    assert pair_sentences(sent, sent).count("[SEP]") == 2 * before + 1
 
 
 _field = st.tuples(

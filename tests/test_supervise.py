@@ -6,7 +6,7 @@ import pytest
 
 from emberish import lexrank
 from emberish.data import SupervisionPair, dataset_from_rows
-from emberish.lexrank import build_bm25_index, bm25_topk, jaccard
+from emberish.lexrank import build_bm25_index, jaccard
 from emberish.prepare import prepare_sentence
 from emberish.supervise import (
     PerturbationConfig,
@@ -19,6 +19,7 @@ from emberish.supervise import (
     sample_triples,
     split_train_test,
 )
+from oracles import bm25_topk
 
 
 def word_rows(prefix, texts):
