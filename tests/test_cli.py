@@ -237,6 +237,18 @@ class TestTrain:
         inputs = json.loads((tmp_path / "manifest_train.json").read_text())["inputs"]
         assert sorted(os.path.basename(p) for p in inputs) == ["aux.csv", "base.csv"]
 
+    def test_finetuning_still_requires_the_supervision_file(self, workspace, capsys):
+        tmp_path, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "epochs": 1}))
+        (tmp_path / "supervision.csv").unlink()
+        assert main(["train", "--config", str(config), "--no-pretrain"]) == 1
+        err = capsys.readouterr().err
+        assert "missing input files" in err and "supervision.csv" in err
+        for name in ("model.bin", "loss_trace.csv", "manifest_train.json"):
+            assert not (tmp_path / name).exists()
+
     def test_freeze_negatives_with_pair_supervision_is_accepted(self, workspace):
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False, freeze_negatives=True)
@@ -503,6 +515,7 @@ class TestJoinFlags:
         ["--join-type", "LEFT", "--left-size", "7"],
         ["--join-type", "RIGHT", "--right-size", "3"],
         ["--config", "left.json", "--left-size", "1"],
+        ["--config", "right.json", "--right-size", "4"],
     ])
     def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys,
                                                        monkeypatch):
@@ -510,7 +523,9 @@ class TestJoinFlags:
         cmd_train(cfg, pretrain=False)
         (tmp_path / "spec.kjoin").write_text(
             "base LEFT KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING supervision;")
-        (tmp_path / "left.json").write_text(json.dumps({"join_type": "LEFT", "embedding_dim": 8}))
+        for join_type in ("LEFT", "RIGHT"):
+            (tmp_path / f"{join_type.lower()}.json").write_text(
+                json.dumps({"join_type": join_type, "embedding_dim": 8}))
         monkeypatch.chdir(tmp_path)
         assert main(["join", "--data-dir", str(tmp_path), *flags]) == 1
         assert "does not use" in capsys.readouterr().err

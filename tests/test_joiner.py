@@ -21,6 +21,8 @@ from emberish.joiner import (
     save_embeddings,
     topk,
 )
+from emberish.data import SupervisionPair
+from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
 from oracles import for_base, knn, load_embeddings, matched_pairs, matches, to_csv_text
 
@@ -310,6 +312,67 @@ class TestExecuteJoin:
         # are swapped, so the smaller side (base arg = aux list here) queries.
         assert all(not m.absent for m in matches(result))
 
+    def test_inner_dual_execution_identical(self):
+        # Swapping the datasets and the sizes keeps the smaller side querying,
+        # so the result file is the same text with its id columns swapped.
+        base = grid_embeddings("b", 20, 4, 1)
+        aux = grid_embeddings("a", 30, 4, 2)
+        natural = to_csv_text(execute_join(spec(JoinType.INNER, left=3, right=2), base, aux))
+        swapped = to_csv_text(execute_join(spec(JoinType.INNER, left=2, right=3), aux, base))
+        lines = [line.split(",") for line in swapped.splitlines()[1:]]
+        assert natural.splitlines()[1:] == [",".join([a, b, *rest]) for b, a, *rest in lines]
+        assert len(lines) > 20
+
+    @pytest.mark.parametrize("metric", ["l2", "inner_product"])
+    @pytest.mark.parametrize("join_type", list(JoinType))
+    def test_dual_execution_every_join_type(self, join_type, metric):
+        # The mirrored join (datasets and sizes swapped, LEFT <-> RIGHT) runs
+        # each retrieval the other way round and gives the mirrored rows.
+        # FULL keeps the first copy of a pair found in both directions, so
+        # there only the pairs, their scores and the ABSENT rows mirror.
+        mirror = {JoinType.LEFT: JoinType.RIGHT, JoinType.RIGHT: JoinType.LEFT}
+        base = grid_embeddings("b", 20, 4, 11)
+        aux = grid_embeddings("a", 30, 4, 12)
+        # A threshold that leaves some records of each side unmatched.
+        threshold = {"l2": 1.2, "inner_product": 1.5}[metric]
+        natural = execute_join(spec(join_type, left=3, right=2), base, aux, metric, threshold)
+        swapped = execute_join(spec(mirror.get(join_type, join_type), left=2, right=3),
+                               aux, base, metric, threshold)
+        flip = {"forward": "reverse", "reverse": "forward"}
+        rows = [(m.base_id, m.aux_id, m.rank, m.score, m.direction) for m in matches(natural)]
+        mirrored = [(m.aux_id, m.base_id, m.rank, m.score, flip[m.direction])
+                    for m in matches(swapped)]
+        if join_type != JoinType.FULL:
+            # repr, so that the NaN scores of ABSENT rows compare equal.
+            assert [(*r[:3], repr(r[3]), r[4]) for r in rows] == [
+                (*r[:3], repr(r[3]), r[4]) for r in mirrored]
+            assert any(r[2] for r in rows)
+            assert any(not r[2] for r in rows) == (join_type != JoinType.INNER)
+            return
+        scores = {(b, a): s for b, a, r, s, _ in rows if r}
+        mirrored_scores = {(b, a): s for b, a, r, s, _ in mirrored if r}
+        assert scores.keys() == mirrored_scores.keys()
+        np.testing.assert_allclose([mirrored_scores[p] for p in scores], list(scores.values()),
+                                   rtol=0, atol=1e-12)
+        absent = {r[:2] for r in rows if not r[2]}
+        assert absent == {r[:2] for r in mirrored if not r[2]}
+        assert {b for b, _ in absent} - {None} and {a for _, a in absent} - {None}
+
+    @pytest.mark.parametrize("join_type, reads", [
+        (JoinType.LEFT, {"right"}), (JoinType.RIGHT, {"left"}),
+        (JoinType.INNER, {"left", "right"}), (JoinType.FULL, {"left", "right"}),
+    ])
+    def test_each_join_type_reads_its_sizes(self, join_type, reads):
+        # LEFT reads RIGHT SIZE, RIGHT reads LEFT SIZE, INNER and FULL both:
+        # raising a size that is read changes the rows, one that is not read
+        # changes nothing.
+        base = grid_embeddings("b", 20, 4, 80)
+        aux = grid_embeddings("a", 30, 4, 81)
+        text = {}
+        for name, left, right in (("none", 2, 2), ("left", 3, 2), ("right", 2, 3)):
+            text[name] = to_csv_text(execute_join(spec(join_type, left, right), base, aux))
+        assert {name for name in ("left", "right") if text[name] != text["none"]} == reads
+
     def test_one_index_per_retrieval_direction(self, monkeypatch):
         built = []
         original = joiner.EmbeddingIndex.__post_init__
@@ -440,20 +503,43 @@ class TestExecuteJoin:
                     assert scores == sorted(scores, reverse=True)
 
 
-def _reference_rows(spec, base_emb, aux_emb, metric, threshold, both_directions):
+def _reference_rows(spec, base_emb, aux_emb, metric, threshold, indexed_queries,
+                    both_directions):
     """The result builder as it was before results became columnar: ranked
     candidates per query id, a per-target cap over them, one row per
     candidate and a set of seen pairs for FULL. Returns
-    ``(base_id, aux_id, rank, score, direction)`` rows."""
+    ``(base_id, aux_id, rank, score, direction)`` rows.
 
-    def retrieve(query_emb, target_emb, k):
+    The queries of the side named by ``indexed_queries`` ("base" or "aux")
+    are answered the other way round from the engine: an index of the
+    queries scores every target, one target at a time, and each query's
+    candidates are sorted in full."""
+
+    def retrieve(query_emb, target_emb, k, index_on):
         query_ids, query_vectors = query_emb
-        index = build_index(target_emb, metric)
-        rows, cols, scores = joiner._search(index, query_vectors, k, threshold)
-        hits = [[] for _ in query_ids]
-        for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
-            hits[row].append((index.ids[col], score))
-        return dict(zip(query_ids, hits))
+        if index_on == "target":
+            index = build_index(target_emb, metric)
+            rows, cols, scores = joiner._search(index, query_vectors, k, threshold)
+            hits = [[] for _ in query_ids]
+            for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
+                hits[row].append((index.ids[col], score))
+            return dict(zip(query_ids, hits))
+        index = build_index(query_emb, metric)
+        per_query = {qid: [] for qid in query_ids}
+        for tid, tvec in zip(*target_emb):
+            for qid, score in knn(index, tvec, index.n, threshold=None):
+                per_query[qid].append((tid, score))
+        sign = 1.0 if metric == "l2" else -1.0
+        out = {}
+        for qid, cands in per_query.items():
+            if threshold is not None:
+                if metric == "l2":
+                    cands = [c for c in cands if c[1] <= threshold]
+                else:
+                    cands = [c for c in cands if c[1] >= threshold]
+            cands.sort(key=lambda c: (sign * c[1], c[0]))
+            out[qid] = cands[:k]
+        return out
 
     def ranked(retrieved, query_order, direction, absent=False):
         rows = []
@@ -479,16 +565,17 @@ def _reference_rows(spec, base_emb, aux_emb, metric, threshold, both_directions)
                 for qid, cands in retrieved.items()}
 
     base_order, aux_order = base_emb[0], aux_emb[0]
+    strategy = {side: "query" if indexed_queries == side else "target" for side in ("base", "aux")}
     jt = spec.join_type
     if jt == JoinType.LEFT:
-        fwd = retrieve(base_emb, aux_emb, spec.right_size)
+        fwd = retrieve(base_emb, aux_emb, spec.right_size, strategy["base"])
         return ranked(fwd, base_order, "forward", True)
     if jt == JoinType.RIGHT:
-        rev = retrieve(aux_emb, base_emb, spec.left_size)
+        rev = retrieve(aux_emb, base_emb, spec.left_size, strategy["aux"])
         return ranked(rev, aux_order, "reverse", True)
     if jt == JoinType.FULL or both_directions:
-        fwd = retrieve(base_emb, aux_emb, spec.right_size)
-        rev = retrieve(aux_emb, base_emb, spec.left_size)
+        fwd = retrieve(base_emb, aux_emb, spec.right_size, strategy["base"])
+        rev = retrieve(aux_emb, base_emb, spec.left_size, strategy["aux"])
         rows = ranked(fwd, base_order, "forward")
         seen = {(b, a) for b, a, *_ in rows}
         rows += [r for r in ranked(rev, aux_order, "reverse") if (r[0], r[1]) not in seen]
@@ -500,7 +587,7 @@ def _reference_rows(spec, base_emb, aux_emb, metric, threshold, both_directions)
     forward = len(base_order) <= len(aux_order)
     queries, targets = (base_emb, aux_emb) if forward else (aux_emb, base_emb)
     k, cap = (spec.right_size, spec.left_size) if forward else (spec.left_size, spec.right_size)
-    retrieved = retrieve(queries, targets, k)
+    retrieved = retrieve(queries, targets, k, strategy["base" if forward else "aux"])
     if cap < len(queries[0]):
         retrieved = cap_per_target(retrieved, cap)
     return ranked(retrieved, queries[0], "forward" if forward else "reverse")
@@ -527,18 +614,36 @@ class TestResultBuilderOracle:
     @pytest.mark.parametrize("metric, threshold", [("l2", None), ("l2", 1.0),
                                                    ("inner_product", None),
                                                    ("inner_product", 3.0)])
+    @pytest.mark.parametrize("indexed_queries", ["none", "base", "aux"])
     @pytest.mark.parametrize("join_type, both_directions",
                              [(jt, False) for jt in JoinType] + [(JoinType.INNER, True)])
-    def test_rows_and_bytes_match_reference(self, sizes, metric, threshold, join_type,
-                                            both_directions):
+    def test_rows_and_bytes_match_reference(self, sizes, metric, threshold, indexed_queries,
+                                            join_type, both_directions):
         base, aux = tied_grid("b", sizes[0], sizes[0]), tied_grid("a", sizes[1], 7 * sizes[1])
         s = spec(join_type, left=2, right=3)
-        args = (metric, threshold, both_directions)
-        expected = _reference_rows(s, base, aux, *args)
-        result = execute_join(s, base, aux, *args)
+        expected = _reference_rows(s, base, aux, metric, threshold, indexed_queries,
+                                   both_directions)
+        result = execute_join(s, base, aux, metric, threshold, both_directions)
         assert [(m.base_id, m.aux_id, m.rank, repr(m.score), m.direction)
                 for m in matches(result)] == [(*r[:3], repr(r[3]), r[4]) for r in expected]
         assert to_csv_text(result) == _reference_csv(expected)
+
+    def test_metrics_of_the_written_result_equal_the_in_memory_ones(self, tmp_path):
+        # From the join to the metrics a result stays in columns; written and
+        # read back, it scores as it did before it was written.
+        base, aux = tied_grid("b", 9, 1), tied_grid("a", 13, 2)
+        truth = TruthSet.from_pairs([SupervisionPair(b, a) for b, a in zip(base[0], aux[0])])
+        labels = dict(zip(aux[0], map(float, range(13))))
+        for join_type in (JoinType.LEFT, JoinType.INNER):
+            result = execute_join(spec(join_type, left=2, right=3), base, aux, threshold=1.0)
+            result.write_csv(tmp_path / "result.csv")
+            loaded = JoinResult.from_csv(tmp_path / "result.csv")
+            for k in (1, 3):
+                assert recall_at_k(loaded, truth, k) == recall_at_k(result, truth, k)
+                assert mrr_at_k(loaded, truth, k) == mrr_at_k(result, truth, k)
+            assert 0.0 < recall_at_k(loaded, truth, 3) < 1.0
+            assert aggregate_labels(loaded, labels, 2) == aggregate_labels(result, labels, 2)
+
 
 class TestChainJoins:
     def test_single_stage_equals_execute_join(self):
