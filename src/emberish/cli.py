@@ -9,14 +9,16 @@ validation error, 2 runtime failure.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Iterator
 
 import click
 
@@ -25,6 +27,7 @@ from .data import (
     Dataset,
     DatasetRole,
     SupervisionPair,
+    atomic_write,
     load_dataset,
     load_supervision,
     read_table,
@@ -107,28 +110,52 @@ class RunManifest:
         self.outputs[str(path)] = _sha256(path)
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-class _StageTimer:
-    def __init__(self, manifest: RunManifest, stage: str) -> None:
-        self.manifest = manifest
-        self.stage = stage
+class _Run:
+    """The frame of one command: it checks and digests the files the
+    command reads, times its stages, digests the files it writes and
+    writes <data_dir>/manifest_<command>.json."""
 
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
+    def __init__(self, command: str, config: EngineConfig) -> None:
+        snapshot = asdict(config)
+        snapshot["join_type"] = config.join_type.value
+        self.data_dir = Path(config.data_dir)
+        self.manifest = RunManifest(command=command, config=snapshot, seed=config.seed)
 
-    def __exit__(self, *exc):
-        self.manifest.timings[self.stage] = time.perf_counter() - self.start
-        return False
+    def read(self, *paths: Path) -> None:
+        """Exit 1 naming every missing one of ``paths``; otherwise record
+        each as an input, digesting only the paths not yet recorded."""
+        missing = [str(p) for p in paths if not p.exists()]
+        if missing:
+            raise DataError("missing input files: " + ", ".join(missing))
+        for path in paths:
+            if str(path) not in self.manifest.inputs:
+                self.manifest.add_input(path)
+
+    def wrote(self, *paths: Path) -> None:
+        for path in paths:
+            self.manifest.add_output(path)
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        yield
+        self.manifest.timings[name] = time.perf_counter() - start
+
+    def finish(self) -> RunManifest:
+        self.manifest.write(self.data_dir / f"manifest_{self.manifest.command}.json")
+        return self.manifest
 
 
-def _config_to_dict(cfg: EngineConfig) -> dict:
-    raw = asdict(cfg)
-    raw["join_type"] = cfg.join_type.value
-    return raw
+def _refuse(path: str, given: dict[str, bool]) -> None:
+    """Exit 1 naming every flag of ``given`` that was given, since ``path``
+    (the command path chosen) does not use it."""
+    flags = [flag for flag, on in given.items() if on]
+    if flags:
+        raise ConfigError(f"{path} does not use {', '.join(flags)}")
 
 
 def resolve_config(config_path: str | None, overrides: dict) -> EngineConfig:
@@ -146,20 +173,14 @@ def resolve_config(config_path: str | None, overrides: dict) -> EngineConfig:
     return config_from_dict(raw)
 
 
-def _require_files(*paths: Path) -> None:
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        raise DataError("missing input files: " + ", ".join(missing))
-
-
-def _load_model(config: EngineConfig, manifest: RunManifest, path: Path,
+def _load_model(run: _Run, config: EngineConfig, path: Path,
                 tokens: Collection[str] | None = None) -> EncoderModel:
-    """Load a model file into ``manifest``'s inputs, partially when given the
+    """Load a model file into ``run``'s inputs, partially when given the
     ``tokens`` to embed (see ``load_model``). Exits 1 when the model's dim
     or normalization disagrees with the config, and warns when the file is
     not the one ``manifest_train.json`` records."""
-    _require_files(path)
-    manifest.add_input(path)
+    run.read(path)
+    actual = run.manifest.inputs[str(path)]
     train_manifest = path.parent / "manifest_train.json"
     if train_manifest.exists():
         try:
@@ -167,9 +188,9 @@ def _load_model(config: EngineConfig, manifest: RunManifest, path: Path,
             recorded = {Path(p).name: digest for p, digest in outputs.items()}.get(path.name)
         except (ValueError, KeyError, TypeError, AttributeError):
             recorded = "unreadable"
-        if recorded is not None and recorded != manifest.inputs[str(path)]:
+        if recorded is not None and recorded != actual:
             click.echo(f"warning: {path} is not the model {train_manifest} records "
-                       f"(sha256 {manifest.inputs[str(path)]}, recorded {recorded})", err=True)
+                       f"(sha256 {actual}, recorded {recorded})", err=True)
     model = load_model(path, tokens)
     for key, configured, stored in (("embedding_dim", config.embedding_dim, model.dim),
                                     ("normalize", config.normalize, model.normalize)):
@@ -179,12 +200,12 @@ def _load_model(config: EngineConfig, manifest: RunManifest, path: Path,
     return model
 
 
-def _load_sides(data_dir: Path) -> tuple[Dataset, Dataset]:
-    base_path = data_dir / "base.csv"
-    aux_path = data_dir / "aux.csv"
-    _require_files(base_path, aux_path)
-    base = load_dataset(base_path, role=DatasetRole.BASE, name="base")
-    aux = load_dataset(aux_path, role=DatasetRole.AUXILIARY, name="aux")
+def _load_sides(run: _Run, base_ref: str = "base",
+                aux_ref: str = "aux") -> tuple[Dataset, Dataset]:
+    base_path, aux_path = (resolve_ref(ref, run.data_dir) for ref in (base_ref, aux_ref))
+    run.read(base_path, aux_path)
+    base = load_dataset(base_path, role=DatasetRole.BASE, name=base_ref)
+    aux = load_dataset(aux_path, role=DatasetRole.AUXILIARY, name=aux_ref)
     return base, aux
 
 
@@ -204,22 +225,18 @@ def cmd_generate(
 ) -> RunManifest:
     """Generate the synthetic fuzzy-join workload files. ``preset`` (easy
     when None) sets the edits per row unless ``perturbations`` does."""
-    if preset is not None and perturbations is not None:
-        raise ConfigError("generate with --perturbations does not use --preset")
+    if perturbations is not None:
+        _refuse("generate with --perturbations", {"--preset": preset is not None})
     preset = preset or "easy"
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r} (expected easy or hard)")
     per_row = perturbations if perturbations is not None else PRESETS[preset]
-    data_dir = Path(config.data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    source_path = Path(source_path) if source_path else data_dir / "source.csv"
-    _require_files(source_path)
+    run = _Run("generate", config)
+    run.data_dir.mkdir(parents=True, exist_ok=True)
+    source_path = Path(source_path) if source_path else run.data_dir / "source.csv"
+    run.read(source_path)
 
-    manifest = RunManifest(command="generate", config=_config_to_dict(config),
-                           seed=config.seed)
-    manifest.add_input(source_path)
-
-    with _StageTimer(manifest, "generate"):
+    with run.stage("generate"):
         source = load_dataset(source_path, role=DatasetRole.AUXILIARY)
         pcfg = PerturbationConfig(
             perturbations_per_row=per_row,
@@ -228,7 +245,7 @@ def cmd_generate(
             seed=stage_seed(config.seed, "generate"),
         )
         base, aux, truth = generate_fuzzy_join(source, pcfg)
-    with _StageTimer(manifest, "split"):
+    with run.stage("split"):
         train, test = split_train_test(
             truth, test_fraction=test_fraction, seed=stage_seed(config.seed, "split")
         )
@@ -242,11 +259,10 @@ def cmd_generate(
         "supervision.csv": lambda p: write_pairs(train, p),
     }
     for name, writer in outputs.items():
-        path = data_dir / name
+        path = run.data_dir / name
         writer(path)
-        manifest.add_output(path)
-    manifest.write(data_dir / "manifest_generate.json")
-    return manifest
+        run.wrote(path)
+    return run.finish()
 
 
 def cmd_train(
@@ -258,34 +274,28 @@ def cmd_train(
     """Fit the encoder under the naming convention and write model.bin.
     Supervision is read only when fine-tuning."""
     # Without fine-tuning nothing reads supervision or samples negatives.
-    for flag, given in (("--supervision", supervision_path is not None),
-                        ("--freeze-negatives", freeze_negatives)):
-        if given and not config.finetune:
-            raise ConfigError(f"training with finetune false does not use {flag}")
-    data_dir = Path(config.data_dir)
-    inputs = [data_dir / "base.csv", data_dir / "aux.csv"]
+    if not config.finetune:
+        _refuse("training with finetune false", {"--supervision": supervision_path is not None,
+                                                 "--freeze-negatives": freeze_negatives})
+    run = _Run("train", config)
+    data_dir = run.data_dir
     if config.finetune:
         supervision_path = (Path(supervision_path) if supervision_path
                             else data_dir / "supervision.csv")
-        inputs.append(supervision_path)
-    _require_files(*inputs)
-
-    manifest = RunManifest(command="train", config=_config_to_dict(config), seed=config.seed)
-    for p in inputs:
-        manifest.add_input(p)
-
-    base, aux = _load_sides(data_dir)
+        # One error names every missing one of the three files.
+        run.read(data_dir / "base.csv", data_dir / "aux.csv", supervision_path)
+    base, aux = _load_sides(run)
     supervision = load_supervision(supervision_path, base, aux) if config.finetune else []
-    if freeze_negatives and supervision and not isinstance(supervision[0], SupervisionPair):
-        raise ConfigError("training with triple supervision does not use --freeze-negatives")
+    if supervision and not isinstance(supervision[0], SupervisionPair):
+        _refuse("training with triple supervision", {"--freeze-negatives": freeze_negatives})
 
     model_path = data_dir / "model.bin"
     features = token_ids([base, aux], config.tokenizer)
     init_model = None
     if config.encoder_init == "pretrained_artifact":
-        init_model = _load_model(config, manifest, model_path, features[0])
+        init_model = _load_model(run, config, model_path, features[0])
 
-    with _StageTimer(manifest, "train"):
+    with run.stage("train"):
         fit = fit_encoder(
             base,
             aux,
@@ -304,18 +314,15 @@ def cmd_train(
     aux_model_path = data_dir / "model_aux.bin"
     if config.num_encoders == 2:
         save_model(fit.models[-1], aux_model_path)
-        manifest.add_output(aux_model_path)
+        run.wrote(aux_model_path)
     else:
         aux_model_path.unlink(missing_ok=True)
     save_model(fit.model, model_path)
-    manifest.add_output(model_path)
-
     trace_path = data_dir / "loss_trace.csv"
     write_table(trace_path, ["stage", "epoch", "loss"],
                 ((stage, epoch, repr(loss)) for stage, epoch, loss in fit.trace))
-    manifest.add_output(trace_path)
-    manifest.write(data_dir / "manifest_train.json")
-    return manifest
+    run.wrote(model_path, trace_path)
+    return run.finish()
 
 
 def _spec_from_config(config: EngineConfig) -> JoinSpec:
@@ -343,7 +350,8 @@ def cmd_join(
     --join-type, --left-size and --right-size flags given on the command
     line: the baseline join uses only --right-size (its k), a join from
     ``spec_file`` none of them, since the statement sets all three, a LEFT
-    join not --left-size and a RIGHT join not --right-size."""
+    join not --left-size and a RIGHT join not --right-size. Only a learned
+    INNER join uses ``both_directions``."""
     if baseline is not None:
         path = f"the {baseline} baseline join"
         given = {"--threshold": threshold is not None, "--both-directions": both_directions,
@@ -356,39 +364,32 @@ def cmd_join(
     if spec_file is not None:
         path += " with --spec-file"
         given.update(dict.fromkeys(size_flags, True))
-    elif baseline is None and config.join_type in (JoinType.LEFT, JoinType.RIGHT):
+    elif baseline is None and config.join_type != JoinType.INNER:
         # A LEFT join retrieves RIGHT SIZE matches per base record and a RIGHT
         # join LEFT SIZE per aux record; neither reads the other size.
         path = f"the learned {config.join_type.value} join"
-        unused = "--left-size" if config.join_type == JoinType.LEFT else "--right-size"
-        given[unused] = unused in size_flags
-    if any(given.values()):
-        raise ConfigError(f"{path} does not use "
-                          f"{', '.join(flag for flag, on in given.items() if on)}")
-    data_dir = Path(config.data_dir)
-    manifest = RunManifest(command="join", config=_config_to_dict(config), seed=config.seed)
+        given["--both-directions"] = both_directions
+        unused = {JoinType.LEFT: "--left-size",
+                  JoinType.RIGHT: "--right-size"}.get(config.join_type)
+        if unused is not None:
+            given[unused] = unused in size_flags
+    _refuse(path, given)
+    run = _Run("join", config)
 
     if spec_file is not None:
         spec_path = Path(spec_file)
-        _require_files(spec_path)
+        run.read(spec_path)
         spec = parse_join_spec(spec_path.read_text(encoding="utf-8"))
-        manifest.add_input(spec_path)
-        base_path = resolve_ref(spec.base_ref, data_dir)
-        aux_path = resolve_ref(spec.aux_ref, data_dir)
+        if baseline is None and spec.join_type != JoinType.INNER:
+            _refuse(f"the learned {spec.join_type.value} join with --spec-file",
+                    {"--both-directions": both_directions})
     else:
         spec = _spec_from_config(config)
-        base_path = data_dir / "base.csv"
-        aux_path = data_dir / "aux.csv"
-
-    _require_files(base_path, aux_path)
-    manifest.add_input(base_path)
-    manifest.add_input(aux_path)
-    base = load_dataset(base_path, role=DatasetRole.BASE, name=spec.base_ref)
-    aux = load_dataset(aux_path, role=DatasetRole.AUXILIARY, name=spec.aux_ref)
+    base, aux = _load_sides(run, spec.base_ref, spec.aux_ref)
 
     if dump_sentences is not None:
         dump_path = Path(dump_sentences)
-        with dump_path.open("w", encoding="utf-8") as fh:
+        with atomic_write(dump_path, "w", encoding="utf-8") as fh:
             for dataset in (base, aux):
                 for rec in dataset.records:
                     sent = prepare_sentence(rec, tokenizer=config.tokenizer)
@@ -396,10 +397,10 @@ def cmd_join(
                         {"record_id": sent.record_id, "text": sent.text},
                         ensure_ascii=False,
                     ) + "\n")
-        manifest.add_output(dump_path)
+        run.wrote(dump_path)
 
     if baseline is not None:
-        with _StageTimer(manifest, "baseline_join"):
+        with run.stage("baseline_join"):
             result = lexical_join(baseline, base, aux, key_column=key_column,
                                   k=spec.right_size)
     else:
@@ -412,18 +413,18 @@ def cmd_join(
         else:
             base_vocab, (base_ids, aux_ids) = token_ids([base, aux], config.tokenizer)
             aux_vocab = base_vocab
-        model = _load_model(config, manifest, data_dir / "model.bin", base_vocab)
-        aux_model = (_load_model(config, manifest, data_dir / "model_aux.bin", aux_vocab)
+        model = _load_model(run, config, run.data_dir / "model.bin", base_vocab)
+        aux_model = (_load_model(run, config, run.data_dir / "model_aux.bin", aux_vocab)
                      if two else model)
-        with _StageTimer(manifest, "embed"):
+        with run.stage("embed"):
             base_emb = embed_dataset(model, base, features=(base_vocab, base_ids))
             aux_emb = embed_dataset(aux_model, aux, features=(aux_vocab, aux_ids))
         del base_ids, aux_ids
         for name, emb in (("embeddings_base.bin", base_emb), ("embeddings_aux.bin", aux_emb)):
-            path = data_dir / name
+            path = run.data_dir / name
             save_embeddings(emb, path)
-            manifest.add_output(path)
-        with _StageTimer(manifest, "join"):
+            run.wrote(path)
+        with run.stage("join"):
             result = execute_join(
                 spec,
                 base_emb,
@@ -433,11 +434,10 @@ def cmd_join(
                 both_directions=both_directions,
             )
 
-    result_path = data_dir / "result.csv"
+    result_path = run.data_dir / "result.csv"
     result.write_csv(result_path)
-    manifest.add_output(result_path)
-    manifest.write(data_dir / "manifest_join.json")
-    return manifest
+    run.wrote(result_path)
+    return run.finish()
 
 
 def cmd_evaluate(
@@ -456,38 +456,32 @@ def cmd_evaluate(
     that compares a key column."""
     if comparison:
         methods = methods or ["BM25", "untrained-encoder", "trained-encoder"]
-        mode = f"evaluate --comparison of {', '.join(methods)}"
-        given = {"--results": results_path is not None, "--mrr": with_mrr,
+        _refuse(f"evaluate --comparison of {', '.join(methods)}",
+                {"--results": results_path is not None, "--mrr": with_mrr,
                  "--key-column": key_column is not None
-                 and not any(uses_key_column(m) for m in methods)}
+                 and not any(uses_key_column(m) for m in methods)})
     else:
-        mode = "evaluate without --comparison"
-        given = {"--methods": methods is not None, "--key-column": key_column is not None}
-    if any(given.values()):
-        raise ConfigError(f"{mode} does not use "
-                          f"{', '.join(flag for flag, on in given.items() if on)}")
-    data_dir = Path(config.data_dir)
+        _refuse("evaluate without --comparison",
+                {"--methods": methods is not None, "--key-column": key_column is not None})
+    run = _Run("evaluate", config)
     ks = ks or [1, 10]
-    truth_path = Path(truth_path) if truth_path else data_dir / "truth_test.csv"
-    _require_files(truth_path)
+    truth_path = Path(truth_path) if truth_path else run.data_dir / "truth_test.csv"
+    run.read(truth_path)
     truth_pairs = load_supervision(truth_path)
     if truth_pairs and not isinstance(truth_pairs[0], SupervisionPair):
         raise EvalError("truth file must contain pairs, not triples")
     truth = TruthSet.from_pairs(truth_pairs)  # type: ignore[arg-type]
 
-    manifest = RunManifest(command="evaluate", config=_config_to_dict(config),
-                           seed=config.seed)
-    manifest.add_input(truth_path)
-
     if comparison:
-        base, aux = _load_sides(data_dir)
+        base, aux = _load_sides(run)
         train_pairs = None
-        sup_path = data_dir / "supervision.csv"
+        sup_path = run.data_dir / "supervision.csv"
         if sup_path.exists():
+            run.read(sup_path)
             loaded = load_supervision(sup_path, base, aux)
             if loaded and isinstance(loaded[0], SupervisionPair):
                 train_pairs = loaded
-        with _StageTimer(manifest, "comparison"):
+        with run.stage("comparison"):
             table = run_comparison(
                 base, aux, truth, methods, ks,
                 key_column=key_column,
@@ -497,11 +491,10 @@ def cmd_evaluate(
         rows = [(method, k, repr(r)) for method, k, r in table.rows]
         printable = table.format_table()
     else:
-        results_path = Path(results_path) if results_path else data_dir / "result.csv"
-        _require_files(results_path)
-        manifest.add_input(results_path)
+        results_path = Path(results_path) if results_path else run.data_dir / "result.csv"
+        run.read(results_path)
         result = JoinResult.from_csv(results_path)
-        with _StageTimer(manifest, "metrics"):
+        with run.stage("metrics"):
             rows = []
             printable_lines = []
             for k in ks:
@@ -513,11 +506,10 @@ def cmd_evaluate(
                 printable_lines.append(f"mrr@{max(ks):<6d} {m:.4f}")
         printable = "\n".join(printable_lines)
 
-    metrics_path = data_dir / "metrics.csv"
+    metrics_path = run.data_dir / "metrics.csv"
     write_table(metrics_path, ["method", "k", "recall"], rows)
-    manifest.add_output(metrics_path)
-    manifest.write(data_dir / "manifest_evaluate.json")
-    return manifest, printable
+    run.wrote(metrics_path)
+    return run.finish(), printable
 
 
 def _load_labels(path: Path) -> dict[str, float]:
@@ -546,14 +538,14 @@ def cmd_pipeline(
     agg_ks: list[int] | None = None,
 ) -> RunManifest:
     """Run a chained (multi-hop) join, optionally averaging labels."""
-    if agg_ks is not None and labels_path is None:
-        raise ConfigError("pipeline without --labels does not use --agg-ks")
+    if labels_path is None:
+        _refuse("pipeline without --labels", {"--agg-ks": agg_ks is not None})
     if config.num_encoders == 2:
         raise ConfigError("pipeline embeds every hop with model.bin alone, so it does not "
                           "support num_encoders 2")
-    data_dir = Path(config.data_dir)
+    run = _Run("pipeline", config)
     chain_path = Path(chain_file)
-    _require_files(chain_path)
+    run.read(chain_path)
     specs = parse_join_specs(chain_path.read_text(encoding="utf-8"))
     if not specs:
         raise SpecParseError("chain file holds no statements", 0)
@@ -564,72 +556,52 @@ def cmd_pipeline(
                 f"previous aux ref {specs[i - 1].aux_ref!r}"
             )
 
-    manifest = RunManifest(command="pipeline", config=_config_to_dict(config),
-                           seed=config.seed)
-    manifest.add_input(chain_path)
-
     labels = None
     if labels_path is not None:
         labels_path = Path(labels_path)
-        _require_files(labels_path)
-        manifest.add_input(labels_path)
+        run.read(labels_path)
         labels = _load_labels(labels_path)
 
     datasets: dict[str, Dataset] = {}
-    for ref in (specs[0].base_ref, *(spec.aux_ref for spec in specs)):
-        if ref in datasets:
-            continue
-        path = resolve_ref(ref, data_dir)
-        _require_files(path)
-        manifest.add_input(path)
+    for ref in dict.fromkeys((specs[0].base_ref, *(spec.aux_ref for spec in specs))):
+        path = resolve_ref(ref, run.data_dir)
+        run.read(path)
         datasets[ref] = load_dataset(path, name=ref)
 
     vocab, ids = token_ids(list(datasets.values()), config.tokenizer)
-    model = _load_model(config, manifest, data_dir / "model.bin", vocab)
-    with _StageTimer(manifest, "embed"):
+    model = _load_model(run, config, run.data_dir / "model.bin", vocab)
+    with run.stage("embed"):
         embeddings = {
             ref: embed_dataset(model, ds, features=(vocab, side))
             for (ref, ds), side in zip(datasets.items(), ids)
         }
     del ids
-    with _StageTimer(manifest, "chain"):
+    with run.stage("chain"):
         stages: list[tuple[JoinSpec, EmbeddingIndex]] = [
             (spec, build_index(embeddings[spec.aux_ref], metric=config.distance))  # type: ignore[arg-type]
             for spec in specs
         ]
         result = chain_joins(embeddings[specs[0].base_ref], stages)
 
-    result_path = data_dir / "chain_result.csv"
+    result_path = run.data_dir / "chain_result.csv"
     result.write_csv(result_path)
-    manifest.add_output(result_path)
+    run.wrote(result_path)
 
     if labels is not None:
         agg_ks = agg_ks or [1, 10, 20, 30]
-        agg_path = data_dir / "aggregates.csv"
+        agg_path = run.data_dir / "aggregates.csv"
         rows = []
         for k in agg_ks:
             estimates = aggregate_labels(result, labels, k)
             rows += [(k, base_id, repr(estimates[base_id])) for base_id in sorted(estimates)]
         write_table(agg_path, ["k", "base_id", "estimate"], rows)
-        manifest.add_output(agg_path)
-
-    manifest.write(data_dir / "manifest_pipeline.json")
-    return manifest
+        run.wrote(agg_path)
+    return run.finish()
 
 
 # ---------------------------------------------------------------------------
 # Click layer.
 # ---------------------------------------------------------------------------
-
-
-def _common_overrides(data_dir, seed, join_type=None, left_size=None, right_size=None) -> dict:
-    return {
-        "data_dir": data_dir,
-        "seed": seed,
-        "join_type": join_type.upper() if join_type else None,
-        "left_size": left_size,
-        "right_size": right_size,
-    }
 
 
 def _ks_option(_ctx, _param, value):
@@ -654,9 +626,21 @@ common_options = [
 
 
 def _with_common(fn):
+    """Add the common options to a command and call ``fn`` with the config
+    they resolve to in their place; join's --join-type, --left-size and
+    --right-size also override the config, and still reach ``fn``."""
+    @functools.wraps(fn)
+    def command(config_path, data_dir, seed, **options):
+        join_type = options.get("join_type")
+        overrides = {"data_dir": data_dir, "seed": seed,
+                     "join_type": join_type.upper() if join_type else None,
+                     "left_size": options.get("left_size"),
+                     "right_size": options.get("right_size")}
+        return fn(resolve_config(config_path, overrides), **options)
+
     for option in reversed(common_options):
-        fn = option(fn)
-    return fn
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -675,10 +659,9 @@ def cli() -> None:
 @click.option("--copies", type=int, default=5)
 @click.option("--max-fraction", type=float, default=0.25)
 @click.option("--test-fraction", type=float, default=0.2)
-def generate_cmd(config_path, data_dir, seed, source_path, preset, perturbations, copies,
-                 max_fraction, test_fraction):
+def generate_cmd(cfg, source_path, preset, perturbations, copies, max_fraction,
+                 test_fraction):
     """Generate the synthetic fuzzy-join workload."""
-    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     manifest = cmd_generate(cfg, source_path, preset, perturbations, copies,
                             max_fraction, test_fraction)
     click.echo(f"wrote {len(manifest.outputs)} files under {cfg.data_dir}")
@@ -691,9 +674,8 @@ def generate_cmd(config_path, data_dir, seed, source_path, preset, perturbations
 @click.option("--freeze-negatives", is_flag=True, default=False,
               help="Sample negatives once instead of per epoch.")
 @click.option("--supervision", "supervision_path", type=str, default=None)
-def train_cmd(config_path, data_dir, seed, no_pretrain, freeze_negatives, supervision_path):
+def train_cmd(cfg, no_pretrain, freeze_negatives, supervision_path):
     """Train the encoder and write model.bin."""
-    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     manifest = cmd_train(cfg, pretrain=not no_pretrain,
                          freeze_negatives=freeze_negatives,
                          supervision_path=supervision_path)
@@ -714,11 +696,9 @@ def train_cmd(config_path, data_dir, seed, no_pretrain, freeze_negatives, superv
 @click.option("--both-directions", is_flag=True, default=False)
 @click.option("--dump-sentences", type=str, default=None,
               help="Write prepared sentences (record_id + text) to this JSONL file.")
-def join_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
-             spec_file, baseline, key_column, threshold, both_directions, dump_sentences):
+def join_cmd(cfg, join_type, left_size, right_size, spec_file, baseline, key_column,
+             threshold, both_directions, dump_sentences):
     """Execute the join and write result.csv."""
-    cfg = resolve_config(config_path,
-                         _common_overrides(data_dir, seed, join_type, left_size, right_size))
     size_flags = [flag for flag, value in (("--join-type", join_type), ("--left-size", left_size),
                                            ("--right-size", right_size)) if value is not None]
     cmd_join(cfg, spec_file=spec_file, baseline=baseline, key_column=key_column,
@@ -739,10 +719,9 @@ def join_cmd(config_path, data_dir, seed, join_type, left_size, right_size,
               help="Comma-separated methods for --comparison.")
 @click.option("--key-column", type=str, default=None)
 @click.option("--mrr", "with_mrr", is_flag=True, default=False)
-def evaluate_cmd(config_path, data_dir, seed, results_path, truth_path, ks, comparison,
-                 methods, key_column, with_mrr):
+def evaluate_cmd(cfg, results_path, truth_path, ks, comparison, methods, key_column,
+                 with_mrr):
     """Compute recall (and optionally MRR) against a truth file."""
-    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     method_list = [m.strip() for m in methods.split(",")] if methods else None
     _, printable = cmd_evaluate(cfg, results_path=results_path, truth_path=truth_path,
                                 ks=ks, comparison=comparison, methods=method_list,
@@ -758,9 +737,8 @@ def evaluate_cmd(config_path, data_dir, seed, results_path, truth_path, ks, comp
               help="CSV (id,label) for label averaging over the final hop.")
 @click.option("--agg-ks", callback=_ks_option, default=None,
               help="Aggregation sizes (default 1,10,20,30).")
-def pipeline_cmd(config_path, data_dir, seed, chain_file, labels_path, agg_ks):
+def pipeline_cmd(cfg, chain_file, labels_path, agg_ks):
     """Run a chained multi-hop join with optional label averaging."""
-    cfg = resolve_config(config_path, _common_overrides(data_dir, seed))
     cmd_pipeline(cfg, chain_file, labels_path=labels_path, agg_ks=agg_ks)
     click.echo(f"chain result written to {Path(cfg.data_dir) / 'chain_result.csv'}")
 

@@ -1,9 +1,11 @@
 """Command wiring: naming convention, artifacts, manifests, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from emberish.cli import (
 )
 from emberish.data import dataset_from_rows, load_dataset, write_dataset
 from emberish.joinspec import ConfigError, EngineConfig
+from test_joiner import full_disk
 
 
 def write_source(tmp_path, n=30, seed=0, tokens=6):
@@ -51,6 +54,10 @@ def fast_config(tmp_path, **overrides):
     )
     raw.update(overrides)
     return EngineConfig(**{k: v for k, v in raw.items()})
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def read_rows(path):
@@ -305,6 +312,19 @@ class TestJoin:
         assert all(set(obj) == {"record_id", "text"} for obj in lines)
         assert len(lines) == 60 + 30  # perturbed copies plus originals
 
+    def test_a_failed_sentence_dump_leaves_the_earlier_file(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+        dump = tmp_path / "sentences.jsonl"
+        dump.write_text('{"record_id": "earlier", "text": "run"}\n')
+        old = dump.read_bytes()
+        full_disk(monkeypatch, 200)  # every sentence file here is longer
+        with pytest.raises(OSError, match="No space"):
+            cmd_join(cfg, baseline="BM25", dump_sentences=dump)
+        monkeypatch.undo()
+        assert dump.read_bytes() == old
+        assert not list(tmp_path.glob(".*.partial"))
+        assert not (tmp_path / "result.csv").exists()
+
     def test_two_encoder_config_round_trips_through_join(self, workspace):
         tmp_path, _ = workspace
         cfg = fast_config(tmp_path, num_encoders=2)
@@ -516,6 +536,13 @@ class TestJoinFlags:
         ["--join-type", "RIGHT", "--right-size", "3"],
         ["--config", "left.json", "--left-size", "1"],
         ["--config", "right.json", "--right-size", "4"],
+        # Only an INNER join searches both directions.
+        ["--join-type", "LEFT", "--right-size", "3", "--both-directions"],
+        ["--join-type", "RIGHT", "--both-directions"],
+        ["--join-type", "FULL", "--both-directions"],
+        ["--config", "left.json", "--both-directions"],
+        ["--config", "full.json", "--both-directions"],
+        ["--spec-file", "spec.kjoin", "--both-directions"],
     ])
     def test_flag_unused_by_the_chosen_path_is_rejected(self, workspace, flags, capsys,
                                                        monkeypatch):
@@ -523,7 +550,7 @@ class TestJoinFlags:
         cmd_train(cfg, pretrain=False)
         (tmp_path / "spec.kjoin").write_text(
             "base LEFT KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING supervision;")
-        for join_type in ("LEFT", "RIGHT"):
+        for join_type in ("LEFT", "RIGHT", "FULL"):
             (tmp_path / f"{join_type.lower()}.json").write_text(
                 json.dumps({"join_type": join_type, "embedding_dim": 8}))
         monkeypatch.chdir(tmp_path)
@@ -539,6 +566,9 @@ class TestJoinFlags:
         d = ["--config", str(config)]
         assert main(["join", *d, "--baseline", "LD", "--key-column", "name"]) == 0
         assert main(["join", *d, "--threshold", "2.0", "--both-directions"]) == 0
+        spec = tmp_path / "inner.kjoin"
+        spec.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING supervision;")
+        assert main(["join", *d, "--spec-file", str(spec), "--both-directions"]) == 0
         assert main(["join", *d, "--join-type", "LEFT", "--right-size", "2"]) == 0
         assert main(["join", *d, "--join-type", "RIGHT", "--left-size", "2"]) == 0
         # A config file's sizes are accepted whatever its join type.
@@ -842,6 +872,113 @@ class TestManifest:
         for path, digest in manifest["outputs"].items():
             assert len(digest) == 64
             assert os.path.exists(path)
+
+    def test_a_failed_manifest_write_leaves_the_earlier_file(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        cmd_join(cfg)
+        cmd_evaluate(cfg)
+        path = tmp_path / "manifest_evaluate.json"
+        old = path.read_bytes()
+        # Room for metrics.csv, not for the manifest with its config snapshot.
+        full_disk(monkeypatch, 300)
+        with pytest.raises(OSError, match="No space"):
+            cmd_evaluate(cfg, ks=[1, 2])
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        # The command failed at the manifest, after writing metrics.csv.
+        assert [row[1] for row in read_rows(tmp_path / "metrics.csv")[1:]] == ["1", "2"]
+        assert not list(tmp_path.glob(".*.partial"))
+
+    # One case per command path: (setup, command, files read, files written,
+    # stage timings). Names are relative to the data directory.
+    CASES = {
+        "generate": (None, lambda d, cfg: cmd_generate(cfg, copies=2, perturbations=1),
+                     ["source.csv"],
+                     ["base.csv", "aux.csv", "truth_train.csv", "truth_test.csv",
+                      "supervision.csv"],
+                     ["generate", "split"]),
+        "train-finetuned": (None, lambda d, cfg: cmd_train(cfg, pretrain=False),
+                            ["base.csv", "aux.csv", "supervision.csv"],
+                            ["model.bin", "loss_trace.csv"], ["train"]),
+        "train-without-finetuning": (
+            None, lambda d, cfg: cmd_train(fast_config(d, finetune=False), pretrain=False),
+            ["base.csv", "aux.csv"], ["model.bin", "loss_trace.csv"], ["train"]),
+        "train-two-encoders": (
+            None, lambda d, cfg: cmd_train(fast_config(d, num_encoders=2), pretrain=False),
+            ["base.csv", "aux.csv", "supervision.csv"],
+            ["model_aux.bin", "model.bin", "loss_trace.csv"], ["train"]),
+        "train-pretrained-artifact": (
+            "train",
+            lambda d, cfg: cmd_train(fast_config(d, encoder_init="pretrained_artifact"),
+                                     pretrain=False),
+            ["base.csv", "aux.csv", "supervision.csv", "model.bin"],
+            ["model.bin", "loss_trace.csv"], ["train"]),
+        "join-learned": ("train", lambda d, cfg: cmd_join(cfg),
+                         ["base.csv", "aux.csv", "model.bin"],
+                         ["embeddings_base.bin", "embeddings_aux.bin", "result.csv"],
+                         ["embed", "join"]),
+        "join-baseline": (None, lambda d, cfg: cmd_join(cfg, baseline="BM25"),
+                          ["base.csv", "aux.csv"], ["result.csv"], ["baseline_join"]),
+        "join-spec-file": ("train", lambda d, cfg: cmd_join(cfg, spec_file=d / "spec.kjoin"),
+                           ["spec.kjoin", "base.csv", "aux.csv", "model.bin"],
+                           ["embeddings_base.bin", "embeddings_aux.bin", "result.csv"],
+                           ["embed", "join"]),
+        "join-dump-sentences": (
+            "train", lambda d, cfg: cmd_join(cfg, dump_sentences=d / "sentences.jsonl"),
+            ["base.csv", "aux.csv", "model.bin"],
+            ["sentences.jsonl", "embeddings_base.bin", "embeddings_aux.bin", "result.csv"],
+            ["embed", "join"]),
+        "evaluate": ("join", lambda d, cfg: cmd_evaluate(cfg),
+                     ["truth_test.csv", "result.csv"], ["metrics.csv"], ["metrics"]),
+        "evaluate-comparison": (
+            None, lambda d, cfg: cmd_evaluate(cfg, comparison=True, methods=["BM25"]),
+            ["truth_test.csv", "base.csv", "aux.csv", "supervision.csv"], ["metrics.csv"],
+            ["comparison"]),
+        "evaluate-comparison-without-supervision": (
+            "no-supervision",
+            lambda d, cfg: cmd_evaluate(cfg, comparison=True, methods=["BM25"]),
+            ["truth_test.csv", "base.csv", "aux.csv"], ["metrics.csv"], ["comparison"]),
+        "pipeline-with-labels": (
+            "train",
+            lambda d, cfg: cmd_pipeline(cfg, d / "chain.kjoin", labels_path=d / "labels.csv"),
+            ["chain.kjoin", "labels.csv", "base.csv", "aux.csv", "model.bin"],
+            ["chain_result.csv", "aggregates.csv"], ["embed", "chain"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_manifest_names_what_the_command_read_and_wrote(self, tmp_path, case):
+        setup, run, reads, writes, stages = self.CASES[case]
+        write_source(tmp_path)
+        cfg = fast_config(tmp_path)
+        if case != "generate":
+            cmd_generate(cfg, copies=2, perturbations=1)
+        if setup in ("train", "join"):
+            cmd_train(cfg, pretrain=False)
+        if setup == "join":
+            cmd_join(cfg)
+        if setup == "no-supervision":
+            (tmp_path / "supervision.csv").unlink()
+        (tmp_path / "spec.kjoin").write_text(
+            "base LEFT KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 2 USING supervision;")
+        (tmp_path / "chain.kjoin").write_text(
+            "base INNER KEYLESS JOIN aux LEFT SIZE 99 RIGHT SIZE 2 USING supervision;")
+        (tmp_path / "labels.csv").write_text(
+            "id,label\n" + "".join(f"r{i},{float(i)}\n" for i in range(30)))
+        # A file the command rewrites, like a pretrained model.bin, is read
+        # with the bytes it had before the command ran.
+        before = {name: sha256_of(tmp_path / name) for name in reads}
+        manifest = run(tmp_path, cfg)
+        if isinstance(manifest, tuple):
+            manifest = manifest[0]
+        command = case.split("-")[0]
+        written = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+        assert written == asdict(manifest)
+        assert written["command"] == command
+        assert written["inputs"] == {str(tmp_path / name): before[name] for name in reads}
+        assert written["outputs"] == {str(tmp_path / name): sha256_of(tmp_path / name)
+                                      for name in writes}
+        assert set(written["timings"]) == set(stages)
 
 
 def test_version_matches_pyproject():

@@ -883,12 +883,18 @@ class TestResultCsv:
 
 def full_disk(monkeypatch, room):
     """Make every file opened through ``Path.open`` fail once more than
-    ``room`` characters or bytes have been written to it."""
+    ``room`` characters or bytes have been written to it; reads still work."""
     real_open = Path.open
 
     class FullDisk:
         def __init__(self, fh):
             self.fh, self.room = fh, room
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __iter__(self):
+            return iter(self.fh)
 
         def write(self, data):
             self.room -= len(data)
