@@ -3,8 +3,11 @@
 Subcommands: generate | train | join | evaluate | pipeline. With only a
 data directory set, every command resolves its inputs through the fixed
 naming convention (base.csv, aux.csv, supervision.csv, model.bin,
-embeddings_{base,aux}.bin, result.csv). Exit codes: 0 success, 1
-validation error, 2 runtime failure.
+embeddings_{base,aux}.bin, result.csv). A learned join reads an
+embeddings file back, instead of embedding that side again, when the
+previous join's manifest shows it was built from the same dataset, model,
+tokenizer and versions. Exit codes: 0 success, 1 validation error, 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Collection, Iterator
 
 import click
 
+from . import __version__
 from .data import (
     DataError,
     Dataset,
@@ -44,13 +48,16 @@ from .evalkit import (
     run_comparison,
 )
 from .joiner import (
+    EMBEDDINGS_VERSION,
     EmbeddingIndex,
+    Embeddings,
     JoinError,
     JoinResult,
     aggregate_labels,
     build_index,
     chain_joins,
     execute_join,
+    load_embeddings,
     save_embeddings,
 )
 from .joinspec import (
@@ -94,7 +101,9 @@ def _sha256(path: Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Audit record for one command: config snapshot, digests, timings."""
+    """Audit record for one command: config snapshot, digests, timings, and
+    for a learned join each embeddings file's key and whether it was
+    reused (see ``_reusable``)."""
 
     command: str
     config: dict
@@ -102,9 +111,12 @@ class RunManifest:
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    embeddings: dict[str, dict] = field(default_factory=dict)
 
-    def add_input(self, path: Path) -> None:
-        self.inputs[str(path)] = _sha256(path)
+    def add_input(self, path: Path, digest: str | None = None) -> None:
+        """Record ``path`` as read, with ``digest`` when the caller has
+        hashed the bytes it read."""
+        self.inputs[str(path)] = digest or _sha256(path)
 
     def add_output(self, path: Path) -> None:
         self.outputs[str(path)] = _sha256(path)
@@ -173,6 +185,21 @@ def resolve_config(config_path: str | None, overrides: dict) -> EngineConfig:
     return config_from_dict(raw)
 
 
+def _earlier_manifest(path: Path, *sections: str) -> list[dict] | None:
+    """The ``sections`` of the manifest an earlier command wrote at
+    ``path``, each keyed by file name; None when there is no such file.
+    Raises ``ValueError`` when it is not JSON holding each section as an
+    object."""
+    if not path.exists():
+        return None
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return [{Path(p).name: value for p, value in manifest[section].items()}
+                for section in sections]
+    except (KeyError, TypeError, AttributeError):
+        raise ValueError(f"{path} is not a manifest") from None
+
+
 def _load_model(run: _Run, config: EngineConfig, path: Path,
                 tokens: Collection[str] | None = None) -> EncoderModel:
     """Load a model file into ``run``'s inputs, partially when given the
@@ -182,15 +209,14 @@ def _load_model(run: _Run, config: EngineConfig, path: Path,
     run.read(path)
     actual = run.manifest.inputs[str(path)]
     train_manifest = path.parent / "manifest_train.json"
-    if train_manifest.exists():
-        try:
-            outputs = json.loads(train_manifest.read_text(encoding="utf-8"))["outputs"]
-            recorded = {Path(p).name: digest for p, digest in outputs.items()}.get(path.name)
-        except (ValueError, KeyError, TypeError, AttributeError):
-            recorded = "unreadable"
-        if recorded is not None and recorded != actual:
-            click.echo(f"warning: {path} is not the model {train_manifest} records "
-                       f"(sha256 {actual}, recorded {recorded})", err=True)
+    try:
+        (outputs,) = _earlier_manifest(train_manifest, "outputs") or ({},)
+        recorded = outputs.get(path.name)
+    except ValueError:
+        recorded = "unreadable"
+    if recorded is not None and recorded != actual:
+        click.echo(f"warning: {path} is not the model {train_manifest} records "
+                   f"(sha256 {actual}, recorded {recorded})", err=True)
     model = load_model(path, tokens)
     for key, configured, stored in (("embedding_dim", config.embedding_dim, model.dim),
                                     ("normalize", config.normalize, model.normalize)):
@@ -200,13 +226,59 @@ def _load_model(run: _Run, config: EngineConfig, path: Path,
     return model
 
 
-def _load_sides(run: _Run, base_ref: str = "base",
-                aux_ref: str = "aux") -> tuple[Dataset, Dataset]:
-    base_path, aux_path = (resolve_ref(ref, run.data_dir) for ref in (base_ref, aux_ref))
+def _load_sides(run: _Run) -> tuple[Dataset, Dataset]:
+    base_path, aux_path = run.data_dir / "base.csv", run.data_dir / "aux.csv"
     run.read(base_path, aux_path)
-    base = load_dataset(base_path, role=DatasetRole.BASE, name=base_ref)
-    aux = load_dataset(aux_path, role=DatasetRole.AUXILIARY, name=aux_ref)
+    base = load_dataset(base_path, role=DatasetRole.BASE, name="base")
+    aux = load_dataset(aux_path, role=DatasetRole.AUXILIARY, name="aux")
     return base, aux
+
+
+def _reusable(run: _Run, tokenizer: str,
+              sides: list[tuple[Path, Path, Path]]) -> list[Embeddings | None]:
+    """For each side's ``(embeddings file, dataset, model)``, the
+    embeddings the data directory's previous join left in the file, or
+    None when the side must be embedded again.
+
+    A side's key digests what its embeddings are built from: the sha256 of
+    its dataset and of the model that embeds it, the tokenizer, the
+    embeddings format version and the package version. The side is reused
+    when the previous ``manifest_join.json`` records the same key for the
+    file and the file still has the sha256 that manifest records; it is
+    then read once, hashed and parsed from the same bytes. Every side's key
+    goes into ``run``'s manifest, so the next join can look it up."""
+    found: list[Embeddings | None] = [None] * len(sides)
+    models = [model for _, _, model in sides]
+    if not all(model.exists() for model in models):
+        return found  # _load_model reports the missing file
+    run.read(*models)
+    try:
+        earlier = _earlier_manifest(run.data_dir / "manifest_join.json",
+                                    "inputs", "outputs", "embeddings")
+    except ValueError:
+        earlier = None
+    for side, (path, dataset, model) in enumerate(sides):
+        built_from = [run.manifest.inputs[str(dataset)], run.manifest.inputs[str(model)],
+                      tokenizer, EMBEDDINGS_VERSION, __version__]
+        key = hashlib.sha256(json.dumps(built_from).encode("utf-8")).hexdigest()
+        run.manifest.embeddings[path.name] = {"key": key, "reused": False}
+        if earlier is None:
+            continue
+        inputs, outputs, records = earlier
+        recorded = records.get(path.name)
+        digest = outputs.get(path.name, inputs.get(path.name))
+        if not isinstance(recorded, dict) or recorded.get("key") != key or digest is None:
+            continue
+        try:
+            raw = path.read_bytes()
+            if hashlib.sha256(raw).hexdigest() != digest:
+                continue
+            found[side] = load_embeddings(path, raw)
+        except (OSError, JoinError):
+            continue
+        run.manifest.add_input(path, digest)
+        run.manifest.embeddings[path.name]["reused"] = True
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +304,9 @@ def cmd_generate(
         raise ConfigError(f"unknown preset {preset!r} (expected easy or hard)")
     per_row = perturbations if perturbations is not None else PRESETS[preset]
     run = _Run("generate", config)
-    run.data_dir.mkdir(parents=True, exist_ok=True)
     source_path = Path(source_path) if source_path else run.data_dir / "source.csv"
     run.read(source_path)
+    run.data_dir.mkdir(parents=True, exist_ok=True)
 
     with run.stage("generate"):
         source = load_dataset(source_path, role=DatasetRole.AUXILIARY)
@@ -351,7 +423,9 @@ def cmd_join(
     line: the baseline join uses only --right-size (its k), a join from
     ``spec_file`` none of them, since the statement sets all three, a LEFT
     join not --left-size and a RIGHT join not --right-size. Only a learned
-    INNER join uses ``both_directions``."""
+    INNER join uses ``both_directions``. A learned join reuses each side's
+    embeddings file that the previous join left, when it was built from
+    the same bytes (see ``_reusable``)."""
     if baseline is not None:
         path = f"the {baseline} baseline join"
         given = {"--threshold": threshold is not None, "--both-directions": both_directions,
@@ -385,12 +459,24 @@ def cmd_join(
                     {"--both-directions": both_directions})
     else:
         spec = _spec_from_config(config)
-    base, aux = _load_sides(run, spec.base_ref, spec.aux_ref)
+    refs = (spec.base_ref, spec.aux_ref)
+    paths = [resolve_ref(ref, run.data_dir) for ref in refs]
+    run.read(*paths)
+    two = config.num_encoders == 2
+    # The model that embeds each side, and the file its embeddings go to.
+    models = [run.data_dir / "model.bin", run.data_dir / ("model_aux.bin" if two else "model.bin")]
+    files = [run.data_dir / "embeddings_base.bin", run.data_dir / "embeddings_aux.bin"]
+    embeddings = ([None, None] if baseline is not None
+                  else _reusable(run, config.tokenizer, list(zip(files, paths, models))))
+    datasets = [load_dataset(path, role=role, name=ref)
+                if emb is None or dump_sentences is not None else None
+                for path, role, ref, emb in zip(paths, (DatasetRole.BASE, DatasetRole.AUXILIARY),
+                                                refs, embeddings)]
 
     if dump_sentences is not None:
         dump_path = Path(dump_sentences)
         with atomic_write(dump_path, "w", encoding="utf-8") as fh:
-            for dataset in (base, aux):
+            for dataset in datasets:
                 for rec in dataset.records:
                     sent = prepare_sentence(rec, tokenizer=config.tokenizer)
                     fh.write(json.dumps(
@@ -401,34 +487,34 @@ def cmd_join(
 
     if baseline is not None:
         with run.stage("baseline_join"):
-            result = lexical_join(baseline, base, aux, key_column=key_column,
+            result = lexical_join(baseline, *datasets, key_column=key_column,
                                   k=spec.right_size)
     else:
         # Each model reads only the table rows of the tokens it embeds: with
-        # two encoders, each side has a vocabulary of its own.
-        two = config.num_encoders == 2
-        if two:
-            (base_vocab, (base_ids,)), (aux_vocab, (aux_ids,)) = (
-                token_ids([ds], config.tokenizer) for ds in (base, aux))
-        else:
-            base_vocab, (base_ids, aux_ids) = token_ids([base, aux], config.tokenizer)
-            aux_vocab = base_vocab
-        model = _load_model(run, config, run.data_dir / "model.bin", base_vocab)
-        aux_model = (_load_model(run, config, run.data_dir / "model_aux.bin", aux_vocab)
-                     if two else model)
-        with run.stage("embed"):
-            base_emb = embed_dataset(model, base, features=(base_vocab, base_ids))
-            aux_emb = embed_dataset(aux_model, aux, features=(aux_vocab, aux_ids))
-        del base_ids, aux_ids
-        for name, emb in (("embeddings_base.bin", base_emb), ("embeddings_aux.bin", aux_emb)):
-            path = run.data_dir / name
-            save_embeddings(emb, path)
-            run.wrote(path)
+        # two encoders, each side has a vocabulary of its own. A model whose
+        # sides are all reused reads no rows, but is still checked.
+        sides_of: dict[Path, list[int]] = {path: [] for path in models}
+        for side, emb in enumerate(embeddings):
+            if emb is None:
+                sides_of[models[side]].append(side)
+        features = {}
+        for path, sides in sides_of.items():
+            vocab, ids = token_ids([datasets[side] for side in sides], config.tokenizer)
+            model = _load_model(run, config, path, vocab)
+            features.update({side: (model, vocab, side_ids) for side, side_ids in zip(sides, ids)})
+        embedded = list(features)
+        if embedded:
+            with run.stage("embed"):
+                for side, (model, vocab, ids) in features.items():
+                    embeddings[side] = embed_dataset(model, datasets[side], features=(vocab, ids))
+        del features, ids
+        for side in embedded:
+            save_embeddings(embeddings[side], files[side])
+            run.wrote(files[side])
         with run.stage("join"):
             result = execute_join(
                 spec,
-                base_emb,
-                aux_emb,
+                *embeddings,
                 metric=config.distance,  # type: ignore[arg-type]
                 threshold=threshold,
                 both_directions=both_directions,

@@ -397,12 +397,15 @@ def chain_joins(
 
 
 # ---------------------------------------------------------------------------
-# Embeddings cache: versioned binary, little-endian float64 row-major.
+# Embeddings file: versioned binary, little-endian float64 row-major. A
+# learned join writes one per side, and a later join reads it back instead
+# of embedding again when the file still holds what it was built from.
 # ---------------------------------------------------------------------------
 
 _EMB_MAGIC = b"KJEB"
-_EMB_VERSION = 1
+EMBEDDINGS_VERSION = 1
 _EMB_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
+_EMB_ID_LEN = struct.Struct("<I")
 
 
 def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
@@ -411,10 +414,51 @@ def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
     ids, vectors = embeddings
     rows = np.ascontiguousarray(vectors, dtype="<f8")
     with atomic_write(path) as fh:
-        fh.write(_EMB_HEADER.pack(_EMB_MAGIC, _EMB_VERSION, len(ids), rows.shape[1]))
+        fh.write(_EMB_HEADER.pack(_EMB_MAGIC, EMBEDDINGS_VERSION, len(ids), rows.shape[1]))
         for rid, row in zip(ids, rows):
             encoded = rid.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)) + encoded + row.tobytes())
+            fh.write(_EMB_ID_LEN.pack(len(encoded)) + encoded + row.tobytes())
+
+
+def load_embeddings(path: str | Path, raw: bytes | None = None) -> Embeddings:
+    """Read an embeddings file that ``save_embeddings`` wrote, or parse
+    ``raw``, its bytes, when the caller has read them. Raises ``JoinError``
+    on a bad magic or version, a truncated record, an id that is not UTF-8
+    or bytes after the last record."""
+    path = Path(path)
+    if raw is None:
+        raw = path.read_bytes()
+    if len(raw) < _EMB_HEADER.size:
+        raise JoinError(f"{path}: truncated embeddings file")
+    magic, version, count, dim = _EMB_HEADER.unpack_from(raw)
+    if magic != _EMB_MAGIC:
+        raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
+    if version != EMBEDDINGS_VERSION:
+        raise JoinError(f"{path}: unsupported embeddings version {version}")
+    offset = _EMB_HEADER.size
+    if offset + count * (_EMB_ID_LEN.size + 8 * dim) > len(raw):
+        raise JoinError(f"{path}: truncated embeddings file")
+    ids: list[str] = []
+    vectors = np.empty((count, dim), dtype="<f8")
+    rows = memoryview(vectors.view(np.uint8).reshape(-1))
+    source, row_bytes = memoryview(raw), 8 * dim
+    for i in range(count):
+        if offset + _EMB_ID_LEN.size > len(raw):
+            raise JoinError(f"{path}: truncated embeddings file")
+        (id_len,) = _EMB_ID_LEN.unpack_from(raw, offset)
+        offset += _EMB_ID_LEN.size
+        if offset + id_len + row_bytes > len(raw):
+            raise JoinError(f"{path}: truncated embeddings file")
+        try:
+            ids.append(raw[offset : offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise JoinError(f"{path}: record {i} has an id that is not UTF-8") from None
+        offset += id_len
+        rows[i * row_bytes : (i + 1) * row_bytes] = source[offset : offset + row_bytes]
+        offset += row_bytes
+    if offset != len(raw):
+        raise JoinError(f"{path}: {len(raw) - offset} trailing bytes after the last record")
+    return tuple(ids), vectors
 
 
 def aggregate_labels(

@@ -3,24 +3,22 @@
 Each helper here is a slow or one-at-a-time form of something the engine
 does in bulk: one query's top-k, one document's BM25 score, one sentence's
 embedding, the loss of a batch with every sentence embedded alone, the
-rows of a result as objects, a result file as text and an embeddings file
-read back. Tests compare the engine's bulk paths against them.
+rows of a result as objects and a result file as text. Tests compare the
+engine's bulk paths against them.
 """
 
 from __future__ import annotations
 
 import io
-import struct
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from emberish import joiner, lexrank
 from emberish.encoder import EncoderError, EncoderModel, _forward_group, _Grads
-from emberish.joiner import EmbeddingIndex, Embeddings, JoinError, JoinResult
+from emberish.joiner import EmbeddingIndex, JoinError, JoinResult
 from emberish.lexrank import Bm25Index, LexError
 from emberish.prepare import Sentence
 
@@ -89,39 +87,6 @@ def to_csv_text(result: JoinResult) -> str:
     buf = io.StringIO()
     result._write_rows(buf)
     return buf.getvalue()
-
-
-def load_embeddings(path: str | Path) -> Embeddings:
-    """Read an embeddings file that ``joiner.save_embeddings`` wrote,
-    checking its magic, version, length and record layout."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < joiner._EMB_HEADER.size:
-        raise JoinError(f"{path}: truncated embeddings file")
-    magic, version, count, dim = joiner._EMB_HEADER.unpack_from(raw)
-    if magic != joiner._EMB_MAGIC:
-        raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
-    if version != joiner._EMB_VERSION:
-        raise JoinError(f"{path}: unsupported embeddings version {version}")
-    offset = joiner._EMB_HEADER.size
-    if offset + count * (4 + 8 * dim) > len(raw):
-        raise JoinError(f"{path}: truncated embeddings file")
-    ids: list[str] = []
-    vectors = np.empty((count, dim))
-    for i in range(count):
-        if offset + 4 > len(raw):
-            raise JoinError(f"{path}: truncated embeddings file")
-        (id_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        ids.append(raw[offset : offset + id_len].decode("utf-8"))
-        offset += id_len
-        if offset + 8 * dim > len(raw):
-            raise JoinError(f"{path}: truncated embeddings file")
-        vectors[i] = np.frombuffer(raw, dtype="<f8", count=dim, offset=offset)
-        offset += 8 * dim
-    if offset != len(raw):
-        raise JoinError(f"{path}: {len(raw) - offset} trailing bytes after the last record")
-    return tuple(ids), vectors
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,9 @@ def test_command_determinism(tmp_path):
 
     digests = []
     for _ in range(2):
+        # Without the earlier join's manifest the join embeds both sides
+        # again instead of reusing them, so every artifact is recomputed.
+        (tmp_path / "manifest_join.json").unlink(missing_ok=True)
         out = {}
         out.update(cmd_generate(config, copies=2, perturbations=1).outputs)
         out.update(cmd_train(config, pretrain=True).outputs)

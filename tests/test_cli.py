@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import random
+import shutil
+import struct
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from emberish.cli import (
     resolve_config,
 )
 from emberish.data import dataset_from_rows, load_dataset, write_dataset
-from emberish.joinspec import ConfigError, EngineConfig
+from emberish.joinspec import ConfigError, EngineConfig, JoinType
 from test_joiner import full_disk
 
 
@@ -139,6 +141,11 @@ class TestGenerate:
 
         with pytest.raises(DataError, match="missing input files"):
             cmd_generate(cfg)
+
+    def test_missing_source_leaves_no_directory_behind(self, tmp_path, capsys):
+        assert main(["generate", "--data-dir", str(tmp_path / "nodir" / "sub")]) == 1
+        assert "missing input files" in capsys.readouterr().err
+        assert not (tmp_path / "nodir").exists()
 
 
 class TestTrain:
@@ -334,6 +341,195 @@ class TestJoin:
         assert str(tmp_path / "model_aux.bin") in manifest.inputs
 
 
+def trained(data_dir, **overrides):
+    """A generated and trained data directory; returns its config."""
+    data_dir.mkdir()
+    write_source(data_dir)
+    cfg = fast_config(data_dir, **overrides)
+    cmd_generate(cfg, copies=2, perturbations=1)
+    cmd_train(cfg, pretrain=False)
+    return cfg
+
+
+def fresh_copy(src, dst):
+    """``src`` without the files a join writes: a join in ``dst`` starts afresh."""
+    shutil.copytree(src, dst, ignore=shutil.ignore_patterns(
+        "manifest_join.json", "embeddings_*.bin", "result.csv"))
+
+
+def bump_last_float(path):
+    """Add 0.5 to the last float64 of a model file (the last bias entry) or
+    of an embeddings file (the last record's last value)."""
+    raw = bytearray(path.read_bytes())
+    (value,) = struct.unpack_from("<d", raw, len(raw) - 8)
+    struct.pack_into("<d", raw, len(raw) - 8, value + 0.5)
+    path.write_bytes(bytes(raw))
+
+
+def append_row(path):
+    """Add one record to a generated dataset (id column first)."""
+    width = len(read_rows(path)[0])
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(",".join(["zz-added", *["v1 v2"] * (width - 1)]) + "\n")
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the join's ``embed_dataset`` and ``load_dataset`` calls."""
+    import emberish.cli as cli_mod
+
+    calls = {"embed": 0, "load": 0}
+    for name, fn in (("embed", cli_mod.embed_dataset), ("load", cli_mod.load_dataset)):
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli_mod, f"{name}_dataset", counting)
+    return calls
+
+
+EMBEDDINGS = ("embeddings_base.bin", "embeddings_aux.bin")
+
+
+def same_join_files(a, b):
+    for name in ("result.csv", *EMBEDDINGS):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestEmbeddingsReuse:
+    """A learned join reuses each embeddings file that the previous join
+    left when it was built from the same bytes, and embeds again otherwise."""
+
+    SHAPES = {"LEFT": (JoinType.LEFT, False), "RIGHT": (JoinType.RIGHT, False),
+              "INNER": (JoinType.INNER, False), "FULL": (JoinType.FULL, False),
+              "INNER-both-directions": (JoinType.INNER, True)}
+
+    @pytest.mark.parametrize("num_encoders", [1, 2])
+    @pytest.mark.parametrize("distance", ["l2", "inner_product"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_a_reusing_join_writes_a_fresh_directorys_bytes(self, tmp_path, counted, shape,
+                                                             distance, num_encoders):
+        join_type, both = self.SHAPES[shape]
+        settings = dict(distance=distance, num_encoders=num_encoders)
+        reuse, fresh = tmp_path / "reuse", tmp_path / "fresh"
+        cmd_join(trained(reuse, **settings))  # the quick start's INNER join first
+        fresh_copy(reuse, fresh)
+        inodes = [(reuse / name).stat().st_ino for name in EMBEDDINGS]
+        counted.update(embed=0, load=0)
+
+        hit = cmd_join(fast_config(reuse, join_type=join_type, **settings),
+                       both_directions=both)
+        assert counted == {"embed": 0, "load": 0}
+        miss = cmd_join(fast_config(fresh, join_type=join_type, **settings),
+                        both_directions=both)
+        assert counted == {"embed": 2, "load": 2}
+
+        same_join_files(reuse, fresh)
+        assert [(reuse / name).stat().st_ino for name in EMBEDDINGS] == inodes  # not rewritten
+        assert [r["reused"] for r in hit.embeddings.values()] == [True, True]
+        assert [r["reused"] for r in miss.embeddings.values()] == [False, False]
+        assert ({name: r["key"] for name, r in hit.embeddings.items()}
+                == {name: r["key"] for name, r in miss.embeddings.items()})
+        assert set(hit.timings) == {"join"} and set(miss.timings) == {"embed", "join"}
+        assert {str(reuse / name) for name in EMBEDDINGS} <= set(hit.inputs)
+        assert set(hit.outputs) == {str(reuse / "result.csv")}
+
+    # What changes between the first join and the second, the encoders, the
+    # sides the second join embeds again, and the config overrides and the
+    # --spec-file statement of the joins after the change.
+    SWAP = "aux INNER KEYLESS JOIN base LEFT SIZE 1 RIGHT SIZE 3 USING supervision;"
+    CHANGES = {
+        "base.csv": (lambda d: append_row(d / "base.csv"), 1, ["base"], {}, None),
+        "aux.csv": (lambda d: append_row(d / "aux.csv"), 1, ["aux"], {}, None),
+        "model.bin": (lambda d: bump_last_float(d / "model.bin"), 1, ["base", "aux"], {}, None),
+        "model.bin-two-encoders": (lambda d: bump_last_float(d / "model.bin"), 2, ["base"],
+                                   {}, None),
+        "model_aux.bin": (lambda d: bump_last_float(d / "model_aux.bin"), 2, ["aux"], {}, None),
+        "tokenizer": (lambda d: None, 1, ["base", "aux"], {"tokenizer": "char2gram"}, None),
+        "embeddings-file": (lambda d: bump_last_float(d / "embeddings_base.bin"), 1, ["base"],
+                            {}, None),
+        "manifest-deleted": (lambda d: (d / "manifest_join.json").unlink(), 1, ["base", "aux"],
+                             {}, None),
+        "manifest-corrupt": (lambda d: (d / "manifest_join.json").write_text('{"inputs": '),
+                             1, ["base", "aux"], {}, None),
+        "manifest-without-keys": (
+            lambda d: (d / "manifest_join.json").write_text(json.dumps(
+                {k: v for k, v in json.loads((d / "manifest_join.json").read_text()).items()
+                 if k != "embeddings"})), 1, ["base", "aux"], {}, None),
+        "manifest-of-a-baseline-join": (lambda d: cmd_join(fast_config(d), baseline="BM25"),
+                                        1, ["base", "aux"], {}, None),
+        "spec-file-swapping-the-datasets": (lambda d: None, 1, ["base", "aux"], {}, SWAP),
+    }
+
+    @pytest.mark.parametrize("case", list(CHANGES))
+    def test_a_changed_input_is_embedded_again(self, tmp_path, counted, case):
+        change, num_encoders, embedded, overrides, statement = self.CHANGES[case]
+        reuse, fresh = tmp_path / "reuse", tmp_path / "fresh"
+        cmd_join(trained(reuse, num_encoders=num_encoders))
+        change(reuse)
+        fresh_copy(reuse, fresh)
+        counted.update(embed=0, load=0)
+
+        def join(d):
+            spec_file = None
+            if statement is not None:
+                spec_file = d / "swap.kjoin"
+                spec_file.write_text(statement)
+            return cmd_join(fast_config(d, num_encoders=num_encoders, **overrides),
+                            spec_file=spec_file)
+
+        manifest = join(reuse)
+        assert counted["embed"] == len(embedded)
+        assert [name for name, r in manifest.embeddings.items() if not r["reused"]] == [
+            f"embeddings_{side}.bin" for side in embedded]
+        assert set(manifest.timings) == {"embed", "join"}
+        join(fresh)
+        same_join_files(reuse, fresh)
+
+    @pytest.mark.parametrize("key,value,stored", [("embedding_dim", 16, 8),
+                                                  ("normalize", False, True)])
+    def test_a_hit_still_checks_the_model(self, tmp_path, counted, capsys, key, value,
+                                          stored):
+        d = tmp_path / "d"
+        cmd_join(trained(d))
+        before = {name: (d / name).read_bytes() for name in ("result.csv", "manifest_join.json")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(d), "embedding_dim": 8, key: value}))
+        counted.update(embed=0, load=0)
+        assert main(["join", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} {stored!r}" in err and f"{key} {value!r}" in err
+        assert counted == {"embed": 0, "load": 0}  # the lookup found both sides
+        assert {name: (d / name).read_bytes() for name in before} == before
+
+    def test_a_hit_still_warns_about_an_unrecorded_model(self, tmp_path, counted, capsys):
+        d = tmp_path / "d"
+        cfg = trained(d)
+        cmd_join(cfg)
+        train_manifest = d / "manifest_train.json"
+        recorded = json.loads(train_manifest.read_text())
+        recorded["outputs"][str(d / "model.bin")] = "0" * 64
+        train_manifest.write_text(json.dumps(recorded))
+        capsys.readouterr()
+        counted.update(embed=0, load=0)
+        manifest = cmd_join(cfg)
+        assert counted == {"embed": 0, "load": 0}
+        assert all(r["reused"] for r in manifest.embeddings.values())
+        err = capsys.readouterr().err
+        assert "warning" in err and "model.bin" in err and "manifest_train.json" in err
+
+    def test_a_hit_with_dump_sentences_reads_the_datasets_only(self, tmp_path, counted):
+        reuse, fresh = tmp_path / "reuse", tmp_path / "fresh"
+        cmd_join(trained(reuse))
+        fresh_copy(reuse, fresh)
+        counted.update(embed=0, load=0)
+        cmd_join(fast_config(reuse), dump_sentences=reuse / "sentences.jsonl")
+        assert counted == {"embed": 0, "load": 2}
+        cmd_join(fast_config(fresh), dump_sentences=fresh / "sentences.jsonl")
+        same_join_files(reuse, fresh)
+        assert ((reuse / "sentences.jsonl").read_bytes()
+                == (fresh / "sentences.jsonl").read_bytes())
+
+
 class TestModelFiles:
     def test_one_encoder_train_removes_a_stale_aux_model(self, workspace):
         tmp_path, cfg = workspace
@@ -348,6 +544,7 @@ class TestModelFiles:
         cmd_train(cfg, pretrain=False)
         first = cmd_join(cfg).outputs[str(tmp_path / "result.csv")]
         (tmp_path / "model_aux.bin").write_bytes(b"not a model")
+        (tmp_path / "manifest_join.json").unlink()  # so the join embeds again
         manifest = cmd_join(cfg)
         assert str(tmp_path / "model_aux.bin") not in manifest.inputs
         assert manifest.outputs[str(tmp_path / "result.csv")] == first
@@ -434,6 +631,8 @@ class TestPartialModelLoads:
 
         def run(loader):
             monkeypatch.setattr(cli_mod, "load_model", loader)
+            # Without the earlier join's manifest the join embeds again.
+            (tmp_path / "manifest_join.json").unlink(missing_ok=True)
             cmd_join(cfg)
             if num_encoders == 1:
                 cmd_pipeline(cfg, chain)
@@ -918,6 +1117,10 @@ class TestManifest:
                          ["base.csv", "aux.csv", "model.bin"],
                          ["embeddings_base.bin", "embeddings_aux.bin", "result.csv"],
                          ["embed", "join"]),
+        "join-reusing": ("join", lambda d, cfg: cmd_join(cfg),
+                         ["base.csv", "aux.csv", "model.bin", "embeddings_base.bin",
+                          "embeddings_aux.bin"],
+                         ["result.csv"], ["join"]),
         "join-baseline": (None, lambda d, cfg: cmd_join(cfg, baseline="BM25"),
                           ["base.csv", "aux.csv"], ["result.csv"], ["baseline_join"]),
         "join-spec-file": ("train", lambda d, cfg: cmd_join(cfg, spec_file=d / "spec.kjoin"),

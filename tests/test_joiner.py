@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emberish import joiner
@@ -18,13 +18,14 @@ from emberish.joiner import (
     chain_joins,
     execute_join,
     id_ranks,
+    load_embeddings,
     save_embeddings,
     topk,
 )
 from emberish.data import SupervisionPair
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
-from oracles import for_base, knn, load_embeddings, matched_pairs, matches, to_csv_text
+from oracles import for_base, knn, matched_pairs, matches, to_csv_text
 
 
 # Record ids with the characters CSV must quote, and any other non-empty text.
@@ -920,6 +921,29 @@ class TestEmbeddingsFile:
         assert list(loaded[0]) == list(emb[0])
         for v1, v2 in zip(emb[1], loaded[1]):
             assert np.array_equal(v1, v2)
+
+    # Every float64 bit pattern, NaN payloads and -0.0 included, for up to
+    # six records of up to four dimensions.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ids=st.lists(record_ids, min_size=1, max_size=6, unique=True),
+           dim=st.integers(1, 4), bits=st.binary(min_size=8 * 24, max_size=8 * 24))
+    @example(ids=["caf\u00e9 \u2192 \U0001f600,\"\n"], dim=1, bits=b"\xff" * 8 * 24)
+    def test_load_reads_back_what_save_wrote(self, tmp_path, ids, dim, bits):
+        vectors = np.frombuffer(bits, dtype="<f8", count=len(ids) * dim).reshape(len(ids), dim)
+        path = tmp_path / "emb.bin"
+        save_embeddings((ids, vectors), path)
+        loaded_ids, loaded = load_embeddings(path)
+        assert loaded_ids == tuple(ids)
+        assert loaded.shape == vectors.shape
+        assert loaded.astype("<f8").tobytes() == vectors.tobytes()
+
+    def test_an_id_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_embeddings((("e\u00e9",), np.zeros((1, 2))), path)
+        path.write_bytes(path.read_bytes().replace("\u00e9".encode("utf-8"), b"\xff\xff"))
+        with pytest.raises(JoinError, match="not UTF-8"):
+            load_embeddings(path)
 
     def test_truncation_detected(self, tmp_path):
         emb = grid_embeddings("e", 3, 4, 51)
