@@ -15,13 +15,19 @@ and then the bias, as the model file stores them; ``projection`` and
 
 Training is single-threaded and reproducible under a fixed seed. Each
 model runs one forward and one backward pass per batch, over all the
-sentences it embeds. A batch's table gradient is summed through a count
-matrix: each sentence contributes one row (its pooled gradient over its
-token count), and C (sentences x unique buckets) holding each bucket's
-count per sentence gives the merged rows as ``C.T @ rows``. Adam updates
-the affine array in one dense step and keeps its table state by table row;
-a row changes only when it has a gradient. A trained model is immutable in
-practice: embedding never mutates it, so concurrent readers are safe.
+sentences it embeds. The affine gradient is one ``(dim + 1) x dim`` buffer
+into which each group's (anchors, positives, negatives) part is added in
+group order, and a batch with no empty sentence and no zero-norm projected
+row runs the normalization on whole arrays, with no masked copies. A
+batch's table gradient is summed through a count matrix: each sentence
+contributes one row (its pooled gradient over its token count), and C
+(sentences x unique rows) holding each table row's count per sentence
+gives the merged rows as ``C.T @ rows``; the unique rows come from a count
+per table row, not a sort. Each of these keeps the bits of the plainer
+step that ``tests/oracles.py`` keeps. Adam updates the affine array in one
+dense step and keeps its table state by table row; a row changes only when
+it has a gradient. A trained model is immutable in practice: embedding
+never mutates it, so concurrent readers are safe.
 
 A model holds the table rows of some buckets plus a source for every other
 row: the seed of the initial table (``create``) or the model file it was
@@ -39,7 +45,6 @@ import random
 import struct
 from contextlib import closing
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -225,7 +230,7 @@ def embed_dataset(
     vectors = np.empty((n, model.dim))
     parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
     for block in np.array_split(np.arange(n), parts):
-        vectors[block] = _forward_group(model, [rows[ids[i]] for i in block])[2]
+        vectors[block] = _forward_group(model, [rows[ids[i]] for i in block])[1]
     return tuple(rec.id for rec in dataset.records), vectors
 
 
@@ -247,6 +252,13 @@ class TrainConfig:
             raise EncoderError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise EncoderError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise EncoderError("epochs must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise EncoderError(f"{name} must be in [0, 1)")
+        if not self.eps > 0:
+            raise EncoderError("eps must be > 0")
 
 
 @dataclass
@@ -268,24 +280,33 @@ class _Grads:
     table_rows: np.ndarray  # (len(table_idx), dim)
 
 def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray]):
-    """Embed a group of sentences, keeping intermediates for backprop."""
+    """Embed a group of sentences: ``(E, X, R, counts, scale)``, the pooled
+    rows, the outputs, the projected rows' norms, the token counts and the
+    mask of scaled rows, which ``_backward_group`` takes back.
+
+    ``scale`` is None when every sentence is nonempty and, under
+    ``normalize``, every projected row's norm is above ``_TINY``: the
+    common case, which works on whole arrays. Otherwise only the masked
+    rows are scaled, and the empty sentences' outputs are zero.
+    """
     n = len(bucket_arrays)
-    d = model.dim
-    E = np.zeros((n, d))
-    counts = np.zeros(n, dtype=np.int64)
+    E = np.zeros((n, model.dim))
+    counts = np.fromiter((b.size for b in bucket_arrays), np.int64, n)
     for i, buckets in enumerate(bucket_arrays):
-        counts[i] = buckets.size
         if buckets.size:
-            E[i] = model.table[buckets].sum(axis=0) / buckets.size
+            np.divide(model.table.take(buckets, axis=0).sum(axis=0), buckets.size, out=E[i])
     U = E @ model.projection + model.bias
-    X = U.copy()
     R = np.sqrt(np.einsum("ij,ij->i", U, U))
     nonempty = counts > 0
+    scale = nonempty & (R > _TINY) if model.normalize else nonempty
+    if scale.all():
+        X = U / R[:, None] if model.normalize else U
+        return E, X, R, counts, None
+    X = U.copy()
     if model.normalize:
-        scale = nonempty & (R > _TINY)
         X[scale] = U[scale] / R[scale, None]
     X[~nonempty] = 0.0
-    return E, U, X, R, counts, nonempty
+    return E, X, R, counts, scale
 
 
 def _backward_group(
@@ -293,41 +314,63 @@ def _backward_group(
     g_x: np.ndarray,
     parts: int,
     E: np.ndarray,
-    U: np.ndarray,
     X: np.ndarray,
     R: np.ndarray,
     counts: np.ndarray,
-    nonempty: np.ndarray,
+    scale: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backprop g_x through normalization, projection, and pooling.
 
     Returns (g_affine, per_sentence_rows): row i is the gradient of each
     single token of sentence i, ``g_e[i] / count[i]`` (zero for an empty
-    sentence). The rows form ``parts`` equal groups; g_affine sums the
-    groups' ``E.T @ g_u`` and ``g_u.sum(axis=0)`` in group order, so it has
-    the bits of one backward pass per group.
+    sentence). The rows form ``parts`` equal groups. g_affine is one
+    ``(dim + 1) x dim`` buffer: group 0's ``E.T @ g_u`` and
+    ``g_u.sum(axis=0)`` are written into it, and each later group's,
+    written into one scratch buffer, is added in place in group order, so
+    it has the bits of one backward pass per group summed left to right.
+    With ``scale`` None (see ``_forward_group``) every row takes the same
+    elementwise arithmetic as the masked path, on the whole arrays.
     """
-    g_u = g_x.copy()
-    if model.normalize:
-        scale = nonempty & (R > _TINY)
-        dot = np.einsum("ij,ij->i", g_x[scale], X[scale])
-        g_u[scale] = (g_x[scale] - dot[:, None] * X[scale]) / R[scale, None]
-    g_u[~nonempty] = 0.0
+    if scale is None:
+        if model.normalize:
+            dot = np.einsum("ij,ij->i", g_x, X)
+            g_u = (g_x - dot[:, None] * X) / R[:, None]
+        else:
+            g_u = g_x
+    else:
+        g_u = g_x.copy()
+        if model.normalize:
+            dot = np.einsum("ij,ij->i", g_x[scale], X[scale])
+            g_u[scale] = (g_x[scale] - dot[:, None] * X[scale]) / R[scale, None]
+        g_u[counts == 0] = 0.0
 
-    g_affine = reduce(np.add, (np.vstack((e.T @ g, g.sum(axis=0)))
-                               for e, g in zip(np.split(E, parts), np.split(g_u, parts))))
+    size = g_u.shape[0] // parts
+    g_affine = np.empty((model.dim + 1, model.dim))
+    scratch = np.empty_like(g_affine)
+    for part in range(parts):
+        out = scratch if part else g_affine
+        e, g = E[part * size : (part + 1) * size], g_u[part * size : (part + 1) * size]
+        np.matmul(e.T, g, out=out[:-1])
+        g.sum(axis=0, out=out[-1])
+        if part:
+            g_affine += scratch
     g_e = g_u @ model.projection.T
-    return g_affine, g_e / np.maximum(counts, 1)[:, None]
+    g_e /= np.maximum(counts, 1)[:, None]
+    return g_affine, g_e
 
 
 def _table_grads(
-    bucket_arrays: list[np.ndarray], rows: np.ndarray
+    bucket_arrays: list[np.ndarray], rows: np.ndarray, table_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unique buckets and their summed gradients, ``Cᵀ @ rows``, where C
-    (sentences × unique buckets) counts each bucket's tokens per sentence."""
-    lengths = np.array([b.size for b in bucket_arrays], dtype=np.int64)
+    """Unique table rows and their summed gradients, ``Cᵀ @ rows``, where C
+    (sentences × unique rows) counts each row's tokens per sentence. The
+    unique rows, ascending, and each token's place among them come from a
+    count per table row, of which the model holds ``table_rows``."""
+    lengths = np.fromiter((b.size for b in bucket_arrays), np.int64, len(bucket_arrays))
     flat = np.concatenate(bucket_arrays)
-    unique, inverse = np.unique(flat, return_inverse=True)
+    present = np.bincount(flat, minlength=table_rows) > 0
+    unique = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[flat]
     sentence = np.repeat(np.arange(lengths.size), lengths)
     counts = np.bincount(sentence * unique.size + inverse, minlength=lengths.size * unique.size)
     return unique, counts.reshape(lengths.size, unique.size).T.astype(np.float64) @ rows
@@ -354,8 +397,9 @@ def batch_gradients(
     models = (anchor_model, other_model)[: len(owned)]
     sentences = [[b for i in own for b in groups[i]] for own in owned]
     forwards = [_forward_group(m, s) for m, s in zip(models, sentences)]
-    Xa, Xp, Xn = np.split(np.concatenate([f[2] for f in forwards]), 3)
-    B = Xa.shape[0]
+    B = len(anchors)
+    X = forwards[-1][1]
+    Xa, Xp, Xn = forwards[0][1][:B], X[-2 * B : -B], X[-B:]
 
     dap = Xa - Xp
     dan = Xa - Xn
@@ -365,19 +409,27 @@ def batch_gradients(
     loss = float(losses.mean())
 
     active = (losses > 0.0).astype(np.float64) / B
-    u_pos = np.where(d_pos[:, None] > _TINY, dap / np.maximum(d_pos, _TINY)[:, None], 0.0)
-    u_neg = np.where(d_neg[:, None] > _TINY, dan / np.maximum(d_neg, _TINY)[:, None], 0.0)
-    g_xa = active[:, None] * (u_pos - u_neg)
-    g_xp = -active[:, None] * u_pos
-    g_xn = active[:, None] * u_neg
+    u_pos, u_neg = (_unit(diff, dist) for diff, dist in ((dap, d_pos), (dan, d_neg)))
+    # The three groups' output gradients, in sentence order.
+    g_all = np.empty((3 * B, Xa.shape[1]))
+    np.multiply(active[:, None], u_pos - u_neg, out=g_all[:B])
+    np.multiply(-active[:, None], u_pos, out=g_all[B : 2 * B])
+    np.multiply(active[:, None], u_neg, out=g_all[2 * B :])
 
-    g_groups = (g_xa, g_xp, g_xn)
     grads = []
     for model, own, sents, forward in zip(models, owned, sentences, forwards):
-        g_x = np.concatenate([g_groups[i] for i in own])
-        g_affine, rows = _backward_group(model, g_x, len(own), *forward)
-        grads.append(_Grads(g_affine, *_table_grads(sents, rows)))
+        g_affine, rows = _backward_group(model, g_all[own[0] * B : (own[-1] + 1) * B], len(own),
+                                        *forward)
+        grads.append(_Grads(g_affine, *_table_grads(sents, rows, model.table.shape[0])))
     return loss, grads
+
+
+def _unit(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Each row of ``diff`` over its norm ``dist``, or zero where the norm
+    is at most ``_TINY``."""
+    if (dist > _TINY).all():
+        return diff / dist[:, None]
+    return np.where(dist[:, None] > _TINY, diff / np.maximum(dist, _TINY)[:, None], 0.0)
 
 
 class _Adam:

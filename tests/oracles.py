@@ -5,6 +5,12 @@ does in bulk: one query's top-k, one document's BM25 score, one sentence's
 embedding, the loss of a batch with every sentence embedded alone, the
 rows of a result as objects and a result file as text. Tests compare the
 engine's bulk paths against them.
+
+The training step is also here in a plain form (``forward_group``,
+``backward_group``, ``table_grads`` and ``batch_gradients``): masked copies
+for every batch, fancy-indexed pooling, ``np.unique`` for the table rows,
+and the affine gradient stacked per group and summed with ``reduce``. The
+engine's step must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -12,12 +18,13 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from emberish import joiner, lexrank
-from emberish.encoder import EncoderError, EncoderModel, _forward_group, _Grads
+from emberish.encoder import _TINY, EncoderError, EncoderModel, _forward_group, _Grads
 from emberish.joiner import EmbeddingIndex, JoinError, JoinResult
 from emberish.lexrank import Bm25Index, LexError
 from emberish.prepare import Sentence
@@ -125,7 +132,7 @@ def bm25_topk(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tup
 
 def encode(model: EncoderModel, sentence: Sentence) -> np.ndarray:
     """Embed one prepared sentence; an empty token list maps to zeros."""
-    return _forward_group(model, [model.rows(sentence.tokens)])[2][0]
+    return _forward_group(model, [model.rows(sentence.tokens)])[1][0]
 
 
 def triplet_loss(
@@ -163,9 +170,96 @@ def batch_loss(
     """Mean triplet hinge loss over a batch (bucket-array inputs), the
     finite-difference reference for ``batch_gradients``: each sentence runs
     through the forward pass alone, as in ``encode``."""
-    xa, xp, xn = (np.vstack([_forward_group(model, [b])[2] for b in group])
+    xa, xp, xn = (np.vstack([_forward_group(model, [b])[1] for b in group])
                   for model, group in ((anchor_model, anchors), (other_model, positives),
                                        (other_model, negatives)))
     d_pos = np.sqrt(np.einsum("ij,ij->i", xa - xp, xa - xp))
     d_neg = np.sqrt(np.einsum("ij,ij->i", xa - xn, xa - xn))
     return float(np.maximum(d_pos - d_neg + margin, 0.0).mean())
+
+
+# ---------------------------------------------------------------------------
+# The training step in its plain form.
+# ---------------------------------------------------------------------------
+
+
+def forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray]):
+    """Embed a group of sentences, keeping intermediates for backprop."""
+    n = len(bucket_arrays)
+    d = model.dim
+    E = np.zeros((n, d))
+    counts = np.zeros(n, dtype=np.int64)
+    for i, buckets in enumerate(bucket_arrays):
+        counts[i] = buckets.size
+        if buckets.size:
+            E[i] = model.table[buckets].sum(axis=0) / buckets.size
+    U = E @ model.projection + model.bias
+    X = U.copy()
+    R = np.sqrt(np.einsum("ij,ij->i", U, U))
+    nonempty = counts > 0
+    if model.normalize:
+        scale = nonempty & (R > _TINY)
+        X[scale] = U[scale] / R[scale, None]
+    X[~nonempty] = 0.0
+    return E, U, X, R, counts, nonempty
+
+
+def backward_group(model, g_x, parts, E, U, X, R, counts, nonempty):
+    """Backprop g_x through normalization, projection, and pooling; the
+    affine gradient sums the ``parts`` groups' in group order."""
+    g_u = g_x.copy()
+    if model.normalize:
+        scale = nonempty & (R > _TINY)
+        dot = np.einsum("ij,ij->i", g_x[scale], X[scale])
+        g_u[scale] = (g_x[scale] - dot[:, None] * X[scale]) / R[scale, None]
+    g_u[~nonempty] = 0.0
+
+    g_affine = reduce(np.add, (np.vstack((e.T @ g, g.sum(axis=0)))
+                               for e, g in zip(np.split(E, parts), np.split(g_u, parts))))
+    g_e = g_u @ model.projection.T
+    return g_affine, g_e / np.maximum(counts, 1)[:, None]
+
+
+def table_grads(bucket_arrays: list[np.ndarray], rows: np.ndarray):
+    """Unique buckets by ``np.unique`` and their summed gradients,
+    ``Cᵀ @ rows``."""
+    lengths = np.array([b.size for b in bucket_arrays], dtype=np.int64)
+    flat = np.concatenate(bucket_arrays)
+    unique, inverse = np.unique(flat, return_inverse=True)
+    sentence = np.repeat(np.arange(lengths.size), lengths)
+    counts = np.bincount(sentence * unique.size + inverse, minlength=lengths.size * unique.size)
+    return unique, counts.reshape(lengths.size, unique.size).T.astype(np.float64) @ rows
+
+
+def batch_gradients(anchor_model, other_model, anchors, positives, negatives, margin):
+    """Mean batch loss and one ``_Grads`` per model, as
+    ``encoder.batch_gradients``."""
+    groups = (anchors, positives, negatives)
+    owned = ((0, 1, 2),) if anchor_model is other_model else ((0,), (1, 2))
+    models = (anchor_model, other_model)[: len(owned)]
+    sentences = [[b for i in own for b in groups[i]] for own in owned]
+    forwards = [forward_group(m, s) for m, s in zip(models, sentences)]
+    Xa, Xp, Xn = np.split(np.concatenate([f[2] for f in forwards]), 3)
+    B = Xa.shape[0]
+
+    dap = Xa - Xp
+    dan = Xa - Xn
+    d_pos = np.sqrt(np.einsum("ij,ij->i", dap, dap))
+    d_neg = np.sqrt(np.einsum("ij,ij->i", dan, dan))
+    losses = np.maximum(d_pos - d_neg + margin, 0.0)
+    loss = float(losses.mean())
+
+    active = (losses > 0.0).astype(np.float64) / B
+    u_pos = np.where(d_pos[:, None] > _TINY, dap / np.maximum(d_pos, _TINY)[:, None], 0.0)
+    u_neg = np.where(d_neg[:, None] > _TINY, dan / np.maximum(d_neg, _TINY)[:, None], 0.0)
+    g_xa = active[:, None] * (u_pos - u_neg)
+    g_xp = -active[:, None] * u_pos
+    g_xn = active[:, None] * u_neg
+
+    g_groups = (g_xa, g_xp, g_xn)
+    grads = []
+    for model, own, sents, forward in zip(models, owned, sentences, forwards):
+        g_x = np.concatenate([g_groups[i] for i in own])
+        g_affine, rows = backward_group(model, g_x, len(own), *forward)
+        grads.append(_Grads(g_affine, *table_grads(sents, rows)))
+    return loss, grads
