@@ -244,9 +244,10 @@ def _reusable(run: _Run, tokenizer: str,
     its dataset and of the model that embeds it, the tokenizer, the
     embeddings format version and the package version. The side is reused
     when the previous ``manifest_join.json`` records the same key for the
-    file and the file still has the sha256 that manifest records; it is
-    then read once, hashed and parsed from the same bytes. Every side's key
-    goes into ``run``'s manifest, so the next join can look it up."""
+    file and the file still has the sha256 that manifest records. The file
+    is parsed as it is read, and the bytes parsed are hashed, so only the
+    parse is held; it is discarded when the digest differs. Every side's
+    key goes into ``run``'s manifest, so the next join can look it up."""
     found: list[Embeddings | None] = [None] * len(sides)
     models = [model for _, _, model in sides]
     if not all(model.exists() for model in models):
@@ -269,13 +270,14 @@ def _reusable(run: _Run, tokenizer: str,
         digest = outputs.get(path.name, inputs.get(path.name))
         if not isinstance(recorded, dict) or recorded.get("key") != key or digest is None:
             continue
+        sha = hashlib.sha256()
         try:
-            raw = path.read_bytes()
-            if hashlib.sha256(raw).hexdigest() != digest:
-                continue
-            found[side] = load_embeddings(path, raw)
+            loaded = load_embeddings(path, digest=sha.update)
         except (OSError, JoinError):
             continue
+        if sha.hexdigest() != digest:
+            continue
+        found[side] = loaded
         run.manifest.add_input(path, digest)
         run.manifest.embeddings[path.name]["reused"] = True
     return found
@@ -507,7 +509,9 @@ def cmd_join(
             with run.stage("embed"):
                 for side, (model, vocab, ids) in features.items():
                     embeddings[side] = embed_dataset(model, datasets[side], features=(vocab, ids))
-        del features, ids
+        # The scan needs only the embeddings: the records, the models and
+        # the token ids are not held through it.
+        del datasets, features, ids, model, vocab
         for side in embedded:
             save_embeddings(embeddings[side], files[side])
             run.wrote(files[side])
@@ -661,7 +665,7 @@ def cmd_pipeline(
             ref: embed_dataset(model, ds, features=(vocab, side))
             for (ref, ds), side in zip(datasets.items(), ids)
         }
-    del ids
+    del datasets, ids, model, vocab
     with run.stage("chain"):
         stages: list[tuple[JoinSpec, EmbeddingIndex]] = [
             (spec, build_index(embeddings[spec.aux_ref], metric=config.distance))  # type: ignore[arg-type]

@@ -1,6 +1,7 @@
 """Record and dataset types, CSV/JSONL ingestion, and the CSV table layer:
 every CSV file the engine reads goes through ``read_table``, and every one
-it writes through ``table_writer``.
+it writes through ``table_writer``, or ``table_field`` for a writer that
+renders each distinct cell once.
 
 Datasets are immutable after load; readers may share them freely across
 threads. All field values are stored as strings (numeric cells keep their
@@ -144,14 +145,27 @@ def read_table(path: str | Path) -> Iterator[tuple[int, list[str]]]:
             start = reader.line_num + 1
 
 
+def quotes_all(cells: Iterable[object]) -> bool:
+    """Whether a table holding ``cells`` (every cell the file will hold)
+    quotes every field. Minimal quoting leaves a bare "\\r" unquoted, which
+    a reader takes for a line end, so one cell holding it quotes them all."""
+    return any("\r" in str(cell) for cell in cells)
+
+
 def table_writer(fh: TextIO, cells: Iterable[object]):
-    """A CSV writer onto ``fh`` with "\\n" line ends and minimal quoting.
-    Minimal quoting leaves a bare "\\r" unquoted, which a reader takes for
-    a line end, so if any of ``cells`` (every cell the file will hold)
-    contains one, every field of the file is quoted."""
-    quote_all = any("\r" in str(cell) for cell in cells)
+    """A CSV writer onto ``fh`` with "\\n" line ends and minimal quoting, or
+    every field quoted when ``quotes_all(cells)``."""
     return csv.writer(fh, lineterminator="\n",
-                      quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL)
+                      quoting=csv.QUOTE_ALL if quotes_all(cells) else csv.QUOTE_MINIMAL)
+
+
+def table_field(text: str, quote_all: bool) -> str:
+    """``text`` as a field of a ``table_writer`` row with more than one
+    field: quoted, its quotes doubled, under ``quote_all`` or when it holds
+    a ",", a '"' or a "\\n"."""
+    if quote_all or "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_table(path: str | Path, header: Sequence[object],

@@ -217,7 +217,8 @@ def embed_dataset(
     forward pass in blocks of about ``_EMBED_CELLS`` floats, and never in
     one-row blocks (unless the dataset has one row): numpy multiplies a
     single row with gemv, whose last bits differ from gemm's, while with two
-    or more rows a row's bits do not depend on its block.
+    or more rows a row's bits do not depend on its block. The blocks share
+    one pooling buffer and write their outputs straight into the result.
     """
     if features is None:
         vocab, (ids,) = token_ids([dataset], tokenizer)
@@ -229,8 +230,15 @@ def embed_dataset(
     n = len(ids)
     vectors = np.empty((n, model.dim))
     parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
-    for block in np.array_split(np.arange(n), parts):
-        vectors[block] = _forward_group(model, [rows[ids[i]] for i in block])[1]
+    # The blocks of np.array_split: the first n % parts hold one row more.
+    size, extra = divmod(n, parts)
+    pooled = np.empty((size + (extra > 0), model.dim))
+    start = 0
+    for part in range(parts):
+        stop = start + size + (part < extra)
+        _forward_group(model, [rows[ids[i]] for i in range(start, stop)],
+                       pooled[: stop - start], vectors[start:stop])
+        start = stop
     return tuple(rec.id for rec in dataset.records), vectors
 
 
@@ -279,7 +287,8 @@ class _Grads:
     table_idx: np.ndarray   # unique table rows touched, not bucket ids
     table_rows: np.ndarray  # (len(table_idx), dim)
 
-def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray]):
+def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray],
+                   pooled: np.ndarray | None = None, out: np.ndarray | None = None):
     """Embed a group of sentences: ``(E, X, R, counts, scale)``, the pooled
     rows, the outputs, the projected rows' norms, the token counts and the
     mask of scaled rows, which ``_backward_group`` takes back.
@@ -287,24 +296,31 @@ def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray]):
     ``scale`` is None when every sentence is nonempty and, under
     ``normalize``, every projected row's norm is above ``_TINY``: the
     common case, which works on whole arrays. Otherwise only the masked
-    rows are scaled, and the empty sentences' outputs are zero.
+    rows are scaled, and the empty sentences' outputs are zero. The
+    projected rows are scaled in place, so they become X. ``pooled`` and
+    ``out``, when given, are ``(n, dim)`` arrays that E and X are written
+    to: ``embed_dataset`` passes one pooling buffer for all of its blocks
+    and each block's rows of its output, so no block allocates either.
     """
     n = len(bucket_arrays)
-    E = np.zeros((n, model.dim))
+    E = np.empty((n, model.dim)) if pooled is None else pooled
     counts = np.fromiter((b.size for b in bucket_arrays), np.int64, n)
     for i, buckets in enumerate(bucket_arrays):
         if buckets.size:
             np.divide(model.table.take(buckets, axis=0).sum(axis=0), buckets.size, out=E[i])
-    U = E @ model.projection + model.bias
-    R = np.sqrt(np.einsum("ij,ij->i", U, U))
+        else:
+            E[i] = 0.0
+    X = np.matmul(E, model.projection, out=out)
+    X += model.bias
+    R = np.sqrt(np.einsum("ij,ij->i", X, X))
     nonempty = counts > 0
     scale = nonempty & (R > _TINY) if model.normalize else nonempty
     if scale.all():
-        X = U / R[:, None] if model.normalize else U
+        if model.normalize:
+            X /= R[:, None]
         return E, X, R, counts, None
-    X = U.copy()
     if model.normalize:
-        X[scale] = U[scale] / R[scale, None]
+        X[scale] /= R[scale, None]
     X[~nonempty] = 0.0
     return E, X, R, counts, scale
 

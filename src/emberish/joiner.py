@@ -1,30 +1,39 @@
 """Embedding index, exact k-NN retrieval, and join-type semantics.
 
 The index is an exact scan over query blocks: for l2, one matrix product
-per block shortlists candidates that the difference formula re-scores,
-so scores never depend on the block. ``rank_pairs`` ranks candidates for
-every scorer, ties by ascending id: ``topk`` hands it a dense block of
-scores, the l2 scan only its re-scored shortlist. An approximate backend
-may replace the scan only if it passes the exactness suite at recall 1.0
-or marks its output as approximate. Built indexes are read-only and safe to query concurrently.
+per block, of the queries scaled by -2, shortlists candidates that the
+difference formula re-scores, so scores never depend on the block. The
+block is partitioned for each query's k-th best a few rows at a time in
+one cache-sized scratch, and each chunk's shortlist is taken while it is
+in cache. ``rank_pairs`` ranks candidates for every scorer, ties by
+ascending id: ``topk`` hands it a dense block of scores, the l2 scan only
+its re-scored shortlist. An approximate backend may replace the scan only
+if it passes the exactness suite at recall 1.0 or marks its output as
+approximate. Built indexes are read-only and safe to query concurrently.
 
 Every join returns a columnar ``JoinResult``: the two id tuples plus
 per-row arrays of base and aux position (-1 for an ABSENT side), rank,
 score and direction. The arrays go from ``_search`` to ``result.csv`` and
-into the metrics with no per-row object.
+into the metrics with no per-row object; the file renders each distinct
+id once.
+
+An embeddings file is parsed as it is read, and a caller that checks its
+digest hashes the same bytes, so a reused side is held once.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
-from .data import atomic_write, read_table, table_writer
+from .data import atomic_write, quotes_all, read_table, table_field
 from .joinspec import JoinSpec, JoinType
 
 Metric = Literal["l2", "inner_product"]
@@ -36,9 +45,9 @@ Embeddings = tuple[Sequence[str], np.ndarray]
 # index more often: at 2^16 a 2k-over-10k scan took about twice as long.
 _BLOCK_CELLS = 1 << 19
 # Floats per re-scoring step of the l2 shortlist and per partitioned chunk
-# of a topk block (0.5 MB).
+# of an l2 or topk block (0.5 MB).
 _RESCORE_CELLS = 1 << 16
-# Rows per chunk of a result file that is formatted in memory.
+# Rows per chunk of a result file, formatted and streamed to the file.
 _WRITE_ROWS = 1 << 14
 
 
@@ -132,11 +141,15 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
                         f"dimension {index.dimension}")
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
     step = max(1, _BLOCK_CELLS // index.n)
-    # One block of scores, and for l2 its partitioned copy, serve every query
-    # block: blocks allocated afresh each time were returned to the system
-    # and paged in again.
+    # One block of scores serves every query block, and for l2 one chunk of
+    # a few rows serves every partition: arrays allocated afresh each time
+    # were returned to the system and paged in again.
     product = np.empty((min(step, len(queries)), index.n))
-    partitioned = np.empty_like(product) if index.metric == "l2" else None
+    if index.metric == "l2":
+        scaled = np.empty((len(product), index.dimension))
+        chunk = max(1, _RESCORE_CELLS // index.n)
+        partitioned = np.empty((min(chunk, len(product)), index.n))
+        shortlisted = np.empty(partitioned.shape, bool)
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         if index.metric == "inner_product":
@@ -151,17 +164,24 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
             # less than E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate
             # that can beat the k-th best lies within 2E of the k-th shortlist
             # score; the band is twice that. Scaling by -2 is exact, so the
-            # in-place form has the bits of ||x||^2 - 2 (q.x).
-            approx = np.matmul(block, index.vectors.T, out=product[: len(block)])
-            approx *= -2.0
+            # product of the scaled block has the bits of ||x||^2 - 2 (q.x).
+            np.multiply(block, -2.0, out=scaled[: len(block)])
+            approx = np.matmul(scaled[: len(block)], index.vectors.T, out=product[: len(block)])
             approx += index._sq_norms
             last = min(k, index.n) - 1
-            ordered = partitioned[: len(block)]
-            ordered[:] = approx
-            ordered.partition(last, axis=1)
             tol = 16.0 * (index.dimension + 4) * np.finfo(np.float64).eps
             band = tol * (np.einsum("ij,ij->i", block, block) + index._sq_norms.max())
-            rows, cols = np.nonzero(approx <= (ordered[:, last] + band)[:, None])
+            # Each chunk of rows is partitioned and masked while it is in cache.
+            shortlist = []
+            for at in range(0, len(block), chunk):
+                part = approx[at : at + chunk]
+                ordered = partitioned[: len(part)]
+                ordered[:] = part
+                ordered.partition(last, axis=1)
+                mask = np.less_equal(part, (ordered[:, last] + band[at : at + chunk])[:, None],
+                                     out=shortlisted[: len(part)])
+                shortlist.append(np.flatnonzero(mask) + at * index.n)
+            rows, cols = np.divmod(np.concatenate(shortlist), index.n)
             scores = np.empty(rows.size)
             pairs = _RESCORE_CELLS // index.dimension + 1
             for at in range(0, rows.size, pairs):
@@ -215,22 +235,23 @@ class JoinResult:
                    np.frombuffer(score, np.float64), np.zeros(len(rank), bool))
 
     def _write_rows(self, fh: TextIO) -> None:
-        """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time;
-        all of its ids, not one chunk's, decide the quoting."""
-        writer = table_writer(fh, (*self.base_ids, *self.aux_ids))
-        writer.writerow(["base_id", "aux_id", "rank", "score"])
-        base_ids = np.array([*self.base_ids, ""], dtype=object)
-        aux_ids = np.array([*self.aux_ids, ""], dtype=object)
+        """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time,
+        each distinct id rendered once; all of the file's ids, not one
+        chunk's, decide the quoting."""
+        quote_all = quotes_all(chain(self.base_ids, self.aux_ids))
+        # The last field of each side is its ABSENT one, at position -1.
+        base_ids = [table_field(rid, quote_all) for rid in (*self.base_ids, "")]
+        aux_ids = [table_field(rid, quote_all) for rid in (*self.aux_ids, "")]
+        q = '"' if quote_all else ""  # the header, ranks and scores need no other quotes
+        fh.write(f"{q}base_id{q},{q}aux_id{q},{q}rank{q},{q}score{q}\n")
         for at in range(0, self.rank.size, _WRITE_ROWS):
             rows = slice(at, at + _WRITE_ROWS)
             base, aux = self.base[rows], self.aux[rows]
             absent = ((base < 0) | (aux < 0)).tolist()
-            writer.writerows(zip(
-                base_ids[base].tolist(),
-                aux_ids[aux].tolist(),
-                self.rank[rows].tolist(),
-                ["" if gone else repr(s) for s, gone in zip(self.score[rows].tolist(), absent)],
-            ))
+            fh.writelines(f"{base_ids[b]},{aux_ids[a]},{q}{r}{q},{q}{'' if gone else repr(s)}{q}\n"
+                          for b, a, r, s, gone in zip(base.tolist(), aux.tolist(),
+                                                      self.rank[rows].tolist(),
+                                                      self.score[rows].tolist(), absent))
 
     def write_csv(self, path: str | Path) -> None:
         """Stream the result file through ``atomic_write``."""
@@ -420,44 +441,50 @@ def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
             fh.write(_EMB_ID_LEN.pack(len(encoded)) + encoded + row.tobytes())
 
 
-def load_embeddings(path: str | Path, raw: bytes | None = None) -> Embeddings:
-    """Read an embeddings file that ``save_embeddings`` wrote, or parse
-    ``raw``, its bytes, when the caller has read them. Raises ``JoinError``
-    on a bad magic or version, a truncated record, an id that is not UTF-8
-    or bytes after the last record."""
+def load_embeddings(path: str | Path,
+                    digest: Callable[[bytes], object] | None = None) -> Embeddings:
+    """Read an embeddings file that ``save_embeddings`` wrote, record by
+    record from the open file; with ``digest``, such as a ``hashlib``
+    object's ``update``, every byte parsed is passed to it too, so a caller
+    can hash the file without a second copy of it. Raises ``JoinError`` on a bad magic or
+    version, a record count the file cannot hold (checked before the
+    vectors are allocated), a truncated record, an id that is not UTF-8 or
+    bytes after the last record."""
     path = Path(path)
-    if raw is None:
-        raw = path.read_bytes()
-    if len(raw) < _EMB_HEADER.size:
-        raise JoinError(f"{path}: truncated embeddings file")
-    magic, version, count, dim = _EMB_HEADER.unpack_from(raw)
-    if magic != _EMB_MAGIC:
-        raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
-    if version != EMBEDDINGS_VERSION:
-        raise JoinError(f"{path}: unsupported embeddings version {version}")
-    offset = _EMB_HEADER.size
-    if offset + count * (_EMB_ID_LEN.size + 8 * dim) > len(raw):
-        raise JoinError(f"{path}: truncated embeddings file")
-    ids: list[str] = []
-    vectors = np.empty((count, dim), dtype="<f8")
-    rows = memoryview(vectors.view(np.uint8).reshape(-1))
-    source, row_bytes = memoryview(raw), 8 * dim
-    for i in range(count):
-        if offset + _EMB_ID_LEN.size > len(raw):
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
+
+        def read(n: int) -> bytes:
+            nonlocal offset
+            data = fh.read(n) if offset + n <= size else b""
+            if len(data) != n:
+                raise JoinError(f"{path}: truncated embeddings file")
+            if digest is not None:
+                digest(data)
+            offset += n
+            return data
+
+        magic, version, count, dim = _EMB_HEADER.unpack(read(_EMB_HEADER.size))
+        if magic != _EMB_MAGIC:
+            raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
+        if version != EMBEDDINGS_VERSION:
+            raise JoinError(f"{path}: unsupported embeddings version {version}")
+        row_bytes = 8 * dim
+        if offset + count * (_EMB_ID_LEN.size + row_bytes) > size:
             raise JoinError(f"{path}: truncated embeddings file")
-        (id_len,) = _EMB_ID_LEN.unpack_from(raw, offset)
-        offset += _EMB_ID_LEN.size
-        if offset + id_len + row_bytes > len(raw):
-            raise JoinError(f"{path}: truncated embeddings file")
-        try:
-            ids.append(raw[offset : offset + id_len].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise JoinError(f"{path}: record {i} has an id that is not UTF-8") from None
-        offset += id_len
-        rows[i * row_bytes : (i + 1) * row_bytes] = source[offset : offset + row_bytes]
-        offset += row_bytes
-    if offset != len(raw):
-        raise JoinError(f"{path}: {len(raw) - offset} trailing bytes after the last record")
+        ids: list[str] = []
+        vectors = np.empty((count, dim), dtype="<f8")
+        rows = memoryview(vectors.view(np.uint8).reshape(-1))
+        for i in range(count):
+            (id_len,) = _EMB_ID_LEN.unpack(read(_EMB_ID_LEN.size))
+            try:
+                ids.append(read(id_len).decode("utf-8"))
+            except UnicodeDecodeError:
+                raise JoinError(f"{path}: record {i} has an id that is not UTF-8") from None
+            rows[i * row_bytes : (i + 1) * row_bytes] = read(row_bytes)
+    if offset != size:
+        raise JoinError(f"{path}: {size - offset} trailing bytes after the last record")
     return tuple(ids), vectors
 
 

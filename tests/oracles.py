@@ -3,7 +3,8 @@
 Each helper here is a slow or one-at-a-time form of something the engine
 does in bulk: one query's top-k, one document's BM25 score, one sentence's
 embedding, the loss of a batch with every sentence embedded alone, the
-rows of a result as objects and a result file as text. Tests compare the
+rows of a result as objects and a result file as text, written by
+``write_csv`` or by a plain ``csv.writer``. Tests compare the
 engine's bulk paths against them.
 
 The training step is also here in a plain form (``forward_group``,
@@ -15,6 +16,7 @@ engine's step must equal it bit for bit.
 
 from __future__ import annotations
 
+import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
@@ -93,6 +95,20 @@ def to_csv_text(result: JoinResult) -> str:
     """The result file as text, as ``write_csv`` writes it."""
     buf = io.StringIO()
     result._write_rows(buf)
+    return buf.getvalue()
+
+
+def csv_writer_text(result: JoinResult) -> str:
+    """The result file as a plain ``csv.writer`` writes it, row by row: "\\n"
+    line ends, and every field quoted exactly when an id holds "\\r"."""
+    buf = io.StringIO()
+    carriage = any("\r" in rid for rid in (*result.base_ids, *result.aux_ids))
+    writer = csv.writer(buf, lineterminator="\n",
+                        quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
+    writer.writerow(["base_id", "aux_id", "rank", "score"])
+    for m in matches(result):
+        writer.writerow([m.base_id or "", m.aux_id or "", m.rank,
+                         "" if m.absent else repr(m.score)])
     return buf.getvalue()
 
 

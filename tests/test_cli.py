@@ -366,6 +366,18 @@ def bump_last_float(path):
     path.write_bytes(bytes(raw))
 
 
+def flip_middle_byte(path):
+    """Flip the lowest bit of the byte in the middle of a file."""
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+def truncate(path, n):
+    """Drop the last ``n`` bytes of a file."""
+    path.write_bytes(path.read_bytes()[:-n])
+
+
 def append_row(path):
     """Add one record to a generated dataset (id column first)."""
     width = len(read_rows(path)[0])
@@ -447,6 +459,10 @@ class TestEmbeddingsReuse:
         "tokenizer": (lambda d: None, 1, ["base", "aux"], {"tokenizer": "char2gram"}, None),
         "embeddings-file": (lambda d: bump_last_float(d / "embeddings_base.bin"), 1, ["base"],
                             {}, None),
+        "embeddings-file-one-byte": (lambda d: flip_middle_byte(d / "embeddings_aux.bin"), 1,
+                                     ["aux"], {}, None),
+        "embeddings-file-truncated": (lambda d: truncate(d / "embeddings_aux.bin", 1), 1,
+                                      ["aux"], {}, None),
         "manifest-deleted": (lambda d: (d / "manifest_join.json").unlink(), 1, ["base", "aux"],
                              {}, None),
         "manifest-corrupt": (lambda d: (d / "manifest_join.json").write_text('{"inputs": '),

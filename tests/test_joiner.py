@@ -1,8 +1,10 @@
 """Index retrieval exactness, join semantics algebra, chaining, aggregation."""
 
+import hashlib
 import struct
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from emberish.joiner import (
 from emberish.data import SupervisionPair
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
-from oracles import for_base, knn, matched_pairs, matches, to_csv_text
+from oracles import csv_writer_text, for_base, knn, matched_pairs, matches, to_csv_text
 
 
 # Record ids with the characters CSV must quote, and any other non-empty text.
@@ -158,7 +160,9 @@ class TestTopk:
 
 
 class TestBlockedScan:
-    @pytest.mark.parametrize("rescore_cells", [joiner._RESCORE_CELLS, 5])
+    # Re-scoring steps of 5, 12, 24 and 36 cells over the 12 index rows put
+    # 1, 1, 2 and 3 query rows in each partitioned chunk of an l2 block.
+    @pytest.mark.parametrize("rescore_cells", [joiner._RESCORE_CELLS, 5, 12, 24, 36])
     @pytest.mark.parametrize("metric", ["l2", "inner_product"])
     def test_multi_block_join_equals_per_query_knn(self, metric, rescore_cells, monkeypatch):
         rng = np.random.default_rng(70)
@@ -166,22 +170,29 @@ class TestBlockedScan:
         aux[1][7] = aux[1][2]  # a duplicated index vector
         shared = rng.normal(size=3)
         base = [(f"b{i:02d}", rng.normal(size=3)) for i in range(11)]
-        # Equal queries on both sides of the boundary between 4-row blocks.
+        # Equal queries on both sides of the boundary between 4-row blocks,
+        # and on both sides of every chunk boundary within rows 4 to 7.
         base[3] = ("b03", shared.copy())
         base[4] = ("b04", shared.copy())
-        monkeypatch.setattr(joiner, "_BLOCK_CELLS", 4 * len(aux))
+        tied = rng.normal(size=3)
+        for i in (5, 6, 7):
+            base[i] = (f"b{i:02d}", tied.copy())
+        n = len(aux[0])
+        monkeypatch.setattr(joiner, "_BLOCK_CELLS", 4 * n)
         monkeypatch.setattr(joiner, "_RESCORE_CELLS", rescore_cells)
-        s = spec(JoinType.LEFT, right=3)
-        result = execute_join(s, pair(base), aux, metric=metric, threshold=None)
         index = build_index(aux, metric)
-        expected = [(bid, aid, rank, score) for bid, vec in base
-                    for rank, (aid, score) in enumerate(knn(index, vec, 3), start=1)]
-        got = [(m.base_id, m.aux_id, m.rank, m.score) for m in matches(result)]
-        assert got == expected
-        if metric == "l2":
-            oracle = [sorted(((float(np.linalg.norm(v - q)), aid) for aid, v in zip(*aux)))[:3]
-                      for _, q in base]
-            assert [aid for _, aid, _, _ in got] == [aid for o in oracle for _, aid in o]
+        for k in (3, n + 2):  # k above the index size keeps every record
+            result = execute_join(spec(JoinType.LEFT, right=k), pair(base), aux, metric=metric,
+                                  threshold=None)
+            expected = [(bid, aid, rank, score) for bid, vec in base
+                        for rank, (aid, score) in enumerate(knn(index, vec, k), start=1)]
+            got = [(m.base_id, m.aux_id, m.rank, m.score) for m in matches(result)]
+            assert got == expected
+            assert len(got) == len(base) * min(k, n)
+            if metric == "l2":
+                oracle = [sorted(((float(np.linalg.norm(v - q)), aid)
+                                  for aid, v in zip(*aux)))[:k] for _, q in base]
+                assert [aid for _, aid, _, _ in got] == [aid for o in oracle for _, aid in o]
 
     @pytest.mark.parametrize("rescore_cells", [joiner._RESCORE_CELLS, 5])
     @pytest.mark.parametrize("threshold", [None, 1.5])
@@ -232,6 +243,27 @@ class TestBlockedScan:
         for k in (1, 5, 12, 41):
             assert [rid for rid, _ in knn(index, query, k)] == [rid for _, rid in expected[:k]]
 
+    def test_each_chunk_takes_its_own_rows_band(self, monkeypatch):
+        # Forty records at one distance from a query 1e6 from the origin, up
+        # to rounding: the shortlist product rounds by about 1e-10 there, and
+        # only that query's band, not that of the query at the origin in the
+        # chunk before it, keeps the true best.
+        rng = np.random.default_rng(81)
+        far = vec(1e6, 0.0)
+        theta = np.pi + rng.uniform(-1e-6, 1e-6, size=40)
+        vectors = far + (1e6 - 1.0) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        ids = [f"r{i:02d}" for i in range(40)]
+        queries = np.array([[0.0, 0.0], far])
+        monkeypatch.setattr(joiner, "_RESCORE_CELLS", len(ids))  # one query row per chunk
+        for k in (1, 3, 5):
+            rows, cols, scores = joiner._search(build_index((ids, vectors)), queries, k, None)
+            for q, query in enumerate(queries):
+                diff = vectors - query
+                exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                got = [(sc, ids[c]) for sc, c in zip(scores[rows == q].tolist(),
+                                                     cols[rows == q].tolist())]
+                assert got == sorted(zip(exact.tolist(), ids))[:k], (k, q)
+
     def test_scores_are_the_difference_formula_bits(self):
         rng = np.random.default_rng(90)
         unit = lambda v: v / np.linalg.norm(v)
@@ -259,11 +291,12 @@ class TestBlockedScan:
                                                    ("inner_product", None)])
     def test_scan_holds_its_output_and_a_few_blocks(self, metric, threshold):
         # tracemalloc sees numpy's buffers. An l2 scan holds a 4 MB block of
-        # scores and its partitioned copy; an inner-product scan holds the
-        # block and topk's key, which is partitioned a few rows at a time.
-        # The output is counted twice, as its per-block parts and their
-        # concatenation. 64 candidates of 64 floats per query make the
-        # shortlist re-scoring as large as a block if it is done in one step.
+        # scores and partitions it a few rows at a time in a 0.5 MB chunk;
+        # an inner-product scan holds the block and topk's key, which is
+        # partitioned a few rows at a time. The output is counted twice, as
+        # its per-block parts and their concatenation. 64 candidates of 64
+        # floats per query make the shortlist re-scoring as large as a block
+        # if it is done in one step.
         rng = np.random.default_rng(95)
         index = build_index(grid_embeddings("r", 2048, 64, 96), metric)
         queries = rng.normal(size=(1024, 64))
@@ -276,7 +309,8 @@ class TestBlockedScan:
         if threshold is not None:
             assert 0 < rows.size < 1024 * 64
         output = rows.nbytes + cols.nbytes + scores.nbytes
-        assert peak <= 2 * output + 2.5 * 8 * (1 << 19)
+        blocks = 1.75 if metric == "l2" else 2.5
+        assert peak <= 2 * output + blocks * 8 * (1 << 19)
 
 
 def spec(join_type, left=1, right=1):
@@ -808,6 +842,22 @@ class TestResultCsv:
         assert loaded.score.view(np.int64).tolist() == expected.score.view(np.int64).tolist()
         assert loaded.path is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), pool=st.lists(record_ids, min_size=1, max_size=5),
+           write_rows=st.sampled_from([1, 2, joiner._WRITE_ROWS]))
+    def test_text_equals_a_plain_csv_writer(self, data, pool, write_rows):
+        # Ids drawn again and again from a few (``record_ids`` favours ",",
+        # '"', "\n", "\r", spaces and non-ASCII text), with ABSENT sides,
+        # written one, two or 2^14 rows at a time.
+        side = st.one_of(st.none(), st.sampled_from(pool))
+        rows = data.draw(st.lists(st.tuples(side, side, st.integers(1, 2**40),
+                                            st.floats(allow_nan=False)), max_size=30))
+        rows = [(b, a, r, s) if b is not None and a is not None else (b, a, 0, float("nan"))
+                for b, a, r, s in rows]
+        result = JoinResult.from_ids(rows)
+        with patch.object(joiner, "_WRITE_ROWS", write_rows):
+            assert to_csv_text(result) == csv_writer_text(result)
+
     def test_reading_holds_the_columns_and_a_few_mb(self, tmp_path):
         # 100k rows: 10k base records with 10 matches each among 2k aux records.
         n = 100_000
@@ -903,6 +953,10 @@ def full_disk(monkeypatch, room):
                 raise OSError(28, "No space left on device")
             return self.fh.write(data)
 
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
         def __enter__(self):
             return self
 
@@ -965,6 +1019,28 @@ class TestEmbeddingsFile:
         monkeypatch.undo()
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
+
+    @pytest.mark.parametrize("header, match", [
+        (struct.pack("<4sIQQ", b"KJEX", 1, 3, 4), "bad magic"),
+        (struct.pack("<4sIQQ", b"KJEB", 2, 3, 4), "unsupported embeddings version 2"),
+        # A count no file could hold is refused before the vectors exist.
+        (struct.pack("<4sIQQ", b"KJEB", 1, 1 << 40, 4), "truncated"),
+    ])
+    def test_a_bad_header_is_rejected(self, tmp_path, header, match):
+        path = tmp_path / "emb.bin"
+        save_embeddings(grid_embeddings("e", 3, 4, 55), path)
+        path.write_bytes(header + path.read_bytes()[len(header):])
+        with pytest.raises(JoinError, match=match):
+            load_embeddings(path, digest=hashlib.sha256().update)
+
+    def test_the_digest_is_fed_every_byte_of_the_file(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        emb = (("e0", "caf\u00e9"), np.arange(6.0).reshape(2, 3))
+        save_embeddings(emb, path)
+        sha = hashlib.sha256()
+        ids, vectors = load_embeddings(path, digest=sha.update)
+        assert sha.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert ids == emb[0] and np.array_equal(vectors, emb[1])
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
