@@ -53,8 +53,7 @@ import numpy as np
 from .data import Dataset, SupervisionPair, SupervisionTriple, atomic_write
 from .joiner import Embeddings
 from .joinspec import EngineConfig
-from .lexrank import dataset_bm25_index
-from .prepare import token_ids
+from .prepare import Features, token_ids
 from .supervise import (
     SamplerConfig,
     build_pretraining_pairs,
@@ -521,7 +520,7 @@ def train(
     shared: bool = True,
     triple_provider: TripleProvider | None = None,
     tokenizer: str = "whitespace",
-    features: tuple[Sequence[str], Sequence[Sequence[np.ndarray]]] | None = None,
+    features: Features | None = None,
 ) -> TrainResult:
     """Mini-batch triplet training with Adam.
 
@@ -690,7 +689,7 @@ def fit_encoder(
     pretrain: bool = False,
     freeze_negatives: bool = False,
     init_model: EncoderModel | None = None,
-    features: tuple[Sequence[str], Sequence[Sequence[np.ndarray]]] | None = None,
+    features: Features | None = None,
 ) -> FitResult:
     """End-to-end encoder fitting per the engine configuration.
 
@@ -700,8 +699,10 @@ def fit_encoder(
     BM25-paired triples before the supervised stage. Supervision is
     checked before any training starts. Every record is featurized once,
     by ``features`` (``prepare.token_ids([base, aux], config.tokenizer)``,
-    computed here when absent), and the model (unless ``init_model`` is
-    given) holds only the table rows of its vocabulary.
+    computed here when absent), which the pretraining pairs and the sampler
+    tiers rank too; only under ``char2gram`` do they featurize again, with
+    whitespace tokens. The model (unless ``init_model`` is given) holds
+    only the table rows of its vocabulary.
     """
     if features is None:
         features = token_ids([base, aux], config.tokenizer)
@@ -739,15 +740,15 @@ def fit_encoder(
                 supervision = random.Random(config.seed).sample(supervision, keep)
             pairs = supervision  # type: ignore[assignment]
 
-    # The pretraining pairs and the BM25 tiers query one aux index. Both are
-    # drawn before any training, so the index is freed before training runs.
-    needs_index = pretrain or (pairs is not None and config.sampler == "stratified_bm25")
-    index = dataset_bm25_index(aux) if needs_index else None
+    tiered = pairs is not None and config.sampler != "random"
+    lexical = features
+    if config.tokenizer != "whitespace" and (pretrain or tiered):
+        lexical = token_ids([base, aux])
     if pretrain:
-        ptriples = build_pretraining_pairs(base, aux, seed=config.seed, index=index)
+        ptriples = build_pretraining_pairs(base, aux, seed=config.seed, features=lexical)
     if pairs is not None:
-        tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler), index)
-    del index
+        tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler), lexical)
+    del lexical
 
     if pretrain:
         result = train(model, ptriples, base, aux, tcfg, shared=True, features=features)

@@ -398,11 +398,12 @@ def chain_joins(
     # Frontier: a query vector per (origin, hop path so far), each hop's index position.
     origins = np.arange(len(base_ids))
     hops: list[np.ndarray] = []
-    for spec, index in stages:
+    for step, (spec, index) in enumerate(stages, start=1):
         rows, cols, scores = _search(index, queries, spec.right_size, None)
         origins = origins[rows]
         hops = [hop[rows] for hop in hops] + [cols]
-        queries = index.vectors[cols]
+        if step < len(stages):  # the last hop's matches query nothing
+            queries = index.vectors[cols]
 
     # Re-rank final matches per origin record, ties by endpoint id, then (a
     # stable sort) by frontier order; path keeps one id per hop before the endpoint.

@@ -6,24 +6,24 @@ variant ln((N - df + 0.5)/(df + 0.5) + 1), so scores never go negative.
 A built index is immutable; scoring it from many threads is safe.
 
 Every lexical ranking goes through ``rank``: queries scored in blocks,
-one ``joiner.topk`` per block. BM25 and Jaccard score a query against
-every document from posting lists (token -> ascending positions of the
-documents holding it), with one ``np.bincount`` over its tokens' postings:
+one ``joiner.topk`` per block. BM25 and Jaccard score a query, as its
+``prepare.token_ids`` vocabulary ids, against every document from CSR
+posting lists per id, with one ``np.bincount`` over its ids' postings:
 weighted by BM25 contributions in ``Bm25Index.scores``, counting |A ∩ B|
 in ``jaccard_topk``. LD scores by edit distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Collection, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .joiner import JoinResult, id_ranks, ranked_columns, topk
-from .prepare import prepare_sentence, tokenize
+from .prepare import code_tokens, token_ids, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
 # The baselines that compare a key column; the others compare whole records.
@@ -45,79 +45,63 @@ class LexError(ValueError):
     """Bad kernel input (duplicate doc ids, missing key column, unknown kind)."""
 
 
+def _invert(docs: Sequence[np.ndarray], vocab_size: int) -> tuple[np.ndarray, ...]:
+    """CSR posting lists over ids below ``vocab_size``: ``indptr``, then per
+    distinct (token, document) pair in token-then-position order, the
+    document's position and the token's count in it; and each doc's length."""
+    n = max(len(docs), 1)
+    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
+    tokens = np.concatenate([np.zeros(0, np.int64), *docs])
+    keys, counts = np.unique(tokens * n + np.repeat(np.arange(len(docs)), lengths),
+                             return_counts=True)
+    indptr = np.zeros(vocab_size + 1, np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=vocab_size), out=indptr[1:])
+    return indptr, keys % n, counts, lengths
+
+
 @dataclass
 class Bm25Index:
+    """Okapi BM25 over documents of vocabulary ids. ``postings[t]`` is id
+    ``t``'s slice of the index's CSR arrays: the ascending positions of the
+    documents holding it and its score contribution to each."""
+
     ids: tuple[str, ...]
-    avgdl: float
-    df: dict[str, int]
     id_rank: np.ndarray  # for tie-breaking
-    # token -> (doc positions, per-occurrence score contribution)
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    postings: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def n_docs(self) -> int:
         return len(self.ids)
 
-    def idf(self, token: str) -> float:
-        n_t = self.df.get(token, 0)
-        return float(np.log((self.n_docs - n_t + 0.5) / (n_t + 0.5) + 1.0))
-
-    def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
-        """Every document's score; query tokens count per occurrence, their
+    def scores(self, query: np.ndarray) -> np.ndarray:
+        """Every document's score; query ids count per occurrence, their
         contributions added to each document in query order."""
-        hits = [self.postings[tok] for tok in query_tokens if tok in self.postings]
+        hits = [self.postings[t] for t in query.tolist()]
         if not hits:
             return np.zeros(self.n_docs)
         positions, contribs = (np.concatenate(part) for part in zip(*hits))
-        return np.bincount(positions, weights=contribs, minlength=self.n_docs)
+        # Without postings, bincount gives ints even with weights.
+        scores = np.bincount(positions, weights=contribs, minlength=self.n_docs)
+        return scores.astype(np.float64, copy=False)
 
 
-def _term_contribution(index: Bm25Index, token: str, freq: int, doc_len: int) -> float:
-    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (doc_len / index.avgdl if index.avgdl > 0 else 0.0))
-    return index.idf(token) * (freq * (BM25_K1 + 1.0)) / (freq + norm)
-
-
-def _invert(docs: Sequence[Iterable[str]]) -> dict[str, np.ndarray]:
-    """Posting lists: token -> ascending positions of the documents holding
-    it. Each document's tokens must be distinct."""
-    postings: dict[str, list[int]] = {}
-    for pos, tokens in enumerate(docs):
-        for tok in tokens:
-            postings.setdefault(tok, []).append(pos)
-    return {tok: np.array(positions, dtype=np.int64) for tok, positions in postings.items()}
-
-
-def build_bm25_index(docs: Sequence[tuple[str, Sequence[str]]]) -> Bm25Index:
-    """Index tokenized documents; doc ids must be unique."""
-    ids = tuple(doc_id for doc_id, _ in docs)
+def build_bm25_index(ids: Sequence[str], docs: Sequence[np.ndarray],
+                     vocab_size: int) -> Bm25Index:
+    """Index documents given as arrays of vocabulary ids below
+    ``vocab_size``, named by ``ids``, which must be unique."""
+    ids = tuple(ids)
     if len(set(ids)) != len(ids):
         raise LexError("document ids must be unique")
-    freqs: list[dict[str, int]] = []
-    for _, tokens in docs:
-        tf: dict[str, int] = {}
-        for tok in tokens:
-            tf[tok] = tf.get(tok, 0) + 1
-        freqs.append(tf)
-    lengths = np.array([len(tokens) for _, tokens in docs], dtype=np.int64)
-    avgdl = float(lengths.mean()) if len(docs) else 0.0
-    df: dict[str, int] = {}
-    for tf in freqs:
-        for tok in tf:
-            df[tok] = df.get(tok, 0) + 1
-
-    index = Bm25Index(ids=ids, avgdl=avgdl, df=df, id_rank=id_ranks(ids))
-    for tok, positions in _invert(freqs).items():
-        contribs = [_term_contribution(index, tok, freqs[pos][tok], int(lengths[pos]))
-                    for pos in positions.tolist()]
-        index.postings[tok] = (positions, np.array(contribs, dtype=np.float64))
-    return index
-
-
-def dataset_bm25_index(dataset: Dataset) -> Bm25Index:
-    """The BM25 index over a dataset's prepared sentences, as the BM25
-    baseline join, the BM25 sampler tiers and the pretraining pairs query
-    it."""
-    return build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in dataset.records])
+    indptr, positions, tf, lengths = _invert(docs, vocab_size)
+    n, df = len(ids), np.diff(indptr)
+    idf = np.log((n - df + 0.5) / (df + 0.5) + 1.0)
+    avgdl = lengths.mean() if n else 0.0
+    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (lengths[positions] / avgdl))
+    contribs = np.repeat(idf, df) * (tf * (BM25_K1 + 1.0)) / (tf + norm)
+    # Views split once: slicing ``indptr`` per query token is slower.
+    cuts = indptr[1:-1]
+    return Bm25Index(ids, id_ranks(ids), list(zip(np.split(positions, cuts),
+                                                  np.split(contribs, cuts))))
 
 
 def uses_key_column(kind: str) -> bool:
@@ -158,29 +142,31 @@ def jaccard(a: set, b: set) -> float:
 
 
 def jaccard_topk(
-    queries: Iterable[Collection[str]],
-    docs: Sequence[Collection[str]],
+    queries: Iterable[np.ndarray],
+    docs: Sequence[np.ndarray],
+    vocab_size: int,
     k: int,
     id_rank: np.ndarray,
     min_similarity: float | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """``rank`` of the query token sets against the document token sets by
-    Jaccard similarity: descending, ties by ascending ``id_rank``, and only
-    similarities >= ``min_similarity`` when given.
+    """``rank`` of the queries against the documents, as sets of their ids
+    below ``vocab_size``, by Jaccard similarity: descending, ties by
+    ascending ``id_rank``, and only similarities >= ``min_similarity`` when given.
 
     A query's |A ∩ B| against every document is one ``np.bincount`` over
-    the concatenated posting lists of its tokens; |A ∪ B| = |A| + |B| -
-    |A ∩ B|, and two empty sets score 0.0. The quotient of the two small
-    integer counts has the same bits as ``jaccard``'s.
+    the posting lists of its distinct ids; |A ∪ B| = |A| + |B| - |A ∩ B|,
+    and two empty sets score 0.0. The quotient of the two small integer
+    counts has the same bits as ``jaccard``'s.
     """
-    postings = _invert(docs)
-    doc_sizes = np.array([len(doc) for doc in docs], dtype=np.int64)
+    indptr, positions, _, _ = _invert(docs, vocab_size)
+    postings = np.split(positions, indptr[1:-1])
     n = len(docs)
+    doc_sizes = np.bincount(positions, minlength=n)
 
-    def similarities(query: Collection[str]) -> np.ndarray:
-        hits = [postings[tok] for tok in query if tok in postings]
+    def similarities(query: np.ndarray) -> np.ndarray:
+        hits = [postings[t] for t in dict.fromkeys(query.tolist())]
         inter = np.bincount(np.concatenate(hits), minlength=n) if hits else np.zeros(n, np.int64)
-        union = len(query) + doc_sizes - inter
+        union = len(hits) + doc_sizes - inter
         return np.divide(inter, union, out=np.zeros(n), where=union > 0)
 
     keep = None if min_similarity is None else (lambda sims: sims >= min_similarity)
@@ -240,11 +226,7 @@ def lexical_join(
     if kind in KEY_BASELINES and key_column is None:
         raise LexError(f"baseline {kind} requires a key column")
     aux_ids = aux.ids()
-    if kind == "BM25":
-        index = dataset_bm25_index(aux)
-        found = rank((prepare_sentence(r).tokens for r in base.records), index.scores,
-                     index.n_docs, k, index.id_rank, keep=lambda scores: scores > 0.0)
-    elif kind == "LD":
+    if kind == "LD":
         aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
 
         def distances(text: str) -> np.ndarray:
@@ -257,13 +239,19 @@ def lexical_join(
         found = rank((_key_text(r, key_column).lower() for r in base.records), distances,
                      aux.n, k, id_ranks(aux_ids), descending=False,
                      keep=lambda dists: dists <= LD_MAX_DISTANCE)
-    else:  # Jaccard variants.
-        mode = "whitespace" if kind.endswith("WS") else "char2gram"
+    else:
+        mode = "char2gram" if kind.endswith("2G") else "whitespace"
         if kind.startswith("JK"):
-            token_set = lambda r: set(tokenize(_key_text(r, key_column), mode))
+            vocab, (queries, docs) = code_tokens(
+                (tokenize(_key_text(r, key_column), mode) for r in dataset.records)
+                for dataset in (base, aux))
         else:
-            token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
-        found = jaccard_topk((token_set(r) for r in base.records),
-                             [token_set(r) for r in aux.records], k, id_ranks(aux_ids),
-                             JACCARD_MIN_SIMILARITY)
+            vocab, (queries, docs) = token_ids([base, aux], mode)
+        if kind == "BM25":
+            index = build_bm25_index(aux_ids, docs, len(vocab))
+            found = rank(queries, index.scores, index.n_docs, k, index.id_rank,
+                         keep=lambda scores: scores > 0.0)
+        else:
+            found = jaccard_topk(queries, docs, len(vocab), k, id_ranks(aux_ids),
+                                 JACCARD_MIN_SIMILARITY)
     return JoinResult(base.ids(), aux_ids, *ranked_columns(*found))

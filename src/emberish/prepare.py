@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .data import Dataset, Record
 SEPARATOR = "[SEP]"
 
 TOKENIZERS = ("whitespace", "char2gram")
+
+# A vocabulary, then per group (dataset) each record's tokens as vocabulary ids.
+Features = tuple[Sequence[str], Sequence[Sequence[np.ndarray]]]
 
 
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:
@@ -56,16 +59,19 @@ def prepare_sentence(
     return Sentence(record_id=record.id, text=text, tokens=tuple(tokenize(text, tokenizer)))
 
 
-def token_ids(datasets: Sequence[Dataset],
-              tokenizer: str = "whitespace") -> tuple[list[str], list[list[np.ndarray]]]:
-    """The featurization every learned command shares: one vocabulary, the
-    distinct prepared tokens of all ``datasets`` in first-seen order, and
-    per dataset each record's tokens as int64 vocabulary ids, in dataset
-    order."""
+def code_tokens(groups: Iterable[Iterable[Sequence[str]]]) -> Features:
+    """One vocabulary, the distinct tokens of all ``groups`` in first-seen
+    order, and per group each token sequence as int64 vocabulary ids."""
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__  # an unseen token gets the next id
     ids = [[np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
-            for tokens in (prepare_sentence(rec, tokenizer=tokenizer).tokens
-                           for rec in dataset.records)]
-           for dataset in datasets]
+            for tokens in group]
+           for group in groups]
     return list(index), ids
+
+
+def token_ids(datasets: Sequence[Dataset], tokenizer: str = "whitespace") -> Features:
+    """The featurization every command shares: ``code_tokens`` of each
+    dataset's prepared records, in dataset order."""
+    return code_tokens((prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in ds.records)
+                       for ds in datasets)

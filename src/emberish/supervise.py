@@ -20,8 +20,8 @@ from .data import (
     SupervisionTriple,
 )
 from .joiner import id_ranks
-from .lexrank import Bm25Index, dataset_bm25_index, jaccard_topk, rank
-from .prepare import prepare_sentence
+from .lexrank import build_bm25_index, jaccard_topk, rank
+from .prepare import Features, token_ids
 
 
 class SampleError(ValueError):
@@ -58,23 +58,24 @@ class PerturbationConfig:
 
 
 def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
-                cfg: SamplerConfig, index: Bm25Index | None = None) -> dict[str, list[str]]:
+                cfg: SamplerConfig, features: Features | None = None) -> dict[str, list[str]]:
     """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
     zero scores included, ties by ascending id; none for the random
-    sampler. Seed-independent. All anchors are ranked in one ``rank`` call;
-    the BM25 tiers query ``index``, built from ``aux`` when not given."""
+    sampler. Seed-independent. All anchors are ranked in one ``rank`` call
+    over ``features``, ``prepare.token_ids([base, aux])`` when not given."""
     if cfg.kind == "random":
         return {}
     anchors = list(dict.fromkeys(pair.base_id for pair in pairs))  # in pair order
-    queries = (prepare_sentence(base.record(anchor_id)).tokens for anchor_id in anchors)
+    vocab, (base_tokens, aux_tokens) = token_ids([base, aux]) if features is None else features
+    by_id = dict(zip(base.ids(), base_tokens))
+    queries = (by_id[anchor_id] for anchor_id in anchors)
     aux_ids = aux.ids()
     if cfg.kind == "stratified_bm25":
-        index = dataset_bm25_index(aux) if index is None else index
+        index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
         rows, cols, _ = rank(queries, index.scores, index.n_docs, cfg.tier_size, index.id_rank)
     else:
-        rows, cols, _ = jaccard_topk(map(set, queries),
-                                     [set(prepare_sentence(r).tokens) for r in aux.records],
-                                     cfg.tier_size, id_ranks(aux_ids))
+        rows, cols, _ = jaccard_topk(queries, aux_tokens, len(vocab), cfg.tier_size,
+                                     id_ranks(aux_ids))
     tiers: dict[str, list[str]] = {anchor_id: [] for anchor_id in anchors}
     for row, col in zip(rows.tolist(), cols.tolist()):
         tiers[anchors[row]].append(aux_ids[col])
@@ -134,13 +135,13 @@ def build_pretraining_pairs(
     aux: Dataset,
     per_record: int = 1,
     seed: int = 0,
-    index: Bm25Index | None = None,
+    features: Features | None = None,
 ) -> list[SupervisionTriple]:
     """Self-supervised triples: positive is the BM25 top-1 auxiliary match
     (ties by ascending id, a zero score included), negative is a uniform
     draw among the rest: one of ``aux.n - 1`` positions, counted past the
-    positive's. Every base record is ranked in one ``rank`` call against
-    ``index``, built from ``aux`` when not given."""
+    positive's. Every base record is ranked in one ``rank`` call over
+    ``features``, as in ``build_tiers``."""
     if base.n == 0 or aux.n == 0:
         raise SampleError("both datasets must be non-empty")
     if aux.n < 2:
@@ -148,9 +149,9 @@ def build_pretraining_pairs(
     if per_record < 1:
         raise SampleError("per_record must be >= 1")
 
-    index = dataset_bm25_index(aux) if index is None else index
-    _, top, _ = rank((prepare_sentence(rec).tokens for rec in base.records), index.scores,
-                     index.n_docs, 1, index.id_rank)
+    vocab, (base_tokens, aux_tokens) = token_ids([base, aux]) if features is None else features
+    index = build_bm25_index(aux.ids(), aux_tokens, len(vocab))
+    _, top, _ = rank(base_tokens, index.scores, index.n_docs, 1, index.id_rank)
     aux_ids = list(aux.ids())
     aux_pos = {aid: i for i, aid in enumerate(aux_ids)}
     rng = random.Random(seed)

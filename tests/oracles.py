@@ -1,11 +1,11 @@
 """Reference forms of engine computations, for the tests only.
 
 Each helper here is a slow or one-at-a-time form of something the engine
-does in bulk: one query's top-k, one document's BM25 score, one sentence's
-embedding, the loss of a batch with every sentence embedded alone, the
-rows of a result as objects and a result file as text, written by
-``write_csv`` or by a plain ``csv.writer``. Tests compare the
-engine's bulk paths against them.
+does in bulk: one query's top-k, one document's BM25 score (by its own
+Okapi arithmetic, not the index's), one sentence's embedding, the loss of
+a batch with every sentence embedded alone, the rows of a result as
+objects and a result file as text, written by ``write_csv`` or by a plain
+``csv.writer``. Tests compare the engine's bulk paths against them.
 
 The training step is also here in a plain form (``forward_group``,
 ``backward_group``, ``table_grads`` and ``batch_gradients``): masked copies
@@ -28,8 +28,8 @@ import numpy as np
 from emberish import joiner, lexrank
 from emberish.encoder import _TINY, EncoderError, EncoderModel, _forward_group, _Grads
 from emberish.joiner import EmbeddingIndex, JoinError, JoinResult
-from emberish.lexrank import Bm25Index, LexError
-from emberish.prepare import Sentence
+from emberish.lexrank import Bm25Index, LexError, build_bm25_index
+from emberish.prepare import Sentence, code_tokens
 
 # ---------------------------------------------------------------------------
 # Retrieval and results.
@@ -117,28 +117,51 @@ def csv_writer_text(result: JoinResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def bm25_score(index: Bm25Index, query_tokens: Sequence[str],
-               doc_tokens: Sequence[str]) -> float:
-    """Okapi score of one document, given its tokens, under ``index``'s
-    statistics; query tokens count per occurrence, added in query order."""
+def bm25_score(query_tokens: Sequence, doc_tokens: Sequence, corpus: Sequence[Sequence]) -> float:
+    """Okapi BM25 of one document, given its tokens, for a query, under the
+    statistics of ``corpus`` (every document's tokens): k1 = 1.5, b = 0.75
+    and the non-negative IDF ln((N - df + 0.5) / (df + 0.5) + 1). Query
+    tokens count per occurrence, their terms added in query order."""
+    k1, b = 1.5, 0.75
+    n = len(corpus)
+    avgdl = sum(map(len, corpus)) / n
     tf = Counter(doc_tokens)
     score = 0.0
     for tok in query_tokens:
-        freq = tf.get(tok, 0)
-        if freq == 0:
-            continue
-        score += lexrank._term_contribution(index, tok, freq, len(doc_tokens))
+        freq = tf[tok]
+        if freq:
+            df = sum(tok in doc for doc in corpus)
+            idf = float(np.log((n - df + 0.5) / (df + 0.5) + 1.0))
+            norm = k1 * (1.0 - b + b * (len(doc_tokens) / avgdl))
+            score += idf * (freq * (k1 + 1.0)) / (freq + norm)
     return score
 
 
-def bm25_topk(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
-    """One query's top-k docs as ``(doc id, score)``, descending; ties break
-    by ascending doc id. The one-query form of ``lexrank.rank``."""
+def bm25_topk(index: Bm25Index, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """One query's (vocabulary ids) top-k docs as ``(doc id, score)``,
+    descending; ties break by ascending doc id. The one-query form of
+    ``lexrank.rank``."""
     if k < 1:
         raise LexError("k must be >= 1")
-    _, cols, scores = lexrank.rank([query_tokens], index.scores, index.n_docs, k,
-                                   index.id_rank)
+    _, cols, scores = lexrank.rank([query], index.scores, index.n_docs, k, index.id_rank)
     return [(index.ids[i], s) for i, s in zip(cols.tolist(), scores.tolist())]
+
+
+def coded(*groups: Sequence[Sequence[str]]) -> tuple:
+    """Groups of token-string sequences coded in one vocabulary by
+    ``prepare.code_tokens``: the vocabulary size, then per group its id
+    arrays."""
+    vocab, ids = code_tokens(groups)
+    return (len(vocab), *ids)
+
+
+def coded_index(docs: Sequence[tuple[str, Sequence[str]]],
+                queries: Sequence[Sequence[str]] = ()) -> tuple[Bm25Index, list[np.ndarray]]:
+    """``build_bm25_index`` over ``(doc id, token strings)`` documents,
+    coded by ``coded`` together with ``queries``; returns the index and
+    the coded queries."""
+    size, doc_ids, query_ids = coded([tokens for _, tokens in docs], queries)
+    return build_bm25_index([doc_id for doc_id, _ in docs], doc_ids, size), query_ids
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from emberish.joiner import (
     execute_join,
 )
 from emberish.joinspec import EngineConfig, JoinSpec, JoinType, parse_join_spec, render_join_spec
-from emberish.lexrank import build_bm25_index, jaccard, levenshtein
+from emberish.lexrank import jaccard, levenshtein
 from emberish.prepare import prepare_sentence
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
-from oracles import batch_loss, bm25_score, dense_table, encode, knn, matched_pairs, matches
+from oracles import batch_loss, coded_index, dense_table, encode, knn, matched_pairs, matches
 
 
 def pair(entries):
@@ -138,12 +138,13 @@ def test_lexical_kernel_oracles():
     for i in range(50):
         length = rng.randrange(2, 15)
         docs.append((f"d{i}", [f"t{rng.randrange(40)}" for _ in range(length)]))
-    index = build_bm25_index(docs)
+    queries = [[f"t{rng.randrange(40)}" for _ in range(rng.randrange(1, 6))] for _ in range(100)]
+    index, coded_queries = coded_index(docs, queries)
     oracle = _OracleBm25(docs)
-    for _ in range(100):
-        query = [f"t{rng.randrange(40)}" for _ in range(rng.randrange(1, 6))]
-        for doc_id, tokens in docs:
-            assert abs(bm25_score(index, query, tokens) - oracle.score(query, doc_id)) < 1e-9
+    for query, coded_query in zip(queries, coded_queries):
+        scores = index.scores(coded_query)
+        for i, (doc_id, _) in enumerate(docs):
+            assert abs(scores[i] - oracle.score(query, doc_id)) < 1e-9
 
 
 # --------------------------------------------------------------------------

@@ -676,27 +676,73 @@ class TestFitEncoder:
                     prepare_sentence(dataset.record(rid), tokenizer="char2gram").tokens)
                 assert set(buckets.tolist()) <= changed
 
-    def test_tiers_built_once_per_fit(self, monkeypatch):
-        from emberish import lexrank
+    @pytest.mark.parametrize("sampler", ["stratified_bm25", "stratified_jaccard"])
+    def test_lexical_ranking_reads_whitespace_tokens_under_char2gram(self, sampler,
+                                                                     monkeypatch):
+        # a0 and a1 hold the same character bigrams, so only whitespace
+        # tokens rank a1 ("ab cd", as b0) above a0 ("abcd").
+        from emberish import encoder as enc_mod
+        from emberish.data import SupervisionPair
+        from emberish.encoder import fit_encoder
+
+        base = dataset_from_rows("b", "base", [("b0", [("t", "ab cd")]), ("b1", [("t", "zz")])])
+        aux = dataset_from_rows("a", "auxiliary", [("a0", [("t", "abcd")]),
+                                                   ("a1", [("t", "ab cd")]),
+                                                   ("a2", [("t", "zz")])])
+        made = {}
+        for name in ("build_tiers", "build_pretraining_pairs"):
+            def spy(*args, _name=name, _original=getattr(enc_mod, name), **kwargs):
+                made[_name] = _original(*args, **kwargs)
+                return made[_name]
+
+            monkeypatch.setattr(enc_mod, name, spy)
+        pairs = [SupervisionPair("b0", "a2"), SupervisionPair("b1", "a2")]
+        fit_encoder(base, aux, pairs, self.config(sampler=sampler, tokenizer="char2gram"),
+                    hash_dim=64, pretrain=True)
+        assert made["build_pretraining_pairs"][0].positive_id == "a1"
+        assert made["build_tiers"]["b0"][:2] == ["a1", "a0"]
+
+    @pytest.mark.parametrize("sampler, tokenizer, pretrain", [
+        ("stratified_bm25", "whitespace", False),
+        ("stratified_bm25", "whitespace", True),
+        ("stratified_jaccard", "whitespace", False),
+        ("stratified_jaccard", "whitespace", True),
+        ("stratified_bm25", "char2gram", True),
+        ("random", "char2gram", False),
+        ("random", "char2gram", True),
+    ])
+    def test_each_record_prepared_once_per_featurizer(self, sampler, tokenizer, pretrain,
+                                                       monkeypatch):
+        # The tiers and the pretraining pairs rank the fit's own token ids,
+        # each through one aux index built once per fit, not per epoch. Only
+        # under char2gram do they need a second, whitespace, featurization.
+        from collections import Counter
+
+        from emberish import lexrank, prepare, supervise
         from emberish.encoder import fit_encoder
 
         base, aux, pairs = self.world()
-        calls = []
-        original = lexrank.build_bm25_index
+        prepared, builds = Counter(), []
+        build = lexrank.build_bm25_index
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting_prepare(record, *args, **kwargs):
+            prepared[record.id] += 1
+            return prepare_sentence(record, *args, **kwargs)
 
-        monkeypatch.setattr(lexrank, "build_bm25_index", counting)
-        fit_encoder(base, aux, pairs, self.config(epochs=3, sampler="stratified_bm25"),
-                    hash_dim=64)
-        assert len(calls) == 1
-        # Pretraining pairs and the tiers share one aux index.
-        calls.clear()
-        fit_encoder(base, aux, pairs, self.config(epochs=3, sampler="stratified_bm25"),
-                    hash_dim=64, pretrain=True)
-        assert len(calls) == 1
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(prepare, "prepare_sentence", counting_prepare)
+        for module in (lexrank, supervise):
+            monkeypatch.setattr(module, "build_bm25_index", counting_build)
+        fit_encoder(base, aux, pairs,
+                    self.config(epochs=3, sampler=sampler, tokenizer=tokenizer),
+                    hash_dim=64, pretrain=pretrain)
+        lexical = pretrain or sampler != "random"
+        times = 2 if tokenizer == "char2gram" and lexical else 1
+        assert prepared == {rid: times for rid in base.ids() + aux.ids()}
+        assert len(builds) == pretrain + (sampler == "stratified_bm25")
 
     def test_finetune_false_returns_initial_model(self, tmp_path):
         from emberish.encoder import fit_encoder

@@ -750,6 +750,22 @@ class TestChainJoins:
         assert [(m.base_id, m.aux_id, m.rank, m.score, m.path)
                 for m in matches(result)] == expected
 
+    def test_last_hop_gathers_no_query_vectors(self):
+        # Only a hop that another hop follows queries with its matches'
+        # vectors. Gathering them after the last hop too would hold 40,000
+        # rows of 128 floats (41 MB) that nothing reads.
+        base = grid_embeddings("b", 100, 128, 46)
+        stages = [(spec(JoinType.INNER, right=20), build_index(grid_embeddings("m", 300, 128, 47))),
+                  (spec(JoinType.INNER, right=20), build_index(grid_embeddings("z", 400, 128, 48)))]
+        tracemalloc.start()
+        try:
+            result = chain_joins(base, stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rank.size == 100 * 20 * 20
+        assert peak < result.rank.size * 128 * 8
+
     def test_empty_chain_rejected(self):
         with pytest.raises(JoinError, match="at least one stage"):
             chain_joins(pair([("b", vec(1.0))]), [])

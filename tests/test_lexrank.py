@@ -2,7 +2,9 @@
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from emberish.data import SupervisionPair, dataset_from_rows
 from emberish.joiner import id_ranks
 from emberish.lexrank import (
     LexError,
-    build_bm25_index,
     jaccard,
     jaccard_topk,
     levenshtein,
@@ -21,7 +22,7 @@ from emberish.lexrank import (
 )
 from emberish.prepare import prepare_sentence
 from emberish.supervise import SamplerConfig, build_pretraining_pairs, build_tiers
-from oracles import bm25_score, bm25_topk, for_base, matches
+from oracles import bm25_score, bm25_topk, coded, coded_index, for_base, matches
 
 
 # --- Independent oracles (kept deliberately naive) -------------------------
@@ -86,43 +87,47 @@ def random_corpus(rng, n_docs, vocab=30, max_len=12):
 def test_bm25_hand_arithmetic():
     # Two docs, term in exactly one with f=1, doc length equals avgdl:
     # IDF = ln((2-1+0.5)/(1+0.5) + 1) = ln 2; tf part = 2.5/2.5.
-    index = build_bm25_index([("d1", ["x"]), ("d2", ["y"])])
-    assert bm25_score(index, ["x"], ["x"]) == pytest.approx(math.log(2), abs=1e-12)
+    docs = [("d1", ["x"]), ("d2", ["y"])]
+    index, (query,) = coded_index(docs, [["x"]])
+    assert index.scores(query).tolist() == pytest.approx([math.log(2), 0.0], abs=1e-12)
+    assert bm25_score(["x"], ["x"], [["x"], ["y"]]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bm25_absent_term_contributes_zero():
-    index = build_bm25_index([("d1", ["x", "y"]), ("d2", ["y"])])
-    base = bm25_score(index, ["x"], ["x", "y"])
-    assert bm25_score(index, ["x", "zzz"], ["x", "y"]) == base
+    index, (x, x_zzz, zzz, empty) = coded_index([("d1", ["x", "y"]), ("d2", ["y"])],
+                                                [["x"], ["x", "zzz"], ["zzz"], []])
+    assert index.scores(x_zzz).tolist() == index.scores(x).tolist()
+    for query in (zzz, empty):
+        scores = index.scores(query)
+        assert scores.dtype == np.float64 and scores.tolist() == [0.0, 0.0]
 
 
 def test_bm25_matches_oracle_on_toy_corpus():
     rng = random.Random(7)
     docs = random_corpus(rng, 5)
-    index = build_bm25_index(docs)
+    queries = [[f"t{rng.randrange(30)}" for _ in range(rng.randrange(1, 6))] for _ in range(50)]
+    index, coded_queries = coded_index(docs, queries)
     oracle = OracleBm25(docs)
-    for _ in range(50):
-        query = [f"t{rng.randrange(30)}" for _ in range(rng.randrange(1, 6))]
-        for doc_id, tokens in docs:
-            assert bm25_score(index, query, tokens) == pytest.approx(
-                oracle.score(query, doc_id), abs=1e-9
-            )
+    for query, coded_query in zip(queries, coded_queries):
+        scores = index.scores(coded_query)
+        for i, (doc_id, _) in enumerate(docs):
+            assert scores[i] == pytest.approx(oracle.score(query, doc_id), abs=1e-9)
 
 
 def test_bm25_monotone_in_term_frequency():
     # Increasing f(q, D) with all else fixed never decreases the term score.
     for f in range(1, 10):
         docs = [("d1", ["x"] * f + ["pad"] * (10 - f)), ("d2", ["pad"] * 10)]
-        index = build_bm25_index(docs)
-        score = bm25_score(index, ["x"], docs[0][1])
+        index, (query,) = coded_index(docs, [["x"]])
+        score = index.scores(query)[0]
         if f > 1:
             assert score >= prev  # noqa: F821
         prev = score  # noqa: F841
 
 
 def test_bm25_topk_k_larger_than_corpus():
-    index = build_bm25_index([("b", ["x"]), ("a", ["x"])])
-    out = bm25_topk(index, ["x"], 10)
+    index, (query,) = coded_index([("b", ["x"]), ("a", ["x"])], [["x"]])
+    out = bm25_topk(index, query, 10)
     assert len(out) == 2
     assert [doc_id for doc_id, _ in out] == ["a", "b"]  # tie broken by id
 
@@ -131,14 +136,53 @@ def test_bm25_topk_agrees_with_full_sort():
     rng = random.Random(3)
     for trial in range(20):
         docs = random_corpus(rng, rng.randrange(2, 20))
-        index = build_bm25_index(docs)
         query = [f"t{rng.randrange(30)}" for _ in range(rng.randrange(1, 5))]
+        index, (coded_query,) = coded_index(docs, [query])
+        corpus = [tokens for _, tokens in docs]
         expected = sorted(
-            ((doc_id, bm25_score(index, query, tokens)) for doc_id, tokens in docs),
+            ((doc_id, bm25_score(query, tokens, corpus)) for doc_id, tokens in docs),
             key=lambda pair: (-pair[1], pair[0]),
         )
         for k in (1, 3, len(docs)):
-            assert bm25_topk(index, query, k) == expected[:k]
+            assert bm25_topk(index, coded_query, k) == expected[:k]
+
+
+def test_bm25_index_is_csr_over_vocabulary_ids():
+    # Ids 0..3 are "y", "x", "w" and "z" (in no doc), in first-seen order;
+    # each id's postings ascend by doc.
+    index, _ = coded_index([("d0", ["y", "x", "y"]), ("d1", ["x"]), ("d2", ["w"])],
+                           [["z", "w"]])
+    corpus = [["y", "x", "y"], ["x"], ["w"]]
+    assert [(docs.tolist(), contribs.tolist()) for docs, contribs in index.postings] == [
+        ([0], [bm25_score(["y"], corpus[0], corpus)]),
+        ([0, 1], [bm25_score(["x"], corpus[0], corpus), bm25_score(["x"], corpus[1], corpus)]),
+        ([2], [bm25_score(["w"], corpus[2], corpus)]),
+        ([], []),
+    ]
+
+
+def test_bm25_join_scores_equal_the_oracle_exactly():
+    # Repeated tokens on both sides, query tokens in no aux record, and an
+    # empty record on each side: every score is the oracle's to the bit.
+    aux = dataset_from_rows("a", "auxiliary", [
+        ("a0", [("t", "red red shoe")]), ("a1", [("t", "shoe boot boot boot")]),
+        ("a2", []), ("a3", [("t", "red")]), ("a4", [("t", "gtx nine red shoe boot")]),
+    ])
+    base = dataset_from_rows("b", "base", [
+        ("b0", [("t", "red shoe red")]), ("b1", [("t", "boot zz boot qq")]), ("b2", []),
+        ("b3", [("q", "zz")]), ("b4", [("t", "nine nine gtx red")]),
+    ])
+    result = lexical_join("BM25", base, aux, k=aux.n)
+    corpus = [prepare_sentence(r).tokens for r in aux.records]
+    for brec in base.records:
+        query = prepare_sentence(brec).tokens
+        scored = sorted((-bm25_score(query, tokens, corpus), arec.id)
+                        for arec, tokens in zip(aux.records, corpus))
+        assert [(m.aux_id, m.score) for m in for_base(result, brec.id)] == [
+            (aid, -neg) for neg, aid in scored if -neg > 0.0]
+    # b2 holds no token and b3 only tokens in no aux record.
+    assert for_base(result, "b2") == for_base(result, "b3") == []
+    assert len(matches(result)) > 2 * aux.n
 
 
 # --- Jaccard ----------------------------------------------------------------
@@ -277,9 +321,7 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
     k = 4
     result = lexical_join(kind, base, aux, key_column="name", k=k)
 
-    index = None
-    if kind == "BM25":
-        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
+    corpus = [prepare_sentence(r).tokens for r in aux.records]
 
     for brec in base.records:
         scored = []
@@ -289,8 +331,8 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
                 if val <= 30:
                     scored.append((val, arec.id))
             elif kind == "BM25":
-                val = bm25_score(index, prepare_sentence(brec).tokens,
-                                 prepare_sentence(arec).tokens)
+                val = bm25_score(prepare_sentence(brec).tokens,
+                                 prepare_sentence(arec).tokens, corpus)
                 if val > 0:
                     scored.append((-val, arec.id))
             else:
@@ -308,10 +350,26 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
         expected = [aid for _, aid in scored[:k]]
         got = [m.aux_id for m in for_base(result, brec.id)]
         assert got == expected, f"{kind} mismatch for {brec.id}"
-        if kind.startswith("J"):
+        if kind != "LD":
             found = for_base(result, brec.id)
             assert [m.rank for m in found] == list(range(1, len(found) + 1))
             assert [m.score for m in found] == [-val for val, _ in scored[:k]]
+
+
+@pytest.mark.parametrize("kind", ["BM25", "J-WS", "J-2G"])
+def test_lexical_join_prepares_each_record_once(kind, monkeypatch):
+    from emberish import prepare
+
+    base, aux = _toy_datasets(random.Random(5))
+    prepared = Counter()
+
+    def counting(record, *args, **kwargs):
+        prepared[record.id] += 1
+        return prepare_sentence(record, *args, **kwargs)
+
+    monkeypatch.setattr(prepare, "prepare_sentence", counting)
+    lexical_join(kind, base, aux, k=3)
+    assert prepared == {rid: 1 for rid in base.ids() + aux.ids()}
 
 
 def brute_jaccard_topk(queries, docs, ids, k, min_similarity=None):
@@ -341,27 +399,34 @@ def test_jaccard_topk_matches_brute_force_across_blocks(monkeypatch):
     ids = ["d6", "d5", "d4", "d3", "d2", "d1", "d0"]
     queries = [{"a"}, {"a", "zz"}, {"a", "zz"}, set(), {"zz"}, {"b", "c", "a"}]
     rank = id_ranks(ids)
+    size, coded_queries, coded_docs = coded(queries, docs)
     for k in (1, 2, 3, 7, 9):
         for floor in (None, 0.0, 0.3, 0.5):
-            got = [part.tolist() for part in jaccard_topk(iter(queries), docs, k, rank, floor)]
+            got = [part.tolist() for part in
+                   jaccard_topk(iter(coded_queries), coded_docs, size, k, rank, floor)]
             assert got == flat(brute_jaccard_topk(queries, docs, ids, k, floor)), (k, floor)
 
 
 def test_jaccard_topk_random_sets_across_blocks(monkeypatch):
+    # Queries and docs are token lists that may repeat a token: each counts
+    # as the set of its tokens.
     rng = random.Random(13)
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 40)
     for trial in range(20):
         vocab = [f"t{i}" for i in range(rng.randrange(1, 8))]
-        docs = [set(rng.sample(vocab, rng.randrange(len(vocab) + 1)))
+        docs = [rng.choices(vocab, k=rng.randrange(len(vocab) + 2)) * rng.randrange(1, 3)
                 for _ in range(rng.randrange(1, 15))]
-        docs += [set(d) for d in rng.sample(docs, len(docs) // 2)]  # duplicates tie
+        docs += [list(d) for d in rng.sample(docs, len(docs) // 2)]  # duplicates tie
         ids = [f"d{i}" for i in rng.sample(range(len(docs)), len(docs))]
-        queries = [set(rng.sample(vocab + ["x", "y"], rng.randrange(len(vocab) + 3)))
+        queries = [rng.choices(vocab + ["x", "y"], k=rng.randrange(len(vocab) + 4))
                    for _ in range(rng.randrange(1, 25))]
+        size, coded_queries, coded_docs = coded(queries, docs)
         k = rng.randrange(1, len(docs) + 2)
         for floor in (None, 0.3):
-            got = [part.tolist() for part in jaccard_topk(queries, docs, k, id_ranks(ids), floor)]
-            assert got == flat(brute_jaccard_topk(queries, docs, ids, k, floor))
+            got = [part.tolist() for part in
+                   jaccard_topk(coded_queries, coded_docs, size, k, id_ranks(ids), floor)]
+            assert got == flat(brute_jaccard_topk(map(set, queries), list(map(set, docs)), ids,
+                                                  k, floor))
 
 
 @pytest.mark.parametrize("kind", ["J-WS", "J-2G", "JK-WS", "JK-2G"])
@@ -420,10 +485,10 @@ def brute_bm25(docs, queries, k, positive_only=False):
     """Per query, its best ``(doc position, bm25_score)`` pairs among the
     ``(doc id, tokens)`` pairs ``docs`` by a full sort: descending score,
     then ascending id."""
-    index = build_bm25_index(docs)
+    corpus = [tokens for _, tokens in docs]
     out = []
     for query in queries:
-        scored = sorted((-bm25_score(index, query, tokens), doc_id, i)
+        scored = sorted((-bm25_score(query, tokens, corpus), doc_id, i)
                         for i, (doc_id, tokens) in enumerate(docs))
         out.append([(i, -neg) for neg, _, i in scored if not positive_only or -neg > 0.0][:k])
     return out
@@ -442,15 +507,16 @@ def bm25_world():
 def test_bm25_rank_across_blocks_matches_per_query_oracle(monkeypatch):
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * len(BM25_DOCS))
     docs = [(doc_id, text.split()) for doc_id, text in BM25_DOCS]
-    index = build_bm25_index(docs)
     queries = [text.split() for text in BM25_QUERIES]
-    for query in queries:
-        assert index.scores(query).tolist() == [bm25_score(index, query, tokens)
-                                                for _, tokens in docs]
+    index, coded_queries = coded_index(docs, queries)
+    for query, coded_query in zip(queries, coded_queries):
+        assert index.scores(coded_query).tolist() == [
+            bm25_score(query, tokens, [t for _, t in docs]) for _, tokens in docs]
     positive = lambda scores: scores > 0.0
     for k in (1, 2, 3, 7, 9):
         for keep in (None, positive):
-            got = rank(iter(queries), index.scores, index.n_docs, k, index.id_rank, keep=keep)
+            got = rank(iter(coded_queries), index.scores, index.n_docs, k, index.id_rank,
+                       keep=keep)
             expected = brute_bm25(docs, queries, k, positive_only=keep is positive)
             assert [part.tolist() for part in got] == flat(expected), (k, keep)
 

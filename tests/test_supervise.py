@@ -6,7 +6,7 @@ import pytest
 
 from emberish import lexrank
 from emberish.data import SupervisionPair, dataset_from_rows
-from emberish.lexrank import build_bm25_index, jaccard
+from emberish.lexrank import jaccard
 from emberish.prepare import prepare_sentence
 from emberish.supervise import (
     PerturbationConfig,
@@ -19,11 +19,21 @@ from emberish.supervise import (
     sample_triples,
     split_train_test,
 )
-from oracles import bm25_topk
+from oracles import bm25_score
 
 
 def word_rows(prefix, texts):
     return [(f"{prefix}{i}", [("t", text)]) for i, text in enumerate(texts)]
+
+
+def bm25_best(record, aux, k):
+    """The ids of ``aux``'s best ``k`` records for ``record`` by the BM25
+    oracle over prepared tokens: descending score, ties by ascending id."""
+    corpus = [prepare_sentence(r).tokens for r in aux.records]
+    query = prepare_sentence(record).tokens
+    scored = sorted((-bm25_score(query, tokens, corpus), r.id)
+                    for r, tokens in zip(aux.records, corpus))
+    return [aux_id for _, aux_id in scored[:k]]
 
 
 @pytest.fixture
@@ -56,11 +66,9 @@ class TestSampleTriples:
 
     def test_stratified_negative_in_bm25_tier(self, small_world):
         base, aux, pairs = small_world
-        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
         cfg = SamplerConfig(kind="stratified_bm25", tier_size=2, seed=1)
         for t in sample_triples(pairs, base, aux, cfg):
-            anchor_tokens = prepare_sentence(base.record(t.anchor_id)).tokens
-            tier = {doc_id for doc_id, _ in bm25_topk(index, anchor_tokens, 2)}
+            tier = set(bm25_best(base.record(t.anchor_id), aux, 2))
             positives = {p.aux_id for p in pairs if p.base_id == t.anchor_id}
             if tier - positives:
                 assert t.negative_id in tier
@@ -148,10 +156,9 @@ class TestPretrainingPairs:
         texts = [" ".join(rng.choice(vocab) for _ in range(5)) for _ in range(30)]
         aux = dataset_from_rows("a", "auxiliary", word_rows("a", texts))
         base = dataset_from_rows("b", "base", word_rows("b", texts[:10]))
-        index = build_bm25_index([(r.id, prepare_sentence(r).tokens) for r in aux.records])
         triples = build_pretraining_pairs(base, aux, seed=0)
         for rec, triple in zip(base.records, triples):
-            expected, _ = bm25_topk(index, prepare_sentence(rec).tokens, 1)[0]
+            [expected] = bm25_best(rec, aux, 1)
             assert triple.positive_id == expected
             assert triple.negative_id != expected
 
