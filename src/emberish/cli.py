@@ -41,6 +41,7 @@ from .data import (
 )
 from .encoder import EncoderModel, embed_dataset, fit_encoder, load_model, save_model
 from .evalkit import (
+    ENCODER_METHODS,
     EvalError,
     TruthSet,
     mrr_at_k,
@@ -70,10 +71,11 @@ from .joinspec import (
     config_object,
     parse_join_spec,
     parse_join_specs,
+    render_join_spec,
     resolve_ref,
 )
 from .lexrank import lexical_join, uses_key_column
-from .prepare import prepare_sentence, token_ids
+from .prepare import Features, prepare_sentence, token_ids
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 ENV_DATA_DIR = "EMBERISH_DATA_DIR"
@@ -201,9 +203,9 @@ def _earlier_manifest(path: Path, *sections: str) -> list[dict] | None:
 
 
 def _load_model(run: _Run, config: EngineConfig, path: Path,
-                tokens: Collection[str] | None = None) -> EncoderModel:
-    """Load a model file into ``run``'s inputs, partially when given the
-    ``tokens`` to embed (see ``load_model``). Exits 1 when the model's dim
+                tokens: Collection[str]) -> EncoderModel:
+    """Load a model file into ``run``'s inputs, holding the table rows of
+    the ``tokens`` to embed (see ``load_model``). Exits 1 when the model's dim
     or normalization disagrees with the config, and warns when the file is
     not the one ``manifest_train.json`` records."""
     run.read(path)
@@ -224,6 +226,25 @@ def _load_model(run: _Run, config: EngineConfig, path: Path,
             raise ConfigError(f"{path} has {key} {stored!r} but the config has "
                               f"{key} {configured!r}")
     return model
+
+
+def _embed(run: _Run, config: EngineConfig, datasets: list[Dataset],
+           model_paths: list[Path], features: Features) -> list[Embeddings]:
+    """Embed each of ``datasets`` with the model file beside it in
+    ``model_paths``, from ``features``, the datasets' ``token_ids``. Each
+    distinct model file is loaded once, for the features' vocabulary,
+    through ``_load_model``; the models are dropped on return."""
+    vocab, ids = features
+    models = {path: _load_model(run, config, path, vocab) for path in dict.fromkeys(model_paths)}
+    with run.stage("embed"):
+        return [embed_dataset(models[path], dataset, features=(vocab, side_ids))
+                for dataset, path, side_ids in zip(datasets, model_paths, ids)]
+
+
+def _side_models(run: _Run, config: EngineConfig) -> list[Path]:
+    """The model file that embeds the base side, then the aux side's."""
+    aux_model = "model_aux.bin" if config.num_encoders == 2 else "model.bin"
+    return [run.data_dir / "model.bin", run.data_dir / aux_model]
 
 
 def _load_sides(run: _Run) -> tuple[Dataset, Dataset]:
@@ -464,9 +485,8 @@ def cmd_join(
     refs = (spec.base_ref, spec.aux_ref)
     paths = [resolve_ref(ref, run.data_dir) for ref in refs]
     run.read(*paths)
-    two = config.num_encoders == 2
     # The model that embeds each side, and the file its embeddings go to.
-    models = [run.data_dir / "model.bin", run.data_dir / ("model_aux.bin" if two else "model.bin")]
+    models = _side_models(run, config)
     files = [run.data_dir / "embeddings_base.bin", run.data_dir / "embeddings_aux.bin"]
     embeddings = ([None, None] if baseline is not None
                   else _reusable(run, config.tokenizer, list(zip(files, paths, models))))
@@ -492,26 +512,21 @@ def cmd_join(
             result = lexical_join(baseline, *datasets, key_column=key_column,
                                   k=spec.right_size)
     else:
-        # Each model reads only the table rows of the tokens it embeds: with
-        # two encoders, each side has a vocabulary of its own. A model whose
-        # sides are all reused reads no rows, but is still checked.
-        sides_of: dict[Path, list[int]] = {path: [] for path in models}
-        for side, emb in enumerate(embeddings):
-            if emb is None:
-                sides_of[models[side]].append(side)
-        features = {}
-        for path, sides in sides_of.items():
-            vocab, ids = token_ids([datasets[side] for side in sides], config.tokenizer)
-            model = _load_model(run, config, path, vocab)
-            features.update({side: (model, vocab, side_ids) for side, side_ids in zip(sides, ids)})
-        embedded = list(features)
-        if embedded:
-            with run.stage("embed"):
-                for side, (model, vocab, ids) in features.items():
-                    embeddings[side] = embed_dataset(model, datasets[side], features=(vocab, ids))
-        # The scan needs only the embeddings: the records, the models and
-        # the token ids are not held through it.
-        del datasets, features, ids, model, vocab
+        # The models read only the table rows of the tokens the join embeds.
+        # A model whose sides are all reused reads no rows, but is still checked.
+        embedded = [side for side, emb in enumerate(embeddings) if emb is None]
+        fresh_models = [models[side] for side in embedded]
+        for path in dict.fromkeys(models):
+            if path not in fresh_models:
+                _load_model(run, config, path, ())
+        todo = [datasets[side] for side in embedded]
+        if todo:
+            fresh = _embed(run, config, todo, fresh_models, token_ids(todo, config.tokenizer))
+            for side, emb in zip(embedded, fresh):
+                embeddings[side] = emb
+        # The scan needs only the embeddings: the records are not held
+        # through it, and the token ids and the models went with _embed.
+        del datasets, todo
         for side in embedded:
             save_embeddings(embeddings[side], files[side])
             run.wrote(files[side])
@@ -543,7 +558,8 @@ def cmd_evaluate(
     """Compute metrics; returns the manifest and a printable table.
     ``methods`` and ``key_column`` go with ``comparison``; ``results_path``
     and ``with_mrr`` go without it, and ``key_column`` only with a method
-    that compares a key column."""
+    that compares a key column. The comparison's ``trained-encoder`` row
+    embeds with the model files train wrote, as a learned join does."""
     if comparison:
         methods = methods or ["BM25", "untrained-encoder", "trained-encoder"]
         _refuse(f"evaluate --comparison of {', '.join(methods)}",
@@ -564,20 +580,25 @@ def cmd_evaluate(
 
     if comparison:
         base, aux = _load_sides(run)
-        train_pairs = None
-        sup_path = run.data_dir / "supervision.csv"
-        if sup_path.exists():
-            run.read(sup_path)
-            loaded = load_supervision(sup_path, base, aux)
-            if loaded and isinstance(loaded[0], SupervisionPair):
-                train_pairs = loaded
         with run.stage("comparison"):
-            table = run_comparison(
-                base, aux, truth, methods, ks,
-                key_column=key_column,
-                train_pairs=train_pairs,  # type: ignore[arg-type]
-                config=config,
-            )
+            # The encoder rows featurize both datasets once, together: the
+            # untrained row with a seeded model holding only their tokens'
+            # rows, the trained row with the model files train wrote.
+            embeddings = {}
+            if set(methods) & set(ENCODER_METHODS):
+                features = token_ids([base, aux], config.tokenizer)
+                vocab, ids = features
+            if "untrained-encoder" in methods:
+                model = EncoderModel.create(dim=config.embedding_dim, seed=config.seed,
+                                            normalize=config.normalize, tokens=vocab)
+                embeddings["untrained-encoder"] = tuple(
+                    embed_dataset(model, ds, features=(vocab, side))
+                    for ds, side in zip((base, aux), ids))
+            if "trained-encoder" in methods:
+                embeddings["trained-encoder"] = tuple(
+                    _embed(run, config, [base, aux], _side_models(run, config), features))
+            table = run_comparison(base, aux, truth, methods, ks, embeddings=embeddings,
+                                   metric=config.distance, key_column=key_column)
         rows = [(method, k, repr(r)) for method, k, r in table.rows]
         printable = table.format_table()
     else:
@@ -627,7 +648,9 @@ def cmd_pipeline(
     labels_path: str | Path | None = None,
     agg_ks: list[int] | None = None,
 ) -> RunManifest:
-    """Run a chained (multi-hop) join, optionally averaging labels."""
+    """Run a chained (multi-hop) join, optionally averaging labels. Every
+    hop is an INNER search for each frontier record's RIGHT SIZE best
+    matches, so a statement of another join type exits 1."""
     if labels_path is None:
         _refuse("pipeline without --labels", {"--agg-ks": agg_ks is not None})
     if config.num_encoders == 2:
@@ -639,10 +662,13 @@ def cmd_pipeline(
     specs = parse_join_specs(chain_path.read_text(encoding="utf-8"))
     if not specs:
         raise SpecParseError("chain file holds no statements", 0)
-    for i in range(1, len(specs)):
-        if specs[i].base_ref != specs[i - 1].aux_ref:
+    for i, spec in enumerate(specs):
+        if spec.join_type != JoinType.INNER:
+            raise JoinError(f"stage {i}: pipeline runs INNER hops only, not "
+                            f"{render_join_spec(spec)!r}")
+        if i and spec.base_ref != specs[i - 1].aux_ref:
             raise JoinError(
-                f"stage {i}: base ref {specs[i].base_ref!r} does not chain from "
+                f"stage {i}: base ref {spec.base_ref!r} does not chain from "
                 f"previous aux ref {specs[i - 1].aux_ref!r}"
             )
 
@@ -652,20 +678,16 @@ def cmd_pipeline(
         run.read(labels_path)
         labels = _load_labels(labels_path)
 
-    datasets: dict[str, Dataset] = {}
-    for ref in dict.fromkeys((specs[0].base_ref, *(spec.aux_ref for spec in specs))):
+    refs = list(dict.fromkeys((specs[0].base_ref, *(spec.aux_ref for spec in specs))))
+    datasets = []
+    for ref in refs:
         path = resolve_ref(ref, run.data_dir)
         run.read(path)
-        datasets[ref] = load_dataset(path, name=ref)
-
-    vocab, ids = token_ids(list(datasets.values()), config.tokenizer)
-    model = _load_model(run, config, run.data_dir / "model.bin", vocab)
-    with run.stage("embed"):
-        embeddings = {
-            ref: embed_dataset(model, ds, features=(vocab, side))
-            for (ref, ds), side in zip(datasets.items(), ids)
-        }
-    del datasets, ids, model, vocab
+        datasets.append(load_dataset(path, name=ref))
+    model_paths = [run.data_dir / "model.bin"] * len(refs)
+    embeddings = dict(zip(refs, _embed(run, config, datasets, model_paths,
+                                       token_ids(datasets, config.tokenizer))))
+    del datasets
     with run.stage("chain"):
         stages: list[tuple[JoinSpec, EmbeddingIndex]] = [
             (spec, build_index(embeddings[spec.aux_ref], metric=config.distance))  # type: ignore[arg-type]

@@ -77,19 +77,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.records)
 
-    def record(self, record_id: str) -> Record:
-        rec = self.by_id().get(record_id)
-        if rec is None:
-            raise DataError(f"no record with id {record_id!r} in dataset {self.name!r}")
-        return rec
-
-    def by_id(self) -> dict[str, Record]:
-        cached = getattr(self, "_by_id", None)
-        if cached is None:
-            cached = {rec.id: rec for rec in self.records}
-            object.__setattr__(self, "_by_id", cached)
-        return cached
-
     def ids(self) -> tuple[str, ...]:
         return tuple(rec.id for rec in self.records)
 
@@ -330,18 +317,3 @@ def load_supervision(
 def write_pairs(pairs: Iterable[SupervisionPair], path: str | Path) -> None:
     write_table(path, ["base_id", "aux_id"], ((p.base_id, p.aux_id) for p in pairs))
 
-
-def dataset_from_rows(
-    name: str,
-    role: DatasetRole | str,
-    rows: Sequence[tuple[str, Sequence[tuple[str, str]]]],
-    column_names: Sequence[str] | None = None,
-) -> Dataset:
-    """Build a Dataset in memory; rows are (id, [(key, value), ...])."""
-    records = tuple(Record(id=rid, fields=tuple(fields)) for rid, fields in rows)
-    return Dataset(
-        name=name,
-        role=DatasetRole(role),
-        records=records,
-        column_names=tuple(column_names) if column_names is not None else None,
-    )

@@ -665,7 +665,7 @@ def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> Encoder
 
 
 # ---------------------------------------------------------------------------
-# Training pipeline shared by the CLI and the comparison harness.
+# Training pipeline of the train command.
 # ---------------------------------------------------------------------------
 
 

@@ -13,11 +13,9 @@ from itertools import chain
 import numpy as np
 
 from .data import Dataset, SupervisionPair
-from .encoder import EncoderModel, embed_dataset, fit_encoder
-from .joiner import JoinResult, execute_join
-from .joinspec import EngineConfig, JoinSpec, JoinType
+from .joiner import Embeddings, JoinResult, execute_join
+from .joinspec import JoinSpec, JoinType
 from .lexrank import BASELINE_KINDS, lexical_join
-from .prepare import token_ids
 
 ENCODER_METHODS = ("untrained-encoder", "trained-encoder")
 COMPARISON_METHODS = BASELINE_KINDS + ENCODER_METHODS
@@ -157,16 +155,15 @@ def run_comparison(
     methods: list[str],
     ks: list[int],
     *,
+    embeddings: dict[str, tuple[Embeddings, Embeddings]],
+    metric: str,
     key_column: str | None = None,
-    train_pairs: list[SupervisionPair] | None = None,
-    config: EngineConfig | None = None,
-    hash_dim: int = 1 << 16,
 ) -> ComparisonTable:
     """Record-level recall@k for each requested method.
 
-    ``untrained-encoder`` is a randomly initialized encoder (the no-training
-    reference point); ``trained-encoder`` fits the encoder on ``train_pairs``
-    under ``config`` first.
+    A lexical method joins ``base`` and ``aux`` itself. An encoder method
+    retrieves with the ``(base, aux)`` embeddings its caller made and
+    passed in ``embeddings`` under the method's name, ranked by ``metric``.
     """
     if not methods:
         raise EvalError("methods must be non-empty")
@@ -177,38 +174,16 @@ def run_comparison(
             raise EvalError(
                 f"unknown method {method!r} (expected one of {COMPARISON_METHODS})"
             )
-    config = config or EngineConfig(data_dir=".")
+        if method in ENCODER_METHODS and method not in embeddings:
+            raise EvalError(f"{method} needs its (base, aux) embeddings")
     kmax = max(ks)
-    # The encoder methods featurize both datasets once, together.
-    if set(methods) & set(ENCODER_METHODS):
-        features = token_ids([base, aux], config.tokenizer)
-        vocab, (base_ids, aux_ids) = features
 
     rows: list[tuple[str, int, float]] = []
     for method in methods:
         if method in BASELINE_KINDS:
             result = lexical_join(method, base, aux, key_column=key_column, k=kmax)
         else:
-            if method == "trained-encoder":
-                if not train_pairs:
-                    raise EvalError("trained-encoder requires train_pairs")
-                fit = fit_encoder(base, aux, train_pairs, config, hash_dim=hash_dim,
-                                  features=features)
-                model = fit.model
-                aux_model = fit.models[-1]
-            else:
-                # Only the rows of the two datasets' tokens, not the dense table.
-                model = EncoderModel.create(
-                    dim=config.embedding_dim,
-                    hash_dim=hash_dim,
-                    seed=config.seed,
-                    normalize=config.normalize,
-                    tokens=vocab,
-                )
-                aux_model = model
-            base_emb = embed_dataset(model, base, features=(vocab, base_ids))
-            aux_emb = embed_dataset(aux_model, aux, features=(vocab, aux_ids))
-            result = retrieval_result(base_emb, aux_emb, kmax, metric=config.distance)
+            result = retrieval_result(*embeddings[method], kmax, metric=metric)
         for k in ks:
             rows.append((method, k, recall_at_k(result, truth, k)))
     return ComparisonTable(rows=rows)

@@ -13,7 +13,8 @@ Two workload shapes:
 
 import random
 
-from emberish.data import Dataset, dataset_from_rows
+from emberish.data import Dataset
+from records import dataset_from_rows
 
 # Center-weighted offsets for the two pad counts; deterministic per row.
 _CELLS = (

@@ -15,8 +15,15 @@ import pytest
 
 from corpus import slot_grid_source, word_soup_source
 from emberish.cli import cmd_generate, cmd_join, cmd_train
-from emberish.data import dataset_from_rows, write_dataset
-from emberish.encoder import EncoderModel, TrainConfig, batch_gradients, train
+from emberish.data import write_dataset
+from emberish.encoder import (
+    EncoderModel,
+    TrainConfig,
+    batch_gradients,
+    embed_dataset,
+    fit_encoder,
+    train,
+)
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k, run_comparison
 from emberish.joiner import (
     JoinResult,
@@ -27,14 +34,30 @@ from emberish.joiner import (
 )
 from emberish.joinspec import EngineConfig, JoinSpec, JoinType, parse_join_spec, render_join_spec
 from emberish.lexrank import jaccard, levenshtein
-from emberish.prepare import prepare_sentence
+from emberish.prepare import prepare_sentence, token_ids
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 from oracles import batch_loss, coded_index, dense_table, encode, knn, matched_pairs, matches
+from records import dataset_from_rows, record
 
 
 def pair(entries):
     """Embeddings ``(ids, matrix)`` from a list of ``(id, vector)`` entries."""
     return tuple(rid for rid, _ in entries), np.array([v for _, v in entries], dtype=np.float64)
+
+
+def embed_sides(base, aux, features, models):
+    """``(base, aux)`` embeddings from ``token_ids([base, aux])``: the base
+    side by the first of ``models``, the aux side by the last."""
+    vocab, ids = features
+    return tuple(embed_dataset(model, ds, features=(vocab, side))
+                 for model, ds, side in zip((models[0], models[-1]), (base, aux), ids))
+
+
+def fitted_embeddings(base, aux, train_pairs, config, features):
+    """The sides embedded by an encoder fitted on ``train_pairs`` without
+    pretraining, over 2^15 hash buckets."""
+    fit = fit_encoder(base, aux, train_pairs, config, hash_dim=1 << 15, features=features)
+    return embed_sides(base, aux, features, fit.models)
 
 
 def criterion(num, name):
@@ -229,9 +252,9 @@ def test_objective_ordering():
     train(model, triples, base, aux, cfg)
     ordered = 0
     for t in triples:
-        xa = encode(model, prepare_sentence(base.record(t.anchor_id)))
-        xp = encode(model, prepare_sentence(aux.record(t.positive_id)))
-        xn = encode(model, prepare_sentence(aux.record(t.negative_id)))
+        xa = encode(model, prepare_sentence(record(base, t.anchor_id)))
+        xp = encode(model, prepare_sentence(record(aux, t.positive_id)))
+        xn = encode(model, prepare_sentence(record(aux, t.negative_id)))
         ordered += np.linalg.norm(xa - xp) < np.linalg.norm(xa - xn)
     assert ordered == len(triples)
     assert time.perf_counter() - start < 30.0
@@ -261,13 +284,19 @@ def test_easy_preset_trained_vs_untrained():
         seed=3,
         loss_margin=0.2,
     )
+    features = token_ids([base, aux], config.tokenizer)
+    untrained_model = EncoderModel.create(dim=config.embedding_dim, hash_dim=1 << 15,
+                                          seed=config.seed, normalize=config.normalize,
+                                          tokens=features[0])
     table = run_comparison(
         base, aux, truth_set,
         methods=["untrained-encoder", "trained-encoder"],
         ks=[10],
-        train_pairs=train_pairs,
-        config=config,
-        hash_dim=1 << 15,
+        embeddings={
+            "untrained-encoder": embed_sides(base, aux, features, [untrained_model]),
+            "trained-encoder": fitted_embeddings(base, aux, train_pairs, config, features),
+        },
+        metric=config.distance,
     )
     untrained = table.recall("untrained-encoder", 10)
     trained = table.recall("trained-encoder", 10)
@@ -294,6 +323,7 @@ def test_hard_preset_sampler_non_inferiority():
     train_pairs, test_pairs = split_train_test(truth, test_fraction=0.2, seed=13)
     truth_set = TruthSet.from_pairs(test_pairs)
     recalls = {}
+    features = token_ids([base, aux])
     for sampler in ("stratified_bm25", "random"):
         config = EngineConfig(
             data_dir=".",
@@ -304,9 +334,10 @@ def test_hard_preset_sampler_non_inferiority():
             seed=7,
             loss_margin=0.2,
         )
+        embeddings = fitted_embeddings(base, aux, train_pairs, config, features)
         table = run_comparison(
             base, aux, truth_set, ["trained-encoder"], [10],
-            train_pairs=train_pairs, config=config, hash_dim=1 << 15,
+            embeddings={"trained-encoder": embeddings}, metric=config.distance,
         )
         recalls[sampler] = table.recall("trained-encoder", 10)
     elapsed = time.perf_counter() - start

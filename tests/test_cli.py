@@ -24,8 +24,9 @@ from emberish.cli import (
     main,
     resolve_config,
 )
-from emberish.data import dataset_from_rows, load_dataset, write_dataset
+from emberish.data import load_dataset, write_dataset
 from emberish.joinspec import ConfigError, EngineConfig, JoinType
+from records import dataset_from_rows
 from test_joiner import full_disk
 
 
@@ -868,6 +869,102 @@ class TestEvaluate:
         )
         assert "BM25" in printable and "untrained-encoder" in printable
 
+    @pytest.mark.parametrize("num_encoders", [1, 2])
+    def test_trained_row_scores_the_model_train_wrote(self, tmp_path, num_encoders):
+        # The row retrieves as a LEFT join does at RIGHT SIZE max(ks), with
+        # the model files train wrote, pretrained as train does by default.
+        # At seed 1, an encoder fitted without pretraining scores another
+        # recall@1 under either number of encoders.
+        write_source(tmp_path)
+        cfg = fast_config(tmp_path, seed=1, num_encoders=num_encoders,
+                          join_type=JoinType.LEFT, right_size=10)
+        cmd_generate(cfg, copies=2, perturbations=1)
+        cmd_train(cfg)
+        cmd_join(cfg)
+        cmd_evaluate(cfg, ks=[1, 10])
+        joined = read_rows(tmp_path / "metrics.csv")
+        manifest, _ = cmd_evaluate(cfg, comparison=True, methods=["trained-encoder"],
+                                   ks=[1, 10])
+        compared = read_rows(tmp_path / "metrics.csv")
+        assert [row[0] for row in compared[1:]] == ["trained-encoder"] * 2
+        assert [row[1:] for row in compared] == [row[1:] for row in joined]
+        assert str(tmp_path / "supervision.csv") not in manifest.inputs
+
+    @pytest.mark.parametrize("num_encoders, missing", [(1, "model.bin"), (2, "model.bin"),
+                                                       (2, "model_aux.bin")])
+    def test_trained_row_requires_the_model_files(self, workspace, capsys, num_encoders,
+                                                  missing):
+        tmp_path, _ = workspace
+        cmd_train(fast_config(tmp_path, num_encoders=num_encoders), pretrain=False)
+        (tmp_path / missing).unlink()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(tmp_path), "embedding_dim": 8,
+                                      "num_encoders": num_encoders}))
+        assert main(["evaluate", "--config", str(config), "--comparison",
+                     "--methods", "BM25,trained-encoder"]) == 1
+        assert str(tmp_path / missing) in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_untrained_row_holds_its_datasets_rows_and_ranks_as_the_dense_model(
+            self, workspace, monkeypatch):
+        from emberish.data import load_supervision
+        from emberish.encoder import EncoderModel, embed_dataset
+        from emberish.evalkit import TruthSet, recall_at_k, retrieval_result
+        from emberish.prepare import prepare_sentence
+
+        created = []
+        create = EncoderModel.create.__func__
+
+        def spy(cls, *args, **kwargs):
+            created.append(create(cls, *args, **kwargs))
+            return created[-1]
+
+        tmp_path, _ = workspace
+        cfg = fast_config(tmp_path, embedding_dim=16, tokenizer="char2gram",
+                          distance="inner_product", seed=5)
+        monkeypatch.setattr(EncoderModel, "create", classmethod(spy))
+        cmd_evaluate(cfg, comparison=True, methods=["untrained-encoder"], ks=[1, 3, 5])
+        monkeypatch.undo()
+        (model,) = created
+        dense = EncoderModel.create(dim=16, seed=5)
+        base = load_dataset(tmp_path / "base.csv", role="base", name="base")
+        aux = load_dataset(tmp_path / "aux.csv", role="auxiliary", name="aux")
+        tokens = {t for ds in (base, aux) for rec in ds.records
+                  for t in prepare_sentence(rec, tokenizer="char2gram").tokens}
+        assert model.row_buckets.tolist() == sorted(set(dense.rows(list(tokens)).tolist()))
+        res = retrieval_result(embed_dataset(dense, base, tokenizer="char2gram"),
+                               embed_dataset(dense, aux, tokenizer="char2gram"), 5,
+                               metric="inner_product")
+        truth = TruthSet.from_pairs(load_supervision(tmp_path / "truth_test.csv"))
+        assert read_rows(tmp_path / "metrics.csv")[1:] == [
+            ["untrained-encoder", str(k), repr(recall_at_k(res, truth, k))] for k in (1, 3, 5)]
+
+    def test_comparison_prepares_each_record_at_most_three_times(self, workspace,
+                                                                monkeypatch):
+        # BM25 and J-WS featurize once each, and both encoder rows share one
+        # featurization.
+        from collections import Counter
+
+        from emberish import prepare
+
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        prepared = Counter()
+        prepare_sentence = prepare.prepare_sentence
+
+        def counting(rec, *args, **kwargs):
+            prepared[rec.id] += 1
+            return prepare_sentence(rec, *args, **kwargs)
+
+        monkeypatch.setattr(prepare, "prepare_sentence", counting)
+        cmd_evaluate(cfg, comparison=True,
+                     methods=["BM25", "J-WS", "untrained-encoder", "trained-encoder"])
+        ids = [row[0] for name in ("base.csv", "aux.csv")
+               for row in read_rows(tmp_path / name)[1:]]
+        assert len(set(ids)) == len(ids)
+        assert set(prepared) == set(ids)
+        assert max(prepared.values()) <= 3
+
 
     @pytest.mark.parametrize("text, line", [
         ("", 1),
@@ -973,6 +1070,19 @@ class TestPipeline:
         assert not (tmp_path / "chain_result.csv").exists()
         assert not (tmp_path / "manifest_pipeline.json").exists()
         assert main(args) == 0
+
+    @pytest.mark.parametrize("join_type", ["LEFT", "RIGHT", "FULL"])
+    def test_a_hop_that_is_not_inner_is_rejected(self, workspace, capsys, join_type):
+        tmp_path, cfg = workspace
+        cmd_train(cfg, pretrain=False)
+        hop = f"aux {join_type} KEYLESS JOIN base LEFT SIZE 1 RIGHT SIZE 2 USING s;"
+        chain = tmp_path / "chain.kjoin"
+        chain.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 2 USING s;\n"
+                         + hop + "\n")
+        assert main(["pipeline", "--data-dir", str(tmp_path), "--chain-file", str(chain)]) == 1
+        err = capsys.readouterr().err
+        assert "stage 1" in err and hop in err
+        assert not (tmp_path / "chain_result.csv").exists()
 
     def test_broken_chain_linkage_names_stage(self, workspace):
         tmp_path, cfg = workspace
@@ -1152,8 +1262,12 @@ class TestManifest:
                      ["truth_test.csv", "result.csv"], ["metrics.csv"], ["metrics"]),
         "evaluate-comparison": (
             None, lambda d, cfg: cmd_evaluate(cfg, comparison=True, methods=["BM25"]),
-            ["truth_test.csv", "base.csv", "aux.csv", "supervision.csv"], ["metrics.csv"],
-            ["comparison"]),
+            ["truth_test.csv", "base.csv", "aux.csv"], ["metrics.csv"], ["comparison"]),
+        "evaluate-comparison-trained": (
+            "train",
+            lambda d, cfg: cmd_evaluate(cfg, comparison=True, methods=["trained-encoder"]),
+            ["truth_test.csv", "base.csv", "aux.csv", "model.bin"], ["metrics.csv"],
+            ["comparison", "embed"]),
         "evaluate-comparison-without-supervision": (
             "no-supervision",
             lambda d, cfg: cmd_evaluate(cfg, comparison=True, methods=["BM25"]),

@@ -11,12 +11,12 @@ from emberish.data import (
     Record,
     SupervisionPair,
     SupervisionTriple,
-    dataset_from_rows,
     load_dataset,
     load_supervision,
     write_dataset,
     write_pairs,
 )
+from records import dataset_from_rows
 from test_joiner import full_disk, record_ids
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from emberish.data import SupervisionTriple, dataset_from_rows
+from emberish.data import SupervisionTriple
 from emberish.encoder import (
     EncoderError,
     EncoderModel,
@@ -21,6 +21,7 @@ from emberish.encoder import (
 )
 from emberish.prepare import Sentence, prepare_sentence, token_ids
 from oracles import batch_loss, dense_table, encode, triplet_loss
+from records import dataset_from_rows, record
 
 
 def sentence(text):
@@ -482,7 +483,7 @@ class TestLazyAdam:
 
         def rows(dataset, ids):
             return {int(b) for i in ids
-                    for b in model.rows(prepare_sentence(dataset.record(i)).tokens)}
+                    for b in model.rows(prepare_sentence(record(dataset, i)).tokens)}
 
         anchor_rows = rows(base, {t.anchor_id for t in triples})
         other_rows = rows(aux, {t.positive_id for t in triples} | {t.negative_id for t in triples})
@@ -527,9 +528,9 @@ class TestTrain:
         sat = [
             t for t in triples
             if triplet_loss(
-                encode(model, prepare_sentence(base.record(t.anchor_id))),
-                encode(model, prepare_sentence(aux.record(t.positive_id))),
-                encode(model, prepare_sentence(aux.record(t.negative_id))),
+                encode(model, prepare_sentence(record(base, t.anchor_id))),
+                encode(model, prepare_sentence(record(aux, t.positive_id))),
+                encode(model, prepare_sentence(record(aux, t.negative_id))),
                 margin=0.0,
             ) == 0.0
         ]
@@ -547,9 +548,9 @@ class TestTrain:
         cfg = TrainConfig(epochs=60, batch_size=8, learning_rate=0.05, margin=0.5, seed=0)
         train(model, triples, base, aux, cfg)
         for t in triples:
-            xa = encode(model, prepare_sentence(base.record(t.anchor_id)))
-            xp = encode(model, prepare_sentence(aux.record(t.positive_id)))
-            xn = encode(model, prepare_sentence(aux.record(t.negative_id)))
+            xa = encode(model, prepare_sentence(record(base, t.anchor_id)))
+            xp = encode(model, prepare_sentence(record(aux, t.positive_id)))
+            xn = encode(model, prepare_sentence(record(aux, t.negative_id)))
             assert np.linalg.norm(xa - xp) < np.linalg.norm(xa - xn)
 
     def test_shared_encoder_identity(self):
@@ -563,8 +564,8 @@ class TestTrain:
 
         result = train(model, [Triple("b0", "a0", "a1")], base, aux, cfg, shared=True)
         trained = result.model
-        xb = encode(trained, prepare_sentence(base.record("b0")))
-        xa = encode(trained, prepare_sentence(aux.record("a0")))
+        xb = encode(trained, prepare_sentence(record(base, "b0")))
+        xa = encode(trained, prepare_sentence(record(aux, "a0")))
         assert np.array_equal(xb, xa)
 
     def test_two_encoders_start_identical_then_diverge(self):
@@ -673,7 +674,7 @@ class TestFitEncoder:
         for t in triples:
             for dataset, rid in ((base, t.anchor_id), (aux, t.positive_id), (aux, t.negative_id)):
                 buckets = start.rows(
-                    prepare_sentence(dataset.record(rid), tokenizer="char2gram").tokens)
+                    prepare_sentence(record(dataset, rid), tokenizer="char2gram").tokens)
                 assert set(buckets.tolist()) <= changed
 
     @pytest.mark.parametrize("sampler", ["stratified_bm25", "stratified_jaccard"])

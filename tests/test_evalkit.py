@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emberish.data import SupervisionPair, dataset_from_rows
+from emberish.data import SupervisionPair
 from emberish.evalkit import (
     EvalError,
     TruthSet,
@@ -15,9 +15,8 @@ from emberish.evalkit import (
     run_comparison,
 )
 from emberish.joiner import JoinResult
-from emberish.joinspec import EngineConfig
-from emberish.prepare import prepare_sentence
 from oracles import matches
+from records import dataset_from_rows
 
 
 def ranked_result(rows):
@@ -168,8 +167,8 @@ class TestTruthSet:
             TruthSet(related={"b0": frozenset()})
 
 
-def tiny_world(seed=0):
-    rng = random.Random(seed)
+def tiny_world():
+    rng = random.Random(0)
     vocab = [f"v{i}" for i in range(20)]
     aux_rows = [
         (f"a{i}", [("name", " ".join(rng.choice(vocab) for _ in range(4)))])
@@ -179,20 +178,20 @@ def tiny_world(seed=0):
     base_rows = [(f"b{i}", aux_rows[i][1]) for i in range(10)]  # exact copies
     base = dataset_from_rows("base", "base", base_rows)
     ts = truth({f"b{i}": {f"a{i}"} for i in range(10)})
-    pairs = [SupervisionPair(f"b{i}", f"a{i}") for i in range(10)]
-    return base, aux, ts, pairs
+    return base, aux, ts
 
 
 class TestRunComparison:
     def test_single_cell_table(self):
-        base, aux, ts, _ = tiny_world()
-        table = run_comparison(base, aux, ts, ["BM25"], [1])
+        base, aux, ts = tiny_world()
+        table = run_comparison(base, aux, ts, ["BM25"], [1], embeddings={}, metric="l2")
         assert len(table.rows) == 1
         assert table.rows[0][0] == "BM25" and table.rows[0][1] == 1
 
     def test_exact_copies_give_ld_recall_one(self):
-        base, aux, ts, _ = tiny_world()
-        table = run_comparison(base, aux, ts, ["LD"], [1], key_column="name")
+        base, aux, ts = tiny_world()
+        table = run_comparison(base, aux, ts, ["LD"], [1], embeddings={}, metric="l2",
+                               key_column="name")
         assert table.recall("LD", 1) == 1.0
 
     def test_values_match_individual_recall_calls(self):
@@ -200,61 +199,32 @@ class TestRunComparison:
         from emberish.encoder import EncoderModel, embed_dataset
         from emberish.lexrank import lexical_join
 
-        base, aux, ts, pairs = tiny_world()
-        cfg = EngineConfig(data_dir=".", embedding_dim=16, epochs=2,
-                           learning_rate=0.01, sampler="random", seed=0, loss_margin=0.5)
+        base, aux, ts = tiny_world()
+        model = EncoderModel.create(dim=16, hash_dim=256, seed=0)
+        embeddings = (embed_dataset(model, base), embed_dataset(model, aux))
         table = run_comparison(
             base, aux, ts, ["BM25", "untrained-encoder"], [1, 5],
-            config=cfg, hash_dim=256,
+            embeddings={"untrained-encoder": embeddings}, metric="l2",
         )
         bm = lexical_join("BM25", base, aux, k=5)
         for k in (1, 5):
             assert table.recall("BM25", k) == recall_at_k(bm, ts, k)
-        model = EncoderModel.create(dim=16, hash_dim=256, seed=0)
         res = retrieval_result(embed_dataset(model, base), embed_dataset(model, aux), 5)
         for k in (1, 5):
             assert table.recall("untrained-encoder", k) == recall_at_k(res, ts, k)
 
-    def test_untrained_encoder_holds_its_datasets_rows_and_ranks_as_the_dense_model(
-            self, monkeypatch):
-        from emberish.encoder import EncoderModel, embed_dataset
-        from emberish.evalkit import retrieval_result
-
-        created = []
-        create = EncoderModel.create.__func__
-
-        def spy(cls, *args, **kwargs):
-            created.append(create(cls, *args, **kwargs))
-            return created[-1]
-
-        base, aux, ts, _ = tiny_world(3)
-        cfg = EngineConfig(data_dir=".", embedding_dim=16, tokenizer="char2gram",
-                           distance="inner_product", seed=5)
-        monkeypatch.setattr(EncoderModel, "create", classmethod(spy))
-        table = run_comparison(base, aux, ts, ["untrained-encoder"], [1, 3, 5], config=cfg)
-        monkeypatch.undo()
-        (model,) = created
-        dense = EncoderModel.create(dim=16, seed=5)
-        tokens = {t for ds in (base, aux) for rec in ds.records
-                  for t in prepare_sentence(rec, tokenizer="char2gram").tokens}
-        assert model.row_buckets.tolist() == sorted(set(dense.rows(list(tokens)).tolist()))
-        res = retrieval_result(embed_dataset(dense, base, tokenizer="char2gram"),
-                               embed_dataset(dense, aux, tokenizer="char2gram"), 5,
-                               metric="inner_product")
-        assert table.rows == [("untrained-encoder", k, recall_at_k(res, ts, k))
-                              for k in (1, 3, 5)]
-
-    def test_trained_requires_pairs(self):
-        base, aux, ts, _ = tiny_world()
-        with pytest.raises(EvalError, match="train_pairs"):
-            run_comparison(base, aux, ts, ["trained-encoder"], [1])
+    @pytest.mark.parametrize("method", ["untrained-encoder", "trained-encoder"])
+    def test_encoder_method_requires_its_embeddings(self, method):
+        base, aux, ts = tiny_world()
+        with pytest.raises(EvalError, match=f"{method} needs its"):
+            run_comparison(base, aux, ts, ["BM25", method], [1], embeddings={}, metric="l2")
 
     def test_unknown_method(self):
-        base, aux, ts, _ = tiny_world()
+        base, aux, ts = tiny_world()
         with pytest.raises(EvalError, match="unknown method"):
-            run_comparison(base, aux, ts, ["word2vec"], [1])
+            run_comparison(base, aux, ts, ["word2vec"], [1], embeddings={}, metric="l2")
 
     def test_table_render(self):
-        base, aux, ts, _ = tiny_world()
-        table = run_comparison(base, aux, ts, ["BM25"], [1, 10])
+        base, aux, ts = tiny_world()
+        table = run_comparison(base, aux, ts, ["BM25"], [1, 10], embeddings={}, metric="l2")
         assert "BM25" in table.format_table()

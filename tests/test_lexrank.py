@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emberish import joiner, lexrank
-from emberish.data import SupervisionPair, dataset_from_rows
+from emberish.data import SupervisionPair
 from emberish.joiner import id_ranks
 from emberish.lexrank import (
     LexError,
@@ -23,6 +23,7 @@ from emberish.lexrank import (
 from emberish.prepare import prepare_sentence
 from emberish.supervise import SamplerConfig, build_pretraining_pairs, build_tiers
 from oracles import bm25_score, bm25_topk, coded, coded_index, for_base, matches
+from records import dataset_from_rows
 
 
 # --- Independent oracles (kept deliberately naive) -------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emberish.data import Record, dataset_from_rows
+from emberish.data import Record
 from emberish.prepare import prepare_sentence, token_ids, tokenize
+from records import dataset_from_rows
 
 
 def test_two_field_record():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from emberish import lexrank
-from emberish.data import SupervisionPair, dataset_from_rows
+from emberish.data import SupervisionPair
 from emberish.lexrank import jaccard
 from emberish.prepare import prepare_sentence
 from emberish.supervise import (
@@ -20,6 +20,7 @@ from emberish.supervise import (
     split_train_test,
 )
 from oracles import bm25_score
+from records import by_id, dataset_from_rows, record
 
 
 def word_rows(prefix, texts):
@@ -68,7 +69,7 @@ class TestSampleTriples:
         base, aux, pairs = small_world
         cfg = SamplerConfig(kind="stratified_bm25", tier_size=2, seed=1)
         for t in sample_triples(pairs, base, aux, cfg):
-            tier = set(bm25_best(base.record(t.anchor_id), aux, 2))
+            tier = set(bm25_best(record(base, t.anchor_id), aux, 2))
             positives = {p.aux_id for p in pairs if p.base_id == t.anchor_id}
             if tier - positives:
                 assert t.negative_id in tier
@@ -96,7 +97,7 @@ class TestSampleTriples:
                                 SamplerConfig(kind="stratified_jaccard", tier_size=tier_size))
             assert list(tiers) == [p.base_id for p in pairs]
             for anchor_id, tier in tiers.items():
-                anchor = tokens(base.record(anchor_id))
+                anchor = tokens(record(base, anchor_id))
                 expected = sorted(aux.records, key=lambda r: (-jaccard(anchor, tokens(r)), r.id))
                 assert tier == [r.id for r in expected[:tier_size]]
 
@@ -191,9 +192,9 @@ class TestGenerateFuzzyJoin:
         source = self.source()
         cfg = PerturbationConfig(perturbations_per_row=0, copies_per_row=2, seed=1)
         base, aux, truth = generate_fuzzy_join(source, cfg)
-        by_id = aux.by_id()
+        aux_by_id = by_id(aux)
         for pair in truth:
-            assert base.record(pair.base_id).fields == by_id[pair.aux_id].fields
+            assert record(base, pair.base_id).fields == aux_by_id[pair.aux_id].fields
 
     def test_cap_arithmetic_four_tokens_hard_preset(self):
         # floor(0.25 * 4) = 1, so even 15 requested edits collapse to one.
@@ -218,8 +219,8 @@ class TestGenerateFuzzyJoin:
         base, aux, truth = generate_fuzzy_join(source, cfg)
         budget = int(0.25 * 12)
         for pair in truth:
-            src_tokens = aux.record(pair.aux_id).value("t").split()
-            out_tokens = base.record(pair.base_id).value("t").split()
+            src_tokens = record(aux, pair.aux_id).value("t").split()
+            out_tokens = record(base, pair.base_id).value("t").split()
             # Each edit changes length by at most 1 and token multiset by at most 2.
             assert abs(len(out_tokens) - len(src_tokens)) <= budget
 
