@@ -6,8 +6,12 @@ naming convention (base.csv, aux.csv, supervision.csv, model.bin,
 embeddings_{base,aux}.bin, result.csv). A learned join reads an
 embeddings file back, instead of embedding that side again, when the
 previous join's manifest shows it was built from the same dataset, model,
-tokenizer and versions. Exit codes: 0 success, 1 validation error, 2
-runtime failure.
+tokenizer and versions. A LEFT, RIGHT or single-direction INNER join holds
+only the side it retrieves from; the querying side streams through the
+scan a block at a time, read again from its verified file or embedded into
+its file as the scan asks for each block, and its rows go to result.csv
+block by block. Exit codes: 0 success, 1 validation error, 2 runtime
+failure, such as an embeddings file that changed during the join.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator, Sequence, TypeVar
 
 import click
+import numpy as np
 
 from . import __version__
 from .data import (
@@ -39,7 +44,14 @@ from .data import (
     write_pairs,
     write_table,
 )
-from .encoder import EncoderModel, embed_dataset, fit_encoder, load_model, save_model
+from .encoder import (
+    EncoderModel,
+    embed_blocks,
+    embed_dataset,
+    fit_encoder,
+    load_model,
+    save_model,
+)
 from .evalkit import (
     ENCODER_METHODS,
     EvalError,
@@ -55,11 +67,18 @@ from .joiner import (
     JoinError,
     JoinResult,
     aggregate_labels,
+    aux_queries,
     build_index,
     chain_joins,
+    embeddings_ids,
+    embeddings_writer,
     execute_join,
     load_embeddings,
+    read_embeddings,
     save_embeddings,
+    scan_rows,
+    single_direction,
+    write_join,
 )
 from .joinspec import (
     ConfigError,
@@ -74,7 +93,7 @@ from .joinspec import (
     render_join_spec,
     resolve_ref,
 )
-from .lexrank import lexical_join, uses_key_column
+from .lexrank import BASELINE_KINDS, baseline_tokenizer, lexical_join, uses_key_column
 from .prepare import Features, prepare_sentence, token_ids
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
@@ -85,6 +104,8 @@ ENV_DATA_DIR = "EMBERISH_DATA_DIR"
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 PRESETS = {"easy": 5, "hard": 15}
+
+T = TypeVar("T")
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -138,6 +159,7 @@ class _Run:
         snapshot["join_type"] = config.join_type.value
         self.data_dir = Path(config.data_dir)
         self.manifest = RunManifest(command=command, config=snapshot, seed=config.seed)
+        self._inner: list[float] = []  # per open stage, the time of the stages inside it
 
     def read(self, *paths: Path) -> None:
         """Exit 1 naming every missing one of ``paths``; otherwise record
@@ -155,9 +177,27 @@ class _Run:
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
+        """Time a stage. A stage run again adds to its time, and a stage run
+        inside another counts to itself alone, so no time counts twice."""
+        self._inner.append(0.0)
         start = time.perf_counter()
         yield
-        self.manifest.timings[name] = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        inner = self._inner.pop()
+        if self._inner:
+            self._inner[-1] += elapsed
+        timings = self.manifest.timings
+        timings[name] = timings.get(name, 0.0) + elapsed - inner
+
+    def timed(self, name: str, items: Iterable[T]) -> Iterator[T]:
+        """``items``, the time taken to make each one added to stage ``name``."""
+        items = iter(items)
+        while True:
+            with self.stage(name):
+                item = next(items, None)
+            if item is None:
+                return
+            yield item
 
     def finish(self) -> RunManifest:
         self.manifest.write(self.data_dir / f"manifest_{self.manifest.command}.json")
@@ -255,11 +295,13 @@ def _load_sides(run: _Run) -> tuple[Dataset, Dataset]:
     return base, aux
 
 
-def _reusable(run: _Run, tokenizer: str,
-              sides: list[tuple[Path, Path, Path]]) -> list[Embeddings | None]:
-    """For each side's ``(embeddings file, dataset, model)``, the
-    embeddings the data directory's previous join left in the file, or
-    None when the side must be embedded again.
+def _reusable(run: _Run, tokenizer: str, sides: list[tuple[Path, Path, Path]],
+              hold: Sequence[bool]) -> list[tuple[tuple[str, ...], np.ndarray | None] | None]:
+    """For each side's ``(embeddings file, dataset, model)``, the ids and
+    vectors the data directory's previous join left in the file, or None
+    when the side must be embedded again. A side whose ``hold`` is false
+    is read for its ids alone: its vectors are None, and ``_reread`` reads
+    them again.
 
     A side's key digests what its embeddings are built from: the sha256 of
     its dataset and of the model that embeds it, the tokenizer, the
@@ -269,7 +311,7 @@ def _reusable(run: _Run, tokenizer: str,
     is parsed as it is read, and the bytes parsed are hashed, so only the
     parse is held; it is discarded when the digest differs. Every side's
     key goes into ``run``'s manifest, so the next join can look it up."""
-    found: list[Embeddings | None] = [None] * len(sides)
+    found: list[tuple[tuple[str, ...], np.ndarray | None] | None] = [None] * len(sides)
     models = [model for _, _, model in sides]
     if not all(model.exists() for model in models):
         return found  # _load_model reports the missing file
@@ -293,7 +335,8 @@ def _reusable(run: _Run, tokenizer: str,
             continue
         sha = hashlib.sha256()
         try:
-            loaded = load_embeddings(path, digest=sha.update)
+            loaded = (load_embeddings(path, sha.update) if hold[side]
+                      else (embeddings_ids(path, sha.update), None))
         except (OSError, JoinError):
             continue
         if sha.hexdigest() != digest:
@@ -302,6 +345,40 @@ def _reusable(run: _Run, tokenizer: str,
         run.manifest.add_input(path, digest)
         run.manifest.embeddings[path.name]["reused"] = True
     return found
+
+
+def _reread(path: Path, digest: str, rows: int | None = None) -> Iterator[np.ndarray]:
+    """The vectors of an embeddings file that ``_reusable`` verified with
+    sha256 ``digest``, read again in blocks of ``rows`` (whole when None)
+    and hashed as they are parsed. Raises ``RuntimeError`` (exit 2) when
+    they are not the bytes verified: the file changed during the join."""
+    sha = hashlib.sha256()
+    try:
+        with closing(read_embeddings(path, sha.update, rows)) as blocks:
+            for _, vectors in blocks:
+                yield vectors
+    except (OSError, JoinError) as exc:
+        raise RuntimeError(f"{path} changed during the join: {exc}") from None
+    if sha.hexdigest() != digest:
+        raise RuntimeError(f"{path} changed during the join (sha256 {sha.hexdigest()}, "
+                           f"verified {digest})")
+
+
+def _embedding_stream(run: _Run, model: EncoderModel,
+                      features: tuple[Sequence[str], Sequence[np.ndarray]], ids: Sequence[str],
+                      rows: int, path: Path) -> Iterator[np.ndarray]:
+    """The embeddings of one side, from ``features`` (the vocabulary and the
+    side's token ids), in blocks of about ``rows`` records. Each block goes
+    with its ``ids`` into the temporary copy of the embeddings file at
+    ``path`` as it is yielded, and the copy replaces ``path`` after the last
+    block. The embedding time adds to stage embed."""
+    with atomic_write(path) as fh:
+        write = embeddings_writer(fh, len(ids), model.dim)
+        start = 0
+        for block in run.timed("embed", embed_blocks(model, *features, rows)):
+            write(ids[start : start + len(block)], block)
+            start += len(block)
+            yield block
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +565,21 @@ def cmd_join(
     # The model that embeds each side, and the file its embeddings go to.
     models = _side_models(run, config)
     files = [run.data_dir / "embeddings_base.bin", run.data_dir / "embeddings_aux.bin"]
-    embeddings = ([None, None] if baseline is not None
-                  else _reusable(run, config.tokenizer, list(zip(files, paths, models))))
+    streamed = single_direction(spec, both_directions)
+    found: list = [None, None]
+    if baseline is None:
+        # A single-direction join holds only the side it retrieves from. An
+        # INNER join retrieves from the larger side, which the larger file
+        # is taken to hold: a wrong guess costs a second read of the file,
+        # or holding the querying side whole.
+        sizes = [file.stat().st_size if file.exists() else 0 for file in files]
+        retrieved = 0 if aux_queries(spec, *sizes) else 1
+        hold = [not streamed or side == retrieved for side in (0, 1)]
+        found = _reusable(run, config.tokenizer, list(zip(files, paths, models)), hold)
     datasets = [load_dataset(path, role=role, name=ref)
                 if emb is None or dump_sentences is not None else None
                 for path, role, ref, emb in zip(paths, (DatasetRole.BASE, DatasetRole.AUXILIARY),
-                                                refs, embeddings)]
+                                                refs, found)]
 
     if dump_sentences is not None:
         dump_path = Path(dump_sentences)
@@ -507,40 +593,78 @@ def cmd_join(
                     ) + "\n")
         run.wrote(dump_path)
 
+    result_path = run.data_dir / "result.csv"
     if baseline is not None:
         with run.stage("baseline_join"):
             result = lexical_join(baseline, *datasets, key_column=key_column,
                                   k=spec.right_size)
-    else:
-        # The models read only the table rows of the tokens the join embeds.
-        # A model whose sides are all reused reads no rows, but is still checked.
-        embedded = [side for side, emb in enumerate(embeddings) if emb is None]
-        fresh_models = [models[side] for side in embedded]
-        for path in dict.fromkeys(models):
-            if path not in fresh_models:
-                _load_model(run, config, path, ())
-        todo = [datasets[side] for side in embedded]
-        if todo:
-            fresh = _embed(run, config, todo, fresh_models, token_ids(todo, config.tokenizer))
-            for side, emb in zip(embedded, fresh):
-                embeddings[side] = emb
-        # The scan needs only the embeddings: the records are not held
-        # through it, and the token ids and the models went with _embed.
-        del datasets, todo
-        for side in embedded:
-            save_embeddings(embeddings[side], files[side])
-            run.wrote(files[side])
-        with run.stage("join"):
-            result = execute_join(
-                spec,
-                *embeddings,
-                metric=config.distance,  # type: ignore[arg-type]
-                threshold=threshold,
-                both_directions=both_directions,
-            )
+        result.write_csv(result_path)
+        run.wrote(result_path)
+        return run.finish()
 
-    result_path = run.data_dir / "result.csv"
-    result.write_csv(result_path)
+    ids = [emb[0] if emb is not None else datasets[side].ids()
+           for side, emb in enumerate(found)]
+    if not all(ids):
+        raise JoinError("both sides must have at least one embedding")
+    # The models read only the table rows of the tokens the join embeds.
+    # A model whose sides are all reused reads no rows, but is still checked.
+    embedded = [side for side, emb in enumerate(found) if emb is None]
+    vocab, tokens = token_ids([datasets[side] for side in embedded], config.tokenizer)
+    tokens = dict(zip(embedded, tokens))
+    loaded = {path: _load_model(run, config, path,
+                                vocab if any(models[side] == path for side in embedded) else ())
+              for path in dict.fromkeys(models)}
+
+    def whole(side: int) -> Embeddings:
+        """The side's ids and vectors: held, read again, or embedded and
+        saved."""
+        emb = found[side]
+        if emb is None:
+            with run.stage("embed"):
+                emb = embed_dataset(loaded[models[side]], datasets[side],
+                                    features=(vocab, tokens.pop(side)))
+            save_embeddings(emb, files[side])
+            run.wrote(files[side])
+        elif emb[1] is None:
+            (vectors,) = _reread(files[side], run.manifest.inputs[str(files[side])])
+            emb = (emb[0], vectors)
+        return emb
+
+    def blocks(side: int, rows: int) -> Iterator[np.ndarray]:
+        """The side's vectors in blocks of about ``rows``: held, read again
+        block by block, or embedded block by block into its file."""
+        emb = found[side]
+        if emb is None:
+            yield from _embedding_stream(run, loaded[models[side]], (vocab, tokens[side]),
+                                         ids[side], rows, files[side])
+        elif emb[1] is None:
+            yield from _reread(files[side], run.manifest.inputs[str(files[side])], rows)
+        else:
+            yield emb[1]
+
+    if streamed:
+        # The retrieved side is indexed whole, and the querying side streams
+        # through the scan a block at a time.
+        reverse = aux_queries(spec, *map(len, ids))
+        query, target = (1, 0) if reverse else (0, 1)
+        index = whole(target)
+        del datasets
+        with run.stage("join"):
+            index = build_index(index, metric=config.distance)  # type: ignore[arg-type]
+            with closing(blocks(query, scan_rows(index))) as stream:
+                write_join(result_path, spec, index, ids[query], stream, reverse, threshold)
+        if found[query] is None:
+            run.wrote(files[query])
+    else:
+        embeddings = [whole(0), whole(1)]
+        # The scan needs only the embeddings: the records are not held
+        # through it, and the token ids and the models go with them.
+        del datasets, tokens, loaded
+        with run.stage("join"):
+            result = execute_join(spec, *embeddings,
+                                  metric=config.distance,  # type: ignore[arg-type]
+                                  threshold=threshold, both_directions=both_directions)
+        result.write_csv(result_path)
     run.wrote(result_path)
     return run.finish()
 
@@ -581,13 +705,18 @@ def cmd_evaluate(
     if comparison:
         base, aux = _load_sides(run)
         with run.stage("comparison"):
-            # The encoder rows featurize both datasets once, together: the
-            # untrained row with a seeded model holding only their tokens'
-            # rows, the trained row with the model files train wrote.
+            # Both datasets are featurized once, together, per tokenizer in
+            # use: the sentence baselines' and the encoder rows' (the
+            # untrained row embeds with a seeded model holding only their
+            # tokens' rows, the trained row with the model files train wrote).
+            encoders = set(methods) & set(ENCODER_METHODS)
+            tokenizers = [baseline_tokenizer(m) for m in methods
+                          if m in BASELINE_KINDS and not uses_key_column(m)]
+            features = {tokenizer: token_ids([base, aux], tokenizer) for tokenizer in
+                        dict.fromkeys([*tokenizers, *([config.tokenizer] if encoders else [])])}
             embeddings = {}
-            if set(methods) & set(ENCODER_METHODS):
-                features = token_ids([base, aux], config.tokenizer)
-                vocab, ids = features
+            if encoders:
+                vocab, ids = features[config.tokenizer]
             if "untrained-encoder" in methods:
                 model = EncoderModel.create(dim=config.embedding_dim, seed=config.seed,
                                             normalize=config.normalize, tokens=vocab)
@@ -596,9 +725,11 @@ def cmd_evaluate(
                     for ds, side in zip((base, aux), ids))
             if "trained-encoder" in methods:
                 embeddings["trained-encoder"] = tuple(
-                    _embed(run, config, [base, aux], _side_models(run, config), features))
+                    _embed(run, config, [base, aux], _side_models(run, config),
+                           features[config.tokenizer]))
             table = run_comparison(base, aux, truth, methods, ks, embeddings=embeddings,
-                                   metric=config.distance, key_column=key_column)
+                                   metric=config.distance, key_column=key_column,
+                                   features=features)
         rows = [(method, k, repr(r)) for method, k, r in table.rows]
         printable = table.format_table()
     else:

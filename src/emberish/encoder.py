@@ -46,7 +46,7 @@ import struct
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,7 +68,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _TINY = 1e-12
-# Floats per block of rows that embed_dataset runs through one forward pass
+# Floats per block of rows that embed_blocks runs through one forward pass
 # (0.5 MB); the pass holds about five block-sized arrays.
 _EMBED_CELLS = 1 << 16
 # Rows per block of the seeded initial table, drawn one block at a time
@@ -202,6 +202,39 @@ class EncoderModel:
         return at
 
 
+def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: Sequence[np.ndarray],
+                 rows: int | None = None, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The embedding rows of the records whose tokens are ``ids`` in
+    ``vocab`` (one side of ``prepare.token_ids``), in record order, as
+    blocks of about ``_EMBED_CELLS`` floats and at most about ``rows`` rows.
+
+    No block holds one row (unless there is one record): numpy multiplies
+    a single row with gemv, whose last bits differ from gemm's, while with
+    two or more rows a row's bits do not depend on its block. The blocks
+    share one pooling buffer; each is written into its rows of ``out``
+    (one row per record) when given, else into one buffer that the next
+    block overwrites.
+    """
+    table_rows = model.rows(vocab)
+    n = len(ids)
+    parts = -(-n * model.dim // _EMBED_CELLS)
+    if rows is not None:
+        parts = max(parts, -(-n // rows))
+    parts = max(1, min(parts, n // 2))
+    # The blocks of np.array_split: the first n % parts hold one row more.
+    size, extra = divmod(n, parts)
+    pooled = np.empty((size + (extra > 0), model.dim))
+    block = np.empty(pooled.shape) if out is None else None
+    start = 0
+    for part in range(parts):
+        stop = start + size + (part < extra)
+        into = out[start:stop] if block is None else block[: stop - start]
+        _forward_group(model, [table_rows[ids[i]] for i in range(start, stop)],
+                       pooled[: stop - start], into)
+        yield into
+        start = stop
+
+
 def embed_dataset(
     model: EncoderModel,
     dataset: Dataset,
@@ -212,12 +245,8 @@ def embed_dataset(
 
     ``features`` is a vocabulary and each record's token ids in it, in
     dataset order, as ``prepare.token_ids`` gives them; without it the
-    records are featurized here under ``tokenizer``. Rows go through the
-    forward pass in blocks of about ``_EMBED_CELLS`` floats, and never in
-    one-row blocks (unless the dataset has one row): numpy multiplies a
-    single row with gemv, whose last bits differ from gemm's, while with two
-    or more rows a row's bits do not depend on its block. The blocks share
-    one pooling buffer and write their outputs straight into the result.
+    records are featurized here under ``tokenizer``. ``embed_blocks``
+    writes the rows straight into the result.
     """
     if features is None:
         vocab, (ids,) = token_ids([dataset], tokenizer)
@@ -225,19 +254,9 @@ def embed_dataset(
         vocab, ids = features
     if len(ids) != len(dataset.records):
         raise EncoderError(f"{len(ids)} token id arrays for {len(dataset.records)} records")
-    rows = model.rows(vocab)
-    n = len(ids)
-    vectors = np.empty((n, model.dim))
-    parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
-    # The blocks of np.array_split: the first n % parts hold one row more.
-    size, extra = divmod(n, parts)
-    pooled = np.empty((size + (extra > 0), model.dim))
-    start = 0
-    for part in range(parts):
-        stop = start + size + (part < extra)
-        _forward_group(model, [rows[ids[i]] for i in range(start, stop)],
-                       pooled[: stop - start], vectors[start:stop])
-        start = stop
+    vectors = np.empty((len(ids), model.dim))
+    for _ in embed_blocks(model, vocab, ids, out=vectors):
+        pass
     return tuple(rec.id for rec in dataset.records), vectors
 
 
@@ -298,7 +317,7 @@ def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray],
     rows are scaled, and the empty sentences' outputs are zero. The
     projected rows are scaled in place, so they become X. ``pooled`` and
     ``out``, when given, are ``(n, dim)`` arrays that E and X are written
-    to: ``embed_dataset`` passes one pooling buffer for all of its blocks
+    to: ``embed_blocks`` passes one pooling buffer for all of its blocks
     and each block's rows of its output, so no block allocates either.
     """
     n = len(bucket_arrays)

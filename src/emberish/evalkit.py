@@ -15,7 +15,8 @@ import numpy as np
 from .data import Dataset, SupervisionPair
 from .joiner import Embeddings, JoinResult, execute_join
 from .joinspec import JoinSpec, JoinType
-from .lexrank import BASELINE_KINDS, lexical_join
+from .lexrank import BASELINE_KINDS, baseline_tokenizer, lexical_join
+from .prepare import Features
 
 ENCODER_METHODS = ("untrained-encoder", "trained-encoder")
 COMPARISON_METHODS = BASELINE_KINDS + ENCODER_METHODS
@@ -158,12 +159,15 @@ def run_comparison(
     embeddings: dict[str, tuple[Embeddings, Embeddings]],
     metric: str,
     key_column: str | None = None,
+    features: dict[str, Features] | None = None,
 ) -> ComparisonTable:
     """Record-level recall@k for each requested method.
 
-    A lexical method joins ``base`` and ``aux`` itself. An encoder method
-    retrieves with the ``(base, aux)`` embeddings its caller made and
-    passed in ``embeddings`` under the method's name, ranked by ``metric``.
+    A lexical method joins ``base`` and ``aux`` itself, from the
+    ``token_ids([base, aux], tokenizer)`` that ``features`` holds under its
+    tokenizer, if any. An encoder method retrieves with the ``(base, aux)``
+    embeddings its caller made and passed in ``embeddings`` under the
+    method's name, ranked by ``metric``.
     """
     if not methods:
         raise EvalError("methods must be non-empty")
@@ -181,7 +185,8 @@ def run_comparison(
     rows: list[tuple[str, int, float]] = []
     for method in methods:
         if method in BASELINE_KINDS:
-            result = lexical_join(method, base, aux, key_column=key_column, k=kmax)
+            result = lexical_join(method, base, aux, key_column=key_column, k=kmax,
+                                  features=(features or {}).get(baseline_tokenizer(method)))
         else:
             result = retrieval_result(*embeddings[method], kmax, metric=metric)
         for k in ks:

@@ -17,8 +17,17 @@ score and direction. The arrays go from ``_search`` to ``result.csv`` and
 into the metrics with no per-row object; the file renders each distinct
 id once.
 
-An embeddings file is parsed as it is read, and a caller that checks its
-digest hashes the same bytes, so a reused side is held once.
+LEFT, RIGHT and single-direction INNER joins are one function,
+``scan_join``, over the querying side's rows as a stream of blocks: each
+block is searched against the retrieved side's index and then dropped.
+``execute_join`` feeds it an in-memory matrix; ``write_join`` feeds it any
+stream (blocks read from an embeddings file, or embedded as they are
+needed) and renders LEFT and RIGHT rows to ``result.csv`` block by block,
+so the querying side is never held whole.
+
+An embeddings file is parsed as it is read, whole or a block at a time,
+and a caller that checks its digest hashes the same bytes, so a reused
+side is held once, or not at all.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -49,6 +58,8 @@ _BLOCK_CELLS = 1 << 19
 _RESCORE_CELLS = 1 << 16
 # Rows per chunk of a result file, formatted and streamed to the file.
 _WRITE_ROWS = 1 << 14
+# Records per block of an embeddings file read for its ids only.
+_ID_ROWS = 1 << 8
 
 
 class JoinError(ValueError):
@@ -132,6 +143,12 @@ def build_index(embeddings: Embeddings, metric: Metric = "l2") -> EmbeddingIndex
                           metric=metric)
 
 
+def scan_rows(index: EmbeddingIndex) -> int:
+    """Query rows per block of a scan of ``index``: a block of scores, and
+    a block of queries, of about ``_BLOCK_CELLS`` floats at most."""
+    return max(1, _BLOCK_CELLS // max(index.n, index.dimension))
+
+
 def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
             threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact top-k of every query row: ``(rows, cols, scores)`` ordered by
@@ -140,7 +157,7 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
         raise JoinError(f"query dimension {queries.shape[1:]} does not match index "
                         f"dimension {index.dimension}")
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    step = max(1, _BLOCK_CELLS // index.n)
+    step = scan_rows(index)
     # One block of scores serves every query block, and for l2 one chunk of
     # a few rows serves every partition: arrays allocated afresh each time
     # were returned to the system and paged in again.
@@ -235,23 +252,9 @@ class JoinResult:
                    np.frombuffer(score, np.float64), np.zeros(len(rank), bool))
 
     def _write_rows(self, fh: TextIO) -> None:
-        """Write the result file to ``fh``, ``_WRITE_ROWS`` rows at a time,
-        each distinct id rendered once; all of the file's ids, not one
-        chunk's, decide the quoting."""
-        quote_all = quotes_all(chain(self.base_ids, self.aux_ids))
-        # The last field of each side is its ABSENT one, at position -1.
-        base_ids = [table_field(rid, quote_all) for rid in (*self.base_ids, "")]
-        aux_ids = [table_field(rid, quote_all) for rid in (*self.aux_ids, "")]
-        q = '"' if quote_all else ""  # the header, ranks and scores need no other quotes
-        fh.write(f"{q}base_id{q},{q}aux_id{q},{q}rank{q},{q}score{q}\n")
-        for at in range(0, self.rank.size, _WRITE_ROWS):
-            rows = slice(at, at + _WRITE_ROWS)
-            base, aux = self.base[rows], self.aux[rows]
-            absent = ((base < 0) | (aux < 0)).tolist()
-            fh.writelines(f"{base_ids[b]},{aux_ids[a]},{q}{r}{q},{q}{'' if gone else repr(s)}{q}\n"
-                          for b, a, r, s, gone in zip(base.tolist(), aux.tolist(),
-                                                      self.rank[rows].tolist(),
-                                                      self.score[rows].tolist(), absent))
+        """Write the result file to ``fh`` through ``result_writer``."""
+        result_writer(fh, self.base_ids, self.aux_ids)(self.base, self.aux, self.rank,
+                                                       self.score)
 
     def write_csv(self, path: str | Path) -> None:
         """Stream the result file through ``atomic_write``."""
@@ -280,6 +283,33 @@ class JoinResult:
                 yield base_id, aux_id, rank, score
 
         return cls.from_ids(rows())
+
+
+def result_writer(fh: TextIO, base_ids: Sequence[str],
+                  aux_ids: Sequence[str]) -> Callable[..., None]:
+    """Write the header of a result file over ``base_ids`` and ``aux_ids``
+    to ``fh``, and return the function that writes rows after it from the
+    columns ``(base, aux, rank, score)``, ``_WRITE_ROWS`` rows at a time.
+    Each distinct id is rendered once; all of the file's ids, not one
+    chunk's, decide the quoting."""
+    quote_all = quotes_all(chain(base_ids, aux_ids))
+    # The last field of each side is its ABSENT one, at position -1.
+    base_fields = [table_field(rid, quote_all) for rid in (*base_ids, "")]
+    aux_fields = [table_field(rid, quote_all) for rid in (*aux_ids, "")]
+    q = '"' if quote_all else ""  # the header, ranks and scores need no other quotes
+    fh.write(f"{q}base_id{q},{q}aux_id{q},{q}rank{q},{q}score{q}\n")
+
+    def write(base: np.ndarray, aux: np.ndarray, rank: np.ndarray, score: np.ndarray) -> None:
+        for at in range(0, rank.size, _WRITE_ROWS):
+            rows = slice(at, at + _WRITE_ROWS)
+            absent = ((base[rows] < 0) | (aux[rows] < 0)).tolist()
+            fh.writelines(f"{base_fields[b]},{aux_fields[a]},{q}{r}{q},"
+                          f"{q}{'' if gone else repr(s)}{q}\n"
+                          for b, a, r, s, gone in zip(base[rows].tolist(), aux[rows].tolist(),
+                                                      rank[rows].tolist(),
+                                                      score[rows].tolist(), absent))
+
+    return write
 
 
 def _sorted_codes(coded: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -319,6 +349,70 @@ def _cap_per_target(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap:
     return rows[keep], cols[keep], scores[keep]
 
 
+def single_direction(spec: JoinSpec, both_directions: bool) -> bool:
+    """Whether ``spec`` retrieves in one direction only: every join but
+    FULL and INNER with ``both_directions``."""
+    return spec.join_type != JoinType.FULL and not (spec.join_type == JoinType.INNER
+                                                    and both_directions)
+
+
+def aux_queries(spec: JoinSpec, n_base: int, n_aux: int) -> bool:
+    """Whether the aux side queries in the single-direction join ``spec``
+    of ``n_base`` and ``n_aux`` records: in RIGHT, and in INNER when it is
+    the smaller side."""
+    return spec.join_type == JoinType.RIGHT or (spec.join_type == JoinType.INNER
+                                                and n_base > n_aux)
+
+
+def scan_join(spec: JoinSpec, index: EmbeddingIndex, query_ids: Sequence[str],
+              blocks: Iterable[np.ndarray], reverse: bool,
+              threshold: float | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``JoinResult`` columns of the single-direction join ``spec``
+    whose querying side (aux when ``reverse``) has ``query_ids`` and comes
+    as ``blocks`` of their rows, in order, scanned against ``index`` over
+    the other side. No block is kept once it is scanned. LEFT and RIGHT
+    yield each block's rows at once, with an ABSENT row at the position of
+    each query that matched nothing; INNER keeps each query's matches, caps
+    them per retrieved record and yields them after the last block."""
+    k = spec.left_size if reverse else spec.right_size
+    inner = spec.join_type == JoinType.INNER
+    found = []
+    start = 0
+    for block in blocks:
+        rows, cols, scores = _search(index, block, k, threshold)
+        rows += start
+        stop = start + len(block)
+        if inner:
+            found.append((rows, cols, scores))
+        else:
+            yield ranked_columns(rows, cols, scores, reverse,
+                                 np.setdiff1d(np.arange(start, stop), rows))
+        start = stop
+    if start != len(query_ids):
+        raise JoinError(f"{start} query rows for {len(query_ids)} query ids")
+    if inner:
+        rows, cols, scores = map(np.concatenate, zip(*found))
+        cap = spec.right_size if reverse else spec.left_size
+        if cap < len(query_ids):
+            rows, cols, scores = _cap_per_target(rows, cols, scores, cap, index.metric,
+                                                 id_ranks(query_ids))
+        yield ranked_columns(rows, cols, scores, reverse)
+
+
+def write_join(path: str | Path, spec: JoinSpec, index: EmbeddingIndex,
+               query_ids: Sequence[str], blocks: Iterable[np.ndarray], reverse: bool,
+               threshold: float | None = None) -> None:
+    """Write the result file of ``scan_join`` through ``atomic_write``,
+    rendering rows as ``scan_join`` yields them, so a LEFT or RIGHT join
+    holds one block's rows; a join that fails leaves the old file whole."""
+    base_ids, aux_ids = (index.ids, query_ids) if reverse else (query_ids, index.ids)
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+        write = result_writer(fh, base_ids, aux_ids)
+        for base, aux, rank, score, _ in scan_join(spec, index, query_ids, blocks, reverse,
+                                                   threshold):
+            write(base, aux, rank, score)
+
+
 def execute_join(
     spec: JoinSpec,
     base_emb: Embeddings,
@@ -330,14 +424,15 @@ def execute_join(
     """Execute the join over precomputed embeddings.
 
     Each retrieval direction indexes the retrieved side and scans it with
-    the querying side's vectors. INNER retrieves in a single direction: the
-    smaller dataset queries the larger one, with k set by the retrieved
-    side's size bound, then the query side's own bound is enforced as a
-    per-retrieved-record cap. ``both_directions`` switches INNER to the
-    union of both retrieval directions. That union and FULL hold the
-    forward rows, then the reverse rows whose pair is not already present;
-    FULL then adds an ABSENT row per unmatched base record, then per
-    unmatched aux record.
+    the querying side's vectors. LEFT, RIGHT and INNER are ``scan_join``
+    over the querying side's matrix as one block: INNER retrieves in a
+    single direction, the smaller dataset querying the larger one, with k
+    set by the retrieved side's size bound, then the query side's own bound
+    is enforced as a per-retrieved-record cap. ``both_directions`` switches
+    INNER to the union of both retrieval directions. That union and FULL
+    hold the forward rows, then the reverse rows whose pair is not already
+    present; FULL then adds an ABSENT row per unmatched base record, then
+    per unmatched aux record.
     """
     base_ids, aux_ids = tuple(base_emb[0]), tuple(aux_emb[0])
     if not base_ids or not aux_ids:
@@ -346,6 +441,12 @@ def execute_join(
     def result(*parts: tuple[np.ndarray, ...]) -> JoinResult:
         return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*parts)))
 
+    if single_direction(spec, both_directions):
+        reverse = aux_queries(spec, len(base_ids), len(aux_ids))
+        (query_ids, queries), targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
+        return result(*scan_join(spec, build_index(targets, metric), query_ids, [queries],
+                                 reverse, threshold))
+
     def retrieve(reverse: bool, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         queries, targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
         return _search(build_index(targets, metric), queries[1], k, threshold)
@@ -353,33 +454,15 @@ def execute_join(
     def unmatched(n: int, *matched: np.ndarray) -> np.ndarray:
         return np.setdiff1d(np.arange(n), np.concatenate(matched))
 
-    jt = spec.join_type
-    if jt == JoinType.LEFT:
-        rows, cols, scores = retrieve(False, spec.right_size)
-        return result(ranked_columns(rows, cols, scores, False, unmatched(len(base_ids), rows)))
-
-    if jt == JoinType.RIGHT:
-        rows, cols, scores = retrieve(True, spec.left_size)
-        return result(ranked_columns(rows, cols, scores, True, unmatched(len(aux_ids), rows)))
-
-    if jt == JoinType.FULL or (jt == JoinType.INNER and both_directions):
-        fwd = ranked_columns(*retrieve(False, spec.right_size))
-        rev = ranked_columns(*retrieve(True, spec.left_size), reverse=True)
-        # A reverse row is new unless its (base, aux) pair code is a forward row's.
-        new = ~np.isin(rev[0] * len(aux_ids) + rev[1], fwd[0] * len(aux_ids) + fwd[1])
-        parts = [fwd, tuple(column[new] for column in rev)]
-        if jt == JoinType.FULL:
-            parts += [ranked_columns((), (), (), False, unmatched(len(base_ids), fwd[0], rev[0])),
-                      ranked_columns((), (), (), True, unmatched(len(aux_ids), fwd[1], rev[1]))]
-        return result(*parts)
-
-    # INNER, single direction: the smaller side queries the larger one.
-    reverse = len(base_ids) > len(aux_ids)
-    rows, cols, scores = retrieve(reverse, spec.left_size if reverse else spec.right_size)
-    cap, query_ids = (spec.right_size, aux_ids) if reverse else (spec.left_size, base_ids)
-    if cap < len(query_ids):
-        rows, cols, scores = _cap_per_target(rows, cols, scores, cap, metric, id_ranks(query_ids))
-    return result(ranked_columns(rows, cols, scores, reverse))
+    fwd = ranked_columns(*retrieve(False, spec.right_size))
+    rev = ranked_columns(*retrieve(True, spec.left_size), reverse=True)
+    # A reverse row is new unless its (base, aux) pair code is a forward row's.
+    new = ~np.isin(rev[0] * len(aux_ids) + rev[1], fwd[0] * len(aux_ids) + fwd[1])
+    parts = [fwd, tuple(column[new] for column in rev)]
+    if spec.join_type == JoinType.FULL:
+        parts += [ranked_columns((), (), (), False, unmatched(len(base_ids), fwd[0], rev[0])),
+                  ranked_columns((), (), (), True, unmatched(len(aux_ids), fwd[1], rev[1]))]
+    return result(*parts)
 
 
 def chain_joins(
@@ -430,27 +513,44 @@ _EMB_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
 _EMB_ID_LEN = struct.Struct("<I")
 
 
-def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
-    """Write the header, then per record a u32 id length, the UTF-8 id and
-    its row of little-endian float64 values, through ``atomic_write``."""
-    ids, vectors = embeddings
-    rows = np.ascontiguousarray(vectors, dtype="<f8")
-    with atomic_write(path) as fh:
-        fh.write(_EMB_HEADER.pack(_EMB_MAGIC, EMBEDDINGS_VERSION, len(ids), rows.shape[1]))
-        for rid, row in zip(ids, rows):
+def embeddings_writer(fh: BinaryIO, count: int,
+                      dim: int) -> Callable[[Sequence[str], np.ndarray], None]:
+    """Write the header of an embeddings file of ``count`` records of
+    ``dim`` floats to ``fh``, and return the function that writes the next
+    records after it from their ids and rows: per record a u32 id length,
+    the UTF-8 id and its row of little-endian float64 values."""
+    fh.write(_EMB_HEADER.pack(_EMB_MAGIC, EMBEDDINGS_VERSION, count, dim))
+
+    def write(ids: Sequence[str], vectors: np.ndarray) -> None:
+        for rid, row in zip(ids, np.ascontiguousarray(vectors, dtype="<f8")):
             encoded = rid.encode("utf-8")
             fh.write(_EMB_ID_LEN.pack(len(encoded)) + encoded + row.tobytes())
 
+    return write
 
-def load_embeddings(path: str | Path,
-                    digest: Callable[[bytes], object] | None = None) -> Embeddings:
-    """Read an embeddings file that ``save_embeddings`` wrote, record by
-    record from the open file; with ``digest``, such as a ``hashlib``
-    object's ``update``, every byte parsed is passed to it too, so a caller
-    can hash the file without a second copy of it. Raises ``JoinError`` on a bad magic or
-    version, a record count the file cannot hold (checked before the
-    vectors are allocated), a truncated record, an id that is not UTF-8 or
-    bytes after the last record."""
+
+def save_embeddings(embeddings: Embeddings, path: str | Path) -> None:
+    """Write an embeddings file through ``atomic_write`` and
+    ``embeddings_writer``."""
+    ids, vectors = embeddings
+    rows = np.ascontiguousarray(vectors, dtype="<f8")
+    with atomic_write(path) as fh:
+        embeddings_writer(fh, len(ids), rows.shape[1])(ids, rows)
+
+
+def read_embeddings(path: str | Path, digest: Callable[[bytes], object] | None = None,
+                    rows: int | None = None) -> Iterator[Embeddings]:
+    """The records of an embeddings file that ``save_embeddings`` wrote, as
+    ``(ids, vectors)`` blocks of ``rows`` records (all of them in one block
+    when None), each parsed record by record from the open file; a block's
+    vectors are overwritten by the next block's. With ``digest``, such as a
+    ``hashlib`` object's ``update``, every byte parsed is passed to it too,
+    so a caller can hash the file without a second copy of it. Raises
+    ``JoinError`` on a bad magic or version, a record count the file cannot
+    hold (checked before the vectors are allocated), a truncated record, an
+    id that is not UTF-8 or, after the last block, bytes after the last
+    record. The file is closed when the blocks run out or the iterator is
+    closed."""
     path = Path(path)
     with path.open("rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -474,19 +574,37 @@ def load_embeddings(path: str | Path,
         row_bytes = 8 * dim
         if offset + count * (_EMB_ID_LEN.size + row_bytes) > size:
             raise JoinError(f"{path}: truncated embeddings file")
-        ids: list[str] = []
-        vectors = np.empty((count, dim), dtype="<f8")
-        rows = memoryview(vectors.view(np.uint8).reshape(-1))
-        for i in range(count):
-            (id_len,) = _EMB_ID_LEN.unpack(read(_EMB_ID_LEN.size))
-            try:
-                ids.append(read(id_len).decode("utf-8"))
-            except UnicodeDecodeError:
-                raise JoinError(f"{path}: record {i} has an id that is not UTF-8") from None
-            rows[i * row_bytes : (i + 1) * row_bytes] = read(row_bytes)
+        step = max(1, rows or count)
+        vectors = np.empty((min(step, count), dim), dtype="<f8")
+        block = memoryview(vectors.view(np.uint8).reshape(-1))
+        for start in range(0, max(1, count), step):
+            ids: list[str] = []
+            for i in range(min(step, count - start)):
+                (id_len,) = _EMB_ID_LEN.unpack(read(_EMB_ID_LEN.size))
+                try:
+                    ids.append(read(id_len).decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise JoinError(f"{path}: record {start + i} has an id that is not "
+                                    "UTF-8") from None
+                block[i * row_bytes : (i + 1) * row_bytes] = read(row_bytes)
+            yield tuple(ids), vectors[: len(ids)]
     if offset != size:
         raise JoinError(f"{path}: {size - offset} trailing bytes after the last record")
-    return tuple(ids), vectors
+
+
+def load_embeddings(path: str | Path,
+                    digest: Callable[[bytes], object] | None = None) -> Embeddings:
+    """Read a whole embeddings file: ``read_embeddings`` in one block."""
+    (embeddings,) = read_embeddings(path, digest)
+    return embeddings
+
+
+def embeddings_ids(path: str | Path,
+                   digest: Callable[[bytes], object] | None = None) -> tuple[str, ...]:
+    """The ids of an embeddings file, read through ``read_embeddings``
+    ``_ID_ROWS`` records at a time, so that only one block of its vectors
+    is held; ``digest`` sees every byte."""
+    return tuple(chain.from_iterable(ids for ids, _ in read_embeddings(path, digest, _ID_ROWS)))
 
 
 def aggregate_labels(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset
 from .joiner import JoinResult, id_ranks, ranked_columns, topk
-from .prepare import code_tokens, token_ids, tokenize
+from .prepare import Features, code_tokens, token_ids, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
 # The baselines that compare a key column; the others compare whole records.
@@ -108,6 +108,12 @@ def uses_key_column(kind: str) -> bool:
     """Whether baseline ``kind`` (any case, ``_`` for ``-``) compares a key
     column."""
     return _kind(kind) in KEY_BASELINES
+
+
+def baseline_tokenizer(kind: str) -> str:
+    """The tokenizer of baseline ``kind``: char2gram for J-2G and JK-2G,
+    whitespace for the others."""
+    return "char2gram" if _kind(kind).endswith("2G") else "whitespace"
 
 
 def _kind(kind: str) -> str:
@@ -207,6 +213,7 @@ def lexical_join(
     aux: Dataset,
     key_column: str | None = None,
     k: int = 10,
+    features: Features | None = None,
 ) -> JoinResult:
     """Baseline join under a lexical kernel, ranked by ``rank``.
 
@@ -216,7 +223,9 @@ def lexical_join(
     the aux token sets by ``jaccard_topk`` (two empty sets score 0.0, so
     they never match). BM25 keeps positive scores (descending). Ties always
     break by ascending aux id. LD and JK-* compare the designated key
-    column; J-* and BM25 use the prepared sentences.
+    column; J-* and BM25 use the prepared sentences, featurized here unless
+    ``features``, ``token_ids([base, aux], baseline_tokenizer(kind))``,
+    holds them already.
     """
     kind = _kind(kind)
     if kind not in BASELINE_KINDS:
@@ -240,13 +249,14 @@ def lexical_join(
                      aux.n, k, id_ranks(aux_ids), descending=False,
                      keep=lambda dists: dists <= LD_MAX_DISTANCE)
     else:
-        mode = "char2gram" if kind.endswith("2G") else "whitespace"
+        mode = baseline_tokenizer(kind)
         if kind.startswith("JK"):
             vocab, (queries, docs) = code_tokens(
                 (tokenize(_key_text(r, key_column), mode) for r in dataset.records)
                 for dataset in (base, aux))
         else:
-            vocab, (queries, docs) = token_ids([base, aux], mode)
+            vocab, (queries, docs) = (token_ids([base, aux], mode) if features is None
+                                      else features)
         if kind == "BM25":
             index = build_bm25_index(aux_ids, docs, len(vocab))
             found = rank(queries, index.scores, index.n_docs, k, index.id_rank,

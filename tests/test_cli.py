@@ -1,17 +1,22 @@
 """Command wiring: naming convention, artifacts, manifests, exit codes."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
 import random
 import shutil
 import struct
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emberish
 from emberish.cli import (
@@ -27,7 +32,7 @@ from emberish.cli import (
 from emberish.data import load_dataset, write_dataset
 from emberish.joinspec import ConfigError, EngineConfig, JoinType
 from records import dataset_from_rows
-from test_joiner import full_disk
+from test_joiner import full_disk, record_ids
 
 
 def write_source(tmp_path, n=30, seed=0, tokens=6):
@@ -388,15 +393,18 @@ def append_row(path):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the join's ``embed_dataset`` and ``load_dataset`` calls."""
+    """Counts of the sides the join embeds (an ``embed_dataset`` call for a
+    side it holds whole, an ``embed_blocks`` call for a side it streams)
+    and of its ``load_dataset`` calls."""
     import emberish.cli as cli_mod
 
     calls = {"embed": 0, "load": 0}
-    for name, fn in (("embed", cli_mod.embed_dataset), ("load", cli_mod.load_dataset)):
-        def counting(*args, _name=name, _fn=fn, **kwargs):
+    for name, attr in (("embed", "embed_dataset"), ("embed", "embed_blocks"),
+                       ("load", "load_dataset")):
+        def counting(*args, _name=name, _fn=getattr(cli_mod, attr), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(cli_mod, f"{name}_dataset", counting)
+        monkeypatch.setattr(cli_mod, attr, counting)
     return calls
 
 
@@ -545,6 +553,135 @@ class TestEmbeddingsReuse:
         same_join_files(reuse, fresh)
         assert ((reuse / "sentences.jsonl").read_bytes()
                 == (fresh / "sentences.jsonl").read_bytes())
+
+
+class TestStreamedJoin:
+    """LEFT, RIGHT and single-direction INNER joins scan the querying side
+    block by block, read from its embeddings file or embedded into it as
+    the scan goes, and write the bytes of the in-memory path."""
+
+    WORDS = [f"w{i}" for i in range(6)]
+
+    @pytest.mark.parametrize("join_type", ["LEFT", "RIGHT", "INNER"])
+    @pytest.mark.parametrize("distance", ["l2", "inner_product"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), sizes=st.tuples(*[st.sampled_from([1, 2, 4, 7])] * 2),
+           bounds=st.tuples(*[st.integers(1, 3)] * 2),
+           threshold=st.sampled_from([None, 0.5, 1.0]), carriage_return=st.booleans(),
+           embed_again=st.sampled_from([None, "base", "aux"]))
+    def test_a_streamed_join_writes_the_in_memory_bytes(self, data, join_type, distance, sizes,
+                                                        bounds, threshold, carriage_return,
+                                                        embed_again):
+        # Scan blocks of three query rows, so sides of 4 and 7 records end in
+        # a block of one row; ids holding the characters CSV quotes, and in
+        # some cases a "\r", which quotes every field.
+        from emberish import joiner
+        from emberish.encoder import EncoderModel, embed_dataset, save_model
+        from emberish.joiner import aux_queries, execute_join, save_embeddings
+        from emberish.joinspec import JoinSpec
+
+        dim = 4
+        sides = []
+        for name, role, n in (("base", "base", sizes[0]), ("aux", "auxiliary", sizes[1])):
+            ids = data.draw(st.lists(record_ids, min_size=n, max_size=n, unique=True))
+            if carriage_return and name == "aux":
+                ids[-1] += "\r"
+            texts = data.draw(st.lists(st.lists(st.sampled_from(self.WORDS), max_size=4),
+                                       min_size=n, max_size=n))
+            sides.append(dataset_from_rows(name, role, [(rid, [("t", " ".join(words))])
+                                                        for rid, words in zip(ids, texts)]))
+        model = EncoderModel.create(dim=dim, hash_dim=64, seed=3)
+        model.affine[:] = np.random.default_rng(3).normal(size=model.affine.shape)
+        spec = JoinSpec("base", "aux", JoinType(join_type), *bounds, "supervision")
+        index_n = sizes[0] if aux_queries(spec, *sizes) else sizes[1]
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                patch.object(joiner, "_BLOCK_CELLS", 3 * max(index_n, dim)):
+            streamed, memory = Path(tmp) / "streamed", Path(tmp) / "memory"
+            streamed.mkdir()
+            memory.mkdir()
+            for dataset in sides:
+                write_dataset(dataset, streamed / f"{dataset.name}.csv")
+            save_model(model, streamed / "model.bin")
+            embeddings = [embed_dataset(model, dataset) for dataset in sides]
+            for dataset, emb in zip(sides, embeddings):
+                save_embeddings(emb, memory / f"embeddings_{dataset.name}.bin")
+            execute_join(spec, *embeddings, metric=distance,
+                         threshold=threshold).write_csv(memory / "result.csv")
+
+            cfg = fast_config(streamed, embedding_dim=dim, distance=distance,
+                              join_type=spec.join_type, left_size=bounds[0],
+                              right_size=bounds[1])
+            # Both sides embedded, both reused, then one embedded again.
+            hit = [cmd_join(cfg, threshold=threshold)]
+            hit.append(cmd_join(cfg, threshold=threshold))
+            if embed_again is not None:
+                (streamed / f"embeddings_{embed_again}.bin").unlink()
+                hit.append(cmd_join(cfg, threshold=threshold))
+            assert [[r["reused"] for r in m.embeddings.values()] for m in hit] == [
+                [False, False], [True, True],
+                *([[embed_again == "aux", embed_again == "base"]] if embed_again else [])]
+            same_join_files(streamed, memory)
+            assert not list(streamed.glob(".*.partial"))
+
+    @pytest.mark.parametrize("reused", [True, False])
+    def test_a_join_that_fails_mid_stream_leaves_the_old_files(self, tmp_path, monkeypatch,
+                                                               reused):
+        # The disk fills while the base side streams through the scan in
+        # blocks of five records, read from its reused file or embedded into
+        # a temporary copy of it: the stream is closed, and every file the
+        # join writes keeps its old bytes, with no temporary file left.
+        from emberish import joiner
+
+        d = tmp_path / "d"
+        cmd_join(trained(d))
+        cfg = fast_config(d, join_type=JoinType.LEFT)
+        cmd_join(cfg)
+        if not reused:
+            (d / "manifest_join.json").unlink()
+        before = {path.name: path.read_bytes() for path in d.iterdir()}
+        monkeypatch.setattr(joiner, "_BLOCK_CELLS", 5 * len(read_rows(d / "aux.csv")[1:]))
+        monkeypatch.setattr(joiner, "_WRITE_ROWS", 2)
+        # Room for the aux side's embeddings file, not for the base side's
+        # or for result.csv.
+        full_disk(monkeypatch, (d / "embeddings_aux.bin").stat().st_size)
+        with pytest.raises(OSError, match="No space"):
+            cmd_join(cfg)
+        monkeypatch.undo()
+        gc.collect()  # a stream left open would warn here, and warnings are errors
+        assert {path.name: path.read_bytes() for path in d.iterdir()} == before
+
+    @pytest.mark.parametrize("join_type", ["LEFT", "INNER"])
+    @pytest.mark.parametrize("change", ["bump-last-float", "truncate"])
+    def test_a_file_changed_during_the_join_exits_2_and_keeps_the_old_result(
+            self, tmp_path, monkeypatch, capsys, join_type, change):
+        # The querying side (base for LEFT, the smaller aux side for INNER)
+        # changes after the first pass verified it and before the scan reads
+        # it again.
+        import emberish.cli as cli_mod
+
+        d = tmp_path / "d"
+        cfg = trained(d)
+        cmd_join(cfg)
+        before = {name: (d / name).read_bytes()
+                  for name in ("result.csv", "manifest_join.json")}
+        query = d / ("embeddings_base.bin" if join_type == "LEFT" else "embeddings_aux.bin")
+        first_pass = cli_mod.embeddings_ids
+
+        def changing(path, digest=None):
+            ids = first_pass(path, digest)
+            if path == query:
+                bump_last_float(path) if change == "bump-last-float" else truncate(path, 1)
+            return ids
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data_dir": str(d), "embedding_dim": 8, "left_size": 1,
+                                      "right_size": 3, "join_type": join_type}))
+        monkeypatch.setattr(cli_mod, "embeddings_ids", changing)
+        assert main(["join", "--config", str(config)]) == 2
+        assert f"{query} changed during the join" in capsys.readouterr().err
+        assert {name: (d / name).read_bytes() for name in before} == before
+        assert not list(d.glob(".*.partial"))
 
 
 class TestModelFiles:
@@ -939,16 +1076,21 @@ class TestEvaluate:
         assert read_rows(tmp_path / "metrics.csv")[1:] == [
             ["untrained-encoder", str(k), repr(recall_at_k(res, truth, k))] for k in (1, 3, 5)]
 
-    def test_comparison_prepares_each_record_at_most_three_times(self, workspace,
-                                                                monkeypatch):
-        # BM25 and J-WS featurize once each, and both encoder rows share one
-        # featurization.
+    @pytest.mark.parametrize("tokenizer, methods, tokenizers", [
+        ("whitespace", ["BM25", "J-WS", "untrained-encoder", "trained-encoder"], 1),
+        ("char2gram", ["BM25", "J-2G", "J-WS", "JK-WS", "trained-encoder"], 2),
+    ])
+    def test_comparison_prepares_each_record_once_per_tokenizer(self, workspace, monkeypatch,
+                                                              tokenizer, methods, tokenizers):
+        # The sentence baselines and the encoder rows share one featurization
+        # per tokenizer in use, and each row is the row its method gives alone.
         from collections import Counter
 
         from emberish import prepare
 
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False)
+        cfg = fast_config(tmp_path, tokenizer=tokenizer)
         prepared = Counter()
         prepare_sentence = prepare.prepare_sentence
 
@@ -957,14 +1099,21 @@ class TestEvaluate:
             return prepare_sentence(rec, *args, **kwargs)
 
         monkeypatch.setattr(prepare, "prepare_sentence", counting)
-        cmd_evaluate(cfg, comparison=True,
-                     methods=["BM25", "J-WS", "untrained-encoder", "trained-encoder"])
+        key_column = "name" if "JK-WS" in methods else None
+        cmd_evaluate(cfg, comparison=True, methods=methods, key_column=key_column)
+        monkeypatch.undo()
         ids = [row[0] for name in ("base.csv", "aux.csv")
                for row in read_rows(tmp_path / name)[1:]]
         assert len(set(ids)) == len(ids)
-        assert set(prepared) == set(ids)
-        assert max(prepared.values()) <= 3
+        assert prepared == Counter(dict.fromkeys(ids, tokenizers))
 
+        together = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        alone = []
+        for method in methods:
+            cmd_evaluate(cfg, comparison=True, methods=[method],
+                         key_column="name" if method == "JK-WS" else None)
+            alone += (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert together[1:] == alone and len(alone) == 2 * len(methods)
 
     @pytest.mark.parametrize("text, line", [
         ("", 1),

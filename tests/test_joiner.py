@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+from contextlib import closing
 from pathlib import Path
 from unittest.mock import patch
 
@@ -311,6 +312,39 @@ class TestBlockedScan:
         output = rows.nbytes + cols.nbytes + scores.nbytes
         blocks = 1.75 if metric == "l2" else 2.5
         assert peak <= 2 * output + blocks * 8 * (1 << 19)
+
+
+    def test_a_streamed_left_join_holds_less_than_its_queries(self, tmp_path):
+        # 20,000 queries of 64 floats (10 MB) stream from their embeddings
+        # file through the scan of a 500-record index into the result file:
+        # the join holds the index, the query ids, one block of the file
+        # and the scan's own blocks, never the query matrix.
+        n, dim = 20_000, 64
+        rng = np.random.default_rng(97)
+        queries = tmp_path / "embeddings_base.bin"
+        with queries.open("wb") as fh:
+            write = joiner.embeddings_writer(fh, n, dim)
+            for at in range(0, n, 1000):
+                write([f"b{i:05d}" for i in range(at, at + 1000)], rng.normal(size=(1000, dim)))
+        index = build_index(grid_embeddings("a", 500, dim, 98))
+        left = spec(JoinType.LEFT, right=10)
+
+        def join():
+            ids = joiner.embeddings_ids(queries)
+            with closing(joiner.read_embeddings(queries, rows=joiner.scan_rows(index))) as blocks:
+                joiner.write_join(tmp_path / "result.csv", left, index, ids,
+                                  (vectors for _, vectors in blocks), False)
+
+        join()  # numpy's lazy imports happen before the join that is measured
+        tracemalloc.start()
+        try:
+            join()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8
+        whole = execute_join(left, load_embeddings(queries), (index.ids, index.vectors))
+        assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
 
 
 def spec(join_type, left=1, right=1):
