@@ -94,7 +94,7 @@ from .joinspec import (
     resolve_ref,
 )
 from .lexrank import BASELINE_KINDS, baseline_tokenizer, lexical_join, uses_key_column
-from .prepare import Features, prepare_sentence, token_ids
+from .prepare import Features, TokenIds, prepare_sentence, token_ids
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 ENV_DATA_DIR = "EMBERISH_DATA_DIR"
@@ -122,11 +122,25 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_kb() -> int | None:
+    """This process's peak resident set so far, in kB: ``VmHWM`` in
+    /proc/self/status, or None where that file does not exist."""
+    try:
+        with open("/proc/self/status", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 @dataclass
 class RunManifest:
-    """Audit record for one command: config snapshot, digests, timings, and
-    for a learned join each embeddings file's key and whether it was
-    reused (see ``_reusable``)."""
+    """Audit record for one command: config snapshot, digests, timings, the
+    process's peak resident set when the command finished, and for a
+    learned join each embeddings file's key and whether it was reused (see
+    ``_reusable``)."""
 
     command: str
     config: dict
@@ -135,6 +149,7 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     embeddings: dict[str, dict] = field(default_factory=dict)
+    peak_rss_kb: int | None = None
 
     def add_input(self, path: Path, digest: str | None = None) -> None:
         """Record ``path`` as read, with ``digest`` when the caller has
@@ -200,6 +215,7 @@ class _Run:
             yield item
 
     def finish(self) -> RunManifest:
+        self.manifest.peak_rss_kb = _peak_rss_kb()
         self.manifest.write(self.data_dir / f"manifest_{self.manifest.command}.json")
         return self.manifest
 
@@ -365,7 +381,7 @@ def _reread(path: Path, digest: str, rows: int | None = None) -> Iterator[np.nda
 
 
 def _embedding_stream(run: _Run, model: EncoderModel,
-                      features: tuple[Sequence[str], Sequence[np.ndarray]], ids: Sequence[str],
+                      features: tuple[Sequence[str], TokenIds], ids: Sequence[str],
                       rows: int, path: Path) -> Iterator[np.ndarray]:
     """The embeddings of one side, from ``features`` (the vocabulary and the
     side's token ids), in blocks of about ``rows`` records. Each block goes

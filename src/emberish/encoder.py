@@ -6,8 +6,12 @@ the output. It is deliberately linear so gradients are exact and training
 is deterministic; the interface leaves room for heavier backends.
 
 Every learned command featurizes the same way: ``prepare.token_ids`` turns
-each record's prepared tokens into vocabulary ids once, ``EncoderModel.rows``
-maps the vocabulary to table rows, and a record's rows are ``rows[ids]``.
+each record's prepared tokens into vocabulary ids once, into one flat
+``prepare.TokenIds`` per dataset, ``EncoderModel.rows`` maps the
+vocabulary to table rows, and the rows of many records are one gather,
+``TokenIds.map``, over their flat ids. ``embed_blocks`` gathers a block
+of records at a time; ``train`` gathers each side once, into one flat
+row array that each sentence is a slice of.
 
 The affine map is one ``(dim + 1) x dim`` array, the projection's rows
 and then the bias, as the model file stores them; ``projection`` and
@@ -53,7 +57,7 @@ import numpy as np
 from .data import Dataset, SupervisionPair, SupervisionTriple, atomic_write
 from .joiner import Embeddings
 from .joinspec import EngineConfig
-from .prepare import Features, token_ids
+from .prepare import Features, TokenIds, token_ids
 from .supervise import (
     SamplerConfig,
     build_pretraining_pairs,
@@ -113,11 +117,22 @@ def _blocks(next_rows: Callable[[int], np.ndarray], hash_dim: int, rows: np.ndar
 
 def _init_blocks(seed: int, hash_dim: int, dim: int, rows: np.ndarray):
     """The seeded initial table, ``default_rng(seed).normal(0, 1/sqrt(dim))``
-    over ``hash_dim`` x ``dim``, in ``_blocks``; draws in consecutive blocks
-    from one generator equal the one-shot draw bit for bit."""
+    over ``hash_dim`` x ``dim``, in ``_blocks``, each block drawn into one
+    buffer that the next block overwrites. Draws in consecutive blocks from
+    one generator equal the one-shot draw bit for bit. ``normal`` computes
+    ``loc + scale * z``, so ``z * scale + 0.0`` has its bits: the ``+ 0.0``
+    turns a ``-0.0`` into ``+0.0`` as ``normal`` does."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
-    return _blocks(lambda n: rng.normal(0.0, scale, size=(n, dim)), hash_dim, rows)
+    buffer = np.empty((min(_INIT_ROWS, hash_dim), dim))
+
+    def draw(n: int) -> np.ndarray:
+        block = rng.standard_normal(out=buffer[:n])
+        block *= scale
+        block += 0.0
+        return block
+
+    return _blocks(draw, hash_dim, rows)
 
 
 @dataclass
@@ -202,11 +217,12 @@ class EncoderModel:
         return at
 
 
-def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: Sequence[np.ndarray],
+def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: TokenIds,
                  rows: int | None = None, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """The embedding rows of the records whose tokens are ``ids`` in
     ``vocab`` (one side of ``prepare.token_ids``), in record order, as
     blocks of about ``_EMBED_CELLS`` floats and at most about ``rows`` rows.
+    A block's records map to table rows in one gather over their flat ids.
 
     No block holds one row (unless there is one record): numpy multiplies
     a single row with gemv, whose last bits differ from gemm's, while with
@@ -229,8 +245,7 @@ def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: Sequence[np.nda
     for part in range(parts):
         stop = start + size + (part < extra)
         into = out[start:stop] if block is None else block[: stop - start]
-        _forward_group(model, [table_rows[ids[i]] for i in range(start, stop)],
-                       pooled[: stop - start], into)
+        _forward_group(model, ids[start:stop].map(table_rows), pooled[: stop - start], into)
         yield into
         start = stop
 
@@ -239,7 +254,7 @@ def embed_dataset(
     model: EncoderModel,
     dataset: Dataset,
     tokenizer: str = "whitespace",
-    features: tuple[Sequence[str], Sequence[np.ndarray]] | None = None,
+    features: tuple[Sequence[str], TokenIds] | None = None,
 ) -> Embeddings:
     """Record ids and one embedding row per record, in dataset order.
 
@@ -305,7 +320,7 @@ class _Grads:
     table_idx: np.ndarray   # unique table rows touched, not bucket ids
     table_rows: np.ndarray  # (len(table_idx), dim)
 
-def _forward_group(model: EncoderModel, bucket_arrays: list[np.ndarray],
+def _forward_group(model: EncoderModel, bucket_arrays: Sequence[np.ndarray],
                    pooled: np.ndarray | None = None, out: np.ndarray | None = None):
     """Embed a group of sentences: ``(E, X, R, counts, scale)``, the pooled
     rows, the outputs, the projected rows' norms, the token counts and the
@@ -548,7 +563,8 @@ def train(
     diverge. ``triple_provider`` lets the caller resample negatives per
     epoch; without it the given triples are reused every epoch.
     ``features`` is ``prepare.token_ids([base, aux], tokenizer)``, computed
-    here when absent; each record's table rows are looked up once.
+    here when absent. Each side's ids map to table rows once, in one gather
+    into one flat row array, and a sentence's rows are a slice of it.
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
@@ -556,10 +572,13 @@ def train(
     adams = [_Adam(m, cfg) for m in models]
 
     vocab, sides = features if features is not None else token_ids([base, aux], tokenizer)
+    for ds, ids in zip((base, aux), sides, strict=True):
+        if len(ids) != ds.n:
+            raise EncoderError(f"{len(ids)} token id runs for {ds.n} {ds.name} records")
     # A copy holds the same row_buckets, so one map serves both encoders.
     rows = model.rows(vocab)
-    base_rows, aux_rows = ({rec.id: rows[i] for rec, i in zip(ds.records, ids, strict=True)}
-                           for ds, ids in zip((base, aux), sides, strict=True))
+    base_rows, aux_rows = (ids.map(rows) for ids in sides)
+    base_at, aux_at = ({rid: i for i, rid in enumerate(ds.ids())} for ds in (base, aux))
 
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
@@ -571,9 +590,9 @@ def train(
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = [epoch_triples[i] for i in order[start : start + cfg.batch_size]]
-            anchors = [base_rows[t.anchor_id] for t in batch]
-            positives = [aux_rows[t.positive_id] for t in batch]
-            negatives = [aux_rows[t.negative_id] for t in batch]
+            anchors = [base_rows[base_at[t.anchor_id]] for t in batch]
+            positives = [aux_rows[aux_at[t.positive_id]] for t in batch]
+            negatives = [aux_rows[aux_at[t.negative_id]] for t in batch]
             loss, grads = batch_gradients(
                 models[0], models[-1], anchors, positives, negatives, cfg.margin
             )
@@ -634,8 +653,15 @@ def _source_blocks(model: EncoderModel):
         if (found := _read_header(path, fh)[:3]) != header:
             raise EncoderError(f"{path}: the model's source file now has hash_dim, dim and "
                                f"hash_seed {found}, but the model has {header}")
-        yield from _blocks(lambda n: np.fromfile(fh, dtype="<f8", count=n * dim).reshape(n, dim),
-                           model.hash_dim, model.row_buckets)
+        buffer = np.empty((min(_INIT_ROWS, model.hash_dim), dim), "<f8")
+
+        def read(n: int) -> np.ndarray:
+            block = buffer[:n]
+            if fh.readinto(block) != block.nbytes:
+                raise EncoderError(f"{path}: the model's source file changed while it was read")
+            return block
+
+        yield from _blocks(read, model.hash_dim, model.row_buckets)
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:

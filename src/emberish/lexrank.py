@@ -10,7 +10,9 @@ one ``joiner.topk`` per block. BM25 and Jaccard score a query, as its
 ``prepare.token_ids`` vocabulary ids, against every document from CSR
 posting lists per id, with one ``np.bincount`` over its ids' postings:
 weighted by BM25 contributions in ``Bm25Index.scores``, counting |A ∩ B|
-in ``jaccard_topk``. LD scores by edit distance.
+in ``jaccard_topk``. The postings are built by ``_invert`` straight from
+the documents' flat ``prepare.TokenIds`` array and its offsets. LD scores
+by edit distance.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .data import Dataset
 from .joiner import JoinResult, id_ranks, ranked_columns, topk
-from .prepare import Features, code_tokens, token_ids, tokenize
+from .prepare import Features, TokenIds, code_tokens, token_ids, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
 # The baselines that compare a key column; the others compare whole records.
@@ -45,14 +47,15 @@ class LexError(ValueError):
     """Bad kernel input (duplicate doc ids, missing key column, unknown kind)."""
 
 
-def _invert(docs: Sequence[np.ndarray], vocab_size: int) -> tuple[np.ndarray, ...]:
+def _invert(docs: TokenIds, vocab_size: int) -> tuple[np.ndarray, ...]:
     """CSR posting lists over ids below ``vocab_size``: ``indptr``, then per
     distinct (token, document) pair in token-then-position order, the
-    document's position and the token's count in it; and each doc's length."""
+    document's position and the token's count in it; and each doc's length.
+    The ids are widened to int64 first: ``token * n + doc`` passes 2^31."""
     n = max(len(docs), 1)
-    lengths = np.array([len(doc) for doc in docs], dtype=np.int64)
-    tokens = np.concatenate([np.zeros(0, np.int64), *docs])
-    keys, counts = np.unique(tokens * n + np.repeat(np.arange(len(docs)), lengths),
+    lengths = np.diff(docs.offsets)
+    keys, counts = np.unique(docs.flat.astype(np.int64) * n
+                             + np.repeat(np.arange(len(docs)), lengths),
                              return_counts=True)
     indptr = np.zeros(vocab_size + 1, np.int64)
     np.cumsum(np.bincount(keys // n, minlength=vocab_size), out=indptr[1:])
@@ -85,10 +88,9 @@ class Bm25Index:
         return scores.astype(np.float64, copy=False)
 
 
-def build_bm25_index(ids: Sequence[str], docs: Sequence[np.ndarray],
-                     vocab_size: int) -> Bm25Index:
-    """Index documents given as arrays of vocabulary ids below
-    ``vocab_size``, named by ``ids``, which must be unique."""
+def build_bm25_index(ids: Sequence[str], docs: TokenIds, vocab_size: int) -> Bm25Index:
+    """Index documents given as vocabulary ids below ``vocab_size``, named
+    by ``ids``, which must be unique."""
     ids = tuple(ids)
     if len(set(ids)) != len(ids):
         raise LexError("document ids must be unique")
@@ -149,7 +151,7 @@ def jaccard(a: set, b: set) -> float:
 
 def jaccard_topk(
     queries: Iterable[np.ndarray],
-    docs: Sequence[np.ndarray],
+    docs: TokenIds,
     vocab_size: int,
     k: int,
     id_rank: np.ndarray,

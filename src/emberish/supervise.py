@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import (
     DataError,
     Dataset,
@@ -67,8 +69,8 @@ def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
         return {}
     anchors = list(dict.fromkeys(pair.base_id for pair in pairs))  # in pair order
     vocab, (base_tokens, aux_tokens) = token_ids([base, aux]) if features is None else features
-    by_id = dict(zip(base.ids(), base_tokens))
-    queries = (by_id[anchor_id] for anchor_id in anchors)
+    position = {rid: i for i, rid in enumerate(base.ids())}
+    queries = (base_tokens[position[anchor_id]] for anchor_id in anchors)
     aux_ids = aux.ids()
     if cfg.kind == "stratified_bm25":
         index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
@@ -76,10 +78,10 @@ def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
     else:
         rows, cols, _ = jaccard_topk(queries, aux_tokens, len(vocab), cfg.tier_size,
                                      id_ranks(aux_ids))
-    tiers: dict[str, list[str]] = {anchor_id: [] for anchor_id in anchors}
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        tiers[anchors[row]].append(aux_ids[col])
-    return tiers
+    # rows ascend, so each anchor's tier is one slice of cols.
+    bounds = np.searchsorted(rows, np.arange(len(anchors) + 1)).tolist()
+    return {anchor_id: list(map(aux_ids.__getitem__, cols[lo:hi].tolist()))
+            for anchor_id, lo, hi in zip(anchors, bounds, bounds[1:])}
 
 
 def sample_triples(

@@ -8,6 +8,8 @@ import os
 import random
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -1363,6 +1365,32 @@ class TestManifest:
         # The command failed at the manifest, after writing metrics.csv.
         assert [row[1] for row in read_rows(tmp_path / "metrics.csv")[1:]] == ["1", "2"]
         assert not list(tmp_path.glob(".*.partial"))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the peak resident set is read from /proc/self/status")
+    def test_train_and_join_record_their_peak_rss(self, workspace):
+        # Each command runs in a process of its own, so the field is its peak.
+        tmp_path, cfg = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"embedding_dim": 8, "epochs": 1, "sampler": "random"}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        for command in (["train", "--no-pretrain"], ["join"]):
+            subprocess.run([sys.executable, "-m", "emberish.cli", *command,
+                            "--data-dir", str(tmp_path), "--config", str(config)],
+                           check=True, env=env, capture_output=True)
+            written = json.loads((tmp_path / f"manifest_{command[0]}.json").read_text())
+            assert isinstance(written["peak_rss_kb"], int) and written["peak_rss_kb"] > 0
+
+    def test_peak_rss_is_null_without_proc_status(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+
+        def no_proc(path, *args, **kwargs):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(emberish.cli, "open", no_proc, raising=False)
+        cmd_train(cfg, pretrain=False)
+        monkeypatch.undo()
+        assert json.loads((tmp_path / "manifest_train.json").read_text())["peak_rss_kb"] is None
 
     # One case per command path: (setup, command, files read, files written,
     # stage timings). Names are relative to the data directory.

@@ -998,6 +998,20 @@ class TestPersistence:
         assert peak < model.table.nbytes / 4
         assert np.array_equal(load_model(tmp_path / "m.bin").table, model.table)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seeded_table_is_the_one_shot_draw_bit_for_bit(self, tmp_path, seed):
+        from emberish.encoder import _INIT_ROWS
+
+        # Blocks of _INIT_ROWS drawn into one buffer, the last one partial.
+        hash_dim, dim = 2 * _INIT_ROWS + 123, 8
+        draw = np.random.default_rng(seed).normal(0.0, 1 / np.sqrt(dim), (hash_dim, dim))
+        assert EncoderModel.create(dim=dim, hash_dim=hash_dim, seed=seed).table.tobytes() == \
+            draw.tobytes()
+        partial = EncoderModel.create(dim=dim, hash_dim=hash_dim, seed=seed, tokens=["a", "b"])
+        assert partial.table.tobytes() == draw[partial.row_buckets].tobytes()
+        save_model(partial, tmp_path / "m.bin")
+        assert load_model(tmp_path / "m.bin").table.tobytes() == draw.tobytes()
+
     def test_truncated_file_rejected(self, tmp_path):
         model = small_model(7)
         path = tmp_path / "m.bin"

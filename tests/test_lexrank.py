@@ -20,7 +20,7 @@ from emberish.lexrank import (
     lexical_join,
     rank,
 )
-from emberish.prepare import prepare_sentence
+from emberish.prepare import TokenIds, prepare_sentence
 from emberish.supervise import SamplerConfig, build_pretraining_pairs, build_tiers
 from oracles import bm25_score, bm25_topk, coded, coded_index, for_base, matches
 from records import dataset_from_rows
@@ -160,6 +160,24 @@ def test_bm25_index_is_csr_over_vocabulary_ids():
         ([2], [bm25_score(["w"], corpus[2], corpus)]),
         ([], []),
     ]
+
+
+def test_postings_past_2_31_keys_rank_like_the_oracle():
+    # 65,536 one-token documents over ids 39,999 and 40,000: the inverted
+    # index's key token * n + doc reaches 40,000 * 65,536 > 2^31, which
+    # the int32 ids would overflow.
+    n, vocab_size = 1 << 16, 40_001
+    holds = np.where(np.arange(n) % 3 == 0, 39_999, 40_000).astype(np.int32)
+    docs = TokenIds(holds, np.arange(n + 1, dtype=np.int64))
+    ids = [f"d{i:05d}" for i in range(n)]
+    index = lexrank.build_bm25_index(ids, docs, vocab_size)
+    assert index.postings[40_000][0].tolist() == np.flatnonzero(holds == 40_000).tolist()
+    corpus = [[token] for token in holds.tolist()]
+    for token in (39_999, 40_000):
+        score = bm25_score([token], [token], corpus)
+        expected = [(doc_id, score) for doc_id, held in zip(ids, holds.tolist())
+                    if held == token][:10]
+        assert bm25_topk(index, np.array([token], np.int32), 10) == expected
 
 
 def test_bm25_join_scores_equal_the_oracle_exactly():

@@ -1,12 +1,16 @@
 """Sentence preparation and tokenizer behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emberish.data import Record
-from emberish.prepare import prepare_sentence, token_ids, tokenize
+from emberish.prepare import TokenIds, code_tokens, prepare_sentence, token_ids, tokenize
+from emberish.supervise import PerturbationConfig, generate_fuzzy_join
+from corpus import slot_grid_source
 from records import dataset_from_rows
 
 
@@ -101,16 +105,92 @@ class TestTokenIds:
             for dataset, side in zip(datasets, ids):
                 assert len(side) == len(dataset.records)
                 for rec, rec_ids in zip(dataset.records, side):
-                    assert rec_ids.dtype == np.int64
+                    assert rec_ids.dtype == np.int32
                     assert [vocab[i] for i in rec_ids] == list(
                         prepare_sentence(rec, tokenizer=tokenizer).tokens)
 
     def test_an_empty_record_gives_an_empty_array(self):
         _, (base_ids, _) = token_ids(self.datasets())
-        assert base_ids[1].dtype == np.int64 and base_ids[1].size == 0
+        assert base_ids[1].dtype == np.int32 and base_ids[1].size == 0
 
     def test_char2gram(self):
         base = dataset_from_rows("base", "base", [("x", [("ab", "ab")]), ("y", [("b", "")])])
         vocab, (ids,) = token_ids([base], "char2gram")
         assert vocab == ["ab", "ba"]
         assert [i.tolist() for i in ids] == [[0, 1, 0], []]
+
+    def test_two_arrays_per_dataset(self):
+        _, sides = token_ids(self.datasets())
+        for side in sides:
+            assert isinstance(side, TokenIds)
+            assert side.flat.dtype == np.int32 and side.offsets.dtype == np.int64
+            assert len(side.offsets) == len(side) + 1
+            for view in side:
+                assert view.base is side.flat  # a view, not a copy
+
+    def test_grid_records_peak_under_3_mb(self):
+        # 12,000 grid-join records hold about 660,000 tokens, 6.4 MB as one
+        # int64 array per record.
+        base, aux, _ = generate_fuzzy_join(slot_grid_source(2000),
+                                           PerturbationConfig(copies_per_row=5, seed=7))
+        assert base.n + aux.n == 12000
+        tracemalloc.start()
+        try:
+            _, sides = token_ids([base, aux])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(side.flat.size for side in sides) > 600_000
+        assert peak <= 3 * 2 ** 20
+
+
+_tokens = st.lists(st.sampled_from(["a", "b", "cc", "d d", "é", ""]), max_size=8)
+
+
+def _oracle_codes(groups):
+    """Per group, each token list as an int64 array of first-seen ids."""
+    vocab: dict[str, int] = {}
+    for group in groups:
+        for tokens in group:
+            for token in tokens:
+                vocab.setdefault(token, len(vocab))
+    return list(vocab), [[np.fromiter((vocab[t] for t in tokens), np.int64, len(tokens))
+                          for tokens in group] for group in groups]
+
+
+def _check_views(side: TokenIds, expected: list[np.ndarray]) -> None:
+    assert len(side) == len(expected)
+    assert side.flat.dtype == np.int32 and side.offsets.dtype == np.int64
+    for i, (view, want) in enumerate(zip(side, expected, strict=True)):
+        assert view.dtype == np.int32 and view.tolist() == want.tolist()
+        assert side[i].tolist() == side[i - len(side)].tolist() == want.tolist()
+    for start in range(len(side) + 1):
+        part = side[start : len(side) - 1]
+        assert [view.tolist() for view in part] == [want.tolist()
+                                                     for want in expected[start:-1]]
+    with pytest.raises(IndexError):
+        side[len(side)]
+
+
+@given(groups=st.lists(st.lists(_tokens, max_size=6), max_size=3))
+@settings(max_examples=150)
+def test_code_tokens_views_equal_per_record_arrays(groups):
+    vocab, sides = code_tokens(groups)
+    want_vocab, expected = _oracle_codes(groups)
+    assert vocab == want_vocab
+    assert len(sides) == len(groups)
+    for side, want in zip(sides, expected):
+        _check_views(side, want)
+
+
+@given(rows=st.lists(st.lists(_field, max_size=3), max_size=6),
+       tokenizer=st.sampled_from(["whitespace", "char2gram"]))
+@settings(max_examples=100)
+def test_token_ids_views_equal_per_record_arrays(rows, tokenizer):
+    # A dataset of no records, and records with no tokens, included.
+    dataset = dataset_from_rows("d", "base", [(f"r{i}", fields) for i, fields in enumerate(rows)])
+    vocab, (side,) = token_ids([dataset], tokenizer)
+    want_vocab, (expected,) = _oracle_codes(
+        [[prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in dataset.records]])
+    assert vocab == want_vocab
+    _check_views(side, expected)
