@@ -23,7 +23,7 @@ from .encoder import (
     EncoderModel,
     TrainConfig,
     TrainResult,
-    embed_dataset,
+    embed_tokens,
     fit_encoder,
     load_model,
     save_model,
@@ -56,10 +56,11 @@ from .lexrank import (
     Bm25Index,
     build_bm25_index,
     jaccard,
+    key_join,
     levenshtein,
     lexical_join,
 )
-from .prepare import Sentence, prepare_sentence, tokenize
+from .prepare import Sentence, prepare_sentence, read_token_ids, tokenize
 from .supervise import (
     PerturbationConfig,
     SamplerConfig,

@@ -47,7 +47,7 @@ from .data import (
 from .encoder import (
     EncoderModel,
     embed_blocks,
-    embed_dataset,
+    embed_tokens,
     fit_encoder,
     load_model,
     save_model,
@@ -93,8 +93,14 @@ from .joinspec import (
     render_join_spec,
     resolve_ref,
 )
-from .lexrank import BASELINE_KINDS, baseline_tokenizer, lexical_join, uses_key_column
-from .prepare import Features, TokenIds, prepare_sentence, token_ids
+from .lexrank import (
+    BASELINE_KINDS,
+    baseline_tokenizer,
+    key_join,
+    lexical_join,
+    uses_key_column,
+)
+from .prepare import Features, TokenIds, prepare_sentence, read_token_ids, token_ids
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 ENV_DATA_DIR = "EMBERISH_DATA_DIR"
@@ -284,17 +290,18 @@ def _load_model(run: _Run, config: EngineConfig, path: Path,
     return model
 
 
-def _embed(run: _Run, config: EngineConfig, datasets: list[Dataset],
+def _embed(run: _Run, config: EngineConfig, ids: Sequence[Sequence[str]],
            model_paths: list[Path], features: Features) -> list[Embeddings]:
-    """Embed each of ``datasets`` with the model file beside it in
-    ``model_paths``, from ``features``, the datasets' ``token_ids``. Each
-    distinct model file is loaded once, for the features' vocabulary,
-    through ``_load_model``; the models are dropped on return."""
-    vocab, ids = features
+    """Embed each dataset, whose records have the ids in ``ids``, with the
+    model file beside it in ``model_paths``, from ``features``, the
+    datasets' token ids. Each distinct model file is loaded once, for the
+    features' vocabulary, through ``_load_model``; the models are dropped
+    on return."""
+    vocab, tokens = features
     models = {path: _load_model(run, config, path, vocab) for path in dict.fromkeys(model_paths)}
     with run.stage("embed"):
-        return [embed_dataset(models[path], dataset, features=(vocab, side_ids))
-                for dataset, path, side_ids in zip(datasets, model_paths, ids)]
+        return [embed_tokens(models[path], side_ids, (vocab, side_tokens))
+                for side_ids, path, side_tokens in zip(ids, model_paths, tokens)]
 
 
 def _side_models(run: _Run, config: EngineConfig) -> list[Path]:
@@ -303,12 +310,17 @@ def _side_models(run: _Run, config: EngineConfig) -> list[Path]:
     return [run.data_dir / "model.bin", run.data_dir / aux_model]
 
 
-def _load_sides(run: _Run) -> tuple[Dataset, Dataset]:
-    base_path, aux_path = run.data_dir / "base.csv", run.data_dir / "aux.csv"
-    run.read(base_path, aux_path)
-    base = load_dataset(base_path, role=DatasetRole.BASE, name="base")
-    aux = load_dataset(aux_path, role=DatasetRole.AUXILIARY, name="aux")
-    return base, aux
+def _featurize(paths: Sequence[Path], tokenizers: Sequence[str],
+               datasets: Sequence[Dataset] | None = None
+               ) -> tuple[list[tuple[str, ...]], dict[str, Features]]:
+    """The ids of the dataset files at ``paths``, and under each of
+    ``tokenizers`` their token ids: coded as each file streams past, in
+    one read per file that holds no record, or from ``datasets``, the
+    files' records, when the command loaded them to read their text."""
+    if datasets is None:
+        return read_token_ids(paths, tokenizers)
+    return ([ds.ids() for ds in datasets],
+            {tokenizer: token_ids(datasets, tokenizer) for tokenizer in dict.fromkeys(tokenizers)})
 
 
 def _reusable(run: _Run, tokenizer: str, sides: list[tuple[Path, Path, Path]],
@@ -467,32 +479,40 @@ def cmd_train(
                                                  "--freeze-negatives": freeze_negatives})
     run = _Run("train", config)
     data_dir = run.data_dir
+    paths = [data_dir / "base.csv", data_dir / "aux.csv"]
     if config.finetune:
         supervision_path = (Path(supervision_path) if supervision_path
                             else data_dir / "supervision.csv")
         # One error names every missing one of the three files.
-        run.read(data_dir / "base.csv", data_dir / "aux.csv", supervision_path)
-    base, aux = _load_sides(run)
-    supervision = load_supervision(supervision_path, base, aux) if config.finetune else []
+        run.read(*paths, supervision_path)
+    run.read(*paths)
+    # Pretraining and the stratified samplers rank whitespace tokens: the
+    # one read of each file codes them beside the encoder's own.
+    lexical = pretrain or (config.finetune and config.sampler.startswith("stratified"))
+    ids, features = read_token_ids(paths, [config.tokenizer, "whitespace"] if lexical
+                                   else [config.tokenizer])
+    supervision = load_supervision(supervision_path, *ids) if config.finetune else []
     if supervision and not isinstance(supervision[0], SupervisionPair):
         _refuse("training with triple supervision", {"--freeze-negatives": freeze_negatives})
 
     model_path = data_dir / "model.bin"
-    features = token_ids([base, aux], config.tokenizer)
+    encoded = features.pop(config.tokenizer)
     init_model = None
     if config.encoder_init == "pretrained_artifact":
-        init_model = _load_model(run, config, model_path, features[0])
+        init_model = _load_model(run, config, model_path, encoded[0])
 
     with run.stage("train"):
+        # Only fit_encoder holds the whitespace ids, and it drops them once
+        # it has ranked them.
         fit = fit_encoder(
-            base,
-            aux,
+            *ids,
             supervision,
             config,
+            features=encoded,
+            lexical=features.pop("whitespace", None),
             pretrain=pretrain,
             freeze_negatives=freeze_negatives,
             init_model=init_model,
-            features=features,
         )
 
     # A pretrained model's other rows come from the earlier model.bin, so
@@ -575,8 +595,7 @@ def cmd_join(
                     {"--both-directions": both_directions})
     else:
         spec = _spec_from_config(config)
-    refs = (spec.base_ref, spec.aux_ref)
-    paths = [resolve_ref(ref, run.data_dir) for ref in refs]
+    paths = [resolve_ref(ref, run.data_dir) for ref in (spec.base_ref, spec.aux_ref)]
     run.read(*paths)
     # The model that embeds each side, and the file its embeddings go to.
     models = _side_models(run, config)
@@ -592,10 +611,11 @@ def cmd_join(
         retrieved = 0 if aux_queries(spec, *sizes) else 1
         hold = [not streamed or side == retrieved for side in (0, 1)]
         found = _reusable(run, config.tokenizer, list(zip(files, paths, models)), hold)
-    datasets = [load_dataset(path, role=role, name=ref)
-                if emb is None or dump_sentences is not None else None
-                for path, role, ref, emb in zip(paths, (DatasetRole.BASE, DatasetRole.AUXILIARY),
-                                                refs, found)]
+    # Records are loaded only to read their text: the sentences dumped, or
+    # the key column a key baseline compares.
+    datasets = None
+    if dump_sentences is not None or (baseline is not None and uses_key_column(baseline)):
+        datasets = [load_dataset(path) for path in paths]
 
     if dump_sentences is not None:
         dump_path = Path(dump_sentences)
@@ -612,20 +632,28 @@ def cmd_join(
     result_path = run.data_dir / "result.csv"
     if baseline is not None:
         with run.stage("baseline_join"):
-            result = lexical_join(baseline, *datasets, key_column=key_column,
-                                  k=spec.right_size)
+            if uses_key_column(baseline):
+                result = key_join(baseline, *datasets, key_column, k=spec.right_size)
+            else:
+                tokenizer = baseline_tokenizer(baseline)
+                ids, features = _featurize(paths, [tokenizer], datasets)
+                result = lexical_join(baseline, *ids, features[tokenizer], k=spec.right_size)
         result.write_csv(result_path)
         run.wrote(result_path)
         return run.finish()
 
-    ids = [emb[0] if emb is not None else datasets[side].ids()
-           for side, emb in enumerate(found)]
+    # The sides not reused are featurized; their ids come with their tokens.
+    embedded = [side for side, emb in enumerate(found) if emb is None]
+    read_ids, features = _featurize(
+        [paths[side] for side in embedded], [config.tokenizer],
+        None if datasets is None else [datasets[side] for side in embedded])
+    read = iter(read_ids)
+    ids = [emb[0] if emb is not None else next(read) for emb in found]
     if not all(ids):
         raise JoinError("both sides must have at least one embedding")
     # The models read only the table rows of the tokens the join embeds.
     # A model whose sides are all reused reads no rows, but is still checked.
-    embedded = [side for side, emb in enumerate(found) if emb is None]
-    vocab, tokens = token_ids([datasets[side] for side in embedded], config.tokenizer)
+    vocab, tokens = features[config.tokenizer]
     tokens = dict(zip(embedded, tokens))
     loaded = {path: _load_model(run, config, path,
                                 vocab if any(models[side] == path for side in embedded) else ())
@@ -637,8 +665,7 @@ def cmd_join(
         emb = found[side]
         if emb is None:
             with run.stage("embed"):
-                emb = embed_dataset(loaded[models[side]], datasets[side],
-                                    features=(vocab, tokens.pop(side)))
+                emb = embed_tokens(loaded[models[side]], ids[side], (vocab, tokens.pop(side)))
             save_embeddings(emb, files[side])
             run.wrote(files[side])
         elif emb[1] is None:
@@ -719,33 +746,37 @@ def cmd_evaluate(
     truth = TruthSet.from_pairs(truth_pairs)  # type: ignore[arg-type]
 
     if comparison:
-        base, aux = _load_sides(run)
+        paths = [run.data_dir / "base.csv", run.data_dir / "aux.csv"]
+        run.read(*paths)
+        # Only a key-column baseline reads record text.
+        datasets = None
+        if any(uses_key_column(m) for m in methods):
+            datasets = [load_dataset(path) for path in paths]
         with run.stage("comparison"):
             # Both datasets are featurized once, together, per tokenizer in
             # use: the sentence baselines' and the encoder rows' (the
             # untrained row embeds with a seeded model holding only their
             # tokens' rows, the trained row with the model files train wrote).
-            encoders = set(methods) & set(ENCODER_METHODS)
             tokenizers = [baseline_tokenizer(m) for m in methods
                           if m in BASELINE_KINDS and not uses_key_column(m)]
-            features = {tokenizer: token_ids([base, aux], tokenizer) for tokenizer in
-                        dict.fromkeys([*tokenizers, *([config.tokenizer] if encoders else [])])}
+            if set(methods) & set(ENCODER_METHODS):
+                tokenizers.append(config.tokenizer)
+            ids, features = _featurize(paths, tokenizers, datasets)
             embeddings = {}
-            if encoders:
-                vocab, ids = features[config.tokenizer]
             if "untrained-encoder" in methods:
+                vocab, tokens = features[config.tokenizer]
                 model = EncoderModel.create(dim=config.embedding_dim, seed=config.seed,
                                             normalize=config.normalize, tokens=vocab)
                 embeddings["untrained-encoder"] = tuple(
-                    embed_dataset(model, ds, features=(vocab, side))
-                    for ds, side in zip((base, aux), ids))
+                    embed_tokens(model, side_ids, (vocab, side))
+                    for side_ids, side in zip(ids, tokens))
             if "trained-encoder" in methods:
                 embeddings["trained-encoder"] = tuple(
-                    _embed(run, config, [base, aux], _side_models(run, config),
+                    _embed(run, config, ids, _side_models(run, config),
                            features[config.tokenizer]))
-            table = run_comparison(base, aux, truth, methods, ks, embeddings=embeddings,
-                                   metric=config.distance, key_column=key_column,
-                                   features=features)
+            table = run_comparison(*ids, truth, methods, ks, embeddings=embeddings,
+                                   metric=config.distance, features=features,
+                                   datasets=datasets, key_column=key_column)
         rows = [(method, k, repr(r)) for method, k, r in table.rows]
         printable = table.format_table()
     else:
@@ -826,15 +857,12 @@ def cmd_pipeline(
         labels = _load_labels(labels_path)
 
     refs = list(dict.fromkeys((specs[0].base_ref, *(spec.aux_ref for spec in specs))))
-    datasets = []
-    for ref in refs:
-        path = resolve_ref(ref, run.data_dir)
-        run.read(path)
-        datasets.append(load_dataset(path, name=ref))
+    paths = [resolve_ref(ref, run.data_dir) for ref in refs]
+    run.read(*paths)
+    ids, features = read_token_ids(paths, [config.tokenizer])
     model_paths = [run.data_dir / "model.bin"] * len(refs)
-    embeddings = dict(zip(refs, _embed(run, config, datasets, model_paths,
-                                       token_ids(datasets, config.tokenizer))))
-    del datasets
+    embeddings = dict(zip(refs, _embed(run, config, ids, model_paths,
+                                       features.pop(config.tokenizer))))
     with run.stage("chain"):
         stages: list[tuple[JoinSpec, EmbeddingIndex]] = [
             (spec, build_index(embeddings[spec.aux_ref], metric=config.distance))  # type: ignore[arg-type]

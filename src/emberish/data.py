@@ -3,6 +3,13 @@ every CSV file the engine reads goes through ``read_table``, and every one
 it writes through ``table_writer``, or ``table_field`` for a writer that
 renders each distinct cell once.
 
+A dataset CSV has one parser, ``dataset_table``, which yields each row as
+an id and its (key, value) fields while ``read_table`` streams the file.
+``load_dataset`` builds a ``Record`` per row from it, for the commands
+that read record text (``generate``, ``join --dump-sentences`` and the
+key-column baselines); ``prepare.read_token_ids`` codes each row's
+tokens from it and holds no row, for the commands that only featurize.
+
 Datasets are immutable after load; readers may share them freely across
 threads. All field values are stored as strings (numeric cells keep their
 decimal rendering), which is what the sentence preparer consumes.
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Collection, Iterable, Iterator, Sequence, TextIO
 
 
 class DataError(ValueError):
@@ -30,12 +37,16 @@ class DatasetRole(str, Enum):
     AUXILIARY = "auxiliary"
 
 
+# A row's (key, value) pairs, in file order.
+Fields = tuple[tuple[str, str], ...]
+
+
 @dataclass(frozen=True)
 class Record:
     """One row: a stable string id plus ordered (key, value) fields."""
 
     id: str
-    fields: tuple[tuple[str, str], ...]
+    fields: Fields
 
     def __post_init__(self) -> None:
         for key, _ in self.fields:
@@ -171,17 +182,66 @@ def _render_scalar(value: object) -> str:
     return str(value)
 
 
+def dataset_table(path: str | Path) -> tuple[tuple[str, ...], Iterator[tuple[str, Fields]]]:
+    """A dataset CSV's header, and its rows as ``(id, fields)`` as
+    ``read_table`` streams them: the one CSV dataset parser, which
+    ``load_dataset`` and ``prepare.read_token_ids`` share.
+
+    Ids come from an ``id`` column when present, otherwise the 0-based row
+    ordinal rendered as a decimal string; a row's fields are its other
+    cells under their column names, in file order. The header is checked
+    here, each row as it is reached, and the ids once the last row is out,
+    so a duplicate id is reported after every malformed row, as a Dataset
+    built from all of them would report it.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"dataset file not found: {path}")
+    rows = read_table(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    if any(not col for col in header):
+        raise DataError(f"{path}: header has an empty column name")
+    return tuple(header), _dataset_rows(path, header, rows)
+
+
+def _dataset_rows(path: Path, header: list[str],
+                  rows: Iterator[tuple[int, list[str]]]) -> Iterator[tuple[str, Fields]]:
+    id_pos = header.index("id") if "id" in header else None
+    keys = [(pos, col) for pos, col in enumerate(header) if pos != id_pos]
+    seen: set[str] = set()
+    duplicate = None
+    for ordinal, (line_no, row) in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: malformed row at line {line_no}: expected "
+                f"{len(header)} cells, got {len(row)}"
+            )
+        if id_pos is None:
+            rec_id = str(ordinal)
+        else:
+            rec_id = row[id_pos]
+            if rec_id in seen and duplicate is None:
+                duplicate = rec_id
+            seen.add(rec_id)
+        yield rec_id, tuple((col, row[pos]) for pos, col in keys)
+    if duplicate is not None:
+        raise DataError(f"duplicate id {duplicate}")
+
+
 def load_dataset(
     path: str | Path,
     *,
     name: str | None = None,
     role: DatasetRole | str = DatasetRole.BASE,
 ) -> Dataset:
-    """Load a CSV (header required) or, by its ``.jsonl`` suffix, a JSONL
-    file into a Dataset.
+    """Load a CSV (header required, read by ``dataset_table``) or, by its
+    ``.jsonl`` suffix, a JSONL file into a Dataset of ``Record``s.
 
-    Ids come from an ``id`` column when present, otherwise the 0-based row
-    ordinal rendered as a decimal string. Field order follows the file.
+    Ids come from an ``id`` key or column when present, otherwise the
+    0-based row ordinal rendered as a decimal string. Field order follows
+    the file.
     """
     path = Path(path)
     if not path.exists():
@@ -191,27 +251,9 @@ def load_dataset(
 
     records: list[Record] = []
     if path.suffix.lower() != ".jsonl":
-        rows = read_table(path)
-        _, header = next(rows, (1, None))
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        if any(not col for col in header):
-            raise DataError(f"{path}: header has an empty column name")
-        id_pos = header.index("id") if "id" in header else None
-        for line_no, row in rows:
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: malformed row at line {line_no}: expected "
-                    f"{len(header)} cells, got {len(row)}"
-                )
-            rec_id = row[id_pos] if id_pos is not None else str(len(records))
-            fields = tuple(
-                (col, cell)
-                for pos, (col, cell) in enumerate(zip(header, row))
-                if pos != id_pos
-            )
-            records.append(Record(id=rec_id, fields=fields))
-        columns = tuple(header)
+        header, rows = dataset_table(path)
+        records = [Record(id=rec_id, fields=fields) for rec_id, fields in rows]
+        columns: tuple[str, ...] | None = header
     else:
         with path.open(encoding="utf-8") as fh:
             column_seen: list[str] = []
@@ -268,13 +310,13 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def load_supervision(
     path: str | Path,
-    base: Dataset | None = None,
-    aux: Dataset | None = None,
+    base_ids: Collection[str] | None = None,
+    aux_ids: Collection[str] | None = None,
 ) -> list[SupervisionPair] | list[SupervisionTriple]:
     """Load supervision CSV; two columns give pairs, three give triples.
 
-    When datasets are supplied every referenced id must resolve; all
-    offending rows are reported together.
+    When the base and aux datasets' ids are supplied every referenced id
+    must resolve; all offending rows are reported together.
     """
     path = Path(path)
     if not path.exists():
@@ -298,7 +340,7 @@ def load_supervision(
         lines.append(line_no)
         cells.append(row)
 
-    base_ids, aux_ids = (set(ds.ids()) if ds is not None else None for ds in (base, aux))
+    base_ids, aux_ids = (set(ids) if ids is not None else None for ids in (base_ids, aux_ids))
     if width == 2:
         out: list = [SupervisionPair(*row) for row in cells]
         roles = (("base", base_ids), ("aux", aux_ids))

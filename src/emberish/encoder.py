@@ -5,13 +5,14 @@ bucket vectors, applies an affine projection, and optionally l2-normalizes
 the output. It is deliberately linear so gradients are exact and training
 is deterministic; the interface leaves room for heavier backends.
 
-Every learned command featurizes the same way: ``prepare.token_ids`` turns
-each record's prepared tokens into vocabulary ids once, into one flat
-``prepare.TokenIds`` per dataset, ``EncoderModel.rows`` maps the
-vocabulary to table rows, and the rows of many records are one gather,
-``TokenIds.map``, over their flat ids. ``embed_blocks`` gathers a block
-of records at a time; ``train`` gathers each side once, into one flat
-row array that each sentence is a slice of.
+Every learned command featurizes the same way: ``prepare.read_token_ids``
+codes each record's prepared tokens as vocabulary ids once, as the dataset
+file streams past, into one flat ``prepare.TokenIds`` per dataset; nothing
+here sees a record, only its id and its token ids. ``EncoderModel.rows``
+maps the vocabulary to table rows, and the rows of many records are one
+gather, ``TokenIds.map``, over their flat ids. ``embed_blocks`` gathers a
+block of records at a time; ``train`` gathers each side once, into one
+flat int32 row array that each sentence is a slice of.
 
 The affine map is one ``(dim + 1) x dim`` array, the projection's rows
 and then the bias, as the model file stores them; ``projection`` and
@@ -54,10 +55,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset, SupervisionPair, SupervisionTriple, atomic_write
+from .data import SupervisionPair, SupervisionTriple, atomic_write
 from .joiner import Embeddings
 from .joinspec import EngineConfig
-from .prepare import Features, TokenIds, token_ids
+from .prepare import Features, TokenIds
 from .supervise import (
     SamplerConfig,
     build_pretraining_pairs,
@@ -220,7 +221,7 @@ class EncoderModel:
 def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: TokenIds,
                  rows: int | None = None, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """The embedding rows of the records whose tokens are ``ids`` in
-    ``vocab`` (one side of ``prepare.token_ids``), in record order, as
+    ``vocab`` (one side of ``prepare.read_token_ids``), in record order, as
     blocks of about ``_EMBED_CELLS`` floats and at most about ``rows`` rows.
     A block's records map to table rows in one gather over their flat ids.
 
@@ -250,29 +251,24 @@ def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: TokenIds,
         start = stop
 
 
-def embed_dataset(
+def embed_tokens(
     model: EncoderModel,
-    dataset: Dataset,
-    tokenizer: str = "whitespace",
-    features: tuple[Sequence[str], TokenIds] | None = None,
+    ids: Sequence[str],
+    features: tuple[Sequence[str], TokenIds],
 ) -> Embeddings:
-    """Record ids and one embedding row per record, in dataset order.
+    """The records ``ids`` and one embedding row per record, in order.
 
     ``features`` is a vocabulary and each record's token ids in it, in
-    dataset order, as ``prepare.token_ids`` gives them; without it the
-    records are featurized here under ``tokenizer``. ``embed_blocks``
-    writes the rows straight into the result.
+    the same order, as one side of ``prepare.read_token_ids`` gives them.
+    ``embed_blocks`` writes the rows straight into the result.
     """
-    if features is None:
-        vocab, (ids,) = token_ids([dataset], tokenizer)
-    else:
-        vocab, ids = features
-    if len(ids) != len(dataset.records):
-        raise EncoderError(f"{len(ids)} token id arrays for {len(dataset.records)} records")
+    vocab, tokens = features
+    if len(tokens) != len(ids):
+        raise EncoderError(f"{len(tokens)} token id arrays for {len(ids)} records")
     vectors = np.empty((len(ids), model.dim))
-    for _ in embed_blocks(model, vocab, ids, out=vectors):
+    for _ in embed_blocks(model, vocab, tokens, out=vectors):
         pass
-    return tuple(rec.id for rec in dataset.records), vectors
+    return tuple(ids), vectors
 
 
 @dataclass(frozen=True)
@@ -548,37 +544,38 @@ TripleProvider = Callable[[int], list[SupervisionTriple]]
 def train(
     model: EncoderModel,
     triples: list[SupervisionTriple],
-    base: Dataset,
-    aux: Dataset,
+    base_ids: Sequence[str],
+    aux_ids: Sequence[str],
+    features: Features,
     cfg: TrainConfig,
     shared: bool = True,
     triple_provider: TripleProvider | None = None,
-    tokenizer: str = "whitespace",
-    features: Features | None = None,
 ) -> TrainResult:
     """Mini-batch triplet training with Adam.
 
     ``shared`` trains one encoder for both sides (the default); otherwise
     the auxiliary side gets an identically initialized copy that is free to
     diverge. ``triple_provider`` lets the caller resample negatives per
-    epoch; without it the given triples are reused every epoch.
-    ``features`` is ``prepare.token_ids([base, aux], tokenizer)``, computed
-    here when absent. Each side's ids map to table rows once, in one gather
-    into one flat row array, and a sentence's rows are a slice of it.
+    epoch; without it the given triples are reused every epoch. A triple
+    names its records by id, ``base_ids`` and ``aux_ids``, and ``features``
+    holds both sides' token ids, as ``prepare.read_token_ids`` gives them.
+    Each side's ids map to table rows once, in one gather into one flat
+    int32 row array, and a sentence's rows are a slice of it.
     """
     if not triples and triple_provider is None:
         raise EncoderError("triples must be non-empty")
     models = (model,) if shared else (model, model.copy())
     adams = [_Adam(m, cfg) for m in models]
 
-    vocab, sides = features if features is not None else token_ids([base, aux], tokenizer)
-    for ds, ids in zip((base, aux), sides, strict=True):
-        if len(ids) != ds.n:
-            raise EncoderError(f"{len(ids)} token id runs for {ds.n} {ds.name} records")
+    vocab, sides = features
+    for name, ids, tokens in zip(("base", "aux"), (base_ids, aux_ids), sides, strict=True):
+        if len(tokens) != len(ids):
+            raise EncoderError(f"{len(tokens)} token id runs for {len(ids)} {name} records")
     # A copy holds the same row_buckets, so one map serves both encoders.
-    rows = model.rows(vocab)
-    base_rows, aux_rows = (ids.map(rows) for ids in sides)
-    base_at, aux_at = ({rid: i for i, rid in enumerate(ds.ids())} for ds in (base, aux))
+    # Every row index is below the table's row count, far below 2^31.
+    rows = model.rows(vocab).astype(np.int32)
+    base_rows, aux_rows = (tokens.map(rows) for tokens in sides)
+    base_at, aux_at = ({rid: i for i, rid in enumerate(ids)} for ids in (base_ids, aux_ids))
 
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
@@ -725,16 +722,17 @@ class FitResult:
 
 
 def fit_encoder(
-    base: Dataset,
-    aux: Dataset,
+    base_ids: Sequence[str],
+    aux_ids: Sequence[str],
     supervision: Sequence[SupervisionPair] | Sequence[SupervisionTriple],
     config: EngineConfig,
     *,
+    features: Features,
+    lexical: Features | None = None,
     hash_dim: int = DEFAULT_HASH_DIM,
     pretrain: bool = False,
     freeze_negatives: bool = False,
     init_model: EncoderModel | None = None,
-    features: Features | None = None,
 ) -> FitResult:
     """End-to-end encoder fitting per the engine configuration.
 
@@ -742,15 +740,17 @@ def fit_encoder(
     fresh negatives each epoch unless frozen; provided triples pass
     through unchanged. The optional self-supervised stage trains on
     BM25-paired triples before the supervised stage. Supervision is
-    checked before any training starts. Every record is featurized once,
-    by ``features`` (``prepare.token_ids([base, aux], config.tokenizer)``,
-    computed here when absent), which the pretraining pairs and the sampler
-    tiers rank too; only under ``char2gram`` do they featurize again, with
-    whitespace tokens. The model (unless ``init_model`` is given) holds
+    checked before any training starts.
+
+    The base and aux records are their ids, ``base_ids`` and ``aux_ids``,
+    and their token ids under ``config.tokenizer``, ``features``, as
+    ``prepare.read_token_ids`` gives them; the encoder trains on those.
+    The pretraining pairs and the sampler tiers rank whitespace tokens:
+    ``features`` itself under the whitespace tokenizer, else ``lexical``,
+    the whitespace token ids, which they then need and which are dropped
+    once they are ranked. The model (unless ``init_model`` is given) holds
     only the table rows of its vocabulary.
     """
-    if features is None:
-        features = token_ids([base, aux], config.tokenizer)
     model = init_model if init_model is not None else EncoderModel.create(
         dim=config.embedding_dim,
         hash_dim=hash_dim,
@@ -786,33 +786,36 @@ def fit_encoder(
             pairs = supervision  # type: ignore[assignment]
 
     tiered = pairs is not None and config.sampler != "random"
-    lexical = features
-    if config.tokenizer != "whitespace" and (pretrain or tiered):
-        lexical = token_ids([base, aux])
+    if config.tokenizer == "whitespace":
+        lexical = features
+    elif (pretrain or tiered) and lexical is None:
+        raise EncoderError("pretraining and the stratified samplers rank whitespace tokens: "
+                           f"under tokenizer {config.tokenizer!r} pass them as lexical")
     if pretrain:
-        ptriples = build_pretraining_pairs(base, aux, seed=config.seed, features=lexical)
+        ptriples = build_pretraining_pairs(base_ids, aux_ids, lexical, seed=config.seed)
     if pairs is not None:
-        tiers = build_tiers(pairs, base, aux, SamplerConfig(kind=config.sampler), lexical)
+        tiers = build_tiers(pairs, base_ids, aux_ids, SamplerConfig(kind=config.sampler),
+                            lexical)
     del lexical
 
     if pretrain:
-        result = train(model, ptriples, base, aux, tcfg, shared=True, features=features)
+        result = train(model, ptriples, base_ids, aux_ids, features, tcfg, shared=True)
         trace.extend(("pretrain", e, l) for e, l in enumerate(result.epoch_losses))
 
     if not config.finetune:
         return FitResult(models=models, trace=trace)
 
     if pairs is None:
-        result = train(model, supervision, base, aux, tcfg,  # type: ignore[arg-type]
-                       shared=shared, features=features)
+        result = train(model, supervision, base_ids, aux_ids,  # type: ignore[arg-type]
+                       features, tcfg, shared=shared)
     else:
         def provider(epoch: int) -> list[SupervisionTriple]:
             seed = config.seed if freeze_negatives else config.seed ^ (epoch + 1)
             scfg = SamplerConfig(kind=config.sampler, seed=seed)
-            return sample_triples(pairs, base, aux, scfg, tiers)
+            return sample_triples(pairs, aux_ids, scfg, tiers)
 
-        result = train(model, [], base, aux, tcfg, shared=shared, triple_provider=provider,
-                       features=features)
+        result = train(model, [], base_ids, aux_ids, features, tcfg, shared=shared,
+                       triple_provider=provider)
 
     models = result.models
     trace.extend(("train", e, l) for e, l in enumerate(result.epoch_losses))

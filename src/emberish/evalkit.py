@@ -9,13 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset, SupervisionPair
 from .joiner import Embeddings, JoinResult, execute_join
 from .joinspec import JoinSpec, JoinType
-from .lexrank import BASELINE_KINDS, baseline_tokenizer, lexical_join
+from .lexrank import (
+    BASELINE_KINDS,
+    baseline_tokenizer,
+    key_join,
+    lexical_join,
+    uses_key_column,
+)
 from .prepare import Features
 
 ENCODER_METHODS = ("untrained-encoder", "trained-encoder")
@@ -150,45 +157,57 @@ def retrieval_result(
 
 
 def run_comparison(
-    base: Dataset,
-    aux: Dataset,
+    base_ids: Sequence[str],
+    aux_ids: Sequence[str],
     truth: TruthSet,
     methods: list[str],
     ks: list[int],
     *,
     embeddings: dict[str, tuple[Embeddings, Embeddings]],
     metric: str,
-    key_column: str | None = None,
     features: dict[str, Features] | None = None,
+    datasets: tuple[Dataset, Dataset] | None = None,
+    key_column: str | None = None,
 ) -> ComparisonTable:
     """Record-level recall@k for each requested method.
 
-    A lexical method joins ``base`` and ``aux`` itself, from the
-    ``token_ids([base, aux], tokenizer)`` that ``features`` holds under its
-    tokenizer, if any. An encoder method retrieves with the ``(base, aux)``
-    embeddings its caller made and passed in ``embeddings`` under the
-    method's name, ranked by ``metric``.
+    A baseline of whole records joins the base and aux records, whose ids
+    are ``base_ids`` and ``aux_ids``, from the token ids that ``features``
+    holds under its tokenizer; a key-column baseline joins ``datasets``,
+    the records themselves. An encoder method retrieves with the
+    ``(base, aux)`` embeddings its caller made and passed in
+    ``embeddings`` under the method's name, ranked by ``metric``.
     """
     if not methods:
         raise EvalError("methods must be non-empty")
     if not ks or any(k < 1 for k in ks):
         raise EvalError("ks must be positive")
+    features = features or {}
     for method in methods:
         if method not in COMPARISON_METHODS:
             raise EvalError(
                 f"unknown method {method!r} (expected one of {COMPARISON_METHODS})"
             )
-        if method in ENCODER_METHODS and method not in embeddings:
-            raise EvalError(f"{method} needs its (base, aux) embeddings")
+        if method in ENCODER_METHODS:
+            missing = method not in embeddings and "its (base, aux) embeddings"
+        elif uses_key_column(method):
+            missing = datasets is None and "the (base, aux) datasets"
+        else:
+            tokenizer = baseline_tokenizer(method)
+            missing = tokenizer not in features and f"the {tokenizer} token ids"
+        if missing:
+            raise EvalError(f"{method} needs {missing}")
     kmax = max(ks)
 
     rows: list[tuple[str, int, float]] = []
     for method in methods:
-        if method in BASELINE_KINDS:
-            result = lexical_join(method, base, aux, key_column=key_column, k=kmax,
-                                  features=(features or {}).get(baseline_tokenizer(method)))
-        else:
+        if method in ENCODER_METHODS:
             result = retrieval_result(*embeddings[method], kmax, metric=metric)
+        elif uses_key_column(method):
+            result = key_join(method, *datasets, key_column, k=kmax)  # type: ignore[misc]
+        else:
+            result = lexical_join(method, base_ids, aux_ids,
+                                  features[baseline_tokenizer(method)], k=kmax)
         for k in ks:
             rows.append((method, k, recall_at_k(result, truth, k)))
     return ComparisonTable(rows=rows)

@@ -13,6 +13,10 @@ weighted by BM25 contributions in ``Bm25Index.scores``, counting |A ∩ B|
 in ``jaccard_topk``. The postings are built by ``_invert`` straight from
 the documents' flat ``prepare.TokenIds`` array and its offsets. LD scores
 by edit distance.
+
+``lexical_join`` runs the baselines of whole records (BM25, J-WS, J-2G)
+from the two sides' ids and token ids alone; ``key_join`` runs the
+key-column baselines (LD, JK-WS, JK-2G), which read the records' text.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .data import Dataset
 from .joiner import JoinResult, id_ranks, ranked_columns, topk
-from .prepare import Features, TokenIds, code_tokens, token_ids, tokenize
+from .prepare import Features, TokenIds, code_tokens, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
 # The baselines that compare a key column; the others compare whole records.
@@ -209,61 +213,90 @@ def _key_text(record, key_column: str) -> str:
     return value
 
 
-def lexical_join(
-    kind: str,
-    base: Dataset,
-    aux: Dataset,
-    key_column: str | None = None,
-    k: int = 10,
-    features: Features | None = None,
-) -> JoinResult:
-    """Baseline join under a lexical kernel, ranked by ``rank``.
-
-    LD keeps candidates within 30 edits (ascending distance), and skips
-    the edit DP for keys whose lengths differ by more. The Jaccard variants
-    keep similarity >= 0.3 (descending), counted from posting lists over
-    the aux token sets by ``jaccard_topk`` (two empty sets score 0.0, so
-    they never match). BM25 keeps positive scores (descending). Ties always
-    break by ascending aux id. LD and JK-* compare the designated key
-    column; J-* and BM25 use the prepared sentences, featurized here unless
-    ``features``, ``token_ids([base, aux], baseline_tokenizer(kind))``,
-    holds them already.
-    """
+def _checked(kind: str, k: int, key_kind: bool) -> str:
+    """``kind`` in canonical form; raises unless it is a known baseline of
+    the family asked for (one that compares a key column, or one that
+    compares whole records) and ``k`` is at least 1."""
     kind = _kind(kind)
     if kind not in BASELINE_KINDS:
         raise LexError(f"unknown baseline kind {kind!r} (expected one of {BASELINE_KINDS})")
     if k < 1:
         raise LexError("k must be >= 1")
-    if kind in KEY_BASELINES and key_column is None:
+    if (kind in KEY_BASELINES) != key_kind:
+        family = "compares a key column" if kind in KEY_BASELINES else "compares whole records"
+        raise LexError(f"baseline {kind} {family}")
+    return kind
+
+
+def _ranked_join(kind: str, base_ids: Sequence[str], aux_ids: Sequence[str],
+                 features: Features, k: int) -> JoinResult:
+    """BM25 or Jaccard (any other ``kind``) of the base records against the
+    aux records, from their token ids."""
+    vocab, (queries, docs) = features
+    if kind == "BM25":
+        index = build_bm25_index(aux_ids, docs, len(vocab))
+        found = rank(queries, index.scores, index.n_docs, k, index.id_rank,
+                     keep=lambda scores: scores > 0.0)
+    else:
+        found = jaccard_topk(queries, docs, len(vocab), k, id_ranks(aux_ids),
+                             JACCARD_MIN_SIMILARITY)
+    return JoinResult(tuple(base_ids), tuple(aux_ids), *ranked_columns(*found))
+
+
+def lexical_join(
+    kind: str,
+    base_ids: Sequence[str],
+    aux_ids: Sequence[str],
+    features: Features,
+    k: int = 10,
+) -> JoinResult:
+    """Baseline join of whole records (BM25, J-WS or J-2G), ranked by
+    ``rank`` from ``features``: the base and aux records' token ids under
+    ``baseline_tokenizer(kind)``, as ``prepare.read_token_ids`` gives them,
+    for records with ids ``base_ids`` and ``aux_ids``.
+
+    The Jaccard variants keep similarity >= 0.3 (descending), counted from
+    posting lists over the aux token sets by ``jaccard_topk`` (two empty
+    sets score 0.0, so they never match). BM25 keeps positive scores
+    (descending). Ties always break by ascending aux id.
+    """
+    return _ranked_join(_checked(kind, k, key_kind=False), base_ids, aux_ids, features, k)
+
+
+def key_join(
+    kind: str,
+    base: Dataset,
+    aux: Dataset,
+    key_column: str | None,
+    k: int = 10,
+) -> JoinResult:
+    """Baseline join on the ``key_column`` value of each record (LD, JK-WS
+    or JK-2G), so it reads the records themselves.
+
+    LD keeps candidates within 30 edits (ascending distance), and skips
+    the edit DP for keys whose lengths differ by more. JK-WS and JK-2G
+    rank the keys' tokens as J-WS and J-2G rank whole records'. Ties
+    always break by ascending aux id.
+    """
+    kind = _checked(kind, k, key_kind=True)
+    if key_column is None:
         raise LexError(f"baseline {kind} requires a key column")
     aux_ids = aux.ids()
-    if kind == "LD":
-        aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
-
-        def distances(text: str) -> np.ndarray:
-            # levenshtein >= the length difference, so a pair whose lengths
-            # differ by more than the cut-off is dropped without the DP.
-            return np.array([levenshtein(text, atext)
-                             if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
-                             for atext in aux_keys], dtype=np.float64)
-
-        found = rank((_key_text(r, key_column).lower() for r in base.records), distances,
-                     aux.n, k, id_ranks(aux_ids), descending=False,
-                     keep=lambda dists: dists <= LD_MAX_DISTANCE)
-    else:
+    if kind != "LD":
         mode = baseline_tokenizer(kind)
-        if kind.startswith("JK"):
-            vocab, (queries, docs) = code_tokens(
-                (tokenize(_key_text(r, key_column), mode) for r in dataset.records)
-                for dataset in (base, aux))
-        else:
-            vocab, (queries, docs) = (token_ids([base, aux], mode) if features is None
-                                      else features)
-        if kind == "BM25":
-            index = build_bm25_index(aux_ids, docs, len(vocab))
-            found = rank(queries, index.scores, index.n_docs, k, index.id_rank,
-                         keep=lambda scores: scores > 0.0)
-        else:
-            found = jaccard_topk(queries, docs, len(vocab), k, id_ranks(aux_ids),
-                                 JACCARD_MIN_SIMILARITY)
+        features = code_tokens((tokenize(_key_text(r, key_column), mode) for r in dataset.records)
+                               for dataset in (base, aux))
+        return _ranked_join(kind, base.ids(), aux_ids, features, k)
+    aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
+
+    def distances(text: str) -> np.ndarray:
+        # levenshtein >= the length difference, so a pair whose lengths
+        # differ by more than the cut-off is dropped without the DP.
+        return np.array([levenshtein(text, atext)
+                         if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
+                         for atext in aux_keys], dtype=np.float64)
+
+    found = rank((_key_text(r, key_column).lower() for r in base.records), distances,
+                 aux.n, k, id_ranks(aux_ids), descending=False,
+                 keep=lambda dists: dists <= LD_MAX_DISTANCE)
     return JoinResult(base.ids(), aux_ids, *ranked_columns(*found))

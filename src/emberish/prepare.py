@@ -2,13 +2,20 @@
 
 Every record serializes to ``key_1 value_1 [SEP] key_2 value_2 ...``
 regardless of schema, so downstream encoders and lexical kernels see a
-uniform representation. All functions here are pure.
+uniform representation. All functions here but ``read_token_ids`` are
+pure.
 
-``token_ids`` codes each dataset's tokens as vocabulary ids in one
-``TokenIds``: a flat int32 array of every record's ids, end to end, and an
-int64 array of the n + 1 offsets where each record's ids start and end.
-It reads as a sequence of per-record views, but holds two arrays per
-dataset, however many records it has.
+A dataset's tokens are coded as vocabulary ids in one ``TokenIds``: a
+flat int32 array of every record's ids, end to end, and an int64 array of
+the n + 1 offsets where each record's ids start and end. It reads as a
+sequence of per-record views, but holds two arrays per dataset, however
+many records it has.
+
+``read_token_ids`` is how the commands featurize: it codes the rows of
+dataset CSV files as ``data.dataset_table`` streams them, under every
+tokenizer the command needs in one pass per file, and builds no
+``Record``. ``token_ids`` codes datasets already loaded as records, for the
+commands that read their text, with the same vocabulary and ids.
 """
 
 from __future__ import annotations
@@ -16,11 +23,12 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset, Record
+from .data import Dataset, Record, dataset_table
 
 SEPARATOR = "[SEP]"
 
@@ -86,43 +94,95 @@ class Sentence:
     tokens: tuple[str, ...]
 
 
-def prepare_sentence(
-    record: Record,
-    separator: str = SEPARATOR,
-    tokenizer: str = "whitespace",
-) -> Sentence:
-    """Serialize a record to its sentence form.
+def sentence_text(fields: Iterable[tuple[str, str]], separator: str = SEPARATOR) -> str:
+    """The sentence of a row's ``(key, value)`` fields.
 
     Fields join in stored order as ``key value`` segments separated by the
     separator token; an empty value renders as the key alone so no segment
     carries a dangling space.
     """
-    segments = []
-    for key, value in record.fields:
-        segment = f"{key} {value}".strip() if value.strip() else key
-        segments.append(segment)
-    text = f" {separator} ".join(segments)
+    return f" {separator} ".join(f"{key} {value}".strip() if value.strip() else key
+                                 for key, value in fields)
+
+
+def prepare_sentence(
+    record: Record,
+    separator: str = SEPARATOR,
+    tokenizer: str = "whitespace",
+) -> Sentence:
+    """Serialize a record to its sentence form, ``sentence_text`` of its
+    fields, and tokenize it."""
+    text = sentence_text(record.fields, separator)
     return Sentence(record_id=record.id, text=text, tokens=tuple(tokenize(text, tokenizer)))
+
+
+class _Coder:
+    """Codes token sequences, group by group, as int32 ids in one
+    vocabulary: the distinct tokens in first-seen order. A group's ids go
+    into one ``array`` as they come, with no array per sequence."""
+
+    def __init__(self) -> None:
+        self.index: defaultdict[str, int] = defaultdict()
+        self.index.default_factory = self.index.__len__  # an unseen token gets the next id
+        self.groups: list[TokenIds] = []
+        self._start()
+
+    def _start(self) -> None:
+        self.flat, self.offsets = array("i"), array("q", [0])  # C int and long long
+
+    def add(self, tokens: Iterable[str]) -> None:
+        self.flat.fromlist(list(map(self.index.__getitem__, tokens)))  # faster than extend
+        self.offsets.append(len(self.flat))
+
+    def end_group(self) -> None:
+        self.groups.append(TokenIds(np.frombuffer(self.flat, np.int32),
+                                    np.frombuffer(self.offsets, np.int64)))
+        self._start()
+
+    def features(self) -> Features:
+        return list(self.index), self.groups
 
 
 def code_tokens(groups: Iterable[Iterable[Sequence[str]]]) -> Features:
     """One vocabulary, the distinct tokens of all ``groups`` in first-seen
     order, and per group its token sequences as int32 vocabulary ids in one
     ``TokenIds``, built in one pass with no array per sequence."""
-    index: defaultdict[str, int] = defaultdict()
-    index.default_factory = index.__len__  # an unseen token gets the next id
-    coded = []
+    coder = _Coder()
     for group in groups:
-        flat, offsets = array("i"), array("q", [0])  # C int and long long
         for tokens in group:
-            flat.fromlist(list(map(index.__getitem__, tokens)))  # faster than extend
-            offsets.append(len(flat))
-        coded.append(TokenIds(np.frombuffer(flat, np.int32), np.frombuffer(offsets, np.int64)))
-    return list(index), coded
+            coder.add(tokens)
+        coder.end_group()
+    return coder.features()
 
 
 def token_ids(datasets: Sequence[Dataset], tokenizer: str = "whitespace") -> Features:
-    """The featurization every command shares: ``code_tokens`` of each
-    dataset's prepared records, in dataset order."""
+    """``code_tokens`` of each loaded dataset's prepared records, in dataset
+    order: ``read_token_ids`` for records already in memory."""
     return code_tokens((prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in ds.records)
                        for ds in datasets)
+
+
+def read_token_ids(paths: Sequence[str | Path], tokenizers: Sequence[str]
+                   ) -> tuple[list[tuple[str, ...]], dict[str, Features]]:
+    """Each dataset CSV's ids, in file order, and under each of
+    ``tokenizers`` the ``token_ids`` of all the files' rows, as
+    ``token_ids`` of the loaded datasets would give them.
+
+    Each file is read once, by ``data.dataset_table``, with its checks and
+    errors; each row's sentence is built once, tokenized under every
+    tokenizer and coded as it streams past, and no row is held.
+    """
+    coders = {tokenizer: _Coder() for tokenizer in tokenizers}
+    ids = []
+    for path in paths:
+        _, rows = dataset_table(path)
+        side = []
+        for rec_id, fields in rows:
+            side.append(rec_id)
+            text = sentence_text(fields)
+            for tokenizer, coder in coders.items():
+                coder.add(tokenize(text, tokenizer))
+        for coder in coders.values():
+            coder.end_group()
+        ids.append(tuple(side))
+    return ids, {tokenizer: coder.features() for tokenizer, coder in coders.items()}

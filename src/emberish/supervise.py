@@ -1,15 +1,18 @@
 """Negative sampling, self-supervised pair building, and the synthetic
 fuzzy-join workload generator.
 
-Everything here is deterministic under a fixed seed. Row-level generation
-derives its RNG as seed XOR row-index, so parallel generation can
-partition work without changing output.
+The samplers and the pretraining pairs take each dataset as its record
+ids plus the whitespace ``prepare.token_ids`` they rank, never as
+records. Everything here is deterministic under a fixed seed. Row-level
+generation derives its RNG as seed XOR row-index, so parallel generation
+can partition work without changing output.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .data import (
 )
 from .joiner import id_ranks
 from .lexrank import build_bm25_index, jaccard_topk, rank
-from .prepare import Features, token_ids
+from .prepare import Features
 
 
 class SampleError(ValueError):
@@ -59,19 +62,19 @@ class PerturbationConfig:
             raise SampleError("copies_per_row must be >= 1")
 
 
-def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
-                cfg: SamplerConfig, features: Features | None = None) -> dict[str, list[str]]:
+def build_tiers(pairs: list[SupervisionPair], base_ids: Sequence[str], aux_ids: Sequence[str],
+                cfg: SamplerConfig, features: Features) -> dict[str, list[str]]:
     """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
     zero scores included, ties by ascending id; none for the random
     sampler. Seed-independent. All anchors are ranked in one ``rank`` call
-    over ``features``, ``prepare.token_ids([base, aux])`` when not given."""
+    over ``features``, the whitespace ``token_ids`` of the base and aux
+    datasets, whose records have ids ``base_ids`` and ``aux_ids``."""
     if cfg.kind == "random":
         return {}
     anchors = list(dict.fromkeys(pair.base_id for pair in pairs))  # in pair order
-    vocab, (base_tokens, aux_tokens) = token_ids([base, aux]) if features is None else features
-    position = {rid: i for i, rid in enumerate(base.ids())}
+    vocab, (base_tokens, aux_tokens) = features
+    position = {rid: i for i, rid in enumerate(base_ids)}
     queries = (base_tokens[position[anchor_id]] for anchor_id in anchors)
-    aux_ids = aux.ids()
     if cfg.kind == "stratified_bm25":
         index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
         rows, cols, _ = rank(queries, index.scores, index.n_docs, cfg.tier_size, index.id_rank)
@@ -86,29 +89,27 @@ def build_tiers(pairs: list[SupervisionPair], base: Dataset, aux: Dataset,
 
 def sample_triples(
     pairs: list[SupervisionPair],
-    base: Dataset,
-    aux: Dataset,
+    aux_ids: Sequence[str],
     cfg: SamplerConfig,
-    tiers: dict[str, list[str]] | None = None,
+    tiers: dict[str, list[str]],
 ) -> list[SupervisionTriple]:
-    """Turn related pairs into training triples by drawing negatives.
+    """Turn related pairs into training triples by drawing negatives from
+    the auxiliary records, whose ids are ``aux_ids``.
 
     The random sampler draws uniformly from the auxiliary records that are
     not known positives of the anchor. Stratified samplers draw from the
-    anchor's ``build_tiers`` tier (passing ``tiers`` skips rebuilding it),
-    falling back to uniform when the tier holds only positives.
+    anchor's tier in ``tiers`` (``build_tiers``, built once for all
+    epochs), falling back to uniform when the tier holds only positives.
     """
     if not pairs:
         raise SampleError("pairs must be non-empty")
-    if aux.n < 2:
+    if len(aux_ids) < 2:
         raise SampleError("cannot sample negative: auxiliary dataset has fewer than 2 records")
-    tiers = build_tiers(pairs, base, aux, cfg) if tiers is None else tiers
 
     positives: dict[str, set[str]] = {}
     for pair in pairs:
         positives.setdefault(pair.base_id, set()).add(pair.aux_id)
 
-    aux_ids = list(aux.ids())
     rng = random.Random(cfg.seed)
     triples: list[SupervisionTriple] = []
     for pair in pairs:
@@ -133,39 +134,38 @@ def sample_triples(
 
 
 def build_pretraining_pairs(
-    base: Dataset,
-    aux: Dataset,
+    base_ids: Sequence[str],
+    aux_ids: Sequence[str],
+    features: Features,
     per_record: int = 1,
     seed: int = 0,
-    features: Features | None = None,
 ) -> list[SupervisionTriple]:
     """Self-supervised triples: positive is the BM25 top-1 auxiliary match
     (ties by ascending id, a zero score included), negative is a uniform
-    draw among the rest: one of ``aux.n - 1`` positions, counted past the
-    positive's. Every base record is ranked in one ``rank`` call over
-    ``features``, as in ``build_tiers``."""
-    if base.n == 0 or aux.n == 0:
+    draw among the rest: one of ``len(aux_ids) - 1`` positions, counted
+    past the positive's. Every base record is ranked in one ``rank`` call
+    over ``features``, as in ``build_tiers``."""
+    if not base_ids or not aux_ids:
         raise SampleError("both datasets must be non-empty")
-    if aux.n < 2:
+    if len(aux_ids) < 2:
         raise SampleError("cannot sample negative: auxiliary dataset has fewer than 2 records")
     if per_record < 1:
         raise SampleError("per_record must be >= 1")
 
-    vocab, (base_tokens, aux_tokens) = token_ids([base, aux]) if features is None else features
-    index = build_bm25_index(aux.ids(), aux_tokens, len(vocab))
+    vocab, (base_tokens, aux_tokens) = features
+    index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
     _, top, _ = rank(base_tokens, index.scores, index.n_docs, 1, index.id_rank)
-    aux_ids = list(aux.ids())
     aux_pos = {aid: i for i, aid in enumerate(aux_ids)}
     rng = random.Random(seed)
     triples: list[SupervisionTriple] = []
-    for rec, top_id in zip(base.records, (index.ids[i] for i in top.tolist())):
+    for anchor_id, top_id in zip(base_ids, (index.ids[i] for i in top.tolist())):
         top_pos = aux_pos[top_id]
         for _ in range(per_record):
             j = rng.randrange(len(aux_ids) - 1)
             j += j >= top_pos
             triples.append(
                 SupervisionTriple(
-                    anchor_id=rec.id,
+                    anchor_id=anchor_id,
                     positive_id=top_id,
                     negative_id=aux_ids[j],
                 )

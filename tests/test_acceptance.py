@@ -20,7 +20,7 @@ from emberish.encoder import (
     EncoderModel,
     TrainConfig,
     batch_gradients,
-    embed_dataset,
+    embed_tokens,
     fit_encoder,
     train,
 )
@@ -49,14 +49,15 @@ def embed_sides(base, aux, features, models):
     """``(base, aux)`` embeddings from ``token_ids([base, aux])``: the base
     side by the first of ``models``, the aux side by the last."""
     vocab, ids = features
-    return tuple(embed_dataset(model, ds, features=(vocab, side))
+    return tuple(embed_tokens(model, ds.ids(), (vocab, side))
                  for model, ds, side in zip((models[0], models[-1]), (base, aux), ids))
 
 
 def fitted_embeddings(base, aux, train_pairs, config, features):
     """The sides embedded by an encoder fitted on ``train_pairs`` without
     pretraining, over 2^15 hash buckets."""
-    fit = fit_encoder(base, aux, train_pairs, config, hash_dim=1 << 15, features=features)
+    fit = fit_encoder(base.ids(), aux.ids(), train_pairs, config, hash_dim=1 << 15,
+                      features=features)
     return embed_sides(base, aux, features, fit.models)
 
 
@@ -249,7 +250,7 @@ def test_objective_ordering():
     ]
     model = EncoderModel.create(dim=16, hash_dim=64, seed=0)
     cfg = TrainConfig(epochs=60, batch_size=8, learning_rate=0.05, margin=0.5, seed=0)
-    train(model, triples, base, aux, cfg)
+    train(model, triples, base.ids(), aux.ids(), token_ids([base, aux]), cfg)
     ordered = 0
     for t in triples:
         xa = encode(model, prepare_sentence(record(base, t.anchor_id)))
@@ -289,7 +290,7 @@ def test_easy_preset_trained_vs_untrained():
                                           seed=config.seed, normalize=config.normalize,
                                           tokens=features[0])
     table = run_comparison(
-        base, aux, truth_set,
+        base.ids(), aux.ids(), truth_set,
         methods=["untrained-encoder", "trained-encoder"],
         ks=[10],
         embeddings={
@@ -336,7 +337,7 @@ def test_hard_preset_sampler_non_inferiority():
         )
         embeddings = fitted_embeddings(base, aux, train_pairs, config, features)
         table = run_comparison(
-            base, aux, truth_set, ["trained-encoder"], [10],
+            base.ids(), aux.ids(), truth_set, ["trained-encoder"], [10],
             embeddings={"trained-encoder": embeddings}, metric=config.distance,
         )
         recalls[sampler] = table.recall("trained-encoder", 10)

@@ -33,7 +33,7 @@ from emberish.cli import (
 )
 from emberish.data import load_dataset, write_dataset
 from emberish.joinspec import ConfigError, EngineConfig, JoinType
-from records import dataset_from_rows
+from records import dataset_from_rows, embed_dataset, fit_datasets
 from test_joiner import full_disk, record_ids
 
 
@@ -395,16 +395,17 @@ def append_row(path):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the sides the join embeds (an ``embed_dataset`` call for a
+    """Counts of the sides the join embeds (an ``embed_tokens`` call for a
     side it holds whole, an ``embed_blocks`` call for a side it streams)
-    and of its ``load_dataset`` calls."""
+    and of the dataset files it reads (one per ``load_dataset`` call, one
+    per path of a ``read_token_ids`` call)."""
     import emberish.cli as cli_mod
 
     calls = {"embed": 0, "load": 0}
-    for name, attr in (("embed", "embed_dataset"), ("embed", "embed_blocks"),
-                       ("load", "load_dataset")):
-        def counting(*args, _name=name, _fn=getattr(cli_mod, attr), **kwargs):
-            calls[_name] += 1
+    for name, attr, work in (("embed", "embed_tokens", None), ("embed", "embed_blocks", None),
+                             ("load", "load_dataset", None), ("load", "read_token_ids", len)):
+        def counting(*args, _name=name, _fn=getattr(cli_mod, attr), _work=work, **kwargs):
+            calls[_name] += 1 if _work is None else _work(args[0])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli_mod, attr, counting)
     return calls
@@ -578,7 +579,7 @@ class TestStreamedJoin:
         # a block of one row; ids holding the characters CSV quotes, and in
         # some cases a "\r", which quotes every field.
         from emberish import joiner
-        from emberish.encoder import EncoderModel, embed_dataset, save_model
+        from emberish.encoder import EncoderModel, save_model
         from emberish.joiner import aux_queries, execute_join, save_embeddings
         from emberish.joinspec import JoinSpec
 
@@ -816,7 +817,7 @@ class TestPartialModelLoads:
         # show where each file took them from.
         import emberish.cli as cli_mod
         from emberish.data import load_supervision
-        from emberish.encoder import EncoderModel, fit_encoder, load_model, save_model
+        from emberish.encoder import EncoderModel, load_model, save_model
         from emberish.prepare import token_ids
 
         tmp_path, _ = workspace
@@ -837,9 +838,9 @@ class TestPartialModelLoads:
 
         base = load_dataset(tmp_path / "base.csv", role="base", name="base")
         aux = load_dataset(tmp_path / "aux.csv", role="auxiliary", name="aux")
-        supervision = load_supervision(tmp_path / "supervision.csv", base, aux)
-        expected = fit_encoder(base, aux, supervision, cfg, pretrain=pretrain,
-                               init_model=load_model(tmp_path / "earlier.bin"))
+        supervision = load_supervision(tmp_path / "supervision.csv", base.ids(), aux.ids())
+        expected = fit_datasets(base, aux, supervision, cfg, pretrain=pretrain,
+                                init_model=load_model(tmp_path / "earlier.bin"))
         held = earlier.rows(token_ids([base, aux], cfg.tokenizer)[0])
         outside = np.ones(earlier.hash_dim, bool)
         outside[held] = False
@@ -1047,7 +1048,7 @@ class TestEvaluate:
     def test_untrained_row_holds_its_datasets_rows_and_ranks_as_the_dense_model(
             self, workspace, monkeypatch):
         from emberish.data import load_supervision
-        from emberish.encoder import EncoderModel, embed_dataset
+        from emberish.encoder import EncoderModel
         from emberish.evalkit import TruthSet, recall_at_k, retrieval_result
         from emberish.prepare import prepare_sentence
 
@@ -1085,7 +1086,8 @@ class TestEvaluate:
     def test_comparison_prepares_each_record_once_per_tokenizer(self, workspace, monkeypatch,
                                                               tokenizer, methods, tokenizers):
         # The sentence baselines and the encoder rows share one featurization
-        # per tokenizer in use, and each row is the row its method gives alone.
+        # per tokenizer in use, which tokenizes each record's sentence once,
+        # and each row is the row its method gives alone.
         from collections import Counter
 
         from emberish import prepare
@@ -1093,21 +1095,22 @@ class TestEvaluate:
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False)
         cfg = fast_config(tmp_path, tokenizer=tokenizer)
-        prepared = Counter()
-        prepare_sentence = prepare.prepare_sentence
+        tokenized = Counter()
+        tokenize = prepare.tokenize
 
-        def counting(rec, *args, **kwargs):
-            prepared[rec.id] += 1
-            return prepare_sentence(rec, *args, **kwargs)
+        def counting(text, mode="whitespace"):
+            tokenized[mode] += 1
+            return tokenize(text, mode)
 
-        monkeypatch.setattr(prepare, "prepare_sentence", counting)
+        monkeypatch.setattr(prepare, "tokenize", counting)
         key_column = "name" if "JK-WS" in methods else None
         cmd_evaluate(cfg, comparison=True, methods=methods, key_column=key_column)
         monkeypatch.undo()
         ids = [row[0] for name in ("base.csv", "aux.csv")
                for row in read_rows(tmp_path / name)[1:]]
         assert len(set(ids)) == len(ids)
-        assert prepared == Counter(dict.fromkeys(ids, tokenizers))
+        assert len(tokenized) == tokenizers
+        assert tokenized == Counter(dict.fromkeys(tokenized, len(ids)))
 
         together = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()
         alone = []
@@ -1489,6 +1492,154 @@ class TestManifest:
         assert written["outputs"] == {str(tmp_path / name): sha256_of(tmp_path / name)
                                       for name in writes}
         assert set(written["timings"]) == set(stages)
+
+
+def write_quoted_source(tmp_path, n=40):
+    """A source.csv whose quoted cells hold commas, quotes, line breaks and
+    non-ASCII text, and some empty cells."""
+    rows = []
+    for i in range(n):
+        name = f'item{i}, "w{i % 7}" w{i % 11}' + ("\nnext é" if i % 3 else "")
+        rows.append((f"r{i}", [("name", name), ("city", f"city{i % 5}" if i % 4 else "")]))
+    write_dataset(dataset_from_rows("source", "auxiliary", rows), tmp_path / "source.csv")
+
+
+class TestRecordsOnlyWhereTextIsRead:
+    """train, a fresh learned join, the BM25 and J-WS joins and evaluate
+    code each row's tokens as its file streams past, and build no
+    ``Record``; they write the bytes that the same computation over the
+    loaded records gives. generate, --dump-sentences and the key-column
+    baselines read record text, so they build records."""
+
+    @staticmethod
+    def count_records(monkeypatch, refuse=False):
+        from emberish.data import Record
+
+        built = []
+
+        def post_init(record):
+            if refuse:
+                raise AssertionError(f"record {record.id!r} was built")
+            built.append(record.id)
+
+        monkeypatch.setattr(Record, "__post_init__", post_init)
+        return built
+
+    @pytest.mark.parametrize("tokenizer", ["whitespace", "char2gram"])
+    def test_featurizing_commands_build_no_record(self, tmp_path, monkeypatch, tokenizer):
+        from emberish.data import load_supervision
+        from emberish.encoder import save_model
+        from emberish.joiner import execute_join, save_embeddings
+        from emberish.joinspec import JoinSpec
+        from records import baseline_join
+
+        write_quoted_source(tmp_path)
+        settings = {"data_dir": str(tmp_path), "embedding_dim": 8, "epochs": 2,
+                    "learning_rate": 0.01, "seed": 7, "tokenizer": tokenizer,
+                    "sampler": "stratified_bm25", "right_size": 3}
+        (tmp_path / "config.json").write_text(json.dumps(settings))
+        d = ["--config", str(tmp_path / "config.json")]
+        assert main(["generate", *d, "--copies", "2", "--perturbations", "1"]) == 0
+
+        # What the commands write, computed from the loaded records.
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        cfg = EngineConfig(**settings)
+        base, aux = (load_dataset(tmp_path / f"{name}.csv", name=name) for name in ("base", "aux"))
+        supervision = load_supervision(tmp_path / "supervision.csv", base.ids(), aux.ids())
+        model = fit_datasets(base, aux, supervision, cfg, pretrain=True).model
+        save_model(model, expected / "model.bin")
+        embeddings = [embed_dataset(model, ds, tokenizer) for ds in (base, aux)]
+        for ds, emb in zip((base, aux), embeddings):
+            save_embeddings(emb, expected / f"embeddings_{ds.name}.bin")
+        for join_type, left in (("LEFT", 1), ("INNER", 2)):
+            spec = JoinSpec("base", "aux", JoinType(join_type), left, 3, "supervision")
+            execute_join(spec, *embeddings).write_csv(expected / f"{join_type}.csv")
+        for kind in ("BM25", "J-WS"):
+            baseline_join(kind, base, aux, k=3).write_csv(expected / f"{kind}.csv")
+
+        self.count_records(monkeypatch, refuse=True)
+        assert main(["train", *d]) == 0
+        assert (tmp_path / "model.bin").read_bytes() == (expected / "model.bin").read_bytes()
+        for join_type, sizes in (("LEFT", []), ("INNER", ["--left-size", "2"])):
+            (tmp_path / "manifest_join.json").unlink(missing_ok=True)  # a fresh join
+            assert main(["join", *d, "--join-type", join_type, *sizes]) == 0
+            assert main(["evaluate", *d]) == 0
+            for name in ("embeddings_base.bin", "embeddings_aux.bin"):
+                assert (tmp_path / name).read_bytes() == (expected / name).read_bytes()
+            assert ((tmp_path / "result.csv").read_bytes()
+                    == (expected / f"{join_type}.csv").read_bytes())
+        for kind in ("BM25", "J-WS"):
+            assert main(["join", *d, "--baseline", kind]) == 0
+            assert (tmp_path / "result.csv").read_bytes() == (expected / f"{kind}.csv").read_bytes()
+        assert main(["evaluate", *d, "--comparison", "--methods",
+                     "BM25,J-2G,untrained-encoder,trained-encoder"]) == 0
+        assert main(["pipeline", *d, "--chain-file", str(self.chain(tmp_path))]) == 0
+
+    @staticmethod
+    def chain(tmp_path):
+        path = tmp_path / "chain.kjoin"
+        path.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING s;")
+        return path
+
+    def test_text_reading_commands_build_records(self, tmp_path, monkeypatch):
+        write_quoted_source(tmp_path)
+        d = ["--data-dir", str(tmp_path)]
+        built = self.count_records(monkeypatch)
+        assert main(["generate", *d, "--copies", "2", "--perturbations", "1"]) == 0
+        assert built
+        assert main(["train", *d, "--no-pretrain"]) == 0
+        sides = len(read_rows(tmp_path / "base.csv")) + len(read_rows(tmp_path / "aux.csv")) - 2
+        for args in (["--join-type", "LEFT", "--dump-sentences", str(tmp_path / "s.jsonl")],
+                     ["--baseline", "JK-WS", "--key-column", "name"],
+                     ["--baseline", "LD", "--key-column", "name"]):
+            built.clear()
+            assert main(["join", *d, *args]) == 0
+            assert len(built) == sides, args
+        built.clear()
+        assert main(["evaluate", *d, "--comparison", "--methods", "BM25,JK-WS",
+                     "--key-column", "name"]) == 0
+        assert len(built) == sides
+
+    def test_train_reads_each_dataset_file_once(self, workspace, monkeypatch):
+        # Under char2gram, pretraining and a stratified sampler rank
+        # whitespace tokens too: one read of each file codes both.
+        from collections import Counter
+
+        from emberish import data
+
+        tmp_path, _ = workspace
+        reads = Counter()
+        read_table = data.read_table
+
+        def counting(path):
+            reads[Path(path).name] += 1
+            return read_table(path)
+
+        monkeypatch.setattr(data, "read_table", counting)
+        cmd_train(fast_config(tmp_path, tokenizer="char2gram", sampler="stratified_jaccard"),
+                  pretrain=True)
+        assert reads == {"base.csv": 1, "aux.csv": 1, "supervision.csv": 1}
+
+    def test_train_peak_traced_memory_on_grid_data(self, tmp_path):
+        # The grid benchmark's train settings, on half its rows. The bound
+        # sits between the 9.87 MB this traces and the 14.85 MB of a train
+        # that holds a Record per row and int64 table rows.
+        import tracemalloc
+
+        from corpus import slot_grid_source
+
+        write_dataset(slot_grid_source(n_rows=1000), tmp_path / "source.csv")
+        cfg = EngineConfig(data_dir=str(tmp_path), epochs=1, sampler="random",
+                           supervision_fraction=0.1, seed=1)
+        cmd_generate(cfg)
+        tracemalloc.start()
+        try:
+            cmd_train(cfg, pretrain=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 def test_version_matches_pyproject():

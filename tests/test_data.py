@@ -197,7 +197,7 @@ class TestSupervision:
         path = tmp_path / "s.csv"
         path.write_text(text)
         with pytest.raises(DataError, match=f"unresolvable ids: line {line}: aux id '404'$"):
-            load_supervision(path, base, aux)
+            load_supervision(path, base.ids(), aux.ids())
 
     def test_triple_rejects_equal_positive_negative(self):
         with pytest.raises(DataError):

@@ -14,14 +14,12 @@ from emberish.encoder import (
     EncoderModel,
     TrainConfig,
     batch_gradients,
-    embed_dataset,
     load_model,
     save_model,
-    train,
 )
 from emberish.prepare import Sentence, prepare_sentence, token_ids
 from oracles import batch_loss, dense_table, encode, triplet_loss
-from records import dataset_from_rows, record
+from records import dataset_from_rows, embed_dataset, fit_datasets, record, train_on
 
 
 def sentence(text):
@@ -379,10 +377,10 @@ class TestStepOracle:
         cfg = EngineConfig(**{**dict(data_dir=".", embedding_dim=8, epochs=2,
                                      learning_rate=0.05, sampler="random", seed=seed,
                                      loss_margin=0.5), **overrides})
-        fits = [enc_mod.fit_encoder(base, aux, pairs, cfg, hash_dim=1 << 12, pretrain=pretrain)]
+        fits = [fit_datasets(base, aux, pairs, cfg, hash_dim=1 << 12, pretrain=pretrain)]
         monkeypatch.setattr(enc_mod, "batch_gradients", oracles.batch_gradients)
-        fits.append(enc_mod.fit_encoder(base, aux, pairs, cfg, hash_dim=1 << 12,
-                                        pretrain=pretrain))
+        fits.append(fit_datasets(base, aux, pairs, cfg, hash_dim=1 << 12,
+                                 pretrain=pretrain))
         fit, ref = fits
         assert len(fit.models) == len(ref.models) == cfg.num_encoders
         assert [(s, e, np.float64(l).tobytes()) for s, e, l in fit.trace] == \
@@ -479,7 +477,7 @@ class TestLazyAdam:
         base, aux, triples = toy_training_world(6)
         model = EncoderModel.create(dim=8, hash_dim=1 << 16, seed=0)
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.05, margin=1.0, seed=0)
-        train(model, triples, base, aux, cfg, shared=shared)
+        train_on(model, triples, base, aux, cfg, shared=shared)
 
         def rows(dataset, ids):
             return {int(b) for i in ids
@@ -516,7 +514,7 @@ class TestTrain:
         base, aux, triples = toy_training_world()
         model = EncoderModel.create(dim=16, hash_dim=64, seed=0)
         cfg = TrainConfig(epochs=6, batch_size=8, learning_rate=0.02, margin=0.5, seed=0)
-        result = train(model, triples, base, aux, cfg)
+        result = train_on(model, triples, base, aux, cfg)
         assert result.epoch_losses[-1] <= result.epoch_losses[0]
 
     def test_inactive_hinge_leaves_parameters_unchanged(self):
@@ -536,7 +534,7 @@ class TestTrain:
         ]
         assert sat, "fixture should have satisfied triples"
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.1, margin=0.0, seed=0)
-        result = train(model, sat, base, aux, cfg)
+        result = train_on(model, sat, base, aux, cfg)
         assert result.epoch_losses == [0.0, 0.0]
         assert np.array_equal(model.table, before[0])
         assert np.array_equal(model.projection, before[1])
@@ -546,7 +544,7 @@ class TestTrain:
         base, aux, triples = toy_training_world()
         model = EncoderModel.create(dim=16, hash_dim=64, seed=0)
         cfg = TrainConfig(epochs=60, batch_size=8, learning_rate=0.05, margin=0.5, seed=0)
-        train(model, triples, base, aux, cfg)
+        train_on(model, triples, base, aux, cfg)
         for t in triples:
             xa = encode(model, prepare_sentence(record(base, t.anchor_id)))
             xp = encode(model, prepare_sentence(record(aux, t.positive_id)))
@@ -562,7 +560,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=2, learning_rate=0.01, margin=0.2, seed=0)
         from emberish.data import SupervisionTriple as Triple
 
-        result = train(model, [Triple("b0", "a0", "a1")], base, aux, cfg, shared=True)
+        result = train_on(model, [Triple("b0", "a0", "a1")], base, aux, cfg, shared=True)
         trained = result.model
         xb = encode(trained, prepare_sentence(record(base, "b0")))
         xa = encode(trained, prepare_sentence(record(aux, "a0")))
@@ -572,7 +570,7 @@ class TestTrain:
         base, aux, triples = toy_training_world(6)
         model = EncoderModel.create(dim=8, hash_dim=32, seed=0)
         cfg = TrainConfig(epochs=4, batch_size=4, learning_rate=0.05, margin=1.0, seed=0)
-        result = train(model, triples, base, aux, cfg, shared=False)
+        result = train_on(model, triples, base, aux, cfg, shared=False)
         assert len(result.models) == 2
         assert not np.array_equal(result.models[0].table, result.models[1].table)
 
@@ -580,7 +578,7 @@ class TestTrain:
         base, aux, triples = toy_training_world(4)
         model = EncoderModel.create(dim=8, hash_dim=32, seed=0)
         cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=0.01, margin=1.0, seed=0)
-        result = train(model, triples, base, aux, cfg)
+        result = train_on(model, triples, base, aux, cfg)
         assert len(result.epoch_losses) == 3
 
     def test_training_deterministic_under_seed(self):
@@ -588,8 +586,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=0.02, margin=0.5, seed=11)
         m1 = EncoderModel.create(dim=8, hash_dim=32, seed=2)
         m2 = EncoderModel.create(dim=8, hash_dim=32, seed=2)
-        train(m1, triples, base, aux, cfg)
-        train(m2, triples, base, aux, cfg)
+        train_on(m1, triples, base, aux, cfg)
+        train_on(m2, triples, base, aux, cfg)
         assert np.array_equal(m1.table, m2.table)
         assert np.array_equal(m1.projection, m2.projection)
 
@@ -633,7 +631,6 @@ class TestFitEncoder:
 
     def test_provided_triples_pass_through_unchanged(self, monkeypatch):
         from emberish import encoder as enc_mod
-        from emberish.encoder import fit_encoder
 
         base, aux, _ = self.world()
         triples = [SupervisionTriple("b0", "a0", "a1"), SupervisionTriple("b1", "a1", "a2")]
@@ -651,7 +648,7 @@ class TestFitEncoder:
             return original_train(model, ts, *args, **kwargs)
 
         monkeypatch.setattr(enc_mod, "train", spy)
-        fit_encoder(base, aux, triples, self.config(), hash_dim=64)
+        fit_datasets(base, aux, triples, self.config(), hash_dim=64)
         assert seen["triples"] == triples
 
     def test_training_updates_the_buckets_the_join_reads(self, tmp_path):
@@ -659,12 +656,11 @@ class TestFitEncoder:
         # row that training changed; the margin keeps every triple active.
         # The fit holds only its records' rows, so they are compared through
         # row_buckets, and the saved file changes exactly those rows.
-        from emberish.encoder import fit_encoder
 
         base, aux, _ = self.world()
         triples = [SupervisionTriple(f"b{i}", f"a{i}", f"a{(i + 1) % 6}") for i in range(6)]
         cfg = self.config(tokenizer="char2gram", loss_margin=100.0)
-        fit = fit_encoder(base, aux, triples, cfg, hash_dim=1 << 12)
+        fit = fit_datasets(base, aux, triples, cfg, hash_dim=1 << 12)
         start = EncoderModel.create(dim=8, hash_dim=1 << 12, seed=0)
         held = fit.model.row_buckets
         changed = set(held[(fit.model.table != start.table[held]).any(axis=1)].tolist())
@@ -684,7 +680,6 @@ class TestFitEncoder:
         # tokens rank a1 ("ab cd", as b0) above a0 ("abcd").
         from emberish import encoder as enc_mod
         from emberish.data import SupervisionPair
-        from emberish.encoder import fit_encoder
 
         base = dataset_from_rows("b", "base", [("b0", [("t", "ab cd")]), ("b1", [("t", "zz")])])
         aux = dataset_from_rows("a", "auxiliary", [("a0", [("t", "abcd")]),
@@ -698,8 +693,8 @@ class TestFitEncoder:
 
             monkeypatch.setattr(enc_mod, name, spy)
         pairs = [SupervisionPair("b0", "a2"), SupervisionPair("b1", "a2")]
-        fit_encoder(base, aux, pairs, self.config(sampler=sampler, tokenizer="char2gram"),
-                    hash_dim=64, pretrain=True)
+        fit_datasets(base, aux, pairs, self.config(sampler=sampler, tokenizer="char2gram"),
+                     hash_dim=64, pretrain=True)
         assert made["build_pretraining_pairs"][0].positive_id == "a1"
         assert made["build_tiers"]["b0"][:2] == ["a1", "a0"]
 
@@ -713,44 +708,49 @@ class TestFitEncoder:
         ("random", "char2gram", True),
     ])
     def test_each_record_prepared_once_per_featurizer(self, sampler, tokenizer, pretrain,
-                                                       monkeypatch):
-        # The tiers and the pretraining pairs rank the fit's own token ids,
-        # each through one aux index built once per fit, not per epoch. Only
-        # under char2gram do they need a second, whitespace, featurization.
+                                                       tmp_path, monkeypatch):
+        # train tokenizes each row once per featurizer as its file streams
+        # past: under the config's tokenizer, and under whitespace as well
+        # when char2gram records are ranked lexically. The tiers and the
+        # pretraining pairs rank those token ids, each through one aux index
+        # built once per fit, not per epoch.
         from collections import Counter
 
         from emberish import lexrank, prepare, supervise
-        from emberish.encoder import fit_encoder
+        from emberish.cli import cmd_train
+        from emberish.data import write_dataset, write_pairs
 
         base, aux, pairs = self.world()
-        prepared, builds = Counter(), []
-        build = lexrank.build_bm25_index
+        write_dataset(base, tmp_path / "base.csv")
+        write_dataset(aux, tmp_path / "aux.csv")
+        write_pairs(pairs, tmp_path / "supervision.csv")
+        tokenized, builds = Counter(), []
+        tokenize, build = prepare.tokenize, lexrank.build_bm25_index
 
-        def counting_prepare(record, *args, **kwargs):
-            prepared[record.id] += 1
-            return prepare_sentence(record, *args, **kwargs)
+        def counting_tokenize(text, mode="whitespace"):
+            tokenized[mode] += 1
+            return tokenize(text, mode)
 
         def counting_build(*args, **kwargs):
             builds.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(prepare, "prepare_sentence", counting_prepare)
+        monkeypatch.setattr(prepare, "tokenize", counting_tokenize)
         for module in (lexrank, supervise):
             monkeypatch.setattr(module, "build_bm25_index", counting_build)
-        fit_encoder(base, aux, pairs,
-                    self.config(epochs=3, sampler=sampler, tokenizer=tokenizer),
-                    hash_dim=64, pretrain=pretrain)
+        cmd_train(self.config(data_dir=str(tmp_path), epochs=3, sampler=sampler,
+                              tokenizer=tokenizer), pretrain=pretrain)
         lexical = pretrain or sampler != "random"
-        times = 2 if tokenizer == "char2gram" and lexical else 1
-        assert prepared == {rid: times for rid in base.ids() + aux.ids()}
+        records = base.n + aux.n
+        assert tokenized == {tokenizer: records,
+                             **({"whitespace": records} if lexical else {})}
         assert len(builds) == pretrain + (sampler == "stratified_bm25")
 
     def test_finetune_false_returns_initial_model(self, tmp_path):
-        from emberish.encoder import fit_encoder
 
         base, aux, pairs = self.world()
         cfg = self.config(finetune=False)
-        fit = fit_encoder(base, aux, pairs, cfg, hash_dim=64)
+        fit = fit_datasets(base, aux, pairs, cfg, hash_dim=64)
         reference = EncoderModel.create(dim=8, hash_dim=64, seed=0)
         assert np.array_equal(fit.model.table, reference.table[fit.model.row_buckets])
         save_model(fit.model, tmp_path / "fit.bin")
@@ -758,20 +758,30 @@ class TestFitEncoder:
         assert (tmp_path / "fit.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
         assert fit.trace == []
 
-    def test_custom_sampler_requires_triples(self):
+    @pytest.mark.parametrize("sampler, pretrain", [("random", True),
+                                                   ("stratified_jaccard", False)])
+    def test_char2gram_lexical_ranking_requires_whitespace_ids(self, sampler, pretrain):
         from emberish.encoder import fit_encoder
+
+        base, aux, pairs = self.world()
+        with pytest.raises(EncoderError, match="rank whitespace tokens"):
+            fit_encoder(base.ids(), aux.ids(), pairs,
+                        self.config(sampler=sampler, tokenizer="char2gram"),
+                        features=token_ids([base, aux], "char2gram"), hash_dim=64,
+                        pretrain=pretrain)
+
+    def test_custom_sampler_requires_triples(self):
 
         base, aux, pairs = self.world()
         with pytest.raises(EncoderError, match="custom"):
-            fit_encoder(base, aux, pairs, self.config(sampler="custom"), hash_dim=64)
+            fit_datasets(base, aux, pairs, self.config(sampler="custom"), hash_dim=64)
 
     def test_freeze_negatives_reuses_one_draw(self):
-        from emberish.encoder import fit_encoder
 
         base, aux, pairs = self.world()
         cfg = self.config(epochs=3)
-        frozen = fit_encoder(base, aux, pairs, cfg, hash_dim=64, freeze_negatives=True)
-        frozen2 = fit_encoder(base, aux, pairs, cfg, hash_dim=64, freeze_negatives=True)
+        frozen = fit_datasets(base, aux, pairs, cfg, hash_dim=64, freeze_negatives=True)
+        frozen2 = fit_datasets(base, aux, pairs, cfg, hash_dim=64, freeze_negatives=True)
         assert np.array_equal(frozen.model.table, frozen2.model.table)
 
 
@@ -803,7 +813,7 @@ class TestSparseFit:
         ({"sampler": "stratified_bm25", "num_encoders": 2}, True, 37),
     ])
     def test_saved_files_equal_a_dense_fit(self, tmp_path, overrides, pretrain, hash_dim):
-        from emberish.encoder import _INIT_ROWS, _token_rows, fit_encoder
+        from emberish.encoder import _INIT_ROWS, _token_rows
         from emberish.joinspec import EngineConfig
 
         # By default the table spans two whole init blocks and part of a third.
@@ -813,12 +823,12 @@ class TestSparseFit:
         cfg = EngineConfig(**{**dict(data_dir=".", embedding_dim=8, epochs=2,
                                      learning_rate=0.05, sampler="random", seed=3,
                                      loss_margin=0.5), **overrides})
-        sparse = fit_encoder(base, aux, pairs, cfg, hash_dim=hash_dim, pretrain=pretrain)
+        sparse = fit_datasets(base, aux, pairs, cfg, hash_dim=hash_dim, pretrain=pretrain)
         dense_init = EncoderModel.create(dim=8, hash_dim=hash_dim, seed=3)
         initial = np.random.default_rng(3).normal(0.0, 1 / np.sqrt(8), size=(hash_dim, 8))
         assert np.array_equal(dense_init.table, initial)
-        dense = fit_encoder(base, aux, pairs, cfg, hash_dim=hash_dim, pretrain=pretrain,
-                            init_model=dense_init)
+        dense = fit_datasets(base, aux, pairs, cfg, hash_dim=hash_dim, pretrain=pretrain,
+                             init_model=dense_init)
         vocab = {t for ds in (base, aux) for rec in ds.records
                  for t in prepare_sentence(rec, tokenizer=cfg.tokenizer).tokens}
         held = _token_rows(vocab, 3, hash_dim)
@@ -840,7 +850,7 @@ class TestSparseFit:
     @pytest.mark.parametrize("pretrain", [False, True])
     def test_fit_from_a_partial_load_saves_the_full_loads_files(self, tmp_path, num_encoders,
                                                                 pretrain):
-        from emberish.encoder import _INIT_ROWS, fit_encoder
+        from emberish.encoder import _INIT_ROWS
         from emberish.joinspec import EngineConfig
 
         # An earlier fit over twice the words trains rows that this fit's
@@ -849,11 +859,11 @@ class TestSparseFit:
         cfg = EngineConfig(data_dir=".", embedding_dim=8, epochs=2, learning_rate=0.05,
                            sampler="random", seed=3, loss_margin=0.5, num_encoders=num_encoders)
         earlier = tmp_path / "earlier.bin"
-        save_model(fit_encoder(*self.world(vocab=60), cfg, hash_dim=hash_dim).model, earlier)
+        save_model(fit_datasets(*self.world(vocab=60), cfg, hash_dim=hash_dim).model, earlier)
         base, aux, pairs = self.world(vocab=30)
         features = token_ids([base, aux], cfg.tokenizer)
-        full, partial = (fit_encoder(base, aux, pairs, cfg, pretrain=pretrain,
-                                     init_model=load_model(earlier, tokens), features=features)
+        full, partial = (fit_datasets(base, aux, pairs, cfg, pretrain=pretrain,
+                                      init_model=load_model(earlier, tokens), features=features)
                          for tokens in (None, features[0]))
         assert full.trace == partial.trace
         assert len(partial.models) == num_encoders
@@ -875,7 +885,6 @@ class TestSparseFit:
     def test_fit_and_save_never_hold_the_dense_table(self, tmp_path):
         import tracemalloc
 
-        from emberish.encoder import fit_encoder
         from emberish.joinspec import EngineConfig
 
         base, aux, pairs = self.world()
@@ -884,7 +893,7 @@ class TestSparseFit:
         hash_dim = 1 << 16
         tracemalloc.start()
         try:
-            fit = fit_encoder(base, aux, pairs, cfg, hash_dim=hash_dim)
+            fit = fit_datasets(base, aux, pairs, cfg, hash_dim=hash_dim)
             save_model(fit.model, tmp_path / "m.bin")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1093,8 +1102,8 @@ class TestPartialModel:
         assert partial.row_buckets.size < partial.hash_dim and partial.source == path
         saved = {}
         for name, model in (("full", full), ("partial", partial)):
-            fit = train(model, [triple], ds, ds, TrainConfig(epochs=2, learning_rate=0.05),
-                        shared=shared)
+            fit = train_on(model, [triple], ds, ds, TrainConfig(epochs=2, learning_rate=0.05),
+                           shared=shared)
             saved[name] = []
             for j, trained in enumerate(fit.models):
                 save_model(trained, tmp_path / f"{name}{j}.bin")

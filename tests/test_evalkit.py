@@ -1,6 +1,7 @@
 """Metric definitions and the comparison harness."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from emberish.evalkit import (
 )
 from emberish.joiner import JoinResult
 from oracles import matches
-from records import dataset_from_rows
+from emberish.prepare import TOKENIZERS, token_ids
+from records import baseline_join, dataset_from_rows, embed_dataset
 
 
 def ranked_result(rows):
@@ -181,32 +183,39 @@ def tiny_world():
     return base, aux, ts
 
 
+def compare(base, aux, ts, methods, ks, **kwargs):
+    """``run_comparison`` of two in-memory datasets, given their records and
+    their token ids under every tokenizer."""
+    features = {tokenizer: token_ids([base, aux], tokenizer) for tokenizer in TOKENIZERS}
+    return run_comparison(base.ids(), aux.ids(), ts, methods, ks, features=features,
+                          datasets=(base, aux), **kwargs)
+
+
 class TestRunComparison:
     def test_single_cell_table(self):
         base, aux, ts = tiny_world()
-        table = run_comparison(base, aux, ts, ["BM25"], [1], embeddings={}, metric="l2")
+        table = compare(base, aux, ts, ["BM25"], [1], embeddings={}, metric="l2")
         assert len(table.rows) == 1
         assert table.rows[0][0] == "BM25" and table.rows[0][1] == 1
 
     def test_exact_copies_give_ld_recall_one(self):
         base, aux, ts = tiny_world()
-        table = run_comparison(base, aux, ts, ["LD"], [1], embeddings={}, metric="l2",
-                               key_column="name")
+        table = compare(base, aux, ts, ["LD"], [1], embeddings={}, metric="l2",
+                        key_column="name")
         assert table.recall("LD", 1) == 1.0
 
     def test_values_match_individual_recall_calls(self):
+        from emberish.encoder import EncoderModel
         from emberish.evalkit import retrieval_result
-        from emberish.encoder import EncoderModel, embed_dataset
-        from emberish.lexrank import lexical_join
 
         base, aux, ts = tiny_world()
         model = EncoderModel.create(dim=16, hash_dim=256, seed=0)
         embeddings = (embed_dataset(model, base), embed_dataset(model, aux))
-        table = run_comparison(
+        table = compare(
             base, aux, ts, ["BM25", "untrained-encoder"], [1, 5],
             embeddings={"untrained-encoder": embeddings}, metric="l2",
         )
-        bm = lexical_join("BM25", base, aux, k=5)
+        bm = baseline_join("BM25", base, aux, k=5)
         for k in (1, 5):
             assert table.recall("BM25", k) == recall_at_k(bm, ts, k)
         res = retrieval_result(embed_dataset(model, base), embed_dataset(model, aux), 5)
@@ -217,14 +226,30 @@ class TestRunComparison:
     def test_encoder_method_requires_its_embeddings(self, method):
         base, aux, ts = tiny_world()
         with pytest.raises(EvalError, match=f"{method} needs its"):
-            run_comparison(base, aux, ts, ["BM25", method], [1], embeddings={}, metric="l2")
+            compare(base, aux, ts, ["BM25", method], [1], embeddings={}, metric="l2")
+
+    @pytest.mark.parametrize("method, needs", [
+        ("BM25", "the whitespace token ids"),
+        ("J-2G", "the char2gram token ids"),
+        ("LD", "the (base, aux) datasets"),
+        ("JK-WS", "the (base, aux) datasets"),
+    ])
+    def test_a_baseline_requires_what_it_joins(self, method, needs):
+        # A baseline of whole records joins token ids, a key-column
+        # baseline the records themselves.
+        base, aux, ts = tiny_world()
+        with pytest.raises(EvalError, match=re.escape(f"{method} needs {needs}")):
+            run_comparison(base.ids(), aux.ids(), ts, [method], [1], embeddings={},
+                           metric="l2", key_column="name",
+                           features={"whitespace": token_ids([base, aux])}
+                           if method != "BM25" else None)
 
     def test_unknown_method(self):
         base, aux, ts = tiny_world()
         with pytest.raises(EvalError, match="unknown method"):
-            run_comparison(base, aux, ts, ["word2vec"], [1], embeddings={}, metric="l2")
+            compare(base, aux, ts, ["word2vec"], [1], embeddings={}, metric="l2")
 
     def test_table_render(self):
         base, aux, ts = tiny_world()
-        table = run_comparison(base, aux, ts, ["BM25"], [1, 10], embeddings={}, metric="l2")
+        table = compare(base, aux, ts, ["BM25"], [1, 10], embeddings={}, metric="l2")
         assert "BM25" in table.format_table()

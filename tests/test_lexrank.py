@@ -16,14 +16,15 @@ from emberish.lexrank import (
     LexError,
     jaccard,
     jaccard_topk,
+    key_join,
     levenshtein,
     lexical_join,
     rank,
 )
 from emberish.prepare import TokenIds, prepare_sentence
-from emberish.supervise import SamplerConfig, build_pretraining_pairs, build_tiers
+from emberish.supervise import SamplerConfig
 from oracles import bm25_score, bm25_topk, coded, coded_index, for_base, matches
-from records import dataset_from_rows
+from records import baseline_join, dataset_from_rows, pretraining_pairs, tiers_of
 
 
 # --- Independent oracles (kept deliberately naive) -------------------------
@@ -191,7 +192,7 @@ def test_bm25_join_scores_equal_the_oracle_exactly():
         ("b0", [("t", "red shoe red")]), ("b1", [("t", "boot zz boot qq")]), ("b2", []),
         ("b3", [("q", "zz")]), ("b4", [("t", "nine nine gtx red")]),
     ])
-    result = lexical_join("BM25", base, aux, k=aux.n)
+    result = baseline_join("BM25", base, aux, k=aux.n)
     corpus = [prepare_sentence(r).tokens for r in aux.records]
     for brec in base.records:
         query = prepare_sentence(brec).tokens
@@ -255,7 +256,7 @@ def test_levenshtein_metric_axioms(a, b, c):
     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
-# --- lexical_join -------------------------------------------------------------
+# --- lexical_join and key_join ----------------------------------------------
 
 
 def _toy_datasets(rng, n_base=12, n_aux=15):
@@ -278,7 +279,7 @@ def test_ld_exact_key_match_ranks_first():
         "a", "auxiliary",
         [("a0", [("name", "zzzz qqqq")]), ("a1", [("name", "alpha nine")])],
     )
-    result = lexical_join("LD", base, aux, key_column="name", k=2)
+    result = baseline_join("LD", base, aux, key_column="name", k=2)
     top = for_base(result, "b0")[0]
     assert top.aux_id == "a1" and top.score == 0.0
 
@@ -286,7 +287,7 @@ def test_ld_exact_key_match_ranks_first():
 def test_ld_threshold_keeps_below_30_edits():
     base = dataset_from_rows("b", "base", [("b0", [("name", "x" * 60)])])
     aux = dataset_from_rows("a", "auxiliary", [("a0", [("name", "y" * 60)])])
-    result = lexical_join("LD", base, aux, key_column="name", k=5)
+    result = baseline_join("LD", base, aux, key_column="name", k=5)
     assert for_base(result, "b0") == []
 
 
@@ -306,7 +307,7 @@ def test_ld_skips_the_dp_beyond_the_length_gap(monkeypatch):
         "a", "auxiliary",
         [("a0", [("name", "ab" + "c" * 31)]), ("a1", [("name", "ab" + "c" * 30)])],
     )
-    result = lexical_join("LD", base, aux, key_column="name", k=5)
+    result = baseline_join("LD", base, aux, key_column="name", k=5)
     assert [(m.aux_id, m.rank, m.score) for m in for_base(result, "b0")] == [("a1", 1, 30.0)]
     assert calls == [("ab", "ab" + "c" * 30)]
 
@@ -317,7 +318,7 @@ def test_jaccard_join_threshold():
         "a", "auxiliary",
         [("a0", [("name", "red shoe")]), ("a1", [("name", "zz qq ww vv")])],
     )
-    result = lexical_join("J-WS", base, aux, k=5)
+    result = baseline_join("J-WS", base, aux, k=5)
     ids = [m.aux_id for m in for_base(result, "b0")]
     assert "a0" in ids and "a1" not in ids
 
@@ -326,9 +327,9 @@ def test_missing_key_column_errors():
     base = dataset_from_rows("b", "base", [("b0", [("name", "x")])])
     aux = dataset_from_rows("a", "auxiliary", [("a0", [("name", "y")])])
     with pytest.raises(LexError, match="key column"):
-        lexical_join("LD", base, aux, key_column=None, k=1)
+        baseline_join("LD", base, aux, key_column=None, k=1)
     with pytest.raises(LexError, match="key column"):
-        lexical_join("JK-WS", base, aux, key_column="nope", k=1)
+        baseline_join("JK-WS", base, aux, key_column="nope", k=1)
 
 
 @pytest.mark.parametrize("kind", ["LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25"])
@@ -338,7 +339,7 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
     rng = random.Random(5)
     base, aux = _toy_datasets(rng)
     k = 4
-    result = lexical_join(kind, base, aux, key_column="name", k=k)
+    result = baseline_join(kind, base, aux, key_column="name", k=k)
 
     corpus = [prepare_sentence(r).tokens for r in aux.records]
 
@@ -376,19 +377,30 @@ def test_lexical_join_matches_exhaustive_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", ["BM25", "J-WS", "J-2G"])
-def test_lexical_join_prepares_each_record_once(kind, monkeypatch):
+def test_lexical_join_prepares_each_record_once(kind, tmp_path, monkeypatch):
+    # join --baseline serializes and tokenizes each row once, as its file
+    # streams past, and joins as the baseline of the loaded records does.
     from emberish import prepare
+    from emberish.cli import cmd_join
+    from emberish.data import write_dataset
+    from emberish.joinspec import EngineConfig
 
     base, aux = _toy_datasets(random.Random(5))
-    prepared = Counter()
+    write_dataset(base, tmp_path / "base.csv")
+    write_dataset(aux, tmp_path / "aux.csv")
+    calls = Counter()
+    for name in ("sentence_text", "tokenize"):
+        def counting(*args, _name=name, _fn=getattr(prepare, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    def counting(record, *args, **kwargs):
-        prepared[record.id] += 1
-        return prepare_sentence(record, *args, **kwargs)
-
-    monkeypatch.setattr(prepare, "prepare_sentence", counting)
-    lexical_join(kind, base, aux, k=3)
-    assert prepared == {rid: 1 for rid in base.ids() + aux.ids()}
+        monkeypatch.setattr(prepare, name, counting)
+    config = EngineConfig(data_dir=str(tmp_path))
+    cmd_join(config, baseline=kind)
+    monkeypatch.undo()
+    assert calls == {"sentence_text": base.n + aux.n, "tokenize": base.n + aux.n}
+    baseline_join(kind, base, aux, k=config.right_size).write_csv(tmp_path / "expected.csv")
+    assert (tmp_path / "result.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def brute_jaccard_topk(queries, docs, ids, k, min_similarity=None):
@@ -471,7 +483,7 @@ def test_jaccard_join_across_blocks_matches_brute_force(kind, monkeypatch):
     else:
         token_set = lambda r: set(prepare_sentence(r, tokenizer=mode).tokens)
     for k in (1, 2, 3):
-        result = lexical_join(kind, base, aux, key_column="name", k=k)
+        result = baseline_join(kind, base, aux, key_column="name", k=k)
         expected = brute_jaccard_topk([token_set(r) for r in base.records],
                                       [token_set(r) for r in aux.records], aux.ids(), k, 0.3)
         for brec, best in zip(base.records, expected):
@@ -484,7 +496,22 @@ def test_jaccard_join_across_blocks_matches_brute_force(kind, monkeypatch):
 def test_unknown_kind():
     base = dataset_from_rows("b", "base", [("b0", [("name", "x")])])
     with pytest.raises(LexError, match="unknown baseline kind"):
-        lexical_join("SOUNDEX", base, base, k=1)
+        baseline_join("SOUNDEX", base, base, k=1)
+
+
+def test_each_join_runs_its_own_baselines():
+    # lexical_join compares whole records from their token ids; key_join
+    # reads one column of the records themselves.
+    from emberish.prepare import token_ids
+
+    base = dataset_from_rows("b", "base", [("b0", [("name", "x")])])
+    features = token_ids([base, base])
+    for kind in ("LD", "JK-WS", "jk_2g"):
+        with pytest.raises(LexError, match="compares a key column"):
+            lexical_join(kind, base.ids(), base.ids(), features, k=1)
+    for kind in ("BM25", "J-WS", "j_2g"):
+        with pytest.raises(LexError, match="compares whole records"):
+            key_join(kind, base, base, "name", k=1)
 
 
 # --- rank: one blocked pass for every lexical ranking ---------------------
@@ -545,7 +572,7 @@ def test_bm25_join_across_blocks_drops_zero_scores(monkeypatch):
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
     queries = [prepare_sentence(r).tokens for r in base.records]
     for k in (1, 2, 3, 9):
-        result = lexical_join("BM25", base, aux, k=k)
+        result = baseline_join("BM25", base, aux, k=k)
         expected = brute_bm25(docs, queries, k, positive_only=True)
         assert not expected[3] and not expected[4]
         for brec, best in zip(base.records, expected):
@@ -561,15 +588,15 @@ def test_bm25_tiers_and_pretraining_across_blocks_keep_zero_scores(monkeypatch):
     queries = [prepare_sentence(r).tokens for r in base.records]
     pairs = [SupervisionPair(rec.id, "a0") for rec in reversed(base.records)]
     for tier_size in (1, 2, 3, 9):
-        tiers = build_tiers(pairs, base, aux,
-                            SamplerConfig(kind="stratified_bm25", tier_size=tier_size))
+        tiers = tiers_of(pairs, base, aux,
+                         SamplerConfig(kind="stratified_bm25", tier_size=tier_size))
         expected = brute_bm25(docs, queries, tier_size)
         assert list(tiers) == [p.base_id for p in pairs]
         assert [tiers[rec.id] for rec in base.records] == [
             [aux.ids()[i] for i, _ in best] for best in expected
         ]
     # Every doc scores 0.0 for b3 and b4, so their positive is the lowest id.
-    positives = [t.positive_id for t in build_pretraining_pairs(base, aux, seed=0)]
+    positives = [t.positive_id for t in pretraining_pairs(base, aux, seed=0)]
     assert positives == [aux.ids()[best[0][0]] for best in brute_bm25(docs, queries, 1)]
     assert positives[3] == positives[4] == "a0"
 
@@ -589,9 +616,9 @@ def test_one_topk_per_block(caller, monkeypatch):
     monkeypatch.setattr(lexrank, "_LEX_CELLS", 3 * aux.n)
     pairs = [SupervisionPair(rec.id, "a0") for rec in base.records]
     if caller == "bm25_join":
-        lexical_join("BM25", base, aux, k=2)
+        baseline_join("BM25", base, aux, k=2)
     elif caller == "pretraining":
-        build_pretraining_pairs(base, aux)
+        pretraining_pairs(base, aux)
     else:
-        build_tiers(pairs, base, aux, SamplerConfig(kind=caller))
+        tiers_of(pairs, base, aux, SamplerConfig(kind=caller))
     assert blocks == [(3, aux.n), (3, aux.n), (1, aux.n)]

@@ -194,3 +194,136 @@ def test_token_ids_views_equal_per_record_arrays(rows, tokenizer):
         [[prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in dataset.records]])
     assert vocab == want_vocab
     _check_views(side, expected)
+
+
+# --- read_token_ids: the rows of dataset files, coded as they stream past ---
+
+# Cells and column names with commas, quotes, line breaks, tabs and
+# non-ASCII text; a cell may be empty or blank.
+_cell = st.text(alphabet=st.sampled_from(list('ab Zé,"\n\t') + ["日"]), max_size=6)
+_column = st.text(alphabet=st.sampled_from(list('kq é,"\n')), min_size=1, max_size=4)
+
+
+@st.composite
+def _tables(draw):
+    """A dataset CSV's header and rows, with or without an id column (its
+    ids unique), and the blank lines to put before each row."""
+    header = draw(st.lists(_column, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 6))
+    rows = [[draw(_cell) for _ in header] for _ in range(n)]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(header)))
+        ids = draw(st.lists(st.text(alphabet='xy1é,"', max_size=3), min_size=n, max_size=n,
+                            unique=True))
+        header.insert(at, "id")
+        rows = [[*row[:at], rid, *row[at:]] for row, rid in zip(rows, ids)]
+    blanks = [draw(st.integers(0, 2)) for _ in range(n + 1)]
+    return header, rows, blanks
+
+
+def _render(header, rows, blanks=None):
+    """The CSV text of ``header`` and ``rows`` (minimal quoting, "\\n" line
+    ends) with ``blanks[i]`` blank lines before row i, and the physical
+    line each row starts on."""
+    import csv
+    import io
+
+    blanks = blanks or [0] * (len(rows) + 1)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    starts = []
+    for row, blank in zip(rows, blanks):
+        out.write("\n" * blank)
+        starts.append(out.getvalue().count("\n") + 1)
+        writer.writerow(row)
+    out.write("\n" * blanks[-1])
+    return out.getvalue(), starts
+
+
+def _oracle_rows(header, rows):
+    """Each row's (id, fields) as the CSV dataset format defines them."""
+    at = header.index("id") if "id" in header else None
+    return [(row[at] if at is not None else str(i),
+             tuple((col, cell) for j, (col, cell) in enumerate(zip(header, row)) if j != at))
+            for i, row in enumerate(rows)]
+
+
+def _same_features(got, want):
+    (vocab, sides), (want_vocab, want_sides) = got, want
+    assert vocab == want_vocab
+    assert len(sides) == len(want_sides)
+    for side, expected in zip(sides, want_sides):
+        assert side.flat.dtype == np.int32 and side.offsets.dtype == np.int64
+        assert side.flat.tolist() == expected.flat.tolist()
+        assert side.offsets.tolist() == expected.offsets.tolist()
+
+
+@given(tables=st.lists(_tables(), min_size=1, max_size=2),
+       tokenizers=st.sampled_from([["whitespace"], ["char2gram"], ["char2gram", "whitespace"],
+                                   ["whitespace", "char2gram"]]))
+@settings(max_examples=150, deadline=None)
+def test_read_token_ids_equals_token_ids_of_the_loaded_datasets(tmp_path_factory, tables,
+                                                                 tokenizers):
+    from emberish.data import load_dataset
+    from emberish.prepare import read_token_ids
+
+    root = tmp_path_factory.mktemp("tables")
+    paths = []
+    for i, (header, rows, blanks) in enumerate(tables):
+        paths.append(root / f"d{i}.csv")
+        paths[-1].write_text(_render(header, rows, blanks)[0], encoding="utf-8", newline="")
+    datasets = [load_dataset(path) for path in paths]
+    for dataset, (header, rows, _) in zip(datasets, tables):
+        assert [(rec.id, rec.fields) for rec in dataset.records] == _oracle_rows(header, rows)
+
+    ids, features = read_token_ids(paths, tokenizers)
+    assert ids == [dataset.ids() for dataset in datasets]
+    assert list(features) == tokenizers
+    for tokenizer in tokenizers:
+        _same_features(features[tokenizer], token_ids(datasets, tokenizer))
+        # One tokenizer's ids do not depend on the others coded beside it.
+        _same_features(read_token_ids(paths, [tokenizer])[1][tokenizer], features[tokenizer])
+
+
+@given(table=_tables(), fault=st.sampled_from(["empty", "blank", "empty-column",
+                                               "cell-count", "duplicate",
+                                               "duplicate-then-cell-count"]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_token_ids_raises_the_errors_of_load_dataset(tmp_path_factory, table, fault,
+                                                          data):
+    # Each fault raises the DataError text that load_dataset always raised
+    # for it, from both readers; a malformed row is reported before a
+    # duplicate id, even one earlier in the file.
+    from emberish.data import DataError, load_dataset
+    from emberish.prepare import read_token_ids
+
+    header, rows, _ = table
+    path = tmp_path_factory.mktemp("faulty") / "d.csv"
+    if fault.startswith("duplicate"):
+        if "id" not in header:
+            header = ["id", *header]
+            rows = [[f"r{i}", *row] for i, row in enumerate(rows)]
+        rows = rows or [["r0"] * len(header)]
+        rows.append(list(rows[0]))  # a later row repeats the first row's id
+        expected = f"duplicate id {rows[0][header.index('id')]}"
+    if fault.endswith("cell-count"):
+        width = len(header)
+        got = data.draw(st.integers(1, width + 2).filter(lambda n: n != width))
+        pos = len(rows) if fault.startswith("duplicate") else data.draw(st.integers(0, len(rows)))
+        rows.insert(pos, ["c"] * got)
+        line = _render(header, rows)[1][pos]
+        expected = f"{path}: malformed row at line {line}: expected {width} cells, got {got}"
+    if fault == "empty-column":
+        header = [*header, ""]
+        expected = f"{path}: header has an empty column name"
+    text = _render(header, rows)[0]
+    if fault in ("empty", "blank"):
+        text = "" if fault == "empty" else "\n\n"
+        expected = f"{path}: empty file, expected a header row"
+    path.write_text(text, encoding="utf-8", newline="")
+    for read in (load_dataset, lambda p: read_token_ids([p], ["whitespace", "char2gram"])):
+        with pytest.raises(DataError) as raised:
+            read(path)
+        assert str(raised.value) == expected

@@ -12,15 +12,12 @@ from emberish.supervise import (
     PerturbationConfig,
     SampleError,
     SamplerConfig,
-    build_pretraining_pairs,
-    build_tiers,
     edits_for_length,
     generate_fuzzy_join,
-    sample_triples,
     split_train_test,
 )
 from oracles import bm25_score
-from records import by_id, dataset_from_rows, record
+from records import by_id, dataset_from_rows, pretraining_pairs, record, sample, tiers_of
 
 
 def word_rows(prefix, texts):
@@ -53,7 +50,7 @@ class TestSampleTriples:
         base = dataset_from_rows("b", "base", word_rows("b", ["x y"]))
         aux = dataset_from_rows("a", "auxiliary", word_rows("a", ["x y", "q r"]))
         pairs = [SupervisionPair("b0", "a0")]
-        triples = sample_triples(pairs, base, aux, SamplerConfig(kind="random", seed=0))
+        triples = sample(pairs, base, aux, SamplerConfig(kind="random", seed=0))
         assert triples[0].negative_id == "a1"
 
     def test_never_emits_known_positive(self, small_world):
@@ -61,14 +58,14 @@ class TestSampleTriples:
         pairs = pairs + [SupervisionPair("b0", "a3")]
         for seed in range(25):
             cfg = SamplerConfig(kind="random", seed=seed)
-            for t in sample_triples(pairs, base, aux, cfg):
+            for t in sample(pairs, base, aux, cfg):
                 if t.anchor_id == "b0":
                     assert t.negative_id not in {"a0", "a3"}
 
     def test_stratified_negative_in_bm25_tier(self, small_world):
         base, aux, pairs = small_world
         cfg = SamplerConfig(kind="stratified_bm25", tier_size=2, seed=1)
-        for t in sample_triples(pairs, base, aux, cfg):
+        for t in sample(pairs, base, aux, cfg):
             tier = set(bm25_best(record(base, t.anchor_id), aux, 2))
             positives = {p.aux_id for p in pairs if p.base_id == t.anchor_id}
             if tier - positives:
@@ -77,7 +74,7 @@ class TestSampleTriples:
     def test_stratified_jaccard_runs(self, small_world):
         base, aux, pairs = small_world
         cfg = SamplerConfig(kind="stratified_jaccard", tier_size=2, seed=1)
-        triples = sample_triples(pairs, base, aux, cfg)
+        triples = sample(pairs, base, aux, cfg)
         assert len(triples) == len(pairs)
 
     def test_stratified_jaccard_tiers_match_brute_force(self, monkeypatch):
@@ -93,8 +90,8 @@ class TestSampleTriples:
         monkeypatch.setattr(lexrank, "_LEX_CELLS", 3 * aux.n)
         tokens = lambda r: set(prepare_sentence(r).tokens)
         for tier_size in (1, 3, 30):
-            tiers = build_tiers(pairs, base, aux,
-                                SamplerConfig(kind="stratified_jaccard", tier_size=tier_size))
+            tiers = tiers_of(pairs, base, aux,
+                             SamplerConfig(kind="stratified_jaccard", tier_size=tier_size))
             assert list(tiers) == [p.base_id for p in pairs]
             for anchor_id, tier in tiers.items():
                 anchor = tokens(record(base, anchor_id))
@@ -103,7 +100,7 @@ class TestSampleTriples:
 
     def test_one_triple_per_pair(self, small_world):
         base, aux, pairs = small_world
-        triples = sample_triples(pairs, base, aux, SamplerConfig(seed=3))
+        triples = sample(pairs, base, aux, SamplerConfig(seed=3))
         assert [t.anchor_id for t in triples] == [p.base_id for p in pairs]
         assert [t.positive_id for t in triples] == [p.aux_id for p in pairs]
 
@@ -111,17 +108,17 @@ class TestSampleTriples:
         base = dataset_from_rows("b", "base", word_rows("b", ["x"]))
         aux = dataset_from_rows("a", "auxiliary", word_rows("a", ["x"]))
         with pytest.raises(SampleError, match="cannot sample negative"):
-            sample_triples([SupervisionPair("b0", "a0")], base, aux, SamplerConfig())
+            sample([SupervisionPair("b0", "a0")], base, aux, SamplerConfig())
 
     def test_empty_pairs_rejected(self, small_world):
         base, aux, _ = small_world
         with pytest.raises(SampleError, match="non-empty"):
-            sample_triples([], base, aux, SamplerConfig())
+            sample([], base, aux, SamplerConfig())
 
     def test_deterministic_under_seed(self, small_world):
         base, aux, pairs = small_world
         cfg = SamplerConfig(kind="stratified_bm25", seed=9)
-        assert sample_triples(pairs, base, aux, cfg) == sample_triples(pairs, base, aux, cfg)
+        assert sample(pairs, base, aux, cfg) == sample(pairs, base, aux, cfg)
 
     def test_full_tier_degenerates_to_uniform_over_support(self, small_world):
         # tier_size = |aux|: every non-positive candidate must keep appearing.
@@ -129,7 +126,7 @@ class TestSampleTriples:
         counts = {}
         for seed in range(120):
             cfg = SamplerConfig(kind="stratified_bm25", tier_size=aux.n, seed=seed)
-            for t in sample_triples(pairs, base, aux, cfg):
+            for t in sample(pairs, base, aux, cfg):
                 if t.anchor_id == "b0":
                     counts[t.negative_id] = counts.get(t.negative_id, 0) + 1
         assert set(counts) == {"a1", "a2", "a3"}
@@ -143,13 +140,13 @@ class TestPretrainingPairs:
             "a", "auxiliary",
             word_rows("a", ["other stuff", "unique marker words", "more filler"]),
         )
-        triples = build_pretraining_pairs(base, aux, seed=0)
+        triples = pretraining_pairs(base, aux, seed=0)
         assert triples[0].positive_id == "a1"
 
     def test_cardinality(self):
         base = dataset_from_rows("b", "base", word_rows("b", ["x y", "y z", "z q"]))
         aux = dataset_from_rows("a", "auxiliary", word_rows("a", ["x", "y", "z"]))
-        assert len(build_pretraining_pairs(base, aux, per_record=2, seed=0)) == 6
+        assert len(pretraining_pairs(base, aux, per_record=2, seed=0)) == 6
 
     def test_positives_match_bm25_top1_oracle(self):
         rng = random.Random(4)
@@ -157,7 +154,7 @@ class TestPretrainingPairs:
         texts = [" ".join(rng.choice(vocab) for _ in range(5)) for _ in range(30)]
         aux = dataset_from_rows("a", "auxiliary", word_rows("a", texts))
         base = dataset_from_rows("b", "base", word_rows("b", texts[:10]))
-        triples = build_pretraining_pairs(base, aux, seed=0)
+        triples = pretraining_pairs(base, aux, seed=0)
         for rec, triple in zip(base.records, triples):
             [expected] = bm25_best(rec, aux, 1)
             assert triple.positive_id == expected
@@ -172,7 +169,7 @@ class TestPretrainingPairs:
         aux = dataset_from_rows("a", "auxiliary", word_rows("a", texts))
         base = dataset_from_rows("b", "base", word_rows("b", texts[::2]))
         for seed in range(5):
-            triples = build_pretraining_pairs(base, aux, per_record=3, seed=seed)
+            triples = pretraining_pairs(base, aux, per_record=3, seed=seed)
             draw = random.Random(seed)
             expected = []
             for top in [t.positive_id for t in triples][::3]:
