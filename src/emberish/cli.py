@@ -6,12 +6,13 @@ naming convention (base.csv, aux.csv, supervision.csv, model.bin,
 embeddings_{base,aux}.bin, result.csv). A learned join reads an
 embeddings file back, instead of embedding that side again, when the
 previous join's manifest shows it was built from the same dataset, model,
-tokenizer and versions. A LEFT, RIGHT or single-direction INNER join holds
-only the side it retrieves from; the querying side streams through the
-scan a block at a time, read again from its verified file or embedded into
-its file as the scan asks for each block, and its rows go to result.csv
-block by block. Exit codes: 0 success, 1 validation error, 2 runtime
-failure, such as an embeddings file that changed during the join.
+tokenizer and versions. A learned join scans once per retrieval direction
+(FULL and the INNER union twice, in turn), holding only the side each scan
+retrieves from; the querying side streams through it a block at a time,
+read again from its verified file or embedded into its file as the scan
+asks, and the rows go to result.csv as they come. Exit codes: 0 success,
+1 validation error, 2 runtime failure, such as an embeddings file that
+changed during the join.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence, TypeVar
@@ -67,17 +68,14 @@ from .joiner import (
     JoinError,
     JoinResult,
     aggregate_labels,
-    aux_queries,
     build_index,
     chain_joins,
     embeddings_ids,
     embeddings_writer,
-    execute_join,
     load_embeddings,
     read_embeddings,
-    save_embeddings,
+    scan_order,
     scan_rows,
-    single_direction,
     write_join,
 )
 from .joinspec import (
@@ -123,7 +121,8 @@ def stage_seed(seed: int, stage: str) -> int:
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # 64 kB reads hash as fast as 1 MB ones, and add less to a join's peak.
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -375,11 +374,12 @@ def _reusable(run: _Run, tokenizer: str, sides: list[tuple[Path, Path, Path]],
     return found
 
 
-def _reread(path: Path, digest: str, rows: int | None = None) -> Iterator[np.ndarray]:
-    """The vectors of an embeddings file that ``_reusable`` verified with
-    sha256 ``digest``, read again in blocks of ``rows`` (whole when None)
-    and hashed as they are parsed. Raises ``RuntimeError`` (exit 2) when
-    they are not the bytes verified: the file changed during the join."""
+def _reread(run: _Run, path: Path, rows: int | None = None) -> Iterator[np.ndarray]:
+    """The vectors of an embeddings file that ``run`` verified or wrote,
+    read again in blocks of ``rows`` (whole when None) and hashed as they
+    are parsed. Raises ``RuntimeError`` (exit 2) when they are not the
+    bytes ``run`` recorded: the file changed during the join."""
+    digest = run.manifest.outputs.get(str(path)) or run.manifest.inputs[str(path)]
     sha = hashlib.sha256()
     try:
         with closing(read_embeddings(path, sha.update, rows)) as blocks:
@@ -398,8 +398,8 @@ def _embedding_stream(run: _Run, model: EncoderModel,
     """The embeddings of one side, from ``features`` (the vocabulary and the
     side's token ids), in blocks of about ``rows`` records. Each block goes
     with its ``ids`` into the temporary copy of the embeddings file at
-    ``path`` as it is yielded, and the copy replaces ``path`` after the last
-    block. The embedding time adds to stage embed."""
+    ``path`` as it is yielded, and the copy replaces ``path`` (an output of
+    ``run``) after the last block. The embedding time adds to stage embed."""
     with atomic_write(path) as fh:
         write = embeddings_writer(fh, len(ids), model.dim)
         start = 0
@@ -407,6 +407,7 @@ def _embedding_stream(run: _Run, model: EncoderModel,
             write(ids[start : start + len(block)], block)
             start += len(block)
             yield block
+    run.wrote(path)
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +601,16 @@ def cmd_join(
     # The model that embeds each side, and the file its embeddings go to.
     models = _side_models(run, config)
     files = [run.data_dir / "embeddings_base.bin", run.data_dir / "embeddings_aux.bin"]
-    streamed = single_direction(spec, both_directions)
     found: list = [None, None]
     if baseline is None:
-        # A single-direction join holds only the side it retrieves from. An
-        # INNER join retrieves from the larger side, which the larger file
-        # is taken to hold: a wrong guess costs a second read of the file,
-        # or holding the querying side whole.
+        # Only the side the first scan retrieves from is held. A
+        # single-direction INNER join retrieves from the larger side, which
+        # the larger file is taken to hold: a wrong guess costs a second
+        # read of the file, or holding the querying side whole.
         sizes = [file.stat().st_size if file.exists() else 0 for file in files]
-        retrieved = 0 if aux_queries(spec, *sizes) else 1
-        hold = [not streamed or side == retrieved for side in (0, 1)]
-        found = _reusable(run, config.tokenizer, list(zip(files, paths, models)), hold)
+        retrieved = 0 if scan_order(spec, both_directions, *sizes)[0] else 1
+        found = _reusable(run, config.tokenizer, list(zip(files, paths, models)),
+                          [side == retrieved for side in (0, 1)])
     # Records are loaded only to read their text: the sentences dumped, or
     # the key column a key baseline compares.
     datasets = None
@@ -659,55 +659,40 @@ def cmd_join(
                                 vocab if any(models[side] == path for side in embedded) else ())
               for path in dict.fromkeys(models)}
 
-    def whole(side: int) -> Embeddings:
-        """The side's ids and vectors: held, read again, or embedded and
-        saved."""
-        emb = found[side]
-        if emb is None:
-            with run.stage("embed"):
-                emb = embed_tokens(loaded[models[side]], ids[side], (vocab, tokens.pop(side)))
-            save_embeddings(emb, files[side])
-            run.wrote(files[side])
-        elif emb[1] is None:
-            (vectors,) = _reread(files[side], run.manifest.inputs[str(files[side])])
-            emb = (emb[0], vectors)
-        return emb
+    def whole(side: int) -> np.ndarray:
+        """The side's vectors: held, or read whole from its file, which is
+        embedded block by block first when the side is not reused."""
+        if found[side] is None:
+            for _ in blocks(side, len(ids[side])):
+                pass
+        emb, found[side] = found[side], (ids[side], None)
+        if emb[1] is None:
+            (vectors,) = _reread(run, files[side])
+            return vectors
+        return emb[1]
 
     def blocks(side: int, rows: int) -> Iterator[np.ndarray]:
-        """The side's vectors in blocks of about ``rows``: held, read again
-        block by block, or embedded block by block into its file."""
-        emb = found[side]
+        """The side's vectors in blocks of about ``rows``: held, read again,
+        or embedded into its file, which the side is read from afterwards."""
+        emb, found[side] = found[side], (ids[side], None)
         if emb is None:
-            yield from _embedding_stream(run, loaded[models[side]], (vocab, tokens[side]),
+            yield from _embedding_stream(run, loaded[models[side]], (vocab, tokens.pop(side)),
                                          ids[side], rows, files[side])
         elif emb[1] is None:
-            yield from _reread(files[side], run.manifest.inputs[str(files[side])], rows)
+            yield from _reread(run, files[side], rows)
         else:
             yield emb[1]
 
-    if streamed:
-        # The retrieved side is indexed whole, and the querying side streams
-        # through the scan a block at a time.
-        reverse = aux_queries(spec, *map(len, ids))
+    def scan(reverse: bool) -> tuple[EmbeddingIndex, Iterator[np.ndarray]]:
+        """The retrieved side's index, and the querying side's stream."""
         query, target = (1, 0) if reverse else (0, 1)
-        index = whole(target)
-        del datasets
-        with run.stage("join"):
-            index = build_index(index, metric=config.distance)  # type: ignore[arg-type]
-            with closing(blocks(query, scan_rows(index))) as stream:
-                write_join(result_path, spec, index, ids[query], stream, reverse, threshold)
-        if found[query] is None:
-            run.wrote(files[query])
-    else:
-        embeddings = [whole(0), whole(1)]
-        # The scan needs only the embeddings: the records are not held
-        # through it, and the token ids and the models go with them.
-        del datasets, tokens, loaded
-        with run.stage("join"):
-            result = execute_join(spec, *embeddings,
-                                  metric=config.distance,  # type: ignore[arg-type]
-                                  threshold=threshold, both_directions=both_directions)
-        result.write_csv(result_path)
+        index = build_index((ids[target], whole(target)),
+                            metric=config.distance)  # type: ignore[arg-type]
+        return index, streams.enter_context(closing(blocks(query, scan_rows(index))))
+
+    del datasets
+    with run.stage("join"), ExitStack() as streams:
+        write_join(result_path, spec, *ids, scan, both_directions, threshold)
     run.wrote(result_path)
     return run.finish()
 

@@ -17,13 +17,13 @@ score and direction. The arrays go from ``_search`` to ``result.csv`` and
 into the metrics with no per-row object; the file renders each distinct
 id once.
 
-LEFT, RIGHT and single-direction INNER joins are one function,
-``scan_join``, over the querying side's rows as a stream of blocks: each
-block is searched against the retrieved side's index and then dropped.
-``execute_join`` feeds it an in-memory matrix; ``write_join`` feeds it any
-stream (blocks read from an embeddings file, or embedded as they are
-needed) and renders LEFT and RIGHT rows to ``result.csv`` block by block,
-so the querying side is never held whole.
+Every join is one function, ``scan_join``: a scan per retrieval direction
+(two, one index at a time, for FULL and the INNER union) over the
+querying side's rows as a stream of blocks, each searched against the
+retrieved side's index and then dropped. ``execute_join`` feeds the scans
+in-memory matrices; ``write_join`` feeds them any stream (blocks read from
+an embeddings file, or embedded as they are needed) and renders rows to
+``result.csv`` as they come, so no querying side is held whole.
 
 An embeddings file is parsed as it is read, whole or a block at a time,
 and a caller that checks its digest hashes the same bytes, so a reused
@@ -149,34 +149,42 @@ def scan_rows(index: EmbeddingIndex) -> int:
     return max(1, _BLOCK_CELLS // max(index.n, index.dimension))
 
 
-def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
-            threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact top-k of every query row: ``(rows, cols, scores)`` ordered by
-    query row, then rank; ``cols`` are index positions."""
-    if queries.shape[1:] != (index.dimension,):
-        raise JoinError(f"query dimension {queries.shape[1:]} does not match index "
-                        f"dimension {index.dimension}")
-    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
+          threshold: float | None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray,
+                                                      np.ndarray]]:
+    """Exact top-k of every query row of ``blocks``, per block: its first
+    and past-the-end query positions, then ``(rows, cols, scores)``
+    ordered by query row, then rank, with ``cols`` index positions. The
+    scan holds ``index`` and ``blocks`` until the last block is scanned."""
     step = scan_rows(index)
-    # One block of scores serves every query block, and for l2 one chunk of
-    # a few rows serves every partition: arrays allocated afresh each time
-    # were returned to the system and paged in again.
-    product = np.empty((min(step, len(queries)), index.n))
-    if index.metric == "l2":
-        scaled = np.empty((len(product), index.dimension))
-        chunk = max(1, _RESCORE_CELLS // index.n)
-        partitioned = np.empty((min(chunk, len(product)), index.n))
-        shortlisted = np.empty(partitioned.shape, bool)
-    for start in range(0, len(queries), step):
-        block = queries[start : start + step]
-        if index.metric == "inner_product":
-            scores = product[: len(block)]
-            for i, q in enumerate(block):
-                scores[i] = index.vectors @ q
-            keep = None if threshold is None else scores >= threshold
-            rows, cols = topk(scores, k, index._id_rank, True, keep)
-            found.append((rows + start, cols, scores[rows, cols]))
-        else:
+    chunk = max(1, _RESCORE_CELLS // index.n)
+    # One block of scores serves the whole scan, and for l2 one chunk of a
+    # few rows every partition: arrays allocated afresh for each block were
+    # paged in again, or kept by the heap once the scan ended.
+    held = stop = 0
+    for queries in blocks:
+        if queries.shape[1:] != (index.dimension,):
+            raise JoinError(f"query dimension {queries.shape[1:]} does not match index "
+                            f"dimension {index.dimension}")
+        if held < min(step, len(queries)):
+            held = min(step, len(queries))
+            product = np.empty((held, index.n))
+            if index.metric == "l2":
+                scaled = np.empty((held, index.dimension))
+                partitioned = np.empty((min(chunk, held), index.n))
+                shortlisted = np.empty(partitioned.shape, bool)
+        first, stop = stop, stop + len(queries)
+        found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+        for start in range(0, len(queries), step):
+            block = queries[start : start + step]
+            if index.metric == "inner_product":
+                scores = product[: len(block)]
+                for i, q in enumerate(block):
+                    scores[i] = index.vectors @ q
+                keep = None if threshold is None else scores >= threshold
+                rows, cols = topk(scores, k, index._id_rank, True, keep)
+                found.append((rows + first + start, cols, scores[rows, cols]))
+                continue
             # Rounding makes ||x||^2 - 2 q.x and the formula below differ by
             # less than E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate
             # that can beat the k-th best lies within 2E of the k-th shortlist
@@ -209,8 +217,17 @@ def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
                 inside = scores <= threshold
                 rows, cols, scores = rows[inside], cols[inside], scores[inside]
             best = rank_pairs(rows, scores, index._id_rank[cols], k)
-            found.append((rows[best] + start, cols[best], scores[best]))
-    return tuple(np.concatenate(part) for part in zip(*found))  # type: ignore[return-value]
+            found.append((rows[best] + first + start, cols[best], scores[best]))
+        yield (first, stop, *(np.concatenate(part) for part in zip(*found)))
+
+
+def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
+            threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k of every query row: ``(rows, cols, scores)`` ordered by
+    query row, then rank; ``cols`` are index positions. A ``_scan`` of
+    ``queries`` as one block."""
+    ((_, _, *found),) = _scan(index, [queries], k, threshold)
+    return tuple(found)  # type: ignore[return-value]
 
 
 @dataclass(eq=False)
@@ -349,67 +366,92 @@ def _cap_per_target(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap:
     return rows[keep], cols[keep], scores[keep]
 
 
-def single_direction(spec: JoinSpec, both_directions: bool) -> bool:
-    """Whether ``spec`` retrieves in one direction only: every join but
-    FULL and INNER with ``both_directions``."""
-    return spec.join_type != JoinType.FULL and not (spec.join_type == JoinType.INNER
-                                                    and both_directions)
-
-
-def aux_queries(spec: JoinSpec, n_base: int, n_aux: int) -> bool:
-    """Whether the aux side queries in the single-direction join ``spec``
-    of ``n_base`` and ``n_aux`` records: in RIGHT, and in INNER when it is
-    the smaller side."""
-    return spec.join_type == JoinType.RIGHT or (spec.join_type == JoinType.INNER
-                                                and n_base > n_aux)
-
-
-def scan_join(spec: JoinSpec, index: EmbeddingIndex, query_ids: Sequence[str],
-              blocks: Iterable[np.ndarray], reverse: bool,
-              threshold: float | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-    """The ``JoinResult`` columns of the single-direction join ``spec``
-    whose querying side (aux when ``reverse``) has ``query_ids`` and comes
-    as ``blocks`` of their rows, in order, scanned against ``index`` over
-    the other side. No block is kept once it is scanned. LEFT and RIGHT
-    yield each block's rows at once, with an ABSENT row at the position of
-    each query that matched nothing; INNER keeps each query's matches, caps
-    them per retrieved record and yields them after the last block."""
-    k = spec.left_size if reverse else spec.right_size
+def scan_order(spec: JoinSpec, both_directions: bool, n_base: int,
+               n_aux: int) -> tuple[bool, ...]:
+    """The retrieval directions of ``spec`` over ``n_base`` and ``n_aux``
+    records in scan order, True when aux records query: forward, then
+    reverse, for FULL and INNER with ``both_directions``; else aux
+    querying in RIGHT and in INNER when it is the smaller side."""
     inner = spec.join_type == JoinType.INNER
-    found = []
-    start = 0
-    for block in blocks:
-        rows, cols, scores = _search(index, block, k, threshold)
-        rows += start
-        stop = start + len(block)
-        if inner:
-            found.append((rows, cols, scores))
-        else:
-            yield ranked_columns(rows, cols, scores, reverse,
-                                 np.setdiff1d(np.arange(start, stop), rows))
-        start = stop
-    if start != len(query_ids):
-        raise JoinError(f"{start} query rows for {len(query_ids)} query ids")
-    if inner:
-        rows, cols, scores = map(np.concatenate, zip(*found))
-        cap = spec.right_size if reverse else spec.left_size
-        if cap < len(query_ids):
-            rows, cols, scores = _cap_per_target(rows, cols, scores, cap, index.metric,
-                                                 id_ranks(query_ids))
-        yield ranked_columns(rows, cols, scores, reverse)
+    if spec.join_type == JoinType.FULL or (inner and both_directions):
+        return False, True
+    return (spec.join_type == JoinType.RIGHT or (inner and n_base > n_aux),)
 
 
-def write_join(path: str | Path, spec: JoinSpec, index: EmbeddingIndex,
-               query_ids: Sequence[str], blocks: Iterable[np.ndarray], reverse: bool,
-               threshold: float | None = None) -> None:
+def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
+              scan: Callable[[bool], tuple[EmbeddingIndex, Iterable[np.ndarray]]],
+              both_directions: bool = False,
+              threshold: float | None = None) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``JoinResult`` columns of ``spec`` over sides with ``base_ids``
+    and ``aux_ids``, from a scan in each direction of ``scan_order``.
+    ``scan(reverse)`` returns the retrieved side's index and the querying
+    side's rows as blocks; it is called once the previous scan's index is
+    dropped, and no block is kept once it is scanned.
+
+    A query finds the k best records, k the retrieved side's size bound.
+    LEFT and RIGHT yield each block's rows, with an ABSENT row at each
+    query that found none. INNER caps the matches of each retrieved record
+    at the querying side's bound and yields them after the last block.
+    FULL and the INNER union yield the forward rows block by block,
+    keeping their (base, aux) pair codes and which records matched, then
+    the reverse rows whose pair is not a forward pair; FULL then yields an
+    ABSENT row per unmatched base record, then per unmatched aux record."""
+    directions = scan_order(spec, both_directions, len(base_ids), len(aux_ids))
+    union, inner = len(directions) == 2, spec.join_type == JoinType.INNER
+    matched = np.zeros(len(base_ids), bool), np.zeros(len(aux_ids), bool)
+    for reverse in directions:
+        query_ids = aux_ids if reverse else base_ids
+        found, stop = [], 0  # matches, or for the forward union scan its pair codes
+        index, blocks = scan(reverse)
+        metric = index.metric
+        hits = _scan(index, blocks, spec.left_size if reverse else spec.right_size, threshold)
+        del index, blocks  # held by the scan alone, until it ends
+        for start, stop, rows, cols, scores in hits:
+            if union:
+                columns = ranked_columns(rows, cols, scores, reverse)
+                code = columns[0] * len(aux_ids) + columns[1]
+                if reverse:
+                    new = forward[np.searchsorted(forward, code)] != code
+                    columns = tuple(column[new] for column in columns)
+                else:
+                    found.append(code)
+                matched[0][columns[0]] = matched[1][columns[1]] = True
+                yield columns
+            elif inner:
+                found.append((rows, cols, scores))
+            else:
+                yield ranked_columns(rows, cols, scores, reverse,
+                                     np.setdiff1d(np.arange(start, stop), rows))
+        if stop != len(query_ids):
+            raise JoinError(f"{stop} query rows for {len(query_ids)} query ids")
+        if union and not reverse:
+            # Sorted, then a code no pair has, so that every code's insertion
+            # point names an entry.
+            forward = np.concatenate([*found, [np.iinfo(np.int64).max]])
+            forward.sort()
+        elif inner and not union:
+            rows, cols, scores = map(np.concatenate, zip(*found))
+            cap = spec.right_size if reverse else spec.left_size
+            if cap < len(query_ids):
+                rows, cols, scores = _cap_per_target(rows, cols, scores, cap, metric,
+                                                     id_ranks(query_ids))
+            yield ranked_columns(rows, cols, scores, reverse)
+    if spec.join_type == JoinType.FULL:
+        yield ranked_columns((), (), (), False, np.flatnonzero(~matched[0]))
+        yield ranked_columns((), (), (), True, np.flatnonzero(~matched[1]))
+
+
+def write_join(path: str | Path, spec: JoinSpec, base_ids: Sequence[str],
+               aux_ids: Sequence[str],
+               scan: Callable[[bool], tuple[EmbeddingIndex, Iterable[np.ndarray]]],
+               both_directions: bool = False, threshold: float | None = None) -> None:
     """Write the result file of ``scan_join`` through ``atomic_write``,
-    rendering rows as ``scan_join`` yields them, so a LEFT or RIGHT join
-    holds one block's rows; a join that fails leaves the old file whole."""
-    base_ids, aux_ids = (index.ids, query_ids) if reverse else (query_ids, index.ids)
+    rendering rows as ``scan_join`` yields them; a join that fails leaves
+    the old file whole."""
     with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
         write = result_writer(fh, base_ids, aux_ids)
-        for base, aux, rank, score, _ in scan_join(spec, index, query_ids, blocks, reverse,
-                                                   threshold):
+        for base, aux, rank, score, _ in scan_join(spec, base_ids, aux_ids, scan,
+                                                   both_directions, threshold):
             write(base, aux, rank, score)
 
 
@@ -421,48 +463,21 @@ def execute_join(
     threshold: float | None = None,
     both_directions: bool = False,
 ) -> JoinResult:
-    """Execute the join over precomputed embeddings.
-
-    Each retrieval direction indexes the retrieved side and scans it with
-    the querying side's vectors. LEFT, RIGHT and INNER are ``scan_join``
-    over the querying side's matrix as one block: INNER retrieves in a
-    single direction, the smaller dataset querying the larger one, with k
-    set by the retrieved side's size bound, then the query side's own bound
-    is enforced as a per-retrieved-record cap. ``both_directions`` switches
-    INNER to the union of both retrieval directions. That union and FULL
-    hold the forward rows, then the reverse rows whose pair is not already
-    present; FULL then adds an ABSENT row per unmatched base record, then
-    per unmatched aux record.
-    """
+    """Execute the join over precomputed embeddings: ``scan_join`` over
+    each querying side's matrix, ``scan_rows`` rows at a time, with each
+    direction's index built as its scan starts."""
     base_ids, aux_ids = tuple(base_emb[0]), tuple(aux_emb[0])
     if not base_ids or not aux_ids:
         raise JoinError("both sides must have at least one embedding")
 
-    def result(*parts: tuple[np.ndarray, ...]) -> JoinResult:
-        return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*parts)))
+    def scan(reverse: bool) -> tuple[EmbeddingIndex, Iterator[np.ndarray]]:
+        (_, queries), retrieved = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
+        index = build_index(retrieved, metric)
+        step = scan_rows(index)
+        return index, (queries[at : at + step] for at in range(0, len(queries), step))
 
-    if single_direction(spec, both_directions):
-        reverse = aux_queries(spec, len(base_ids), len(aux_ids))
-        (query_ids, queries), targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
-        return result(*scan_join(spec, build_index(targets, metric), query_ids, [queries],
-                                 reverse, threshold))
-
-    def retrieve(reverse: bool, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        queries, targets = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
-        return _search(build_index(targets, metric), queries[1], k, threshold)
-
-    def unmatched(n: int, *matched: np.ndarray) -> np.ndarray:
-        return np.setdiff1d(np.arange(n), np.concatenate(matched))
-
-    fwd = ranked_columns(*retrieve(False, spec.right_size))
-    rev = ranked_columns(*retrieve(True, spec.left_size), reverse=True)
-    # A reverse row is new unless its (base, aux) pair code is a forward row's.
-    new = ~np.isin(rev[0] * len(aux_ids) + rev[1], fwd[0] * len(aux_ids) + fwd[1])
-    parts = [fwd, tuple(column[new] for column in rev)]
-    if spec.join_type == JoinType.FULL:
-        parts += [ranked_columns((), (), (), False, unmatched(len(base_ids), fwd[0], rev[0])),
-                  ranked_columns((), (), (), True, unmatched(len(aux_ids), fwd[1], rev[1]))]
-    return result(*parts)
+    columns = scan_join(spec, base_ids, aux_ids, scan, both_directions, threshold)
+    return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*columns)))
 
 
 def chain_joins(

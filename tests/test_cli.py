@@ -559,28 +559,30 @@ class TestEmbeddingsReuse:
 
 
 class TestStreamedJoin:
-    """LEFT, RIGHT and single-direction INNER joins scan the querying side
-    block by block, read from its embeddings file or embedded into it as
-    the scan goes, and write the bytes of the in-memory path."""
+    """Every learned join scans the querying side of each direction block
+    by block, read from its embeddings file or embedded into it as the scan
+    goes, and writes the bytes of the in-memory path."""
 
     WORDS = [f"w{i}" for i in range(6)]
 
-    @pytest.mark.parametrize("join_type", ["LEFT", "RIGHT", "INNER"])
+    @pytest.mark.parametrize("join_type, both_directions", [
+        ("LEFT", False), ("RIGHT", False), ("INNER", False), ("INNER", True), ("FULL", False)])
     @pytest.mark.parametrize("distance", ["l2", "inner_product"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), sizes=st.tuples(*[st.sampled_from([1, 2, 4, 7])] * 2),
            bounds=st.tuples(*[st.integers(1, 3)] * 2),
            threshold=st.sampled_from([None, 0.5, 1.0]), carriage_return=st.booleans(),
            embed_again=st.sampled_from([None, "base", "aux"]))
-    def test_a_streamed_join_writes_the_in_memory_bytes(self, data, join_type, distance, sizes,
-                                                        bounds, threshold, carriage_return,
-                                                        embed_again):
-        # Scan blocks of three query rows, so sides of 4 and 7 records end in
-        # a block of one row; ids holding the characters CSV quotes, and in
-        # some cases a "\r", which quotes every field.
+    def test_a_streamed_join_writes_the_in_memory_bytes(self, data, join_type, both_directions,
+                                                        distance, sizes, bounds, threshold,
+                                                        carriage_return, embed_again):
+        # Scan blocks of three query rows (more against the smaller index of
+        # a two-direction join), so sides of 4 and 7 records end in a block
+        # of one row; ids holding the characters CSV quotes, and in some
+        # cases a "\r", which quotes every field.
         from emberish import joiner
         from emberish.encoder import EncoderModel, save_model
-        from emberish.joiner import aux_queries, execute_join, save_embeddings
+        from emberish.joiner import execute_join, save_embeddings, scan_order
         from emberish.joinspec import JoinSpec
 
         dim = 4
@@ -596,7 +598,8 @@ class TestStreamedJoin:
         model = EncoderModel.create(dim=dim, hash_dim=64, seed=3)
         model.affine[:] = np.random.default_rng(3).normal(size=model.affine.shape)
         spec = JoinSpec("base", "aux", JoinType(join_type), *bounds, "supervision")
-        index_n = sizes[0] if aux_queries(spec, *sizes) else sizes[1]
+        index_n = max(sizes[0] if reverse else sizes[1]
+                      for reverse in scan_order(spec, both_directions, *sizes))
 
         with tempfile.TemporaryDirectory() as tmp, \
                 patch.object(joiner, "_BLOCK_CELLS", 3 * max(index_n, dim)):
@@ -609,36 +612,38 @@ class TestStreamedJoin:
             embeddings = [embed_dataset(model, dataset) for dataset in sides]
             for dataset, emb in zip(sides, embeddings):
                 save_embeddings(emb, memory / f"embeddings_{dataset.name}.bin")
-            execute_join(spec, *embeddings, metric=distance,
-                         threshold=threshold).write_csv(memory / "result.csv")
+            execute_join(spec, *embeddings, metric=distance, threshold=threshold,
+                         both_directions=both_directions).write_csv(memory / "result.csv")
 
             cfg = fast_config(streamed, embedding_dim=dim, distance=distance,
                               join_type=spec.join_type, left_size=bounds[0],
                               right_size=bounds[1])
             # Both sides embedded, both reused, then one embedded again.
-            hit = [cmd_join(cfg, threshold=threshold)]
-            hit.append(cmd_join(cfg, threshold=threshold))
+            hit = [cmd_join(cfg, threshold=threshold, both_directions=both_directions)]
+            hit.append(cmd_join(cfg, threshold=threshold, both_directions=both_directions))
             if embed_again is not None:
                 (streamed / f"embeddings_{embed_again}.bin").unlink()
-                hit.append(cmd_join(cfg, threshold=threshold))
+                hit.append(cmd_join(cfg, threshold=threshold, both_directions=both_directions))
             assert [[r["reused"] for r in m.embeddings.values()] for m in hit] == [
                 [False, False], [True, True],
                 *([[embed_again == "aux", embed_again == "base"]] if embed_again else [])]
             same_join_files(streamed, memory)
             assert not list(streamed.glob(".*.partial"))
 
+    @pytest.mark.parametrize("join_type", [JoinType.LEFT, JoinType.FULL])
     @pytest.mark.parametrize("reused", [True, False])
     def test_a_join_that_fails_mid_stream_leaves_the_old_files(self, tmp_path, monkeypatch,
-                                                               reused):
-        # The disk fills while the base side streams through the scan in
-        # blocks of five records, read from its reused file or embedded into
-        # a temporary copy of it: the stream is closed, and every file the
-        # join writes keeps its old bytes, with no temporary file left.
+                                                               join_type, reused):
+        # The disk fills while the base side streams through the (first)
+        # scan in blocks of five records, read from its reused file or
+        # embedded into a temporary copy of it: the stream is closed, and
+        # every file the join writes keeps its old bytes, with no temporary
+        # file left.
         from emberish import joiner
 
         d = tmp_path / "d"
         cmd_join(trained(d))
-        cfg = fast_config(d, join_type=JoinType.LEFT)
+        cfg = fast_config(d, join_type=join_type)
         cmd_join(cfg)
         if not reused:
             (d / "manifest_join.json").unlink()
@@ -654,13 +659,66 @@ class TestStreamedJoin:
         gc.collect()  # a stream left open would warn here, and warnings are errors
         assert {path.name: path.read_bytes() for path in d.iterdir()} == before
 
-    @pytest.mark.parametrize("join_type", ["LEFT", "INNER"])
+    def test_a_full_join_that_fails_in_its_second_scan_leaves_the_old_files(self, tmp_path,
+                                                                             monkeypatch):
+        # The disk fills with the first reverse row of a reused FULL join,
+        # after every forward row, while the aux side streams from its file
+        # in blocks of five records: that stream is closed too. At LEFT SIZE
+        # 3 some aux records find base records that did not find them.
+        from emberish import joiner
+
+        d = tmp_path / "d"
+        cmd_join(trained(d))
+        cfg = fast_config(d, join_type=JoinType.FULL, left_size=3)
+        cmd_join(cfg)
+        before = {path.name: path.read_bytes() for path in d.iterdir()}
+        lines = (d / "result.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        forward = 1 + len(read_rows(d / "base.csv")[1:]) * cfg.right_size  # with the header
+        assert lines[forward].split(",")[3].strip()  # a reverse row, not an ABSENT one
+        monkeypatch.setattr(joiner, "_BLOCK_CELLS", 5 * len(read_rows(d / "base.csv")[1:]))
+        monkeypatch.setattr(joiner, "_WRITE_ROWS", 1)
+        full_disk(monkeypatch, len("".join(lines[:forward])))
+        with pytest.raises(OSError, match="No space"):
+            cmd_join(cfg)
+        monkeypatch.undo()
+        gc.collect()  # a stream left open would warn here, and warnings are errors
+        assert {path.name: path.read_bytes() for path in d.iterdir()} == before
+
+    @pytest.mark.parametrize("join_type, held, query", [("LEFT", "aux", "base"),
+                                                         ("INNER", "base", "aux")])
+    def test_a_reused_join_parses_the_held_file_once_and_the_querying_file_twice(
+            self, tmp_path, monkeypatch, join_type, held, query):
+        # The benchmark's reused LEFT and INNER joins: the side the scan
+        # retrieves from is read once, the querying side for its ids and
+        # digest, then block by block.
+        import emberish.cli as cli_mod
+        from emberish import joiner
+
+        d = tmp_path / "d"
+        cmd_join(trained(d))
+        passes = {}
+        real = joiner.read_embeddings
+
+        def counting(path, *args, **kwargs):
+            passes[Path(path).name] = passes.get(Path(path).name, 0) + 1
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(joiner, "read_embeddings", counting)
+        monkeypatch.setattr(cli_mod, "read_embeddings", counting)
+        manifest = cmd_join(fast_config(d, join_type=JoinType(join_type)))
+        assert all(r["reused"] for r in manifest.embeddings.values())
+        assert passes == {f"embeddings_{held}.bin": 1, f"embeddings_{query}.bin": 2}
+
+    @pytest.mark.parametrize("join_type, side, reader", [
+        ("LEFT", "base", "embeddings_ids"), ("INNER", "aux", "embeddings_ids"),
+        ("FULL", "aux", "load_embeddings")])
     @pytest.mark.parametrize("change", ["bump-last-float", "truncate"])
     def test_a_file_changed_during_the_join_exits_2_and_keeps_the_old_result(
-            self, tmp_path, monkeypatch, capsys, join_type, change):
-        # The querying side (base for LEFT, the smaller aux side for INNER)
-        # changes after the first pass verified it and before the scan reads
-        # it again.
+            self, tmp_path, monkeypatch, capsys, join_type, side, reader, change):
+        # A side changes after the first pass verified it and before a scan
+        # reads it again: the querying side (base for LEFT, the smaller aux
+        # side for INNER), or the aux side that FULL's first scan holds and
+        # its second scan streams.
         import emberish.cli as cli_mod
 
         d = tmp_path / "d"
@@ -668,19 +726,19 @@ class TestStreamedJoin:
         cmd_join(cfg)
         before = {name: (d / name).read_bytes()
                   for name in ("result.csv", "manifest_join.json")}
-        query = d / ("embeddings_base.bin" if join_type == "LEFT" else "embeddings_aux.bin")
-        first_pass = cli_mod.embeddings_ids
+        query = d / f"embeddings_{side}.bin"
+        first_pass = getattr(cli_mod, reader)
 
         def changing(path, digest=None):
-            ids = first_pass(path, digest)
+            read = first_pass(path, digest)
             if path == query:
                 bump_last_float(path) if change == "bump-last-float" else truncate(path, 1)
-            return ids
+            return read
 
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data_dir": str(d), "embedding_dim": 8, "left_size": 1,
                                       "right_size": 3, "join_type": join_type}))
-        monkeypatch.setattr(cli_mod, "embeddings_ids", changing)
+        monkeypatch.setattr(cli_mod, reader, changing)
         assert main(["join", "--config", str(config)]) == 2
         assert f"{query} changed during the join" in capsys.readouterr().err
         assert {name: (d / name).read_bytes() for name in before} == before

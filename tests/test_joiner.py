@@ -3,7 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
-from contextlib import closing
+from contextlib import ExitStack, closing
 from pathlib import Path
 from unittest.mock import patch
 
@@ -332,8 +332,8 @@ class TestBlockedScan:
         def join():
             ids = joiner.embeddings_ids(queries)
             with closing(joiner.read_embeddings(queries, rows=joiner.scan_rows(index))) as blocks:
-                joiner.write_join(tmp_path / "result.csv", left, index, ids,
-                                  (vectors for _, vectors in blocks), False)
+                joiner.write_join(tmp_path / "result.csv", left, ids, index.ids,
+                                  lambda reverse: (index, (vectors for _, vectors in blocks)))
 
         join()  # numpy's lazy imports happen before the join that is measured
         tracemalloc.start()
@@ -344,6 +344,46 @@ class TestBlockedScan:
             tracemalloc.stop()
         assert peak < n * dim * 8
         whole = execute_join(left, load_embeddings(queries), (index.ids, index.vectors))
+        assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
+
+    def test_a_streamed_full_join_holds_less_than_its_two_sides(self, tmp_path):
+        # Sides of 3,000 and 2,500 records of 768 floats (18.4 and 15.4 MB)
+        # in their embeddings files. The forward scan indexes the aux side
+        # and streams the base side from its file; the reverse scan then
+        # indexes the base side and streams the aux side. One index is alive
+        # at a time, so the join never holds both matrices.
+        dim, sizes = 768, {"base": 3000, "aux": 2500}
+        rng = np.random.default_rng(99)
+        files = [tmp_path / f"embeddings_{name}.bin" for name in sizes]
+        for path, (name, n) in zip(files, sizes.items()):
+            with path.open("wb") as fh:
+                write = joiner.embeddings_writer(fh, n, dim)
+                for at in range(0, n, 500):
+                    write([f"{name}{i:04d}" for i in range(at, at + 500)],
+                          rng.normal(size=(500, dim)))
+        full = spec(JoinType.FULL, left=5, right=5)
+
+        def join():
+            ids = [joiner.embeddings_ids(path) for path in files]
+            with ExitStack() as streams:
+                def scan(reverse):
+                    query, target = files[::-1] if reverse else files
+                    index = build_index(load_embeddings(target))
+                    blocks = streams.enter_context(closing(
+                        joiner.read_embeddings(query, rows=joiner.scan_rows(index))))
+                    return index, (vectors for _, vectors in blocks)
+
+                joiner.write_join(tmp_path / "result.csv", full, *ids, scan)
+
+        join()  # numpy's lazy imports happen before the join that is measured
+        tracemalloc.start()
+        try:
+            join()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(sizes.values()) * dim * 8
+        whole = execute_join(full, *map(load_embeddings, files))
         assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
 
 
@@ -686,8 +726,15 @@ class TestResultBuilderOracle:
     @pytest.mark.parametrize("indexed_queries", ["none", "base", "aux"])
     @pytest.mark.parametrize("join_type, both_directions",
                              [(jt, False) for jt in JoinType] + [(JoinType.INNER, True)])
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
     def test_rows_and_bytes_match_reference(self, sizes, metric, threshold, indexed_queries,
-                                            join_type, both_directions):
+                                            join_type, both_directions, block_rows, monkeypatch):
+        # Scans of one query row per block, of three (four against the index
+        # of 9 records) and of every row at once: FULL's and the INNER
+        # union's forward pair codes, matched records and reverse filter
+        # build up across blocks.
+        if block_rows is not None:
+            monkeypatch.setattr(joiner, "_BLOCK_CELLS", block_rows * max(sizes))
         base, aux = tied_grid("b", sizes[0], sizes[0]), tied_grid("a", sizes[1], 7 * sizes[1])
         s = spec(join_type, left=2, right=3)
         expected = _reference_rows(s, base, aux, metric, threshold, indexed_queries,
