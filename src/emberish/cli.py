@@ -7,10 +7,12 @@ embeddings_{base,aux}.bin, result.csv). A learned join reads an
 embeddings file back, instead of embedding that side again, when the
 previous join's manifest shows it was built from the same dataset, model,
 tokenizer and versions. A learned join scans once per retrieval direction
-(FULL and the INNER union twice, in turn), holding only the side each scan
-retrieves from; the querying side streams through it a block at a time,
-read again from its verified file or embedded into its file as the scan
-asks, and the rows go to result.csv as they come. Exit codes: 0 success,
+(FULL and the INNER union twice, in turn), holding only one side per scan:
+under l2 the smaller, by the exact record counts, whichever side queries;
+under inner product the side retrieved from. The other side streams past
+it a block at a time, read again from its verified file or embedded into
+its file as the scan asks, and the rows go to result.csv as they come.
+Exit codes: 0 success,
 1 validation error, 2 runtime failure, such as an embeddings file that
 changed during the join.
 """
@@ -70,8 +72,10 @@ from .joiner import (
     aggregate_labels,
     build_index,
     chain_joins,
+    embeddings_count,
     embeddings_ids,
     embeddings_writer,
+    held_side,
     load_embeddings,
     read_embeddings,
     scan_order,
@@ -322,23 +326,21 @@ def _featurize(paths: Sequence[Path], tokenizers: Sequence[str],
             {tokenizer: token_ids(datasets, tokenizer) for tokenizer in dict.fromkeys(tokenizers)})
 
 
-def _reusable(run: _Run, tokenizer: str, sides: list[tuple[Path, Path, Path]],
-              hold: Sequence[bool]) -> list[tuple[tuple[str, ...], np.ndarray | None] | None]:
-    """For each side's ``(embeddings file, dataset, model)``, the ids and
-    vectors the data directory's previous join left in the file, or None
-    when the side must be embedded again. A side whose ``hold`` is false
-    is read for its ids alone: its vectors are None, and ``_reread`` reads
-    them again.
+def _reusable(run: _Run, tokenizer: str,
+              sides: list[tuple[Path, Path, Path]]) -> list[tuple[str, int] | None]:
+    """For each side's ``(embeddings file, dataset, model)``, the sha256
+    that the file the data directory's previous join left must still have
+    for the side to be reused (``_reuse`` checks it), and the record count
+    its header gives; None when the side must be embedded again.
 
     A side's key digests what its embeddings are built from: the sha256 of
     its dataset and of the model that embeds it, the tokenizer, the
     embeddings format version and the package version. The side is reused
     when the previous ``manifest_join.json`` records the same key for the
-    file and the file still has the sha256 that manifest records. The file
-    is parsed as it is read, and the bytes parsed are hashed, so only the
-    parse is held; it is discarded when the digest differs. Every side's
-    key goes into ``run``'s manifest, so the next join can look it up."""
-    found: list[tuple[tuple[str, ...], np.ndarray | None] | None] = [None] * len(sides)
+    file and the file still has the sha256 that manifest records. Every
+    side's key goes into ``run``'s manifest, so the next join can look it
+    up."""
+    found: list[tuple[str, int] | None] = [None] * len(sides)
     models = [model for _, _, model in sides]
     if not all(model.exists() for model in models):
         return found  # _load_model reports the missing file
@@ -360,18 +362,32 @@ def _reusable(run: _Run, tokenizer: str, sides: list[tuple[Path, Path, Path]],
         digest = outputs.get(path.name, inputs.get(path.name))
         if not isinstance(recorded, dict) or recorded.get("key") != key or digest is None:
             continue
-        sha = hashlib.sha256()
         try:
-            loaded = (load_embeddings(path, sha.update) if hold[side]
-                      else (embeddings_ids(path, sha.update), None))
+            found[side] = digest, embeddings_count(path)
         except (OSError, JoinError):
             continue
-        if sha.hexdigest() != digest:
-            continue
-        found[side] = loaded
-        run.manifest.add_input(path, digest)
-        run.manifest.embeddings[path.name]["reused"] = True
     return found
+
+
+def _reuse(run: _Run, path: Path, digest: str,
+           whole: bool) -> tuple[tuple[str, ...], np.ndarray | None] | None:
+    """The ids of the embeddings file at ``path`` and, when ``whole``, its
+    vectors (else None: ``_reread`` reads them again), if the file has the
+    sha256 ``digest``; else None. The file is parsed as it is read, and
+    the bytes parsed are hashed, so only the parse is held; it is
+    discarded when the digest differs. A reused file goes into ``run``'s
+    inputs."""
+    sha = hashlib.sha256()
+    try:
+        loaded = (load_embeddings(path, sha.update) if whole
+                  else (embeddings_ids(path, sha.update), None))
+    except (OSError, JoinError):
+        return None
+    if sha.hexdigest() != digest:
+        return None
+    run.manifest.add_input(path, digest)
+    run.manifest.embeddings[path.name]["reused"] = True
+    return loaded
 
 
 def _reread(run: _Run, path: Path, rows: int | None = None) -> Iterator[np.ndarray]:
@@ -562,7 +578,8 @@ def cmd_join(
     join not --left-size and a RIGHT join not --right-size. Only a learned
     INNER join uses ``both_directions``. A learned join reuses each side's
     embeddings file that the previous join left, when it was built from
-    the same bytes (see ``_reusable``)."""
+    the same bytes (see ``_reusable``), and reads whole only the side that
+    its first scan holds (``joiner.held_side``)."""
     if baseline is not None:
         path = f"the {baseline} baseline join"
         given = {"--threshold": threshold is not None, "--both-directions": both_directions,
@@ -601,16 +618,8 @@ def cmd_join(
     # The model that embeds each side, and the file its embeddings go to.
     models = _side_models(run, config)
     files = [run.data_dir / "embeddings_base.bin", run.data_dir / "embeddings_aux.bin"]
-    found: list = [None, None]
     if baseline is None:
-        # Only the side the first scan retrieves from is held. A
-        # single-direction INNER join retrieves from the larger side, which
-        # the larger file is taken to hold: a wrong guess costs a second
-        # read of the file, or holding the querying side whole.
-        sizes = [file.stat().st_size if file.exists() else 0 for file in files]
-        retrieved = 0 if scan_order(spec, both_directions, *sizes)[0] else 1
-        found = _reusable(run, config.tokenizer, list(zip(files, paths, models)),
-                          [side == retrieved for side in (0, 1)])
+        reusable = _reusable(run, config.tokenizer, list(zip(files, paths, models)))
     # Records are loaded only to read their text: the sentences dumped, or
     # the key column a key baseline compares.
     datasets = None
@@ -642,19 +651,34 @@ def cmd_join(
         run.wrote(result_path)
         return run.finish()
 
-    # The sides not reused are featurized; their ids come with their tokens.
-    embedded = [side for side, emb in enumerate(found) if emb is None]
-    read_ids, features = _featurize(
-        [paths[side] for side in embedded], [config.tokenizer],
-        None if datasets is None else [datasets[side] for side in embedded])
-    read = iter(read_ids)
-    ids = [emb[0] if emb is not None else next(read) for emb in found]
+    def featurize(sides: list[int]) -> tuple[dict[int, tuple[str, ...]], Sequence[str],
+                                             dict[int, TokenIds]]:
+        """The ids, the vocabulary and the token ids of ``sides``."""
+        read_ids, features = _featurize(
+            [paths[side] for side in sides], [config.tokenizer],
+            None if datasets is None else [datasets[side] for side in sides])
+        vocab, tokens = features[config.tokenizer]
+        return dict(zip(sides, read_ids)), vocab, dict(zip(sides, tokens))
+
+    # Only the side that the first scan holds is read whole as its file is
+    # checked; the other is read for its ids. The record counts that decide
+    # which are exact: the sides with no file to reuse are featurized first,
+    # and a file's header count is its side's once its digest verifies.
+    read_ids, vocab, tokens = featurize([side for side in (0, 1) if reusable[side] is None])
+    counts = [len(read_ids[side]) if side in read_ids else reusable[side][1] for side in (0, 1)]
+    first = scan_order(spec, both_directions, *counts)[0]
+    held = held_side(config.distance, first, *counts)  # type: ignore[arg-type]
+    found = [None if reusable[side] is None
+             else _reuse(run, files[side], reusable[side][0], side == held) for side in (0, 1)]
+    embedded = [side for side in (0, 1) if found[side] is None]
+    if any(side not in read_ids for side in embedded):
+        # A file failed its check: its side is featurized with the others.
+        read_ids, vocab, tokens = featurize(embedded)
+    ids = [read_ids[side] if found[side] is None else found[side][0] for side in (0, 1)]
     if not all(ids):
         raise JoinError("both sides must have at least one embedding")
     # The models read only the table rows of the tokens the join embeds.
     # A model whose sides are all reused reads no rows, but is still checked.
-    vocab, tokens = features[config.tokenizer]
-    tokens = dict(zip(embedded, tokens))
     loaded = {path: _load_model(run, config, path,
                                 vocab if any(models[side] == path for side in embedded) else ())
               for path in dict.fromkeys(models)}
@@ -684,11 +708,11 @@ def cmd_join(
             yield emb[1]
 
     def scan(reverse: bool) -> tuple[EmbeddingIndex, Iterator[np.ndarray]]:
-        """The retrieved side's index, and the querying side's stream."""
-        query, target = (1, 0) if reverse else (0, 1)
-        index = build_index((ids[target], whole(target)),
+        """The held side's index, and the other side's stream."""
+        held = int(held_side(config.distance, reverse, *map(len, ids)))  # type: ignore[arg-type]
+        index = build_index((ids[held], whole(held)),
                             metric=config.distance)  # type: ignore[arg-type]
-        return index, streams.enter_context(closing(blocks(query, scan_rows(index))))
+        return index, streams.enter_context(closing(blocks(1 - held, scan_rows(index))))
 
     del datasets
     with run.stage("join"), ExitStack() as streams:

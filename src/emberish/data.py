@@ -20,12 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, Sequence, TextIO
 
 
 class DataError(ValueError):
@@ -98,6 +99,24 @@ class SupervisionPair:
 
     base_id: str
     aux_id: str
+
+
+@dataclass(frozen=True, eq=False)
+class PairPositions(Sequence[SupervisionPair]):
+    """Supervision pairs as positions into the base and aux datasets' ids:
+    pair i relates ``base_ids[base[i]]`` to ``aux_ids[aux[i]]``. Its
+    ``SupervisionPair`` is built when it is read (by an int index)."""
+
+    base_ids: Sequence[str]
+    aux_ids: Sequence[str]
+    base: array  # int32
+    aux: array  # int32
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, i: int) -> SupervisionPair:  # type: ignore[override]
+        return SupervisionPair(self.base_ids[self.base[i]], self.aux_ids[self.aux[i]])
 
 
 @dataclass(frozen=True)
@@ -310,13 +329,15 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def load_supervision(
     path: str | Path,
-    base_ids: Collection[str] | None = None,
-    aux_ids: Collection[str] | None = None,
-) -> list[SupervisionPair] | list[SupervisionTriple]:
+    base_ids: Sequence[str] | None = None,
+    aux_ids: Sequence[str] | None = None,
+) -> Sequence[SupervisionPair] | list[SupervisionTriple]:
     """Load supervision CSV; two columns give pairs, three give triples.
 
     When the base and aux datasets' ids are supplied every referenced id
-    must resolve; all offending rows are reported together.
+    must resolve; all offending rows are reported together. Pairs read
+    against both sides' ids come as ``PairPositions``, resolved as the
+    rows stream past; otherwise as a list.
     """
     path = Path(path)
     if not path.exists():
@@ -330,13 +351,20 @@ def load_supervision(
         raise DataError(
             f"{path}: expected 2 columns (pairs) or 3 columns (triples), got {width}"
         )
+
+    def checked() -> Iterator[tuple[int, list[str]]]:
+        for line_no, row in rows:
+            if len(row) != width:
+                raise DataError(
+                    f"{path}: malformed row at line {line_no}: expected {width} cells"
+                )
+            yield line_no, row
+
+    if width == 2 and base_ids is not None and aux_ids is not None:
+        return _pair_positions(path, checked(), base_ids, aux_ids)
     lines: list[int] = []
     cells: list[list[str]] = []
-    for line_no, row in rows:
-        if len(row) != width:
-            raise DataError(
-                f"{path}: malformed row at line {line_no}: expected {width} cells"
-            )
+    for line_no, row in checked():
         lines.append(line_no)
         cells.append(row)
 
@@ -354,6 +382,26 @@ def load_supervision(
     if bad:
         raise DataError(f"{path}: unresolvable ids: " + "; ".join(bad))
     return out
+
+
+def _pair_positions(path: Path, rows: Iterable[tuple[int, list[str]]], base_ids: Sequence[str],
+                    aux_ids: Sequence[str]) -> PairPositions:
+    """The pairs of supervision ``rows`` as ``PairPositions``, each id
+    resolved to its position as the rows stream past; every unresolvable
+    id is reported together, as ``load_supervision`` does."""
+    sides = [("base", {rid: at for at, rid in enumerate(base_ids)}, array("i")),
+             ("aux", {rid: at for at, rid in enumerate(aux_ids)}, array("i"))]
+    bad = []
+    for line_no, row in rows:
+        for (role, position, column), rid in zip(sides, row):
+            at = position.get(rid)
+            if at is None:
+                bad.append(f"line {line_no}: {role} id {rid!r}")
+            else:
+                column.append(at)
+    if bad:
+        raise DataError(f"{path}: unresolvable ids: " + "; ".join(bad))
+    return PairPositions(base_ids, aux_ids, sides[0][2], sides[1][2])
 
 
 def write_pairs(pairs: Iterable[SupervisionPair], path: str | Path) -> None:

@@ -771,8 +771,7 @@ def fit_encoder(
 
     pairs: list[SupervisionPair] | None = None  # supervision that needs negatives
     if config.finetune:
-        supervision = list(supervision)
-        if not supervision:
+        if not len(supervision):
             raise EncoderError("supervision must be non-empty")
         if isinstance(supervision[0], SupervisionPair):
             if config.sampler == "custom":
@@ -780,10 +779,15 @@ def fit_encoder(
                     "sampler 'custom' requires caller-provided triples; pass triples "
                     "as supervision instead"
                 )
+            # Drawing positions draws the pairs that sampling the pairs
+            # themselves would, and builds only the pairs drawn.
+            drawn: Sequence[int] = range(len(supervision))
             if config.supervision_fraction < 1.0:
                 keep = max(1, round(config.supervision_fraction * len(supervision)))
-                supervision = random.Random(config.seed).sample(supervision, keep)
-            pairs = supervision  # type: ignore[assignment]
+                drawn = random.Random(config.seed).sample(drawn, keep)
+            pairs = [supervision[at] for at in drawn]  # type: ignore[misc]
+        else:
+            supervision = list(supervision)
 
     tiered = pairs is not None and config.sampler != "random"
     if config.tokenizer == "whitespace":

@@ -1,15 +1,16 @@
 """Embedding index, exact k-NN retrieval, and join-type semantics.
 
-The index is an exact scan over query blocks: for l2, one matrix product
-per block, of the queries scaled by -2, shortlists candidates that the
-difference formula re-scores, so scores never depend on the block. The
-block is partitioned for each query's k-th best a few rows at a time in
-one cache-sized scratch, and each chunk's shortlist is taken while it is
-in cache. ``rank_pairs`` ranks candidates for every scorer, ties by
-ascending id: ``topk`` hands it a dense block of scores, the l2 scan only
-its re-scored shortlist. An approximate backend may replace the scan only
-if it passes the exactness suite at recall 1.0 or marks its output as
-approximate. Built indexes are read-only and safe to query concurrently.
+The index is an exact scan over tiles of queries by targets: for l2, one
+matrix product per tile, of the queries scaled by -2, shortlists
+candidates that the difference formula re-scores (``_l2_tile``), so
+scores never depend on the tile. The tile is partitioned for each query's
+k-th best a few rows at a time in one cache-sized scratch, and each
+chunk's shortlist is taken while it is in cache. ``rank_pairs`` ranks
+candidates for every scorer, ties by ascending id: ``topk`` hands it a
+dense block of scores, the l2 scan only its re-scored shortlist. An
+approximate backend may replace the scan only if it passes the exactness
+suite at recall 1.0 or marks its output as approximate. Built indexes are
+read-only and safe to query concurrently.
 
 Every join returns a columnar ``JoinResult``: the two id tuples plus
 per-row arrays of base and aux position (-1 for an ABSENT side), rank,
@@ -18,12 +19,15 @@ into the metrics with no per-row object; the file renders each distinct
 id once.
 
 Every join is one function, ``scan_join``: a scan per retrieval direction
-(two, one index at a time, for FULL and the INNER union) over the
-querying side's rows as a stream of blocks, each searched against the
-retrieved side's index and then dropped. ``execute_join`` feeds the scans
-in-memory matrices; ``write_join`` feeds them any stream (blocks read from
-an embeddings file, or embedded as they are needed) and renders rows to
-``result.csv`` as they come, so no querying side is held whole.
+(two, one index at a time, for FULL and the INNER union). A scan holds one
+side, the one ``held_side`` names, and streams the other past it as
+blocks, each dropped once scanned: under l2 it holds the smaller side,
+whether that side queries (``_scan_targets``, which keeps a running
+top-k per query) or is retrieved from (``_scan``); under inner product it
+holds the side retrieved from. ``execute_join`` feeds the scans in-memory
+matrices; ``write_join`` feeds them any stream (blocks read from an
+embeddings file, or embedded as they are needed) and renders rows to
+``result.csv`` as they come, so the larger side is never held whole.
 
 An embeddings file is parsed as it is read, whole or a block at a time,
 and a caller that checks its digest hashes the same bytes, so a reused
@@ -143,10 +147,95 @@ def build_index(embeddings: Embeddings, metric: Metric = "l2") -> EmbeddingIndex
                           metric=metric)
 
 
+def held_side(metric: Metric, reverse: bool, n_base: int, n_aux: int) -> bool:
+    """The side that a scan in direction ``reverse`` (aux records
+    querying) over ``n_base`` and ``n_aux`` records holds, True for aux.
+    Under l2 it is the smaller side: the querying side when that is
+    strictly smaller, which the retrieved side then streams past
+    (``_scan_targets``). Otherwise, and always under inner product, it is
+    the side retrieved from (``_scan``)."""
+    n_query, n_target = (n_aux, n_base) if reverse else (n_base, n_aux)
+    return reverse == (metric == "l2" and n_query < n_target)
+
+
 def scan_rows(index: EmbeddingIndex) -> int:
-    """Query rows per block of a scan of ``index``: a block of scores, and
-    a block of queries, of about ``_BLOCK_CELLS`` floats at most."""
+    """Rows per block of the side a scan streams past ``index``: a block
+    of scores, and a block of streamed rows, of about ``_BLOCK_CELLS``
+    floats at most."""
     return max(1, _BLOCK_CELLS // max(index.n, index.dimension))
+
+
+def _check_rows(rows: np.ndarray, index: EmbeddingIndex) -> None:
+    if rows.shape[1:] != (index.dimension,):
+        raise JoinError(f"row dimension {rows.shape[1:]} does not match index "
+                        f"dimension {index.dimension}")
+
+
+def _l2_scratch(rows: int, cols: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Flat scratch for ``_l2_tile`` over up to ``rows`` queries and
+    ``cols`` targets of ``dim`` floats: a block of scores, the smaller
+    side scaled, and a chunk of a few of the block's rows partitioned,
+    with their mask."""
+    chunk = min(rows * cols, max(_RESCORE_CELLS, cols))
+    return (np.empty(rows * cols), np.empty(min(rows, cols) * dim), np.empty(chunk),
+            np.empty(chunk, bool))
+
+
+def _l2_tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
+             sq_targets: np.ndarray, sq_max: float, k: int, ceiling: np.ndarray | None,
+             threshold: float | None,
+             scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates among ``targets`` for the l2 top ``k`` of each of
+    the ``queries`` of a tile: ``(rows, cols, scores)``, tile positions and
+    exact scores within ``threshold``, unranked. ``sq_queries`` and
+    ``sq_targets`` are the rows' squared norms, ``sq_max`` at least any
+    target's; a query's ``ceiling``, when given, is the shortlist score
+    past which no target can rank, up to the band. ``scratch`` is
+    ``_l2_scratch``'s.
+
+    The smaller side of the tile is scaled by -2, which is exact, so the
+    product has the bits of ||x||^2 - 2 (q.x). Rounding makes that and the
+    difference formula below differ by less than
+    E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate that can beat the
+    k-th best lies within 2E of the k-th shortlist score; the band is twice
+    that. Scores come from the rows themselves, so they never depend on
+    the tile."""
+    product, scaled, partitioned, shortlisted = scratch
+    m, t = len(queries), len(targets)
+    left, right = queries, targets
+    if m <= t:
+        left = np.multiply(queries, -2.0, out=scaled[: queries.size].reshape(queries.shape))
+    else:
+        right = np.multiply(targets, -2.0, out=scaled[: targets.size].reshape(targets.shape))
+    approx = np.matmul(left, right.T, out=product[: m * t].reshape(m, t))
+    approx += sq_targets
+    last = min(k, t) - 1
+    band = 16.0 * (targets.shape[1] + 4) * np.finfo(np.float64).eps * (sq_queries + sq_max)
+    # Each chunk of rows is partitioned and masked while it is in cache.
+    chunk = max(1, _RESCORE_CELLS // t)
+    shortlist = []
+    for at in range(0, m, chunk):
+        part = approx[at : at + chunk]
+        ordered = partitioned[: part.size].reshape(part.shape)
+        ordered[:] = part
+        ordered.partition(last, axis=1)
+        limit = ordered[:, last]
+        if ceiling is not None:
+            limit = np.minimum(limit, ceiling[at : at + chunk])
+        mask = np.less_equal(part, (limit + band[at : at + chunk])[:, None],
+                             out=shortlisted[: part.size].reshape(part.shape))
+        shortlist.append(np.flatnonzero(mask) + at * t)
+    rows, cols = np.divmod(np.concatenate(shortlist), t)
+    scores = np.empty(rows.size)
+    pairs = _RESCORE_CELLS // targets.shape[1] + 1
+    for at in range(0, rows.size, pairs):
+        diff = targets[cols[at : at + pairs]]
+        diff -= queries[rows[at : at + pairs]]
+        scores[at : at + pairs] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if threshold is not None:
+        inside = scores <= threshold
+        rows, cols, scores = rows[inside], cols[inside], scores[inside]
+    return rows, cols, scores
 
 
 def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
@@ -157,27 +246,25 @@ def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
     ordered by query row, then rank, with ``cols`` index positions. The
     scan holds ``index`` and ``blocks`` until the last block is scanned."""
     step = scan_rows(index)
-    chunk = max(1, _RESCORE_CELLS // index.n)
+    l2 = index.metric == "l2"
+    sq_max = index._sq_norms.max()
     # One block of scores serves the whole scan, and for l2 one chunk of a
     # few rows every partition: arrays allocated afresh for each block were
     # paged in again, or kept by the heap once the scan ended.
     held = stop = 0
     for queries in blocks:
-        if queries.shape[1:] != (index.dimension,):
-            raise JoinError(f"query dimension {queries.shape[1:]} does not match index "
-                            f"dimension {index.dimension}")
+        _check_rows(queries, index)
         if held < min(step, len(queries)):
             held = min(step, len(queries))
-            product = np.empty((held, index.n))
-            if index.metric == "l2":
-                scaled = np.empty((held, index.dimension))
-                partitioned = np.empty((min(chunk, held), index.n))
-                shortlisted = np.empty(partitioned.shape, bool)
+            if l2:
+                scratch = _l2_scratch(held, index.n, index.dimension)
+            else:
+                product = np.empty((held, index.n))
         first, stop = stop, stop + len(queries)
         found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for start in range(0, len(queries), step):
             block = queries[start : start + step]
-            if index.metric == "inner_product":
+            if not l2:
                 scores = product[: len(block)]
                 for i, q in enumerate(block):
                     scores[i] = index.vectors @ q
@@ -185,40 +272,58 @@ def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
                 rows, cols = topk(scores, k, index._id_rank, True, keep)
                 found.append((rows + first + start, cols, scores[rows, cols]))
                 continue
-            # Rounding makes ||x||^2 - 2 q.x and the formula below differ by
-            # less than E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate
-            # that can beat the k-th best lies within 2E of the k-th shortlist
-            # score; the band is twice that. Scaling by -2 is exact, so the
-            # product of the scaled block has the bits of ||x||^2 - 2 (q.x).
-            np.multiply(block, -2.0, out=scaled[: len(block)])
-            approx = np.matmul(scaled[: len(block)], index.vectors.T, out=product[: len(block)])
-            approx += index._sq_norms
-            last = min(k, index.n) - 1
-            tol = 16.0 * (index.dimension + 4) * np.finfo(np.float64).eps
-            band = tol * (np.einsum("ij,ij->i", block, block) + index._sq_norms.max())
-            # Each chunk of rows is partitioned and masked while it is in cache.
-            shortlist = []
-            for at in range(0, len(block), chunk):
-                part = approx[at : at + chunk]
-                ordered = partitioned[: len(part)]
-                ordered[:] = part
-                ordered.partition(last, axis=1)
-                mask = np.less_equal(part, (ordered[:, last] + band[at : at + chunk])[:, None],
-                                     out=shortlisted[: len(part)])
-                shortlist.append(np.flatnonzero(mask) + at * index.n)
-            rows, cols = np.divmod(np.concatenate(shortlist), index.n)
-            scores = np.empty(rows.size)
-            pairs = _RESCORE_CELLS // index.dimension + 1
-            for at in range(0, rows.size, pairs):
-                diff = index.vectors[cols[at : at + pairs]]
-                diff -= block[rows[at : at + pairs]]
-                scores[at : at + pairs] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            if threshold is not None:
-                inside = scores <= threshold
-                rows, cols, scores = rows[inside], cols[inside], scores[inside]
+            rows, cols, scores = _l2_tile(block, np.einsum("ij,ij->i", block, block),
+                                          index.vectors, index._sq_norms, sq_max, k, None,
+                                          threshold, scratch)
             best = rank_pairs(rows, scores, index._id_rank[cols], k)
             found.append((rows[best] + first + start, cols[best], scores[best]))
         yield (first, stop, *(np.concatenate(part) for part in zip(*found)))
+
+
+def _scan_targets(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
+                  threshold: float | None, target_rank: np.ndarray
+                  ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``_scan`` the other way round, for l2: the exact top-k of every row
+    of ``index``, the querying side, over the target rows that ``blocks``
+    streams past it, whose id ranks are ``target_rank``. It yields one
+    block, of every query, once the last target is scanned; ``cols`` are
+    target positions.
+
+    Each tile of targets merges its candidates into a running top-k, ties
+    by target id rank, so the result is ``_scan``'s. A tile shortlists
+    only targets that can still rank: one enters a query's top k only if
+    its exact score is at most the running k-th, s_k (a tie can win on
+    its id). Its squared exact score errs from ||x - q||^2 by less than
+    2 (d + 5) eps (||q||^2 + ||x||^2), ||q||^2 by less than d eps ||q||^2,
+    and its shortlist score from ||x - q||^2 - ||q||^2 by less than E
+    (``_l2_tile``), so its shortlist score is below s_k^2 - ||q||^2 plus
+    less than the band, which takes the largest target norm seen."""
+    step = scan_rows(index)
+    scratch = _l2_scratch(index.n, step, index.dimension)
+    rows, cols, scores = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+    ceiling = np.full(index.n, np.inf)
+    sq_max, stop = 0.0, 0
+    for block in blocks:
+        _check_rows(block, index)
+        for at in range(0, len(block), step):
+            targets = block[at : at + step]
+            if stop + len(targets) > target_rank.size:
+                raise JoinError(f"more target rows than the {target_rank.size} target ids")
+            sq_targets = np.einsum("ij,ij->i", targets, targets)
+            sq_max = max(sq_max, sq_targets.max())
+            tile = _l2_tile(index.vectors, index._sq_norms, targets, sq_targets, sq_max, k,
+                            ceiling, threshold, scratch)
+            rows, cols, scores = (np.concatenate(pair) for pair in
+                                  zip((rows, cols, scores), (tile[0], tile[1] + stop, tile[2])))
+            best = rank_pairs(rows, scores, target_rank[cols], k)
+            rows, cols, scores = rows[best], cols[best], scores[best]
+            stop += len(targets)
+            count = np.bincount(rows, minlength=index.n)
+            full = count == k
+            ceiling[full] = scores[np.cumsum(count)[full] - 1] ** 2 - index._sq_norms[full]
+    if stop != target_rank.size:
+        raise JoinError(f"{stop} target rows for {target_rank.size} target ids")
+    yield 0, index.n, rows, cols, scores
 
 
 def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
@@ -371,7 +476,8 @@ def scan_order(spec: JoinSpec, both_directions: bool, n_base: int,
     """The retrieval directions of ``spec`` over ``n_base`` and ``n_aux``
     records in scan order, True when aux records query: forward, then
     reverse, for FULL and INNER with ``both_directions``; else aux
-    querying in RIGHT and in INNER when it is the smaller side."""
+    querying in RIGHT and in INNER when it is the smaller side. Which side
+    each scan holds is ``held_side``'s choice, not the direction's."""
     inner = spec.join_type == JoinType.INNER
     if spec.join_type == JoinType.FULL or (inner and both_directions):
         return False, True
@@ -384,9 +490,10 @@ def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
               threshold: float | None = None) -> Iterator[tuple[np.ndarray, ...]]:
     """The ``JoinResult`` columns of ``spec`` over sides with ``base_ids``
     and ``aux_ids``, from a scan in each direction of ``scan_order``.
-    ``scan(reverse)`` returns the retrieved side's index and the querying
-    side's rows as blocks; it is called once the previous scan's index is
-    dropped, and no block is kept once it is scanned.
+    ``scan(reverse)`` returns the index of the side that ``held_side``
+    names, under the index's metric, and the other side's rows as blocks;
+    it is called once the previous scan's index is dropped, and no block
+    is kept once it is scanned.
 
     A query finds the k best records, k the retrieved side's size bound.
     LEFT and RIGHT yield each block's rows, with an ABSENT row at each
@@ -400,11 +507,15 @@ def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
     union, inner = len(directions) == 2, spec.join_type == JoinType.INNER
     matched = np.zeros(len(base_ids), bool), np.zeros(len(aux_ids), bool)
     for reverse in directions:
-        query_ids = aux_ids if reverse else base_ids
+        query_ids, target_ids = (aux_ids, base_ids) if reverse else (base_ids, aux_ids)
+        k = spec.left_size if reverse else spec.right_size
         found, stop = [], 0  # matches, or for the forward union scan its pair codes
         index, blocks = scan(reverse)
         metric = index.metric
-        hits = _scan(index, blocks, spec.left_size if reverse else spec.right_size, threshold)
+        if held_side(metric, reverse, len(base_ids), len(aux_ids)) == reverse:
+            hits = _scan_targets(index, blocks, k, threshold, id_ranks(target_ids))
+        else:
+            hits = _scan(index, blocks, k, threshold)
         del index, blocks  # held by the scan alone, until it ends
         for start, stop, rows, cols, scores in hits:
             if union:
@@ -464,17 +575,18 @@ def execute_join(
     both_directions: bool = False,
 ) -> JoinResult:
     """Execute the join over precomputed embeddings: ``scan_join`` over
-    each querying side's matrix, ``scan_rows`` rows at a time, with each
-    direction's index built as its scan starts."""
+    the matrix of each scan's streamed side, ``scan_rows`` rows at a time,
+    with the index of its held side built as the scan starts."""
     base_ids, aux_ids = tuple(base_emb[0]), tuple(aux_emb[0])
     if not base_ids or not aux_ids:
         raise JoinError("both sides must have at least one embedding")
 
     def scan(reverse: bool) -> tuple[EmbeddingIndex, Iterator[np.ndarray]]:
-        (_, queries), retrieved = (aux_emb, base_emb) if reverse else (base_emb, aux_emb)
-        index = build_index(retrieved, metric)
+        held = held_side(metric, reverse, len(base_ids), len(aux_ids))
+        held_emb, (_, streamed) = (aux_emb, base_emb) if held else (base_emb, aux_emb)
+        index = build_index(held_emb, metric)
         step = scan_rows(index)
-        return index, (queries[at : at + step] for at in range(0, len(queries), step))
+        return index, (streamed[at : at + step] for at in range(0, len(streamed), step))
 
     columns = scan_join(spec, base_ids, aux_ids, scan, both_directions, threshold)
     return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*columns)))
@@ -526,6 +638,28 @@ _EMB_MAGIC = b"KJEB"
 EMBEDDINGS_VERSION = 1
 _EMB_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, dim
 _EMB_ID_LEN = struct.Struct("<I")
+
+
+def _header(path: Path, data: bytes) -> tuple[int, int]:
+    """The record count and dimension of the embeddings file header
+    ``data`` read from ``path``; ``JoinError`` on a bad magic or version."""
+    magic, version, count, dim = _EMB_HEADER.unpack(data)
+    if magic != _EMB_MAGIC:
+        raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
+    if version != EMBEDDINGS_VERSION:
+        raise JoinError(f"{path}: unsupported embeddings version {version}")
+    return count, dim
+
+
+def embeddings_count(path: str | Path) -> int:
+    """The record count that the header of an embeddings file gives. Raises
+    ``JoinError`` on a header that is short or bad."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        data = fh.read(_EMB_HEADER.size)
+    if len(data) != _EMB_HEADER.size:
+        raise JoinError(f"{path}: truncated embeddings file")
+    return _header(path, data)[0]
 
 
 def embeddings_writer(fh: BinaryIO, count: int,
@@ -581,11 +715,7 @@ def read_embeddings(path: str | Path, digest: Callable[[bytes], object] | None =
             offset += n
             return data
 
-        magic, version, count, dim = _EMB_HEADER.unpack(read(_EMB_HEADER.size))
-        if magic != _EMB_MAGIC:
-            raise JoinError(f"{path}: not an embeddings file (bad magic {magic!r})")
-        if version != EMBEDDINGS_VERSION:
-            raise JoinError(f"{path}: unsupported embeddings version {version}")
+        count, dim = _header(path, read(_EMB_HEADER.size))
         row_bytes = 8 * dim
         if offset + count * (_EMB_ID_LEN.size + row_bytes) > size:
             raise JoinError(f"{path}: truncated embeddings file")

@@ -55,6 +55,27 @@ def knn(
     return [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
 
 
+def l2_topk(queries: np.ndarray, targets: np.ndarray, target_ids: Sequence[str], k: int,
+            threshold: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact l2 top-k of each query over every target, one query at a
+    time: each score by the difference formula over the whole target
+    matrix, sorted with ties by ascending id, and kept when within
+    ``threshold``. Returns ``(rows, cols, scores)`` ordered by query, then
+    rank, as the engine's scans do."""
+    rows: list[int] = []
+    cols: list[int] = []
+    scores: list[float] = []
+    for q, query in enumerate(queries):
+        diff = targets - query
+        exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ranked = sorted(range(len(targets)), key=lambda j: (exact[j], target_ids[j]))
+        kept = [j for j in ranked if threshold is None or exact[j] <= threshold][:k]
+        rows += [q] * len(kept)
+        cols += kept
+        scores += exact[kept].tolist()
+    return np.array(rows, np.int64), np.array(cols, np.int64), np.array(scores, np.float64)
+
+
 @dataclass(frozen=True)
 class Match:
     """One joined tuple; a None id marks an unenriched (ABSENT) side."""

@@ -174,10 +174,23 @@ class TestTrain:
         assert stages == {"pretrain", "train"}
 
     def test_supervision_fraction_trains_on_subset(self, workspace):
+        # train draws the pairs as positions: the model is the one fitted on
+        # the list sample of every pair, with no fraction left to draw.
+        import random
+
+        from emberish.data import load_supervision
+        from emberish.encoder import save_model
+
         tmp_path, _ = workspace
         cfg = fast_config(tmp_path, supervision_fraction=0.5)
-        cmd_train(cfg, pretrain=False)  # smoke: fraction path exercised
-        assert (tmp_path / "model.bin").exists()
+        cmd_train(cfg, pretrain=False)
+        base = load_dataset(tmp_path / "base.csv", role="base", name="base")
+        aux = load_dataset(tmp_path / "aux.csv", role="auxiliary", name="aux")
+        pairs = load_supervision(tmp_path / "supervision.csv")
+        sample = random.Random(cfg.seed).sample(pairs, round(0.5 * len(pairs)))
+        fit = fit_datasets(base, aux, sample, fast_config(tmp_path, supervision_fraction=1.0))
+        save_model(fit.model, tmp_path / "expected.bin")
+        assert (tmp_path / "model.bin").read_bytes() == (tmp_path / "expected.bin").read_bytes()
 
     def test_missing_inputs_name_paths(self, tmp_path):
         cfg = fast_config(tmp_path)
@@ -559,9 +572,9 @@ class TestEmbeddingsReuse:
 
 
 class TestStreamedJoin:
-    """Every learned join scans the querying side of each direction block
-    by block, read from its embeddings file or embedded into it as the scan
-    goes, and writes the bytes of the in-memory path."""
+    """Every learned join streams the side that each scan does not hold
+    block by block, read from its embeddings file or embedded into it as
+    the scan goes, and writes the bytes of the in-memory path."""
 
     WORDS = [f"w{i}" for i in range(6)]
 
@@ -576,13 +589,13 @@ class TestStreamedJoin:
     def test_a_streamed_join_writes_the_in_memory_bytes(self, data, join_type, both_directions,
                                                         distance, sizes, bounds, threshold,
                                                         carriage_return, embed_again):
-        # Scan blocks of three query rows (more against the smaller index of
-        # a two-direction join), so sides of 4 and 7 records end in a block
-        # of one row; ids holding the characters CSV quotes, and in some
-        # cases a "\r", which quotes every field.
+        # Scan blocks of three streamed rows (more past the smaller held side
+        # of a two-direction inner-product join), so sides of 4 and 7
+        # records end in a block of one row; ids holding the characters CSV
+        # quotes, and in some cases a "\r", which quotes every field.
         from emberish import joiner
         from emberish.encoder import EncoderModel, save_model
-        from emberish.joiner import execute_join, save_embeddings, scan_order
+        from emberish.joiner import execute_join, held_side, save_embeddings, scan_order
         from emberish.joinspec import JoinSpec
 
         dim = 4
@@ -598,7 +611,7 @@ class TestStreamedJoin:
         model = EncoderModel.create(dim=dim, hash_dim=64, seed=3)
         model.affine[:] = np.random.default_rng(3).normal(size=model.affine.shape)
         spec = JoinSpec("base", "aux", JoinType(join_type), *bounds, "supervision")
-        index_n = max(sizes[0] if reverse else sizes[1]
+        index_n = max(sizes[held_side(distance, reverse, *sizes)]
                       for reverse in scan_order(spec, both_directions, *sizes))
 
         with tempfile.TemporaryDirectory() as tmp, \
@@ -684,13 +697,14 @@ class TestStreamedJoin:
         gc.collect()  # a stream left open would warn here, and warnings are errors
         assert {path.name: path.read_bytes() for path in d.iterdir()} == before
 
-    @pytest.mark.parametrize("join_type, held, query", [("LEFT", "aux", "base"),
-                                                         ("INNER", "base", "aux")])
-    def test_a_reused_join_parses_the_held_file_once_and_the_querying_file_twice(
-            self, tmp_path, monkeypatch, join_type, held, query):
-        # The benchmark's reused LEFT and INNER joins: the side the scan
-        # retrieves from is read once, the querying side for its ids and
-        # digest, then block by block.
+    @pytest.mark.parametrize("join_type, held, streamed", [("LEFT", "aux", "base"),
+                                                            ("INNER", "aux", "base")])
+    def test_a_reused_join_parses_the_held_file_once_and_the_streamed_file_twice(
+            self, tmp_path, monkeypatch, join_type, held, streamed):
+        # The benchmark's reused LEFT and INNER joins: the scan holds the
+        # smaller aux side, retrieved by LEFT and querying in INNER, which
+        # is read once; the base side is read for its ids and digest, then
+        # block by block.
         import emberish.cli as cli_mod
         from emberish import joiner
 
@@ -707,18 +721,18 @@ class TestStreamedJoin:
         monkeypatch.setattr(cli_mod, "read_embeddings", counting)
         manifest = cmd_join(fast_config(d, join_type=JoinType(join_type)))
         assert all(r["reused"] for r in manifest.embeddings.values())
-        assert passes == {f"embeddings_{held}.bin": 1, f"embeddings_{query}.bin": 2}
+        assert passes == {f"embeddings_{held}.bin": 1, f"embeddings_{streamed}.bin": 2}
 
     @pytest.mark.parametrize("join_type, side, reader", [
-        ("LEFT", "base", "embeddings_ids"), ("INNER", "aux", "embeddings_ids"),
+        ("LEFT", "base", "embeddings_ids"), ("INNER", "base", "embeddings_ids"),
         ("FULL", "aux", "load_embeddings")])
     @pytest.mark.parametrize("change", ["bump-last-float", "truncate"])
     def test_a_file_changed_during_the_join_exits_2_and_keeps_the_old_result(
             self, tmp_path, monkeypatch, capsys, join_type, side, reader, change):
         # A side changes after the first pass verified it and before a scan
-        # reads it again: the querying side (base for LEFT, the smaller aux
-        # side for INNER), or the aux side that FULL's first scan holds and
-        # its second scan streams.
+        # reads it again: the larger base side, which LEFT and INNER stream
+        # past the aux side they hold, or the smaller aux side, which both of
+        # FULL's scans hold and the second reads again.
         import emberish.cli as cli_mod
 
         d = tmp_path / "d"

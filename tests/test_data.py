@@ -1,5 +1,7 @@
 """Ingestion, supervision loading, and round-trip invariants."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from emberish.data import (
     DataError,
     Dataset,
     DatasetRole,
+    PairPositions,
     Record,
     SupervisionPair,
     SupervisionTriple,
@@ -198,6 +201,34 @@ class TestSupervision:
         path.write_text(text)
         with pytest.raises(DataError, match=f"unresolvable ids: line {line}: aux id '404'$"):
             load_supervision(path, base.ids(), aux.ids())
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_base=st.integers(1, 6), n_aux=st.integers(1, 6))
+    def test_pairs_against_both_sides_ids_are_positions(self, tmp_path, data, n_base, n_aux):
+        # Ids CSV must quote; pairs repeat. The positions read as the list of
+        # pairs that the file gives without ids to resolve.
+        base_ids = data.draw(st.lists(record_ids, min_size=n_base, max_size=n_base, unique=True))
+        aux_ids = data.draw(st.lists(record_ids, min_size=n_aux, max_size=n_aux, unique=True))
+        pairs = data.draw(st.lists(st.builds(SupervisionPair, st.sampled_from(base_ids),
+                                             st.sampled_from(aux_ids)), min_size=1))
+        path = tmp_path / "s.csv"
+        write_pairs(pairs, path)
+        out = load_supervision(path, tuple(base_ids), tuple(aux_ids))
+        assert isinstance(out, PairPositions) and out.base.itemsize == out.aux.itemsize == 4
+        assert list(out) == load_supervision(path) == pairs
+        assert [out[i] for i in range(len(out))] == pairs
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 400), fraction=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2**63))
+    def test_drawing_positions_draws_the_pairs_the_list_sample_draws(self, n, fraction, seed):
+        # fit_encoder draws supervision_fraction of the pairs as positions,
+        # and builds only the pairs drawn; the draw must be the list's.
+        pairs = [SupervisionPair(f"b{i}", f"a{i % 7}") for i in range(n)]
+        keep = max(1, round(fraction * n))
+        drawn = random.Random(seed).sample(range(n), keep)
+        assert [pairs[at] for at in drawn] == random.Random(seed).sample(pairs, keep)
 
     def test_triple_rejects_equal_positive_negative(self):
         with pytest.raises(DataError):

@@ -28,7 +28,7 @@ from emberish.joiner import (
 from emberish.data import SupervisionPair
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
-from oracles import csv_writer_text, for_base, knn, matched_pairs, matches, to_csv_text
+from oracles import csv_writer_text, for_base, knn, l2_topk, matched_pairs, matches, to_csv_text
 
 
 # Record ids with the characters CSV must quote, and any other non-empty text.
@@ -346,13 +346,15 @@ class TestBlockedScan:
         whole = execute_join(left, load_embeddings(queries), (index.ids, index.vectors))
         assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
 
-    def test_a_streamed_full_join_holds_less_than_its_two_sides(self, tmp_path):
-        # Sides of 3,000 and 2,500 records of 768 floats (18.4 and 15.4 MB)
-        # in their embeddings files. The forward scan indexes the aux side
-        # and streams the base side from its file; the reverse scan then
-        # indexes the base side and streams the aux side. One index is alive
-        # at a time, so the join never holds both matrices.
-        dim, sizes = 768, {"base": 3000, "aux": 2500}
+    def test_a_streamed_full_join_holds_less_than_its_larger_side(self, tmp_path):
+        # Sides of 4,000 and 2,000 records of 768 floats (24.6 and 12.3 MB)
+        # in their embeddings files. Both scans hold the smaller aux side:
+        # the forward scan as its index, the reverse scan as its queries.
+        # The base side streams past it from its file each time, so the
+        # join never holds the larger matrix.
+        dim, sizes = 768, {"base": 4000, "aux": 2000}
+        assert [joiner.held_side("l2", reverse, *sizes.values()) for reverse in (False, True)] \
+            == [True, True]
         rng = np.random.default_rng(99)
         files = [tmp_path / f"embeddings_{name}.bin" for name in sizes]
         for path, (name, n) in zip(files, sizes.items()):
@@ -367,10 +369,9 @@ class TestBlockedScan:
             ids = [joiner.embeddings_ids(path) for path in files]
             with ExitStack() as streams:
                 def scan(reverse):
-                    query, target = files[::-1] if reverse else files
-                    index = build_index(load_embeddings(target))
+                    index = build_index(load_embeddings(files[1]))
                     blocks = streams.enter_context(closing(
-                        joiner.read_embeddings(query, rows=joiner.scan_rows(index))))
+                        joiner.read_embeddings(files[0], rows=joiner.scan_rows(index))))
                     return index, (vectors for _, vectors in blocks)
 
                 joiner.write_join(tmp_path / "result.csv", full, *ids, scan)
@@ -382,9 +383,110 @@ class TestBlockedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < sum(sizes.values()) * dim * 8
+        assert peak < sizes["base"] * dim * 8
         whole = execute_join(full, *map(load_embeddings, files))
         assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
+
+    def test_a_streamed_inner_join_holds_less_than_its_retrieved_side(self, tmp_path):
+        # The quick start's INNER join in small: 1,000 aux records query
+        # 8,000 base records of 256 floats (16.4 MB). The scan holds the
+        # 2 MB of queries and streams the base side past them from its file.
+        dim, sizes = 256, {"base": 8000, "aux": 1000}
+        rng = np.random.default_rng(100)
+        files = [tmp_path / f"embeddings_{name}.bin" for name in sizes]
+        for path, (name, n) in zip(files, sizes.items()):
+            with path.open("wb") as fh:
+                write = joiner.embeddings_writer(fh, n, dim)
+                for at in range(0, n, 500):
+                    write([f"{name}{i:04d}" for i in range(at, at + 500)],
+                          rng.normal(size=(500, dim)))
+        inner = spec(JoinType.INNER, left=1, right=10)
+        assert joiner.scan_order(inner, False, *sizes.values()) == (True,)  # aux queries
+        assert joiner.held_side("l2", True, *sizes.values())
+
+        def join():
+            ids = [joiner.embeddings_ids(path) for path in files]
+            with ExitStack() as streams:
+                def scan(reverse):
+                    index = build_index(load_embeddings(files[1]))
+                    blocks = streams.enter_context(closing(
+                        joiner.read_embeddings(files[0], rows=joiner.scan_rows(index))))
+                    return index, (vectors for _, vectors in blocks)
+
+                joiner.write_join(tmp_path / "result.csv", inner, *ids, scan)
+
+        join()  # numpy's lazy imports happen before the join that is measured
+        tracemalloc.start()
+        try:
+            join()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sizes["base"] * dim * 8
+        whole = execute_join(inner, *map(load_embeddings, files))
+        assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
+
+    @pytest.mark.parametrize("metric, sizes, held", [
+        ("l2", (5, 8), (False, False)), ("l2", (8, 5), (True, True)),
+        ("l2", (6, 6), (True, False)), ("inner_product", (5, 8), (True, False)),
+        ("inner_product", (8, 5), (True, False))])
+    def test_a_scan_holds_the_smaller_side_under_l2_only(self, metric, sizes, held):
+        # (forward, reverse): True when the scan holds the aux side. Equal
+        # sides, and inner product always, hold the side retrieved from.
+        assert tuple(joiner.held_side(metric, reverse, *sizes) for reverse in (False, True)) \
+            == held
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), n_queries=st.integers(1, 8), n_targets=st.integers(1, 20),
+           d=st.integers(1, 3), far=st.booleans(),
+           threshold=st.sampled_from([None, 0.0, 1.0, 1.5]),
+           cells=st.sampled_from([None, 2]), rescore_cells=st.sampled_from([None, 5]))
+    def test_streamed_targets_equal_the_held_index_scan(self, data, n_queries, n_targets, d,
+                                                        far, threshold, cells, rescore_cells):
+        # Small integer vectors, so most distances tie exactly and vectors
+        # repeat within and across target blocks of 1, 3, k or all rows
+        # (tiles of 2 rows when ``cells`` is 2), with ids whose order is not
+        # the targets' order; k above the target count; and, when ``far``,
+        # vectors 1e6 from the origin 1e-3 apart, where the shortlist
+        # product rounds by far more than the squared distances. The last
+        # query is matched by nothing under a threshold.
+        scale, offset = (1e-3, 1e6) if far else (1.0, 0.0)
+
+        def grid(n):
+            cells_drawn = data.draw(st.lists(st.integers(0, 2), min_size=n * d, max_size=n * d))
+            return np.array(cells_drawn, np.float64).reshape(n, d) * scale + offset
+
+        targets = grid(n_targets)
+        queries = np.concatenate([grid(n_queries), np.full((1, d), 10.0 * scale + offset)])
+        target_ids = [f"t{j:02d}" for j in data.draw(st.permutations(range(n_targets)))]
+        k = data.draw(st.integers(1, n_targets + 2))
+        block = data.draw(st.sampled_from([1, 3, k, n_targets]))
+        threshold = None if threshold is None else threshold * scale
+        block_cells = joiner._BLOCK_CELLS if cells is None else cells * max(len(queries), d)
+        with patch.object(joiner, "_BLOCK_CELLS", block_cells), \
+                patch.object(joiner, "_RESCORE_CELLS", rescore_cells or joiner._RESCORE_CELLS):
+            index = build_index(([f"q{i}" for i in range(len(queries))], queries.copy()))
+            ((first, stop, *streamed),) = joiner._scan_targets(
+                index, (targets[at : at + block] for at in range(0, n_targets, block)), k,
+                threshold, id_ranks(target_ids))
+            held = joiner._search(build_index((target_ids, targets)), queries, k, threshold)
+        assert (first, stop) == (0, len(queries))
+        oracle = l2_topk(queries, targets, target_ids, k, threshold)
+        for mine, theirs, expected in zip(streamed, held, oracle):
+            assert mine.dtype == expected.dtype
+            assert mine.tobytes() == theirs.tobytes() == expected.tobytes()
+        if threshold is not None:
+            assert len(queries) - 1 not in streamed[0]
+
+    def test_a_streamed_target_count_must_match_its_ids(self):
+        index = build_index(grid_embeddings("q", 3, 2, 1))
+        targets = grid_embeddings("t", 4, 2, 2)[1]
+        for ranks in (id_ranks("abc"), id_ranks("abcde")):
+            with pytest.raises(JoinError, match="target"):
+                list(joiner._scan_targets(build_index(grid_embeddings("q", 3, 2, 1)), [targets],
+                                          2, None, ranks))
+        with pytest.raises(JoinError, match="dimension"):
+            list(joiner._scan_targets(index, [targets[:, :1]], 2, None, id_ranks("abcd")))
 
 
 def spec(join_type, left=1, right=1):
@@ -482,7 +584,11 @@ class TestExecuteJoin:
             text[name] = to_csv_text(execute_join(spec(join_type, left, right), base, aux))
         assert {name for name in ("left", "right") if text[name] != text["none"]} == reads
 
-    def test_one_index_per_retrieval_direction(self, monkeypatch):
+    @pytest.mark.parametrize("metric, held", [("l2", ([5], [5, 5])),
+                                              ("inner_product", ([8], [8, 5]))])
+    def test_one_index_per_retrieval_direction(self, monkeypatch, metric, held):
+        # Under l2 each scan indexes the smaller side, under inner product
+        # the side it retrieves from.
         built = []
         original = joiner.EmbeddingIndex.__post_init__
 
@@ -492,11 +598,11 @@ class TestExecuteJoin:
 
         monkeypatch.setattr(joiner.EmbeddingIndex, "__post_init__", counting)
         base, aux = grid_embeddings("b", 5, 3, 1), grid_embeddings("a", 8, 3, 2)
-        execute_join(spec(JoinType.LEFT, right=2), base, aux)
-        assert built == [8]
+        execute_join(spec(JoinType.LEFT, right=2), base, aux, metric)
+        assert built == held[0]
         built.clear()
-        execute_join(spec(JoinType.FULL, left=2, right=2), base, aux)
-        assert built == [8, 5]
+        execute_join(spec(JoinType.FULL, left=2, right=2), base, aux, metric)
+        assert built == held[1]
 
     def test_left_equals_inner_plus_absent_rows(self):
         # Caps non-binding: left_size = |base| so INNER keeps per-base lists.
