@@ -6,15 +6,14 @@ naming convention (base.csv, aux.csv, supervision.csv, model.bin,
 embeddings_{base,aux}.bin, result.csv). A learned join reads an
 embeddings file back, instead of embedding that side again, when the
 previous join's manifest shows it was built from the same dataset, model,
-tokenizer and versions. A learned join scans once per retrieval direction
-(FULL and the INNER union twice, in turn), holding only one side per scan:
-under l2 the smaller, by the exact record counts, whichever side queries;
-under inner product the side retrieved from. The other side streams past
-it a block at a time, read again from its verified file or embedded into
-its file as the scan asks, and the rows go to result.csv as they come.
-Exit codes: 0 success,
-1 validation error, 2 runtime failure, such as an embeddings file that
-changed during the join.
+tokenizer and versions. A learned join first embeds each side it does not
+reuse into its file, and drops the models and token ids; then every side
+is a verified file, and ``joiner.write_join`` scans once per retrieval
+direction (FULL and the INNER union twice, in turn), holding one side per
+scan read whole from its file and streaming the other past it a block at
+a time, and writes the rows to result.csv as they come. Exit codes: 0
+success, 1 validation error, 2 runtime failure, such as an embeddings
+file that changed during the join.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ import json
 import os
 import sys
 import time
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Collection, Iterator, Sequence
 
 import click
 import numpy as np
@@ -69,6 +68,7 @@ from .joiner import (
     Embeddings,
     JoinError,
     JoinResult,
+    Side,
     aggregate_labels,
     build_index,
     chain_joins,
@@ -79,7 +79,6 @@ from .joiner import (
     load_embeddings,
     read_embeddings,
     scan_order,
-    scan_rows,
     write_join,
 )
 from .joinspec import (
@@ -112,8 +111,6 @@ ENV_DATA_DIR = "EMBERISH_DATA_DIR"
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 PRESETS = {"easy": 5, "hard": 15}
-
-T = TypeVar("T")
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -212,16 +209,6 @@ class _Run:
             self._inner[-1] += elapsed
         timings = self.manifest.timings
         timings[name] = timings.get(name, 0.0) + elapsed - inner
-
-    def timed(self, name: str, items: Iterable[T]) -> Iterator[T]:
-        """``items``, the time taken to make each one added to stage ``name``."""
-        items = iter(items)
-        while True:
-            with self.stage(name):
-                item = next(items, None)
-            if item is None:
-                return
-            yield item
 
     def finish(self) -> RunManifest:
         self.manifest.peak_rss_kb = _peak_rss_kb()
@@ -390,7 +377,7 @@ def _reuse(run: _Run, path: Path, digest: str,
     return loaded
 
 
-def _reread(run: _Run, path: Path, rows: int | None = None) -> Iterator[np.ndarray]:
+def _reread(run: _Run, path: Path, rows: int | None) -> Iterator[np.ndarray]:
     """The vectors of an embeddings file that ``run`` verified or wrote,
     read again in blocks of ``rows`` (whole when None) and hashed as they
     are parsed. Raises ``RuntimeError`` (exit 2) when they are not the
@@ -408,22 +395,17 @@ def _reread(run: _Run, path: Path, rows: int | None = None) -> Iterator[np.ndarr
                            f"verified {digest})")
 
 
-def _embedding_stream(run: _Run, model: EncoderModel,
-                      features: tuple[Sequence[str], TokenIds], ids: Sequence[str],
-                      rows: int, path: Path) -> Iterator[np.ndarray]:
-    """The embeddings of one side, from ``features`` (the vocabulary and the
-    side's token ids), in blocks of about ``rows`` records. Each block goes
-    with its ``ids`` into the temporary copy of the embeddings file at
-    ``path`` as it is yielded, and the copy replaces ``path`` (an output of
-    ``run``) after the last block. The embedding time adds to stage embed."""
+def _embed_file(model: EncoderModel, features: tuple[Sequence[str], TokenIds],
+                ids: Sequence[str], path: Path) -> None:
+    """Embed one side, from ``features`` (the vocabulary and the side's
+    token ids), into the embeddings file at ``path`` with its ``ids``, one
+    ``embed_blocks`` block at a time, through ``atomic_write``."""
     with atomic_write(path) as fh:
         write = embeddings_writer(fh, len(ids), model.dim)
         start = 0
-        for block in run.timed("embed", embed_blocks(model, *features, rows)):
+        for block in embed_blocks(model, *features):
             write(ids[start : start + len(block)], block)
             start += len(block)
-            yield block
-    run.wrote(path)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +560,9 @@ def cmd_join(
     join not --left-size and a RIGHT join not --right-size. Only a learned
     INNER join uses ``both_directions``. A learned join reuses each side's
     embeddings file that the previous join left, when it was built from
-    the same bytes (see ``_reusable``), and reads whole only the side that
-    its first scan holds (``joiner.held_side``)."""
+    the same bytes (see ``_reusable``), keeping the vectors of the file
+    that its first scan holds (``joiner.held_side``) as it checks it, and
+    embeds every other side into its file before it scans the files."""
     if baseline is not None:
         path = f"the {baseline} baseline join"
         given = {"--threshold": threshold is not None, "--both-directions": both_directions,
@@ -675,6 +658,10 @@ def cmd_join(
         # A file failed its check: its side is featurized with the others.
         read_ids, vocab, tokens = featurize(embedded)
     ids = [read_ids[side] if found[side] is None else found[side][0] for side in (0, 1)]
+    # The vectors _reuse parsed whole (None for a file read for its ids),
+    # kept only until the first scan's index takes them.
+    parsed = {side: found[side][1] for side in (0, 1) if side not in embedded}
+    del found
     if not all(ids):
         raise JoinError("both sides must have at least one embedding")
     # The models read only the table rows of the tokens the join embeds.
@@ -682,41 +669,28 @@ def cmd_join(
     loaded = {path: _load_model(run, config, path,
                                 vocab if any(models[side] == path for side in embedded) else ())
               for path in dict.fromkeys(models)}
+    if embedded:
+        with run.stage("embed"):
+            for side in embedded:
+                _embed_file(loaded[models[side]], (vocab, tokens.pop(side)), ids[side],
+                            files[side])
+                run.wrote(files[side])
+    # Every side is a verified file now: the scans need no model or records.
+    del loaded, vocab, tokens, datasets
 
-    def whole(side: int) -> np.ndarray:
-        """The side's vectors: held, or read whole from its file, which is
-        embedded block by block first when the side is not reused."""
-        if found[side] is None:
-            for _ in blocks(side, len(ids[side])):
-                pass
-        emb, found[side] = found[side], (ids[side], None)
-        if emb[1] is None:
-            (vectors,) = _reread(run, files[side])
-            return vectors
-        return emb[1]
-
-    def blocks(side: int, rows: int) -> Iterator[np.ndarray]:
-        """The side's vectors in blocks of about ``rows``: held, read again,
-        or embedded into its file, which the side is read from afterwards."""
-        emb, found[side] = found[side], (ids[side], None)
-        if emb is None:
-            yield from _embedding_stream(run, loaded[models[side]], (vocab, tokens.pop(side)),
-                                         ids[side], rows, files[side])
-        elif emb[1] is None:
+    def read(side: int, rows: int | None) -> Iterator[np.ndarray]:
+        """The side's vectors: those ``_reuse`` parsed, once, or else its
+        file read again."""
+        vectors = parsed.pop(side, None)
+        if vectors is None:
             yield from _reread(run, files[side], rows)
         else:
-            yield emb[1]
+            yield vectors
 
-    def scan(reverse: bool) -> tuple[EmbeddingIndex, Iterator[np.ndarray]]:
-        """The held side's index, and the other side's stream."""
-        held = int(held_side(config.distance, reverse, *map(len, ids)))  # type: ignore[arg-type]
-        index = build_index((ids[held], whole(held)),
-                            metric=config.distance)  # type: ignore[arg-type]
-        return index, streams.enter_context(closing(blocks(1 - held, scan_rows(index))))
-
-    del datasets
-    with run.stage("join"), ExitStack() as streams:
-        write_join(result_path, spec, *ids, scan, both_directions, threshold)
+    sides = [Side(ids[side], functools.partial(read, side)) for side in (0, 1)]
+    with run.stage("join"):
+        write_join(result_path, spec, *sides, config.distance,  # type: ignore[arg-type]
+                   both_directions, threshold)
     run.wrote(result_path)
     return run.finish()
 

@@ -219,11 +219,11 @@ class EncoderModel:
 
 
 def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: TokenIds,
-                 rows: int | None = None, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+                 out: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """The embedding rows of the records whose tokens are ``ids`` in
     ``vocab`` (one side of ``prepare.read_token_ids``), in record order, as
-    blocks of about ``_EMBED_CELLS`` floats and at most about ``rows`` rows.
-    A block's records map to table rows in one gather over their flat ids.
+    blocks of about ``_EMBED_CELLS`` floats. A block's records map to table
+    rows in one gather over their flat ids.
 
     No block holds one row (unless there is one record): numpy multiplies
     a single row with gemv, whose last bits differ from gemm's, while with
@@ -234,10 +234,7 @@ def embed_blocks(model: EncoderModel, vocab: Sequence[str], ids: TokenIds,
     """
     table_rows = model.rows(vocab)
     n = len(ids)
-    parts = -(-n * model.dim // _EMBED_CELLS)
-    if rows is not None:
-        parts = max(parts, -(-n // rows))
-    parts = max(1, min(parts, n // 2))
+    parts = max(1, min(-(-n * model.dim // _EMBED_CELLS), n // 2))
     # The blocks of np.array_split: the first n % parts hold one row more.
     size, extra = divmod(n, parts)
     pooled = np.empty((size + (extra > 0), model.dim))

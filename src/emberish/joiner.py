@@ -18,16 +18,18 @@ score and direction. The arrays go from ``_search`` to ``result.csv`` and
 into the metrics with no per-row object; the file renders each distinct
 id once.
 
-Every join is one function, ``scan_join``: a scan per retrieval direction
-(two, one index at a time, for FULL and the INNER union). A scan holds one
-side, the one ``held_side`` names, and streams the other past it as
+Every join is one function, ``scan_join``, over two ``Side``s: each a
+side's ids and a reader of its vectors, whole or in blocks. It runs a
+scan per retrieval direction (two, one index at a time, for FULL and the
+INNER union). A scan holds one side, the one ``held_side`` names, read
+whole into its index, and streams the other past it in ``scan_rows``
 blocks, each dropped once scanned: under l2 it holds the smaller side,
 whether that side queries (``_scan_targets``, which keeps a running
 top-k per query) or is retrieved from (``_scan``); under inner product it
-holds the side retrieved from. ``execute_join`` feeds the scans in-memory
-matrices; ``write_join`` feeds them any stream (blocks read from an
-embeddings file, or embedded as they are needed) and renders rows to
-``result.csv`` as they come, so the larger side is never held whole.
+holds the side retrieved from. ``execute_join``'s sides read in-memory
+matrices; ``write_join`` takes any sides (the CLI's read embeddings
+files) and renders rows to ``result.csv`` as they come, so the larger
+side is never held whole.
 
 An embeddings file is parsed as it is read, whole or a block at a time,
 and a caller that checks its digest hashes the same bytes, so a reused
@@ -39,6 +41,7 @@ from __future__ import annotations
 import os
 import struct
 from array import array
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -60,6 +63,9 @@ _BLOCK_CELLS = 1 << 19
 # Floats per re-scoring step of the l2 shortlist and per partitioned chunk
 # of an l2 or topk block (0.5 MB).
 _RESCORE_CELLS = 1 << 16
+# Floats per block of a streamed side at most (0.5 MB, an embedding block):
+# a larger block adds its rows' scores to the tile past a small index.
+_STREAM_CELLS = 1 << 16
 # Rows per chunk of a result file, formatted and streamed to the file.
 _WRITE_ROWS = 1 << 14
 # Records per block of an embeddings file read for its ids only.
@@ -160,9 +166,10 @@ def held_side(metric: Metric, reverse: bool, n_base: int, n_aux: int) -> bool:
 
 def scan_rows(index: EmbeddingIndex) -> int:
     """Rows per block of the side a scan streams past ``index``: a block
-    of scores, and a block of streamed rows, of about ``_BLOCK_CELLS``
-    floats at most."""
-    return max(1, _BLOCK_CELLS // max(index.n, index.dimension))
+    of scores of about ``_BLOCK_CELLS`` floats at most, and a block of
+    streamed rows of about ``_STREAM_CELLS``."""
+    return max(1, min(_BLOCK_CELLS // max(index.n, index.dimension),
+                      _STREAM_CELLS // index.dimension))
 
 
 def _check_rows(rows: np.ndarray, index: EmbeddingIndex) -> None:
@@ -484,16 +491,26 @@ def scan_order(spec: JoinSpec, both_directions: bool, n_base: int,
     return (spec.join_type == JoinType.RIGHT or (inner and n_base > n_aux),)
 
 
-def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
-              scan: Callable[[bool], tuple[EmbeddingIndex, Iterable[np.ndarray]]],
+@dataclass(frozen=True)
+class Side:
+    """One side of a join: its record ids, and ``read(rows)``, a generator
+    of its vectors in record order, in blocks of ``rows`` rows, or in one
+    block when ``rows`` is None."""
+
+    ids: Sequence[str]
+    read: Callable[[int | None], Iterator[np.ndarray]]
+
+
+def scan_join(spec: JoinSpec, base: Side, aux: Side, metric: Metric = "l2",
               both_directions: bool = False,
               threshold: float | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-    """The ``JoinResult`` columns of ``spec`` over sides with ``base_ids``
-    and ``aux_ids``, from a scan in each direction of ``scan_order``.
-    ``scan(reverse)`` returns the index of the side that ``held_side``
-    names, under the index's metric, and the other side's rows as blocks;
-    it is called once the previous scan's index is dropped, and no block
-    is kept once it is scanned.
+    """The ``JoinResult`` columns of ``spec`` over ``base`` and ``aux``
+    under ``metric``, from a scan in each direction of ``scan_order``.
+    Each scan reads the side that ``held_side`` names whole into its
+    index, once the previous scan's index is dropped, and streams the
+    other side past it in blocks of ``scan_rows`` rows, none kept once it
+    is scanned. The stream is closed when the scan ends or fails, or when
+    this generator is closed.
 
     A query finds the k best records, k the retrieved side's size bound.
     LEFT and RIGHT yield each block's rows, with an ABSENT row at each
@@ -503,6 +520,7 @@ def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
     keeping their (base, aux) pair codes and which records matched, then
     the reverse rows whose pair is not a forward pair; FULL then yields an
     ABSENT row per unmatched base record, then per unmatched aux record."""
+    base_ids, aux_ids = base.ids, aux.ids
     directions = scan_order(spec, both_directions, len(base_ids), len(aux_ids))
     union, inner = len(directions) == 2, spec.join_type == JoinType.INNER
     matched = np.zeros(len(base_ids), bool), np.zeros(len(aux_ids), bool)
@@ -510,29 +528,33 @@ def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
         query_ids, target_ids = (aux_ids, base_ids) if reverse else (base_ids, aux_ids)
         k = spec.left_size if reverse else spec.right_size
         found, stop = [], 0  # matches, or for the forward union scan its pair codes
-        index, blocks = scan(reverse)
-        metric = index.metric
-        if held_side(metric, reverse, len(base_ids), len(aux_ids)) == reverse:
-            hits = _scan_targets(index, blocks, k, threshold, id_ranks(target_ids))
-        else:
-            hits = _scan(index, blocks, k, threshold)
-        del index, blocks  # held by the scan alone, until it ends
-        for start, stop, rows, cols, scores in hits:
-            if union:
-                columns = ranked_columns(rows, cols, scores, reverse)
-                code = columns[0] * len(aux_ids) + columns[1]
-                if reverse:
-                    new = forward[np.searchsorted(forward, code)] != code
-                    columns = tuple(column[new] for column in columns)
-                else:
-                    found.append(code)
-                matched[0][columns[0]] = matched[1][columns[1]] = True
-                yield columns
-            elif inner:
-                found.append((rows, cols, scores))
+        held = held_side(metric, reverse, len(base_ids), len(aux_ids))
+        kept, streamed = (aux, base) if held else (base, aux)
+        (vectors,) = kept.read(None)
+        index = build_index((kept.ids, vectors), metric)
+        del vectors
+        with closing(streamed.read(scan_rows(index))) as blocks:
+            if held == reverse:
+                hits = _scan_targets(index, blocks, k, threshold, id_ranks(target_ids))
             else:
-                yield ranked_columns(rows, cols, scores, reverse,
-                                     np.setdiff1d(np.arange(start, stop), rows))
+                hits = _scan(index, blocks, k, threshold)
+            del index  # held by the scan alone, until it ends
+            for start, stop, rows, cols, scores in hits:
+                if union:
+                    columns = ranked_columns(rows, cols, scores, reverse)
+                    code = columns[0] * len(aux_ids) + columns[1]
+                    if reverse:
+                        new = forward[np.searchsorted(forward, code)] != code
+                        columns = tuple(column[new] for column in columns)
+                    else:
+                        found.append(code)
+                    matched[0][columns[0]] = matched[1][columns[1]] = True
+                    yield columns
+                elif inner:
+                    found.append((rows, cols, scores))
+                else:
+                    yield ranked_columns(rows, cols, scores, reverse,
+                                         np.setdiff1d(np.arange(start, stop), rows))
         if stop != len(query_ids):
             raise JoinError(f"{stop} query rows for {len(query_ids)} query ids")
         if union and not reverse:
@@ -552,18 +574,17 @@ def scan_join(spec: JoinSpec, base_ids: Sequence[str], aux_ids: Sequence[str],
         yield ranked_columns((), (), (), True, np.flatnonzero(~matched[1]))
 
 
-def write_join(path: str | Path, spec: JoinSpec, base_ids: Sequence[str],
-               aux_ids: Sequence[str],
-               scan: Callable[[bool], tuple[EmbeddingIndex, Iterable[np.ndarray]]],
-               both_directions: bool = False, threshold: float | None = None) -> None:
+def write_join(path: str | Path, spec: JoinSpec, base: Side, aux: Side,
+               metric: Metric = "l2", both_directions: bool = False,
+               threshold: float | None = None) -> None:
     """Write the result file of ``scan_join`` through ``atomic_write``,
-    rendering rows as ``scan_join`` yields them; a join that fails leaves
-    the old file whole."""
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-        write = result_writer(fh, base_ids, aux_ids)
-        for base, aux, rank, score, _ in scan_join(spec, base_ids, aux_ids, scan,
-                                                   both_directions, threshold):
-            write(base, aux, rank, score)
+    rendering rows as ``scan_join`` yields them; a join that fails closes
+    its stream and leaves the old file whole."""
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh, \
+            closing(scan_join(spec, base, aux, metric, both_directions, threshold)) as columns:
+        write = result_writer(fh, base.ids, aux.ids)
+        for base_at, aux_at, rank, score, _ in columns:
+            write(base_at, aux_at, rank, score)
 
 
 def execute_join(
@@ -575,20 +596,20 @@ def execute_join(
     both_directions: bool = False,
 ) -> JoinResult:
     """Execute the join over precomputed embeddings: ``scan_join`` over
-    the matrix of each scan's streamed side, ``scan_rows`` rows at a time,
-    with the index of its held side built as the scan starts."""
+    sides that slice each matrix into the blocks a scan reads."""
     base_ids, aux_ids = tuple(base_emb[0]), tuple(aux_emb[0])
     if not base_ids or not aux_ids:
         raise JoinError("both sides must have at least one embedding")
 
-    def scan(reverse: bool) -> tuple[EmbeddingIndex, Iterator[np.ndarray]]:
-        held = held_side(metric, reverse, len(base_ids), len(aux_ids))
-        held_emb, (_, streamed) = (aux_emb, base_emb) if held else (base_emb, aux_emb)
-        index = build_index(held_emb, metric)
-        step = scan_rows(index)
-        return index, (streamed[at : at + step] for at in range(0, len(streamed), step))
+    def side(ids: tuple[str, ...], vectors: np.ndarray) -> Side:
+        def read(rows: int | None) -> Iterator[np.ndarray]:
+            step = rows or len(vectors)
+            for at in range(0, len(vectors), step):
+                yield vectors[at : at + step]
+        return Side(ids, read)
 
-    columns = scan_join(spec, base_ids, aux_ids, scan, both_directions, threshold)
+    columns = scan_join(spec, side(base_ids, base_emb[1]), side(aux_ids, aux_emb[1]), metric,
+                        both_directions, threshold)
     return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*columns)))
 
 

@@ -408,10 +408,10 @@ def append_row(path):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the sides the join embeds (an ``embed_tokens`` call for a
-    side it holds whole, an ``embed_blocks`` call for a side it streams)
-    and of the dataset files it reads (one per ``load_dataset`` call, one
-    per path of a ``read_token_ids`` call)."""
+    """Counts of the sides a command embeds (an ``embed_tokens`` call for a
+    side embedded in memory, an ``embed_blocks`` call for a side a join
+    embeds into its file) and of the dataset files it reads (one per
+    ``load_dataset`` call, one per path of a ``read_token_ids`` call)."""
     import emberish.cli as cli_mod
 
     calls = {"embed": 0, "load": 0}
@@ -572,9 +572,10 @@ class TestEmbeddingsReuse:
 
 
 class TestStreamedJoin:
-    """Every learned join streams the side that each scan does not hold
-    block by block, read from its embeddings file or embedded into it as
-    the scan goes, and writes the bytes of the in-memory path."""
+    """Every learned join embeds each side it does not reuse into its
+    embeddings file first; each scan then reads the side it holds whole
+    from its file and streams the other block by block from its file, and
+    the join writes the bytes of the in-memory path."""
 
     WORDS = [f"w{i}" for i in range(6)]
 
@@ -642,6 +643,49 @@ class TestStreamedJoin:
                 *([[embed_again == "aux", embed_again == "base"]] if embed_again else [])]
             same_join_files(streamed, memory)
             assert not list(streamed.glob(".*.partial"))
+
+    @pytest.mark.parametrize("join_type", [JoinType.LEFT, JoinType.FULL])
+    @pytest.mark.parametrize("num_encoders", [1, 2])
+    def test_a_fresh_join_scans_only_files(self, tmp_path, monkeypatch, join_type,
+                                           num_encoders):
+        # When the first scan starts, both embeddings files already hold
+        # their final bytes, with no temporary copy of either left (only
+        # result.csv's), and every model the join loaded is gone.
+        import weakref
+
+        import emberish.cli as cli_mod
+        from emberish import joiner
+
+        d = tmp_path / "d"
+        trained(d, num_encoders=num_encoders)
+        models, first_scan = [], []
+        load_model = cli_mod._load_model
+
+        def loading(*args, **kwargs):
+            model = load_model(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model
+
+        def watched(scan):
+            def scanning(*args, **kwargs):
+                if not first_scan:
+                    first_scan.append((
+                        [model() is None for model in models],
+                        {name: (d / name).read_bytes() if (d / name).exists() else None
+                         for name in EMBEDDINGS},
+                        list(d.glob(".embeddings_*.partial"))))
+                return scan(*args, **kwargs)
+            return scanning
+
+        monkeypatch.setattr(cli_mod, "_load_model", loading)
+        for name in ("_scan", "_scan_targets"):
+            monkeypatch.setattr(joiner, name, watched(getattr(joiner, name)))
+        manifest = cmd_join(fast_config(d, join_type=join_type, num_encoders=num_encoders))
+        assert [r["reused"] for r in manifest.embeddings.values()] == [False, False]
+        ((dead, files, partial),) = first_scan
+        assert len(dead) == num_encoders and all(dead)
+        assert files == {name: (d / name).read_bytes() for name in EMBEDDINGS}
+        assert partial == []
 
     @pytest.mark.parametrize("join_type", [JoinType.LEFT, JoinType.FULL])
     @pytest.mark.parametrize("reused", [True, False])

@@ -3,7 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
-from contextlib import ExitStack, closing
+from contextlib import closing
 from pathlib import Path
 from unittest.mock import patch
 
@@ -48,6 +48,16 @@ def pair(entries):
 def grid_embeddings(prefix, n, d, seed):
     rng = np.random.default_rng(seed)
     return tuple(f"{prefix}{i}" for i in range(n)), rng.normal(size=(n, d))
+
+
+def file_side(path):
+    """A join side read from its embeddings file, whole or in blocks."""
+    def read(rows):
+        with closing(joiner.read_embeddings(path, rows=rows)) as blocks:
+            for _, vectors in blocks:
+                yield vectors
+
+    return joiner.Side(joiner.embeddings_ids(path), read)
 
 
 class TestIndexAndKnn:
@@ -329,11 +339,12 @@ class TestBlockedScan:
         index = build_index(grid_embeddings("a", 500, dim, 98))
         left = spec(JoinType.LEFT, right=10)
 
+        def held(rows):
+            yield index.vectors
+
         def join():
-            ids = joiner.embeddings_ids(queries)
-            with closing(joiner.read_embeddings(queries, rows=joiner.scan_rows(index))) as blocks:
-                joiner.write_join(tmp_path / "result.csv", left, ids, index.ids,
-                                  lambda reverse: (index, (vectors for _, vectors in blocks)))
+            joiner.write_join(tmp_path / "result.csv", left, file_side(queries),
+                              joiner.Side(index.ids, held), "l2")
 
         join()  # numpy's lazy imports happen before the join that is measured
         tracemalloc.start()
@@ -366,15 +377,7 @@ class TestBlockedScan:
         full = spec(JoinType.FULL, left=5, right=5)
 
         def join():
-            ids = [joiner.embeddings_ids(path) for path in files]
-            with ExitStack() as streams:
-                def scan(reverse):
-                    index = build_index(load_embeddings(files[1]))
-                    blocks = streams.enter_context(closing(
-                        joiner.read_embeddings(files[0], rows=joiner.scan_rows(index))))
-                    return index, (vectors for _, vectors in blocks)
-
-                joiner.write_join(tmp_path / "result.csv", full, *ids, scan)
+            joiner.write_join(tmp_path / "result.csv", full, *map(file_side, files), "l2")
 
         join()  # numpy's lazy imports happen before the join that is measured
         tracemalloc.start()
@@ -405,15 +408,7 @@ class TestBlockedScan:
         assert joiner.held_side("l2", True, *sizes.values())
 
         def join():
-            ids = [joiner.embeddings_ids(path) for path in files]
-            with ExitStack() as streams:
-                def scan(reverse):
-                    index = build_index(load_embeddings(files[1]))
-                    blocks = streams.enter_context(closing(
-                        joiner.read_embeddings(files[0], rows=joiner.scan_rows(index))))
-                    return index, (vectors for _, vectors in blocks)
-
-                joiner.write_join(tmp_path / "result.csv", inner, *ids, scan)
+            joiner.write_join(tmp_path / "result.csv", inner, *map(file_side, files), "l2")
 
         join()  # numpy's lazy imports happen before the join that is measured
         tracemalloc.start()
@@ -425,6 +420,38 @@ class TestBlockedScan:
         assert peak < sizes["base"] * dim * 8
         whole = execute_join(inner, *map(load_embeddings, files))
         assert (tmp_path / "result.csv").read_bytes() == to_csv_text(whole).encode("utf-8")
+
+    @pytest.mark.parametrize("n, rows", [(1000, 327), (2000, 262)])
+    def test_a_streamed_block_is_an_embedding_block_at_most(self, n, rows):
+        # 2^16 floats (327 rows of 200) past a small index; past a larger one
+        # the 2^19-float block of scores is the bound.
+        assert joiner.scan_rows(build_index(grid_embeddings("a", n, 200, 101))) == rows
+
+    @pytest.mark.parametrize("join_type", [JoinType.LEFT, JoinType.FULL])
+    def test_a_join_that_fails_mid_stream_closes_its_stream(self, tmp_path, join_type):
+        # The streamed side's second block has the wrong width: the scan
+        # fails, and the stream is closed before the error leaves
+        # write_join, with no garbage collection. The error's traceback,
+        # which holds the scan's frames, is kept alive.
+        closed = []
+
+        def streamed(rows):
+            try:
+                yield np.zeros((1, 3))
+                yield np.zeros((1, 4))
+            finally:
+                closed.append(rows)
+
+        def held(rows):
+            yield np.zeros((1, 3))
+
+        base = joiner.Side(("b0", "b1"), streamed)
+        aux = joiner.Side(("a0",), held)
+        with pytest.raises(JoinError, match="row dimension") as failure:
+            joiner.write_join(tmp_path / "result.csv", spec(join_type), base, aux, "l2")
+        assert closed == [joiner._STREAM_CELLS // 3]
+        assert failure.tb is not None
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("metric, sizes, held", [
         ("l2", (5, 8), (False, False)), ("l2", (8, 5), (True, True)),
