@@ -11,9 +11,11 @@ reuse into its file, and drops the models and token ids; then every side
 is a verified file, and ``joiner.write_join`` scans once per retrieval
 direction (FULL and the INNER union twice, in turn), holding one side per
 scan read whole from its file and streaming the other past it a block at
-a time, and writes the rows to result.csv as they come. Exit codes: 0
-success, 1 validation error, 2 runtime failure, such as an embeddings
-file that changed during the join.
+a time, and writes the rows to result.csv as they come. A baseline join
+writes result.csv one rank block at a time, and evaluate keeps only the
+result rows its metrics read. Exit codes: 0 success, 1 validation error,
+2 runtime failure, such as an embeddings file that changed during the
+join.
 """
 
 from __future__ import annotations
@@ -61,13 +63,13 @@ from .evalkit import (
     mrr_at_k,
     recall_at_k,
     run_comparison,
+    scored_rows,
 )
 from .joiner import (
     EMBEDDINGS_VERSION,
     EmbeddingIndex,
     Embeddings,
     JoinError,
-    JoinResult,
     Side,
     aggregate_labels,
     build_index,
@@ -80,6 +82,7 @@ from .joiner import (
     read_embeddings,
     scan_order,
     write_join,
+    write_result,
 )
 from .joinspec import (
     ConfigError,
@@ -162,8 +165,10 @@ class RunManifest:
         hashed the bytes it read."""
         self.inputs[str(path)] = digest or _sha256(path)
 
-    def add_output(self, path: Path) -> None:
-        self.outputs[str(path)] = _sha256(path)
+    def add_output(self, path: Path, digest: str | None = None) -> None:
+        """Record ``path`` as written, with ``digest`` when the caller
+        hashed the bytes as it wrote them."""
+        self.outputs[str(path)] = digest or _sha256(path)
 
     def write(self, path: Path) -> None:
         with atomic_write(path, "w", encoding="utf-8") as fh:
@@ -192,9 +197,10 @@ class _Run:
             if str(path) not in self.manifest.inputs:
                 self.manifest.add_input(path)
 
-    def wrote(self, *paths: Path) -> None:
-        for path in paths:
-            self.manifest.add_output(path)
+    def wrote(self, path: Path, digest: str | None = None) -> None:
+        """Record ``path`` as an output, with ``digest`` when the caller
+        hashed the bytes as it wrote them; else the file is read back."""
+        self.manifest.add_output(path, digest)
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -396,16 +402,19 @@ def _reread(run: _Run, path: Path, rows: int | None) -> Iterator[np.ndarray]:
 
 
 def _embed_file(model: EncoderModel, features: tuple[Sequence[str], TokenIds],
-                ids: Sequence[str], path: Path) -> None:
+                ids: Sequence[str], path: Path) -> str:
     """Embed one side, from ``features`` (the vocabulary and the side's
     token ids), into the embeddings file at ``path`` with its ``ids``, one
-    ``embed_blocks`` block at a time, through ``atomic_write``."""
+    ``embed_blocks`` block at a time, through ``atomic_write``. Returns the
+    sha256 of the bytes written."""
+    sha = hashlib.sha256()
     with atomic_write(path) as fh:
-        write = embeddings_writer(fh, len(ids), model.dim)
+        write = embeddings_writer(fh, len(ids), model.dim, sha.update)
         start = 0
         for block in embed_blocks(model, *features):
             write(ids[start : start + len(block)], block)
             start += len(block)
+    return sha.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +529,16 @@ def cmd_train(
     # removes any left from an earlier two-encoder run.
     aux_model_path = data_dir / "model_aux.bin"
     if config.num_encoders == 2:
-        save_model(fit.models[-1], aux_model_path)
-        run.wrote(aux_model_path)
+        save_model(fit.models[-1], aux_model_path, (sha := hashlib.sha256()).update)
+        run.wrote(aux_model_path, sha.hexdigest())
     else:
         aux_model_path.unlink(missing_ok=True)
-    save_model(fit.model, model_path)
+    save_model(fit.model, model_path, (sha := hashlib.sha256()).update)
+    run.wrote(model_path, sha.hexdigest())
     trace_path = data_dir / "loss_trace.csv"
     write_table(trace_path, ["stage", "epoch", "loss"],
                 ((stage, epoch, repr(loss)) for stage, epoch, loss in fit.trace))
-    run.wrote(model_path, trace_path)
+    run.wrote(trace_path)
     return run.finish()
 
 
@@ -623,14 +633,17 @@ def cmd_join(
 
     result_path = run.data_dir / "result.csv"
     if baseline is not None:
+        # Each rank block is written to result.csv as it is ranked.
         with run.stage("baseline_join"):
             if uses_key_column(baseline):
-                result = key_join(baseline, *datasets, key_column, k=spec.right_size)
+                ids = [dataset.ids() for dataset in datasets]
+                columns = key_join(baseline, *datasets, key_column, k=spec.right_size)
             else:
                 tokenizer = baseline_tokenizer(baseline)
                 ids, features = _featurize(paths, [tokenizer], datasets)
-                result = lexical_join(baseline, *ids, features[tokenizer], k=spec.right_size)
-        result.write_csv(result_path)
+                columns = lexical_join(baseline, ids[1], features.pop(tokenizer),
+                                       k=spec.right_size)
+            write_result(result_path, *ids, columns)
         run.wrote(result_path)
         return run.finish()
 
@@ -672,9 +685,8 @@ def cmd_join(
     if embedded:
         with run.stage("embed"):
             for side in embedded:
-                _embed_file(loaded[models[side]], (vocab, tokens.pop(side)), ids[side],
-                            files[side])
-                run.wrote(files[side])
+                run.wrote(files[side], _embed_file(
+                    loaded[models[side]], (vocab, tokens.pop(side)), ids[side], files[side]))
     # Every side is a verified file now: the scans need no model or records.
     del loaded, vocab, tokens, datasets
 
@@ -765,7 +777,8 @@ def cmd_evaluate(
     else:
         results_path = Path(results_path) if results_path else run.data_dir / "result.csv"
         run.read(results_path)
-        result = JoinResult.from_csv(results_path)
+        # Only the rows the metrics read are kept, though every line is checked.
+        result = scored_rows(results_path, truth, max(ks))
         with run.stage("metrics"):
             rows = []
             printable_lines = []

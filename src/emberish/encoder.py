@@ -658,23 +658,35 @@ def _source_blocks(model: EncoderModel):
         yield from _blocks(read, model.hash_dim, model.row_buckets)
 
 
-def save_model(model: EncoderModel, path: str | Path) -> None:
+def save_model(model: EncoderModel, path: str | Path,
+               digest: Callable[[bytes], object] | None = None) -> None:
     """Write the header, then the table and the affine block (projection,
     then bias) as little-endian float64, row-major, to a temporary file beside ``path``
     that then replaces it, so a model can be saved over the file it was
     read from. A full model writes its table; any other writes its source's
-    table block by block, with the rows it holds put in place."""
+    table block by block, with the rows it holds put in place. With
+    ``digest``, such as a ``hashlib`` object's ``update``, every block
+    written is passed to it too, so the file need not be read back to be
+    hashed."""
+    header = _HEADER.pack(_MAGIC, _VERSION, model.hash_dim, model.dim, model.hash_seed,
+                          1 if model.normalize else 0)
     with atomic_write(path) as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, model.hash_dim, model.dim, model.hash_seed,
-                              1 if model.normalize else 0))
+        def write(array: np.ndarray) -> None:
+            _write_f8(fh, array)
+            if digest is not None:
+                digest(memoryview(np.ascontiguousarray(array, "<f8")).cast("B"))
+
+        fh.write(header)
+        if digest is not None:
+            digest(header)
         if model.row_buckets.size == model.hash_dim:
-            _write_f8(fh, model.table)
+            write(model.table)
         else:
             with closing(_source_blocks(model)) as blocks:
                 for block, held, at in blocks:
                     block[at] = model.table[held]
-                    _write_f8(fh, block)
-        _write_f8(fh, model.affine)
+                    write(block)
+        write(model.affine)
 
 
 def load_model(path: str | Path, tokens: Iterable[str] | None = None) -> EncoderModel:
@@ -792,12 +804,21 @@ def fit_encoder(
     elif (pretrain or tiered) and lexical is None:
         raise EncoderError("pretraining and the stratified samplers rank whitespace tokens: "
                            f"under tokenizer {config.tokenizer!r} pass them as lexical")
+    # With pretraining, the BM25 tiers rank every base record, once: the
+    # pretraining positives are their first ids, and the anchors keep theirs.
+    ranked = None
+    if pretrain and tiered and config.sampler == "stratified_bm25":
+        ranked = build_tiers(base_ids, base_ids, aux_ids, SamplerConfig(kind=config.sampler),
+                             lexical)
     if pretrain:
-        ptriples = build_pretraining_pairs(base_ids, aux_ids, lexical, seed=config.seed)
+        ptriples = build_pretraining_pairs(base_ids, aux_ids, lexical, seed=config.seed,
+                                           tiers=ranked)
     if pairs is not None:
-        tiers = build_tiers(pairs, base_ids, aux_ids, SamplerConfig(kind=config.sampler),
-                            lexical)
-    del lexical
+        anchors = dict.fromkeys(pair.base_id for pair in pairs)
+        tiers = (build_tiers(anchors, base_ids, aux_ids, SamplerConfig(kind=config.sampler),
+                             lexical) if ranked is None
+                 else {anchor: ranked[anchor] for anchor in anchors})
+    del lexical, ranked
 
     if pretrain:
         result = train(model, ptriples, base_ids, aux_ids, features, tcfg, shared=True)

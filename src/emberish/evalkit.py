@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -83,6 +84,15 @@ def _topk_by_base(result: JoinResult, truth: TruthSet,
     best = np.full(len(sizes), np.inf)
     np.minimum.at(best, truth_index[base[hit]], rank[hit])
     return edge_base, np.isin(edges, pairs), best
+
+
+def scored_rows(path: str | Path, truth: TruthSet, k: int) -> JoinResult:
+    """The rows of the result file at ``path`` that ``recall_at_k`` and
+    ``mrr_at_k`` read at any k up to ``k``: those of truth base records,
+    ranked at most ``k``. Every line is still checked, so a malformed one
+    raises ``JoinError`` naming it (``JoinResult.from_csv``)."""
+    related = truth.related
+    return JoinResult.from_csv(path, lambda base_id, rank: rank <= k and base_id in related)
 
 
 def recall_at_k(result: JoinResult, truth: TruthSet, k: int) -> float:
@@ -203,11 +213,13 @@ def run_comparison(
     for method in methods:
         if method in ENCODER_METHODS:
             result = retrieval_result(*embeddings[method], kmax, metric=metric)
-        elif uses_key_column(method):
-            result = key_join(method, *datasets, key_column, k=kmax)  # type: ignore[misc]
         else:
-            result = lexical_join(method, base_ids, aux_ids,
-                                  features[baseline_tokenizer(method)], k=kmax)
+            if uses_key_column(method):
+                columns = key_join(method, *datasets, key_column, k=kmax)  # type: ignore[misc]
+            else:
+                columns = lexical_join(method, aux_ids, features[baseline_tokenizer(method)],
+                                       k=kmax)
+            result = JoinResult.from_columns(base_ids, aux_ids, columns)
         for k in ks:
             rows.append((method, k, recall_at_k(result, truth, k)))
     return ComparisonTable(rows=rows)

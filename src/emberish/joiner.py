@@ -380,6 +380,16 @@ class JoinResult:
                    aux_at[np.frombuffer(aux, np.int64)], np.frombuffer(rank, np.int64),
                    np.frombuffer(score, np.float64), np.zeros(len(rank), bool))
 
+    @classmethod
+    def from_columns(cls, base_ids: Sequence[str], aux_ids: Sequence[str],
+                     columns: Iterable[tuple[np.ndarray, ...]]) -> "JoinResult":
+        """The result over ``base_ids`` and ``aux_ids`` whose rows are the
+        blocks of ``columns`` ``(base, aux, rank, score, reverse)``, in
+        order; no block gives no row."""
+        empty = ranked_columns((), (), ())
+        return cls(tuple(base_ids), tuple(aux_ids),
+                   *map(np.concatenate, zip(empty, *columns)))
+
     def _write_rows(self, fh: TextIO) -> None:
         """Write the result file to ``fh`` through ``result_writer``."""
         result_writer(fh, self.base_ids, self.aux_ids)(self.base, self.aux, self.rank,
@@ -391,9 +401,12 @@ class JoinResult:
             self._write_rows(fh)
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "JoinResult":
+    def from_csv(cls, path: str | Path,
+                 keep: Callable[[str, int], bool] | None = None) -> "JoinResult":
         """Read a result file, streaming its rows into columns; a malformed
-        line raises ``JoinError`` naming it."""
+        line raises ``JoinError`` naming it. With ``keep``, only the rows
+        for which ``keep(base_id, rank)`` is true are kept, though every
+        line is checked."""
         lines = read_table(path)
         line_no, header = next(lines, (1, None))
         if header is None or header[:4] != ["base_id", "aux_id", "rank", "score"]:
@@ -409,7 +422,8 @@ class JoinResult:
                 except ValueError:
                     raise JoinError(f"{path}: line {line_no}: expected an id pair, "
                                     f"an integer rank and a score, found {row!r}") from None
-                yield base_id, aux_id, rank, score
+                if keep is None or keep(base_id, rank):
+                    yield base_id, aux_id, rank, score
 
         return cls.from_ids(rows())
 
@@ -574,17 +588,25 @@ def scan_join(spec: JoinSpec, base: Side, aux: Side, metric: Metric = "l2",
         yield ranked_columns((), (), (), True, np.flatnonzero(~matched[1]))
 
 
+def write_result(path: str | Path, base_ids: Sequence[str], aux_ids: Sequence[str],
+                 columns: Iterable[tuple[np.ndarray, ...]]) -> None:
+    """Write the result file over ``base_ids`` and ``aux_ids`` through
+    ``atomic_write``, rendering each block of ``columns`` ``(base, aux,
+    rank, score, reverse)`` as it comes; a failure leaves the old file
+    whole."""
+    with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
+        write = result_writer(fh, base_ids, aux_ids)
+        for base_at, aux_at, rank, score, _ in columns:
+            write(base_at, aux_at, rank, score)
+
+
 def write_join(path: str | Path, spec: JoinSpec, base: Side, aux: Side,
                metric: Metric = "l2", both_directions: bool = False,
                threshold: float | None = None) -> None:
-    """Write the result file of ``scan_join`` through ``atomic_write``,
-    rendering rows as ``scan_join`` yields them; a join that fails closes
+    """``write_result`` of ``scan_join``'s blocks: a join that fails closes
     its stream and leaves the old file whole."""
-    with atomic_write(path, "w", encoding="utf-8", newline="") as fh, \
-            closing(scan_join(spec, base, aux, metric, both_directions, threshold)) as columns:
-        write = result_writer(fh, base.ids, aux.ids)
-        for base_at, aux_at, rank, score, _ in columns:
-            write(base_at, aux_at, rank, score)
+    with closing(scan_join(spec, base, aux, metric, both_directions, threshold)) as columns:
+        write_result(path, base.ids, aux.ids, columns)
 
 
 def execute_join(
@@ -610,7 +632,7 @@ def execute_join(
 
     columns = scan_join(spec, side(base_ids, base_emb[1]), side(aux_ids, aux_emb[1]), metric,
                         both_directions, threshold)
-    return JoinResult(base_ids, aux_ids, *map(np.concatenate, zip(*columns)))
+    return JoinResult.from_columns(base_ids, aux_ids, columns)
 
 
 def chain_joins(
@@ -683,18 +705,26 @@ def embeddings_count(path: str | Path) -> int:
     return _header(path, data)[0]
 
 
-def embeddings_writer(fh: BinaryIO, count: int,
-                      dim: int) -> Callable[[Sequence[str], np.ndarray], None]:
+def embeddings_writer(fh: BinaryIO, count: int, dim: int,
+                      digest: Callable[[bytes], object] | None = None
+                      ) -> Callable[[Sequence[str], np.ndarray], None]:
     """Write the header of an embeddings file of ``count`` records of
     ``dim`` floats to ``fh``, and return the function that writes the next
     records after it from their ids and rows: per record a u32 id length,
-    the UTF-8 id and its row of little-endian float64 values."""
-    fh.write(_EMB_HEADER.pack(_EMB_MAGIC, EMBEDDINGS_VERSION, count, dim))
+    the UTF-8 id and its row of little-endian float64 values. With
+    ``digest``, as for ``read_embeddings``, every byte written is passed
+    to it too."""
+    def put(data: bytes) -> None:
+        fh.write(data)
+        if digest is not None:
+            digest(data)
+
+    put(_EMB_HEADER.pack(_EMB_MAGIC, EMBEDDINGS_VERSION, count, dim))
 
     def write(ids: Sequence[str], vectors: np.ndarray) -> None:
         for rid, row in zip(ids, np.ascontiguousarray(vectors, dtype="<f8")):
             encoded = rid.encode("utf-8")
-            fh.write(_EMB_ID_LEN.pack(len(encoded)) + encoded + row.tobytes())
+            put(_EMB_ID_LEN.pack(len(encoded)) + encoded + row.tobytes())
 
     return write
 

@@ -6,29 +6,31 @@ variant ln((N - df + 0.5)/(df + 0.5) + 1), so scores never go negative.
 A built index is immutable; scoring it from many threads is safe.
 
 Every lexical ranking goes through ``rank``: queries scored in blocks,
-one ``joiner.topk`` per block. BM25 and Jaccard score a query, as its
-``prepare.token_ids`` vocabulary ids, against every document from CSR
-posting lists per id, with one ``np.bincount`` over its ids' postings:
-weighted by BM25 contributions in ``Bm25Index.scores``, counting |A ∩ B|
-in ``jaccard_topk``. The postings are built by ``_invert`` straight from
-the documents' flat ``prepare.TokenIds`` array and its offsets. LD scores
-by edit distance.
+one ``joiner.topk`` per block, each block yielded as it is ranked. BM25
+and Jaccard score a query, as its ``prepare.token_ids`` vocabulary ids,
+against every document from CSR posting lists per id, with one
+``np.bincount`` over its ids' postings: weighted by BM25 contributions in
+``Bm25Index.scores``, counting |A ∩ B| in ``jaccard_topk``. The postings
+are built by ``_invert`` straight from the documents' flat
+``prepare.TokenIds`` array and its offsets. LD scores by edit distance.
 
 ``lexical_join`` runs the baselines of whole records (BM25, J-WS, J-2G)
-from the two sides' ids and token ids alone; ``key_join`` runs the
+from the aux ids and the two sides' token ids alone; ``key_join`` runs the
 key-column baselines (LD, JK-WS, JK-2G), which read the records' text.
+Both yield a ``JoinResult``'s columns one rank block at a time, so a
+caller can write each block before the next is ranked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .joiner import JoinResult, id_ranks, ranked_columns, topk
+from .joiner import id_ranks, ranked_columns, topk
 from .prepare import Features, TokenIds, code_tokens, tokenize
 
 BASELINE_KINDS = ("LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25")
@@ -128,22 +130,28 @@ def _kind(kind: str) -> str:
 
 def rank(queries: Iterable[Any], score: Callable[[Any], np.ndarray], n_docs: int, k: int,
          id_rank: np.ndarray, descending: bool = True,
-         keep: Callable[[np.ndarray], np.ndarray] | None = None) -> tuple[np.ndarray, ...]:
+         keep: Callable[[np.ndarray], np.ndarray] | None = None
+         ) -> Iterator[tuple[np.ndarray, ...]]:
     """The best ``k`` of ``n_docs`` documents for each query, whose row of
-    document scores is ``score(query)``, as ``joiner._search`` returns them:
-    ``(rows, cols, scores)`` ordered by query position, then rank. Highest
-    first unless not ``descending``, ties by ascending ``id_rank``, and only
-    the scores ``keep`` marks True in a block. Blocks hold about
-    ``_LEX_CELLS`` scores, one ``topk`` each."""
-    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    document scores is ``score(query)``, per block of queries as it is
+    ranked: ``(rows, cols, scores)`` ordered by query position, then rank,
+    as ``joiner._search`` returns them. Highest first unless not
+    ``descending``, ties by ascending ``id_rank``, and only the scores
+    ``keep`` marks True in a block. Blocks hold about ``_LEX_CELLS``
+    scores, one ``topk`` each; ``gather`` joins them."""
     step = max(1, _LEX_CELLS // max(n_docs, 1))
     queries, start = iter(queries), 0
     while block := list(islice(queries, step)):
         scores = np.array([score(query) for query in block], dtype=np.float64)
         rows, cols = topk(scores, k, id_rank, descending, None if keep is None else keep(scores))
-        found.append((rows + start, cols, scores[rows, cols]))
+        yield rows + start, cols, scores[rows, cols]
         start += len(block)
-    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def gather(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The ``(rows, cols, scores)`` of every block of ``rank``, in order."""
+    empty = (np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
+    return tuple(map(np.concatenate, zip(empty, *blocks)))
 
 
 def jaccard(a: set, b: set) -> float:
@@ -160,7 +168,7 @@ def jaccard_topk(
     k: int,
     id_rank: np.ndarray,
     min_similarity: float | None = None,
-) -> tuple[np.ndarray, ...]:
+) -> Iterator[tuple[np.ndarray, ...]]:
     """``rank`` of the queries against the documents, as sets of their ids
     below ``vocab_size``, by Jaccard similarity: descending, ties by
     ascending ``id_rank``, and only similarities >= ``min_similarity`` when given.
@@ -228,10 +236,12 @@ def _checked(kind: str, k: int, key_kind: bool) -> str:
     return kind
 
 
-def _ranked_join(kind: str, base_ids: Sequence[str], aux_ids: Sequence[str],
-                 features: Features, k: int) -> JoinResult:
+def _ranked_join(kind: str, aux_ids: Sequence[str], features: Features,
+                 k: int) -> Iterator[tuple[np.ndarray, ...]]:
     """BM25 or Jaccard (any other ``kind``) of the base records against the
-    aux records, from their token ids."""
+    aux records, whose ids are ``aux_ids``, from their token ids: the
+    ``JoinResult`` columns of each rank block. The index is built by the
+    call, before the first block is asked for."""
     vocab, (queries, docs) = features
     if kind == "BM25":
         index = build_bm25_index(aux_ids, docs, len(vocab))
@@ -240,27 +250,29 @@ def _ranked_join(kind: str, base_ids: Sequence[str], aux_ids: Sequence[str],
     else:
         found = jaccard_topk(queries, docs, len(vocab), k, id_ranks(aux_ids),
                              JACCARD_MIN_SIMILARITY)
-    return JoinResult(tuple(base_ids), tuple(aux_ids), *ranked_columns(*found))
+    return (ranked_columns(*block) for block in found)
 
 
 def lexical_join(
     kind: str,
-    base_ids: Sequence[str],
     aux_ids: Sequence[str],
     features: Features,
     k: int = 10,
-) -> JoinResult:
+) -> Iterator[tuple[np.ndarray, ...]]:
     """Baseline join of whole records (BM25, J-WS or J-2G), ranked by
     ``rank`` from ``features``: the base and aux records' token ids under
     ``baseline_tokenizer(kind)``, as ``prepare.read_token_ids`` gives them,
-    for records with ids ``base_ids`` and ``aux_ids``.
+    the aux records' ids being ``aux_ids``. It yields the columns
+    ``(base, aux, rank, score, reverse)`` of the result over the base and
+    aux ids one rank block at a time; ``JoinResult.from_columns`` joins
+    them. The kind and ``k`` are checked, and the index built, at the call.
 
     The Jaccard variants keep similarity >= 0.3 (descending), counted from
     posting lists over the aux token sets by ``jaccard_topk`` (two empty
     sets score 0.0, so they never match). BM25 keeps positive scores
     (descending). Ties always break by ascending aux id.
     """
-    return _ranked_join(_checked(kind, k, key_kind=False), base_ids, aux_ids, features, k)
+    return _ranked_join(_checked(kind, k, key_kind=False), aux_ids, features, k)
 
 
 def key_join(
@@ -269,9 +281,11 @@ def key_join(
     aux: Dataset,
     key_column: str | None,
     k: int = 10,
-) -> JoinResult:
+) -> Iterator[tuple[np.ndarray, ...]]:
     """Baseline join on the ``key_column`` value of each record (LD, JK-WS
-    or JK-2G), so it reads the records themselves.
+    or JK-2G), so it reads the records themselves. It yields the columns
+    of the ``JoinResult`` over the datasets' ids per rank block, as
+    ``lexical_join`` does.
 
     LD keeps candidates within 30 edits (ascending distance), and skips
     the edit DP for keys whose lengths differ by more. JK-WS and JK-2G
@@ -286,7 +300,7 @@ def key_join(
         mode = baseline_tokenizer(kind)
         features = code_tokens((tokenize(_key_text(r, key_column), mode) for r in dataset.records)
                                for dataset in (base, aux))
-        return _ranked_join(kind, base.ids(), aux_ids, features, k)
+        return _ranked_join(kind, aux_ids, features, k)
     aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
 
     def distances(text: str) -> np.ndarray:
@@ -299,4 +313,4 @@ def key_join(
     found = rank((_key_text(r, key_column).lower() for r in base.records), distances,
                  aux.n, k, id_ranks(aux_ids), descending=False,
                  keep=lambda dists: dists <= LD_MAX_DISTANCE)
-    return JoinResult(base.ids(), aux_ids, *ranked_columns(*found))
+    return (ranked_columns(*block) for block in found)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .data import (
     SupervisionTriple,
 )
 from .joiner import id_ranks
-from .lexrank import build_bm25_index, jaccard_topk, rank
+from .lexrank import build_bm25_index, gather, jaccard_topk, rank
 from .prepare import Features
 
 
@@ -62,29 +62,34 @@ class PerturbationConfig:
             raise SampleError("copies_per_row must be >= 1")
 
 
-def build_tiers(pairs: list[SupervisionPair], base_ids: Sequence[str], aux_ids: Sequence[str],
+def build_tiers(anchors: Iterable[str], base_ids: Sequence[str], aux_ids: Sequence[str],
                 cfg: SamplerConfig, features: Features) -> dict[str, list[str]]:
-    """Each anchor's top ``tier_size`` auxiliary records by BM25 or Jaccard,
-    zero scores included, ties by ascending id; none for the random
-    sampler. Seed-independent. All anchors are ranked in one ``rank`` call
-    over ``features``, the whitespace ``token_ids`` of the base and aux
-    datasets, whose records have ids ``base_ids`` and ``aux_ids``."""
+    """The top ``tier_size`` auxiliary records of each of the ``anchors``
+    (base ids; a repeat counts once) by BM25 or Jaccard, zero scores
+    included, ties by ascending id; none for the random sampler.
+    Seed-independent. All anchors are ranked in one ``rank`` call over
+    ``features``, the whitespace ``token_ids`` of the base and aux
+    datasets, whose records have ids ``base_ids`` and ``aux_ids``, and
+    each rank block becomes its anchors' tiers as it is ranked."""
     if cfg.kind == "random":
         return {}
-    anchors = list(dict.fromkeys(pair.base_id for pair in pairs))  # in pair order
+    anchors = list(dict.fromkeys(anchors))
     vocab, (base_tokens, aux_tokens) = features
     position = {rid: i for i, rid in enumerate(base_ids)}
     queries = (base_tokens[position[anchor_id]] for anchor_id in anchors)
     if cfg.kind == "stratified_bm25":
         index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
-        rows, cols, _ = rank(queries, index.scores, index.n_docs, cfg.tier_size, index.id_rank)
+        blocks = rank(queries, index.scores, index.n_docs, cfg.tier_size, index.id_rank)
     else:
-        rows, cols, _ = jaccard_topk(queries, aux_tokens, len(vocab), cfg.tier_size,
-                                     id_ranks(aux_ids))
-    # rows ascend, so each anchor's tier is one slice of cols.
-    bounds = np.searchsorted(rows, np.arange(len(anchors) + 1)).tolist()
-    return {anchor_id: list(map(aux_ids.__getitem__, cols[lo:hi].tolist()))
-            for anchor_id, lo, hi in zip(anchors, bounds, bounds[1:])}
+        blocks = jaccard_topk(queries, aux_tokens, len(vocab), cfg.tier_size, id_ranks(aux_ids))
+    tiers: dict[str, list[str]] = {anchor_id: [] for anchor_id in anchors}
+    for rows, cols, _ in blocks:
+        # rows ascend, so each anchor's tier is one slice of the block's cols.
+        ids = list(map(aux_ids.__getitem__, cols.tolist()))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+        for lo, hi in zip(starts, [*starts[1:], len(ids)]):
+            tiers[anchors[rows[lo]]] = ids[lo:hi]
+    return tiers
 
 
 def sample_triples(
@@ -139,12 +144,15 @@ def build_pretraining_pairs(
     features: Features,
     per_record: int = 1,
     seed: int = 0,
+    tiers: dict[str, list[str]] | None = None,
 ) -> list[SupervisionTriple]:
     """Self-supervised triples: positive is the BM25 top-1 auxiliary match
     (ties by ascending id, a zero score included), negative is a uniform
     draw among the rest: one of ``len(aux_ids) - 1`` positions, counted
     past the positive's. Every base record is ranked in one ``rank`` call
-    over ``features``, as in ``build_tiers``."""
+    over ``features``, as in ``build_tiers``; or, with ``tiers``, every
+    base record's ``stratified_bm25`` tier from ``build_tiers``, each
+    record's positive is the first of its tier, ranked no more."""
     if not base_ids or not aux_ids:
         raise SampleError("both datasets must be non-empty")
     if len(aux_ids) < 2:
@@ -152,13 +160,17 @@ def build_pretraining_pairs(
     if per_record < 1:
         raise SampleError("per_record must be >= 1")
 
-    vocab, (base_tokens, aux_tokens) = features
-    index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
-    _, top, _ = rank(base_tokens, index.scores, index.n_docs, 1, index.id_rank)
+    if tiers is None:
+        vocab, (base_tokens, aux_tokens) = features
+        index = build_bm25_index(aux_ids, aux_tokens, len(vocab))
+        _, top, _ = gather(rank(base_tokens, index.scores, index.n_docs, 1, index.id_rank))
+        positives = [index.ids[i] for i in top.tolist()]
+    else:
+        positives = [tiers[base_id][0] for base_id in base_ids]
     aux_pos = {aid: i for i, aid in enumerate(aux_ids)}
     rng = random.Random(seed)
     triples: list[SupervisionTriple] = []
-    for anchor_id, top_id in zip(base_ids, (index.ids[i] for i in top.tolist())):
+    for anchor_id, top_id in zip(base_ids, positives):
         top_pos = aux_pos[top_id]
         for _ in range(per_record):
             j = rng.randrange(len(aux_ids) - 1)

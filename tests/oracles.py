@@ -164,7 +164,8 @@ def bm25_topk(index: Bm25Index, query: np.ndarray, k: int) -> list[tuple[str, fl
     ``lexrank.rank``."""
     if k < 1:
         raise LexError("k must be >= 1")
-    _, cols, scores = lexrank.rank([query], index.scores, index.n_docs, k, index.id_rank)
+    _, cols, scores = lexrank.gather(lexrank.rank([query], index.scores, index.n_docs, k,
+                                                  index.id_rank))
     return [(index.ids[i], s) for i, s in zip(cols.tolist(), scores.tolist())]
 
 

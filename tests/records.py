@@ -13,6 +13,7 @@ from typing import Sequence
 
 from emberish.data import DataError, Dataset, DatasetRole, Record
 from emberish.encoder import embed_tokens, fit_encoder, train
+from emberish.joiner import JoinResult
 from emberish.lexrank import baseline_tokenizer, key_join, lexical_join, uses_key_column
 from emberish.prepare import token_ids
 from emberish.supervise import build_pretraining_pairs, build_tiers, sample_triples
@@ -59,16 +60,21 @@ def embed_dataset(model, dataset: Dataset, tokenizer: str = "whitespace", featur
 def baseline_join(kind: str, base: Dataset, aux: Dataset, key_column: str | None = None,
                   k: int = 10):
     """The baseline join ``join --baseline kind`` runs on the datasets'
-    files: ``key_join`` of the records or ``lexical_join`` of their ids."""
+    files: ``key_join`` of the records or ``lexical_join`` of their ids,
+    its blocks joined into one ``JoinResult``."""
     if uses_key_column(kind):
-        return key_join(kind, base, aux, key_column, k)
-    return lexical_join(kind, base.ids(), aux.ids(),
-                        token_ids([base, aux], baseline_tokenizer(kind)), k)
+        columns = key_join(kind, base, aux, key_column, k)
+    else:
+        columns = lexical_join(kind, aux.ids(), token_ids([base, aux], baseline_tokenizer(kind)),
+                               k)
+    return JoinResult.from_columns(base.ids(), aux.ids(), columns)
 
 
 def tiers_of(pairs, base: Dataset, aux: Dataset, cfg):
-    """``build_tiers`` of the datasets, from their whitespace token ids."""
-    return build_tiers(pairs, base.ids(), aux.ids(), cfg, token_ids([base, aux]))
+    """``build_tiers`` of the pairs' anchors in the datasets, from their
+    whitespace token ids."""
+    return build_tiers((pair.base_id for pair in pairs), base.ids(), aux.ids(), cfg,
+                       token_ids([base, aux]))
 
 
 def sample(pairs, base: Dataset, aux: Dataset, cfg):

@@ -17,7 +17,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import emberish
@@ -605,6 +605,7 @@ class TestStreamedJoin:
             ids = data.draw(st.lists(record_ids, min_size=n, max_size=n, unique=True))
             if carriage_return and name == "aux":
                 ids[-1] += "\r"
+                assume(ids[-1] not in ids[:-1])  # the "\r" may make it another's id
             texts = data.draw(st.lists(st.lists(st.sampled_from(self.WORDS), max_size=4),
                                        min_size=n, max_size=n))
             sides.append(dataset_from_rows(name, role, [(rid, [("t", " ".join(words))])
@@ -801,6 +802,115 @@ class TestStreamedJoin:
         assert f"{query} changed during the join" in capsys.readouterr().err
         assert {name: (d / name).read_bytes() for name in before} == before
         assert not list(d.glob(".*.partial"))
+
+
+class TestStreamedBaselineJoin:
+    """A baseline join renders each rank block to result.csv as it is
+    ranked, and writes the bytes of the whole ranking's ``write_csv``."""
+
+    AUX = {"a,0": "red shoe", 'a"1': "blue boot", "a 2": "", "a3": "red shoe",
+           "a4": "blue boot", "a5": "r", "a6": "red boot gtx"}
+    # The 45-character key shares no token or bigram with any aux key, and
+    # is too long for LD: it matches nothing under any baseline.
+    NONE = "z" * 45
+    BASE = ["red shoe", NONE, "blue boot", "blue boot red", NONE, "r", "red", "boot red",
+            "shoe red gtx"]
+
+    @pytest.mark.parametrize("unmatched", [False, True], ids=["some-match", "none-match"])
+    @pytest.mark.parametrize("carriage_return", [False, True])
+    @pytest.mark.parametrize("kind", ["BM25", "J-WS", "J-2G", "LD", "JK-WS", "JK-2G"])
+    def test_each_block_is_written_as_it_is_ranked(self, tmp_path, monkeypatch, kind,
+                                                   carriage_return, unmatched):
+        # Two queries per rank block, so nine base records make five blocks;
+        # ids that CSV quotes, with one "\r" quoting every field; queries with
+        # no match, and in one case no match at all: a header-only result.
+        from emberish import joiner, lexrank
+        from emberish.lexrank import uses_key_column
+        from records import baseline_join
+
+        # Whole-record baselines read column names too: the sides' differ.
+        key = uses_key_column(kind)
+        columns = ("name", "name") if key else ("q", "t")
+        aux = dataset_from_rows("aux", "auxiliary", [
+            (rid + ("\r" if carriage_return and rid == "a6" else ""), [(columns[1], name)])
+            for rid, name in self.AUX.items()])
+        keys = [self.NONE] * len(self.BASE) if unmatched else self.BASE
+        base = dataset_from_rows("base", "base", [(f'b,"{i}"', [(columns[0], name)])
+                                                  for i, name in enumerate(keys)])
+        write_dataset(base, tmp_path / "base.csv")
+        write_dataset(aux, tmp_path / "aux.csv")
+        key_column = "name" if key else None
+        monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
+        loaded = [load_dataset(tmp_path / f"{name}.csv", name=name) for name in ("base", "aux")]
+        expected = baseline_join(kind, *loaded, key_column=key_column, k=3)
+        expected.write_csv(tmp_path / "expected.csv")
+        assert (len(expected.rank) == 0) == unmatched
+
+        # The blocks ranked when each write to result.csv begins.
+        ranked, writes = [], []
+        topk, result_writer = lexrank.topk, joiner.result_writer
+
+        def counting_topk(*args, **kwargs):
+            ranked.append(1)
+            return topk(*args, **kwargs)
+
+        def spying_writer(*args):
+            write = result_writer(*args)
+
+            def spied(*columns):
+                writes.append(len(ranked))
+                write(*columns)
+            return spied
+
+        monkeypatch.setattr(lexrank, "topk", counting_topk)
+        monkeypatch.setattr(joiner, "result_writer", spying_writer)
+        cmd_join(fast_config(tmp_path), baseline=kind, key_column=key_column)
+        assert writes == [1, 2, 3, 4, 5]
+        assert (tmp_path / "result.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_a_failed_baseline_join_leaves_the_old_result(self, workspace, monkeypatch):
+        from emberish import lexrank
+
+        tmp_path, cfg = workspace
+        cmd_join(cfg, baseline="BM25")
+        before = (tmp_path / "result.csv").read_bytes()
+        monkeypatch.setattr(lexrank, "_LEX_CELLS", 1)
+        topk, calls = lexrank.topk, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("ranking failed")
+            return topk(*args, **kwargs)
+
+        monkeypatch.setattr(lexrank, "topk", failing)
+        with pytest.raises(RuntimeError, match="ranking failed"):
+            cmd_join(cfg, baseline="J-WS")
+        assert (tmp_path / "result.csv").read_bytes() == before
+        assert not list(tmp_path.glob(".*.partial"))
+
+    def test_bm25_join_peak_traced_memory_does_not_grow_with_k(self, tmp_path, monkeypatch):
+        # 1,000 base records over 200 aux records, 20 queries per rank
+        # block: at k = 100 the join ranks about 100,000 rows, about 5 MB as
+        # one result, where a block holds 2,000 at most.
+        import tracemalloc
+
+        from corpus import word_soup_source
+        from emberish import lexrank
+
+        write_dataset(word_soup_source(n_rows=200), tmp_path / "source.csv")
+        cmd_generate(EngineConfig(data_dir=str(tmp_path), seed=1))
+        monkeypatch.setattr(lexrank, "_LEX_CELLS", 1 << 12)
+        peaks = {}
+        for k in (1, 1, 100):  # the first run warms up what is cached once
+            tracemalloc.start()
+            try:
+                cmd_join(EngineConfig(data_dir=str(tmp_path), right_size=k), baseline="BM25")
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(read_rows(tmp_path / "result.csv")) > 90_000
+        assert peaks[100] < peaks[1] + 1.5e6
 
 
 class TestModelFiles:
@@ -1244,8 +1354,11 @@ class TestEvaluate:
         ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,9223372036854775808,0.7\n", 3),
         ('base_id,aux_id,rank,score\n"b\n0",a0,1,0.5\nb0,a1,two,0.7\n', 4),
         ('base_id,aux_id,rank,score\nb0,a0,1,0.5\n"b\n1",a1,two,0.7\n', 3),
+        ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nzz,a1,1,close\n", 3),
+        ("base_id,aux_id,rank,score\nb0,a0,1,0.5\nb0,a1,11,close\n", 3),
     ], ids=["missing-header", "short-row", "non-integer-rank", "non-float-score",
-            "rank-beyond-int64", "two-line-id-before", "two-line-id-in-the-row"])
+            "rank-beyond-int64", "two-line-id-before", "two-line-id-in-the-row",
+            "non-truth-record", "rank-beyond-max-k"])
     def test_malformed_results_exit_1_naming_the_line(self, tmp_path, capsys, text, line):
         (tmp_path / "truth_test.csv").write_text("base_id,aux_id\nb0,a0\n")
         results = tmp_path / "result.csv"
@@ -1253,6 +1366,34 @@ class TestEvaluate:
         assert main(["evaluate", "--data-dir", str(tmp_path)]) == 1
         assert f"{results}: line {line}:" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
+
+
+    def test_peak_traced_memory_does_not_grow_with_rows_it_does_not_score(self, tmp_path):
+        # 2,000 truth rows ranked up to 10, then 100,000 rows of records
+        # outside the truth, or ranked past max(ks): about 5 MB as columns.
+        import tracemalloc
+
+        cfg = fast_config(tmp_path)
+        (tmp_path / "truth_test.csv").write_text(
+            "base_id,aux_id\n" + "".join(f"b{i},a{i}\n" for i in range(200)))
+        results = tmp_path / "result.csv"
+        results.write_text("base_id,aux_id,rank,score\n" + "".join(
+            f"b{i},a{i + r - 1},{r},0.{r}\n" for i in range(200) for r in range(1, 11)))
+        peaks = []
+        for extra in (0, 0, 100_000):  # the first run warms up what is cached once
+            if extra:
+                with results.open("a") as fh:
+                    fh.writelines(f"x{i},a{i % 300},{i % 10 + 1},0.5\nb{i % 200},a{i},"
+                                  f"{11 + i % 5},0.5\n" for i in range(extra // 2))
+            tracemalloc.start()
+            try:
+                cmd_evaluate(cfg, ks=[1, 10], with_mrr=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "metrics.csv").read_text().splitlines()[1:] == [
+            "result,1,1.0", "result,10,1.0"]
+        assert peaks[2] < peaks[1] + 0.5e6
 
 
 class TestEvaluateFlags:
@@ -1484,6 +1625,28 @@ class TestManifest:
         # The command failed at the manifest, after writing metrics.csv.
         assert [row[1] for row in read_rows(tmp_path / "metrics.csv")[1:]] == ["1", "2"]
         assert not list(tmp_path.glob(".*.partial"))
+
+    def test_model_and_embeddings_files_are_hashed_as_they_are_written(self, workspace,
+                                                                       monkeypatch):
+        # train and a fresh join record the digest of the bytes they wrote,
+        # and read none of those files back to hash it.
+        import emberish.cli as cli_mod
+
+        tmp_path, _ = workspace
+        cfg = fast_config(tmp_path, num_encoders=2)
+        hashed, sha256 = [], cli_mod._sha256
+        monkeypatch.setattr(cli_mod, "_sha256", lambda path: hashed.append(path.name)
+                            or sha256(path))
+        for run, hashed_as_written, others in (
+                (lambda: cmd_train(cfg, pretrain=False), ["model_aux.bin", "model.bin"],
+                 ["loss_trace.csv"]),
+                (lambda: cmd_join(cfg), ["embeddings_base.bin", "embeddings_aux.bin"],
+                 ["result.csv"])):
+            hashed.clear()
+            outputs = run().outputs
+            assert outputs == {str(tmp_path / name): sha256_of(tmp_path / name)
+                               for name in hashed_as_written + others}
+            assert not set(hashed_as_written) & set(hashed)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the peak resident set is read from /proc/self/status")

@@ -698,6 +698,25 @@ class TestFitEncoder:
         assert made["build_pretraining_pairs"][0].positive_id == "a1"
         assert made["build_tiers"]["b0"][:2] == ["a1", "a0"]
 
+    @pytest.mark.parametrize("tokenizer", ["whitespace", "char2gram"])
+    def test_one_bm25_ranking_fits_the_model_of_two(self, tokenizer, monkeypatch):
+        # Pretraining with stratified_bm25 tiers ranks every base record
+        # once; a fit whose pretraining ranks again trains the same bits.
+        from emberish import encoder as enc_mod
+        from emberish.data import SupervisionPair
+
+        base, aux, pairs = self.world()
+        pairs = pairs[1::2] + [SupervisionPair("b2", "a3")]
+        cfg = self.config(sampler="stratified_bm25", tokenizer=tokenizer)
+        shared = fit_datasets(base, aux, pairs, cfg, hash_dim=64, pretrain=True)
+        build = enc_mod.build_pretraining_pairs
+        monkeypatch.setattr(enc_mod, "build_pretraining_pairs",
+                            lambda *args, tiers, **kwargs: build(*args, **kwargs))
+        alone = fit_datasets(base, aux, pairs, cfg, hash_dim=64, pretrain=True)
+        assert np.array_equal(shared.model.table, alone.model.table)
+        assert np.array_equal(shared.model.affine, alone.model.affine)
+        assert shared.trace == alone.trace
+
     @pytest.mark.parametrize("sampler, tokenizer, pretrain", [
         ("stratified_bm25", "whitespace", False),
         ("stratified_bm25", "whitespace", True),
@@ -712,8 +731,8 @@ class TestFitEncoder:
         # train tokenizes each row once per featurizer as its file streams
         # past: under the config's tokenizer, and under whitespace as well
         # when char2gram records are ranked lexically. The tiers and the
-        # pretraining pairs rank those token ids, each through one aux index
-        # built once per fit, not per epoch.
+        # pretraining pairs rank those token ids through one BM25 index
+        # built once per fit, not per epoch, and shared when both use BM25.
         from collections import Counter
 
         from emberish import lexrank, prepare, supervise
@@ -744,7 +763,7 @@ class TestFitEncoder:
         records = base.n + aux.n
         assert tokenized == {tokenizer: records,
                              **({"whitespace": records} if lexical else {})}
-        assert len(builds) == pretrain + (sampler == "stratified_bm25")
+        assert len(builds) == (pretrain or sampler == "stratified_bm25")
 
     def test_finetune_false_returns_initial_model(self, tmp_path):
 

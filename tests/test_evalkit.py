@@ -14,6 +14,7 @@ from emberish.evalkit import (
     mrr_at_k,
     recall_at_k,
     run_comparison,
+    scored_rows,
 )
 from emberish.joiner import JoinResult
 from oracles import matches
@@ -157,6 +158,24 @@ class TestMetricsAgainstRowReference:
         ts = TruthSet(related=related)
         assert (recall_at_k(result, ts, k), mrr_at_k(result, ts, k)) == \
             reference_metrics(rows, related, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=result_rows, related=truth_sets, kmax=st.integers(1, 7))
+    def test_scored_rows_give_a_full_reads_metrics(self, tmp_path_factory, rows, related,
+                                                   kmax):
+        # Rows of base ids outside the truth, ABSENT rows on either side and
+        # ranks above kmax are dropped; the metrics at every k up to kmax
+        # are those of the whole file.
+        rows = [(b, a, r if b is not None and a is not None else 0) for b, a, r in rows]
+        path = tmp_path_factory.mktemp("scored") / "result.csv"
+        JoinResult.from_ids((b, a, r, float(r) if r else float("nan"))
+                            for b, a, r in rows).write_csv(path)
+        ts = TruthSet(related=related)
+        full, kept = JoinResult.from_csv(path), scored_rows(path, ts, kmax)
+        assert set(kept.base_ids) <= set(related) and (kept.rank <= kmax).all()
+        for k in range(1, kmax + 1):
+            assert recall_at_k(kept, ts, k) == recall_at_k(full, ts, k)
+            assert mrr_at_k(kept, ts, k) == mrr_at_k(full, ts, k)
 
 
 class TestTruthSet:

@@ -14,6 +14,7 @@ from emberish.data import SupervisionPair
 from emberish.joiner import id_ranks
 from emberish.lexrank import (
     LexError,
+    gather,
     jaccard,
     jaccard_topk,
     key_join,
@@ -434,7 +435,7 @@ def test_jaccard_topk_matches_brute_force_across_blocks(monkeypatch):
     for k in (1, 2, 3, 7, 9):
         for floor in (None, 0.0, 0.3, 0.5):
             got = [part.tolist() for part in
-                   jaccard_topk(iter(coded_queries), coded_docs, size, k, rank, floor)]
+                   gather(jaccard_topk(iter(coded_queries), coded_docs, size, k, rank, floor))]
             assert got == flat(brute_jaccard_topk(queries, docs, ids, k, floor)), (k, floor)
 
 
@@ -454,8 +455,8 @@ def test_jaccard_topk_random_sets_across_blocks(monkeypatch):
         size, coded_queries, coded_docs = coded(queries, docs)
         k = rng.randrange(1, len(docs) + 2)
         for floor in (None, 0.3):
-            got = [part.tolist() for part in
-                   jaccard_topk(coded_queries, coded_docs, size, k, id_ranks(ids), floor)]
+            got = [part.tolist() for part in gather(
+                jaccard_topk(coded_queries, coded_docs, size, k, id_ranks(ids), floor))]
             assert got == flat(brute_jaccard_topk(map(set, queries), list(map(set, docs)), ids,
                                                   k, floor))
 
@@ -508,7 +509,7 @@ def test_each_join_runs_its_own_baselines():
     features = token_ids([base, base])
     for kind in ("LD", "JK-WS", "jk_2g"):
         with pytest.raises(LexError, match="compares a key column"):
-            lexical_join(kind, base.ids(), base.ids(), features, k=1)
+            lexical_join(kind, base.ids(), features, k=1)
     for kind in ("BM25", "J-WS", "j_2g"):
         with pytest.raises(LexError, match="compares whole records"):
             key_join(kind, base, base, "name", k=1)
@@ -561,8 +562,8 @@ def test_bm25_rank_across_blocks_matches_per_query_oracle(monkeypatch):
     positive = lambda scores: scores > 0.0
     for k in (1, 2, 3, 7, 9):
         for keep in (None, positive):
-            got = rank(iter(coded_queries), index.scores, index.n_docs, k, index.id_rank,
-                       keep=keep)
+            got = gather(rank(iter(coded_queries), index.scores, index.n_docs, k,
+                              index.id_rank, keep=keep))
             expected = brute_bm25(docs, queries, k, positive_only=keep is positive)
             assert [part.tolist() for part in got] == flat(expected), (k, keep)
 
@@ -599,6 +600,21 @@ def test_bm25_tiers_and_pretraining_across_blocks_keep_zero_scores(monkeypatch):
     positives = [t.positive_id for t in pretraining_pairs(base, aux, seed=0)]
     assert positives == [aux.ids()[best[0][0]] for best in brute_bm25(docs, queries, 1)]
     assert positives[3] == positives[4] == "a0"
+
+
+def test_one_bm25_ranking_serves_the_tiers_and_the_pretraining_pairs(monkeypatch):
+    # Every base record's tier, ranked once, gives each anchor the tier it
+    # ranks alone and each record the pretraining positive it ranks at k = 1.
+    base, aux, _ = bm25_world()
+    monkeypatch.setattr(lexrank, "_LEX_CELLS", 2 * aux.n)
+    anchors = [record.id for record in reversed(base.records[1::2])]
+    for tier_size in (1, 2, 3, 9):
+        cfg = SamplerConfig(kind="stratified_bm25", tier_size=tier_size)
+        pairs = [SupervisionPair(anchor, "a0") for anchor in anchors]
+        ranked = tiers_of([SupervisionPair(rid, "a0") for rid in base.ids()], base, aux, cfg)
+        assert {anchor: ranked[anchor] for anchor in anchors} == tiers_of(pairs, base, aux, cfg)
+        assert (pretraining_pairs(base, aux, seed=3, per_record=2, tiers=ranked)
+                == pretraining_pairs(base, aux, seed=3, per_record=2))
 
 
 @pytest.mark.parametrize("caller", ["bm25_join", "stratified_bm25", "stratified_jaccard",
