@@ -571,8 +571,9 @@ def cmd_join(
     INNER join uses ``both_directions``. A learned join reuses each side's
     embeddings file that the previous join left, when it was built from
     the same bytes (see ``_reusable``), keeping the vectors of the file
-    that its first scan holds (``joiner.held_side``) as it checks it, and
-    embeds every other side into its file before it scans the files."""
+    that its first scan holds (``joiner.held_side``, the smaller side under
+    either metric) as it checks it, and embeds every other side into its
+    file before it scans the files."""
     if baseline is not None:
         path = f"the {baseline} baseline join"
         given = {"--threshold": threshold is not None, "--both-directions": both_directions,
@@ -663,7 +664,7 @@ def cmd_join(
     read_ids, vocab, tokens = featurize([side for side in (0, 1) if reusable[side] is None])
     counts = [len(read_ids[side]) if side in read_ids else reusable[side][1] for side in (0, 1)]
     first = scan_order(spec, both_directions, *counts)[0]
-    held = held_side(config.distance, first, *counts)  # type: ignore[arg-type]
+    held = held_side(first, *counts)
     found = [None if reusable[side] is None
              else _reuse(run, files[side], reusable[side][0], side == held) for side in (0, 1)]
     embedded = [side for side in (0, 1) if found[side] is None]

@@ -1,16 +1,19 @@
 """Embedding index, exact k-NN retrieval, and join-type semantics.
 
-The index is an exact scan over tiles of queries by targets: for l2, one
-matrix product per tile, of the queries scaled by -2, shortlists
-candidates that the difference formula re-scores (``_l2_tile``), so
-scores never depend on the tile. The tile is partitioned for each query's
-k-th best a few rows at a time in one cache-sized scratch, and each
-chunk's shortlist is taken while it is in cache. ``rank_pairs`` ranks
-candidates for every scorer, ties by ascending id: ``topk`` hands it a
-dense block of scores, the l2 scan only its re-scored shortlist. An
-approximate backend may replace the scan only if it passes the exactness
-suite at recall 1.0 or marks its output as approximate. Built indexes are
-read-only and safe to query concurrently.
+The index is an exact scan over tiles of queries by targets, one kernel
+for l2 and inner product alike (``_tile``): one matrix product per tile,
+of the smaller side scaled by -2 for l2 or -1 for inner product,
+shortlists candidates that the difference formula or a fixed-order dot
+product re-scores, so scores never depend on the tile or the BLAS thread
+count. The tile is partitioned for each query's k-th best a few rows at a
+time in one cache-sized scratch, and each chunk's shortlist is taken
+while it is in cache. ``rank_pairs`` ranks candidates for every scorer,
+ties by ascending id, on keys where lower is better (``_lower_first``):
+the scans hand it their re-scored shortlists, ``topk`` (the lexical
+rankers') a dense block of scores. An approximate backend may replace the
+scan only if it passes the exactness suite at recall 1.0 or marks its
+output as approximate. Built indexes are read-only and safe to query
+concurrently.
 
 Every join returns a columnar ``JoinResult``: the two id tuples plus
 per-row arrays of base and aux position (-1 for an ABSENT side), rank,
@@ -23,13 +26,12 @@ side's ids and a reader of its vectors, whole or in blocks. It runs a
 scan per retrieval direction (two, one index at a time, for FULL and the
 INNER union). A scan holds one side, the one ``held_side`` names, read
 whole into its index, and streams the other past it in ``scan_rows``
-blocks, each dropped once scanned: under l2 it holds the smaller side,
-whether that side queries (``_scan_targets``, which keeps a running
-top-k per query) or is retrieved from (``_scan``); under inner product it
-holds the side retrieved from. ``execute_join``'s sides read in-memory
-matrices; ``write_join`` takes any sides (the CLI's read embeddings
-files) and renders rows to ``result.csv`` as they come, so the larger
-side is never held whole.
+blocks, each dropped once scanned: it holds the smaller side, whether
+that side queries (``_scan_targets``, which keeps a running top-k per
+query) or is retrieved from (``_scan``). ``execute_join``'s sides read
+in-memory matrices; ``write_join`` takes any sides (the CLI's read
+embeddings files) and renders rows to ``result.csv`` as they come, so
+the larger side is never held whole.
 
 An embeddings file is parsed as it is read, whole or a block at a time,
 and a caller that checks its digest hashes the same bytes, so a reused
@@ -60,8 +62,8 @@ Embeddings = tuple[Sequence[str], np.ndarray]
 # Floats per query block of scores (4 MB). Smaller blocks re-read the whole
 # index more often: at 2^16 a 2k-over-10k scan took about twice as long.
 _BLOCK_CELLS = 1 << 19
-# Floats per re-scoring step of the l2 shortlist and per partitioned chunk
-# of an l2 or topk block (0.5 MB).
+# Floats per re-scoring step of a scan's shortlist and per partitioned
+# chunk of a scan's or topk's block (0.5 MB).
 _RESCORE_CELLS = 1 << 16
 # Floats per block of a streamed side at most (0.5 MB, an embedding block):
 # a larger block adds its rows' scores to the tile past a small index.
@@ -153,15 +155,21 @@ def build_index(embeddings: Embeddings, metric: Metric = "l2") -> EmbeddingIndex
                           metric=metric)
 
 
-def held_side(metric: Metric, reverse: bool, n_base: int, n_aux: int) -> bool:
+def held_side(reverse: bool, n_base: int, n_aux: int) -> bool:
     """The side that a scan in direction ``reverse`` (aux records
-    querying) over ``n_base`` and ``n_aux`` records holds, True for aux.
-    Under l2 it is the smaller side: the querying side when that is
-    strictly smaller, which the retrieved side then streams past
-    (``_scan_targets``). Otherwise, and always under inner product, it is
-    the side retrieved from (``_scan``)."""
+    querying) over ``n_base`` and ``n_aux`` records holds, True for aux:
+    the smaller side. That is the querying side when it is strictly
+    smaller, which the retrieved side then streams past
+    (``_scan_targets``), and otherwise the side retrieved from
+    (``_scan``)."""
     n_query, n_target = (n_aux, n_base) if reverse else (n_base, n_aux)
-    return reverse == (metric == "l2" and n_query < n_target)
+    return reverse == (n_query < n_target)
+
+
+def _lower_first(scores: np.ndarray, metric: Metric) -> np.ndarray:
+    """``scores`` under ``metric`` as ranking keys, the best lowest: an l2
+    distance as it is, an inner product negated, which is exact."""
+    return scores if metric == "l2" else -scores
 
 
 def scan_rows(index: EmbeddingIndex) -> int:
@@ -178,44 +186,51 @@ def _check_rows(rows: np.ndarray, index: EmbeddingIndex) -> None:
                         f"dimension {index.dimension}")
 
 
-def _l2_scratch(rows: int, cols: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Flat scratch for ``_l2_tile`` over up to ``rows`` queries and
-    ``cols`` targets of ``dim`` floats: a block of scores, the smaller
-    side scaled, and a chunk of a few of the block's rows partitioned,
-    with their mask."""
+def _scratch(rows: int, cols: int, dim: int) -> tuple[np.ndarray, ...]:
+    """Flat scratch for ``_tile`` over up to ``rows`` queries and ``cols``
+    targets of ``dim`` floats: a block of scores, the smaller side scaled,
+    and a chunk of a few of the block's rows partitioned, with their
+    mask."""
     chunk = min(rows * cols, max(_RESCORE_CELLS, cols))
     return (np.empty(rows * cols), np.empty(min(rows, cols) * dim), np.empty(chunk),
             np.empty(chunk, bool))
 
 
-def _l2_tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
-             sq_targets: np.ndarray, sq_max: float, k: int, ceiling: np.ndarray | None,
-             threshold: float | None,
-             scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The candidates among ``targets`` for the l2 top ``k`` of each of
-    the ``queries`` of a tile: ``(rows, cols, scores)``, tile positions and
-    exact scores within ``threshold``, unranked. ``sq_queries`` and
-    ``sq_targets`` are the rows' squared norms, ``sq_max`` at least any
-    target's; a query's ``ceiling``, when given, is the shortlist score
-    past which no target can rank, up to the band. ``scratch`` is
-    ``_l2_scratch``'s.
+def _tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
+          sq_targets: np.ndarray, sq_max: float, k: int, ceiling: np.ndarray | None,
+          threshold: float | None, metric: Metric,
+          scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates among ``targets`` for the top ``k`` under ``metric``
+    of each of the ``queries`` of a tile: ``(rows, cols, scores)``, tile
+    positions and exact scores within ``threshold``, unranked.
+    ``sq_queries`` and ``sq_targets`` are the rows' squared norms,
+    ``sq_max`` at least any target's; a query's ``ceiling``, when given,
+    is the shortlist score past which no target can rank, up to the band.
+    ``scratch`` is ``_scratch``'s.
 
-    The smaller side of the tile is scaled by -2, which is exact, so the
-    product has the bits of ||x||^2 - 2 (q.x). Rounding makes that and the
-    difference formula below differ by less than
-    E = 4 (d + 2) eps (||q||^2 + ||x||^2), so a candidate that can beat the
-    k-th best lies within 2E of the k-th shortlist score; the band is twice
-    that. Scores come from the rows themselves, so they never depend on
-    the tile."""
+    One matrix product gives each pair a shortlist score, lowest best.
+    Under l2 the smaller side of the tile is scaled by -2, which is exact,
+    so the product plus ||x||^2 has the bits of ||x||^2 - 2 (q.x); rounding
+    makes that and the difference formula below differ by less than
+    E = 4 (d + 2) eps (||q||^2 + ||x||^2). Under inner product it is scaled
+    by -1, so the product is -(q.x), and that and the fixed-order dot
+    product below each err from the true q.x by less than
+    d eps ||q|| ||x||, within E. So a candidate that can beat the k-th best
+    lies within 2E of the k-th shortlist score; the band is twice that.
+    Scores come from the rows themselves, so they never depend on the tile
+    or on the product's summation order."""
     product, scaled, partitioned, shortlisted = scratch
     m, t = len(queries), len(targets)
+    l2 = metric == "l2"
+    scale = -2.0 if l2 else -1.0
     left, right = queries, targets
     if m <= t:
-        left = np.multiply(queries, -2.0, out=scaled[: queries.size].reshape(queries.shape))
+        left = np.multiply(queries, scale, out=scaled[: queries.size].reshape(queries.shape))
     else:
-        right = np.multiply(targets, -2.0, out=scaled[: targets.size].reshape(targets.shape))
+        right = np.multiply(targets, scale, out=scaled[: targets.size].reshape(targets.shape))
     approx = np.matmul(left, right.T, out=product[: m * t].reshape(m, t))
-    approx += sq_targets
+    if l2:
+        approx += sq_targets
     last = min(k, t) - 1
     band = 16.0 * (targets.shape[1] + 4) * np.finfo(np.float64).eps * (sq_queries + sq_max)
     # Each chunk of rows is partitioned and masked while it is in cache.
@@ -236,11 +251,14 @@ def _l2_tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
     scores = np.empty(rows.size)
     pairs = _RESCORE_CELLS // targets.shape[1] + 1
     for at in range(0, rows.size, pairs):
-        diff = targets[cols[at : at + pairs]]
-        diff -= queries[rows[at : at + pairs]]
-        scores[at : at + pairs] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        x = targets[cols[at : at + pairs]]
+        if l2:
+            x -= queries[rows[at : at + pairs]]
+            scores[at : at + pairs] = np.sqrt(np.einsum("ij,ij->i", x, x))
+        else:
+            scores[at : at + pairs] = np.einsum("ij,ij->i", x, queries[rows[at : at + pairs]])
     if threshold is not None:
-        inside = scores <= threshold
+        inside = _lower_first(scores, metric) <= _lower_first(threshold, metric)
         rows, cols, scores = rows[inside], cols[inside], scores[inside]
     return rows, cols, scores
 
@@ -250,39 +268,28 @@ def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
                                                       np.ndarray]]:
     """Exact top-k of every query row of ``blocks``, per block: its first
     and past-the-end query positions, then ``(rows, cols, scores)``
-    ordered by query row, then rank, with ``cols`` index positions. The
-    scan holds ``index`` and ``blocks`` until the last block is scanned."""
+    ordered by query row, then rank, with ``cols`` index positions. Each
+    tile of at most ``scan_rows`` queries is one ``_tile``, its shortlist
+    ranked by ``rank_pairs``. The scan holds ``index`` and ``blocks`` until
+    the last block is scanned."""
     step = scan_rows(index)
-    l2 = index.metric == "l2"
     sq_max = index._sq_norms.max()
-    # One block of scores serves the whole scan, and for l2 one chunk of a
-    # few rows every partition: arrays allocated afresh for each block were
-    # paged in again, or kept by the heap once the scan ended.
+    # One scratch serves the whole scan: arrays allocated afresh for each
+    # block were paged in again, or kept by the heap once the scan ended.
     held = stop = 0
     for queries in blocks:
         _check_rows(queries, index)
         if held < min(step, len(queries)):
             held = min(step, len(queries))
-            if l2:
-                scratch = _l2_scratch(held, index.n, index.dimension)
-            else:
-                product = np.empty((held, index.n))
+            scratch = _scratch(held, index.n, index.dimension)
         first, stop = stop, stop + len(queries)
         found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
         for start in range(0, len(queries), step):
             block = queries[start : start + step]
-            if not l2:
-                scores = product[: len(block)]
-                for i, q in enumerate(block):
-                    scores[i] = index.vectors @ q
-                keep = None if threshold is None else scores >= threshold
-                rows, cols = topk(scores, k, index._id_rank, True, keep)
-                found.append((rows + first + start, cols, scores[rows, cols]))
-                continue
-            rows, cols, scores = _l2_tile(block, np.einsum("ij,ij->i", block, block),
-                                          index.vectors, index._sq_norms, sq_max, k, None,
-                                          threshold, scratch)
-            best = rank_pairs(rows, scores, index._id_rank[cols], k)
+            rows, cols, scores = _tile(block, np.einsum("ij,ij->i", block, block),
+                                       index.vectors, index._sq_norms, sq_max, k, None,
+                                       threshold, index.metric, scratch)
+            best = rank_pairs(rows, _lower_first(scores, index.metric), index._id_rank[cols], k)
             found.append((rows[best] + first + start, cols[best], scores[best]))
         yield (first, stop, *(np.concatenate(part) for part in zip(*found)))
 
@@ -290,8 +297,8 @@ def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
 def _scan_targets(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
                   threshold: float | None, target_rank: np.ndarray
                   ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """``_scan`` the other way round, for l2: the exact top-k of every row
-    of ``index``, the querying side, over the target rows that ``blocks``
+    """``_scan`` the other way round: the exact top-k of every row of
+    ``index``, the querying side, over the target rows that ``blocks``
     streams past it, whose id ranks are ``target_rank``. It yields one
     block, of every query, once the last target is scanned; ``cols`` are
     target positions.
@@ -299,14 +306,16 @@ def _scan_targets(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
     Each tile of targets merges its candidates into a running top-k, ties
     by target id rank, so the result is ``_scan``'s. A tile shortlists
     only targets that can still rank: one enters a query's top k only if
-    its exact score is at most the running k-th, s_k (a tie can win on
-    its id). Its squared exact score errs from ||x - q||^2 by less than
-    2 (d + 5) eps (||q||^2 + ||x||^2), ||q||^2 by less than d eps ||q||^2,
-    and its shortlist score from ||x - q||^2 - ||q||^2 by less than E
-    (``_l2_tile``), so its shortlist score is below s_k^2 - ||q||^2 plus
-    less than the band, which takes the largest target norm seen."""
+    its exact score is no worse than the running k-th, s_k (a tie can win
+    on its id). Under inner product its shortlist score is then below
+    -s_k plus less than the band (``_tile``). Under l2 its squared exact
+    score errs from ||x - q||^2 by less than 2 (d + 5) eps
+    (||q||^2 + ||x||^2), ||q||^2 by less than d eps ||q||^2, and its
+    shortlist score from ||x - q||^2 - ||q||^2 by less than E, so its
+    shortlist score is below s_k^2 - ||q||^2 plus less than the band. The
+    band takes the largest target norm seen."""
     step = scan_rows(index)
-    scratch = _l2_scratch(index.n, step, index.dimension)
+    scratch = _scratch(index.n, step, index.dimension)
     rows, cols, scores = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
     ceiling = np.full(index.n, np.inf)
     sq_max, stop = 0.0, 0
@@ -318,16 +327,17 @@ def _scan_targets(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
                 raise JoinError(f"more target rows than the {target_rank.size} target ids")
             sq_targets = np.einsum("ij,ij->i", targets, targets)
             sq_max = max(sq_max, sq_targets.max())
-            tile = _l2_tile(index.vectors, index._sq_norms, targets, sq_targets, sq_max, k,
-                            ceiling, threshold, scratch)
+            tile = _tile(index.vectors, index._sq_norms, targets, sq_targets, sq_max, k,
+                         ceiling, threshold, index.metric, scratch)
             rows, cols, scores = (np.concatenate(pair) for pair in
                                   zip((rows, cols, scores), (tile[0], tile[1] + stop, tile[2])))
-            best = rank_pairs(rows, scores, target_rank[cols], k)
+            best = rank_pairs(rows, _lower_first(scores, index.metric), target_rank[cols], k)
             rows, cols, scores = rows[best], cols[best], scores[best]
             stop += len(targets)
             count = np.bincount(rows, minlength=index.n)
             full = count == k
-            ceiling[full] = scores[np.cumsum(count)[full] - 1] ** 2 - index._sq_norms[full]
+            kth = _lower_first(scores[np.cumsum(count)[full] - 1], index.metric)
+            ceiling[full] = kth ** 2 - index._sq_norms[full] if index.metric == "l2" else kth
     if stop != target_rank.size:
         raise JoinError(f"{stop} target rows for {target_rank.size} target ids")
     yield 0, index.n, rows, cols, scores
@@ -487,8 +497,7 @@ def _cap_per_target(rows: np.ndarray, cols: np.ndarray, scores: np.ndarray, cap:
                     query_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keep each target record's best ``cap`` matches by score, ties by
     ascending query id."""
-    keep = np.sort(rank_pairs(cols, scores * (1.0 if metric == "l2" else -1.0),
-                              query_rank[rows], cap))
+    keep = np.sort(rank_pairs(cols, _lower_first(scores, metric), query_rank[rows], cap))
     return rows[keep], cols[keep], scores[keep]
 
 
@@ -542,7 +551,7 @@ def scan_join(spec: JoinSpec, base: Side, aux: Side, metric: Metric = "l2",
         query_ids, target_ids = (aux_ids, base_ids) if reverse else (base_ids, aux_ids)
         k = spec.left_size if reverse else spec.right_size
         found, stop = [], 0  # matches, or for the forward union scan its pair codes
-        held = held_side(metric, reverse, len(base_ids), len(aux_ids))
+        held = held_side(reverse, len(base_ids), len(aux_ids))
         kept, streamed = (aux, base) if held else (base, aux)
         (vectors,) = kept.read(None)
         index = build_index((kept.ids, vectors), metric)
@@ -661,8 +670,8 @@ def chain_joins(
     # Re-rank final matches per origin record, ties by endpoint id, then (a
     # stable sort) by frontier order; path keeps one id per hop before the endpoint.
     last = stages[-1][1]
-    order = rank_pairs(origins, scores if last.metric == "l2" else -scores,
-                       last._id_rank[hops[-1]], origins.size)
+    order = rank_pairs(origins, _lower_first(scores, last.metric), last._id_rank[hops[-1]],
+                       origins.size)
     origins, scores, hops = origins[order], scores[order], [hop[order] for hop in hops]
     path = np.empty((origins.size, len(stages) - 1), dtype=object)
     for j, ((_, index), hop) in enumerate(zip(stages, hops[:-1])):

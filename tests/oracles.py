@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from emberish import joiner, lexrank
+from emberish import lexrank
 from emberish.encoder import _TINY, EncoderError, EncoderModel, _forward_group, _Grads
 from emberish.joiner import EmbeddingIndex, JoinError, JoinResult
 from emberish.lexrank import Bm25Index, LexError, build_bm25_index
@@ -42,34 +42,43 @@ def knn(
     k: int,
     threshold: float | None = None,
 ) -> list[tuple[str, float]]:
-    """Exact top-k of one query under the index metric; ties break by
-    ascending id.
+    """Exact top-k of one query under the index metric, by ``exact_topk``
+    over the index's rows; ties break by ascending id.
 
     With a threshold, l2 keeps scores <= threshold and inner_product keeps
     scores >= threshold.
     """
     if k < 1:
         raise JoinError("k must be >= 1")
-    _, cols, scores = joiner._search(index, np.asarray(query, dtype=np.float64)[None], k,
-                                     threshold)
+    _, cols, scores = exact_topk(np.asarray(query, dtype=np.float64)[None], index.vectors,
+                                 index.ids, k, index.metric, threshold)
     return [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
 
 
-def l2_topk(queries: np.ndarray, targets: np.ndarray, target_ids: Sequence[str], k: int,
-            threshold: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact l2 top-k of each query over every target, one query at a
-    time: each score by the difference formula over the whole target
-    matrix, sorted with ties by ascending id, and kept when within
-    ``threshold``. Returns ``(rows, cols, scores)`` ordered by query, then
-    rank, as the engine's scans do."""
+def exact_topk(queries: np.ndarray, targets: np.ndarray, target_ids: Sequence[str], k: int,
+               metric: str,
+               threshold: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k of each query over every target under ``metric``, one
+    query at a time: each score over the whole target matrix, by the
+    difference formula for l2 and by ``np.einsum`` of each target row with
+    the query for inner product; sorted best first (lowest l2, highest
+    inner product) with ties by ascending id, and kept when within
+    ``threshold`` (l2 at most it, inner product at least it). Returns
+    ``(rows, cols, scores)`` ordered by query, then rank, as the engine's
+    scans do."""
     rows: list[int] = []
     cols: list[int] = []
     scores: list[float] = []
+    sign = 1.0 if metric == "l2" else -1.0  # lowest first
     for q, query in enumerate(queries):
-        diff = targets - query
-        exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ranked = sorted(range(len(targets)), key=lambda j: (exact[j], target_ids[j]))
-        kept = [j for j in ranked if threshold is None or exact[j] <= threshold][:k]
+        if metric == "l2":
+            diff = targets - query
+            exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        else:
+            exact = np.einsum("ij,ij->i", targets, np.broadcast_to(query, targets.shape))
+        ranked = sorted(range(len(targets)), key=lambda j: (sign * exact[j], target_ids[j]))
+        kept = [j for j in ranked
+                if threshold is None or sign * exact[j] <= sign * threshold][:k]
         rows += [q] * len(kept)
         cols += kept
         scores += exact[kept].tolist()

@@ -27,6 +27,7 @@ from emberish.encoder import (
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k, run_comparison
 from emberish.joiner import (
     JoinResult,
+    _search,
     aggregate_labels,
     build_index,
     chain_joins,
@@ -82,7 +83,7 @@ def criterion(num, name):
 # --------------------------------------------------------------------------
 
 
-@criterion(1, "knn equals exhaustive sort on 200 random instances")
+@criterion(1, "k-NN equals the knn oracle and exhaustive sort on 200 random instances")
 def test_retrieval_oracle_equivalence():
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
@@ -96,8 +97,10 @@ def test_retrieval_oracle_equivalence():
             ((float(np.linalg.norm(v - query)), rid) for rid, v in entries)
         )
         for k in (1, 5, 10):
-            got = [rid for rid, _ in knn(index, query, k)]
-            assert got == [rid for _, rid in expected[:k]]
+            _, cols, scores = _search(index, query[None], k, None)
+            got = [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
+            assert got == knn(index, query, k)
+            assert [rid for rid, _ in got] == [rid for _, rid in expected[:k]]
     assert time.perf_counter() - start < 5.0
 
 

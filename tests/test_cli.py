@@ -591,8 +591,8 @@ class TestStreamedJoin:
                                                         distance, sizes, bounds, threshold,
                                                         carriage_return, embed_again):
         # Scan blocks of three streamed rows (more past the smaller held side
-        # of a two-direction inner-product join), so sides of 4 and 7
-        # records end in a block of one row; ids holding the characters CSV
+        # of a two-direction join), so sides of 4 and 7 records end in a
+        # block of one row; ids holding the characters CSV
         # quotes, and in some cases a "\r", which quotes every field.
         from emberish import joiner
         from emberish.encoder import EncoderModel, save_model
@@ -613,7 +613,7 @@ class TestStreamedJoin:
         model = EncoderModel.create(dim=dim, hash_dim=64, seed=3)
         model.affine[:] = np.random.default_rng(3).normal(size=model.affine.shape)
         spec = JoinSpec("base", "aux", JoinType(join_type), *bounds, "supervision")
-        index_n = max(sizes[held_side(distance, reverse, *sizes)]
+        index_n = max(sizes[held_side(reverse, *sizes)]
                       for reverse in scan_order(spec, both_directions, *sizes))
 
         with tempfile.TemporaryDirectory() as tmp, \
