@@ -67,12 +67,10 @@ from .evalkit import (
 )
 from .joiner import (
     EMBEDDINGS_VERSION,
-    EmbeddingIndex,
     Embeddings,
     JoinError,
     Side,
     aggregate_labels,
-    build_index,
     chain_joins,
     embeddings_count,
     embeddings_ids,
@@ -824,8 +822,12 @@ def cmd_pipeline(
     agg_ks: list[int] | None = None,
 ) -> RunManifest:
     """Run a chained (multi-hop) join, optionally averaging labels. Every
-    hop is an INNER search for each frontier record's RIGHT SIZE best
-    matches, so a statement of another join type exits 1."""
+    dataset of the chain is embedded in memory with model.bin; then each
+    hop retrieves the RIGHT SIZE best records of its aux dataset once for
+    each distinct record the hop before matched, through the join's scan
+    (``joiner.chain_joins``). A hop statement must be INNER, so one of
+    another join type exits 1; LEFT SIZE is not applied. Stage ``chain``
+    includes writing chain_result.csv."""
     if labels_path is None:
         _refuse("pipeline without --labels", {"--agg-ks": agg_ks is not None})
     if config.num_encoders == 2:
@@ -860,15 +862,12 @@ def cmd_pipeline(
     model_paths = [run.data_dir / "model.bin"] * len(refs)
     embeddings = dict(zip(refs, _embed(run, config, ids, model_paths,
                                        features.pop(config.tokenizer))))
-    with run.stage("chain"):
-        stages: list[tuple[JoinSpec, EmbeddingIndex]] = [
-            (spec, build_index(embeddings[spec.aux_ref], metric=config.distance))  # type: ignore[arg-type]
-            for spec in specs
-        ]
-        result = chain_joins(embeddings[specs[0].base_ref], stages)
-
     result_path = run.data_dir / "chain_result.csv"
-    result.write_csv(result_path)
+    with run.stage("chain"):
+        result = chain_joins(embeddings[specs[0].base_ref],
+                             [(spec, embeddings[spec.aux_ref]) for spec in specs],
+                             config.distance)  # type: ignore[arg-type]
+        result.write_csv(result_path)
     run.wrote(result_path)
 
     if labels is not None:

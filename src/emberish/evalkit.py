@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, SupervisionPair
-from .joiner import Embeddings, JoinResult, execute_join
-from .joinspec import JoinSpec, JoinType
+from .joiner import Embeddings, JoinResult, retrieval_result
 from .lexrank import (
     BASELINE_KINDS,
     baseline_tokenizer,
@@ -148,24 +147,6 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
-def retrieval_result(
-    base_emb,
-    aux_emb,
-    k: int,
-    metric: str = "l2",
-) -> JoinResult:
-    """Per-base top-k retrieval used for evaluation (no caps, no threshold)."""
-    spec = JoinSpec(
-        base_ref="base",
-        aux_ref="aux",
-        join_type=JoinType.LEFT,
-        left_size=1,
-        right_size=k,
-        supervision_ref="eval",
-    )
-    return execute_join(spec, base_emb, aux_emb, metric=metric)  # type: ignore[arg-type]
-
-
 def run_comparison(
     base_ids: Sequence[str],
     aux_ids: Sequence[str],
@@ -212,7 +193,7 @@ def run_comparison(
     rows: list[tuple[str, int, float]] = []
     for method in methods:
         if method in ENCODER_METHODS:
-            result = retrieval_result(*embeddings[method], kmax, metric=metric)
+            result = retrieval_result(*embeddings[method], kmax, metric)  # type: ignore[arg-type]
         else:
             if uses_key_column(method):
                 columns = key_join(method, *datasets, key_column, k=kmax)  # type: ignore[misc]

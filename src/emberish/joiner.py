@@ -17,7 +17,7 @@ concurrently.
 
 Every join returns a columnar ``JoinResult``: the two id tuples plus
 per-row arrays of base and aux position (-1 for an ABSENT side), rank,
-score and direction. The arrays go from ``_search`` to ``result.csv`` and
+score and direction. The arrays go from ``scan_join`` to ``result.csv`` and
 into the metrics with no per-row object; the file renders each distinct
 id once.
 
@@ -31,7 +31,10 @@ that side queries (``_scan_targets``, which keeps a running top-k per
 query) or is retrieved from (``_scan``). ``execute_join``'s sides read
 in-memory matrices; ``write_join`` takes any sides (the CLI's read
 embeddings files) and renders rows to ``result.csv`` as they come, so
-the larger side is never held whole.
+the larger side is never held whole. A chain join runs each hop as one
+``retrieval_result``, an ``execute_join`` of a LEFT spec, over the
+distinct records the previous hop matched, so no retrieval bypasses
+``scan_join``.
 
 An embeddings file is parsed as it is read, whole or a block at a time,
 and a caller that checks its digest hashes the same bytes, so a reused
@@ -343,15 +346,6 @@ def _scan_targets(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
     yield 0, index.n, rows, cols, scores
 
 
-def _search(index: EmbeddingIndex, queries: np.ndarray, k: int,
-            threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact top-k of every query row: ``(rows, cols, scores)`` ordered by
-    query row, then rank; ``cols`` are index positions. A ``_scan`` of
-    ``queries`` as one block."""
-    ((_, _, *found),) = _scan(index, [queries], k, threshold)
-    return tuple(found)  # type: ignore[return-value]
-
-
 @dataclass(eq=False)
 class JoinResult:
     """Join rows as parallel columns over the two sides' id tuples.
@@ -400,15 +394,10 @@ class JoinResult:
         return cls(tuple(base_ids), tuple(aux_ids),
                    *map(np.concatenate, zip(empty, *columns)))
 
-    def _write_rows(self, fh: TextIO) -> None:
-        """Write the result file to ``fh`` through ``result_writer``."""
-        result_writer(fh, self.base_ids, self.aux_ids)(self.base, self.aux, self.rank,
-                                                       self.score)
-
     def write_csv(self, path: str | Path) -> None:
-        """Stream the result file through ``atomic_write``."""
-        with atomic_write(path, "w", encoding="utf-8", newline="") as fh:
-            self._write_rows(fh)
+        """Write the result file through ``write_result``."""
+        write_result(path, self.base_ids, self.aux_ids,
+                     [(self.base, self.aux, self.rank, self.score, self.reverse)])
 
     @classmethod
     def from_csv(cls, path: str | Path,
@@ -644,40 +633,53 @@ def execute_join(
     return JoinResult.from_columns(base_ids, aux_ids, columns)
 
 
-def chain_joins(
-    base_emb: Embeddings,
-    stages: Sequence[tuple[JoinSpec, EmbeddingIndex]],
-) -> JoinResult:
-    """Run a multi-hop join: each stage queries its index with the records
-    retrieved by the previous stage, using the stored vectors as queries.
+def retrieval_result(base_emb: Embeddings, aux_emb: Embeddings, k: int,
+                     metric: Metric = "l2") -> JoinResult:
+    """Each base record's ``k`` best aux records: ``execute_join`` of a
+    LEFT spec at RIGHT SIZE ``k`` with no threshold, so every base record
+    finds min(k, n_aux) matches and no row is ABSENT."""
+    spec = JoinSpec(base_ref="base", aux_ref="aux", join_type=JoinType.LEFT, left_size=1,
+                    right_size=k, supervision_ref="eval")
+    return execute_join(spec, base_emb, aux_emb, metric)
 
-    The result relates stage-0 query records to last-stage matches; each
-    match carries the intermediate id per hop in ``path``.
-    """
+
+def chain_joins(base_emb: Embeddings, stages: Sequence[tuple[JoinSpec, Embeddings]],
+                metric: Metric = "l2") -> JoinResult:
+    """Run a multi-hop join: each stage retrieves its RIGHT SIZE best
+    records of its embeddings for every record the previous stage matched,
+    the matched records' stored vectors querying.
+
+    The frontier holds one row per (origin, hop path so far). Each hop is
+    one ``retrieval_result`` over the frontier's distinct records,
+    expanded back to the frontier rows in order. The result relates
+    stage-0 records to last-stage matches; each match carries the
+    intermediate id per hop in ``path``."""
     if not stages:
         raise JoinError("chain requires at least one stage")
-    base_ids, queries = base_emb
-    # Frontier: a query vector per (origin, hop path so far), each hop's index position.
-    origins = np.arange(len(base_ids))
-    hops: list[np.ndarray] = []
-    for step, (spec, index) in enumerate(stages, start=1):
-        rows, cols, scores = _search(index, queries, spec.right_size, None)
-        origins = origins[rows]
-        hops = [hop[rows] for hop in hops] + [cols]
-        if step < len(stages):  # the last hop's matches query nothing
-            queries = index.vectors[cols]
+    ids, vectors = base_emb
+    hops = [np.arange(len(ids))]  # each frontier row's record in the base, then per hop
+    for spec, (aux_ids, aux_vectors) in stages:
+        distinct, inverse = np.unique(hops[-1], return_inverse=True)
+        if distinct.size < len(ids):  # else the side itself queries, not a copy of it
+            ids, vectors = [ids[i] for i in distinct.tolist()], vectors[distinct]
+        found = retrieval_result((ids, vectors), (aux_ids, aux_vectors), spec.right_size, metric)
+        # Each distinct record's ``per`` matches are consecutive rows, best first.
+        per = min(spec.right_size, len(aux_ids))
+        rows = (inverse[:, None] * per + np.arange(per)).ravel()
+        hops = [np.repeat(hop, per) for hop in hops] + [found.aux[rows]]
+        scores = found.score[rows]
+        ids, vectors = aux_ids, aux_vectors
 
     # Re-rank final matches per origin record, ties by endpoint id, then (a
     # stable sort) by frontier order; path keeps one id per hop before the endpoint.
-    last = stages[-1][1]
-    order = rank_pairs(origins, _lower_first(scores, last.metric), last._id_rank[hops[-1]],
-                       origins.size)
-    origins, scores, hops = origins[order], scores[order], [hop[order] for hop in hops]
+    order = rank_pairs(hops[0], _lower_first(scores, metric), id_ranks(ids)[hops[-1]],
+                       scores.size)
+    origins, *middle, ends = (hop[order] for hop in hops)
     path = np.empty((origins.size, len(stages) - 1), dtype=object)
-    for j, ((_, index), hop) in enumerate(zip(stages, hops[:-1])):
-        path[:, j] = np.array(index.ids, dtype=object)[hop]
-    return JoinResult(tuple(base_ids), last.ids, origins, hops[-1], _offsets(origins) + 1,
-                      scores, np.zeros(origins.size, bool), path)
+    for j, ((_, (stage_ids, _)), hop) in enumerate(zip(stages, middle)):
+        path[:, j] = np.array(stage_ids, dtype=object)[hop]
+    return JoinResult(tuple(base_emb[0]), tuple(ids), origins, ends, _offsets(origins) + 1,
+                      scores[order], np.zeros(origins.size, bool), path)
 
 
 # ---------------------------------------------------------------------------

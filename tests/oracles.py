@@ -5,7 +5,8 @@ does in bulk: one query's top-k, one document's BM25 score (by its own
 Okapi arithmetic, not the index's), one sentence's embedding, the loss of
 a batch with every sentence embedded alone, the rows of a result as
 objects and a result file as text, written by ``write_csv`` or by a plain
-``csv.writer``. Tests compare the engine's bulk paths against them.
+``csv.writer``. Tests compare the engine's bulk paths against them;
+``scan_queries`` is their way into the engine's scan.
 
 The training step is also here in a plain form (``forward_group``,
 ``backward_group``, ``table_grads`` and ``batch_gradients``): masked copies
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from emberish import lexrank
+from emberish import joiner, lexrank
 from emberish.encoder import _TINY, EncoderError, EncoderModel, _forward_group, _Grads
 from emberish.joiner import EmbeddingIndex, JoinError, JoinResult
 from emberish.lexrank import Bm25Index, LexError, build_bm25_index
@@ -53,6 +54,16 @@ def knn(
     _, cols, scores = exact_topk(np.asarray(query, dtype=np.float64)[None], index.vectors,
                                  index.ids, k, index.metric, threshold)
     return [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
+
+
+def scan_queries(index: EmbeddingIndex, queries: np.ndarray, k: int,
+                 threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The engine's exact top-k of every query row: ``joiner._scan`` of
+    ``queries`` as one block, ``(rows, cols, scores)`` ordered by query
+    row, then rank, with ``cols`` index positions. Not an oracle: the way
+    in for tests that check the scan itself against one."""
+    ((_, _, *found),) = joiner._scan(index, [queries], k, threshold)
+    return tuple(found)  # type: ignore[return-value]
 
 
 def exact_topk(queries: np.ndarray, targets: np.ndarray, target_ids: Sequence[str], k: int,
@@ -124,7 +135,8 @@ def matched_pairs(result: JoinResult) -> set[tuple[str, str]]:
 def to_csv_text(result: JoinResult) -> str:
     """The result file as text, as ``write_csv`` writes it."""
     buf = io.StringIO()
-    result._write_rows(buf)
+    joiner.result_writer(buf, result.base_ids, result.aux_ids)(result.base, result.aux,
+                                                               result.rank, result.score)
     return buf.getvalue()
 
 

@@ -27,7 +27,6 @@ from emberish.encoder import (
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k, run_comparison
 from emberish.joiner import (
     JoinResult,
-    _search,
     aggregate_labels,
     build_index,
     chain_joins,
@@ -37,7 +36,8 @@ from emberish.joinspec import EngineConfig, JoinSpec, JoinType, parse_join_spec,
 from emberish.lexrank import jaccard, levenshtein
 from emberish.prepare import prepare_sentence, token_ids
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
-from oracles import batch_loss, coded_index, dense_table, encode, knn, matched_pairs, matches
+from oracles import (batch_loss, coded_index, dense_table, encode, knn, matched_pairs, matches,
+                     scan_queries)
 from records import dataset_from_rows, record
 
 
@@ -97,7 +97,7 @@ def test_retrieval_oracle_equivalence():
             ((float(np.linalg.norm(v - query)), rid) for rid, v in entries)
         )
         for k in (1, 5, 10):
-            _, cols, scores = _search(index, query[None], k, None)
+            _, cols, scores = scan_queries(index, query[None], k, None)
             got = [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
             assert got == knn(index, query, k)
             assert [rid for rid, _ in got] == [rid for _, rid in expected[:k]]
@@ -516,7 +516,7 @@ def test_two_hop_and_label_averaging():
     d2 = [(f"z{m}", np.array([10.0 * inv_sigma[inv_tau[m]] + 0.2, 0.0])) for m in range(n)]
 
     hop = JoinSpec("a", "b", JoinType.INNER, n, 1, "s")
-    chained = chain_joins(pair(d0), [(hop, build_index(pair(d1))), (hop, build_index(pair(d2)))])
+    chained = chain_joins(pair(d0), [(hop, pair(d1)), (hop, pair(d2))])
     assert len(matches(chained)) == n
     for m in matches(chained):
         i = int(m.base_id[1:])

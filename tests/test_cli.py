@@ -1275,7 +1275,8 @@ class TestEvaluate:
             self, workspace, monkeypatch):
         from emberish.data import load_supervision
         from emberish.encoder import EncoderModel
-        from emberish.evalkit import TruthSet, recall_at_k, retrieval_result
+        from emberish.evalkit import TruthSet, recall_at_k
+        from emberish.joiner import retrieval_result
         from emberish.prepare import prepare_sentence
 
         created = []

@@ -225,7 +225,7 @@ class TestRunComparison:
 
     def test_values_match_individual_recall_calls(self):
         from emberish.encoder import EncoderModel
-        from emberish.evalkit import retrieval_result
+        from emberish.joiner import retrieval_result
 
         base, aux, ts = tiny_world()
         model = EncoderModel.create(dim=16, hash_dim=256, seed=0)

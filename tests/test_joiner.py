@@ -33,7 +33,7 @@ from emberish.data import SupervisionPair
 from emberish.evalkit import TruthSet, mrr_at_k, recall_at_k
 from emberish.joinspec import JoinSpec, JoinType
 from oracles import (csv_writer_text, exact_topk, for_base, knn, matched_pairs, matches,
-                     to_csv_text)
+                     scan_queries, to_csv_text)
 
 
 # Record ids with the characters CSV must quote, and any other non-empty text.
@@ -58,7 +58,7 @@ def grid_embeddings(prefix, n, d, seed):
 def search(index, query, k, threshold=None):
     """The engine's top-k of one query as ``(id, score)`` pairs, which must
     equal the ``knn`` oracle's, scores bit for bit."""
-    _, cols, scores = joiner._search(index, np.asarray(query, np.float64)[None], k, threshold)
+    _, cols, scores = scan_queries(index, np.asarray(query, np.float64)[None], k, threshold)
     found = [(index.ids[c], s) for c, s in zip(cols.tolist(), scores.tolist())]
     assert found == knn(index, query, k, threshold)
     return found
@@ -235,7 +235,7 @@ class TestBlockedScan:
             vectors = rng.integers(0, 3, size=(n, d)).astype(np.float64)
             queries = rng.integers(0, 3, size=(m, d)).astype(np.float64)
             k = int(rng.integers(1, n + 2))
-            rows, cols, scores = joiner._search(build_index((ids, vectors)), queries, k,
+            rows, cols, scores = scan_queries(build_index((ids, vectors)), queries, k,
                                                 threshold)
             for q, query in enumerate(queries):
                 ranked = sorted((float(np.linalg.norm(v - query)), rid)
@@ -281,7 +281,7 @@ class TestBlockedScan:
         queries = np.array([[0.0, 0.0], far])
         monkeypatch.setattr(joiner, "_RESCORE_CELLS", len(ids))  # one query row per chunk
         for k in (1, 3, 5):
-            rows, cols, scores = joiner._search(build_index((ids, vectors)), queries, k, None)
+            rows, cols, scores = scan_queries(build_index((ids, vectors)), queries, k, None)
             for q, query in enumerate(queries):
                 diff = vectors - query
                 exact = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -328,7 +328,7 @@ class TestBlockedScan:
         queries = rng.normal(size=(1024, 64))
         tracemalloc.start()
         try:
-            rows, cols, scores = joiner._search(index, queries, 64, threshold)
+            rows, cols, scores = scan_queries(index, queries, 64, threshold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,7 +516,7 @@ class TestBlockedScan:
             ((first, stop, *streamed),) = joiner._scan_targets(
                 index, (targets[at : at + block] for at in range(0, n_targets, block)), k,
                 threshold, id_ranks(target_ids))
-            held = joiner._search(build_index((target_ids, targets), metric), queries, k,
+            held = scan_queries(build_index((target_ids, targets), metric), queries, k,
                                   threshold)
         assert (first, stop) == (0, len(queries))
         oracle = exact_topk(queries, targets, target_ids, k, metric, threshold)
@@ -541,7 +541,7 @@ class TestBlockedScan:
                                                         max_size=m * d))).reshape(m, d)
                             for m in (n, 3))
         ids = [f"t{j:02d}" for j in range(n)]
-        rows, cols, scores = joiner._search(build_index((ids, targets), "inner_product"),
+        rows, cols, scores = scan_queries(build_index((ids, targets), "inner_product"),
                                             queries, k, None)
         eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
         for q, query in enumerate(queries):
@@ -558,7 +558,7 @@ class TestBlockedScan:
                 assert true[chosen].min() >= true[left_out].max() - slack
 
     # Ranks every inner product of an index of ``n`` unit rows of 200
-    # floats with a few queries, and prints the sha256 of ``_search``'s
+    # floats with a few queries, and prints the sha256 of the scan's
     # ``(rows, cols, scores)`` bytes. A threaded matrix-vector product of
     # the index with a query rounds the rows where it splits its work
     # otherwise than one thread does.
@@ -566,12 +566,13 @@ class TestBlockedScan:
 import hashlib, sys
 import numpy as np
 from emberish import joiner
+from oracles import scan_queries
 n = int(sys.argv[1])
 rng = np.random.default_rng(n)
 vectors = rng.normal(size=(n + 8, 200))
 vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
 index = joiner.build_index(([f"r{i}" for i in range(n)], vectors[:n]), "inner_product")
-found = joiner._search(index, vectors[n:], n, None)
+found = scan_queries(index, vectors[n:], n, None)
 print(hashlib.sha256(b"".join(column.tobytes() for column in found)).hexdigest())
 """
 
@@ -843,7 +844,7 @@ def _reference_rows(spec, base_emb, aux_emb, metric, threshold, indexed_queries,
         query_ids, query_vectors = query_emb
         if index_on == "target":
             index = build_index(target_emb, metric)
-            rows, cols, scores = joiner._search(index, query_vectors, k, threshold)
+            rows, cols, scores = scan_queries(index, query_vectors, k, threshold)
             hits = [[] for _ in query_ids]
             for row, col, score in zip(rows.tolist(), cols.tolist(), scores.tolist()):
                 hits[row].append((index.ids[col], score))
@@ -981,8 +982,7 @@ class TestChainJoins:
         base = grid_embeddings("b", 6, 3, 30)
         aux = grid_embeddings("a", 8, 3, 31)
         s = spec(JoinType.INNER, left=6, right=2)
-        index = build_index(aux)
-        chained = chain_joins(base, [(s, index)])
+        chained = chain_joins(base, [(s, aux)])
         direct = execute_join(s, base, aux)
         assert matched_pairs(chained) == matched_pairs(direct)
 
@@ -1000,7 +1000,7 @@ class TestChainJoins:
         d2 = [(f"z{m}", vec(10.0 * inv_sigma[inv_tau[m]] + 0.2, 0.0)) for m in range(n)]
 
         one = spec(JoinType.INNER, left=n, right=1)
-        stages = [(one, build_index(pair(d1))), (one, build_index(pair(d2)))]
+        stages = [(one, pair(d1)), (one, pair(d2))]
         result = chain_joins(pair(d0), stages)
         assert len(matches(result)) == n
         for m in matches(result):
@@ -1013,8 +1013,8 @@ class TestChainJoins:
         mid = grid_embeddings("m", 4, 2, 41)
         last = grid_embeddings("z", 5, 2, 42)
         stages = [
-            (spec(JoinType.INNER, right=1), build_index(mid)),
-            (spec(JoinType.INNER, right=1), build_index(last)),
+            (spec(JoinType.INNER, right=1), mid),
+            (spec(JoinType.INNER, right=1), last),
         ]
         result = chain_joins(base, stages)
         for m in matches(result):
@@ -1022,37 +1022,74 @@ class TestChainJoins:
             assert m.path[0].startswith("m")
             assert m.aux_id.startswith("z")
 
-    def test_two_hop_equals_nested_knn(self):
+    # Sizes (base, mid, last, hop 1 k, hop 2 k); every hop 2 frontier
+    # repeats mid records. At the first, hop 1 holds its 5 targets and hop 2
+    # its at most 5 querying records; at the second, hop 1 holds its 3
+    # querying records and hop 2 its 5 targets, as hop 1 matched at least 5.
+    @pytest.mark.parametrize("sizes", [(6, 5, 7, 3, 2), (3, 8, 5, 5, 2)],
+                             ids=["targets-then-queries-held", "queries-then-targets-held"])
+    @pytest.mark.parametrize("metric", ["l2", "inner_product"])
+    def test_two_hop_equals_nested_knn(self, metric, sizes):
         # Reference: every origin's hits expanded hop by hop with knn, then
         # re-ranked by score and endpoint id, stable in expansion order.
-        base = grid_embeddings("b", 6, 2, 43)
-        mid = grid_embeddings("m", 5, 2, 44)
+        n_base, n_mid, n_last, k1, k2 = sizes
+        base = grid_embeddings("b", n_base, 2, 43)
+        mid = grid_embeddings("m", n_mid, 2, 44)
         mid[1][3] = mid[1][1]
-        last = grid_embeddings("z", 7, 2, 45)
+        last = grid_embeddings("z", n_last, 2, 45)
         last[1][4] = last[1][0]
-        stages = [(spec(JoinType.INNER, right=3), build_index(mid)),
-                  (spec(JoinType.INNER, right=2), build_index(last))]
+        stages = [(spec(JoinType.INNER, right=k1), mid), (spec(JoinType.INNER, right=k2), last)]
+        mid_index, last_index = build_index(mid, metric), build_index(last, metric)
+        sign = 1.0 if metric == "l2" else -1.0  # lowest first
         expected = []
         for bid, vec in zip(*base):
             entries = []
-            for mid_id, _ in knn(stages[0][1], vec, 3):
+            for mid_id, _ in knn(mid_index, vec, k1):
                 mid_vec = dict(zip(*mid))[mid_id]
-                for hit_id, score in knn(stages[1][1], mid_vec, 2):
+                for hit_id, score in knn(last_index, mid_vec, k2):
                     entries.append((score, hit_id, (mid_id,)))
-            entries.sort(key=lambda e: (e[0], e[1]))
+            entries.sort(key=lambda e: (sign * e[0], e[1]))
             expected += [(bid, hit, rank, score, path)
                          for rank, (score, hit, path) in enumerate(entries, start=1)]
-        result = chain_joins(base, stages)
+        result = chain_joins(base, stages, metric)
         assert [(m.base_id, m.aux_id, m.rank, m.score, m.path)
                 for m in matches(result)] == expected
+
+    def test_each_hop_queries_each_distinct_frontier_record_once(self, monkeypatch):
+        # Hop 1 streams the 6 base records past the 5 mid records it holds.
+        # Hop 2's frontier is 18 rows over at most 5 mid records: it holds
+        # those records, each once, and streams the 7 last records past them.
+        base = grid_embeddings("b", 6, 2, 43)
+        mid = grid_embeddings("m", 5, 2, 44)
+        last = grid_embeddings("z", 7, 2, 45)
+        queried = []
+
+        def spy(scan, queries_of):
+            def querying(index, blocks, *rest):
+                blocks = list(blocks)
+                queried.append(queries_of(index, blocks))
+                return scan(index, blocks, *rest)
+            return querying
+
+        monkeypatch.setattr(joiner, "_scan", spy(joiner._scan,
+                                                 lambda index, blocks: np.concatenate(blocks)))
+        monkeypatch.setattr(joiner, "_scan_targets", spy(joiner._scan_targets,
+                                                         lambda index, blocks: index.vectors))
+        chain_joins(base, [(spec(JoinType.INNER, right=3), mid),
+                           (spec(JoinType.INNER, right=2), last)])
+        matched = sorted({mid[0].index(mid_id) for query in base[1]
+                          for mid_id, _ in knn(build_index(mid), query, 3)})
+        assert len(queried) == 2
+        assert queried[0].tobytes() == base[1].tobytes()
+        assert queried[1].tobytes() == mid[1][matched].tobytes()
 
     def test_last_hop_gathers_no_query_vectors(self):
         # Only a hop that another hop follows queries with its matches'
         # vectors. Gathering them after the last hop too would hold 40,000
         # rows of 128 floats (41 MB) that nothing reads.
         base = grid_embeddings("b", 100, 128, 46)
-        stages = [(spec(JoinType.INNER, right=20), build_index(grid_embeddings("m", 300, 128, 47))),
-                  (spec(JoinType.INNER, right=20), build_index(grid_embeddings("z", 400, 128, 48)))]
+        stages = [(spec(JoinType.INNER, right=20), grid_embeddings("m", 300, 128, 47)),
+                  (spec(JoinType.INNER, right=20), grid_embeddings("z", 400, 128, 48))]
         tracemalloc.start()
         try:
             result = chain_joins(base, stages)
@@ -1061,6 +1098,23 @@ class TestChainJoins:
             tracemalloc.stop()
         assert result.rank.size == 100 * 20 * 20
         assert peak < result.rank.size * 128 * 8
+
+    def test_a_hop_holds_its_distinct_records_not_its_frontier(self):
+        # Hop 1 matches each of 4,000 base records to 5 of 10 mid records, so
+        # hop 2's frontier is 20,000 rows over 10 records. A query row per
+        # frontier row would be 20,000 rows of 64 floats (10 MB); the hop
+        # gathers the row of each of the 10 records once.
+        base = grid_embeddings("b", 4000, 64, 49)
+        stages = [(spec(JoinType.INNER, right=5), grid_embeddings("m", 10, 64, 50)),
+                  (spec(JoinType.INNER, right=1), grid_embeddings("z", 50, 64, 51))]
+        tracemalloc.start()
+        try:
+            result = chain_joins(base, stages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.rank.size == 20_000
+        assert peak < 20_000 * 64 * 8
 
     def test_empty_chain_rejected(self):
         with pytest.raises(JoinError, match="at least one stage"):
