@@ -70,12 +70,12 @@ from .joiner import (
     Embeddings,
     JoinError,
     Side,
-    aggregate_labels,
     chain_joins,
     embeddings_count,
     embeddings_ids,
     embeddings_writer,
     held_side,
+    label_means,
     load_embeddings,
     read_embeddings,
     scan_order,
@@ -827,7 +827,8 @@ def cmd_pipeline(
     each distinct record the hop before matched, through the join's scan
     (``joiner.chain_joins``). A hop statement must be INNER, so one of
     another join type exits 1; LEFT SIZE is not applied. Stage ``chain``
-    includes writing chain_result.csv."""
+    includes writing chain_result.csv, and stage ``aggregate``, one ranking
+    of its rows for every k of ``agg_ks``, writing aggregates.csv."""
     if labels_path is None:
         _refuse("pipeline without --labels", {"--agg-ks": agg_ks is not None})
     if config.num_encoders == 2:
@@ -873,11 +874,11 @@ def cmd_pipeline(
     if labels is not None:
         agg_ks = agg_ks or [1, 10, 20, 30]
         agg_path = run.data_dir / "aggregates.csv"
-        rows = []
-        for k in agg_ks:
-            estimates = aggregate_labels(result, labels, k)
-            rows += [(k, base_id, repr(estimates[base_id])) for base_id in sorted(estimates)]
-        write_table(agg_path, ["k", "base_id", "estimate"], rows)
+        with run.stage("aggregate"):
+            means = label_means(result, labels, agg_ks)
+            rows = [(k, base_id, repr(estimates[base_id]))
+                    for k, estimates in zip(agg_ks, means) for base_id in sorted(estimates)]
+            write_table(agg_path, ["k", "base_id", "estimate"], rows)
         run.wrote(agg_path)
     return run.finish()
 
@@ -894,6 +895,8 @@ def _ks_option(_ctx, _param, value):
         ks = [int(part) for part in value.split(",") if part.strip()]
     except ValueError:
         raise click.BadParameter("expected a comma-separated list of integers")
+    if not ks:
+        raise click.BadParameter("expected at least one k")
     if any(k < 1 for k in ks):
         raise click.BadParameter("every k must be >= 1")
     return ks

@@ -9,7 +9,7 @@ count. The tile is partitioned for each query's k-th best a few rows at a
 time in one cache-sized scratch, and each chunk's shortlist is taken
 while it is in cache. ``rank_pairs`` ranks candidates for every scorer,
 ties by ascending id, on keys where lower is better (``_lower_first``):
-the scans hand it their re-scored shortlists, ``topk`` (the lexical
+the scan hands it its re-scored shortlists, ``topk`` (the lexical
 rankers') a dense block of scores. An approximate backend may replace the
 scan only if it passes the exactness suite at recall 1.0 or marks its
 output as approximate. Built indexes are read-only and safe to query
@@ -27,11 +27,13 @@ scan per retrieval direction (two, one index at a time, for FULL and the
 INNER union). A scan holds one side, the one ``held_side`` names, read
 whole into its index, and streams the other past it in ``scan_rows``
 blocks, each dropped once scanned: it holds the smaller side, whether
-that side queries (``_scan_targets``, which keeps a running top-k per
-query) or is retrieved from (``_scan``). ``execute_join``'s sides read
-in-memory matrices; ``write_join`` takes any sides (the CLI's read
-embeddings files) and renders rows to ``result.csv`` as they come, so
-the larger side is never held whole. A chain join runs each hop as one
+that side queries or is retrieved from. Either way the scan is one loop,
+``_scan``: a running top-k of each tile of queries over the target
+blocks streamed past it, the held side being the one query tile or each
+tile's one target block. ``execute_join``'s sides read in-memory
+matrices; ``write_join`` takes any sides (the CLI's read embeddings
+files) and renders rows to ``result.csv`` as they come, so the larger
+side is never held whole. A chain join runs each hop as one
 ``retrieval_result``, an ``execute_join`` of a LEFT spec, over the
 distinct records the previous hop matched, so no retrieval bypasses
 ``scan_join``.
@@ -135,8 +137,6 @@ class EmbeddingIndex:
             raise JoinError("id count does not match vector count")
         if len(set(self.ids)) != len(self.ids):
             raise JoinError("index record ids must be unique")
-        self._id_rank = id_ranks(self.ids)
-        self._sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
 
     @property
     def dimension(self) -> int:
@@ -162,9 +162,9 @@ def held_side(reverse: bool, n_base: int, n_aux: int) -> bool:
     """The side that a scan in direction ``reverse`` (aux records
     querying) over ``n_base`` and ``n_aux`` records holds, True for aux:
     the smaller side. That is the querying side when it is strictly
-    smaller, which the retrieved side then streams past
-    (``_scan_targets``), and otherwise the side retrieved from
-    (``_scan``)."""
+    smaller, the one query tile of its ``_scan``, which the retrieved side
+    then streams past as target blocks, and otherwise the side retrieved
+    from, the one target block of each tile of queries streamed past it."""
     n_query, n_target = (n_aux, n_base) if reverse else (n_base, n_aux)
     return reverse == (n_query < n_target)
 
@@ -183,12 +183,6 @@ def scan_rows(index: EmbeddingIndex) -> int:
                       _STREAM_CELLS // index.dimension))
 
 
-def _check_rows(rows: np.ndarray, index: EmbeddingIndex) -> None:
-    if rows.shape[1:] != (index.dimension,):
-        raise JoinError(f"row dimension {rows.shape[1:]} does not match index "
-                        f"dimension {index.dimension}")
-
-
 def _scratch(rows: int, cols: int, dim: int) -> tuple[np.ndarray, ...]:
     """Flat scratch for ``_tile`` over up to ``rows`` queries and ``cols``
     targets of ``dim`` floats: a block of scores, the smaller side scaled,
@@ -200,15 +194,15 @@ def _scratch(rows: int, cols: int, dim: int) -> tuple[np.ndarray, ...]:
 
 
 def _tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
-          sq_targets: np.ndarray, sq_max: float, k: int, ceiling: np.ndarray | None,
+          sq_targets: np.ndarray, sq_max: float, k: int, ceiling: np.ndarray,
           threshold: float | None, metric: Metric,
           scratch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates among ``targets`` for the top ``k`` under ``metric``
     of each of the ``queries`` of a tile: ``(rows, cols, scores)``, tile
     positions and exact scores within ``threshold``, unranked.
     ``sq_queries`` and ``sq_targets`` are the rows' squared norms,
-    ``sq_max`` at least any target's; a query's ``ceiling``, when given,
-    is the shortlist score past which no target can rank, up to the band.
+    ``sq_max`` at least any target's; a query's ``ceiling`` is the
+    shortlist score past which no target can rank, up to the band.
     ``scratch`` is ``_scratch``'s.
 
     One matrix product gives each pair a shortlist score, lowest best.
@@ -244,9 +238,7 @@ def _tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
         ordered = partitioned[: part.size].reshape(part.shape)
         ordered[:] = part
         ordered.partition(last, axis=1)
-        limit = ordered[:, last]
-        if ceiling is not None:
-            limit = np.minimum(limit, ceiling[at : at + chunk])
+        limit = np.minimum(ordered[:, last], ceiling[at : at + chunk])
         mask = np.less_equal(part, (limit + band[at : at + chunk])[:, None],
                              out=shortlisted[: part.size].reshape(part.shape))
         shortlist.append(np.flatnonzero(mask) + at * t)
@@ -266,84 +258,82 @@ def _tile(queries: np.ndarray, sq_queries: np.ndarray, targets: np.ndarray,
     return rows, cols, scores
 
 
-def _scan(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
-          threshold: float | None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray,
-                                                      np.ndarray]]:
-    """Exact top-k of every query row of ``blocks``, per block: its first
-    and past-the-end query positions, then ``(rows, cols, scores)``
-    ordered by query row, then rank, with ``cols`` index positions. Each
-    tile of at most ``scan_rows`` queries is one ``_tile``, its shortlist
-    ranked by ``rank_pairs``. The scan holds ``index`` and ``blocks`` until
-    the last block is scanned."""
+def _tiles(blocks: Iterable[np.ndarray], index: EmbeddingIndex) -> Iterator[np.ndarray]:
+    """The rows of ``blocks``, streamed past ``index``, in tiles of at most
+    ``scan_rows`` rows; ``JoinError`` at a block of another width."""
     step = scan_rows(index)
-    sq_max = index._sq_norms.max()
-    # One scratch serves the whole scan: arrays allocated afresh for each
-    # block were paged in again, or kept by the heap once the scan ended.
-    held = stop = 0
-    for queries in blocks:
-        _check_rows(queries, index)
-        if held < min(step, len(queries)):
-            held = min(step, len(queries))
-            scratch = _scratch(held, index.n, index.dimension)
-        first, stop = stop, stop + len(queries)
-        found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-        for start in range(0, len(queries), step):
-            block = queries[start : start + step]
-            rows, cols, scores = _tile(block, np.einsum("ij,ij->i", block, block),
-                                       index.vectors, index._sq_norms, sq_max, k, None,
-                                       threshold, index.metric, scratch)
-            best = rank_pairs(rows, _lower_first(scores, index.metric), index._id_rank[cols], k)
-            found.append((rows[best] + first + start, cols[best], scores[best]))
-        yield (first, stop, *(np.concatenate(part) for part in zip(*found)))
-
-
-def _scan_targets(index: EmbeddingIndex, blocks: Iterable[np.ndarray], k: int,
-                  threshold: float | None, target_rank: np.ndarray
-                  ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """``_scan`` the other way round: the exact top-k of every row of
-    ``index``, the querying side, over the target rows that ``blocks``
-    streams past it, whose id ranks are ``target_rank``. It yields one
-    block, of every query, once the last target is scanned; ``cols`` are
-    target positions.
-
-    Each tile of targets merges its candidates into a running top-k, ties
-    by target id rank, so the result is ``_scan``'s. A tile shortlists
-    only targets that can still rank: one enters a query's top k only if
-    its exact score is no worse than the running k-th, s_k (a tie can win
-    on its id). Under inner product its shortlist score is then below
-    -s_k plus less than the band (``_tile``). Under l2 its squared exact
-    score errs from ||x - q||^2 by less than 2 (d + 5) eps
-    (||q||^2 + ||x||^2), ||q||^2 by less than d eps ||q||^2, and its
-    shortlist score from ||x - q||^2 - ||q||^2 by less than E, so its
-    shortlist score is below s_k^2 - ||q||^2 plus less than the band. The
-    band takes the largest target norm seen."""
-    step = scan_rows(index)
-    scratch = _scratch(index.n, step, index.dimension)
-    rows, cols, scores = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    ceiling = np.full(index.n, np.inf)
-    sq_max, stop = 0.0, 0
     for block in blocks:
-        _check_rows(block, index)
+        if block.shape[1:] != (index.dimension,):
+            raise JoinError(f"row dimension {block.shape[1:]} does not match index "
+                            f"dimension {index.dimension}")
         for at in range(0, len(block), step):
-            targets = block[at : at + step]
-            if stop + len(targets) > target_rank.size:
+            yield block[at : at + step]
+
+
+def _scan(queries: Iterable[np.ndarray], targets: Iterable[np.ndarray], k: int,
+          threshold: float | None, metric: Metric, target_rank: np.ndarray
+          ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact top-k under ``metric`` of every row of each query tile of
+    ``queries`` over the target blocks of ``targets``, whose id ranks are
+    ``target_rank``. ``targets`` is read once per tile, so it may be a
+    one-pass stream only past a single tile. Per tile it yields the tile's
+    first and past-the-end query positions, then ``(rows, cols, scores)``
+    ordered by query row, then rank, with ``cols`` target positions. The
+    scan holds its tiles and blocks until the last is scanned.
+
+    Each target block is one ``_tile``, whose candidates merge into a
+    running top-k by ``rank_pairs``, ties by target id rank. A block
+    shortlists only targets that can still rank: one enters a query's top
+    k only if its exact score is no worse than the running k-th, s_k (a
+    tie can win on its id). Under inner product its shortlist score is
+    then below -s_k plus less than the band (``_tile``). Under l2 its
+    squared exact score errs from ||x - q||^2 by less than
+    2 (d + 5) eps (||q||^2 + ||x||^2), ||q||^2 by less than d eps ||q||^2,
+    and its shortlist score from ||x - q||^2 - ||q||^2 by less than E, so
+    its shortlist score is below s_k^2 - ||q||^2 plus less than the band.
+    The band takes the largest target norm seen."""
+    # One scratch serves the whole scan: arrays allocated afresh for each
+    # tile were paged in again, or kept by the heap once the scan ended.
+    size, stop = (0, 0), 0
+    for tile in queries:
+        sq_queries = np.einsum("ij,ij->i", tile, tile)
+        rows, cols, scores = np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
+        ceiling = np.full(len(tile), np.inf)
+        sq_max, seen = 0.0, 0
+        for block in targets:
+            if seen + len(block) > target_rank.size:
                 raise JoinError(f"more target rows than the {target_rank.size} target ids")
-            sq_targets = np.einsum("ij,ij->i", targets, targets)
+            if len(tile) > size[0] or len(block) > size[1]:
+                size = max(size[0], len(tile)), max(size[1], len(block))
+                scratch = _scratch(*size, tile.shape[1])
+            sq_targets = np.einsum("ij,ij->i", block, block)
             sq_max = max(sq_max, sq_targets.max())
-            tile = _tile(index.vectors, index._sq_norms, targets, sq_targets, sq_max, k,
-                         ceiling, threshold, index.metric, scratch)
+            found = _tile(tile, sq_queries, block, sq_targets, sq_max, k, ceiling, threshold,
+                          metric, scratch)
             rows, cols, scores = (np.concatenate(pair) for pair in
-                                  zip((rows, cols, scores), (tile[0], tile[1] + stop, tile[2])))
-            best = rank_pairs(rows, _lower_first(scores, index.metric), target_rank[cols], k)
+                                  zip((rows, cols, scores), (found[0], found[1] + seen, found[2])))
+            best = rank_pairs(rows, _lower_first(scores, metric), target_rank[cols], k)
             rows, cols, scores = rows[best], cols[best], scores[best]
-            stop += len(targets)
-            count = np.bincount(rows, minlength=index.n)
+            seen += len(block)
+            count = np.bincount(rows, minlength=len(tile))
             full = count == k
-            kth = _lower_first(scores[np.cumsum(count)[full] - 1], index.metric)
-            ceiling[full] = kth ** 2 - index._sq_norms[full] if index.metric == "l2" else kth
-    if stop != target_rank.size:
-        raise JoinError(f"{stop} target rows for {target_rank.size} target ids")
-    yield 0, index.n, rows, cols, scores
+            kth = _lower_first(scores[np.cumsum(count)[full] - 1], metric)
+            ceiling[full] = kth ** 2 - sq_queries[full] if metric == "l2" else kth
+        if seen != target_rank.size:
+            raise JoinError(f"{seen} target rows for {target_rank.size} target ids")
+        yield stop, stop + len(tile), rows + stop, cols, scores
+        stop += len(tile)
+
+
+def _scan_past(index: EmbeddingIndex, blocks: Iterable[np.ndarray], holds_queries: bool, k: int,
+               threshold: float | None, target_rank: np.ndarray
+               ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """``_scan`` of the rows of ``blocks``, in ``_tiles`` streamed past
+    ``index``, and the rows of ``index``: its one query tile when
+    ``holds_queries``, else each streamed tile's one target block."""
+    tiles, held = _tiles(blocks, index), [index.vectors]
+    return _scan(*((held, tiles) if holds_queries else (tiles, held)), k, threshold,
+                 index.metric, target_rank)
 
 
 @dataclass(eq=False)
@@ -521,8 +511,10 @@ def scan_join(spec: JoinSpec, base: Side, aux: Side, metric: Metric = "l2",
     Each scan reads the side that ``held_side`` names whole into its
     index, once the previous scan's index is dropped, and streams the
     other side past it in blocks of ``scan_rows`` rows, none kept once it
-    is scanned. The stream is closed when the scan ends or fails, or when
-    this generator is closed.
+    is scanned: ``_scan`` of the held rows as the one query tile or as
+    each streamed tile's one target block (``_scan_past``), with the
+    retrieved side's id ranks either way. The stream is closed when the
+    scan ends or fails, or when this generator is closed.
 
     A query finds the k best records, k the retrieved side's size bound.
     LEFT and RIGHT yield each block's rows, with an ABSENT row at each
@@ -546,10 +538,7 @@ def scan_join(spec: JoinSpec, base: Side, aux: Side, metric: Metric = "l2",
         index = build_index((kept.ids, vectors), metric)
         del vectors
         with closing(streamed.read(scan_rows(index))) as blocks:
-            if held == reverse:
-                hits = _scan_targets(index, blocks, k, threshold, id_ranks(target_ids))
-            else:
-                hits = _scan(index, blocks, k, threshold)
+            hits = _scan_past(index, blocks, held == reverse, k, threshold, id_ranks(target_ids))
             del index  # held by the scan alone, until it ends
             for start, stop, rows, cols, scores in hits:
                 if union:
@@ -819,12 +808,20 @@ def aggregate_labels(
     labels: dict[str, float],
     k: int,
 ) -> dict[str, float]:
-    """Average the labels of each base record's top-k matches.
+    """Average the labels of each base record's top-k matches: ``label_means``
+    at one k."""
+    return label_means(result, labels, [k])[0]
+
+
+def label_means(result: JoinResult, labels: dict[str, float],
+                ks: Sequence[int]) -> list[dict[str, float]]:
+    """For each k of ``ks``, the average label of each base record's top-k
+    matches, ties by label; every k reads one ranking of the matched rows.
 
     Base records with no matches are absent from the output; ABSENT rows
     contribute nothing.
     """
-    if k < 1:
+    if any(k < 1 for k in ks):
         raise JoinError("k must be >= 1")
     rows = np.flatnonzero((result.base >= 0) & (result.aux >= 0))
     labelled = np.array([aux_id in labels for aux_id in result.aux_ids], dtype=bool)
@@ -837,8 +834,7 @@ def aggregate_labels(
     order = np.lexsort((label, result.rank[rows], result.base[rows]))
     base, label = result.base[rows][order], label[order].tolist()
     starts = np.flatnonzero(_offsets(base) == 0).tolist()
-    out: dict[str, float] = {}
-    for lo, hi in zip(starts, [*starts[1:], base.size]):
-        top = label[lo : min(hi, lo + k)]
-        out[result.base_ids[base[lo]]] = sum(top) / len(top)
-    return out
+    groups = [(result.base_ids[base[lo]], lo, hi)
+              for lo, hi in zip(starts, [*starts[1:], base.size])]
+    return [{name: sum(label[lo : min(hi, lo + k)]) / min(hi - lo, k) for name, lo, hi in groups}
+            for k in ks]

@@ -135,7 +135,8 @@ def rank(queries: Iterable[Any], score: Callable[[Any], np.ndarray], n_docs: int
     """The best ``k`` of ``n_docs`` documents for each query, whose row of
     document scores is ``score(query)``, per block of queries as it is
     ranked: ``(rows, cols, scores)`` ordered by query position, then rank,
-    as ``joiner._scan`` yields them. Highest first unless not
+    as ``joiner._scan`` yields them after each tile's query positions.
+    Highest first unless not
     ``descending``, ties by ascending ``id_rank``, and only the scores
     ``keep`` marks True in a block. Blocks hold about ``_LEX_CELLS``
     scores, one ``topk`` each; ``gather`` joins them."""

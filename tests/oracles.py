@@ -59,11 +59,12 @@ def knn(
 def scan_queries(index: EmbeddingIndex, queries: np.ndarray, k: int,
                  threshold: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The engine's exact top-k of every query row: ``joiner._scan`` of
-    ``queries`` as one block, ``(rows, cols, scores)`` ordered by query
-    row, then rank, with ``cols`` index positions. Not an oracle: the way
-    in for tests that check the scan itself against one."""
-    ((_, _, *found),) = joiner._scan(index, [queries], k, threshold)
-    return tuple(found)  # type: ignore[return-value]
+    ``queries``, streamed as one block past ``index``, which is the one
+    target block of each of their tiles; ``(rows, cols, scores)`` ordered
+    by query row, then rank, with ``cols`` index positions. Not an oracle:
+    the way in for tests that check the scan itself against one."""
+    tiles = joiner._scan_past(index, [queries], False, k, threshold, joiner.id_ranks(index.ids))
+    return tuple(map(np.concatenate, zip(*(found for _, _, *found in tiles))))  # type: ignore
 
 
 def exact_topk(queries: np.ndarray, targets: np.ndarray, target_ids: Sequence[str], k: int,

@@ -660,27 +660,24 @@ class TestStreamedJoin:
         d = tmp_path / "d"
         trained(d, num_encoders=num_encoders)
         models, first_scan = [], []
-        load_model = cli_mod._load_model
+        load_model, scan = cli_mod._load_model, joiner._scan
 
         def loading(*args, **kwargs):
             model = load_model(*args, **kwargs)
             models.append(weakref.ref(model))
             return model
 
-        def watched(scan):
-            def scanning(*args, **kwargs):
-                if not first_scan:
-                    first_scan.append((
-                        [model() is None for model in models],
-                        {name: (d / name).read_bytes() if (d / name).exists() else None
-                         for name in EMBEDDINGS},
-                        list(d.glob(".embeddings_*.partial"))))
-                return scan(*args, **kwargs)
-            return scanning
+        def scanning(*args, **kwargs):
+            if not first_scan:
+                first_scan.append((
+                    [model() is None for model in models],
+                    {name: (d / name).read_bytes() if (d / name).exists() else None
+                     for name in EMBEDDINGS},
+                    list(d.glob(".embeddings_*.partial"))))
+            return scan(*args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "_load_model", loading)
-        for name in ("_scan", "_scan_targets"):
-            monkeypatch.setattr(joiner, name, watched(getattr(joiner, name)))
+        monkeypatch.setattr(joiner, "_scan", scanning)
         manifest = cmd_join(fast_config(d, join_type=join_type, num_encoders=num_encoders))
         assert [r["reused"] for r in manifest.embeddings.values()] == [False, False]
         ((dead, files, partial),) = first_scan
@@ -1510,10 +1507,14 @@ class TestPipeline:
 
 
 class TestKsValues:
-    @pytest.mark.parametrize("flags", [["evaluate", "--ks", "0"],
-                                       ["pipeline", "--agg-ks", "0"]],
-                             ids=["evaluate", "pipeline"])
-    def test_non_positive_k_exits_one_before_any_work(self, workspace, capsys, flags):
+    @pytest.mark.parametrize("flags, message", [
+        (["evaluate", "--ks", "0"], "every k must be >= 1"),
+        (["pipeline", "--agg-ks", "0"], "every k must be >= 1"),
+        (["evaluate", "--ks", ","], "expected at least one k"),
+        (["pipeline", "--agg-ks", ","], "expected at least one k")],
+        ids=["evaluate", "pipeline", "evaluate-empty", "pipeline-empty"])
+    def test_non_positive_k_exits_one_before_any_work(self, workspace, capsys, flags,
+                                                      message):
         tmp_path, cfg = workspace
         cmd_train(cfg, pretrain=False)
         cmd_join(cfg)
@@ -1531,7 +1532,7 @@ class TestKsValues:
             rest += ["--chain-file", str(chain), "--labels", str(labels)]
         assert main([command, "--config", str(config), *rest]) == 1
         assert files() == before
-        assert "every k must be >= 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         rest[1] = "1"  # the same command with k = 1 runs and writes
         assert main([command, "--config", str(config), *rest]) == 0
         assert files() != before
@@ -1736,7 +1737,7 @@ class TestManifest:
             "train",
             lambda d, cfg: cmd_pipeline(cfg, d / "chain.kjoin", labels_path=d / "labels.csv"),
             ["chain.kjoin", "labels.csv", "base.csv", "aux.csv", "model.bin"],
-            ["chain_result.csv", "aggregates.csv"], ["embed", "chain"]),
+            ["chain_result.csv", "aggregates.csv"], ["embed", "chain", "aggregate"]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -441,12 +441,14 @@ class TestBlockedScan:
         # the 2^19-float block of scores is the bound.
         assert joiner.scan_rows(build_index(grid_embeddings("a", n, 200, 101))) == rows
 
-    @pytest.mark.parametrize("join_type", [JoinType.LEFT, JoinType.FULL])
+    @pytest.mark.parametrize("join_type", [JoinType.LEFT, JoinType.FULL, JoinType.RIGHT])
     def test_a_join_that_fails_mid_stream_closes_its_stream(self, tmp_path, join_type):
         # The streamed side's second block has the wrong width: the scan
         # fails, and the stream is closed before the error leaves
         # write_join, with no garbage collection. The error's traceback,
-        # which holds the scan's frames, is kept alive.
+        # which holds the scan's frames, is kept alive. The base side
+        # streams past the held aux record: as queries in LEFT and in FULL's
+        # forward scan, which fails first, and as targets in RIGHT.
         closed = []
 
         def streamed(rows):
@@ -461,7 +463,8 @@ class TestBlockedScan:
 
         base = joiner.Side(("b0", "b1"), streamed)
         aux = joiner.Side(("a0",), held)
-        with pytest.raises(JoinError, match="row dimension") as failure:
+        with pytest.raises(JoinError, match=r"^row dimension \(4,\) does not match index "
+                                            r"dimension 3$") as failure:
             joiner.write_join(tmp_path / "result.csv", spec(join_type), base, aux, "l2")
         assert closed == [joiner._STREAM_CELLS // 3]
         assert failure.tb is not None
@@ -513,8 +516,8 @@ class TestBlockedScan:
         with patch.object(joiner, "_BLOCK_CELLS", block_cells), \
                 patch.object(joiner, "_RESCORE_CELLS", rescore_cells or joiner._RESCORE_CELLS):
             index = build_index(([f"q{i}" for i in range(len(queries))], queries.copy()), metric)
-            ((first, stop, *streamed),) = joiner._scan_targets(
-                index, (targets[at : at + block] for at in range(0, n_targets, block)), k,
+            ((first, stop, *streamed),) = joiner._scan_past(
+                index, (targets[at : at + block] for at in range(0, n_targets, block)), True, k,
                 threshold, id_ranks(target_ids))
             held = scan_queries(build_index((target_ids, targets), metric), queries, k,
                                   threshold)
@@ -590,14 +593,19 @@ print(hashlib.sha256(b"".join(column.tobytes() for column in found)).hexdigest()
         assert len(digests) == 1
 
     def test_a_streamed_target_count_must_match_its_ids(self):
-        index = build_index(grid_embeddings("q", 3, 2, 1))
-        targets = grid_embeddings("t", 4, 2, 2)[1]
-        for ranks in (id_ranks("abc"), id_ranks("abcde")):
-            with pytest.raises(JoinError, match="target"):
-                list(joiner._scan_targets(build_index(grid_embeddings("q", 3, 2, 1)), [targets],
-                                          2, None, ranks))
-        with pytest.raises(JoinError, match="dimension"):
-            list(joiner._scan_targets(index, [targets[:, :1]], 2, None, id_ranks("abcd")))
+        # Four targets, streamed past the three held queries, or held and
+        # passed by them.
+        queries, targets = grid_embeddings("q", 3, 2, 1), grid_embeddings("t", 4, 2, 2)
+        for holds_queries in (True, False):
+            held, streamed = (queries, targets) if holds_queries else (targets, queries)
+            index, streamed = build_index(held), streamed[1]
+            for ranks in (id_ranks("abc"), id_ranks("abcde")):
+                with pytest.raises(JoinError, match="target"):
+                    list(joiner._scan_past(index, [streamed], holds_queries, 2, None, ranks))
+            with pytest.raises(JoinError, match=r"^row dimension \(1,\) does not match index "
+                                                r"dimension 2$"):
+                list(joiner._scan_past(index, [streamed[:, :1]], holds_queries, 2, None,
+                                       id_ranks("abcd")))
 
 
 def spec(join_type, left=1, right=1):
@@ -1064,17 +1072,14 @@ class TestChainJoins:
         last = grid_embeddings("z", 7, 2, 45)
         queried = []
 
-        def spy(scan, queries_of):
-            def querying(index, blocks, *rest):
-                blocks = list(blocks)
-                queried.append(queries_of(index, blocks))
-                return scan(index, blocks, *rest)
-            return querying
+        scan = joiner._scan
 
-        monkeypatch.setattr(joiner, "_scan", spy(joiner._scan,
-                                                 lambda index, blocks: np.concatenate(blocks)))
-        monkeypatch.setattr(joiner, "_scan_targets", spy(joiner._scan_targets,
-                                                         lambda index, blocks: index.vectors))
+        def querying(queries, *rest):
+            queries = list(queries)
+            queried.append(np.concatenate(queries))
+            return scan(queries, *rest)
+
+        monkeypatch.setattr(joiner, "_scan", querying)
         chain_joins(base, [(spec(JoinType.INNER, right=3), mid),
                            (spec(JoinType.INNER, right=2), last)])
         matched = sorted({mid[0].index(mid_id) for query in base[1]
@@ -1147,6 +1152,25 @@ class TestAggregateLabels:
         result = self.result_with([("b0", "a0", 1, 0.1)])
         with pytest.raises(JoinError, match="label"):
             aggregate_labels(result, {}, k=1)
+
+    def test_one_ranking_serves_every_k(self):
+        # Three records with 5, 2 and 1 matches, in reverse row order, with
+        # a tied rank, and an ABSENT row: each k's means, in the order of
+        # ks, repeats included, average each record's first k labels by
+        # rank, then label.
+        rng = np.random.default_rng(5)
+        entries = [(f"b{b}", f"a{a}", rank, 0.0) for b, n in enumerate((5, 2, 1))
+                   for a, rank in zip(rng.permutation(n), (1, 2, 2, 3, 4))]
+        result = self.result_with([*entries[::-1], ("b3", None, 0, float("nan"))])
+        labels = {f"a{a}": float(rng.normal()) for a in range(5)}
+        ranked = {bid: [label for _, label in sorted((rank, labels[aid])
+                                                     for b, aid, rank, _ in entries if b == bid)]
+                  for bid in ("b0", "b1", "b2")}
+        ks = [3, 1, 10, 3, 2]
+        assert joiner.label_means(result, labels, ks) == \
+            [{bid: sum(top[:k]) / len(top[:k]) for bid, top in ranked.items()} for k in ks]
+        with pytest.raises(JoinError, match="k must be >= 1"):
+            joiner.label_means(result, labels, [2, 0])
 
 
 class TestResultCsv:
