@@ -60,7 +60,7 @@ from .lexrank import (
     levenshtein,
     lexical_join,
 )
-from .prepare import Sentence, prepare_sentence, read_token_ids, tokenize
+from .prepare import Sentence, prepare_sentence, read_key_texts, read_token_ids, tokenize
 from .supervise import (
     PerturbationConfig,
     SamplerConfig,

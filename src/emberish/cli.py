@@ -37,10 +37,10 @@ import numpy as np
 from . import __version__
 from .data import (
     DataError,
-    Dataset,
     DatasetRole,
     SupervisionPair,
     atomic_write,
+    dataset_table,
     load_dataset,
     load_supervision,
     read_table,
@@ -100,9 +100,10 @@ from .lexrank import (
     baseline_tokenizer,
     key_join,
     lexical_join,
+    require_key_column,
     uses_key_column,
 )
-from .prepare import Features, TokenIds, prepare_sentence, read_token_ids, token_ids
+from .prepare import Features, TokenIds, read_key_texts, read_token_ids, sentence_text
 from .supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 
 ENV_DATA_DIR = "EMBERISH_DATA_DIR"
@@ -302,19 +303,6 @@ def _side_models(run: _Run, config: EngineConfig) -> list[Path]:
     """The model file that embeds the base side, then the aux side's."""
     aux_model = "model_aux.bin" if config.num_encoders == 2 else "model.bin"
     return [run.data_dir / "model.bin", run.data_dir / aux_model]
-
-
-def _featurize(paths: Sequence[Path], tokenizers: Sequence[str],
-               datasets: Sequence[Dataset] | None = None
-               ) -> tuple[list[tuple[str, ...]], dict[str, Features]]:
-    """The ids of the dataset files at ``paths``, and under each of
-    ``tokenizers`` their token ids: coded as each file streams past, in
-    one read per file that holds no record, or from ``datasets``, the
-    files' records, when the command loaded them to read their text."""
-    if datasets is None:
-        return read_token_ids(paths, tokenizers)
-    return ([ds.ids() for ds in datasets],
-            {tokenizer: token_ids(datasets, tokenizer) for tokenizer in dict.fromkeys(tokenizers)})
 
 
 def _reusable(run: _Run, tokenizer: str,
@@ -594,6 +582,8 @@ def cmd_join(
         if unused is not None:
             given[unused] = unused in size_flags
     _refuse(path, given)
+    if baseline is not None:
+        require_key_column([baseline], key_column)
     run = _Run("join", config)
 
     if spec_file is not None:
@@ -612,22 +602,15 @@ def cmd_join(
     files = [run.data_dir / "embeddings_base.bin", run.data_dir / "embeddings_aux.bin"]
     if baseline is None:
         reusable = _reusable(run, config.tokenizer, list(zip(files, paths, models)))
-    # Records are loaded only to read their text: the sentences dumped, or
-    # the key column a key baseline compares.
-    datasets = None
-    if dump_sentences is not None or (baseline is not None and uses_key_column(baseline)):
-        datasets = [load_dataset(path) for path in paths]
 
     if dump_sentences is not None:
+        # Each row's sentence is written as its file streams past.
         dump_path = Path(dump_sentences)
         with atomic_write(dump_path, "w", encoding="utf-8") as fh:
-            for dataset in datasets:
-                for rec in dataset.records:
-                    sent = prepare_sentence(rec, tokenizer=config.tokenizer)
-                    fh.write(json.dumps(
-                        {"record_id": sent.record_id, "text": sent.text},
-                        ensure_ascii=False,
-                    ) + "\n")
+            for path in paths:
+                for rec_id, fields in dataset_table(path)[1]:
+                    fh.write(json.dumps({"record_id": rec_id, "text": sentence_text(fields)},
+                                        ensure_ascii=False) + "\n")
         run.wrote(dump_path)
 
     result_path = run.data_dir / "result.csv"
@@ -635,11 +618,11 @@ def cmd_join(
         # Each rank block is written to result.csv as it is ranked.
         with run.stage("baseline_join"):
             if uses_key_column(baseline):
-                ids = [dataset.ids() for dataset in datasets]
-                columns = key_join(baseline, *datasets, key_column, k=spec.right_size)
+                ids, keys = read_key_texts(paths, key_column)  # type: ignore[arg-type]
+                columns = key_join(baseline, ids[1], keys, k=spec.right_size)
             else:
                 tokenizer = baseline_tokenizer(baseline)
-                ids, features = _featurize(paths, [tokenizer], datasets)
+                ids, features = read_token_ids(paths, [tokenizer])
                 columns = lexical_join(baseline, ids[1], features.pop(tokenizer),
                                        k=spec.right_size)
             write_result(result_path, *ids, columns)
@@ -649,9 +632,7 @@ def cmd_join(
     def featurize(sides: list[int]) -> tuple[dict[int, tuple[str, ...]], Sequence[str],
                                              dict[int, TokenIds]]:
         """The ids, the vocabulary and the token ids of ``sides``."""
-        read_ids, features = _featurize(
-            [paths[side] for side in sides], [config.tokenizer],
-            None if datasets is None else [datasets[side] for side in sides])
+        read_ids, features = read_token_ids([paths[side] for side in sides], [config.tokenizer])
         vocab, tokens = features[config.tokenizer]
         return dict(zip(sides, read_ids)), vocab, dict(zip(sides, tokens))
 
@@ -687,7 +668,7 @@ def cmd_join(
                 run.wrote(files[side], _embed_file(
                     loaded[models[side]], (vocab, tokens.pop(side)), ids[side], files[side]))
     # Every side is a verified file now: the scans need no model or records.
-    del loaded, vocab, tokens, datasets
+    del loaded, vocab, tokens
 
     def read(side: int, rows: int | None) -> Iterator[np.ndarray]:
         """The side's vectors: those ``_reuse`` parsed, once, or else its
@@ -727,6 +708,7 @@ def cmd_evaluate(
                 {"--results": results_path is not None, "--mrr": with_mrr,
                  "--key-column": key_column is not None
                  and not any(uses_key_column(m) for m in methods)})
+        require_key_column(methods, key_column)
     else:
         _refuse("evaluate without --comparison",
                 {"--methods": methods is not None, "--key-column": key_column is not None})
@@ -742,10 +724,6 @@ def cmd_evaluate(
     if comparison:
         paths = [run.data_dir / "base.csv", run.data_dir / "aux.csv"]
         run.read(*paths)
-        # Only a key-column baseline reads record text.
-        datasets = None
-        if any(uses_key_column(m) for m in methods):
-            datasets = [load_dataset(path) for path in paths]
         with run.stage("comparison"):
             # Both datasets are featurized once, together, per tokenizer in
             # use: the sentence baselines' and the encoder rows' (the
@@ -755,7 +733,12 @@ def cmd_evaluate(
                           if m in BASELINE_KINDS and not uses_key_column(m)]
             if set(methods) & set(ENCODER_METHODS):
                 tokenizers.append(config.tokenizer)
-            ids, features = _featurize(paths, tokenizers, datasets)
+            # A key-column baseline reads its column's texts, and with them
+            # the ids; the token ids are read when a method needs them.
+            ids, keys = (None, None) if key_column is None else read_key_texts(paths, key_column)
+            features = {}
+            if tokenizers or ids is None:
+                ids, features = read_token_ids(paths, tokenizers)
             embeddings = {}
             if "untrained-encoder" in methods:
                 vocab, tokens = features[config.tokenizer]
@@ -769,8 +752,7 @@ def cmd_evaluate(
                     _embed(run, config, ids, _side_models(run, config),
                            features[config.tokenizer]))
             table = run_comparison(*ids, truth, methods, ks, embeddings=embeddings,
-                                   metric=config.distance, features=features,
-                                   datasets=datasets, key_column=key_column)
+                                   metric=config.distance, features=features, keys=keys)
         rows = [(method, k, repr(r)) for method, k, r in table.rows]
         printable = table.format_table()
     else:

@@ -5,10 +5,11 @@ renders each distinct cell once.
 
 A dataset CSV has one parser, ``dataset_table``, which yields each row as
 an id and its (key, value) fields while ``read_table`` streams the file.
-``load_dataset`` builds a ``Record`` per row from it, for the commands
-that read record text (``generate``, ``join --dump-sentences`` and the
-key-column baselines); ``prepare.read_token_ids`` codes each row's
-tokens from it and holds no row, for the commands that only featurize.
+``load_dataset`` builds a ``Record`` per row from it for ``generate``,
+the one command that edits records. Every other command holds no row:
+``prepare.read_token_ids`` codes each row's tokens from it,
+``prepare.read_key_texts`` keeps each row's key cell, and
+``join --dump-sentences`` writes each row's sentence as it streams past.
 
 Datasets are immutable after load; readers may share them freely across
 threads. All field values are stored as strings (numeric cells keep their

@@ -3,6 +3,11 @@
 Recall is record-level: a base record scores a point only when every one
 of its related records appears in the top-k, which is stricter than
 counting recovered edges.
+
+``run_comparison`` takes the two datasets as their record ids plus what
+its methods compare, never as records: token ids for the baselines of
+whole records (``prepare.read_token_ids``), key texts for the key-column
+baselines (``prepare.read_key_texts``) and embeddings for the encoders.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SupervisionPair
+from .data import SupervisionPair
 from .joiner import Embeddings, JoinResult, retrieval_result
 from .lexrank import (
     BASELINE_KINDS,
@@ -157,16 +162,15 @@ def run_comparison(
     embeddings: dict[str, tuple[Embeddings, Embeddings]],
     metric: str,
     features: dict[str, Features] | None = None,
-    datasets: tuple[Dataset, Dataset] | None = None,
-    key_column: str | None = None,
+    keys: tuple[Sequence[str], Sequence[str]] | None = None,
 ) -> ComparisonTable:
     """Record-level recall@k for each requested method.
 
     A baseline of whole records joins the base and aux records, whose ids
     are ``base_ids`` and ``aux_ids``, from the token ids that ``features``
-    holds under its tokenizer; a key-column baseline joins ``datasets``,
-    the records themselves. An encoder method retrieves with the
-    ``(base, aux)`` embeddings its caller made and passed in
+    holds under its tokenizer; a key-column baseline joins them from
+    ``keys``, their texts in the key column. An encoder method retrieves
+    with the ``(base, aux)`` embeddings its caller made and passed in
     ``embeddings`` under the method's name, ranked by ``metric``.
     """
     if not methods:
@@ -182,7 +186,7 @@ def run_comparison(
         if method in ENCODER_METHODS:
             missing = method not in embeddings and "its (base, aux) embeddings"
         elif uses_key_column(method):
-            missing = datasets is None and "the (base, aux) datasets"
+            missing = keys is None and "the (base, aux) key texts"
         else:
             tokenizer = baseline_tokenizer(method)
             missing = tokenizer not in features and f"the {tokenizer} token ids"
@@ -196,7 +200,7 @@ def run_comparison(
             result = retrieval_result(*embeddings[method], kmax, metric)  # type: ignore[arg-type]
         else:
             if uses_key_column(method):
-                columns = key_join(method, *datasets, key_column, k=kmax)  # type: ignore[misc]
+                columns = key_join(method, aux_ids, keys, k=kmax)  # type: ignore[arg-type]
             else:
                 columns = lexical_join(method, aux_ids, features[baseline_tokenizer(method)],
                                        k=kmax)

@@ -7,18 +7,20 @@ A built index is immutable; scoring it from many threads is safe.
 
 Every lexical ranking goes through ``rank``: queries scored in blocks,
 one ``joiner.topk`` per block, each block yielded as it is ranked. BM25
-and Jaccard score a query, as its ``prepare.token_ids`` vocabulary ids,
-against every document from CSR posting lists per id, with one
-``np.bincount`` over its ids' postings: weighted by BM25 contributions in
-``Bm25Index.scores``, counting |A ∩ B| in ``jaccard_topk``. The postings
+and Jaccard score a query, as its vocabulary ids from
+``prepare.read_token_ids``, against every document from CSR posting
+lists per id, with one ``np.bincount`` over its ids' postings: weighted
+by BM25 contributions in ``Bm25Index.scores``, counting |A ∩ B| in
+``jaccard_topk``. The postings
 are built by ``_invert`` straight from the documents' flat
 ``prepare.TokenIds`` array and its offsets. LD scores by edit distance.
 
 ``lexical_join`` runs the baselines of whole records (BM25, J-WS, J-2G)
 from the aux ids and the two sides' token ids alone; ``key_join`` runs the
-key-column baselines (LD, JK-WS, JK-2G), which read the records' text.
-Both yield a ``JoinResult``'s columns one rank block at a time, so a
-caller can write each block before the next is ranked.
+key-column baselines (LD, JK-WS, JK-2G) from the aux ids and the two
+sides' key texts, as ``prepare.read_key_texts`` reads them. Both yield
+a ``JoinResult``'s columns one rank block at a time, so a caller can
+write each block before the next is ranked.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset
 from .joiner import id_ranks, ranked_columns, topk
 from .prepare import Features, TokenIds, code_tokens, tokenize
 
@@ -50,7 +51,7 @@ _LEX_CELLS = 1 << 15
 
 
 class LexError(ValueError):
-    """Bad kernel input (duplicate doc ids, missing key column, unknown kind)."""
+    """Bad kernel input (duplicate doc ids, no key column, unknown kind)."""
 
 
 def _invert(docs: TokenIds, vocab_size: int) -> tuple[np.ndarray, ...]:
@@ -122,6 +123,15 @@ def baseline_tokenizer(kind: str) -> str:
     """The tokenizer of baseline ``kind``: char2gram for J-2G and JK-2G,
     whitespace for the others."""
     return "char2gram" if _kind(kind).endswith("2G") else "whitespace"
+
+
+def require_key_column(kinds: Iterable[str], key_column: str | None) -> None:
+    """Raise unless ``key_column`` is given or none of baselines ``kinds``
+    compares a key column; the error names the first that does."""
+    if key_column is None:
+        for kind in kinds:
+            if uses_key_column(kind):
+                raise LexError(f"baseline {_kind(kind)} requires a key column")
 
 
 def _kind(kind: str) -> str:
@@ -215,13 +225,6 @@ def levenshtein(a: str, b: str) -> int:
     return prev[len(a)]
 
 
-def _key_text(record, key_column: str) -> str:
-    value = record.value(key_column)
-    if value is None:
-        raise LexError(f"key column {key_column!r} missing for record {record.id!r}")
-    return value
-
-
 def _checked(kind: str, k: int, key_kind: bool) -> str:
     """``kind`` in canonical form; raises unless it is a known baseline of
     the family asked for (one that compares a key column, or one that
@@ -278,15 +281,15 @@ def lexical_join(
 
 def key_join(
     kind: str,
-    base: Dataset,
-    aux: Dataset,
-    key_column: str | None,
+    aux_ids: Sequence[str],
+    keys: tuple[Sequence[str], Sequence[str]],
     k: int = 10,
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Baseline join on the ``key_column`` value of each record (LD, JK-WS
-    or JK-2G), so it reads the records themselves. It yields the columns
-    of the ``JoinResult`` over the datasets' ids per rank block, as
-    ``lexical_join`` does.
+    """Baseline join on one key column (LD, JK-WS or JK-2G), from ``keys``:
+    the base and aux records' texts in that column, as
+    ``prepare.read_key_texts`` reads them, the aux records' ids being
+    ``aux_ids``. It yields the columns of the ``JoinResult`` per rank
+    block, as ``lexical_join`` does.
 
     LD keeps candidates within 30 edits (ascending distance), and skips
     the edit DP for keys whose lengths differ by more. JK-WS and JK-2G
@@ -294,15 +297,11 @@ def key_join(
     always break by ascending aux id.
     """
     kind = _checked(kind, k, key_kind=True)
-    if key_column is None:
-        raise LexError(f"baseline {kind} requires a key column")
-    aux_ids = aux.ids()
     if kind != "LD":
         mode = baseline_tokenizer(kind)
-        features = code_tokens((tokenize(_key_text(r, key_column), mode) for r in dataset.records)
-                               for dataset in (base, aux))
+        features = code_tokens((tokenize(text, mode) for text in side) for side in keys)
         return _ranked_join(kind, aux_ids, features, k)
-    aux_keys = [_key_text(r, key_column).lower() for r in aux.records]
+    base_keys, aux_keys = ([text.lower() for text in side] for side in keys)
 
     def distances(text: str) -> np.ndarray:
         # levenshtein >= the length difference, so a pair whose lengths
@@ -311,7 +310,6 @@ def key_join(
                          if abs(len(text) - len(atext)) <= LD_MAX_DISTANCE else np.inf
                          for atext in aux_keys], dtype=np.float64)
 
-    found = rank((_key_text(r, key_column).lower() for r in base.records), distances,
-                 aux.n, k, id_ranks(aux_ids), descending=False,
+    found = rank(base_keys, distances, len(aux_keys), k, id_ranks(aux_ids), descending=False,
                  keep=lambda dists: dists <= LD_MAX_DISTANCE)
     return (ranked_columns(*block) for block in found)

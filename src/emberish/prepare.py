@@ -11,11 +11,11 @@ the n + 1 offsets where each record's ids start and end. It reads as a
 sequence of per-record views, but holds two arrays per dataset, however
 many records it has.
 
-``read_token_ids`` is how the commands featurize: it codes the rows of
-dataset CSV files as ``data.dataset_table`` streams them, under every
-tokenizer the command needs in one pass per file, and builds no
-``Record``. ``token_ids`` codes datasets already loaded as records, for the
-commands that read their text, with the same vocabulary and ids.
+``read_token_ids`` is the one featurizer: it codes the rows of dataset
+CSV files as ``data.dataset_table`` streams them, under every tokenizer
+the command needs in one pass per file, and builds no ``Record``.
+``read_key_texts`` reads the one cell per row that the key-column
+baselines compare, from the same stream.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset, Record, dataset_table
+from .data import DataError, Record, dataset_table
 
 SEPARATOR = "[SEP]"
 
@@ -155,18 +155,11 @@ def code_tokens(groups: Iterable[Iterable[Sequence[str]]]) -> Features:
     return coder.features()
 
 
-def token_ids(datasets: Sequence[Dataset], tokenizer: str = "whitespace") -> Features:
-    """``code_tokens`` of each loaded dataset's prepared records, in dataset
-    order: ``read_token_ids`` for records already in memory."""
-    return code_tokens((prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in ds.records)
-                       for ds in datasets)
-
-
 def read_token_ids(paths: Sequence[str | Path], tokenizers: Sequence[str]
                    ) -> tuple[list[tuple[str, ...]], dict[str, Features]]:
     """Each dataset CSV's ids, in file order, and under each of
-    ``tokenizers`` the ``token_ids`` of all the files' rows, as
-    ``token_ids`` of the loaded datasets would give them.
+    ``tokenizers`` one vocabulary and per file its rows' ``TokenIds``:
+    ``code_tokens`` of the files' ``prepare_sentence`` tokens.
 
     Each file is read once, by ``data.dataset_table``, with its checks and
     errors; each row's sentence is built once, tokenized under every
@@ -186,3 +179,29 @@ def read_token_ids(paths: Sequence[str | Path], tokenizers: Sequence[str]
             coder.end_group()
         ids.append(tuple(side))
     return ids, {tokenizer: coder.features() for tokenizer, coder in coders.items()}
+
+
+def read_key_texts(paths: Sequence[str | Path], key_column: str
+                   ) -> tuple[list[tuple[str, ...]], list[list[str]]]:
+    """Each dataset CSV's ids, in file order, and each row's ``key_column``
+    cell: its first field of that name, as ``Record.value`` gives it.
+
+    Each file is read once, by ``data.dataset_table``, with its checks and
+    errors, which come first; then a ``DataError`` names the first row,
+    in file order, that has no such field.
+    """
+    ids, keys, missing = [], [], None
+    for path in paths:
+        _, rows = dataset_table(path)
+        side, texts = [], []
+        for rec_id, fields in rows:
+            text = next((value for key, value in fields if key == key_column), None)
+            if text is None and missing is None:
+                missing = rec_id
+            side.append(rec_id)
+            texts.append(text)
+        ids.append(tuple(side))
+        keys.append(texts)
+    if missing is not None:
+        raise DataError(f"key column {key_column!r} missing for record {missing!r}")
+    return ids, keys

@@ -2,8 +2,8 @@
 fuzzy-join workload generator.
 
 The samplers and the pretraining pairs take each dataset as its record
-ids plus the whitespace ``prepare.token_ids`` they rank, never as
-records. Everything here is deterministic under a fixed seed. Row-level
+ids plus the whitespace token ids they rank (``prepare.read_token_ids``),
+never as records. Everything here is deterministic under a fixed seed. Row-level
 generation derives its RNG as seed XOR row-index, so parallel generation
 can partition work without changing output.
 """
@@ -68,7 +68,7 @@ def build_tiers(anchors: Iterable[str], base_ids: Sequence[str], aux_ids: Sequen
     (base ids; a repeat counts once) by BM25 or Jaccard, zero scores
     included, ties by ascending id; none for the random sampler.
     Seed-independent. All anchors are ranked in one ``rank`` call over
-    ``features``, the whitespace ``token_ids`` of the base and aux
+    ``features``, the whitespace ``read_token_ids`` of the base and aux
     datasets, whose records have ids ``base_ids`` and ``aux_ids``, and
     each rank block becomes its anchors' tiers as it is ranked."""
     if cfg.kind == "random":

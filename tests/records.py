@@ -1,12 +1,15 @@
 """In-memory datasets and record lookups for the tests, and the engine's
 featurizing functions applied to them.
 
-The engine reads datasets from files and never looks a record up by id;
-the tests build small datasets from rows and look records up to check
-what the engine did with them. The engine's functions past the reader
-take each dataset as its ids plus its token ids; the helpers here give
-them those of an in-memory dataset, ``prepare.token_ids``, which are the
-ids ``prepare.read_token_ids`` codes from the dataset's file.
+The engine reads datasets from files, builds no record past ``generate``
+and never looks a record up by id; the tests build small datasets from
+rows and look records up to check what the engine did with them. The
+engine's functions past the readers take each dataset as its ids plus its
+token ids or key texts; the helpers here give them those of an in-memory
+dataset: ``token_ids``, ``code_tokens`` of its records' ``prepare_sentence``
+tokens, which are the ids ``prepare.read_token_ids`` codes from the
+dataset's file, and ``key_texts``, the values ``prepare.read_key_texts``
+reads.
 """
 
 from typing import Sequence
@@ -15,7 +18,7 @@ from emberish.data import DataError, Dataset, DatasetRole, Record
 from emberish.encoder import embed_tokens, fit_encoder, train
 from emberish.joiner import JoinResult
 from emberish.lexrank import baseline_tokenizer, key_join, lexical_join, uses_key_column
-from emberish.prepare import token_ids
+from emberish.prepare import Features, code_tokens, prepare_sentence
 from emberish.supervise import build_pretraining_pairs, build_tiers, sample_triples
 
 
@@ -48,6 +51,24 @@ def record(dataset: Dataset, record_id: str) -> Record:
     raise DataError(f"no record with id {record_id!r} in dataset {dataset.name!r}")
 
 
+def token_ids(datasets: Sequence[Dataset], tokenizer: str = "whitespace") -> Features:
+    """One vocabulary and per dataset its records' token ids under
+    ``tokenizer``: ``code_tokens`` of their ``prepare_sentence`` tokens, in
+    dataset order."""
+    return code_tokens((prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in ds.records)
+                       for ds in datasets)
+
+
+def key_texts(datasets: Sequence[Dataset], key_column: str) -> list[list[str]]:
+    """Per dataset its records' ``key_column`` values, raising the
+    ``DataError`` of ``prepare.read_key_texts`` for the first record with
+    none."""
+    missing = [rec.id for ds in datasets for rec in ds.records if rec.value(key_column) is None]
+    if missing:
+        raise DataError(f"key column {key_column!r} missing for record {missing[0]!r}")
+    return [[rec.value(key_column) for rec in ds.records] for ds in datasets]
+
+
 def embed_dataset(model, dataset: Dataset, tokenizer: str = "whitespace", features=None):
     """``embed_tokens`` of a dataset's records, from ``features`` (a
     vocabulary and the records' token ids) or featurized here."""
@@ -60,10 +81,10 @@ def embed_dataset(model, dataset: Dataset, tokenizer: str = "whitespace", featur
 def baseline_join(kind: str, base: Dataset, aux: Dataset, key_column: str | None = None,
                   k: int = 10):
     """The baseline join ``join --baseline kind`` runs on the datasets'
-    files: ``key_join`` of the records or ``lexical_join`` of their ids,
-    its blocks joined into one ``JoinResult``."""
+    files: ``key_join`` of their ``key_column`` texts or ``lexical_join`` of
+    their token ids, its blocks joined into one ``JoinResult``."""
     if uses_key_column(kind):
-        columns = key_join(kind, base, aux, key_column, k)
+        columns = key_join(kind, aux.ids(), key_texts([base, aux], key_column), k)
     else:
         columns = lexical_join(kind, aux.ids(), token_ids([base, aux], baseline_tokenizer(kind)),
                                k)

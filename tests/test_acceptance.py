@@ -34,11 +34,11 @@ from emberish.joiner import (
 )
 from emberish.joinspec import EngineConfig, JoinSpec, JoinType, parse_join_spec, render_join_spec
 from emberish.lexrank import jaccard, levenshtein
-from emberish.prepare import prepare_sentence, token_ids
+from emberish.prepare import prepare_sentence
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join, split_train_test
 from oracles import (batch_loss, coded_index, dense_table, encode, knn, matched_pairs, matches,
                      scan_queries)
-from records import dataset_from_rows, record
+from records import dataset_from_rows, record, token_ids
 
 
 def pair(entries):

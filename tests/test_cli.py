@@ -411,12 +411,14 @@ def counted(monkeypatch):
     """Counts of the sides a command embeds (an ``embed_tokens`` call for a
     side embedded in memory, an ``embed_blocks`` call for a side a join
     embeds into its file) and of the dataset files it reads (one per
-    ``load_dataset`` call, one per path of a ``read_token_ids`` call)."""
+    ``load_dataset`` or ``dataset_table`` call, one per path of a
+    ``read_token_ids`` or ``read_key_texts`` call)."""
     import emberish.cli as cli_mod
 
     calls = {"embed": 0, "load": 0}
     for name, attr, work in (("embed", "embed_tokens", None), ("embed", "embed_blocks", None),
-                             ("load", "load_dataset", None), ("load", "read_token_ids", len)):
+                             ("load", "load_dataset", None), ("load", "dataset_table", None),
+                             ("load", "read_token_ids", len), ("load", "read_key_texts", len)):
         def counting(*args, _name=name, _fn=getattr(cli_mod, attr), _work=work, **kwargs):
             calls[_name] += 1 if _work is None else _work(args[0])
             return _fn(*args, **kwargs)
@@ -1041,7 +1043,7 @@ class TestPartialModelLoads:
         import emberish.cli as cli_mod
         from emberish.data import load_supervision
         from emberish.encoder import EncoderModel, load_model, save_model
-        from emberish.prepare import token_ids
+        from records import token_ids
 
         tmp_path, _ = workspace
         cfg = fast_config(tmp_path, num_encoders=2, encoder_init="pretrained_artifact")
@@ -1424,6 +1426,54 @@ class TestEvaluateFlags:
         assert (tmp_path / "metrics.csv").read_text().startswith("method,k,recall\nJK-WS,1,")
 
 
+class TestKeyColumn:
+    """A key-column baseline without --key-column exits 1 before any input
+    is read; one whose column the files lack names the first record
+    without it."""
+
+    @pytest.mark.parametrize("args, kind", [
+        (["join", "--baseline", "LD"], "LD"),
+        (["join", "--baseline", "jk_ws"], "JK-WS"),
+        (["join", "--baseline", "JK-2G"], "JK-2G"),
+        (["evaluate", "--comparison", "--methods", "LD"], "LD"),
+        (["evaluate", "--comparison", "--methods", "BM25,J-WS,LD"], "LD"),
+        (["evaluate", "--comparison", "--methods", "untrained-encoder,JK-2G,LD"], "JK-2G"),
+    ])
+    def test_a_missing_key_column_fails_before_any_input_is_read(self, workspace, monkeypatch,
+                                                                 capsys, args, kind):
+        import emberish.cli as cli_mod
+        from emberish import data
+
+        tmp_path, _ = workspace
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for module, attr in ((cli_mod, "read_token_ids"), (cli_mod, "read_key_texts"),
+                             (cli_mod, "load_dataset"), (cli_mod, "dataset_table"),
+                             (cli_mod, "load_supervision"), (cli_mod, "_sha256"),
+                             (data, "read_table"), (data, "dataset_table")):
+            monkeypatch.setattr(module, attr, refuse)
+        assert main([args[0], "--data-dir", str(tmp_path), *args[1:]]) == 1
+        assert capsys.readouterr().err == f"error: baseline {kind} requires a key column\n"
+        assert not list(tmp_path.glob("manifest_[je]*.json"))
+
+    @pytest.mark.parametrize("kind", ["LD", "JK-WS", "JK-2G"])
+    @pytest.mark.parametrize("command", ["join", "evaluate"])
+    def test_a_key_column_the_files_lack_names_the_first_record(self, workspace, capsys,
+                                                               command, kind):
+        tmp_path, _ = workspace
+        first = load_dataset(tmp_path / "base.csv").records[0].id
+        flags = (["--baseline", kind] if command == "join"
+                 else ["--comparison", "--methods", f"BM25,{kind}"])
+        capsys.readouterr()
+        assert main([command, "--data-dir", str(tmp_path), *flags, "--key-column", "nope"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: key column 'nope' missing for record {first!r}\n")
+        assert not (tmp_path / ("result.csv" if command == "join" else "metrics.csv")).exists()
+
+
 class TestPipeline:
     def test_chain_and_label_averaging(self, workspace):
         tmp_path, cfg = workspace
@@ -1789,8 +1839,9 @@ class TestRecordsOnlyWhereTextIsRead:
     """train, a fresh learned join, the BM25 and J-WS joins and evaluate
     code each row's tokens as its file streams past, and build no
     ``Record``; they write the bytes that the same computation over the
-    loaded records gives. generate, --dump-sentences and the key-column
-    baselines read record text, so they build records."""
+    loaded records gives. --dump-sentences and the key-column baselines
+    read each row's sentence or key cell as the file streams past too:
+    generate alone builds records."""
 
     @staticmethod
     def count_records(monkeypatch, refuse=False):
@@ -1863,24 +1914,23 @@ class TestRecordsOnlyWhereTextIsRead:
         path.write_text("base INNER KEYLESS JOIN aux LEFT SIZE 1 RIGHT SIZE 3 USING s;")
         return path
 
-    def test_text_reading_commands_build_records(self, tmp_path, monkeypatch):
+    def test_only_generate_builds_records(self, tmp_path, monkeypatch):
         write_quoted_source(tmp_path)
         d = ["--data-dir", str(tmp_path)]
         built = self.count_records(monkeypatch)
         assert main(["generate", *d, "--copies", "2", "--perturbations", "1"]) == 0
         assert built
+        monkeypatch.undo()
+        self.count_records(monkeypatch, refuse=True)
         assert main(["train", *d, "--no-pretrain"]) == 0
-        sides = len(read_rows(tmp_path / "base.csv")) + len(read_rows(tmp_path / "aux.csv")) - 2
         for args in (["--join-type", "LEFT", "--dump-sentences", str(tmp_path / "s.jsonl")],
+                     ["--baseline", "BM25", "--dump-sentences", str(tmp_path / "s.jsonl")],
                      ["--baseline", "JK-WS", "--key-column", "name"],
+                     ["--baseline", "JK-2G", "--key-column", "name"],
                      ["--baseline", "LD", "--key-column", "name"]):
-            built.clear()
-            assert main(["join", *d, *args]) == 0
-            assert len(built) == sides, args
-        built.clear()
-        assert main(["evaluate", *d, "--comparison", "--methods", "BM25,JK-WS",
+            assert main(["join", *d, *args]) == 0, args
+        assert main(["evaluate", *d, "--comparison", "--methods", "BM25,JK-WS,LD",
                      "--key-column", "name"]) == 0
-        assert len(built) == sides
 
     def test_train_reads_each_dataset_file_once(self, workspace, monkeypatch):
         # Under char2gram, pretraining and a stratified sampler rank

@@ -17,9 +17,9 @@ from emberish.encoder import (
     load_model,
     save_model,
 )
-from emberish.prepare import Sentence, prepare_sentence, token_ids
+from emberish.prepare import Sentence, prepare_sentence
 from oracles import batch_loss, dense_table, encode, triplet_loss
-from records import dataset_from_rows, embed_dataset, fit_datasets, record, train_on
+from records import dataset_from_rows, embed_dataset, fit_datasets, record, token_ids, train_on
 
 
 def sentence(text):

@@ -18,8 +18,8 @@ from emberish.evalkit import (
 )
 from emberish.joiner import JoinResult
 from oracles import matches
-from emberish.prepare import TOKENIZERS, token_ids
-from records import baseline_join, dataset_from_rows, embed_dataset
+from emberish.prepare import TOKENIZERS
+from records import baseline_join, dataset_from_rows, embed_dataset, key_texts, token_ids
 
 
 def ranked_result(rows):
@@ -202,12 +202,12 @@ def tiny_world():
     return base, aux, ts
 
 
-def compare(base, aux, ts, methods, ks, **kwargs):
-    """``run_comparison`` of two in-memory datasets, given their records and
-    their token ids under every tokenizer."""
+def compare(base, aux, ts, methods, ks, key_column="name", **kwargs):
+    """``run_comparison`` of two in-memory datasets, given their token ids
+    under every tokenizer and their ``key_column`` texts."""
     features = {tokenizer: token_ids([base, aux], tokenizer) for tokenizer in TOKENIZERS}
     return run_comparison(base.ids(), aux.ids(), ts, methods, ks, features=features,
-                          datasets=(base, aux), **kwargs)
+                          keys=key_texts([base, aux], key_column), **kwargs)
 
 
 class TestRunComparison:
@@ -250,17 +250,16 @@ class TestRunComparison:
     @pytest.mark.parametrize("method, needs", [
         ("BM25", "the whitespace token ids"),
         ("J-2G", "the char2gram token ids"),
-        ("LD", "the (base, aux) datasets"),
-        ("JK-WS", "the (base, aux) datasets"),
+        ("LD", "the (base, aux) key texts"),
+        ("JK-WS", "the (base, aux) key texts"),
     ])
     def test_a_baseline_requires_what_it_joins(self, method, needs):
         # A baseline of whole records joins token ids, a key-column
-        # baseline the records themselves.
+        # baseline its column's texts.
         base, aux, ts = tiny_world()
         with pytest.raises(EvalError, match=re.escape(f"{method} needs {needs}")):
             run_comparison(base.ids(), aux.ids(), ts, [method], [1], embeddings={},
-                           metric="l2", key_column="name",
-                           features={"whitespace": token_ids([base, aux])}
+                           metric="l2", features={"whitespace": token_ids([base, aux])}
                            if method != "BM25" else None)
 
     def test_unknown_method(self):

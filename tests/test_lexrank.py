@@ -324,13 +324,22 @@ def test_jaccard_join_threshold():
     assert "a0" in ids and "a1" not in ids
 
 
-def test_missing_key_column_errors():
-    base = dataset_from_rows("b", "base", [("b0", [("name", "x")])])
-    aux = dataset_from_rows("a", "auxiliary", [("a0", [("name", "y")])])
-    with pytest.raises(LexError, match="key column"):
-        baseline_join("LD", base, aux, key_column=None, k=1)
-    with pytest.raises(LexError, match="key column"):
-        baseline_join("JK-WS", base, aux, key_column="nope", k=1)
+def test_missing_key_column_errors(tmp_path):
+    # No key column names the first key baseline asked for; a column the
+    # files lack names the first record without it.
+    from emberish.data import DataError
+    from emberish.lexrank import require_key_column
+    from emberish.prepare import read_key_texts
+
+    with pytest.raises(LexError, match="^baseline LD requires a key column$"):
+        require_key_column(["BM25", "ld", "JK-WS"], None)
+    require_key_column(["LD", "JK-2G"], "name")
+    require_key_column(["BM25", "J-2G"], None)
+    paths = [tmp_path / "b.csv", tmp_path / "a.csv"]
+    paths[0].write_text("id,name\nb0,x\n", encoding="utf-8")
+    paths[1].write_text("id,name\na0,y\n", encoding="utf-8")
+    with pytest.raises(DataError, match="^key column 'nope' missing for record 'b0'$"):
+        read_key_texts(paths, "nope")
 
 
 @pytest.mark.parametrize("kind", ["LD", "J-WS", "J-2G", "JK-WS", "JK-2G", "BM25"])
@@ -502,8 +511,8 @@ def test_unknown_kind():
 
 def test_each_join_runs_its_own_baselines():
     # lexical_join compares whole records from their token ids; key_join
-    # reads one column of the records themselves.
-    from emberish.prepare import token_ids
+    # compares one column's texts.
+    from records import key_texts, token_ids
 
     base = dataset_from_rows("b", "base", [("b0", [("name", "x")])])
     features = token_ids([base, base])
@@ -512,7 +521,7 @@ def test_each_join_runs_its_own_baselines():
             lexical_join(kind, base.ids(), features, k=1)
     for kind in ("BM25", "J-WS", "j_2g"):
         with pytest.raises(LexError, match="compares whole records"):
-            key_join(kind, base, base, "name", k=1)
+            key_join(kind, base.ids(), key_texts([base, base], "name"), k=1)
 
 
 # --- rank: one blocked pass for every lexical ranking ---------------------

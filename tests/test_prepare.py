@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emberish.data import Record
-from emberish.prepare import TokenIds, code_tokens, prepare_sentence, token_ids, tokenize
+from emberish.prepare import (TokenIds, code_tokens, prepare_sentence, read_key_texts,
+                              read_token_ids, tokenize)
 from emberish.supervise import PerturbationConfig, generate_fuzzy_join
 from corpus import slot_grid_source
-from records import dataset_from_rows
+from records import token_ids
 
 
 def test_two_field_record():
@@ -83,44 +84,56 @@ def test_schema_independence_and_token_totality(fields):
         assert all(tok for tok in tokenize(sent.text, mode))
 
 
-class TestTokenIds:
-    @staticmethod
-    def datasets():
-        base = dataset_from_rows("base", "base", [
-            ("x", [("t", "Beta alpha")]), ("e", []), ("y", [("u", "alpha")])])
-        aux = dataset_from_rows("aux", "auxiliary", [("z", [("t", "gamma beta")])])
-        return base, aux
+class TestReadTokenIds:
+    # A row's fields are every column but its id, an empty cell rendering
+    # as its key alone; a file of ids alone holds records with no tokens.
+    FILES = {"base.csv": "id,t,u\nx,Beta alpha,\ny,,alpha\n", "empty.csv": "id\ne\n",
+             "aux.csv": "t,id\ngamma beta,z\n"}
 
-    def test_one_vocabulary_in_first_seen_order_across_datasets(self):
-        vocab, (base_ids, aux_ids) = token_ids(self.datasets())
-        assert vocab == ["t", "beta", "alpha", "u", "gamma"]
-        assert [ids.tolist() for ids in base_ids] == [[0, 1, 2], [], [3, 2]]
-        assert [ids.tolist() for ids in aux_ids] == [[0, 4, 1]]
+    def paths(self, tmp_path):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        return [tmp_path / name for name in self.FILES]
 
-    def test_ids_spell_each_records_prepared_tokens(self):
+    def test_one_vocabulary_in_first_seen_order_across_files(self, tmp_path):
+        ids, features = read_token_ids(self.paths(tmp_path), ["whitespace"])
+        vocab, (base_ids, empty_ids, aux_ids) = features["whitespace"]
+        assert ids == [("x", "y"), ("e",), ("z",)]
+        assert vocab == ["t", "beta", "alpha", "[sep]", "u", "gamma"]
+        assert [ids.tolist() for ids in base_ids] == [[0, 1, 2, 3, 4], [0, 3, 4, 2]]
+        assert [ids.tolist() for ids in empty_ids] == [[]]
+        assert [ids.tolist() for ids in aux_ids] == [[0, 5, 1]]
+
+    def test_ids_spell_each_records_prepared_tokens(self, tmp_path):
+        from emberish.data import load_dataset
+
+        paths = self.paths(tmp_path)
+        datasets = [load_dataset(path) for path in paths]
         for tokenizer in ("whitespace", "char2gram"):
-            datasets = self.datasets()
-            vocab, ids = token_ids(datasets, tokenizer)
+            vocab, sides = read_token_ids(paths, [tokenizer])[1][tokenizer]
             assert len(vocab) == len(set(vocab))
-            for dataset, side in zip(datasets, ids):
+            for dataset, side in zip(datasets, sides):
                 assert len(side) == len(dataset.records)
                 for rec, rec_ids in zip(dataset.records, side):
                     assert rec_ids.dtype == np.int32
                     assert [vocab[i] for i in rec_ids] == list(
                         prepare_sentence(rec, tokenizer=tokenizer).tokens)
 
-    def test_an_empty_record_gives_an_empty_array(self):
-        _, (base_ids, _) = token_ids(self.datasets())
-        assert base_ids[1].dtype == np.int32 and base_ids[1].size == 0
+    def test_an_empty_record_gives_an_empty_array(self, tmp_path):
+        _, sides = read_token_ids(self.paths(tmp_path), ["whitespace"])[1]["whitespace"]
+        empty_ids = sides[1]
+        assert empty_ids[0].dtype == np.int32 and empty_ids[0].size == 0
 
-    def test_char2gram(self):
-        base = dataset_from_rows("base", "base", [("x", [("ab", "ab")]), ("y", [("b", "")])])
-        vocab, (ids,) = token_ids([base], "char2gram")
+    def test_char2gram(self, tmp_path):
+        (tmp_path / "x.csv").write_text("id,ab\nx,ab\n", encoding="utf-8")
+        (tmp_path / "y.csv").write_text("id,b\ny,\n", encoding="utf-8")
+        vocab, sides = read_token_ids([tmp_path / "x.csv", tmp_path / "y.csv"],
+                                      ["char2gram"])[1]["char2gram"]
         assert vocab == ["ab", "ba"]
-        assert [i.tolist() for i in ids] == [[0, 1, 0], []]
+        assert [[i.tolist() for i in ids] for ids in sides] == [[[0, 1, 0]], [[]]]
 
-    def test_two_arrays_per_dataset(self):
-        _, sides = token_ids(self.datasets())
+    def test_two_arrays_per_dataset(self, tmp_path):
+        _, sides = read_token_ids(self.paths(tmp_path), ["whitespace"])[1]["whitespace"]
         for side in sides:
             assert isinstance(side, TokenIds)
             assert side.flat.dtype == np.int32 and side.offsets.dtype == np.int64
@@ -128,20 +141,22 @@ class TestTokenIds:
             for view in side:
                 assert view.base is side.flat  # a view, not a copy
 
-    def test_grid_records_peak_under_3_mb(self):
-        # 12,000 grid-join records hold about 660,000 tokens, 6.4 MB as one
-        # int64 array per record.
-        base, aux, _ = generate_fuzzy_join(slot_grid_source(2000),
-                                           PerturbationConfig(copies_per_row=5, seed=7))
-        assert base.n + aux.n == 12000
-        tracemalloc.start()
-        try:
-            _, sides = token_ids([base, aux])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sum(side.flat.size for side in sides) > 600_000
-        assert peak <= 3 * 2 ** 20
+
+def test_code_tokens_of_grid_records_peaks_under_3_mb():
+    # 12,000 grid-join records hold about 660,000 tokens, 6.4 MB as one
+    # int64 array per record. The coder alone is traced: ``token_ids`` is
+    # ``code_tokens`` of the records' prepared tokens.
+    base, aux, _ = generate_fuzzy_join(slot_grid_source(2000),
+                                       PerturbationConfig(copies_per_row=5, seed=7))
+    assert base.n + aux.n == 12000
+    tracemalloc.start()
+    try:
+        _, sides = token_ids([base, aux])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(side.flat.size for side in sides) > 600_000
+    assert peak <= 3 * 2 ** 20
 
 
 _tokens = st.lists(st.sampled_from(["a", "b", "cc", "d d", "é", ""]), max_size=8)
@@ -181,19 +196,6 @@ def test_code_tokens_views_equal_per_record_arrays(groups):
     assert len(sides) == len(groups)
     for side, want in zip(sides, expected):
         _check_views(side, want)
-
-
-@given(rows=st.lists(st.lists(_field, max_size=3), max_size=6),
-       tokenizer=st.sampled_from(["whitespace", "char2gram"]))
-@settings(max_examples=100)
-def test_token_ids_views_equal_per_record_arrays(rows, tokenizer):
-    # A dataset of no records, and records with no tokens, included.
-    dataset = dataset_from_rows("d", "base", [(f"r{i}", fields) for i, fields in enumerate(rows)])
-    vocab, (side,) = token_ids([dataset], tokenizer)
-    want_vocab, (expected,) = _oracle_codes(
-        [[prepare_sentence(rec, tokenizer=tokenizer).tokens for rec in dataset.records]])
-    assert vocab == want_vocab
-    _check_views(side, expected)
 
 
 # --- read_token_ids: the rows of dataset files, coded as they stream past ---
@@ -249,6 +251,21 @@ def _oracle_rows(header, rows):
             for i, row in enumerate(rows)]
 
 
+@given(table=_tables(), tokenizer=st.sampled_from(["whitespace", "char2gram"]))
+@settings(max_examples=100, deadline=None)
+def test_read_token_ids_views_equal_per_record_arrays(tmp_path_factory, table, tokenizer):
+    # A file of no records, and records with no tokens, included.
+    header, rows, blanks = table
+    path = tmp_path_factory.mktemp("views") / "d.csv"
+    path.write_text(_render(header, rows, blanks)[0], encoding="utf-8", newline="")
+    vocab, (side,) = read_token_ids([path], [tokenizer])[1][tokenizer]
+    want_vocab, (expected,) = _oracle_codes(
+        [[prepare_sentence(Record(rec_id, fields), tokenizer=tokenizer).tokens
+          for rec_id, fields in _oracle_rows(header, rows)]])
+    assert vocab == want_vocab
+    _check_views(side, expected)
+
+
 def _same_features(got, want):
     (vocab, sides), (want_vocab, want_sides) = got, want
     assert vocab == want_vocab
@@ -266,7 +283,6 @@ def _same_features(got, want):
 def test_read_token_ids_equals_token_ids_of_the_loaded_datasets(tmp_path_factory, tables,
                                                                  tokenizers):
     from emberish.data import load_dataset
-    from emberish.prepare import read_token_ids
 
     root = tmp_path_factory.mktemp("tables")
     paths = []
@@ -297,7 +313,6 @@ def test_read_token_ids_raises_the_errors_of_load_dataset(tmp_path_factory, tabl
     # for it, from both readers; a malformed row is reported before a
     # duplicate id, even one earlier in the file.
     from emberish.data import DataError, load_dataset
-    from emberish.prepare import read_token_ids
 
     header, rows, _ = table
     path = tmp_path_factory.mktemp("faulty") / "d.csv"
@@ -327,3 +342,87 @@ def test_read_token_ids_raises_the_errors_of_load_dataset(tmp_path_factory, tabl
         with pytest.raises(DataError) as raised:
             read(path)
         assert str(raised.value) == expected
+
+
+# --- read_key_texts: one column's cells, read as the rows stream past ------
+
+# Key cells with commas, quotes, line breaks, a "\r" and non-ASCII text;
+# column names may repeat.
+_key_cell = st.text(alphabet=st.sampled_from(list('ab Zé,"\n\r') + ["日"]), max_size=6)
+
+
+@given(header=st.lists(st.sampled_from(["k", "q", 'é,"']), min_size=1, max_size=4),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_key_texts_equals_the_loaded_records_values(tmp_path_factory, header, data):
+    from emberish.data import DataError, load_dataset, write_table
+
+    n = data.draw(st.integers(0, 5))
+    rows = [[data.draw(_key_cell) for _ in header] for _ in range(n)]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(header)))
+        ids = data.draw(st.lists(st.text(alphabet='xy1é,"\r', max_size=3), min_size=n,
+                                 max_size=n, unique=True))
+        header = [*header[:at], "id", *header[at:]]
+        rows = [[*row[:at], rid, *row[at:]] for row, rid in zip(rows, ids)]
+    root = tmp_path_factory.mktemp("keys")
+    paths = [root / "base.csv", root / "aux.csv"]
+    write_table(paths[0], header, rows)
+    write_table(paths[1], header, rows[::-1])
+    datasets = [load_dataset(path) for path in paths]
+    column = data.draw(st.sampled_from(sorted({"id", *header})))
+    if column == "id" and n:
+        # The id column is no field, so no record has it as its key.
+        first = datasets[0].records[0].id
+        with pytest.raises(DataError) as raised:
+            read_key_texts(paths, column)
+        assert str(raised.value) == f"key column 'id' missing for record {first!r}"
+        return
+    ids, keys = read_key_texts(paths, column)
+    assert ids == [dataset.ids() for dataset in datasets]
+    assert keys == [[rec.value(column) for rec in dataset.records] for dataset in datasets]
+
+
+class TestReadKeyTexts:
+    @staticmethod
+    def read(tmp_path, key_column, *texts):
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"d{i}.csv")
+            paths[-1].write_text(text, encoding="utf-8")
+        return read_key_texts(paths, key_column)
+
+    def test_the_first_of_a_duplicated_column_wins(self, tmp_path):
+        assert self.read(tmp_path, "k", "id,k,q,k\nr,a,b,c\n") == ([("r",)], [["a"]])
+
+    def test_without_an_id_column_ids_are_ordinals(self, tmp_path):
+        assert self.read(tmp_path, "k", "k\nx\ny\n") == ([("0", "1")], [["x", "y"]])
+
+    def test_a_header_only_file_gives_empty_lists(self, tmp_path):
+        assert self.read(tmp_path, "k", "id,k\n", "id,q\n") == ([(), ()], [[], []])
+
+    @pytest.mark.parametrize("texts, missing", [
+        (("id,q\nb0,x\n", "id,k\na0,y\n"), "b0"),
+        (("id,k\nb0,x\n", "id,q\na0,y\n"), "a0"),
+    ])
+    def test_the_first_record_without_the_column_is_named(self, tmp_path, texts, missing):
+        from emberish.data import DataError
+
+        with pytest.raises(DataError) as raised:
+            self.read(tmp_path, "k", *texts)
+        assert str(raised.value) == f"key column 'k' missing for record {missing!r}"
+
+    def test_the_id_column_is_no_key_column(self, tmp_path):
+        from emberish.data import DataError
+
+        with pytest.raises(DataError) as raised:
+            self.read(tmp_path, "id", "id,k\nb0,x\n")
+        assert str(raised.value) == "key column 'id' missing for record 'b0'"
+
+    def test_the_files_errors_come_first(self, tmp_path):
+        # A malformed aux row is reported before the base's missing column,
+        # as loading both datasets first reported it.
+        from emberish.data import DataError
+
+        with pytest.raises(DataError, match="malformed row at line 2"):
+            self.read(tmp_path, "k", "id,q\nb0,x\n", "id,k\na0,y,z\n")
